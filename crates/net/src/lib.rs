@@ -8,11 +8,13 @@
 //!
 //! * [`frame`] — length-prefixed frames and the hello that opens every
 //!   connection, with message bodies encoded by [`iss_messages::wire`];
+//!   many frames to a write, many frames from a read;
 //! * [`runtime`] — [`runtime::TcpRuntime`], hosting one process per OS
 //!   runtime: a single protocol thread executes handler callbacks serially
 //!   against a [`iss_runtime::SansIo`] driver (so the process still sees a
 //!   deterministic, single-threaded world), reader threads feed its
-//!   mailbox, writer threads own outbound connections and reconnect with
+//!   mailbox one entry per socket read, writer threads own outbound
+//!   connections, write one chunk of frames per burst and reconnect with
 //!   backoff;
 //! * [`cluster`] — [`cluster::TcpCluster`], booting an n-node localhost
 //!   ISS deployment with per-node durable [`iss_storage::FileStorage`] and

@@ -12,14 +12,42 @@
 //!   simulator;
 //! * an **acceptor thread** (replicas only) — accepts inbound connections,
 //!   reads the hello frame identifying the dialer, hands the write half to
-//!   the protocol thread and becomes the connection's reader, decoding
-//!   frames into the mailbox;
+//!   the protocol thread and becomes the connection's reader;
 //! * one **writer thread per dialed peer** — owns the outbound connection
 //!   to that peer, dials lazily with exponential backoff, re-dials (and
 //!   re-sends its hello) whenever a write fails, and spawns a reader on
 //!   each fresh connection. The peer's current socket address is re-read
 //!   from the shared [`PeerTable`] on every dial, so a peer that restarts
 //!   on a new port is found without reconfiguration.
+//!
+//! # Batching
+//!
+//! The wire format is a sequence of length-prefixed frames, one per
+//! message; how many frames travel per syscall and per thread wake-up is
+//! this module's business, and at every hop the answer is "all that are
+//! there":
+//!
+//! * **Sending.** The protocol thread works in *bursts*: it keeps taking
+//!   inputs while the mailbox has any, and every `Action::Send` is encoded
+//!   straight into a buffer of whole frames kept per destination. A
+//!   destination's buffer is *flushed* — handed to the peer's writer thread
+//!   as one chunk (one channel send, one `write`), or written to a client's
+//!   inbound socket with one `write_all` — when it passes [`FLUSH_BYTES`],
+//!   when the burst has handled [`MAX_BURST`] messages, and always before
+//!   the protocol thread blocks: the mailbox running dry ends the burst, so
+//!   **no byte is ever held across a blocking wait** and an idle runtime
+//!   adds no delay to a lone message.
+//! * **Receiving.** A reader thread reads through a 64 KiB buffer
+//!   ([`frame::FrameReader`]), decodes every complete frame one `read`
+//!   returned and posts them as a single mailbox entry. The protocol thread
+//!   handles the messages of an entry one by one, in order, exactly as if
+//!   they had arrived separately (self-sends and due timers still run
+//!   between any two of them).
+//!
+//! Per-destination FIFO order is kept end to end. A chunk whose write fails
+//! is written again, whole, on the next connection, so the receiver may see
+//! frames of its first part twice — the protocols discard duplicates, as
+//! they must on any retransmitting transport.
 //!
 //! # Connection policy
 //!
@@ -32,25 +60,33 @@
 //! per node pair — the simulator models neither, see
 //! `docs/architecture.md`.
 //!
+//! A reader holds a clone of the socket its connection's writer owns, so
+//! dropping the writer's handle closes nothing: whoever gives a connection
+//! up — a writer on a failed write or on exit, the protocol thread on exit
+//! for its inbound connections — calls `shutdown(Both)`, which ends the
+//! readers at both ends.
+//!
 //! # Time
 //!
 //! `ctx.now()` is the monotonic-clock duration since the runtime started,
 //! in microseconds — the same [`Time`] axis the simulator uses, anchored at
 //! process boot instead of at global virtual zero. Timers are kept in a
 //! `BinaryHeap` and fire when the monotonic clock passes their deadline;
-//! cancellation stays O(1) through the driver's [`TimerSlab`] generation
-//! check, exactly as under the simulator.
+//! cancellation stays O(1) through the driver's
+//! [`iss_runtime::TimerSlab`] generation check, exactly as under the
+//! simulator.
 
-use crate::frame;
+use crate::frame::{self, FrameReader};
+use bytes::BytesMut;
 use iss_messages::NetMsg;
 use iss_runtime::{Action, Addr, Driver, Event, Process, SansIo};
 use iss_types::{NodeId, Time, TimerId};
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
@@ -76,15 +112,26 @@ pub type ProcessBuilder = Box<dyn FnOnce() -> Box<dyn Process<NetMsg>> + Send>;
 /// Frames queued to one peer's writer thread beyond this bound are dropped:
 /// a crashed or unreachable peer must not grow the sender's memory without
 /// limit, and the protocols tolerate message loss by design (a recovering
-/// replica catches up through the WAL / state-transfer path). Each drop is
+/// replica catches up through the WAL / state-transfer path). The bound
+/// counts frames, however they are grouped into chunks. Each drop is
 /// counted in the peer's [`PeerStats`] and surfaced by a rate-limited
 /// warning — loss is tolerated, but never silent.
-const WRITER_QUEUE: usize = 4096;
+const WRITER_QUEUE: u64 = 4096;
 
 /// Emit a dropped-frame warning on the first drop to a peer and then once
 /// every this many drops (a saturated writer queue drops frames in bursts;
 /// per-frame logging would melt stderr exactly when the node is busiest).
 const DROP_WARN_EVERY: u64 = 1024;
+
+/// A destination's frame buffer is flushed as soon as it holds this many
+/// bytes, burst or not: past a socket buffer's worth, waiting for more
+/// saves no syscall and only delays the peer.
+pub const FLUSH_BYTES: usize = 64 << 10;
+
+/// A burst is cut (every buffer flushed) after this many network messages
+/// even if the mailbox never runs dry, so a saturated node's votes wait for
+/// at most this many callbacks, not for [`FLUSH_BYTES`] of votes.
+pub const MAX_BURST: usize = 256;
 
 /// Live statistics of one peer's outbound writer, shared between the
 /// protocol thread (which enqueues), the writer thread (which drains and
@@ -103,18 +150,26 @@ pub struct PeerStats {
     pub connects: AtomicU64,
     /// Frames successfully written to the socket.
     pub frames_sent: AtomicU64,
-    /// Bytes successfully written to the socket.
+    /// Payload bytes successfully written to the socket (length prefixes
+    /// not counted).
     pub bytes_sent: AtomicU64,
 }
 
 impl PeerStats {
-    fn note_enqueued(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+    fn note_enqueued(&self, frames: u64) {
+        let depth = self.queue_depth.fetch_add(frames, Ordering::Relaxed) + frames;
         self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
-    fn note_dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    fn note_dequeued(&self, frames: u64) {
+        self.queue_depth.fetch_sub(frames, Ordering::Relaxed);
+    }
+
+    fn note_dropped(&self, peer: NodeId) {
+        let drops = self.dropped.fetch_add(1, Ordering::Relaxed) + 1;
+        if drops == 1 || drops.is_multiple_of(DROP_WARN_EVERY) {
+            eprintln!("iss-net: writer queue to {peer:?} full, {drops} frame(s) dropped so far");
+        }
     }
 }
 
@@ -123,7 +178,8 @@ impl PeerStats {
 /// safe to sample from any thread while the runtime runs.
 #[derive(Debug, Default)]
 pub struct NetStats {
-    /// Inputs currently queued to the protocol thread.
+    /// Messages (and connection hand-offs) currently queued to the protocol
+    /// thread, however they are grouped into mailbox entries.
     pub mailbox_depth: AtomicU64,
     /// Peak mailbox depth observed.
     pub max_mailbox_depth: AtomicU64,
@@ -132,9 +188,9 @@ pub struct NetStats {
 }
 
 /// The mailbox sender with depth accounting: every producer (acceptor,
-/// readers, writer error paths) goes through [`MailboxTx::send`], the
-/// protocol thread decrements after each receive, so `NetStats` always shows
-/// how far the protocol thread has fallen behind its inputs.
+/// readers, the handle) goes through [`MailboxTx::send`], the protocol
+/// thread decrements after each receive, so `NetStats` always shows how far
+/// the protocol thread has fallen behind its inputs.
 #[derive(Clone)]
 struct MailboxTx {
     tx: Sender<Input>,
@@ -145,12 +201,19 @@ impl MailboxTx {
     /// Sends with depth accounting; the error (protocol thread gone — only
     /// during shutdown) carries no payload, every caller just stops.
     fn send(&self, input: Input) -> Result<(), ()> {
-        let depth = self.stats.mailbox_depth.fetch_add(1, Ordering::Relaxed) + 1;
+        let weight = input.weight();
+        let depth = self
+            .stats
+            .mailbox_depth
+            .fetch_add(weight, Ordering::Relaxed)
+            + weight;
         self.stats
             .max_mailbox_depth
             .fetch_max(depth, Ordering::Relaxed);
         self.tx.send(input).map_err(|_| {
-            self.stats.mailbox_depth.fetch_sub(1, Ordering::Relaxed);
+            self.stats
+                .mailbox_depth
+                .fetch_sub(weight, Ordering::Relaxed);
         })
     }
 }
@@ -173,12 +236,23 @@ pub struct TcpConfig {
 
 /// Everything the protocol thread can receive.
 enum Input {
-    /// A decoded message from the network.
-    Message { from: Addr, msg: NetMsg },
+    /// Every message one `read` of one connection completed, in wire order.
+    Messages { from: Addr, msgs: Vec<NetMsg> },
     /// The write half of a fresh inbound connection, keyed by its hello.
     Inbound { from: Addr, stream: TcpStream },
     /// Stop the runtime.
     Shutdown,
+}
+
+impl Input {
+    /// What the entry adds to [`NetStats::mailbox_depth`]: the gauge counts
+    /// messages, so that it means the same whatever the readers' batching.
+    fn weight(&self) -> u64 {
+        match self {
+            Input::Messages { msgs, .. } => msgs.len() as u64,
+            Input::Inbound { .. } | Input::Shutdown => 1,
+        }
+    }
 }
 
 /// Handle to a running [`TcpRuntime`]; dropping it without calling
@@ -198,12 +272,14 @@ impl TcpHandle {
         Arc::clone(&self.stats)
     }
 
-    /// Stops the runtime: the protocol thread drops the hosted process
-    /// (flushing any durable storage it holds), the acceptor is woken and
-    /// exits, and reader/writer threads die as their channels and sockets
-    /// close. Blocks until the protocol thread has terminated, so a caller
-    /// that restarts the process immediately afterwards observes
-    /// fully-persisted state.
+    /// Stops the runtime: the protocol thread flushes what it has buffered,
+    /// drops the hosted process (flushing any durable storage it holds) and
+    /// shuts its inbound connections down, the acceptor is woken and exits,
+    /// each writer thread shuts its connection down as its channel closes,
+    /// and the readers at both ends of every connection end with them.
+    /// Blocks until the protocol thread has terminated, so a caller that
+    /// restarts the process immediately afterwards observes fully-persisted
+    /// state.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = self.mailbox.send(Input::Shutdown);
@@ -254,10 +330,12 @@ impl TcpRuntime {
 
         // One writer per dialed peer, created up front; the writer dials on
         // first use and re-dials on failure.
-        let mut writers: HashMap<NodeId, (SyncSender<Vec<u8>>, Arc<PeerStats>)> = HashMap::new();
+        let mut outbox = Outbox::default();
         let hello = frame::encode_hello(cfg.addr);
         for peer in &cfg.dial {
-            let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(WRITER_QUEUE);
+            // Unbounded channel, bounded use: `Outbox::send` admits a frame
+            // only while the peer's `queue_depth` is below `WRITER_QUEUE`.
+            let (tx, rx) = mpsc::channel::<Chunk>();
             let peers = Arc::clone(&cfg.peers);
             let mailbox = mailbox.clone();
             let stop = Arc::clone(&stop);
@@ -266,13 +344,21 @@ impl TcpRuntime {
             let peer_stats = Arc::clone(&stats.peers[&peer]);
             let writer_stats = Arc::clone(&peer_stats);
             thread::spawn(move || writer_loop(peer, peers, hello, rx, mailbox, stop, writer_stats));
-            writers.insert(peer, (tx, peer_stats));
+            outbox.peers.insert(
+                peer,
+                PeerOut {
+                    tx,
+                    stats: peer_stats,
+                    buf: BytesMut::new(),
+                    frames: 0,
+                },
+            );
         }
 
         let run_stats = Arc::clone(&stats);
         let thread = thread::Builder::new()
             .name(format!("proto-{:?}", cfg.addr))
-            .spawn(move || protocol_loop(cfg, builder, mailbox_rx, writers, run_stats))?;
+            .spawn(move || protocol_loop(cfg, builder, mailbox_rx, outbox, run_stats))?;
 
         Ok(TcpHandle {
             mailbox,
@@ -284,178 +370,254 @@ impl TcpRuntime {
     }
 }
 
-/// The protocol thread: the single place the hosted process executes.
+/// Whole frames for one peer, written with one `write`.
+struct Chunk {
+    bytes: Vec<u8>,
+    frames: u64,
+}
+
+/// The protocol thread's side of one dialed peer: the channel to its writer
+/// thread and the frames encoded for it since the last flush.
+struct PeerOut {
+    tx: Sender<Chunk>,
+    stats: Arc<PeerStats>,
+    buf: BytesMut,
+    frames: u64,
+}
+
+impl PeerOut {
+    /// Hands the buffered frames to the writer thread as one chunk.
+    fn flush(&mut self) {
+        if self.frames == 0 {
+            return;
+        }
+        let chunk = Chunk {
+            bytes: std::mem::take(&mut self.buf).into(),
+            frames: std::mem::take(&mut self.frames),
+        };
+        // Count the frames in *before* the send: the writer thread may drain
+        // (and decrement) them the instant `send` returns, and the depth
+        // counter must never dip below zero.
+        self.stats.note_enqueued(chunk.frames);
+        if let Err(mpsc::SendError(chunk)) = self.tx.send(chunk) {
+            // Shutdown path: the writer thread is gone.
+            self.stats.note_dequeued(chunk.frames);
+        }
+    }
+}
+
+/// The write half of an inbound connection (a client, which never listens)
+/// and the frames encoded for it since the last flush.
+struct InboundOut {
+    stream: TcpStream,
+    buf: BytesMut,
+}
+
+impl InboundOut {
+    /// Writes the buffered frames with one `write_all`. After an error the
+    /// connection is of no more use.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.buf);
+        self.buf.clear();
+        written
+    }
+}
+
+/// Where the protocol thread's sends go: one frame buffer per destination,
+/// flushed by the rules in the module docs.
+#[derive(Default)]
+struct Outbox {
+    peers: HashMap<NodeId, PeerOut>,
+    inbound: HashMap<Addr, InboundOut>,
+}
+
+impl Outbox {
+    /// Encodes `msg` behind whatever is already buffered for `to`.
+    fn send(&mut self, to: Addr, msg: &NetMsg) {
+        // Only simulator-only message kinds fail to encode; reaching this is
+        // a deployment bug (e.g. booting a compartmentalized node over TCP),
+        // not a runtime state.
+        let encode = |buf: &mut BytesMut| {
+            if let Err(e) = frame::encode_frame(msg, buf) {
+                panic!("unencodable message to {to:?}: {e}");
+            }
+        };
+        match to {
+            Addr::Node(n) => {
+                let Some(peer) = self.peers.get_mut(&n) else {
+                    return;
+                };
+                // Only this thread adds to the depth, so the check cannot be
+                // overtaken; the writer draining meanwhile only makes room.
+                if peer.stats.queue_depth.load(Ordering::Relaxed) + peer.frames >= WRITER_QUEUE {
+                    peer.stats.note_dropped(n);
+                    return;
+                }
+                encode(&mut peer.buf);
+                peer.frames += 1;
+                if peer.buf.len() >= FLUSH_BYTES {
+                    peer.flush();
+                }
+            }
+            // Clients never listen: answer over their inbound connection. A
+            // vanished client just loses the frame.
+            Addr::Client(_) => {
+                let Some(conn) = self.inbound.get_mut(&to) else {
+                    return;
+                };
+                encode(&mut conn.buf);
+                if conn.buf.len() >= FLUSH_BYTES && conn.flush().is_err() {
+                    self.inbound.remove(&to);
+                }
+            }
+            Addr::Stage { .. } => {
+                debug_assert!(false, "stage addresses are simulator-only");
+            }
+        }
+    }
+
+    /// Ends a burst: every destination's buffer leaves. An inbound
+    /// connection that fails is forgotten.
+    fn flush(&mut self) {
+        for peer in self.peers.values_mut() {
+            peer.flush();
+        }
+        self.inbound.retain(|_, conn| conn.flush().is_ok());
+    }
+}
+
+/// The protocol thread's state: the single place the hosted process
+/// executes.
+struct Protocol {
+    addr: Addr,
+    start: Instant,
+    driver: SansIo<NetMsg>,
+    /// Min-heap of (deadline µs, insertion seq, handle, kind). The insertion
+    /// sequence keeps equal-deadline timers FIFO, matching the simulator's
+    /// same-time submission order.
+    timers: BinaryHeapWheel,
+    out: Outbox,
+    /// Self-addressed sends loop straight back as the next events, ahead of
+    /// anything the network delivers — same as the simulator's zero-latency
+    /// local delivery being scheduled before later arrivals.
+    selfq: VecDeque<NetMsg>,
+    actions: Vec<Action<NetMsg>>,
+}
+
+impl Protocol {
+    fn now(&self) -> Time {
+        Time(self.start.elapsed().as_micros() as u64)
+    }
+
+    /// Runs one callback and routes its actions: timers onto the wheel,
+    /// sends into the destination's frame buffer.
+    fn handle(&mut self, event: Event<NetMsg>) {
+        let now = self.now();
+        self.driver.handle_into(now, event, &mut self.actions);
+        for action in self.actions.drain(..) {
+            match action {
+                Action::SetTimer { id, delay, kind } => {
+                    self.timers.push(now.0 + delay.as_micros(), id, kind);
+                }
+                Action::Send { to, msg } if to == self.addr => self.selfq.push_back(msg),
+                Action::Send { to, msg } => self.out.send(to, &msg),
+            }
+        }
+    }
+
+    /// Self-sends first, then due timers, until neither is left: what runs
+    /// ahead of the next network message.
+    fn run_local(&mut self) {
+        loop {
+            while let Some(msg) = self.selfq.pop_front() {
+                let from = self.addr;
+                self.handle(Event::Message { from, msg });
+            }
+            while let Some((id, kind)) = self.timers.pop_due(self.now()) {
+                self.handle(Event::Timer { id, kind });
+            }
+            if self.selfq.is_empty() {
+                return;
+            }
+        }
+    }
+}
+
+/// The protocol thread (see the module docs for bursts and the flush rule).
 fn protocol_loop(
     cfg: TcpConfig,
     builder: ProcessBuilder,
     mailbox: Receiver<Input>,
-    writers: HashMap<NodeId, (SyncSender<Vec<u8>>, Arc<PeerStats>)>,
+    out: Outbox,
     stats: Arc<NetStats>,
 ) {
-    let start = Instant::now();
-    let now = move || Time(start.elapsed().as_micros() as u64);
-
     let mut driver: SansIo<NetMsg> = SansIo::new(cfg.seed);
     driver.mount(cfg.addr, builder());
+    let mut p = Protocol {
+        addr: cfg.addr,
+        start: Instant::now(),
+        driver,
+        timers: BinaryHeapWheel::new(),
+        out,
+        selfq: VecDeque::new(),
+        actions: Vec::new(),
+    };
+    p.handle(Event::Start);
 
-    // Timer wheel: min-heap of (deadline µs, insertion seq, handle, kind).
-    // The insertion sequence keeps equal-deadline timers FIFO, matching the
-    // simulator's same-time submission order.
-    let mut timers: BinaryHeapWheel = BinaryHeapWheel::new();
-    // Write halves of inbound connections (clients, which never listen).
-    let mut inbound: HashMap<Addr, TcpStream> = HashMap::new();
-    // Self-addressed sends loop straight back as the next events, ahead of
-    // anything the network delivers — same as the simulator's zero-latency
-    // local delivery being scheduled before later arrivals.
-    let mut selfq: VecDeque<NetMsg> = VecDeque::new();
-    let mut actions: Vec<Action<NetMsg>> = Vec::new();
-
-    driver.handle_into(now(), Event::Start, &mut actions);
-    apply(
-        cfg.addr,
-        &mut actions,
-        &mut timers,
-        &writers,
-        &mut inbound,
-        &mut selfq,
-        now(),
-    );
-
+    // Network messages handled since the last full flush.
+    let mut burst = 0;
     loop {
-        // Self-sends first, then due timers, then the network.
-        while let Some(msg) = selfq.pop_front() {
-            driver.handle_into(
-                now(),
-                Event::Message {
-                    from: cfg.addr,
-                    msg,
-                },
-                &mut actions,
-            );
-            apply(
-                cfg.addr,
-                &mut actions,
-                &mut timers,
-                &writers,
-                &mut inbound,
-                &mut selfq,
-                now(),
-            );
-        }
-        while let Some((id, kind)) = timers.pop_due(now()) {
-            driver.handle_into(now(), Event::Timer { id, kind }, &mut actions);
-            apply(
-                cfg.addr,
-                &mut actions,
-                &mut timers,
-                &writers,
-                &mut inbound,
-                &mut selfq,
-                now(),
-            );
-        }
-        if !selfq.is_empty() {
-            continue;
-        }
-        let wait = timers.until_next(now());
-        let input = match mailbox.recv_timeout(wait) {
+        p.run_local();
+        let input = match mailbox.try_recv() {
             Ok(input) => input,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
+            Err(TryRecvError::Disconnected) => break,
+            // The mailbox ran dry: the burst ends, and nothing stays
+            // buffered while this thread sleeps.
+            Err(TryRecvError::Empty) => {
+                p.out.flush();
+                burst = 0;
+                match mailbox.recv_timeout(p.timers.until_next(p.now())) {
+                    Ok(input) => input,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            }
         };
-        stats.mailbox_depth.fetch_sub(1, Ordering::Relaxed);
+        stats
+            .mailbox_depth
+            .fetch_sub(input.weight(), Ordering::Relaxed);
         match input {
-            Input::Message { from, msg } => {
-                driver.handle_into(now(), Event::Message { from, msg }, &mut actions);
-                apply(
-                    cfg.addr,
-                    &mut actions,
-                    &mut timers,
-                    &writers,
-                    &mut inbound,
-                    &mut selfq,
-                    now(),
-                );
-            }
-            Input::Inbound { from, stream } => {
-                inbound.insert(from, stream);
-            }
-            Input::Shutdown => return,
-        }
-    }
-    // On return: `driver` (and with it the process and its storage handle)
-    // drops here, on the protocol thread; `writers` senders drop, ending the
-    // writer threads; `inbound` streams close, ending remote readers.
-}
-
-/// Routes one callback's actions: timers onto the wheel, sends onto the
-/// right socket.
-fn apply(
-    self_addr: Addr,
-    actions: &mut Vec<Action<NetMsg>>,
-    timers: &mut BinaryHeapWheel,
-    writers: &HashMap<NodeId, (SyncSender<Vec<u8>>, Arc<PeerStats>)>,
-    inbound: &mut HashMap<Addr, TcpStream>,
-    selfq: &mut VecDeque<NetMsg>,
-    now: Time,
-) {
-    for action in actions.drain(..) {
-        match action {
-            Action::SetTimer { id, delay, kind } => {
-                timers.push(now.0 + delay.as_micros(), id, kind);
-            }
-            Action::Send { to, msg } if to == self_addr => selfq.push_back(msg),
-            Action::Send { to, msg } => {
-                let payload = match frame::encode_msg(&msg) {
-                    Ok(p) => p,
-                    // Only simulator-only message kinds fail to encode;
-                    // reaching this is a deployment bug (e.g. booting a
-                    // compartmentalized node over TCP), not a runtime state.
-                    Err(e) => panic!("unencodable message to {to:?}: {e}"),
-                };
-                match to {
-                    Addr::Node(n) => {
-                        if let Some((w, stats)) = writers.get(&n) {
-                            // Count the frame in *before* the send: the writer
-                            // thread may drain (and decrement) it the instant
-                            // try_send returns, and the depth counter must
-                            // never dip below zero.
-                            stats.note_enqueued();
-                            match w.try_send(payload) {
-                                Ok(()) => {}
-                                Err(TrySendError::Full(_)) => {
-                                    stats.note_dequeued();
-                                    let drops = stats.dropped.fetch_add(1, Ordering::Relaxed) + 1;
-                                    if drops == 1 || drops % DROP_WARN_EVERY == 0 {
-                                        eprintln!(
-                                            "iss-net: writer queue to {n:?} full, \
-                                             {drops} frame(s) dropped so far"
-                                        );
-                                    }
-                                }
-                                // Shutdown path: the writer thread is gone.
-                                Err(TrySendError::Disconnected(_)) => {
-                                    stats.note_dequeued();
-                                }
-                            }
-                        }
-                    }
-                    // Clients never listen: answer over their inbound
-                    // connection. A vanished client just loses the frame.
-                    Addr::Client(_) => {
-                        if let Some(stream) = inbound.get_mut(&to) {
-                            if frame::write_frame(stream, &payload).is_err() {
-                                inbound.remove(&to);
-                            }
-                        }
-                    }
-                    Addr::Stage { .. } => {
-                        debug_assert!(false, "stage addresses are simulator-only");
+            Input::Messages { from, msgs } => {
+                for msg in msgs {
+                    p.handle(Event::Message { from, msg });
+                    p.run_local();
+                    burst += 1;
+                    if burst >= MAX_BURST {
+                        p.out.flush();
+                        burst = 0;
                     }
                 }
             }
+            Input::Inbound { from, stream } => {
+                let buf = BytesMut::new();
+                p.out.inbound.insert(from, InboundOut { stream, buf });
+            }
+            Input::Shutdown => break,
         }
     }
+    p.out.flush();
+    // The readers of the inbound connections hold clones of these sockets:
+    // only an explicit shutdown ends them (and the dialers' readers at the
+    // other end).
+    for conn in p.out.inbound.values() {
+        let _ = conn.stream.shutdown(Shutdown::Both);
+    }
+    // On return `p` drops here, on the protocol thread: the driver (and with
+    // it the process and its storage handle), and the writers' senders,
+    // which ends the writer threads.
 }
 
 /// Min-heap timer wheel on the monotonic clock.
@@ -540,87 +702,96 @@ fn acceptor_loop(listener: TcpListener, mailbox: MailboxTx, stop: Arc<AtomicBool
     }
 }
 
-/// Decodes frames from one connection into the mailbox. Exits when the
-/// socket or the mailbox closes, or on the first malformed frame (a peer
-/// speaking garbage gets its connection dropped, not interpreted).
-fn reader_loop(mut stream: TcpStream, from: Addr, mailbox: MailboxTx) {
+/// Decodes one connection's frames into the mailbox, one entry per `read`:
+/// every frame the read completed, in wire order. Exits when the socket or
+/// the mailbox closes, or on the first malformed frame (a peer speaking
+/// garbage gets its connection dropped, not interpreted).
+fn reader_loop(stream: TcpStream, from: Addr, mailbox: MailboxTx) {
+    let mut frames = FrameReader::new(stream);
     loop {
-        let Ok(payload) = frame::read_frame(&mut stream) else {
+        if frames.fill().is_err() {
             return;
-        };
-        let Ok(msg) = frame::decode_msg(payload) else {
-            return;
-        };
-        if mailbox.send(Input::Message { from, msg }).is_err() {
+        }
+        let mut msgs = Vec::new();
+        loop {
+            match frames.next_frame() {
+                Ok(Some(payload)) => match frame::decode_frame(payload) {
+                    Ok(msg) => msgs.push(msg),
+                    Err(_) => return,
+                },
+                Ok(None) => break,
+                Err(_) => return,
+            }
+        }
+        if !msgs.is_empty() && mailbox.send(Input::Messages { from, msgs }).is_err() {
             return;
         }
     }
 }
 
-/// Owns the outbound connection to one peer: dials lazily (re-reading the
-/// peer table each attempt, with exponential backoff), sends the hello on
-/// every fresh connection, spawns a reader for whatever the peer writes
-/// back, and re-dials whenever a write fails — the frame being written when
-/// the connection died is carried over to the new connection, frames queued
-/// behind a full channel are dropped by the sender instead.
+/// Owns the outbound connection to one peer: dials lazily (with exponential
+/// backoff), writes each chunk with one `write`, and re-dials whenever a
+/// write fails — the chunk being written when the connection died is
+/// written again, whole, on the new connection; frames the protocol thread
+/// finds no room for in the queue are dropped there instead.
 fn writer_loop(
     peer: NodeId,
     peers: PeerTable,
     hello: Vec<u8>,
-    rx: Receiver<Vec<u8>>,
+    rx: Receiver<Chunk>,
     mailbox: MailboxTx,
     stop: Arc<AtomicBool>,
     stats: Arc<PeerStats>,
 ) {
     let mut conn: Option<TcpStream> = None;
     let mut backoff = 10u64;
-    'frames: for payload in rx.iter() {
-        stats.note_dequeued();
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            if conn.is_none() {
-                let target = peers.read().map(|t| t.get(&peer).copied()).unwrap_or(None);
-                let dialed = target.and_then(|addr| TcpStream::connect(addr).ok());
-                match dialed {
-                    Some(mut stream) => {
-                        let _ = stream.set_nodelay(true);
-                        if frame::write_frame(&mut stream, &hello).is_err() {
-                            continue;
-                        }
-                        if let Ok(read_half) = stream.try_clone() {
-                            let mailbox = mailbox.clone();
-                            thread::spawn(move || {
-                                reader_loop(read_half, Addr::Node(peer), mailbox)
-                            });
-                        }
-                        conn = Some(stream);
-                        backoff = 10;
-                        stats.connects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => {
-                        thread::sleep(std::time::Duration::from_millis(backoff));
-                        backoff = (backoff * 2).min(MAX_BACKOFF_MS);
-                        continue;
-                    }
+    'chunks: for chunk in rx.iter() {
+        stats.note_dequeued(chunk.frames);
+        while !stop.load(Ordering::SeqCst) {
+            let Some(stream) = &mut conn else {
+                conn = dial(peer, &peers, &hello, &mailbox);
+                if conn.is_some() {
+                    backoff = 10;
+                    stats.connects.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    thread::sleep(std::time::Duration::from_millis(backoff));
+                    backoff = (backoff * 2).min(MAX_BACKOFF_MS);
                 }
+                continue;
+            };
+            if stream.write_all(&chunk.bytes).is_ok() {
+                stats.frames_sent.fetch_add(chunk.frames, Ordering::Relaxed);
+                let payload = chunk.bytes.len() as u64 - frame::PREFIX as u64 * chunk.frames;
+                stats.bytes_sent.fetch_add(payload, Ordering::Relaxed);
+                continue 'chunks;
             }
-            if let Some(stream) = &mut conn {
-                match frame::write_frame(stream, &payload) {
-                    Ok(()) => {
-                        stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                        stats
-                            .bytes_sent
-                            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                        continue 'frames;
-                    }
-                    Err(_) => {
-                        conn = None;
-                        continue;
-                    }
-                }
-            }
+            close(&mut conn);
         }
+        break;
+    }
+    close(&mut conn);
+}
+
+/// One attempt at a connection to `peer`: its address re-read from the peer
+/// table, the hello sent, and a reader spawned for whatever the peer writes
+/// back.
+fn dial(peer: NodeId, peers: &PeerTable, hello: &[u8], mailbox: &MailboxTx) -> Option<TcpStream> {
+    let target = peers.read().ok()?.get(&peer).copied()?;
+    let mut stream = TcpStream::connect(target).ok()?;
+    let _ = stream.set_nodelay(true);
+    frame::write_frame(&mut stream, hello).ok()?;
+    if let Ok(read_half) = stream.try_clone() {
+        let mailbox = mailbox.clone();
+        thread::spawn(move || reader_loop(read_half, Addr::Node(peer), mailbox));
+    }
+    Some(stream)
+}
+
+/// Gives a dialed connection up. Dropping the handle alone would leave the
+/// socket open under the reader's clone, and both ends' readers blocked on
+/// it for good.
+fn close(conn: &mut Option<TcpStream>) {
+    if let Some(stream) = conn.take() {
+        let _ = stream.shutdown(Shutdown::Both);
     }
 }
