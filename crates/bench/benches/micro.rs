@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use iss_core::buckets::BucketQueues;
 use iss_core::validation::{EpochBuckets, RequestValidation};
 use iss_crypto::{
-    batch_digest, merkle_root, request_digest, request_digest_uncached, KeyPair, Sha256,
+    batch_digest, merkle_root, request_digest, request_digest_uncached, HmacKey, KeyPair, Sha256,
     SignatureRegistry, ThresholdScheme,
 };
 use iss_messages::{codec, ClientMsg, NetMsg, StageMsg};
@@ -39,6 +39,15 @@ fn bench_crypto(c: &mut Criterion) {
     let payload = vec![0u8; 500];
     group.throughput(Throughput::Bytes(500));
     group.bench_function("sha256_500B", |b| b.iter(|| Sha256::digest(&payload)));
+    // Short messages, where the per-hash overhead (buffering, padding, the
+    // HMAC key pads) is not amortized over nine blocks as it is above: one
+    // data block plus one padding block, and a MAC over a request digest
+    // under a prepared key (two compressions).
+    let block = [0u8; 64];
+    group.bench_function("sha256_64B", |b| b.iter(|| Sha256::digest(&block)));
+    let mac_key = HmacKey::new(&[7u8; 32]);
+    let digest = [9u8; 32];
+    group.bench_function("hmac_32B", |b| b.iter(|| mac_key.mac(&digest)));
     let kp = KeyPair::for_node(NodeId(0));
     group.bench_function("sign_500B", |b| b.iter(|| kp.sign(&payload)));
     let scheme = ThresholdScheme::new(32, 21, b"bench").unwrap();

@@ -14,12 +14,18 @@
 //! 3. asserts the parallel, memoized `SignatureRegistry::verify_batch` is
 //!    result-identical — pop for pop — to the serial uncached oracle over a
 //!    deterministic good/bad signature mix, both cold (every item verified)
-//!    and warm (every good item a cache hit).
+//!    and warm (every good item a cache hit), and
+//! 4. prints which SHA-256 kernel the process hashes with (`sha256 kernel:
+//!    sha-ni | armv8-sha2 | scalar`), so every bench row recorded next to
+//!    this output names its kernel, and — when that kernel is a hardware
+//!    one — asserts it agrees with the scalar oracle on 1 MiB of seeded
+//!    bytes.
 //!
 //! Exits non-zero on any violation, which fails the CI step.
 
 use iss_bench::engine::{next_delay_us, DEPTH, WORKLOAD_SEED};
-use iss_crypto::SignatureRegistry;
+use iss_crypto::sha256::{digest_scalar, kernel_name};
+use iss_crypto::{Sha256, SignatureRegistry};
 use iss_simnet::event::{EventKind, EventQueue, ReferenceQueue};
 use iss_simnet::Addr;
 use iss_types::{Duration, NodeId, Time};
@@ -136,6 +142,36 @@ fn verify_equivalence_smoke() {
     );
 }
 
+/// Names the active SHA-256 kernel and, if it is a hardware one, checks it
+/// against the portable scalar kernel on 1 MiB of seeded bytes.
+fn sha256_kernel_smoke() {
+    let kernel = kernel_name();
+    println!("perf-smoke: sha256 kernel: {kernel}");
+    if kernel == "scalar" {
+        return;
+    }
+    let mut state = WORKLOAD_SEED;
+    let data: Vec<u8> = (0..1 << 20)
+        .map(|_| next_delay_us(&mut state) as u8)
+        .collect();
+    let start = Instant::now();
+    let hardware = Sha256::digest(&data);
+    let hardware_time = start.elapsed();
+    let start = Instant::now();
+    let scalar = digest_scalar(&data);
+    let scalar_time = start.elapsed();
+    assert_eq!(
+        hardware, scalar,
+        "{kernel} kernel diverged from the scalar oracle on 1 MiB"
+    );
+    println!(
+        "perf-smoke: sha256 1 MiB: {kernel} {:.0} us, scalar {:.0} us ({:.1}x), digests equal",
+        hardware_time.as_secs_f64() * 1e6,
+        scalar_time.as_secs_f64() * 1e6,
+        scalar_time.as_secs_f64() / hardware_time.as_secs_f64(),
+    );
+}
+
 fn main() {
     let ops = ops_from_env();
     let guard = guard_from_env();
@@ -163,6 +199,7 @@ fn main() {
     );
 
     verify_equivalence_smoke();
+    sha256_kernel_smoke();
 
     println!("perf-smoke: OK (guard {guard:.2}x)");
 }

@@ -7,8 +7,11 @@
 //!
 //! This is the wall-clock twin of the simulator's crash-restart scenario
 //! (`recovery_smoke`): same protocol code behind the sans-IO runtime
-//! boundary, driven by OS threads, kernel sockets and real fsyncs instead
-//! of virtual time. Timings here are load-dependent, so unlike the
+//! boundary, driven by OS threads, kernel sockets and real file writes
+//! instead of virtual time. (The WAL is written, not synced, and the "kill"
+//! stops threads inside one process, so the page cache survives it: this
+//! gate proves replay logic, not power-loss durability — ROADMAP.md's
+//! storage item.) Timings here are load-dependent, so unlike the
 //! simulator smokes this binary is *not* byte-diffed by the determinism
 //! job — it gates on invariants, not output bytes.
 //!

@@ -9,7 +9,10 @@
 //!
 //! * client-signature checks go through the batched, memoized, parallel
 //!   pipeline of [`iss_crypto::SignatureRegistry`] (one MAC per signature
-//!   per *process*, not per node);
+//!   per *registry*: once per process in the simulator, where every node
+//!   holds a clone of one registry, but once per replica over TCP, where
+//!   `TcpCluster` and the wall-clock benchmark build a registry per node —
+//!   see `iss_crypto::sign`);
 //! * in-batch duplicate detection uses a reusable sort buffer instead of a
 //!   per-call `HashSet`;
 //! * the epoch-level proposal/delivery sets hash with the vendored
@@ -248,8 +251,9 @@ impl RequestValidation {
 
     /// Validates a single client request on reception (Section 3.7): known
     /// client, valid signature, within the watermark window. The signature
-    /// check is memoized process-wide, so a request a colocated node already
-    /// verified costs one hash and a cache probe.
+    /// check is memoized in the registry, so a request that a node sharing
+    /// this registry (a simulated neighbour, or this node itself for a
+    /// re-sent request) already verified costs one hash and a cache probe.
     pub fn validate_request(&self, req: &Request) -> Result<()> {
         self.check_known_client(req)?;
         if self.verify_signatures {
@@ -359,9 +363,9 @@ impl RequestValidation {
         }
 
         // (a) signatures, last so the cheap checks short-circuit first:
-        // batched through the memoized, parallel pipeline. On a follower
-        // whose colocated leader already verified the batch this is pure
-        // cache hits.
+        // batched through the memoized, parallel pipeline. Pure cache hits
+        // where the leader that verified the batch shares this registry
+        // (the simulator); all misses on a TCP follower.
         if self.verify_signatures {
             self.digest_scratch.clear();
             self.digest_scratch

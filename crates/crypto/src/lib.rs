@@ -7,8 +7,10 @@
 //! protocols:
 //!
 //! * [`sha256`] — a complete SHA-256 implementation (FIPS 180-4), verified
-//!   against the NIST test vectors.
-//! * [`hmac`] — HMAC-SHA-256 (RFC 2104), verified against RFC 4231 vectors.
+//!   against the NIST test vectors: a portable scalar kernel and, chosen by
+//!   run-time CPU detection, an x86-64 SHA-NI or ARMv8 SHA-2 one.
+//! * [`hmac`] — HMAC-SHA-256 (RFC 2104), verified against RFC 4231 vectors;
+//!   [`HmacKey`] keeps a key's two pad states so each MAC skips them.
 //! * [`sign`] — a deterministic MAC-based signature scheme with a trusted
 //!   key registry, standing in for ECDSA. It is *not* a public-key scheme;
 //!   it is a simulation substitute (documented in `DESIGN.md`) whose only
@@ -62,11 +64,11 @@ pub use digest::{
     batch_digest, batch_digest_uncached, maybe_batch_digest, request_digest,
     request_digest_uncached, Digest,
 };
-pub use hmac::hmac_sha256;
+pub use hmac::{hmac_sha256, HmacKey};
 pub use merkle::{merkle_root, MerkleTree};
 pub use sha256::Sha256;
 pub use sign::{
-    Identity, KeyPair, PublicKey, SecretKey, Signature, SignatureRegistry, VerifyItem,
-    PARALLEL_VERIFY_MIN, SIGNATURE_LEN,
+    Identity, KeyPair, PublicKey, Signature, SignatureRegistry, VerifyItem, PARALLEL_VERIFY_MIN,
+    SIGNATURE_LEN,
 };
 pub use threshold::{ThresholdScheme, ThresholdShare, ThresholdSignature};

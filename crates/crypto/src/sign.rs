@@ -15,6 +15,14 @@
 //! learn other processes' secrets (the registry is never serialized onto the
 //! simulated wire).
 //!
+//! What the stand-in does *not* reproduce is the cost: one verification is
+//! four SHA-256 compressions, six with the cache witness (≈ 0.3–0.5 µs with
+//! a hardware SHA kernel, ≈ 1.5–2 µs without), roughly 100× cheaper than
+//! the ECDSA P-256 verification it replaces (tens of µs). A wall-clock run
+//! with `client_signatures` on therefore measures hashing, the codec and
+//! ordering — not signature arithmetic; the simulator's `CpuModel` charges
+//! the paper's figure instead.
+//!
 //! # Verification pipeline
 //!
 //! Request authentication is the per-request constant that sharding cannot
@@ -30,6 +38,11 @@
 //!    nodes hold clones of one registry, any given client signature is
 //!    verified at most once per process — the leader pays the MAC, the N−1
 //!    followers validating the same batch pay one hash and a set lookup.
+//!    That is a property of *sharing a registry*, not of the scheme: the TCP
+//!    engine (`iss_net::TcpCluster`) and the wall-clock benchmark build one
+//!    registry per replica, as separate machines would, so there every
+//!    follower pays witness + MAC for every request, and the cache only hits
+//!    on a leader re-validating its own proposals and on re-sent requests.
 //!    Only *successful* verifications are cached, and the witness covers the
 //!    full `(identity, length-prefixed message, signature)` triple, so a bad
 //!    signature can never be cached as valid and a cached entry can never
@@ -54,7 +67,7 @@
 //!    oracle regardless of worker count or interleaving: parallelism
 //!    changes wall-clock, never outcomes.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::sha256::Sha256;
 use iss_types::{ClientId, Error, FxBuildHasher, NodeId, Result};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -67,7 +80,16 @@ pub const SIGNATURE_LEN: usize = 64;
 
 /// Below this many cache misses [`SignatureRegistry::verify_batch`] verifies
 /// serially: waking pool workers costs more than the MACs they would compute.
-pub const PARALLEL_VERIFY_MIN: usize = 64;
+///
+/// Measured, not tuned by hand: with the SHA-NI kernel a miss costs ≈ 0.44 µs
+/// (witness + MAC + cache insert), of which only the MAC half fans out. On
+/// the 2-core reference box, caller + one pool worker against serial, an
+/// otherwise idle machine: 64 misses 27 → 39–56 µs (slower), 128 misses
+/// 57 → 74–81 µs (slower), 256 misses 115 → 115–119 µs (a tie), 512 misses
+/// 219–232 → 203–222 µs, 2048 misses 0.89–0.94 → 0.74–0.77 ms (−17 %). On the
+/// saturated `tcp_signed_closed` workload, where no core is idle, 512 and
+/// "never" cost the same CPU per request and 64 cost ≈ 8 % more.
+pub const PARALLEL_VERIFY_MIN: usize = 512;
 
 /// A signing identity: either a replica or a client.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -77,10 +99,6 @@ pub enum Identity {
     /// A client.
     Client(ClientId),
 }
-
-/// Secret signing key.
-#[derive(Clone, PartialEq, Eq)]
-pub struct SecretKey(pub [u8; 32]);
 
 /// Public verification key (a commitment to the secret).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -109,7 +127,9 @@ impl Signature {
 pub struct KeyPair {
     /// The identity this key pair belongs to.
     pub identity: Identity,
-    secret: SecretKey,
+    /// The 32-byte secret, held as the HMAC key prepared from it: the two
+    /// pad blocks are compressed once here, not once per signature.
+    secret: HmacKey,
     public: PublicKey,
 }
 
@@ -117,8 +137,8 @@ pub struct KeyPair {
 /// the 32-byte MAC followed by a 32-byte binding of the MAC to the public
 /// key, padding the signature to [`SIGNATURE_LEN`] so wire-size accounting
 /// matches ECDSA.
-fn signature_bytes(secret: &SecretKey, public: &PublicKey, message: &[u8]) -> [u8; SIGNATURE_LEN] {
-    let mac = hmac_sha256(&secret.0, message);
+fn signature_bytes(secret: &HmacKey, public: &PublicKey, message: &[u8]) -> [u8; SIGNATURE_LEN] {
+    let mac = secret.mac(message);
     let mut sig = [0u8; SIGNATURE_LEN];
     sig[..32].copy_from_slice(&mac);
     sig[32..].copy_from_slice(&Sha256::digest_parts(&[&mac, &public.0]));
@@ -142,7 +162,7 @@ impl KeyPair {
         let public = Sha256::digest(&secret);
         KeyPair {
             identity,
-            secret: SecretKey(secret),
+            secret: HmacKey::new(&secret),
             public: PublicKey(public),
         }
     }
@@ -317,8 +337,9 @@ impl VerifiedCache {
 pub type VerifyItem<'a> = (Identity, &'a [u8], &'a [u8]);
 
 /// Items claimed per atomic-cursor grab in the verification pool. Coarse
-/// enough to amortize the claim, fine enough that a straggler worker never
-/// holds more than ~a quarter of a [`PARALLEL_VERIFY_MIN`]-sized batch.
+/// enough to amortize the claim and the latch update (≈ 4 µs of MACs per
+/// grab), fine enough that a straggler worker never holds more than a few
+/// percent of a [`PARALLEL_VERIFY_MIN`]-sized batch.
 const POOL_STRIDE: usize = 16;
 
 /// One batch-verification job on the pool queue.
@@ -466,7 +487,7 @@ impl VerifyPool {
 /// clone of the registry — see the module docs).
 #[derive(Clone, Default)]
 pub struct SignatureRegistry {
-    keys: HashMap<Identity, (PublicKey, SecretKey)>,
+    keys: HashMap<Identity, (PublicKey, HmacKey)>,
     cache: Arc<VerifiedCache>,
 }
 

@@ -13,7 +13,7 @@
 //!    bitmap is `⌈n/8⌉` bytes, matching the practical constant-size claim
 //!    closely enough for bandwidth accounting).
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::sha256::Sha256;
 use iss_types::{Error, NodeId, Result};
 
@@ -49,8 +49,9 @@ pub struct ThresholdScheme {
     pub num_nodes: usize,
     /// Number of shares required for a valid aggregate.
     pub threshold: usize,
-    /// Domain-separation tag (e.g. one per SB instance).
-    domain: Vec<u8>,
+    /// Node `i`'s share key, derived from the domain-separation tag (e.g.
+    /// one per SB instance) and prepared once, when the scheme is made.
+    share_keys: Vec<HmacKey>,
 }
 
 impl ThresholdScheme {
@@ -62,31 +63,43 @@ impl ThresholdScheme {
                 "invalid threshold {threshold} for {num_nodes} nodes"
             )));
         }
+        let share_keys = (0..num_nodes as u32)
+            .map(|node| {
+                HmacKey::new(&Sha256::digest_parts(&[
+                    b"threshold-share",
+                    domain,
+                    &node.to_le_bytes(),
+                ]))
+            })
+            .collect();
         Ok(ThresholdScheme {
             num_nodes,
             threshold,
-            domain: domain.to_vec(),
+            share_keys,
         })
     }
 
-    fn share_key(&self, node: NodeId) -> [u8; 32] {
-        Sha256::digest_parts(&[b"threshold-share", &self.domain, &node.0.to_le_bytes()])
+    fn share_key(&self, signer: NodeId) -> Result<&HmacKey> {
+        self.share_keys
+            .get(signer.index())
+            .ok_or_else(|| Error::Unknown(format!("unknown signer {signer:?}")))
     }
 
     /// Produces node `signer`'s share over `message`.
+    ///
+    /// # Panics
+    ///
+    /// If `signer` is not one of the scheme's `num_nodes` share holders.
     pub fn sign_share(&self, signer: NodeId, message: &[u8]) -> ThresholdShare {
         ThresholdShare {
             signer,
-            mac: hmac_sha256(&self.share_key(signer), message),
+            mac: self.share_keys[signer.index()].mac(message),
         }
     }
 
     /// Verifies a single share.
     pub fn verify_share(&self, share: &ThresholdShare, message: &[u8]) -> Result<()> {
-        if share.signer.index() >= self.num_nodes {
-            return Err(Error::Unknown(format!("unknown signer {:?}", share.signer)));
-        }
-        if hmac_sha256(&self.share_key(share.signer), message) == share.mac {
+        if self.share_key(share.signer)?.mac(message) == share.mac {
             Ok(())
         } else {
             Err(Error::CryptoFailure(format!(
@@ -139,10 +152,7 @@ impl ThresholdScheme {
         }
         let mut expected = [0u8; 32];
         for signer in &sig.signers {
-            if signer.index() >= self.num_nodes {
-                return Err(Error::Unknown(format!("unknown signer {signer:?}")));
-            }
-            let mac = hmac_sha256(&self.share_key(*signer), message);
+            let mac = self.share_key(*signer)?.mac(message);
             for (a, b) in expected.iter_mut().zip(mac.iter()) {
                 *a ^= b;
             }

@@ -22,8 +22,9 @@
 //!
 //! What the sockets add over the simulator — and what they cost — is
 //! documented in `docs/architecture.md` (runtime boundary section): real
-//! kernel scheduling, real fsync latency and real connection failure, in
-//! exchange for determinism and virtual-time control.
+//! kernel scheduling, real file writes (page-cache `write_all`s — nothing
+//! calls `sync_data` yet, see ROADMAP.md's storage item) and real connection
+//! failure, in exchange for determinism and virtual-time control.
 
 pub mod cluster;
 pub mod frame;

@@ -95,6 +95,22 @@ mod tests {
         buf
     }
 
+    /// Frame headers recorded on the commit before the SHA-256 kernel
+    /// changed: a log written by an older build must still scan clean.
+    #[test]
+    fn frame_checksum_matches_logs_already_on_disk() {
+        let payload: Vec<u8> = (0..200usize).map(|i| (i * 7 + 3) as u8).collect();
+        let buf = buf_with(&[&payload, b""]);
+        assert_eq!(
+            buf[..FRAME_HEADER],
+            [0xc8, 0, 0, 0, 0x94, 0x04, 0x23, 0x00, 0xb7, 0x9f, 0xcc, 0xa7]
+        );
+        assert_eq!(
+            buf[FRAME_HEADER + 200..],
+            [0, 0, 0, 0, 0x44, 0xae, 0xfc, 0x23, 0xba, 0xab, 0x13, 0x9f]
+        );
+    }
+
     #[test]
     fn roundtrip_preserves_frames_in_order() {
         let buf = buf_with(&[b"alpha", b"", b"gamma-longer-payload"]);

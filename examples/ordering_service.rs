@@ -52,7 +52,7 @@ fn run_tcp() {
     cfg.run_for = Duration::from_secs(60);
     cfg.storage_root = Some(storage.clone());
     cfg.telemetry = true;
-    println!("ordering service over TCP: 4 ISS-PBFT replicas on 127.0.0.1, fsync'd WAL per node");
+    println!("ordering service over TCP: 4 ISS-PBFT replicas on 127.0.0.1, file WAL per node");
     let cluster = TcpCluster::launch(cfg).expect("cluster boots");
     let commits = cluster.commits();
     let start = std::time::Instant::now();

@@ -103,8 +103,9 @@
 //!
 //! boots 4 ISS-PBFT replicas on 127.0.0.1 — length-prefixed frames over
 //! `std::net::TcpStream`, one reader thread per peer funneling into a
-//! single protocol thread per node, and a durable fsync'd write-ahead log
-//! each — then loads them with open-loop clients on the wall clock and
+//! single protocol thread per node, and a file write-ahead log each (one
+//! `write_all` per record, never synced: it survives the process, not the
+//! machine — see ROADMAP.md, storage item) — then loads them with open-loop clients on the wall clock and
 //! verifies pairwise agreement over everything delivered.
 //! [`net::TcpCluster`] is the embeddable form of the same harness; the CI
 //! `tcp_smoke` gate additionally kills a replica under load and requires
