@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the building blocks: hashing, signatures,
 //! the request-authentication pipeline (serial vs parallel vs cached batch
-//! verification, request-digest memoization), proposal validation, the
+//! verification, request-digest memoization), proposal validation and
+//! delivery bookkeeping, the simulator's safety checker, the
 //! CPU-model scheduler (heap vs scan), Merkle trees, bucket mapping, batch
 //! cutting, the binary codec, a full PBFT three-phase round for one batch,
 //! the simnet event-queue engine (timing wheel vs the reference binary
@@ -21,7 +22,9 @@ use iss_sim::{run_scenario, CrashTiming, Protocol, Scenario};
 use iss_simnet::cpu::{CpuState, ReferenceCpuState};
 use iss_simnet::event::{EventKind, EventQueue, ReferenceQueue};
 use iss_simnet::{Addr, Context as SimContext, Process, Runtime, RuntimeConfig, StageRole};
-use iss_types::{Batch, BucketId, ClientId, Duration, InstanceId, NodeId, Request, Segment, Time};
+use iss_types::{
+    Batch, BucketId, ClientId, Duration, InstanceId, NodeId, Request, RequestId, Segment, Time,
+};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -243,8 +246,11 @@ fn bench_verify_pipeline(c: &mut Criterion) {
 }
 
 /// The dense non-cryptographic proposal-validation path: watermarks,
-/// delivered/proposed dedup, in-batch sort dedup and the bucket bitmap, for
-/// one 2048-request batch (signatures measured separately above).
+/// delivered/proposed window bitmaps (in-batch dedup by test-and-set) and the
+/// bucket bitmap, for one 2048-request batch (signatures measured separately
+/// above); and the commit-side bookkeeping of the same 2048 requests,
+/// recorded as delivered in a scrambled order as commits from independent
+/// segments arrive.
 fn bench_validate_proposal(c: &mut Criterion) {
     let mut group = c.benchmark_group("validation");
     group.sample_size(20);
@@ -270,6 +276,52 @@ fn bench_validate_proposal(c: &mut Criterion) {
             |mut v| {
                 v.validate_proposal(0, &batch).expect("valid batch");
                 v
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // 256 clients x 8 timestamps, visited with a stride coprime to 2048.
+    let ids: Vec<RequestId> = (0..2048u32)
+        .map(|i| batch.requests()[(i as usize * 1031) % 2048].id)
+        .collect();
+    group.bench_function("mark_delivered_out_of_order_2048", |b| {
+        b.iter_batched(
+            || RequestValidation::new(Arc::clone(&registry), false, num_buckets, 128, 4096),
+            |mut v| {
+                for id in &ids {
+                    v.mark_delivered(id);
+                }
+                v
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
+/// The simulator's always-on safety checker at the paper's largest PBFT
+/// shape: 32 nodes each deliver the same 2048 requests at the same global
+/// request sequence numbers, through the metrics sink every node feeds.
+fn bench_check_delivery(c: &mut Criterion) {
+    use iss_core::DeliverySink;
+    use iss_sim::metrics::{metrics_handle, MetricsSink};
+
+    let mut group = c.benchmark_group("sim");
+    group.sample_size(20);
+    let requests: Vec<Request> = (0..2048u32)
+        .map(|i| Request::synthetic(ClientId(i % 16), (i / 16) as u64, 500))
+        .collect();
+    group.throughput(Throughput::Elements(32 * 2048));
+    group.bench_function("check_delivery_n32_2048", |b| {
+        b.iter_batched(
+            || MetricsSink::new(metrics_handle(NodeId(0), None)),
+            |mut sink| {
+                for node in 0..32 {
+                    for (nr, req) in requests.iter().enumerate() {
+                        sink.on_request_delivered(NodeId(node), req, nr as u64, Time::ZERO);
+                    }
+                }
+                sink
             },
             BatchSize::LargeInput,
         )
@@ -639,6 +691,7 @@ criterion_group!(
     bench_crypto,
     bench_verify_pipeline,
     bench_validate_proposal,
+    bench_check_delivery,
     bench_node_state,
     bench_cpu_schedule,
     bench_buckets,

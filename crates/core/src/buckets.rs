@@ -1,8 +1,8 @@
 //! Buckets: the partition of the request space (Section 2.4) and the local
 //! FIFO bucket queues (Section 3.7).
 
-use iss_types::{Batch, BucketId, EpochNr, NodeId, Request, RequestId};
-use std::collections::{HashSet, VecDeque};
+use iss_types::{Batch, BucketId, EpochNr, FxHashSet, NodeId, Request, RequestId};
+use std::collections::VecDeque;
 
 /// The assignment of buckets to leaders for one epoch (Section 2.4,
 /// Figure 2).
@@ -85,7 +85,7 @@ impl BucketAssignment {
 pub struct BucketQueues {
     queues: Vec<VecDeque<Request>>,
     /// Membership index to make insertion idempotent and removal cheap.
-    present: HashSet<RequestId>,
+    present: FxHashSet<RequestId>,
     total: usize,
 }
 
@@ -94,7 +94,7 @@ impl BucketQueues {
     pub fn new(num_buckets: usize) -> Self {
         BucketQueues {
             queues: (0..num_buckets).map(|_| VecDeque::new()).collect(),
-            present: HashSet::new(),
+            present: FxHashSet::default(),
             total: 0,
         }
     }
@@ -199,6 +199,7 @@ impl BucketQueues {
 mod tests {
     use super::*;
     use iss_types::ClientId;
+    use std::collections::HashSet;
 
     fn nodes(n: u32) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()

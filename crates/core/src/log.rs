@@ -1,4 +1,10 @@
 //! The totally ordered log and in-order delivery (Section 3.2, Equation 2).
+//!
+//! Positions commit out of order (segments progress independently) and are
+//! delivered in order from `firstUndelivered`. Delivery hands out whole
+//! batches — a handle clone, not a copy of each request — together with the
+//! global request sequence number of the batch's first request; the k-th
+//! request of a delivered batch has number `first_request_seq_nr + k`.
 
 use iss_types::{Batch, NodeId, Request, SeqNr};
 use std::collections::BTreeMap;
@@ -13,16 +19,24 @@ pub struct CommittedEntry {
     pub leader: NodeId,
 }
 
-/// A delivered request together with its global request sequence number
-/// (Equation 2).
+/// A delivered batch at its log position (Equation 2 numbering).
 #[derive(Clone, Debug, PartialEq)]
-pub struct DeliveredRequest {
-    /// The request.
-    pub request: Request,
-    /// The batch sequence number it was committed in.
-    pub batch_seq_nr: SeqNr,
-    /// The global, gap-free request sequence number.
-    pub request_seq_nr: u64,
+pub struct DeliveredBatch {
+    /// The log sequence number the batch was committed at.
+    pub seq_nr: SeqNr,
+    /// The batch; never empty.
+    pub batch: Batch,
+    /// The global, gap-free request sequence number of the batch's first
+    /// request.
+    pub first_request_seq_nr: u64,
+}
+
+impl DeliveredBatch {
+    /// The batch's requests paired with their global request sequence
+    /// numbers.
+    pub fn numbered(&self) -> impl Iterator<Item = (u64, &Request)> {
+        (self.first_request_seq_nr..).zip(self.batch.requests())
+    }
 }
 
 /// The log of one ISS node.
@@ -64,8 +78,11 @@ impl IssLog {
     }
 
     /// Whether every sequence number in `first..=last` is committed.
+    /// Positions below `firstUndelivered` were committed to be delivered
+    /// (even if garbage collection or a snapshot has dropped them since),
+    /// so only the rest of the range is probed.
     pub fn range_complete(&self, first: SeqNr, last: SeqNr) -> bool {
-        (first..=last).all(|sn| self.entries.contains_key(&sn))
+        (first.max(self.first_undelivered)..=last).all(|sn| self.entries.contains_key(&sn))
     }
 
     /// Number of committed positions.
@@ -95,21 +112,21 @@ impl IssLog {
     }
 
     /// Delivers every contiguous committed position starting at
-    /// `firstUndelivered`, returning the delivered requests with their global
-    /// request sequence numbers (Equation 2: the k-th request of the batch at
-    /// `sn` gets number `k + Σ_{i<sn} |S_i|`).
-    pub fn deliver_ready(&mut self) -> Vec<DeliveredRequest> {
+    /// `firstUndelivered`, returning the delivered batches that carry
+    /// requests, each with the global request sequence number of its first
+    /// request (Equation 2: the k-th request of the batch at `sn` gets number
+    /// `k + Σ_{i<sn} |S_i|`). ⊥ and empty batches advance delivery but are
+    /// not returned.
+    pub fn deliver_ready(&mut self) -> Vec<DeliveredBatch> {
         let mut delivered = Vec::new();
         while let Some(entry) = self.entries.get(&self.first_undelivered) {
-            if let Some(batch) = &entry.batch {
-                for request in batch.requests() {
-                    delivered.push(DeliveredRequest {
-                        request: request.clone(),
-                        batch_seq_nr: self.first_undelivered,
-                        request_seq_nr: self.total_delivered,
-                    });
-                    self.total_delivered += 1;
-                }
+            if let Some(batch) = entry.batch.as_ref().filter(|b| !b.is_empty()) {
+                delivered.push(DeliveredBatch {
+                    seq_nr: self.first_undelivered,
+                    batch: batch.clone(),
+                    first_request_seq_nr: self.total_delivered,
+                });
+                self.total_delivered += batch.len() as u64;
             }
             self.first_undelivered += 1;
         }
@@ -173,11 +190,16 @@ mod tests {
         assert!(log.deliver_ready().is_empty(), "gap at 0 blocks delivery");
         log.commit(0, Some(batch(&[(0, 1), (0, 2)])), NodeId(0));
         let delivered = log.deliver_ready();
-        assert_eq!(delivered.len(), 3);
-        assert_eq!(delivered[0].request_seq_nr, 0);
-        assert_eq!(delivered[1].request_seq_nr, 1);
-        assert_eq!(delivered[2].request_seq_nr, 2);
-        assert_eq!(delivered[2].batch_seq_nr, 1);
+        assert_eq!(delivered.len(), 2, "one entry per batch");
+        assert_eq!(delivered[0].seq_nr, 0);
+        assert_eq!(delivered[0].first_request_seq_nr, 0);
+        assert_eq!(delivered[1].seq_nr, 1);
+        assert_eq!(delivered[1].first_request_seq_nr, 2);
+        let numbered: Vec<(u64, u64)> = delivered
+            .iter()
+            .flat_map(|d| d.numbered().map(|(nr, r)| (nr, r.id.timestamp)))
+            .collect();
+        assert_eq!(numbered, vec![(0, 1), (1, 2), (2, 1)]);
         assert_eq!(log.first_undelivered(), 2);
         assert_eq!(log.total_delivered(), 3);
     }
@@ -187,11 +209,16 @@ mod tests {
         let mut log = IssLog::new();
         log.commit(0, Some(batch(&[(0, 1)])), NodeId(0));
         log.commit(1, None, NodeId(1));
-        log.commit(2, Some(batch(&[(2, 1), (2, 2)])), NodeId(2));
+        log.commit(2, Some(Batch::empty()), NodeId(1));
+        log.commit(3, Some(batch(&[(2, 1), (2, 2)])), NodeId(2));
         let delivered = log.deliver_ready();
-        let nrs: Vec<u64> = delivered.iter().map(|d| d.request_seq_nr).collect();
-        assert_eq!(nrs, vec![0, 1, 2]);
-        assert_eq!(delivered[1].batch_seq_nr, 2);
+        let nrs: Vec<(SeqNr, u64)> = delivered
+            .iter()
+            .map(|d| (d.seq_nr, d.first_request_seq_nr))
+            .collect();
+        assert_eq!(nrs, vec![(0, 0), (3, 1)], "⊥ and empty batches are skipped");
+        assert_eq!(log.first_undelivered(), 4);
+        assert_eq!(log.total_delivered(), 3);
     }
 
     #[test]
@@ -219,6 +246,32 @@ mod tests {
     }
 
     #[test]
+    fn range_complete_with_the_delivery_head_inside_the_range() {
+        let mut log = IssLog::new();
+        for sn in [0, 1, 2, 4, 5] {
+            log.commit(sn, None, NodeId(0));
+        }
+        log.deliver_ready();
+        assert_eq!(log.first_undelivered(), 3);
+        // The delivered prefix counts as committed even once dropped.
+        log.garbage_collect(3);
+        assert!(log.range_complete(0, 2));
+        assert!(log.range_complete(1, 2));
+        assert!(
+            !log.range_complete(1, 5),
+            "position 3 above the head is missing"
+        );
+        log.commit(3, None, NodeId(0));
+        assert!(log.range_complete(1, 5));
+        assert!(!log.range_complete(1, 6));
+        // A head moved past the range by a snapshot install covers it.
+        let mut restored = IssLog::new();
+        restored.restore_delivery_state(10, 40);
+        assert!(restored.range_complete(0, 9));
+        assert!(!restored.range_complete(0, 10));
+    }
+
+    #[test]
     fn garbage_collection_only_drops_delivered_prefix() {
         let mut log = IssLog::new();
         for sn in 0..4u64 {
@@ -238,5 +291,6 @@ mod tests {
         log.commit(0, Some(batch(&[(0, 0)])), NodeId(0));
         assert_eq!(log.deliver_ready().len(), 1);
         assert!(log.deliver_ready().is_empty());
+        assert_eq!(log.total_delivered(), 1);
     }
 }

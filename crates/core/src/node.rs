@@ -43,7 +43,7 @@
 use crate::buckets::BucketQueues;
 use crate::checkpoint::{CheckpointManager, StableCheckpoint};
 use crate::epoch::EpochConfig;
-use crate::log::IssLog;
+use crate::log::{DeliveredBatch, IssLog};
 use crate::orderer::OrdererFactory;
 use crate::policy::LeaderPolicy;
 use crate::stages::StageCountersHandle;
@@ -1177,20 +1177,13 @@ impl<S: NodeState> IssNode<S> {
         if delivered.is_empty() {
             return;
         }
-        if self.opts.telemetry.is_enabled() {
-            // One deliver span per distinct batch (`deliver_ready` walks the
-            // log in order, so a batch's requests are contiguous). End-to-end
-            // completion is recorded wherever delivery actually happens: here
-            // for the monolithic node, at the executor stages for the
-            // pipeline (through the shared per-machine telemetry).
-            let now = ctx.now();
-            let mut last_sn = None;
-            for d in &delivered {
-                if last_sn != Some(d.batch_seq_nr) {
-                    self.opts.telemetry.on_deliver(now, d.batch_seq_nr);
-                    last_sn = Some(d.batch_seq_nr);
-                }
-            }
+        let now = ctx.now();
+        // One deliver span per batch. End-to-end completion is recorded
+        // wherever delivery actually happens: here for the monolithic node,
+        // at the executor stages for the pipeline (through the shared
+        // per-machine telemetry).
+        for d in &delivered {
+            self.opts.telemetry.on_deliver(now, d.seq_nr);
         }
         // Compartmentalized pipeline: delivery (sink notification and client
         // responses) happens at the executor stages; fan the committed
@@ -1198,9 +1191,9 @@ impl<S: NodeState> IssNode<S> {
         if let Some(p) = &self.pipeline {
             let e = p.executors as usize;
             let mut per_executor: Vec<Vec<(Request, SeqNr)>> = vec![Vec::new(); e];
-            for d in &delivered {
-                per_executor[(d.request_seq_nr % e as u64) as usize]
-                    .push((d.request.clone(), d.request_seq_nr));
+            for (request_seq_nr, request) in delivered.iter().flat_map(DeliveredBatch::numbered) {
+                per_executor[(request_seq_nr % e as u64) as usize]
+                    .push((request.clone(), request_seq_nr));
             }
             for (index, deliveries) in per_executor.into_iter().enumerate() {
                 if !deliveries.is_empty() {
@@ -1216,23 +1209,18 @@ impl<S: NodeState> IssNode<S> {
             }
             return;
         }
-        let now = ctx.now();
-        for d in &delivered {
+        let mut sink = self.sink.borrow_mut();
+        for (request_seq_nr, request) in delivered.iter().flat_map(DeliveredBatch::numbered) {
             self.opts
                 .telemetry
-                .on_end_to_end(now, telemetry_request_key(&d.request.id));
-            self.sink.borrow_mut().on_request_delivered(
-                self.my_id,
-                &d.request,
-                d.request_seq_nr,
-                now,
-            );
+                .on_end_to_end(now, telemetry_request_key(&request.id));
+            sink.on_request_delivered(self.my_id, request, request_seq_nr, now);
             if self.opts.respond_to_clients {
                 ctx.send(
-                    Addr::Client(d.request.id.client),
+                    Addr::Client(request.id.client),
                     NetMsg::Client(ClientMsg::Response {
-                        request: d.request.id,
-                        seq_nr: d.request_seq_nr,
+                        request: request.id,
+                        seq_nr: request_seq_nr,
                     }),
                 );
             }

@@ -2,21 +2,32 @@
 //! (Sections 3.7 and 4.2, design principle 3).
 //!
 //! This is the hottest per-request path of a node — every request in every
-//! accepted proposal passes through [`RequestValidation::validate_proposal`]
-//! — so its state is kept dense, with per-request work allocation-free (the
+//! proposal passes through [`RequestValidation::validate_proposal`] and
+//! every committed request through [`RequestValidation::mark_delivered`] —
+//! so its state is dense and relative to the client watermark windows the
+//! ISS extended version defines duplicate prevention with. Per-request work
+//! is one client lookup per pass and a bit operation, allocation-free (the
 //! only per-proposal allocation left is the verify-item list handed to the
 //! signature pipeline, one small `Vec` per *signed* proposal):
 //!
+//! * each client has one window (`ClientWindow`): its low watermark, its
+//!   delivered timestamps as a [`BitWindow`] whose base is the first
+//!   timestamp not yet delivered, and the timestamps accepted into this
+//!   epoch's proposals as a [`BitWindow`] above the low watermark. Requests
+//!   are admitted only inside `[low, low + window)`, and the delivered base
+//!   never falls below `low`, so each bitmap spans at most one watermark
+//!   window (as long as committed requests respect the window, which every
+//!   correct node's validation enforces before voting);
+//! * in-batch duplicates are found by test-and-set on the proposed bitmap,
+//!   and a rejected proposal clears the bits it set — whether the in-batch
+//!   check or the signature check rejected it — so its valid requests can
+//!   still be proposed later;
 //! * client-signature checks go through the batched, memoized, parallel
 //!   pipeline of [`iss_crypto::SignatureRegistry`] (one MAC per signature
 //!   per *registry*: once per process in the simulator, where every node
 //!   holds a clone of one registry, but once per replica over TCP, where
 //!   `TcpCluster` and the wall-clock benchmark build a registry per node —
 //!   see `iss_crypto::sign`);
-//! * in-batch duplicate detection uses a reusable sort buffer instead of a
-//!   per-call `HashSet`;
-//! * the epoch-level proposal/delivery sets hash with the vendored
-//!   FxHash-style hasher (`iss_types::fxhash`) instead of SipHash;
 //! * the per-sequence-number bucket restriction is a dense offset-indexed
 //!   table of per-segment bucket bitmaps ([`EpochBuckets`]) instead of a
 //!   `HashMap<SeqNr, Arc<[BucketId]>>` probed per proposal with a linear
@@ -25,35 +36,57 @@
 use iss_crypto::{request_digest, Identity, SignatureRegistry, VerifyItem};
 use iss_sb::ProposalValidator;
 use iss_types::{
-    Batch, BucketId, ClientId, Error, FxHashMap, FxHashSet, ReqTimestamp, Request, RequestDigest,
+    Batch, BitWindow, BucketId, ClientId, Error, FxHashMap, ReqTimestamp, Request, RequestDigest,
     RequestId, Result, SeqNr,
 };
 use std::sync::Arc;
 
-/// Tracks which request timestamps of one client have been delivered, as a
-/// low watermark plus a sparse set of out-of-order deliveries, so memory stays
-/// proportional to the watermark window rather than to the execution length.
+/// The validation state of one client, all of it relative to the client's
+/// watermark window.
 #[derive(Clone, Debug, Default)]
-struct ClientDelivered {
-    /// All timestamps `< low` have been delivered.
+struct ClientWindow {
+    /// Low watermark of the current epoch (advanced at epoch starts).
     low: ReqTimestamp,
-    /// Delivered timestamps `>= low`.
-    sparse: FxHashSet<ReqTimestamp>,
+    /// Delivered timestamps: every one below its base, plus the recorded
+    /// out-of-order deliveries above it.
+    delivered: BitWindow,
+    /// Timestamps accepted into proposals during the current epoch
+    /// (prevents duplication across segments of the same epoch); its base
+    /// is `low`, below which validation admits nothing.
+    proposed: BitWindow,
 }
 
-impl ClientDelivered {
-    fn mark(&mut self, t: ReqTimestamp) {
-        if t < self.low {
-            return;
-        }
-        self.sparse.insert(t);
-        while self.sparse.remove(&self.low) {
-            self.low += 1;
-        }
-    }
+/// The window of a client this node has no state for yet.
+static NO_WINDOW: ClientWindow = ClientWindow {
+    low: 0,
+    delivered: BitWindow::new(0),
+    proposed: BitWindow::new(0),
+};
 
-    fn contains(&self, t: ReqTimestamp) -> bool {
-        t < self.low || self.sparse.contains(&t)
+impl ClientWindow {
+    /// Watermark-window and already-delivered checks. A timestamp *below*
+    /// the low watermark can only be a re-submission of an already
+    /// delivered request (watermarks advance past delivered prefixes only),
+    /// so it is classified as [`Error::Replayed`] — same as an explicit
+    /// delivered-set hit — while a timestamp *above* the window is merely
+    /// premature and stays [`Error::LimitExceeded`].
+    fn admit(&self, t: ReqTimestamp, window: u64) -> Result<()> {
+        let low = self.low;
+        if t < low {
+            return Err(Error::replayed(format!(
+                "request timestamp {t} below client low watermark {low}"
+            )));
+        }
+        if t >= low + window {
+            return Err(Error::LimitExceeded(format!(
+                "request timestamp {t} outside watermark window [{low}, {})",
+                low + window
+            )));
+        }
+        if self.delivered.contains(t) {
+            return Err(Error::replayed("request already delivered".to_string()));
+        }
+        Ok(())
     }
 }
 
@@ -160,19 +193,13 @@ pub struct RequestValidation {
     /// are rejected outright before any per-request work (a Byzantine leader
     /// must not be able to buy quadratic validation time with one message).
     max_batch_size: usize,
-    /// Low watermark per client (advanced at epoch transitions).
-    low_watermark: FxHashMap<ClientId, ReqTimestamp>,
-    /// Delivered requests per client.
-    delivered: FxHashMap<ClientId, ClientDelivered>,
-    /// Requests accepted into proposals during the current epoch
-    /// (prevents duplication across segments of the same epoch).
-    proposed_this_epoch: FxHashSet<RequestId>,
+    /// Watermarks, delivered and proposed timestamps, per client.
+    clients: FxHashMap<ClientId, ClientWindow>,
+    /// Requests accepted into proposals during the current epoch.
+    proposed_count: usize,
     /// The bucket restriction of the current epoch's sequence numbers
     /// (set by the manager at epoch initialization).
     epoch_buckets: EpochBuckets,
-    /// Reusable in-batch duplicate-detection buffer (sorted per proposal;
-    /// replaces a per-call `HashSet` allocation).
-    dedup_scratch: Vec<RequestId>,
     /// Reusable buffer of request digests for batched signature checks.
     digest_scratch: Vec<RequestDigest>,
     /// Proposals this node refused to vote for (malformed, oversized,
@@ -196,11 +223,9 @@ impl RequestValidation {
             num_buckets,
             watermark_window,
             max_batch_size,
-            low_watermark: FxHashMap::default(),
-            delivered: FxHashMap::default(),
-            proposed_this_epoch: FxHashSet::default(),
+            clients: FxHashMap::default(),
+            proposed_count: 0,
             epoch_buckets: EpochBuckets::default(),
-            dedup_scratch: Vec::new(),
             digest_scratch: Vec::new(),
             rejected_proposals: 0,
         }
@@ -222,31 +247,9 @@ impl RequestValidation {
         Ok(())
     }
 
-    /// Watermark-window and already-delivered checks. A timestamp *below*
-    /// the client's low watermark can only be a re-submission of an already
-    /// delivered request (watermarks advance past delivered prefixes only),
-    /// so it is classified as [`Error::Replayed`] — same as an explicit
-    /// delivered-set hit — while a timestamp *above* the window is merely
-    /// premature and stays [`Error::LimitExceeded`].
-    fn check_window_and_delivered(&self, req: &Request) -> Result<()> {
-        let low = self.low_watermark.get(&req.id.client).copied().unwrap_or(0);
-        if req.id.timestamp < low {
-            return Err(Error::replayed(format!(
-                "request timestamp {} below client low watermark {low}",
-                req.id.timestamp
-            )));
-        }
-        if req.id.timestamp >= low + self.watermark_window {
-            return Err(Error::LimitExceeded(format!(
-                "request timestamp {} outside watermark window [{low}, {})",
-                req.id.timestamp,
-                low + self.watermark_window
-            )));
-        }
-        if self.is_delivered(&req.id) {
-            return Err(Error::replayed("request already delivered".to_string()));
-        }
-        Ok(())
+    /// The window of `client` (empty if the node has seen nothing of it).
+    fn window(&self, client: ClientId) -> &ClientWindow {
+        self.clients.get(&client).unwrap_or(&NO_WINDOW)
     }
 
     /// Validates a single client request on reception (Section 3.7): known
@@ -261,30 +264,23 @@ impl RequestValidation {
             self.registry
                 .verify_client(req.id.client, &digest, &req.signature)?;
         }
-        self.check_window_and_delivered(req)
+        self.window(req.id.client)
+            .admit(req.id.timestamp, self.watermark_window)
     }
 
     /// Whether the request was already delivered.
     pub fn is_delivered(&self, id: &RequestId) -> bool {
-        self.delivered
-            .get(&id.client)
-            .map(|d| d.contains(id.timestamp))
-            .unwrap_or(false)
+        self.window(id.client).delivered.contains(id.timestamp)
     }
 
     /// Records the delivery of a request (prevents duplication across
-    /// epochs).
+    /// epochs). Deliveries may arrive out of timestamp order; the delivered
+    /// base follows the contiguous prefix.
     pub fn mark_delivered(&mut self, id: &RequestId) {
-        self.delivered
-            .entry(id.client)
-            .or_default()
-            .mark(id.timestamp);
-    }
-
-    /// Records that a request was included in an accepted proposal of the
-    /// current epoch (prevents duplication across segments within the epoch).
-    pub fn mark_proposed(&mut self, id: RequestId) {
-        self.proposed_this_epoch.insert(id);
+        let delivered = &mut self.clients.entry(id.client).or_default().delivered;
+        if delivered.insert(id.timestamp) && id.timestamp == delivered.base() {
+            delivered.advance();
+        }
     }
 
     /// Epoch transition: clears the per-epoch proposal record, installs the
@@ -293,17 +289,18 @@ impl RequestValidation {
     /// timestamp (Section 3.7: "ISS advances all clients' watermark windows
     /// at the end of each epoch").
     pub fn on_epoch_start(&mut self, epoch_buckets: EpochBuckets) {
-        self.proposed_this_epoch.clear();
+        self.proposed_count = 0;
         self.epoch_buckets = epoch_buckets;
-        for (client, delivered) in &self.delivered {
-            self.low_watermark.insert(*client, delivered.low);
+        for window in self.clients.values_mut() {
+            window.low = window.delivered.base();
+            window.proposed.reset(window.low);
         }
     }
 
     /// The number of requests recorded as proposed in the current epoch
     /// (diagnostics).
     pub fn proposed_in_epoch(&self) -> usize {
-        self.proposed_this_epoch.len()
+        self.proposed_count
     }
 }
 
@@ -332,10 +329,12 @@ impl RequestValidation {
         }
 
         // (a) semantics, (c) bucket membership, (b.2) no duplication against
-        // proposals already accepted this epoch. One pass, no allocation.
+        // proposals already accepted this epoch. Read-only: a rejection
+        // here leaves nothing to undo.
         for req in requests {
             self.check_known_client(req)?;
-            self.check_window_and_delivered(req)?;
+            let window = self.window(req.id.client);
+            window.admit(req.id.timestamp, self.watermark_window)?;
             if !self
                 .epoch_buckets
                 .allows(seq_nr, req.bucket(self.num_buckets))
@@ -346,7 +345,7 @@ impl RequestValidation {
                     req.bucket(self.num_buckets)
                 )));
             }
-            if self.proposed_this_epoch.contains(&req.id) {
+            if window.proposed.contains(req.id.timestamp) {
                 return Err(Error::invalid(format!(
                     "request {:?} already proposed in this epoch",
                     req.id
@@ -354,44 +353,56 @@ impl RequestValidation {
             }
         }
 
-        // (b.1) no duplication within the batch: reusable sort buffer.
-        self.dedup_scratch.clear();
-        self.dedup_scratch.extend(requests.iter().map(|r| r.id));
-        self.dedup_scratch.sort_unstable();
-        if self.dedup_scratch.windows(2).any(|w| w[0] == w[1]) {
-            return Err(Error::invalid("duplicate request within batch"));
-        }
-
-        // (a) signatures, last so the cheap checks short-circuit first:
-        // batched through the memoized, parallel pipeline. Pure cache hits
-        // where the leader that verified the batch shares this registry
-        // (the simulator); all misses on a TCP follower.
-        if self.verify_signatures {
-            self.digest_scratch.clear();
-            self.digest_scratch
-                .extend(requests.iter().map(request_digest));
-            let items: Vec<VerifyItem<'_>> = requests
-                .iter()
-                .zip(&self.digest_scratch)
-                .map(|(req, digest)| {
-                    (
-                        Identity::Client(req.id.client),
-                        &digest[..],
-                        &req.signature[..],
-                    )
-                })
-                .collect();
-            for result in self.registry.verify_batch(&items) {
-                result?;
+        // (b.1) no duplication within the batch, recording acceptance as we
+        // go: after the pass above every bit is clear, so a bit found set
+        // here was set by an earlier request of this batch.
+        for (i, req) in requests.iter().enumerate() {
+            let window = self.clients.entry(req.id.client).or_default();
+            if !window.proposed.insert(req.id.timestamp) {
+                self.unpropose(&requests[..i]);
+                return Err(Error::invalid("duplicate request within batch"));
             }
         }
 
-        // Record acceptance so a second proposal with the same requests (in a
-        // different segment of the same epoch) is rejected.
-        for req in requests {
-            self.proposed_this_epoch.insert(req.id);
+        // (a) signatures, last so the cheap checks short-circuit first.
+        if self.verify_signatures {
+            if let Err(e) = self.verify_client_signatures(requests) {
+                self.unpropose(requests);
+                return Err(e);
+            }
         }
+        self.proposed_count += requests.len();
         Ok(())
+    }
+
+    /// Batched through the memoized, parallel pipeline: pure cache hits
+    /// where the leader that verified the batch shares this registry (the
+    /// simulator); all misses on a TCP follower.
+    fn verify_client_signatures(&mut self, requests: &[Request]) -> Result<()> {
+        self.digest_scratch.clear();
+        self.digest_scratch
+            .extend(requests.iter().map(request_digest));
+        let items: Vec<VerifyItem<'_>> = requests
+            .iter()
+            .zip(&self.digest_scratch)
+            .map(|(req, digest)| {
+                (
+                    Identity::Client(req.id.client),
+                    &digest[..],
+                    &req.signature[..],
+                )
+            })
+            .collect();
+        self.registry.verify_batch(&items).into_iter().collect()
+    }
+
+    /// Rolls back the proposed bits a rejected proposal set for `requests`.
+    fn unpropose(&mut self, requests: &[Request]) {
+        for req in requests {
+            if let Some(window) = self.clients.get_mut(&req.id.client) {
+                window.proposed.remove(req.id.timestamp);
+            }
+        }
     }
 }
 
@@ -490,7 +501,7 @@ mod tests {
     #[test]
     fn replayed_requests_get_a_distinct_error() {
         let mut v = validation(false);
-        // Explicitly delivered (still in the sparse set): Replayed.
+        // Explicitly delivered (above the delivered base): Replayed.
         v.mark_delivered(&RequestId::new(ClientId(1), 5));
         assert!(matches!(
             v.validate_request(&Request::synthetic(ClientId(1), 5, 1)),

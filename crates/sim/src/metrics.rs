@@ -3,18 +3,36 @@
 //!
 //! Beyond measurement, the sink doubles as a cluster-wide safety checker:
 //! every delivery from every node flows through it, so it is the one place
-//! that can assert the two invariants a correct SMR run must uphold —
-//! *agreement* (all delivered logs are prefixes of one another, checked via
-//! the global request sequence number of Equation 2) and *no duplicate
-//! delivery* (a node never delivers the same request twice, in particular
-//! not across a crash-restart from durable storage). Violations panic; the
-//! checker never prints, so deterministic experiment stdout is unaffected.
+//! that can assert the safety of the one global log a correct SMR run
+//! builds. It checks three invariants, keyed by the global request sequence
+//! number of Equation 2 (a request's *position*):
+//!
+//! 1. *Agreement* — every node delivers the same request at a position:
+//!    the first delivery at a position records the request's id hash there,
+//!    and every later delivery at it must match.
+//! 2. *No duplication in the log* — a request occupies one position at
+//!    most: the id hash → position map is filled once per position, and a
+//!    request recorded at a second position panics.
+//! 3. *No re-delivery* — a node delivers each position at most once: each
+//!    node keeps a bitmap of the positions it delivered, which catches a
+//!    position delivered again after a crash-restart from durable storage.
+//!    Nodes may report positions out of order (the pipeline's executor
+//!    stages do) and may skip positions (a snapshot install).
+//!
+//! Together these imply the per-node property *a node never delivers the
+//! same request twice*: if node `k` delivered request `r` at positions `p`
+//! and `q`, then `p = q` is caught by (3), and for `p ≠ q` agreement (1)
+//! says both positions hold `r`, which (2) rejects. The state is dense: one
+//! id hash per position, one map entry per position, and one bit per node
+//! per position, instead of a hash-set entry per node per request.
+//! Violations panic; the checker never prints, so deterministic experiment
+//! stdout is unaffected.
 
 use iss_core::DeliverySink;
-use iss_types::{EpochNr, Error, NodeId, Request, RequestId, SeqNr, Time};
+use iss_types::{BitWindow, EpochNr, Error, FxHashMap, NodeId, Request, RequestId, SeqNr, Time};
 use iss_workload::{LatencyStats, ThroughputTimeline, Workload};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// One completed catch-up (crash-restart recovery or reconnect fast path).
@@ -40,52 +58,75 @@ impl RecoveryEvent {
     }
 }
 
+/// Marks a position no delivery has reached yet in
+/// [`SafetyInvariants::by_position`] (id hashes are never zero).
+const UNASSIGNED: u64 = 0;
+
 /// Cluster-wide safety invariants, fed by every delivery (see module docs).
 #[derive(Default)]
 struct SafetyInvariants {
-    /// Global request sequence number (Equation 2) → hash of the request id
-    /// delivered there by the first node to reach that position. Any later
-    /// node delivering a different request at the same position breaks
-    /// agreement.
-    assigned: HashMap<u64, u64>,
-    /// Per node: hashes of every request id the node delivered. A repeat
-    /// insert is a duplicate delivery (e.g. re-delivery after a restart).
-    seen: HashMap<NodeId, HashSet<u64>>,
+    /// Per global request sequence number: hash of the request id the first
+    /// node to reach that position delivered there, or [`UNASSIGNED`].
+    by_position: Vec<u64>,
+    /// Request id hash → the one position it was delivered at.
+    position_of: FxHashMap<u64, u64>,
+    /// Per node (indexed by node id): the positions it delivered.
+    delivered: Vec<BitWindow>,
+}
+
+/// FNV-1a over (client, timestamp), never zero: collisions are negligible
+/// for checking, and hashing keeps the per-position footprint at 8 bytes
+/// instead of the full id.
+fn id_hash(id: RequestId) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in id
+        .client
+        .0
+        .to_le_bytes()
+        .into_iter()
+        .chain(id.timestamp.to_le_bytes())
+    {
+        h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h.max(1)
 }
 
 impl SafetyInvariants {
     fn check_delivery(&mut self, node: NodeId, request: &Request, request_seq_nr: u64) {
         let id = request.id;
-        // FNV-1a over (client, timestamp): collisions are negligible for
-        // checking, and hashing keeps the per-run footprint at 8 bytes per
-        // delivered request instead of the full id.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in id
-            .client
-            .0
-            .to_le_bytes()
-            .into_iter()
-            .chain(id.timestamp.to_le_bytes())
-        {
-            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        let h = id_hash(id);
+        let position = request_seq_nr as usize;
+        if position >= self.by_position.len() {
+            self.by_position.resize(position + 1, UNASSIGNED);
         }
-        match self.assigned.get(&request_seq_nr) {
-            Some(prev) => assert_eq!(
-                *prev, h,
+        let assigned = &mut self.by_position[position];
+        if *assigned == UNASSIGNED {
+            *assigned = h;
+            if let Some(first) = self.position_of.insert(h, request_seq_nr) {
+                panic!(
+                    "duplicate delivery: node {node:?} delivered request {id:?} at global \
+                     sequence number {request_seq_nr}, but it was delivered at {first} already"
+                );
+            }
+        } else {
+            assert_eq!(
+                *assigned, h,
                 "agreement violation: node {node:?} delivered a different request \
                  at global sequence number {request_seq_nr} than an earlier node"
-            ),
-            None => {
-                self.assigned.insert(request_seq_nr, h);
-            }
+            );
         }
+        let node_index = node.0 as usize;
+        if node_index >= self.delivered.len() {
+            self.delivered
+                .resize_with(node_index + 1, BitWindow::default);
+        }
+        let delivered = &mut self.delivered[node_index];
         assert!(
-            self.seen.entry(node).or_default().insert(h),
-            "duplicate delivery: node {node:?} delivered request {id:?} twice \
-             (client {:?}, timestamp {})",
-            id.client,
-            id.timestamp
+            delivered.insert(request_seq_nr),
+            "duplicate delivery: node {node:?} delivered global sequence number \
+             {request_seq_nr} (request {id:?}) twice"
         );
+        delivered.advance();
     }
 }
 
@@ -93,7 +134,7 @@ impl SafetyInvariants {
 #[derive(Default)]
 pub struct Metrics {
     /// Requests delivered per node.
-    pub delivered_per_node: HashMap<NodeId, u64>,
+    pub delivered_per_node: FxHashMap<NodeId, u64>,
     /// Throughput time series measured at the observer node.
     pub timeline: ThroughputTimeline,
     /// End-to-end latency (submission to delivery at the observer node).
@@ -340,6 +381,68 @@ mod tests {
         let req = Request::synthetic(ClientId(0), 4, 16);
         sink.on_request_delivered(NodeId(0), &req, 10, Time::ZERO);
         sink.on_request_delivered(NodeId(0), &req, 11, Time::from_millis(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate delivery")]
+    fn redelivering_a_position_after_a_restart_panics() {
+        let handle = metrics_handle(NodeId(0), None);
+        let mut sink = MetricsSink::new(Rc::clone(&handle));
+        for ts in 0..3 {
+            let req = Request::synthetic(ClientId(0), ts, 16);
+            sink.on_request_delivered(NodeId(2), &req, ts, Time::ZERO);
+        }
+        // The restarted node replays position 1 to the sink again.
+        let req = Request::synthetic(ClientId(0), 1, 16);
+        sink.on_request_delivered(NodeId(2), &req, 1, Time::from_secs(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate delivery")]
+    fn one_request_at_two_positions_on_different_nodes_panics() {
+        let handle = metrics_handle(NodeId(0), None);
+        let mut sink = MetricsSink::new(Rc::clone(&handle));
+        let req = Request::synthetic(ClientId(3), 9, 16);
+        sink.on_request_delivered(NodeId(0), &req, 4, Time::ZERO);
+        sink.on_request_delivered(NodeId(1), &req, 5, Time::ZERO);
+    }
+
+    #[test]
+    fn out_of_order_positions_from_executor_stages_pass() {
+        let handle = metrics_handle(NodeId(0), None);
+        let mut sink = MetricsSink::new(Rc::clone(&handle));
+        // Two executors per node: odd positions overtake even ones.
+        let order = [1u64, 3, 0, 5, 2, 4, 7, 6, 200, 130, 64, 63];
+        for node in 0..2 {
+            for &pos in &order {
+                let req = Request::synthetic(ClientId(1), pos, 16);
+                sink.on_request_delivered(NodeId(node), &req, pos, Time::ZERO);
+            }
+        }
+        assert_eq!(handle.borrow().delivered_per_node[&NodeId(1)], 12);
+    }
+
+    #[test]
+    fn skipped_positions_after_a_snapshot_install_pass() {
+        let handle = metrics_handle(NodeId(0), None);
+        let mut sink = MetricsSink::new(Rc::clone(&handle));
+        let deliver = |sink: &mut MetricsSink, node: u32, pos: u64| {
+            let req = Request::synthetic(ClientId(2), pos, 16);
+            sink.on_request_delivered(NodeId(node), &req, pos, Time::ZERO);
+        };
+        for pos in 0..1000 {
+            deliver(&mut sink, 0, pos);
+        }
+        // Node 1 delivered a prefix, installed a snapshot up to 900, and
+        // continues from there.
+        for pos in (0..10).chain(900..1000) {
+            deliver(&mut sink, 1, pos);
+        }
+        for pos in 1000..1100 {
+            deliver(&mut sink, 1, pos);
+            deliver(&mut sink, 0, pos);
+        }
+        assert_eq!(handle.borrow().delivered_per_node[&NodeId(1)], 210);
     }
 
     #[test]

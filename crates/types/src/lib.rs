@@ -8,6 +8,7 @@
 //! `iss-core`, the ordering protocols in `iss-pbft` / `iss-hotstuff` /
 //! `iss-raft`.
 
+pub mod bitwindow;
 pub mod config;
 pub mod error;
 pub mod fxhash;
@@ -17,6 +18,7 @@ pub mod request;
 pub mod segment;
 pub mod time;
 
+pub use bitwindow::BitWindow;
 pub use config::{IssConfig, LeaderPolicyKind, ProtocolKind};
 pub use error::{Error, Result};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -110,12 +110,14 @@ proptest! {
                 )
             });
             log.commit(p as u64, batch, NodeId(0));
-            delivered.extend(log.deliver_ready());
+            for d in log.deliver_ready() {
+                delivered.extend(d.numbered().map(|(nr, _)| nr));
+            }
         }
         let expected_total: usize = entries.iter().map(|e| e.unwrap_or(0)).sum();
         prop_assert_eq!(delivered.len(), expected_total);
-        for (i, d) in delivered.iter().enumerate() {
-            prop_assert_eq!(d.request_seq_nr, i as u64, "request sequence numbers must be dense");
+        for (i, nr) in delivered.iter().enumerate() {
+            prop_assert_eq!(*nr, i as u64, "request sequence numbers must be dense");
         }
         prop_assert_eq!(log.first_undelivered(), entries.len() as u64);
     }
