@@ -4,8 +4,9 @@
 //! delivery bookkeeping, the simulator's safety checker, the
 //! CPU-model scheduler (heap vs scan), Merkle trees, bucket mapping, batch
 //! cutting, the binary codec, a full PBFT three-phase round for one batch,
-//! the simnet event-queue engine (timing wheel vs the reference binary
-//! heap) and a fig8-scale simulation wall-clock smoke.
+//! the file WAL's checkpoint prune, the simnet event-queue engine (timing
+//! wheel vs the reference binary heap) and a fig8-scale simulation
+//! wall-clock smoke.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use iss_core::buckets::BucketQueues;
@@ -327,6 +328,54 @@ fn bench_check_delivery(c: &mut Criterion) {
         )
     });
     group.finish();
+}
+
+/// The file WAL's work at a stable checkpoint: a log of 256 committed
+/// batches of 320 × 500 B requests (one epoch's worth, ~41 MB), pruned down
+/// to its last 8 batches. Each iteration prunes a fresh copy of the same
+/// log, opened outside the timed region.
+fn bench_file_prune(c: &mut Criterion) {
+    use iss_storage::{FileStorage, Storage, WalRecord};
+
+    const BATCHES: u64 = 256;
+    const KEPT: u64 = 8;
+    let root = std::env::temp_dir().join(format!("iss-bench-prune-{}", std::process::id()));
+    let template = root.join("template");
+    let _ = std::fs::remove_dir_all(&root);
+    {
+        let store = FileStorage::open(&template).expect("open template storage");
+        let batch = batch(320);
+        for seq_nr in 0..BATCHES {
+            let record = WalRecord::Committed {
+                seq_nr,
+                leader: NodeId((seq_nr % 4) as u32),
+                batch: Some(batch.clone()),
+            };
+            store.append(&record).expect("append template record");
+        }
+    }
+    let run = root.join("run");
+    let mut group = c.benchmark_group("storage");
+    group.sample_size(10);
+    // One prune per sample: the calibration stops at a single iteration.
+    group.measurement_time(std::time::Duration::from_millis(2));
+    group.bench_function("file_prune_epoch", |b| {
+        b.iter_batched(
+            || {
+                let _ = std::fs::remove_dir_all(&run);
+                std::fs::create_dir_all(&run).expect("create run dir");
+                std::fs::copy(template.join("wal.log"), run.join("wal.log")).expect("copy log");
+                FileStorage::open(&run).expect("open run storage")
+            },
+            |store| {
+                store.prune_below(BATCHES - KEPT).expect("prune");
+                store
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The per-message CPU-model scheduling step at fig8-and-beyond core counts:
@@ -698,6 +747,7 @@ criterion_group!(
     bench_codec,
     bench_batch_handles,
     bench_pbft_round,
+    bench_file_prune,
     bench_simnet_event_throughput,
     bench_stages,
     bench_telemetry,

@@ -10,7 +10,7 @@
 //!   checksummed records, with **torn-tail truncation** on open (a crash
 //!   mid-append leaves a partial or corrupt final record; the scan stops at
 //!   the first bad frame and discards everything from there on, never
-//!   anything before it).
+//!   anything before it), and the frame index both backends prune by.
 //! * [`record`] — the logical WAL record ([`WalRecord::Committed`], one per
 //!   committed log entry) and the checkpoint [`Snapshot`] cut at ISS stable
 //!   checkpoints, both with fully round-trip-tested binary codecs built on
@@ -65,7 +65,15 @@ pub trait Storage {
     fn save_snapshot(&self, snapshot: &Snapshot) -> Result<()>;
 
     /// Drops WAL records with `seq_nr < below` (entries covered by the
-    /// latest snapshot). Records above the cut are preserved verbatim.
+    /// latest snapshot). Records above the cut are preserved verbatim, in
+    /// append order.
+    ///
+    /// Both backends work from an in-memory frame index
+    /// ([`wal::FrameIndex`]): a prune reads and re-verifies only the records
+    /// it keeps and decodes none, so its cost is the bytes above the cut.
+    /// It is a no-op when no record is below the cut, and it fails, leaving
+    /// the log as it was, if a record it would keep no longer passes its
+    /// checksum.
     fn prune_below(&self, below: SeqNr) -> Result<()>;
 
     /// Reads back the snapshot and the surviving WAL records, truncating a

@@ -7,9 +7,14 @@
 //! layout is identical to [`crate::FileStorage`] (same framing, same
 //! codecs), so everything recovery exercises in simulation — including
 //! torn-tail truncation — holds for the file-backed path too.
+//!
+//! Both backends prune by the same rule, [`FrameIndex::prune`]: a prune
+//! copies and re-verifies only the frames it keeps, found through the
+//! in-memory frame index, and never decodes a record. Its cost is the bytes
+//! above the cut, not the size of the log.
 
 use crate::record::{Snapshot, WalRecord};
-use crate::wal::{append_frame, scan_frames};
+use crate::wal::{append_frame, scan_frames, FrameIndex};
 use crate::{Recovered, Storage};
 use bytes::Bytes;
 use iss_types::{Result, SeqNr};
@@ -19,6 +24,8 @@ use std::cell::RefCell;
 #[derive(Default)]
 pub struct MemStorage {
     wal: RefCell<Vec<u8>>,
+    /// The intact frames of `wal`; bytes past its end are a torn tail.
+    index: RefCell<FrameIndex>,
     snapshot: RefCell<Option<Vec<u8>>>,
 }
 
@@ -29,7 +36,11 @@ impl MemStorage {
     }
 
     /// Injects raw WAL bytes (tests: simulating torn tails and corruption).
+    /// The frame index is rebuilt by scanning them; a torn tail stays in
+    /// place until [`Storage::recover`] truncates it.
     pub fn set_wal_bytes(&self, bytes: Vec<u8>) {
+        let scan = scan_frames(&Bytes::from(bytes.clone()));
+        *self.index.borrow_mut() = FrameIndex::from_scan(&scan);
         *self.wal.borrow_mut() = bytes;
     }
 
@@ -41,7 +52,13 @@ impl MemStorage {
 
 impl Storage for MemStorage {
     fn append(&self, record: &WalRecord) -> Result<()> {
-        append_frame(&mut self.wal.borrow_mut(), &record.encode());
+        let payload = record.encode();
+        let mut index = self.index.borrow_mut();
+        let mut wal = self.wal.borrow_mut();
+        // Land on the intact prefix, as a reopened file would.
+        wal.truncate(index.end());
+        append_frame(&mut wal, &payload);
+        index.push(&payload);
         Ok(())
     }
 
@@ -51,18 +68,16 @@ impl Storage for MemStorage {
     }
 
     fn prune_below(&self, below: SeqNr) -> Result<()> {
-        let scan = {
-            let wal = self.wal.borrow();
-            scan_frames(&Bytes::from(wal.clone()))
-        };
-        let mut kept = Vec::new();
-        for frame in &scan.frames {
-            let record = WalRecord::decode(frame)?;
-            if record.seq_nr() >= below {
-                append_frame(&mut kept, frame);
-            }
+        let mut wal = self.wal.borrow_mut();
+        let mut index = self.index.borrow_mut();
+        let pruned = index.prune(below, |offset, buf| {
+            buf.copy_from_slice(&wal[offset..offset + buf.len()]);
+            Ok(())
+        })?;
+        if let Some((kept, kept_index)) = pruned {
+            *wal = kept;
+            *index = kept_index;
         }
-        *self.wal.borrow_mut() = kept;
         Ok(())
     }
 

@@ -27,12 +27,34 @@ pub enum WalRecord {
 /// Record tag of [`WalRecord::Committed`].
 const TAG_COMMITTED: u8 = 0x01;
 
+/// Byte offset of a [`WalRecord::Committed`] payload's `seq_nr`: after the
+/// tag (`u8`) and the leader (`u32`).
+const COMMITTED_SEQ_NR_AT: usize = 5;
+
+/// Shortest [`WalRecord::Committed`] payload: tag, leader, `seq_nr` and the
+/// log entry's batch tag (⊥).
+const COMMITTED_MIN_LEN: usize = COMMITTED_SEQ_NR_AT + 8 + 1;
+
 impl WalRecord {
     /// Sequence number the record refers to (the pruning key).
     pub fn seq_nr(&self) -> SeqNr {
         match self {
             WalRecord::Committed { seq_nr, .. } => *seq_nr,
         }
+    }
+
+    /// Reads the sequence number of an encoded record from its fixed-offset
+    /// field, without decoding the batch. `None` when the payload is too
+    /// short or has an unknown tag; for every payload [`WalRecord::decode`]
+    /// accepts it agrees with [`WalRecord::seq_nr`].
+    pub fn seq_nr_of(payload: &[u8]) -> Option<SeqNr> {
+        if payload.len() < COMMITTED_MIN_LEN || payload[0] != TAG_COMMITTED {
+            return None;
+        }
+        let at = COMMITTED_SEQ_NR_AT;
+        Some(SeqNr::from_le_bytes(
+            payload[at..at + 8].try_into().expect("8-byte field"),
+        ))
     }
 
     /// Encodes the record payload (framing is the caller's job).
@@ -239,6 +261,7 @@ mod tests {
             let encoded = Bytes::from(rec.encode());
             assert_eq!(WalRecord::decode(&encoded).unwrap(), rec);
             assert_eq!(rec.seq_nr(), 42);
+            assert_eq!(WalRecord::seq_nr_of(&encoded), Some(42));
         }
     }
 
@@ -246,6 +269,20 @@ mod tests {
     fn record_with_bad_tag_is_rejected() {
         assert!(WalRecord::decode(&Bytes::from_static(&[0x7F, 0, 0, 0, 0, 0])).is_err());
         assert!(WalRecord::decode(&Bytes::from_static(&[0x01])).is_err());
+        let mut bad_tag = committed_bytes(9);
+        bad_tag[0] = 0x7F;
+        assert_eq!(WalRecord::seq_nr_of(&bad_tag), None);
+        let short = committed_bytes(9);
+        assert_eq!(WalRecord::seq_nr_of(&short[..short.len() - 1]), None);
+    }
+
+    fn committed_bytes(seq_nr: SeqNr) -> Vec<u8> {
+        WalRecord::Committed {
+            seq_nr,
+            leader: NodeId(3),
+            batch: None,
+        }
+        .encode()
     }
 
     #[test]

@@ -61,6 +61,7 @@ proptest! {
     ) {
         let record = record_from(seq_nr, leader, batch_shape);
         let encoded = Bytes::from(record.encode());
+        prop_assert_eq!(WalRecord::seq_nr_of(&encoded), Some(seq_nr));
         prop_assert_eq!(WalRecord::decode(&encoded).unwrap(), record);
     }
 
