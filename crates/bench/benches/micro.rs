@@ -418,11 +418,10 @@ fn bench_cpu_schedule(c: &mut Criterion) {
 
 /// The Manager's per-message bookkeeping at 128-node scale: resolve an
 /// `InstanceId` to its instance and bracket a callback (the `drive` loop),
-/// round-robin across one epoch's 128 SB instances. `node_dispatch_128` is
-/// the dense slab+arena state, `node_dispatch_128_ref` the `HashMap` oracle
-/// it replaced.
+/// round-robin across one epoch's 128 SB instances of the dense slab+arena
+/// state.
 fn bench_node_state(c: &mut Criterion) {
-    use iss_core::state::{EpochState, NodeState, ReferenceNodeState};
+    use iss_core::state::EpochState;
     use iss_sb::testing::NullSb;
     use iss_types::{EpochNr, SeqNr, TimerId};
 
@@ -431,7 +430,7 @@ fn bench_node_state(c: &mut Criterion) {
 
     /// Populates one epoch: 128 segments, round-robin sequence numbers,
     /// one inert instance each, two armed timers per instance.
-    fn fill_epoch<S: NodeState>(state: &mut S, epoch: EpochNr, timer_base: &mut u64) {
+    fn fill_epoch(state: &mut EpochState, epoch: EpochNr, timer_base: &mut u64) {
         let length = SEGMENTS as u64 * PER_SEGMENT;
         let first = epoch * length;
         state.begin_epoch(epoch, first, length);
@@ -449,7 +448,7 @@ fn bench_node_state(c: &mut Criterion) {
         }
     }
 
-    fn dispatch_workload<S: NodeState>(state: &mut S, i: &mut u32) -> SeqNr {
+    fn dispatch_workload(state: &mut EpochState, i: &mut u32) -> SeqNr {
         let id = InstanceId::new(0, *i % SEGMENTS);
         *i = (*i + 1) % SEGMENTS;
         let slot = state.slot_of(id).expect("live instance");
@@ -471,38 +470,14 @@ fn bench_node_state(c: &mut Criterion) {
         b.iter(|| dispatch_workload(&mut dense, &mut i))
     });
 
-    let mut reference = ReferenceNodeState::new();
-    let mut timer_base = 0u64;
-    fill_epoch(&mut reference, 0, &mut timer_base);
-    let mut i = 0u32;
-    group.bench_function("node_dispatch_128_ref", |b| {
-        b.iter(|| dispatch_workload(&mut reference, &mut i))
-    });
-
     // Epoch GC at the same scale: two live epochs of 128 instances (plus
     // two armed timers each), collect the older one and advance the
-    // checkpoint cut — the wholesale arena drop vs four retain scans.
+    // checkpoint cut — the wholesale arena drop.
     group.sample_size(20);
     group.bench_function("epoch_gc", |b| {
         b.iter_batched(
             || {
                 let mut state = EpochState::new();
-                let mut timer_base = 0u64;
-                fill_epoch(&mut state, 0, &mut timer_base);
-                fill_epoch(&mut state, 1, &mut timer_base);
-                state
-            },
-            |mut state| {
-                state.gc(1, Some(SEGMENTS as u64 * PER_SEGMENT));
-                state
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("epoch_gc_ref", |b| {
-        b.iter_batched(
-            || {
-                let mut state = ReferenceNodeState::new();
                 let mut timer_base = 0u64;
                 fill_epoch(&mut state, 0, &mut timer_base);
                 fill_epoch(&mut state, 1, &mut timer_base);

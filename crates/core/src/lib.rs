@@ -23,9 +23,8 @@
 //!   segment;
 //! * [`state`] — the Manager's dense, epoch-scoped bookkeeping
 //!   ([`state::EpochState`]: offset-indexed sequence-number tables and a
-//!   generation-stamped instance slab) behind the [`state::NodeState`]
-//!   trait, with the original `HashMap` implementation preserved as the
-//!   [`state::ReferenceNodeState`] oracle;
+//!   generation-stamped instance slab; its `HashMap` oracle lives in
+//!   `tests/state_equivalence.rs`);
 //! * [`node`] — the Manager: the full ISS replica tying everything together
 //!   as an event-driven process (also usable in single-leader baseline mode
 //!   and in a Mir-BFT-like mode with an epoch primary);
@@ -58,5 +57,5 @@ pub use stages::{
     batcher_for, stage_counters, BatcherProcess, ExecutorProcess, StageCounters,
     StageCountersHandle,
 };
-pub use state::{EpochState, InstanceSlot, NodeState, ReferenceNodeState};
+pub use state::{EpochState, InstanceSlot};
 pub use validation::{EpochBuckets, RequestValidation};

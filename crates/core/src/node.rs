@@ -21,14 +21,12 @@
 //!
 //! The Manager's per-epoch bookkeeping — which SB instance owns a message,
 //! which leader owned a sequence number, what this node proposed where, and
-//! which instance a timer belongs to — lives behind the
-//! [`crate::state::NodeState`] trait. The node is generic over it:
-//! production deployments use the dense [`EpochState`] arena (offset-indexed
-//! sequence-number tables, a generation-stamped instance slab addressed by
-//! [`crate::state::InstanceSlot`] handles, wholesale-drop epoch GC), while
-//! [`crate::state::ReferenceNodeState`] preserves the original four-`HashMap`
-//! implementation as a bit-identical oracle for property tests and
-//! equivalence runs.
+//! which instance a timer belongs to — lives in one dense [`EpochState`]
+//! arena: offset-indexed sequence-number tables, a generation-stamped
+//! instance slab addressed by [`crate::state::InstanceSlot`] handles, and
+//! wholesale-drop epoch GC. The original four-`HashMap` implementation
+//! survives only as the lockstep oracle in
+//! `crates/core/tests/state_equivalence.rs`.
 //!
 //! The generation-stamp argument, in short: every handle (instance slot or
 //! timer route) carries the generation of the slab slot it points at, and
@@ -47,7 +45,7 @@ use crate::log::{DeliveredBatch, IssLog};
 use crate::orderer::OrdererFactory;
 use crate::policy::LeaderPolicy;
 use crate::stages::StageCountersHandle;
-use crate::state::{EpochState, InstanceSlot, NodeState};
+use crate::state::{EpochState, InstanceSlot};
 use crate::validation::{EpochBuckets, RequestValidation};
 use bytes::{Bytes, BytesMut};
 use iss_crypto::{Digest, KeyPair, SignatureRegistry};
@@ -227,9 +225,8 @@ pub fn telemetry_batch_key(batch: &Batch) -> u64 {
     )
 }
 
-/// The ISS replica, generic over its epoch-state implementation (see the
-/// module docs; production uses the dense [`EpochState`] default).
-pub struct IssNode<S: NodeState = EpochState> {
+/// The ISS replica (see the module docs).
+pub struct IssNode {
     my_id: NodeId,
     opts: NodeOptions,
     /// All node ids, computed once (the broadcast fan-out iterates this on
@@ -244,7 +241,7 @@ pub struct IssNode<S: NodeState = EpochState> {
     epoch: EpochConfig,
     /// Instance storage/dispatch, seq-nr → leader, proposed batches and
     /// timer routing (the former four `HashMap`s).
-    state: S,
+    state: EpochState,
     log: IssLog,
     buckets: BucketQueues,
     validation: RequestValidation,
@@ -320,24 +317,9 @@ struct SnapshotAssembly {
     total_len: u32,
 }
 
-impl IssNode<EpochState> {
-    /// Creates a node over the production dense epoch state.
+impl IssNode {
+    /// Creates a node.
     pub fn new(
-        my_id: NodeId,
-        opts: NodeOptions,
-        factory: Box<dyn OrdererFactory>,
-        registry: Arc<SignatureRegistry>,
-        sink: Rc<RefCell<dyn DeliverySink>>,
-    ) -> Self {
-        Self::with_state(my_id, opts, factory, registry, sink)
-    }
-}
-
-impl<S: NodeState + Default> IssNode<S> {
-    /// Creates a node over any [`NodeState`] implementation (equivalence
-    /// tests run clusters on [`crate::state::ReferenceNodeState`] through
-    /// this).
-    pub fn with_state(
         my_id: NodeId,
         opts: NodeOptions,
         factory: Box<dyn OrdererFactory>,
@@ -380,7 +362,7 @@ impl<S: NodeState + Default> IssNode<S> {
             sink,
             current_epoch: 0,
             epoch,
-            state: S::default(),
+            state: EpochState::new(),
             log: IssLog::new(),
             buckets,
             validation,
@@ -416,14 +398,12 @@ impl<S: NodeState + Default> IssNode<S> {
         sink: Rc<RefCell<dyn DeliverySink>>,
         storage: Rc<dyn Storage>,
     ) -> Self {
-        let mut node = Self::with_state(my_id, opts, factory, registry, sink);
+        let mut node = Self::new(my_id, opts, factory, registry, sink);
         node.storage = Some(Rc::clone(&storage));
         node.replay_from_storage(&*storage);
         node
     }
-}
 
-impl<S: NodeState> IssNode<S> {
     fn leaders_for(opts: &NodeOptions, policy: &LeaderPolicy, epoch: EpochNr) -> Vec<NodeId> {
         match opts.mode {
             Mode::SingleLeader => vec![NodeId(0)],
@@ -1621,12 +1601,12 @@ impl<S: NodeState> IssNode<S> {
                 }
             }
             NetMsg::Stage(_) => {}
-            NetMsg::Mir(_) | NetMsg::Baseline(_) => {}
+            NetMsg::Baseline(_) => {}
         }
     }
 }
 
-impl<S: NodeState> Process<NetMsg> for IssNode<S> {
+impl Process<NetMsg> for IssNode {
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
         self.setup_epoch_instances(ctx);
         ctx.set_timer(self.proposal_interval(), KIND_PROPOSE);

@@ -1,5 +1,5 @@
 //! Dense, epoch-scoped orderer state: the bookkeeping the Manager keeps per
-//! sequence number and per SB instance, behind the [`NodeState`] trait.
+//! sequence number and per SB instance ([`EpochState`]).
 //!
 //! Until this module existed, [`crate::node::IssNode`] tracked its epoch
 //! state in four `HashMap`s keyed by `InstanceId`, `SeqNr` and `TimerId`
@@ -16,7 +16,7 @@
 //! * **Sequence numbers are offsets.** An epoch's sequence numbers form a
 //!   contiguous range, so `leader_of(sn)` and the proposed-batch slot of
 //!   `sn` are direct reads of per-epoch dense tables indexed by
-//!   `sn - first_seq_nr` (one [`EpochArena`] per live epoch, found O(1) by
+//!   `sn - first_seq_nr` (one `EpochArena` per live epoch, found O(1) by
 //!   `epoch - front_epoch` since epochs are contiguous too).
 //! * **Instances live in a generation-stamped slab.** Each live
 //!   `Box<dyn SbInstance>` occupies a slab slot addressed by a compact
@@ -33,24 +33,22 @@
 //!   generation bump each, instances dropped wholesale with the arena's
 //!   tables) — no per-entry scans over any map.
 //!
-//! The old `HashMap` implementation is kept, verbatim in behaviour, as
-//! [`ReferenceNodeState`]: the oracle the arena is property-tested against
-//! (`tests/state_equivalence.rs` drives both through randomized epoch
-//! lifecycles in lockstep, and `iss-sim` can run whole clusters on either
-//! implementation to assert bit-identical reports).
+//! The old `HashMap` implementation lives on in
+//! `crates/core/tests/state_equivalence.rs`, not in this crate: it is the
+//! oracle the arena is property-tested against, driven through randomized
+//! epoch lifecycles in lockstep with it.
 
 use iss_sb::SbInstance;
 use iss_types::{Batch, EpochNr, FxHashMap, InstanceId, NodeId, SeqNr, TimerId};
-use std::collections::HashMap;
 
-/// Compact handle of a live SB instance in a [`NodeState`] implementation.
+/// Compact handle of a live SB instance in the [`EpochState`] slab.
 ///
 /// Packs a slab slot index (high 32 bits) and a generation (low 32 bits),
 /// exactly like [`TimerId`]: a handle is *live* iff its generation matches
 /// the slot's current generation, so a handle outliving its instance (a
 /// timer armed by a GC'd epoch, a late message) is rejected in O(1).
-/// Implementations that do not use a slab (the reference oracle) may treat
-/// the handle as an opaque unique token.
+/// The test-file oracle, which has no slab, treats the handle as an opaque
+/// unique token.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct InstanceSlot(pub u64);
 
@@ -69,91 +67,6 @@ impl InstanceSlot {
     pub fn generation(self) -> u32 {
         self.0 as u32
     }
-}
-
-/// The Manager's per-epoch bookkeeping: instance storage and dispatch,
-/// sequence-number → leader resolution, the leader's own proposed batches,
-/// and instance-timer routing.
-///
-/// Two implementations exist: the dense [`EpochState`] arena used in
-/// production and the [`ReferenceNodeState`] `HashMap` oracle. The contract
-/// (all of it exercised by the lockstep property suite):
-///
-/// * `begin_epoch` opens a new arena; epochs must be opened in order.
-/// * `record_segment` registers a segment's sequence numbers and leader for
-///   `leader_of`; `insert_instance` stores its SB instance and returns the
-///   slot used for all further dispatch.
-/// * `take_instance` / `restore_instance` bracket a callback into the
-///   instance (the node's `drive` loop); a take of a dead or already-taken
-///   slot returns `None`.
-/// * `register_timer` / `resolve_timer` / `take_matching_timers` route the
-///   embedding's timer handles to (slot, token) pairs; resolving a timer
-///   whose instance died returns `None` and drops the route.
-/// * `record_proposed` / `take_proposed` / `clear_proposed` track the
-///   batches this node proposed for its own segment (resurrection on ⊥).
-/// * `gc(keep_epochs_from, leader_cut)` drops instances and timer routes of
-///   epochs before `keep_epochs_from` and forgets leaders below
-///   `leader_cut` (the stable-checkpoint cut; `None` keeps them all).
-pub trait NodeState {
-    /// Opens the arena of `epoch`, whose sequence numbers are
-    /// `first_seq_nr .. first_seq_nr + length`.
-    fn begin_epoch(&mut self, epoch: EpochNr, first_seq_nr: SeqNr, length: u64);
-
-    /// Records that `leader` owns every sequence number in `seq_nrs` (all of
-    /// which belong to the most recently opened epoch).
-    fn record_segment(&mut self, seq_nrs: &[SeqNr], leader: NodeId);
-
-    /// Stores the SB instance of segment `id` (of the most recently opened
-    /// epoch) and returns its dispatch handle.
-    fn insert_instance(&mut self, id: InstanceId, instance: Box<dyn SbInstance>) -> InstanceSlot;
-
-    /// Resolves an instance identifier to its live slot, if the instance
-    /// exists and has not been garbage-collected.
-    fn slot_of(&self, id: InstanceId) -> Option<InstanceSlot>;
-
-    /// Temporarily removes the instance at `slot` for a callback. Returns
-    /// `None` if the slot is dead or the instance is currently taken.
-    fn take_instance(&mut self, slot: InstanceSlot) -> Option<(InstanceId, Box<dyn SbInstance>)>;
-
-    /// Puts an instance taken with [`Self::take_instance`] back. If the slot
-    /// died while the instance was out (epoch GC during the callback's
-    /// actions), the instance is dropped.
-    fn restore_instance(&mut self, slot: InstanceSlot, instance: Box<dyn SbInstance>);
-
-    /// The leader of the segment that owned `sn`, if still known.
-    fn leader_of(&self, sn: SeqNr) -> Option<NodeId>;
-
-    /// Records the batch this node proposed for `sn` (own segment only).
-    fn record_proposed(&mut self, sn: SeqNr, batch: Batch);
-
-    /// Takes the batch this node proposed for `sn`, if any (⊥ delivery:
-    /// the requests are resurrected by the caller).
-    fn take_proposed(&mut self, sn: SeqNr) -> Option<Batch>;
-
-    /// Forgets every recorded proposal (epoch start).
-    fn clear_proposed(&mut self);
-
-    /// Routes `timer` to `(slot, token)` for [`Self::resolve_timer`].
-    fn register_timer(&mut self, timer: TimerId, slot: InstanceSlot, token: u64);
-
-    /// Resolves a fired timer to the instance slot and token it was armed
-    /// with, dropping the route. Returns `None` (and still drops the route)
-    /// if the instance died in the meantime.
-    fn resolve_timer(&mut self, timer: TimerId) -> Option<(InstanceSlot, u64)>;
-
-    /// Removes every timer route of `slot` carrying `token` and appends the
-    /// timer handles to `out` (the caller cancels them on its runtime
-    /// context). Order is unspecified.
-    fn take_matching_timers(&mut self, slot: InstanceSlot, token: u64, out: &mut Vec<TimerId>);
-
-    /// Epoch garbage collection: drops instances (and their timer routing)
-    /// of every epoch before `keep_epochs_from`, and — when `leader_cut` is
-    /// set — forgets `leader_of` entries below the cut.
-    fn gc(&mut self, keep_epochs_from: EpochNr, leader_cut: Option<SeqNr>);
-
-    /// Number of live (not garbage-collected) instances, counting taken
-    /// ones. Diagnostics and tests.
-    fn live_instances(&self) -> usize;
 }
 
 /// Sentinel for "no leader recorded" in the dense per-epoch leader table.
@@ -204,9 +117,29 @@ impl EpochArena {
     }
 }
 
-/// The production [`NodeState`]: epoch-scoped arenas over a
+/// The Manager's per-epoch bookkeeping: instance storage and dispatch,
+/// sequence-number → leader resolution, the leader's own proposed batches,
+/// and instance-timer routing, as epoch-scoped arenas over a
 /// generation-stamped instance slab. See the module docs for the layout and
 /// the O(1) arguments.
+///
+/// The contract (all of it exercised by the lockstep property suite):
+///
+/// * `begin_epoch` opens a new arena; epochs must be opened in order.
+/// * `record_segment` registers a segment's sequence numbers and leader for
+///   `leader_of`; `insert_instance` stores its SB instance and returns the
+///   slot used for all further dispatch.
+/// * `take_instance` / `restore_instance` bracket a callback into the
+///   instance (the node's `drive` loop); a take of a dead or already-taken
+///   slot returns `None`.
+/// * `register_timer` / `resolve_timer` / `take_matching_timers` route the
+///   embedding's timer handles to (slot, token) pairs; resolving a timer
+///   whose instance died returns `None` and drops the route.
+/// * `record_proposed` / `take_proposed` / `clear_proposed` track the
+///   batches this node proposed for its own segment (resurrection on ⊥).
+/// * `gc(keep_epochs_from, leader_cut)` drops instances and timer routes of
+///   epochs before `keep_epochs_from` and forgets leaders below
+///   `leader_cut` (the stable-checkpoint cut; `None` keeps them all).
 #[derive(Default)]
 pub struct EpochState {
     /// Live epochs, oldest first. Epochs are contiguous, so the arena of
@@ -287,10 +220,10 @@ impl EpochState {
     pub fn arena_count(&self) -> usize {
         self.arenas.len()
     }
-}
 
-impl NodeState for EpochState {
-    fn begin_epoch(&mut self, epoch: EpochNr, first_seq_nr: SeqNr, length: u64) {
+    /// Opens the arena of `epoch`, whose sequence numbers are
+    /// `first_seq_nr .. first_seq_nr + length`.
+    pub fn begin_epoch(&mut self, epoch: EpochNr, first_seq_nr: SeqNr, length: u64) {
         if let Some(back) = self.arenas.back() {
             assert_eq!(epoch, back.epoch + 1, "epochs must be opened in order");
         }
@@ -305,7 +238,9 @@ impl NodeState for EpochState {
         });
     }
 
-    fn record_segment(&mut self, seq_nrs: &[SeqNr], leader: NodeId) {
+    /// Records that `leader` owns every sequence number in `seq_nrs` (all of
+    /// which belong to the most recently opened epoch).
+    pub fn record_segment(&mut self, seq_nrs: &[SeqNr], leader: NodeId) {
         let arena = self.arenas.back_mut().expect("no epoch opened");
         for sn in seq_nrs {
             let offset = arena
@@ -315,7 +250,13 @@ impl NodeState for EpochState {
         }
     }
 
-    fn insert_instance(&mut self, id: InstanceId, instance: Box<dyn SbInstance>) -> InstanceSlot {
+    /// Stores the SB instance of segment `id` (of the most recently opened
+    /// epoch) and returns its dispatch handle.
+    pub fn insert_instance(
+        &mut self,
+        id: InstanceId,
+        instance: Box<dyn SbInstance>,
+    ) -> InstanceSlot {
         let slot = match self.free.pop() {
             Some(index) => {
                 let entry = &mut self.slab[index as usize];
@@ -352,7 +293,9 @@ impl NodeState for EpochState {
         slot
     }
 
-    fn slot_of(&self, id: InstanceId) -> Option<InstanceSlot> {
+    /// Resolves an instance identifier to its live slot, if the instance
+    /// exists and has not been garbage-collected.
+    pub fn slot_of(&self, id: InstanceId) -> Option<InstanceSlot> {
         let arena = self.arena_of_epoch(id.epoch)?;
         if arena.instances_retired {
             return None;
@@ -361,13 +304,21 @@ impl NodeState for EpochState {
         self.entry(slot).map(|_| slot)
     }
 
-    fn take_instance(&mut self, slot: InstanceSlot) -> Option<(InstanceId, Box<dyn SbInstance>)> {
+    /// Temporarily removes the instance at `slot` for a callback. Returns
+    /// `None` if the slot is dead or the instance is currently taken.
+    pub fn take_instance(
+        &mut self,
+        slot: InstanceSlot,
+    ) -> Option<(InstanceId, Box<dyn SbInstance>)> {
         let entry = self.entry_mut(slot)?;
         let instance = entry.instance.take()?;
         Some((entry.id, instance))
     }
 
-    fn restore_instance(&mut self, slot: InstanceSlot, instance: Box<dyn SbInstance>) {
+    /// Puts an instance taken with [`Self::take_instance`] back. If the slot
+    /// died while the instance was out (epoch GC during the callback's
+    /// actions), the instance is dropped.
+    pub fn restore_instance(&mut self, slot: InstanceSlot, instance: Box<dyn SbInstance>) {
         if let Some(entry) = self.entry_mut(slot) {
             debug_assert!(entry.instance.is_none(), "restore over an untaken instance");
             entry.instance = Some(instance);
@@ -377,7 +328,8 @@ impl NodeState for EpochState {
         // re-inserting into the map just before the GC `retain` removes it.
     }
 
-    fn leader_of(&self, sn: SeqNr) -> Option<NodeId> {
+    /// The leader of the segment that owned `sn`, if still known.
+    pub fn leader_of(&self, sn: SeqNr) -> Option<NodeId> {
         if sn < self.leader_cut {
             return None;
         }
@@ -388,20 +340,24 @@ impl NodeState for EpochState {
         }
     }
 
-    fn record_proposed(&mut self, sn: SeqNr, batch: Batch) {
+    /// Records the batch this node proposed for `sn` (own segment only).
+    pub fn record_proposed(&mut self, sn: SeqNr, batch: Batch) {
         if let Some(arena) = self.arena_of_sn_mut(sn) {
             let offset = arena.offset_of(sn).expect("arena_of_sn postcondition");
             arena.proposed[offset] = Some(batch);
         }
     }
 
-    fn take_proposed(&mut self, sn: SeqNr) -> Option<Batch> {
+    /// Takes the batch this node proposed for `sn`, if any (⊥ delivery:
+    /// the requests are resurrected by the caller).
+    pub fn take_proposed(&mut self, sn: SeqNr) -> Option<Batch> {
         let arena = self.arena_of_sn_mut(sn)?;
         let offset = arena.offset_of(sn)?;
         arena.proposed[offset].take()
     }
 
-    fn clear_proposed(&mut self) {
+    /// Forgets every recorded proposal (epoch start).
+    pub fn clear_proposed(&mut self) {
         for arena in &mut self.arenas {
             for slot in &mut arena.proposed {
                 *slot = None;
@@ -409,21 +365,28 @@ impl NodeState for EpochState {
         }
     }
 
-    fn register_timer(&mut self, timer: TimerId, slot: InstanceSlot, token: u64) {
+    /// Routes `timer` to `(slot, token)` for [`Self::resolve_timer`].
+    pub fn register_timer(&mut self, timer: TimerId, slot: InstanceSlot, token: u64) {
         if let Some(entry) = self.entry_mut(slot) {
             entry.timers.push((token, timer));
             self.timer_routes.insert(timer, (slot, token));
         }
     }
 
-    fn resolve_timer(&mut self, timer: TimerId) -> Option<(InstanceSlot, u64)> {
+    /// Resolves a fired timer to the instance slot and token it was armed
+    /// with, dropping the route. Returns `None` (and still drops the route)
+    /// if the instance died in the meantime.
+    pub fn resolve_timer(&mut self, timer: TimerId) -> Option<(InstanceSlot, u64)> {
         let (slot, token) = self.timer_routes.remove(&timer)?;
         let entry = self.entry_mut(slot)?; // dead instance: route already dropped
         entry.timers.retain(|(_, t)| *t != timer);
         Some((slot, token))
     }
 
-    fn take_matching_timers(&mut self, slot: InstanceSlot, token: u64, out: &mut Vec<TimerId>) {
+    /// Removes every timer route of `slot` carrying `token` and appends the
+    /// timer handles to `out` (the caller cancels them on its runtime
+    /// context). Order is unspecified.
+    pub fn take_matching_timers(&mut self, slot: InstanceSlot, token: u64, out: &mut Vec<TimerId>) {
         let Some(entry) = self.entry_mut(slot) else {
             return;
         };
@@ -442,7 +405,10 @@ impl NodeState for EpochState {
         }
     }
 
-    fn gc(&mut self, keep_epochs_from: EpochNr, leader_cut: Option<SeqNr>) {
+    /// Epoch garbage collection: drops instances (and their timer routing)
+    /// of every epoch before `keep_epochs_from`, and — when `leader_cut` is
+    /// set — forgets `leader_of` entries below the cut.
+    pub fn gc(&mut self, keep_epochs_from: EpochNr, leader_cut: Option<SeqNr>) {
         // Retire the instances (and with them, all timer liveness) of dead
         // epochs: one generation bump per slot, no scans over timer or
         // instance maps.
@@ -476,140 +442,10 @@ impl NodeState for EpochState {
         }
     }
 
-    fn live_instances(&self) -> usize {
+    /// Number of live (not garbage-collected) instances, counting taken
+    /// ones. Diagnostics and tests.
+    pub fn live_instances(&self) -> usize {
         self.slab.iter().filter(|e| e.live).count()
-    }
-}
-
-/// The pre-arena implementation, kept verbatim as the behavioural oracle:
-/// four `HashMap`s keyed by `InstanceId` / `SeqNr` / `TimerId`, epoch GC by
-/// `retain` scans, timer cancellation by filtering the whole timer map.
-/// Slot handles are opaque unique tokens resolved through a map.
-#[derive(Default)]
-pub struct ReferenceNodeState {
-    instances: HashMap<InstanceId, Box<dyn SbInstance>>,
-    /// Instances currently taken for a callback (so `live_instances` and
-    /// `slot_of` keep counting them, as the slab does).
-    taken: HashMap<InstanceId, ()>,
-    handle_to_id: HashMap<u64, InstanceId>,
-    id_to_handle: HashMap<InstanceId, u64>,
-    next_handle: u64,
-    leader_of_sn: HashMap<SeqNr, NodeId>,
-    proposed: HashMap<SeqNr, Batch>,
-    instance_timers: HashMap<TimerId, (InstanceId, u64)>,
-}
-
-impl ReferenceNodeState {
-    /// Creates an empty state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl NodeState for ReferenceNodeState {
-    fn begin_epoch(&mut self, _epoch: EpochNr, _first_seq_nr: SeqNr, _length: u64) {}
-
-    fn record_segment(&mut self, seq_nrs: &[SeqNr], leader: NodeId) {
-        for sn in seq_nrs {
-            self.leader_of_sn.insert(*sn, leader);
-        }
-    }
-
-    fn insert_instance(&mut self, id: InstanceId, instance: Box<dyn SbInstance>) -> InstanceSlot {
-        let handle = self.next_handle;
-        self.next_handle += 1;
-        self.instances.insert(id, instance);
-        self.handle_to_id.insert(handle, id);
-        self.id_to_handle.insert(id, handle);
-        InstanceSlot(handle)
-    }
-
-    fn slot_of(&self, id: InstanceId) -> Option<InstanceSlot> {
-        if self.instances.contains_key(&id) || self.taken.contains_key(&id) {
-            self.id_to_handle.get(&id).map(|h| InstanceSlot(*h))
-        } else {
-            None
-        }
-    }
-
-    fn take_instance(&mut self, slot: InstanceSlot) -> Option<(InstanceId, Box<dyn SbInstance>)> {
-        let id = *self.handle_to_id.get(&slot.0)?;
-        let instance = self.instances.remove(&id)?;
-        self.taken.insert(id, ());
-        Some((id, instance))
-    }
-
-    fn restore_instance(&mut self, slot: InstanceSlot, instance: Box<dyn SbInstance>) {
-        if let Some(id) = self.handle_to_id.get(&slot.0) {
-            self.taken.remove(id);
-            self.instances.insert(*id, instance);
-        }
-    }
-
-    fn leader_of(&self, sn: SeqNr) -> Option<NodeId> {
-        self.leader_of_sn.get(&sn).copied()
-    }
-
-    fn record_proposed(&mut self, sn: SeqNr, batch: Batch) {
-        self.proposed.insert(sn, batch);
-    }
-
-    fn take_proposed(&mut self, sn: SeqNr) -> Option<Batch> {
-        self.proposed.remove(&sn)
-    }
-
-    fn clear_proposed(&mut self) {
-        self.proposed.clear();
-    }
-
-    fn register_timer(&mut self, timer: TimerId, slot: InstanceSlot, token: u64) {
-        if let Some(id) = self.handle_to_id.get(&slot.0) {
-            self.instance_timers.insert(timer, (*id, token));
-        }
-    }
-
-    fn resolve_timer(&mut self, timer: TimerId) -> Option<(InstanceSlot, u64)> {
-        let (id, token) = self.instance_timers.remove(&timer)?;
-        let handle = self.id_to_handle.get(&id)?;
-        if self.instances.contains_key(&id) || self.taken.contains_key(&id) {
-            Some((InstanceSlot(*handle), token))
-        } else {
-            None
-        }
-    }
-
-    fn take_matching_timers(&mut self, slot: InstanceSlot, token: u64, out: &mut Vec<TimerId>) {
-        let Some(id) = self.handle_to_id.get(&slot.0).copied() else {
-            return;
-        };
-        let ids: Vec<TimerId> = self
-            .instance_timers
-            .iter()
-            .filter(|(_, (inst, t))| *inst == id && *t == token)
-            .map(|(timer, _)| *timer)
-            .collect();
-        for timer in ids {
-            self.instance_timers.remove(&timer);
-            out.push(timer);
-        }
-    }
-
-    fn gc(&mut self, keep_epochs_from: EpochNr, leader_cut: Option<SeqNr>) {
-        self.instances.retain(|id, _| id.epoch >= keep_epochs_from);
-        self.taken.retain(|id, _| id.epoch >= keep_epochs_from);
-        self.instance_timers
-            .retain(|_, (id, _)| id.epoch >= keep_epochs_from);
-        self.handle_to_id
-            .retain(|_, id| id.epoch >= keep_epochs_from);
-        self.id_to_handle
-            .retain(|id, _| id.epoch >= keep_epochs_from);
-        if let Some(cut) = leader_cut {
-            self.leader_of_sn.retain(|sn, _| *sn >= cut);
-        }
-    }
-
-    fn live_instances(&self) -> usize {
-        self.instances.len() + self.taken.len()
     }
 }
 
@@ -739,26 +575,5 @@ mod tests {
         state.record_proposed(12, Batch::empty());
         state.clear_proposed();
         assert!(state.take_proposed(12).is_none());
-    }
-
-    #[test]
-    fn reference_matches_on_the_basics() {
-        let mut state = ReferenceNodeState::new();
-        state.begin_epoch(0, 0, 4);
-        state.record_segment(&[0, 2], NodeId(0));
-        state.record_segment(&[1, 3], NodeId(1));
-        let slot = state.insert_instance(InstanceId::new(0, 0), null());
-        assert_eq!(state.slot_of(InstanceId::new(0, 0)), Some(slot));
-        assert_eq!(state.leader_of(2), Some(NodeId(0)));
-        let (id, inst) = state.take_instance(slot).unwrap();
-        assert_eq!(id, InstanceId::new(0, 0));
-        assert_eq!(state.live_instances(), 1, "taken instances still count");
-        state.restore_instance(slot, inst);
-        state.register_timer(TimerId(1), slot, 5);
-        assert_eq!(state.resolve_timer(TimerId(1)), Some((slot, 5)));
-        state.gc(1, Some(4));
-        assert!(state.slot_of(InstanceId::new(0, 0)).is_none());
-        assert_eq!(state.leader_of(2), None);
-        assert_eq!(state.live_instances(), 0);
     }
 }

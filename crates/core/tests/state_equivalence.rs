@@ -2,7 +2,8 @@
 //! be observably indistinguishable from the [`ReferenceNodeState`] `HashMap`
 //! oracle under randomized epoch lifecycles — propose bookkeeping, message
 //! dispatch (take/restore), timer register/fire/cancel, epoch changes and
-//! garbage collection.
+//! garbage collection. The oracle is the arena's pre-arena implementation
+//! and lives here, in the test, rather than in the crate.
 //!
 //! Every operation is applied to both implementations and every output is
 //! compared: leader lookups, proposed-batch round-trips, slot liveness,
@@ -15,12 +16,142 @@
 //! idiom; failures reproduce exactly): 300 randomized lifecycles of up to 12
 //! epochs each.
 
-use iss_core::state::{EpochState, InstanceSlot, NodeState, ReferenceNodeState};
+use iss_core::state::{EpochState, InstanceSlot};
 use iss_sb::testing::NullSb;
 use iss_sb::SbInstance;
 use iss_types::{Batch, ClientId, EpochNr, InstanceId, NodeId, Request, SeqNr, TimerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+
+/// The pre-arena implementation, kept verbatim as the behavioural oracle:
+/// four `HashMap`s keyed by `InstanceId` / `SeqNr` / `TimerId`, epoch GC by
+/// `retain` scans, timer cancellation by filtering the whole timer map.
+/// Slot handles are opaque unique tokens resolved through a map.
+#[derive(Default)]
+struct ReferenceNodeState {
+    instances: HashMap<InstanceId, Box<dyn SbInstance>>,
+    /// Instances currently taken for a callback (so `live_instances` and
+    /// `slot_of` keep counting them, as the slab does).
+    taken: HashMap<InstanceId, ()>,
+    handle_to_id: HashMap<u64, InstanceId>,
+    id_to_handle: HashMap<InstanceId, u64>,
+    next_handle: u64,
+    leader_of_sn: HashMap<SeqNr, NodeId>,
+    proposed: HashMap<SeqNr, Batch>,
+    instance_timers: HashMap<TimerId, (InstanceId, u64)>,
+}
+
+impl ReferenceNodeState {
+    fn new() -> Self {
+        Self::default()
+    }
+
+    fn begin_epoch(&mut self, _epoch: EpochNr, _first_seq_nr: SeqNr, _length: u64) {}
+
+    fn record_segment(&mut self, seq_nrs: &[SeqNr], leader: NodeId) {
+        for sn in seq_nrs {
+            self.leader_of_sn.insert(*sn, leader);
+        }
+    }
+
+    fn insert_instance(&mut self, id: InstanceId, instance: Box<dyn SbInstance>) -> InstanceSlot {
+        let handle = self.next_handle;
+        self.next_handle += 1;
+        self.instances.insert(id, instance);
+        self.handle_to_id.insert(handle, id);
+        self.id_to_handle.insert(id, handle);
+        InstanceSlot(handle)
+    }
+
+    fn slot_of(&self, id: InstanceId) -> Option<InstanceSlot> {
+        if self.instances.contains_key(&id) || self.taken.contains_key(&id) {
+            self.id_to_handle.get(&id).map(|h| InstanceSlot(*h))
+        } else {
+            None
+        }
+    }
+
+    fn take_instance(&mut self, slot: InstanceSlot) -> Option<(InstanceId, Box<dyn SbInstance>)> {
+        let id = *self.handle_to_id.get(&slot.0)?;
+        let instance = self.instances.remove(&id)?;
+        self.taken.insert(id, ());
+        Some((id, instance))
+    }
+
+    fn restore_instance(&mut self, slot: InstanceSlot, instance: Box<dyn SbInstance>) {
+        if let Some(id) = self.handle_to_id.get(&slot.0) {
+            self.taken.remove(id);
+            self.instances.insert(*id, instance);
+        }
+    }
+
+    fn leader_of(&self, sn: SeqNr) -> Option<NodeId> {
+        self.leader_of_sn.get(&sn).copied()
+    }
+
+    fn record_proposed(&mut self, sn: SeqNr, batch: Batch) {
+        self.proposed.insert(sn, batch);
+    }
+
+    fn take_proposed(&mut self, sn: SeqNr) -> Option<Batch> {
+        self.proposed.remove(&sn)
+    }
+
+    fn clear_proposed(&mut self) {
+        self.proposed.clear();
+    }
+
+    fn register_timer(&mut self, timer: TimerId, slot: InstanceSlot, token: u64) {
+        if let Some(id) = self.handle_to_id.get(&slot.0) {
+            self.instance_timers.insert(timer, (*id, token));
+        }
+    }
+
+    fn resolve_timer(&mut self, timer: TimerId) -> Option<(InstanceSlot, u64)> {
+        let (id, token) = self.instance_timers.remove(&timer)?;
+        let handle = self.id_to_handle.get(&id)?;
+        if self.instances.contains_key(&id) || self.taken.contains_key(&id) {
+            Some((InstanceSlot(*handle), token))
+        } else {
+            None
+        }
+    }
+
+    fn take_matching_timers(&mut self, slot: InstanceSlot, token: u64, out: &mut Vec<TimerId>) {
+        let Some(id) = self.handle_to_id.get(&slot.0).copied() else {
+            return;
+        };
+        let ids: Vec<TimerId> = self
+            .instance_timers
+            .iter()
+            .filter(|(_, (inst, t))| *inst == id && *t == token)
+            .map(|(timer, _)| *timer)
+            .collect();
+        for timer in ids {
+            self.instance_timers.remove(&timer);
+            out.push(timer);
+        }
+    }
+
+    fn gc(&mut self, keep_epochs_from: EpochNr, leader_cut: Option<SeqNr>) {
+        self.instances.retain(|id, _| id.epoch >= keep_epochs_from);
+        self.taken.retain(|id, _| id.epoch >= keep_epochs_from);
+        self.instance_timers
+            .retain(|_, (id, _)| id.epoch >= keep_epochs_from);
+        self.handle_to_id
+            .retain(|_, id| id.epoch >= keep_epochs_from);
+        self.id_to_handle
+            .retain(|id, _| id.epoch >= keep_epochs_from);
+        if let Some(cut) = leader_cut {
+            self.leader_of_sn.retain(|sn, _| *sn >= cut);
+        }
+    }
+
+    fn live_instances(&self) -> usize {
+        self.instances.len() + self.taken.len()
+    }
+}
 
 fn null() -> Box<dyn SbInstance> {
     Box::new(NullSb)
@@ -194,8 +325,8 @@ impl Driver {
                 }
             }
             // Propose bookkeeping. The node only records proposals for its
-            // own segment of the *current* epoch (that is the trait
-            // contract), so draw from the newest epoch's range.
+            // own segment of the *current* epoch (that is the
+            // `EpochState` contract), so draw from the newest epoch's range.
             40..=54 => {
                 let Some(current) = self.epochs.last() else {
                     return;
@@ -367,4 +498,25 @@ fn slab_capacity_is_bounded_by_concurrent_epochs() {
         state.arena_count() <= 3,
         "dead arenas must be dropped wholesale"
     );
+}
+
+#[test]
+fn reference_matches_on_the_basics() {
+    let mut state = ReferenceNodeState::new();
+    state.begin_epoch(0, 0, 4);
+    state.record_segment(&[0, 2], NodeId(0));
+    state.record_segment(&[1, 3], NodeId(1));
+    let slot = state.insert_instance(InstanceId::new(0, 0), null());
+    assert_eq!(state.slot_of(InstanceId::new(0, 0)), Some(slot));
+    assert_eq!(state.leader_of(2), Some(NodeId(0)));
+    let (id, inst) = state.take_instance(slot).unwrap();
+    assert_eq!(id, InstanceId::new(0, 0));
+    assert_eq!(state.live_instances(), 1, "taken instances still count");
+    state.restore_instance(slot, inst);
+    state.register_timer(TimerId(1), slot, 5);
+    assert_eq!(state.resolve_timer(TimerId(1)), Some((slot, 5)));
+    state.gc(1, Some(4));
+    assert!(state.slot_of(InstanceId::new(0, 0)).is_none());
+    assert_eq!(state.leader_of(2), None);
+    assert_eq!(state.live_instances(), 0);
 }

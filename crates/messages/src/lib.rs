@@ -1,8 +1,8 @@
 //! Wire messages exchanged by clients, ISS nodes and the ordering protocols.
 //!
 //! All message types used anywhere in the system are defined here so that
-//! protocol crates (`iss-pbft`, `iss-hotstuff`, `iss-raft`, `iss-core`,
-//! `iss-mirbft`) only contain logic, never message definitions, and so that a
+//! protocol crates (`iss-pbft`, `iss-hotstuff`, `iss-raft`, `iss-core`)
+//! only contain logic, never message definitions, and so that a
 //! single top-level [`NetMsg`] enum can implement [`iss_types::Payload`] for
 //! the network simulator's bandwidth and CPU accounting.
 //!

@@ -88,7 +88,7 @@ impl Payload for NetMsg {
             NetMsg::Sb { msg, .. } => msg.num_requests(),
             NetMsg::Baseline(m) => m.num_requests(),
             NetMsg::Iss(m) => m.num_requests(),
-            NetMsg::Mir(m) => m.num_requests(),
+            NetMsg::Mir(_) => 0,
             NetMsg::Stage(m) => m.num_requests(),
         }
     }
@@ -110,13 +110,9 @@ impl Payload for NetMsg {
             }
             NetMsg::Iss(IssMsg::Checkpoint { .. }) => MsgClass::Checkpoint,
             NetMsg::Iss(_) => MsgClass::StateTransfer,
-            NetMsg::Mir(m) => {
-                if m.num_requests() > 0 {
-                    MsgClass::Proposal
-                } else {
-                    MsgClass::Vote
-                }
-            }
+            // Mir's only message of its own, the epoch announcement, carries
+            // no requests.
+            NetMsg::Mir(_) => MsgClass::Vote,
             NetMsg::Stage(_) => MsgClass::Handoff,
         }
     }

@@ -135,10 +135,9 @@ impl DeliverySink for SharedSink {
     }
 }
 
-/// Configuration of a localhost TCP cluster.
+/// Configuration of a localhost TCP cluster. Its replicas order with PBFT,
+/// the one protocol the socket wire format encodes.
 pub struct TcpClusterConfig {
-    /// Ordering protocol (the socket wire format supports PBFT).
-    pub protocol: Protocol,
     /// Number of replicas.
     pub num_nodes: usize,
     /// Number of load-generating clients.
@@ -169,7 +168,6 @@ impl TcpClusterConfig {
     /// A small PBFT cluster with durable storage under `storage_root`.
     pub fn new(num_nodes: usize) -> Self {
         TcpClusterConfig {
-            protocol: Protocol::Pbft,
             num_nodes,
             num_clients: 4,
             total_rate: 500.0,
@@ -200,7 +198,7 @@ impl TcpCluster {
     /// table is complete before anything dials), then spawns node runtimes,
     /// then the client fleet.
     pub fn launch(cfg: TcpClusterConfig) -> io::Result<Self> {
-        let scenario = Scenario::builder(cfg.protocol, cfg.num_nodes)
+        let scenario = Scenario::builder(Protocol::Pbft, cfg.num_nodes)
             .seed(cfg.seed)
             .build();
         let mut iss = scenario.iss_config();
@@ -367,7 +365,6 @@ impl TcpCluster {
         let iss = self.iss.clone();
         let num_nodes = self.cfg.num_nodes;
         let num_clients = self.cfg.num_clients;
-        let protocol = self.cfg.protocol;
         let log = Arc::clone(&self.commits);
         let dir = self
             .cfg
@@ -382,7 +379,7 @@ impl TcpCluster {
             opts.announce_buckets = true;
             opts.telemetry = telemetry;
             opts.clients = (0..num_clients as u32).map(ClientId).collect();
-            let factory = make_factory(protocol, &iss, Arc::clone(&registry));
+            let factory = make_factory(Protocol::Pbft, &iss, Arc::clone(&registry));
             let sink = Rc::new(RefCell::new(SharedSink { log }));
             let node = match dir {
                 Some(dir) => {

@@ -4,10 +4,12 @@
 //! A connection carries a sequence of frames, each a `u32` little-endian
 //! length followed by that many payload bytes. The first frame on every
 //! connection is a *hello* identifying the dialing process by its
-//! [`Addr`]; every later frame is one [`NetMsg`] encoded with
-//! [`iss_messages::wire`]. The hello is what lets an accepting node route
-//! responses: a client never listens, so the node writes `Response` frames
-//! back over the client's own inbound connection, keyed by the hello.
+//! [`Addr`], which is a node or a client: stage addresses are
+//! simulator-only and have no hello. Every later frame is one [`NetMsg`]
+//! encoded with [`iss_messages::wire`]. The hello is what lets an accepting
+//! node route responses: a client never listens, so the node writes
+//! `Response` frames back over the client's own inbound connection, keyed
+//! by the hello.
 //!
 //! Framing is a property of the byte stream, not of the syscalls that move
 //! it: a sender may put any number of frames into one `write`
@@ -18,7 +20,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use iss_messages::wire::{decode_net_msg, encode_net_msg};
 use iss_messages::NetMsg;
-use iss_runtime::{Addr, StageRole};
+use iss_runtime::Addr;
 use iss_types::{ClientId, NodeId};
 use std::io::{self, IoSlice, Read, Write};
 
@@ -38,7 +40,6 @@ pub(crate) const PREFIX: usize = 4;
 
 const ADDR_NODE: u8 = 0;
 const ADDR_CLIENT: u8 = 1;
-const ADDR_STAGE: u8 = 2;
 
 /// Checks a received length prefix against [`MAX_FRAME`].
 fn checked_len(prefix: [u8; PREFIX]) -> io::Result<usize> {
@@ -209,8 +210,9 @@ fn decode_bytes(mut buf: Bytes) -> io::Result<NetMsg> {
     Ok(msg)
 }
 
-/// Encodes a hello payload announcing `addr`.
-pub fn encode_hello(addr: Addr) -> Vec<u8> {
+/// Encodes a hello payload announcing `addr`. Fails for a stage address:
+/// stages are simulator-only.
+pub fn encode_hello(addr: Addr) -> io::Result<Vec<u8>> {
     let mut buf = BytesMut::new();
     match addr {
         Addr::Node(n) => {
@@ -221,20 +223,18 @@ pub fn encode_hello(addr: Addr) -> Vec<u8> {
             buf.put_u8(ADDR_CLIENT);
             buf.put_u32_le(c.0);
         }
-        Addr::Stage { node, role, index } => {
-            buf.put_u8(ADDR_STAGE);
-            buf.put_u32_le(node.0);
-            buf.put_u8(match role {
-                StageRole::Batcher => 0,
-                StageRole::Executor => 1,
-            });
-            buf.put_u32_le(index);
+        Addr::Stage { .. } => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "stage addresses are simulator-only and have no hello",
+            ))
         }
     }
-    buf.to_vec()
+    Ok(buf.to_vec())
 }
 
-/// Decodes a hello payload.
+/// Decodes a hello payload: a node or a client. Any other claim, a stage
+/// address included, is an error, and the acceptor drops the connection.
 pub fn decode_hello(payload: &[u8]) -> io::Result<Addr> {
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
     let mut buf = Bytes::copy_from_slice(payload);
@@ -244,22 +244,6 @@ pub fn decode_hello(payload: &[u8]) -> io::Result<Addr> {
     match buf.get_u8() {
         ADDR_NODE => Ok(Addr::Node(NodeId(buf.get_u32_le()))),
         ADDR_CLIENT => Ok(Addr::Client(ClientId(buf.get_u32_le()))),
-        ADDR_STAGE => {
-            if buf.remaining() < 9 {
-                return Err(bad("truncated stage hello"));
-            }
-            let node = NodeId(buf.get_u32_le());
-            let role = match buf.get_u8() {
-                0 => StageRole::Batcher,
-                1 => StageRole::Executor,
-                _ => return Err(bad("invalid stage role")),
-            };
-            Ok(Addr::Stage {
-                node,
-                role,
-                index: buf.get_u32_le(),
-            })
-        }
         _ => Err(bad("invalid hello tag")),
     }
 }
@@ -419,22 +403,19 @@ mod tests {
 
     #[test]
     fn hello_roundtrips_for_every_addr_kind() {
-        for addr in [
-            Addr::Node(NodeId(3)),
-            Addr::Client(ClientId(17)),
-            Addr::Stage {
-                node: NodeId(1),
-                role: StageRole::Batcher,
-                index: 2,
-            },
-            Addr::Stage {
-                node: NodeId(0),
-                role: StageRole::Executor,
-                index: 0,
-            },
-        ] {
-            assert_eq!(decode_hello(&encode_hello(addr)).unwrap(), addr);
+        for addr in [Addr::Node(NodeId(3)), Addr::Client(ClientId(17))] {
+            assert_eq!(decode_hello(&encode_hello(addr).unwrap()).unwrap(), addr);
         }
+        // Stage addresses are simulator-only: there is no hello to send for
+        // one, and a claim of one (tag 2, node 1, role 0, index 2) is
+        // refused.
+        let stage = Addr::Stage {
+            node: NodeId(1),
+            role: iss_runtime::StageRole::Batcher,
+            index: 2,
+        };
+        assert!(encode_hello(stage).is_err());
+        assert!(decode_hello(&[2, 1, 0, 0, 0, 0, 2, 0, 0, 0]).is_err());
         assert!(decode_hello(&[9, 0, 0, 0, 0]).is_err());
         assert!(decode_hello(&[0, 1]).is_err());
     }

@@ -308,6 +308,8 @@ impl TcpRuntime {
         listener: Option<TcpListener>,
         builder: ProcessBuilder,
     ) -> io::Result<TcpHandle> {
+        // Fails for a stage address before any thread starts.
+        let hello = frame::encode_hello(cfg.addr)?;
         let (mailbox_tx, mailbox_rx) = mpsc::channel::<Input>();
         let stop = Arc::new(AtomicBool::new(false));
         let listen = listener.as_ref().map(|l| l.local_addr()).transpose()?;
@@ -331,7 +333,6 @@ impl TcpRuntime {
         // One writer per dialed peer, created up front; the writer dials on
         // first use and re-dials on failure.
         let mut outbox = Outbox::default();
-        let hello = frame::encode_hello(cfg.addr);
         for peer in &cfg.dial {
             // Unbounded channel, bounded use: `Outbox::send` admits a frame
             // only while the peer's `queue_depth` is below `WRITER_QUEUE`.

@@ -12,6 +12,7 @@
 //! machine or the process with a four-replica cluster under load.
 
 use iss_messages::{ClientMsg, NetMsg};
+use iss_net::frame;
 use iss_net::runtime::FLUSH_BYTES;
 use iss_net::{
     peer_table, CommitLog, PeerTable, TcpCluster, TcpClusterConfig, TcpConfig, TcpHandle,
@@ -20,7 +21,8 @@ use iss_net::{
 use iss_runtime::{Addr, Context, Process};
 use iss_types::{ClientId, Duration, NodeId, Request, RequestId, TimerId};
 use std::collections::HashSet;
-use std::net::{Ipv4Addr, TcpListener};
+use std::io::{ErrorKind, Read};
+use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration as StdDuration, Instant};
 
@@ -255,6 +257,33 @@ impl Process<NetMsg> for Echo {
     }
 
     fn on_timer(&mut self, _: TimerId, _: u64, _: &mut Context<'_, NetMsg>) {}
+}
+
+/// Stage addresses are simulator-only, so a peer whose hello claims one has
+/// no place on a socket: the acceptor must hang up instead of registering
+/// it under an address no reply can be routed to.
+#[test]
+fn a_stage_hello_gets_its_connection_closed() {
+    let _turn = serial();
+    let peers = peer_table();
+    let node = host_node(0, &[], &peers, Echo);
+    let target = peers.read().unwrap()[&NodeId(0)];
+    let mut raw = TcpStream::connect(target).expect("connect");
+    // A hello claiming a stage address: tag 2, node 0, role 0 (batcher),
+    // index 0.
+    frame::write_frame(&mut raw, &[2, 0, 0, 0, 0, 0, 0, 0, 0, 0]).expect("send hello");
+    raw.set_read_timeout(Some(StdDuration::from_secs(2)))
+        .expect("read timeout");
+    let mut byte = [0u8; 1];
+    let closed = match raw.read(&mut byte) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+    };
+    assert!(
+        closed,
+        "the connection that claimed a stage address was still open after 2 s"
+    );
+    node.shutdown();
 }
 
 /// Sends one message, waits for its echo, sends the next; arms no timer.

@@ -17,7 +17,7 @@
 //! * [`ProposalValidator`] — the hook through which the embedding (ISS)
 //!   enforces request validity, bucket membership and duplication freedom on
 //!   proposals received from leaders (design principle 3 of Section 4.2);
-//! * [`reference`] — the paper's reference implementation of SB from
+//! * [`mod@reference`] — the paper's reference implementation of SB from
 //!   Byzantine reliable broadcast + per-sequence-number agreement + a ◇S(bz)
 //!   failure detector (Algorithm 5), used as an executable specification in
 //!   tests.

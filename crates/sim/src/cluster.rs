@@ -1,19 +1,14 @@
 //! Deployment construction and execution: materializes a [`Scenario`] into
 //! an n-node ISS (or baseline) deployment with simulated clients on the
 //! configured topology, runs it for the scenario's window and produces a
-//! [`Report`]. Also home of the legacy flat [`ClusterSpec`], kept as a thin
-//! compatibility veneer that lowers onto the Scenario API.
+//! [`Report`].
 
-use crate::adversary::{
-    evaluate_gates, AdversarialProcess, AdversaryPlan, AdversaryReport, NodeAdversary,
-};
+use crate::adversary::{evaluate_gates, AdversarialProcess, AdversaryReport, NodeAdversary};
 use crate::client_proc::ClientProcess;
 use crate::factories::{make_factory, Protocol};
 use crate::metrics::{metrics_handle, MetricsHandle, MetricsSink, RecoveryEvent};
-use crate::scenario::{
-    expected_epoch_duration_for, iss_config_for, FaultPlan, RunWindow, Scenario, TopologySpec,
-};
-use iss_core::{IssNode, Mode, NodeOptions, ReferenceNodeState, StragglerBehavior};
+use crate::scenario::Scenario;
+use iss_core::{IssNode, Mode, NodeOptions, StragglerBehavior};
 use iss_crypto::SignatureRegistry;
 use iss_messages::NetMsg;
 use iss_simnet::fault::CrashSchedule;
@@ -21,148 +16,12 @@ use iss_simnet::process::{Addr, Process, StageRole};
 use iss_simnet::{CpuModel, Runtime, RuntimeConfig};
 use iss_storage::{MemStorage, Storage};
 use iss_telemetry::{Recorder, TelemetryHandle, TelemetrySnapshot};
-use iss_types::{ClientId, Duration, IssConfig, LeaderPolicyKind, NodeId, Time};
-use iss_workload::OpenLoop;
+use iss_types::{ClientId, Duration, IssConfig, NodeId, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
 pub use crate::scenario::CrashTiming;
-
-/// Legacy flat description of one experiment run.
-///
-/// This is a compatibility veneer over the composable [`Scenario`] API: it
-/// describes the paper's default shape only (uniform open-loop workload on
-/// the 16-datacenter WAN, crash/straggler faults) and lowers onto a
-/// [`Scenario`] via [`ClusterSpec::lower`]. The lowering is locked
-/// byte-identical to the equivalent builder-made scenario by
-/// `tests/scenario_lowering.rs`. New experiment shapes should build a
-/// [`Scenario`] directly.
-#[derive(Clone, Debug)]
-pub struct ClusterSpec {
-    /// Ordering protocol.
-    pub protocol: Protocol,
-    /// ISS, single-leader baseline or Mir-BFT baseline.
-    pub mode: Mode,
-    /// Number of replicas.
-    pub num_nodes: usize,
-    /// Number of clients (the paper uses 16 machines × 16 clients).
-    pub num_clients: usize,
-    /// Aggregate offered load in requests per second.
-    pub total_rate: f64,
-    /// Virtual-time duration of the run (clients submit until this point).
-    pub duration: Duration,
-    /// Measurements before this point are excluded from averages (warm-up).
-    pub warmup: Duration,
-    /// Extra virtual time after `duration` during which no new requests are
-    /// submitted but the simulation keeps running, so in-flight batches
-    /// commit on every node and per-node delivery counts converge.
-    pub drain: Duration,
-    /// Leader-selection policy.
-    pub policy: LeaderPolicyKind,
-    /// Crash faults to inject.
-    pub crashes: Vec<(NodeId, CrashTiming)>,
-    /// Nodes behaving as Byzantine stragglers.
-    pub stragglers: Vec<NodeId>,
-    /// Whether nodes send responses to clients (off by default in large
-    /// simulations to bound event counts; latency is measured at delivery).
-    pub respond_to_clients: bool,
-    /// RNG seed.
-    pub seed: u64,
-    /// Run the nodes on [`iss_core::ReferenceNodeState`] (the `HashMap`
-    /// oracle) instead of the dense [`iss_core::EpochState`] arena.
-    /// Equivalence tests run the same spec both ways and assert
-    /// bit-identical reports.
-    pub reference_node_state: bool,
-}
-
-impl ClusterSpec {
-    /// A fault-free ISS deployment with sensible defaults.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build runs with `Scenario::builder` instead; the flat spec \
-                survives only as the lowering target of the equivalence tests"
-    )]
-    pub fn new(protocol: Protocol, num_nodes: usize, total_rate: f64) -> Self {
-        ClusterSpec {
-            protocol,
-            mode: Mode::Iss,
-            num_nodes,
-            num_clients: 16,
-            total_rate,
-            duration: Duration::from_secs(30),
-            warmup: Duration::from_secs(10),
-            drain: Duration::from_secs(4),
-            policy: LeaderPolicyKind::Blacklist,
-            crashes: Vec::new(),
-            stragglers: Vec::new(),
-            respond_to_clients: false,
-            seed: 42,
-            reference_node_state: false,
-        }
-    }
-
-    /// Switches to the single-leader baseline.
-    pub fn single_leader(mut self) -> Self {
-        self.mode = Mode::SingleLeader;
-        self
-    }
-
-    /// Switches to the Mir-BFT baseline.
-    pub fn mir(mut self) -> Self {
-        self.mode = Mode::Mir;
-        self
-    }
-
-    /// Lowers the flat spec onto the composable [`Scenario`] API: the
-    /// open-loop workload the spec implies, the WAN topology, and the
-    /// crash/straggler lists folded into one [`FaultPlan`].
-    pub fn lower(&self) -> Scenario {
-        let mut faults = FaultPlan::none();
-        for (node, at) in &self.crashes {
-            faults = faults.crash(*node, *at);
-        }
-        for node in &self.stragglers {
-            faults = faults.straggler(*node);
-        }
-        Scenario {
-            stack: crate::scenario::ProtocolStack {
-                protocol: self.protocol,
-                mode: self.mode,
-                policy: self.policy,
-                batchers: 0,
-                executors: 0,
-            },
-            num_nodes: self.num_nodes,
-            workload: Rc::new(OpenLoop::new(self.num_clients, self.total_rate, Time::ZERO)),
-            topology: TopologySpec::Wan16,
-            faults,
-            adversary: AdversaryPlan::none(),
-            window: RunWindow {
-                duration: self.duration,
-                warmup: self.warmup,
-                drain: self.drain,
-            },
-            respond_to_clients: self.respond_to_clients,
-            seed: self.seed,
-            reference_node_state: self.reference_node_state,
-            stage_latency: Duration::ZERO,
-            cpu_cores: None,
-            telemetry: false,
-        }
-    }
-
-    /// The ISS configuration (Table 1 preset adapted for simulation).
-    pub fn iss_config(&self) -> IssConfig {
-        iss_config_for(self.protocol, self.num_nodes, self.policy)
-    }
-
-    /// The epoch duration implied by the configuration (used to time
-    /// epoch-start / epoch-end crash faults).
-    pub fn expected_epoch_duration(&self) -> Duration {
-        expected_epoch_duration_for(&self.iss_config(), self.mode, self.num_nodes)
-    }
-}
 
 /// A built deployment, ready to run.
 pub struct Deployment {
@@ -430,31 +289,17 @@ impl Deployment {
                     counters: orderer_counters.clone(),
                 });
             }
-            if scenario.reference_node_state {
-                Self::add_node::<ReferenceNodeState>(
-                    &mut runtime,
-                    &scenario,
-                    node_id,
-                    opts,
-                    &config,
-                    &registry,
-                    &metrics,
-                    restart_window,
-                    behavior,
-                );
-            } else {
-                Self::add_node::<iss_core::EpochState>(
-                    &mut runtime,
-                    &scenario,
-                    node_id,
-                    opts,
-                    &config,
-                    &registry,
-                    &metrics,
-                    restart_window,
-                    behavior,
-                );
-            }
+            Self::add_node(
+                &mut runtime,
+                &scenario,
+                node_id,
+                opts,
+                &config,
+                &registry,
+                &metrics,
+                restart_window,
+                behavior,
+            );
             let Some((batchers, executors)) = stages else {
                 continue;
             };
@@ -577,7 +422,7 @@ impl Deployment {
     /// a restarting Byzantine node is indistinguishable from a fresh one in
     /// this model, so the plan simply does not schedule both on one node).
     #[allow(clippy::too_many_arguments)]
-    fn add_node<S: iss_core::NodeState + Default + 'static>(
+    fn add_node(
         runtime: &mut Runtime<NetMsg>,
         scenario: &Scenario,
         node_id: NodeId,
@@ -591,7 +436,7 @@ impl Deployment {
         let factory = make_factory(scenario.stack.protocol, config, Arc::clone(registry));
         let sink = Rc::new(RefCell::new(MetricsSink::new(Rc::clone(metrics))));
         let Some((_down_at, up_at)) = restart_window else {
-            let node = IssNode::<S>::with_state(node_id, opts, factory, Arc::clone(registry), sink);
+            let node = IssNode::new(node_id, opts, factory, Arc::clone(registry), sink);
             let process: Box<dyn Process<NetMsg>> = Box::new(node);
             let process = match behavior {
                 Some(b) => Box::new(AdversarialProcess::new(process, Box::new(b))),
@@ -605,7 +450,7 @@ impl Deployment {
             "adversarial nodes must not be scheduled for crash-restart"
         );
         let storage: Rc<MemStorage> = Rc::new(MemStorage::new());
-        let node = IssNode::<S>::with_storage(
+        let node = IssNode::with_storage(
             node_id,
             opts.clone(),
             factory,
@@ -621,7 +466,7 @@ impl Deployment {
         runtime.schedule_restart(Addr::Node(node_id), up_at, move || {
             let factory = make_factory(protocol, &config, Arc::clone(&registry));
             let sink = Rc::new(RefCell::new(MetricsSink::new(metrics)));
-            Box::new(IssNode::<S>::with_storage(
+            Box::new(IssNode::with_storage(
                 node_id,
                 opts,
                 factory,
@@ -630,12 +475,6 @@ impl Deployment {
                 storage as Rc<dyn Storage>,
             )) as Box<dyn Process<NetMsg>>
         });
-    }
-
-    /// Builds the deployment described by the legacy flat `spec` by lowering
-    /// it onto the Scenario API.
-    pub fn build(spec: ClusterSpec) -> Self {
-        Deployment::new(spec.lower())
     }
 
     /// Runs the deployment for the configured duration and summarizes it.
@@ -731,11 +570,6 @@ impl Deployment {
     }
 }
 
-/// Convenience: build and run a legacy flat spec in one call.
-pub fn run_cluster(spec: ClusterSpec) -> Report {
-    Deployment::build(spec).run()
-}
-
 /// Convenience: build and run a scenario in one call.
 pub fn run_scenario(scenario: Scenario) -> Report {
     Deployment::new(scenario).run()
@@ -744,20 +578,20 @@ pub fn run_scenario(scenario: Scenario) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::FaultEvent;
+    use crate::scenario::ScenarioBuilder;
 
-    #[allow(deprecated)] // the veneer's own lowering tests keep using it
-    fn small_spec(protocol: Protocol) -> ClusterSpec {
-        let mut spec = ClusterSpec::new(protocol, 4, 400.0);
-        spec.duration = Duration::from_secs(12);
-        spec.warmup = Duration::from_secs(2);
-        spec.num_clients = 4;
-        spec
+    /// 4 replicas, 4 open-loop clients at 400 requests/s, 12 s with 2 s of
+    /// warm-up; every other dimension at the builder's defaults.
+    fn small(protocol: Protocol) -> ScenarioBuilder {
+        Scenario::builder(protocol, 4)
+            .open_loop(4, 400.0)
+            .duration(Duration::from_secs(12))
+            .warmup(Duration::from_secs(2))
     }
 
     #[test]
     fn iss_pbft_cluster_delivers_requests() {
-        let report = run_cluster(small_spec(Protocol::Pbft));
+        let report = small(Protocol::Pbft).build().run();
         assert!(report.delivered > 1000, "delivered {}", report.delivered);
         assert!(
             report.throughput > 100.0,
@@ -813,28 +647,26 @@ mod tests {
 
     #[test]
     fn iss_raft_cluster_delivers_requests() {
-        let report = run_cluster(small_spec(Protocol::Raft));
+        let report = small(Protocol::Raft).build().run();
         assert!(report.delivered > 1000, "delivered {}", report.delivered);
     }
 
     #[test]
     fn iss_hotstuff_cluster_delivers_requests() {
-        let report = run_cluster(small_spec(Protocol::HotStuff));
+        let report = small(Protocol::HotStuff).build().run();
         assert!(report.delivered > 500, "delivered {}", report.delivered);
     }
 
     #[test]
     fn single_leader_baseline_also_works() {
-        let report = run_cluster(small_spec(Protocol::Pbft).single_leader());
+        let report = small(Protocol::Pbft).mode(Mode::SingleLeader).build().run();
         assert!(report.delivered > 500, "delivered {}", report.delivered);
     }
 
     #[test]
     fn crash_timing_helpers() {
-        let spec = small_spec(Protocol::Pbft);
-        let epoch = spec.expected_epoch_duration();
-        assert_eq!(epoch, Duration::from_secs(8));
-        let scenario = spec.lower();
+        let scenario = small(Protocol::Pbft).build();
+        assert_eq!(scenario.expected_epoch_duration(), Duration::from_secs(8));
         assert_eq!(
             scenario.crash_time(CrashTiming::EpochStart),
             Time::from_millis(500)
@@ -844,41 +676,6 @@ mod tests {
             scenario.crash_time(CrashTiming::At(Time::from_secs(3))),
             Time::from_secs(3)
         );
-    }
-
-    #[test]
-    fn lowering_preserves_every_spec_field() {
-        let mut spec = small_spec(Protocol::HotStuff).mir();
-        spec.policy = LeaderPolicyKind::Backoff;
-        spec.crashes = vec![(NodeId(1), CrashTiming::EpochStart)];
-        spec.stragglers = vec![NodeId(2)];
-        spec.respond_to_clients = true;
-        spec.seed = 99;
-        spec.reference_node_state = true;
-        let s = spec.lower();
-        assert_eq!(s.stack.protocol, Protocol::HotStuff);
-        assert_eq!(s.stack.mode, Mode::Mir);
-        assert!(matches!(s.stack.policy, LeaderPolicyKind::Backoff));
-        assert_eq!(s.num_nodes, 4);
-        assert_eq!(s.num_clients(), 4);
-        assert!(matches!(s.topology, TopologySpec::Wan16));
-        assert_eq!(s.faults.crashes().len(), 1);
-        assert_eq!(s.faults.stragglers(), vec![NodeId(2)]);
-        assert!(s.faults.partitions().is_empty());
-        assert!(s.faults.loss_windows().is_empty());
-        assert_eq!(s.window.duration, spec.duration);
-        assert_eq!(s.window.warmup, spec.warmup);
-        assert_eq!(s.window.drain, spec.drain);
-        assert!(s.respond_to_clients);
-        assert_eq!(s.seed, 99);
-        assert!(s.reference_node_state);
-        assert!(matches!(
-            s.faults.events[0],
-            FaultEvent::Crash {
-                node: NodeId(1),
-                at: CrashTiming::EpochStart
-            }
-        ));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! some entry index. A negative control (a node configured differently)
 //! proves the comparison has teeth.
 
-use iss_core::{EpochState, IssNode, NodeOptions, NullSink};
+use iss_core::{IssNode, NodeOptions, NullSink};
 use iss_crypto::SignatureRegistry;
 use iss_messages::NetMsg;
 use iss_runtime::{replay_trace, Addr, Driver, SansIo, TraceEntry, TraceRecorder};
@@ -59,7 +59,7 @@ fn record_sim_trace(scenario: Scenario) -> Vec<TraceEntry<NetMsg>> {
 /// Builds a replica exactly the way `Deployment` builds the simulated one
 /// (same options, same orderer factory, same signature registry shape), to
 /// be mounted on the standalone driver.
-fn standalone_replica(scenario: &Scenario, respond_to_clients: bool) -> IssNode<EpochState> {
+fn standalone_replica(scenario: &Scenario, respond_to_clients: bool) -> IssNode {
     let config = scenario.iss_config();
     let registry = Arc::new(SignatureRegistry::with_processes(NUM_NODES, NUM_CLIENTS));
     let mut opts = NodeOptions::new(config.clone());
@@ -67,7 +67,7 @@ fn standalone_replica(scenario: &Scenario, respond_to_clients: bool) -> IssNode<
     opts.announce_buckets = true;
     opts.clients = (0..NUM_CLIENTS as u32).map(ClientId).collect();
     let factory = make_factory(Protocol::Pbft, &config, Arc::clone(&registry));
-    IssNode::with_state(
+    IssNode::new(
         TRACED,
         opts,
         factory,

@@ -10,7 +10,7 @@
 //! remove/insert churn), callbacks buffer their actions in one reusable
 //! per-runtime `Vec`, timers are generation-stamped slab slots with O(1)
 //! cancellation (see [`crate::timer::TimerSlab`]), and the fault/jitter RNG
-//! draws in [`Runtime::send`] go through inlined samplers that produce the
+//! draws in `Runtime::send` go through inlined samplers that produce the
 //! same values as the generic `rand` paths they replace.
 
 use crate::bandwidth::{BandwidthConfig, InterfaceState};

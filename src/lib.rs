@@ -17,8 +17,7 @@
 //! | [`messages`] | every wire message and the binary codec |
 //! | [`sb`] | the Sequenced Broadcast abstraction and its reference implementation |
 //! | [`pbft`], [`hotstuff`], [`raft`] | the three ordering protocols as SB instances |
-//! | [`core`] | the ISS framework: epochs, segments, buckets, leader policies, checkpointing |
-//! | [`mirbft`] | the Mir-BFT-style baseline |
+//! | [`core`] | the ISS framework: epochs, segments, buckets, leader policies, checkpointing, and the single-leader and Mir-BFT-style baseline modes |
 //! | [`client`], [`workload`] | client-side logic and load generation / metrics |
 //! | [`runtime`] | the sans-IO process model every engine drives (events in, actions out) |
 //! | [`simnet`], [`sim`] | the discrete-event WAN simulator and the experiment harness |
@@ -115,17 +114,13 @@
 //! on/off traffic, linearly ramping load and Zipf-skewed per-client rates
 //! (plus payload-size distributions), and the scenario's `FaultPlan`
 //! unifies crashes, Byzantine stragglers, healing partitions and
-//! lossy-link windows; see `iss::sim::scenario` for the full surface. The
-//! legacy flat `ClusterSpec` survives as a veneer that lowers onto a
-//! `Scenario`.
+//! lossy-link windows; see `iss::sim::scenario` for the full surface.
 
 pub use iss_client as client;
 pub use iss_core as core;
 pub use iss_crypto as crypto;
-pub use iss_fd as fd;
 pub use iss_hotstuff as hotstuff;
 pub use iss_messages as messages;
-pub use iss_mirbft as mirbft;
 pub use iss_net as net;
 pub use iss_pbft as pbft;
 pub use iss_raft as raft;
