@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks of the building blocks: hashing, signatures,
-//! the request-authentication pipeline (serial vs parallel vs cached batch
-//! verification, request-digest memoization), proposal validation and
-//! delivery bookkeeping, the simulator's safety checker, the
+//! batch signature verification, request-digest memoization, proposal
+//! validation and delivery bookkeeping, the simulator's safety checker, the
 //! CPU-model scheduler (heap vs scan), Merkle trees, bucket mapping, batch
 //! cutting, the binary codec, a full PBFT three-phase round for one batch,
 //! the file WAL's checkpoint prune, the simnet event-queue engine (timing
@@ -203,33 +202,19 @@ fn bench_pbft_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// The request-authentication pipeline at fig8 batch scale: serial oracle vs
-/// the parallel pool (cold cache) vs pure cache hits, plus the request-digest
-/// memo against a fresh recomputation.
-fn bench_verify_pipeline(c: &mut Criterion) {
+/// Client-signature verification of a fig8-scale batch, plus the
+/// request-digest memo against a fresh recomputation.
+fn bench_verify(c: &mut Criterion) {
     let mut group = c.benchmark_group("verify");
     group.sample_size(20);
     const N: usize = 2048;
     let registry = SignatureRegistry::with_processes(4, iss_bench::authload::CLIENTS as usize);
-    let requests = iss_bench::authload::signed_requests(N, false);
+    let requests = iss_bench::authload::signed_requests(N);
     let digests = iss_bench::authload::digests(&requests);
     let items = iss_bench::authload::items(&requests, &digests);
 
     group.throughput(Throughput::Elements(N as u64));
-    group.bench_function("verify_batch_serial_2048", |b| {
-        b.iter(|| registry.verify_batch_serial(&items))
-    });
-    group.bench_function("verify_batch_parallel_2048", |b| {
-        // Clearing the memo each iteration keeps every signature a miss, so
-        // this measures the worker pool, not the cache.
-        b.iter(|| {
-            registry.clear_verified_cache();
-            registry.verify_batch(&items)
-        })
-    });
-    registry.clear_verified_cache();
-    registry.verify_batch(&items); // warm the cache
-    group.bench_function("verify_batch_cache_hit_2048", |b| {
+    group.bench_function("verify_batch_2048", |b| {
         b.iter(|| registry.verify_batch(&items))
     });
     group.finish();
@@ -713,7 +698,7 @@ fn bench_telemetry(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_crypto,
-    bench_verify_pipeline,
+    bench_verify,
     bench_validate_proposal,
     bench_check_delivery,
     bench_node_state,

@@ -48,18 +48,6 @@ fn parse_baselines(text: &str) -> BTreeMap<String, f64> {
     out
 }
 
-/// Extracts the optional `"recorded_cores": N` header written by the
-/// stand-in's dump (absent in snapshots taken before it existed).
-fn parse_recorded_cores(text: &str) -> Option<usize> {
-    let (_, rest) = text.split_once("\"recorded_cores\":")?;
-    rest.trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .ok()
-}
-
 fn tolerance_from_env() -> f64 {
     std::env::var("ISS_BENCH_TOLERANCE")
         .ok()
@@ -132,43 +120,6 @@ fn main() -> ExitCode {
     for name in fresh.keys() {
         if !committed.contains_key(name) {
             println!("  new        {name:<48} (not in committed baseline; consider refreshing the snapshot)");
-        }
-    }
-
-    // Serial-vs-parallel verify sanity check: on a multi-core runner the
-    // pooled verification path must not lose to the serial path by more than
-    // the tolerance band. On a single hardware thread the parallel path
-    // legitimately degenerates to serial-plus-thread-overhead, so the
-    // comparison would only measure that overhead — skip it there. (The
-    // "parallel" row also pays the cache witness and insert per item, which
-    // the serial oracle does not: on 2 cores with a 0.3 µs MAC it reads
-    // ≈ 1.4x serial, inside the band.)
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let recorded = parse_recorded_cores(&fresh_text).unwrap_or(cores);
-    let serial = fresh.get("verify/verify_batch_serial_2048");
-    let parallel = fresh.get("verify/verify_batch_parallel_2048");
-    match (serial, parallel) {
-        _ if cores == 1 || recorded == 1 => {
-            println!("  skipped    verify serial-vs-parallel comparison (single hardware thread)");
-        }
-        (Some(&serial), Some(&parallel)) => {
-            let ratio = parallel / serial;
-            let verdict = if ratio > tolerance {
-                failures += 1;
-                "REGRESSION"
-            } else {
-                "ok"
-            };
-            println!(
-                "  {verdict:<10} {:<48} {} vs {} serial ({ratio:.2}x, {cores} cores)",
-                "verify/parallel_vs_serial",
-                fmt_ns(parallel),
-                fmt_ns(serial)
-            );
-        }
-        _ => {
-            failures += 1;
-            println!("  MISSING    verify serial/parallel benchmarks absent from the fresh run");
         }
     }
 

@@ -1,5 +1,5 @@
-//! Perf smoke for the simnet engine and the request-authentication
-//! pipeline, run by CI on every PR.
+//! Perf smoke for the simnet engine and the SHA-256 kernel, run by CI on
+//! every PR.
 //!
 //! Quick mode (sub-second): drives the timing-wheel [`EventQueue`] and the
 //! reference `BinaryHeap` queue through the identical steady-state workload
@@ -11,11 +11,7 @@
 //!    queue's (regression guard; threshold configurable via
 //!    `ISS_PERF_SMOKE_GUARD`, default 1.0 — the wheel must at least match
 //!    the heap it replaced), and
-//! 3. asserts the parallel, memoized `SignatureRegistry::verify_batch` is
-//!    result-identical — pop for pop — to the serial uncached oracle over a
-//!    deterministic good/bad signature mix, both cold (every item verified)
-//!    and warm (every good item a cache hit), and
-//! 4. prints which SHA-256 kernel the process hashes with (`sha256 kernel:
+//! 3. prints which SHA-256 kernel the process hashes with (`sha256 kernel:
 //!    sha-ni | armv8-sha2 | scalar`), so every bench row recorded next to
 //!    this output names its kernel, and — when that kernel is a hardware
 //!    one — asserts it agrees with the scalar oracle on 1 MiB of seeded
@@ -25,7 +21,7 @@
 
 use iss_bench::engine::{next_delay_us, DEPTH, WORKLOAD_SEED};
 use iss_crypto::sha256::{digest_scalar, kernel_name};
-use iss_crypto::{Sha256, SignatureRegistry};
+use iss_crypto::Sha256;
 use iss_simnet::event::{EventKind, EventQueue, ReferenceQueue};
 use iss_simnet::Addr;
 use iss_types::{Duration, NodeId, Time};
@@ -77,69 +73,6 @@ macro_rules! run_workload {
         let rate = $ops as f64 / start.elapsed().as_secs_f64();
         (rate, checksum)
     }};
-}
-
-/// Verify-equivalence smoke: parallel + memoized batch verification must
-/// agree with the serial oracle on every single item.
-fn verify_equivalence_smoke() {
-    // Clamped so the deterministic corruption mix always produces both
-    // valid and invalid signatures (the sanity assert below relies on it).
-    let n: usize = std::env::var("ISS_PERF_SMOKE_SIGS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4096)
-        .max(16);
-    let registry = SignatureRegistry::with_processes(4, iss_bench::authload::CLIENTS as usize);
-    // Deterministic corruption mix: every 5th signature tampered, every 11th
-    // truncated (see `iss_bench::authload`).
-    let requests = iss_bench::authload::signed_requests(n, true);
-    let digests = iss_bench::authload::digests(&requests);
-    let items = iss_bench::authload::items(&requests, &digests);
-
-    let start = Instant::now();
-    let serial = registry.verify_batch_serial(&items);
-    let serial_rate = n as f64 / start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let cold = registry.verify_batch(&items);
-    let cold_rate = n as f64 / start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let warm = registry.verify_batch(&items);
-    let warm_rate = n as f64 / start.elapsed().as_secs_f64();
-    // A forced 4-worker pool exercises the scoped-thread fan-out even when
-    // the runner reports a single core.
-    registry.clear_verified_cache();
-    let forced = registry.verify_batch_with_workers(&items, Some(4));
-
-    for (i, (s, c)) in serial.iter().zip(&cold).enumerate() {
-        assert_eq!(
-            s, c,
-            "cold verify_batch diverged from the serial oracle at item {i}"
-        );
-    }
-    for (i, (s, w)) in serial.iter().zip(&warm).enumerate() {
-        assert_eq!(
-            s, w,
-            "warm (cached) verify_batch diverged from the serial oracle at item {i}"
-        );
-    }
-    for (i, (s, f)) in serial.iter().zip(&forced).enumerate() {
-        assert_eq!(
-            s, f,
-            "4-worker verify_batch diverged from the serial oracle at item {i}"
-        );
-    }
-    let good = serial.iter().filter(|r| r.is_ok()).count();
-    assert!(
-        good > 0 && good < n,
-        "corruption mix must produce both outcomes"
-    );
-    println!(
-        "perf-smoke: verify {n} sigs ({good} valid): serial {:.0} k/s, parallel cold {:.0} k/s ({:.2}x), cached {:.0} k/s",
-        serial_rate / 1e3,
-        cold_rate / 1e3,
-        cold_rate / serial_rate,
-        warm_rate / 1e3,
-    );
 }
 
 /// Names the active SHA-256 kernel and, if it is a hardware one, checks it
@@ -198,7 +131,6 @@ fn main() {
         heap_rate / 1e6,
     );
 
-    verify_equivalence_smoke();
     sha256_kernel_smoke();
 
     println!("perf-smoke: OK (guard {guard:.2}x)");

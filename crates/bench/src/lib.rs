@@ -39,9 +39,7 @@ pub mod engine {
 }
 
 pub mod authload {
-    //! Shared signed-request workload for the verification-pipeline
-    //! measurements (the `verify` micro benches and the `perf_smoke` CI
-    //! binary), so both drive the registry with identical requests.
+    //! Signed-request workload for the `verify` micro bench.
 
     use iss_crypto::{request_digest, Identity, KeyPair, VerifyItem};
     use iss_types::{ClientId, Request};
@@ -50,24 +48,14 @@ pub mod authload {
     pub const CLIENTS: u32 = 64;
 
     /// `n` signed 64-byte requests from [`CLIENTS`] round-robin clients.
-    /// With `corrupt`, a deterministic mix of signatures is damaged: every
-    /// 5th is bit-flipped and every 11th truncated.
-    pub fn signed_requests(n: usize, corrupt: bool) -> Vec<Request> {
+    pub fn signed_requests(n: usize) -> Vec<Request> {
         (0..n as u32)
             .map(|i| {
                 let client = ClientId(i % CLIENTS);
                 let req = Request::new(client, i as u64, vec![0u8; 64]);
-                let mut sig = KeyPair::for_client(client)
+                let sig = KeyPair::for_client(client)
                     .sign(&request_digest(&req))
                     .to_vec();
-                if corrupt {
-                    if i % 5 == 0 {
-                        sig[i as usize % 64] ^= 0x80;
-                    }
-                    if i % 11 == 0 {
-                        sig.truncate(i as usize % 64);
-                    }
-                }
                 req.with_signature(sig)
             })
             .collect()

@@ -8,7 +8,7 @@
 //! ISS extended version defines duplicate prevention with. Per-request work
 //! is one client lookup per pass and a bit operation, allocation-free (the
 //! only per-proposal allocation left is the verify-item list handed to the
-//! signature pipeline, one small `Vec` per *signed* proposal):
+//! signature registry, one small `Vec` per *signed* proposal):
 //!
 //! * each client has one window (`ClientWindow`): its low watermark, its
 //!   delivered timestamps as a [`BitWindow`] whose base is the first
@@ -22,12 +22,10 @@
 //!   and a rejected proposal clears the bits it set — whether the in-batch
 //!   check or the signature check rejected it — so its valid requests can
 //!   still be proposed later;
-//! * client-signature checks go through the batched, memoized, parallel
-//!   pipeline of [`iss_crypto::SignatureRegistry`] (one MAC per signature
-//!   per *registry*: once per process in the simulator, where every node
-//!   holds a clone of one registry, but once per replica over TCP, where
-//!   `TcpCluster` and the wall-clock benchmark build a registry per node —
-//!   see `iss_crypto::sign`);
+//! * client signatures are checked with
+//!   [`iss_crypto::SignatureRegistry::verify_batch`], one MAC recomputation
+//!   per signature and per check (the simulator's scenarios turn signatures
+//!   off and charge them as CPU cost instead);
 //! * the per-sequence-number bucket restriction is a dense offset-indexed
 //!   table of per-segment bucket bitmaps ([`EpochBuckets`]) instead of a
 //!   `HashMap<SeqNr, Arc<[BucketId]>>` probed per proposal with a linear
@@ -253,10 +251,7 @@ impl RequestValidation {
     }
 
     /// Validates a single client request on reception (Section 3.7): known
-    /// client, valid signature, within the watermark window. The signature
-    /// check is memoized in the registry, so a request that a node sharing
-    /// this registry (a simulated neighbour, or this node itself for a
-    /// re-sent request) already verified costs one hash and a cache probe.
+    /// client, valid signature, within the watermark window.
     pub fn validate_request(&self, req: &Request) -> Result<()> {
         self.check_known_client(req)?;
         if self.verify_signatures {
@@ -375,9 +370,8 @@ impl RequestValidation {
         Ok(())
     }
 
-    /// Batched through the memoized, parallel pipeline: pure cache hits
-    /// where the leader that verified the batch shares this registry (the
-    /// simulator); all misses on a TCP follower.
+    /// Checks every request's signature over its digest; the first failure
+    /// rejects the proposal.
     fn verify_client_signatures(&mut self, requests: &[Request]) -> Result<()> {
         self.digest_scratch.clear();
         self.digest_scratch

@@ -2,10 +2,10 @@
 //!
 //! HotStuff quorum certificates aggregate `2f + 1` partial signatures into a
 //! constant-size certificate. This module provides a simulation substitute
-//! (see `DESIGN.md`): each node holds a share key; a share is an HMAC of the
-//! message under the share key; the aggregate stores the XOR-fold of the
-//! share MACs together with the bitmap of contributing signers and verifies
-//! by recomputation. The two properties the protocol relies on hold:
+//! (see `docs/threat-model.md#simplifications`): each node holds a share
+//! key; a share is an HMAC of the message under the share key; the
+//! aggregate stores the XOR-fold of the share MACs together with the bitmap
+//! of contributing signers and verifies by recomputation. The two properties the protocol relies on hold:
 //!
 //! 1. an aggregate that verifies proves that at least `k` *distinct* share
 //!    holders signed the message, and

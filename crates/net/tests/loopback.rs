@@ -355,18 +355,11 @@ fn a_lone_message_on_an_idle_runtime_waits_for_no_timer() {
     echo.shutdown();
 }
 
-/// Live threads of this process, the process-wide signature-verification
-/// pool aside (it is spawned once, on first use, and never torn down).
+/// Live threads of this process.
 #[cfg(target_os = "linux")]
 fn live_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("procfs")
-        .filter_map(Result::ok)
-        .filter(|task| {
-            std::fs::read_to_string(task.path().join("comm"))
-                .map(|name| !name.starts_with("iss-verify"))
-                .unwrap_or(false)
-        })
         .count()
 }
 

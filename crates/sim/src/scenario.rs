@@ -422,7 +422,7 @@ impl Scenario {
         let mut config = IssConfig::preset(kind, self.num_nodes).with_policy(self.stack.policy);
         // Client authenticity is charged through the CPU cost model in the
         // simulator instead of computing real signatures on the host
-        // (see DESIGN.md, substitutions).
+        // (see docs/threat-model.md#simplifications).
         config.client_signatures = false;
         // The open-loop generator is not throttled by watermarks.
         config.client_watermark_window = 1 << 30;

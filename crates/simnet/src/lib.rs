@@ -2,7 +2,7 @@
 //!
 //! This crate is the substitute for the paper's physical testbed (a WAN of
 //! 16 IBM-Cloud datacenters with 1 Gbps interfaces and 32-vCPU machines, see
-//! `DESIGN.md`). It simulates:
+//! `docs/threat-model.md#simplifications`). It simulates:
 //!
 //! * **virtual time** — a global event queue ordered by [`iss_types::Time`];
 //! * **WAN latency** — a 16-datacenter round-trip-time matrix
