@@ -20,16 +20,9 @@
 //!
 //! Scale defaults to `quick`; set `ISS_SCALE` explicitly to override.
 
-use iss_bench::scale_from_env;
-use iss_sim::experiments::{attack_matrix, Scale};
+use iss_bench::smoke_scale;
+use iss_sim::experiments::attack_matrix;
 use iss_sim::{run_scenario, Report, CENSORSHIP_EPOCH_BOUND};
-
-fn scale() -> Scale {
-    if std::env::var("ISS_SCALE").is_err() {
-        return Scale::quick();
-    }
-    scale_from_env()
-}
 
 fn check_gates(name: &str, report: &Report) {
     assert!(
@@ -88,7 +81,7 @@ fn check_gates(name: &str, report: &Report) {
 }
 
 fn main() {
-    let scale = scale();
+    let scale = smoke_scale();
     println!("# byzantine attack matrix smoke");
     for (name, scenario) in attack_matrix(scale) {
         let report = run_scenario(scenario.clone());

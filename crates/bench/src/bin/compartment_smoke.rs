@@ -11,16 +11,9 @@
 //!
 //! Scale defaults to `quick`; set `ISS_SCALE` explicitly to override.
 
-use iss_bench::scale_from_env;
+use iss_bench::smoke_scale;
 use iss_sim::cluster::{run_scenario, Report};
-use iss_sim::experiments::{compartment_scenario, Scale};
-
-fn scale() -> Scale {
-    if std::env::var("ISS_SCALE").is_err() {
-        return Scale::quick();
-    }
-    scale_from_env()
-}
+use iss_sim::experiments::compartment_scenario;
 
 fn print_report(batchers: usize, report: &Report) {
     println!(
@@ -46,7 +39,7 @@ fn print_report(batchers: usize, report: &Report) {
 }
 
 fn main() -> std::process::ExitCode {
-    let scale = scale();
+    let scale = smoke_scale();
     println!("# compartment smoke: n=4, 1 vs 3 batcher stages per node");
     let monolith = run_scenario(compartment_scenario(4, 1, scale));
     print_report(1, &monolith);

@@ -13,27 +13,13 @@
 //! Scale defaults to `quick` (unlike the figure binaries, whose default is
 //! the benchmark scale); set `ISS_SCALE` explicitly to override.
 
-use iss_bench::scale_from_env;
+use iss_bench::smoke_scale;
 use iss_sim::experiments::{
     figure11, figure12, figure5, figure6, figure7, scenario_bursty, scenario_crash_restart,
-    scenario_lossy_window, scenario_partition_heal, scenario_skewed, Scale,
+    scenario_lossy_window, scenario_partition_heal, scenario_skewed,
 };
 use iss_sim::Protocol;
 use iss_types::NodeId;
-
-fn scale() -> Scale {
-    if std::env::var("ISS_SCALE").is_err() {
-        let mut scale = Scale::quick();
-        if let Some(n) = std::env::var("ISS_FAULT_NODES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            scale.fault_nodes = n;
-        }
-        return scale;
-    }
-    scale_from_env()
-}
 
 fn check(ok: bool, what: &str, failures: &mut u32) {
     if ok {
@@ -49,7 +35,7 @@ fn finite_nonneg(x: f64) -> bool {
 }
 
 fn main() -> std::process::ExitCode {
-    let scale = scale();
+    let scale = smoke_scale();
     let mut failures = 0u32;
     println!(
         "# experiment-matrix smoke ({} nodes for fault runs)",

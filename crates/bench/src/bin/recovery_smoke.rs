@@ -13,19 +13,12 @@
 //!
 //! Scale defaults to `quick`; set `ISS_SCALE` explicitly to override.
 
-use iss_bench::scale_from_env;
-use iss_sim::experiments::{scenario_crash_restart, Scale};
+use iss_bench::smoke_scale;
+use iss_sim::experiments::scenario_crash_restart;
 use iss_types::{Duration, NodeId};
 
-fn scale() -> Scale {
-    if std::env::var("ISS_SCALE").is_err() {
-        return Scale::quick();
-    }
-    scale_from_env()
-}
-
 fn main() -> std::process::ExitCode {
-    let report = scenario_crash_restart(scale());
+    let report = scenario_crash_restart(smoke_scale());
     println!("# crash-restart recovery smoke");
     println!("delivered {}", report.delivered);
     println!("nil_committed {}", report.nil_committed);

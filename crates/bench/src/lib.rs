@@ -81,10 +81,21 @@ pub mod authload {
 /// size of the fault experiments (figures 7–9), e.g. to reproduce the
 /// full-scale n=32 crash runs at quick duration.
 pub fn scale_from_env() -> Scale {
+    scale_or(Scale::default())
+}
+
+/// The scale of the `*_smoke` binaries: like [`scale_from_env`], but `quick`
+/// when `ISS_SCALE` is unset.
+pub fn smoke_scale() -> Scale {
+    scale_or(Scale::quick())
+}
+
+fn scale_or(unset: Scale) -> Scale {
     let mut scale = match std::env::var("ISS_SCALE").as_deref() {
         Ok("quick") => Scale::quick(),
         Ok("paper") => Scale::paper(),
-        _ => Scale::default(),
+        Ok(_) => Scale::default(),
+        Err(_) => unset,
     };
     if let Some(n) = std::env::var("ISS_FAULT_NODES")
         .ok()

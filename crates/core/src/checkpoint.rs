@@ -143,10 +143,7 @@ impl CheckpointManager {
                 root,
                 proof,
             };
-            self.stable.insert(epoch, stable.clone());
-            if self.latest_stable.is_none_or(|e| epoch > e) {
-                self.latest_stable = Some(epoch);
-            }
+            self.install_stable(stable.clone());
             return Some(stable);
         }
         None
@@ -177,15 +174,10 @@ impl CheckpointManager {
 
     /// Verifies that a state-transfer response's proof is a valid stable
     /// checkpoint (2f+1 valid signatures over the same root).
-    pub fn verify_stable_proof(
-        &self,
-        epoch: EpochNr,
-        max_seq_nr: SeqNr,
-        root: &Digest,
-        proof: &[(NodeId, Bytes)],
-    ) -> bool {
-        let bytes = Self::signing_bytes(epoch, max_seq_nr, root);
-        let mut valid_signers: Vec<NodeId> = proof
+    pub fn verify_stable_proof(&self, stable: &StableCheckpoint) -> bool {
+        let bytes = Self::signing_bytes(stable.epoch, stable.max_seq_nr, &stable.root);
+        let mut valid_signers: Vec<NodeId> = stable
+            .proof
             .iter()
             .filter(|(n, s)| self.registry.verify_node(*n, &bytes, s).is_ok())
             .map(|(n, _)| *n)
@@ -261,8 +253,10 @@ mod tests {
         assert_eq!(mine.latest_stable().unwrap().epoch, 0);
         assert!(mine.stable_for(0).is_some());
         // The proof verifies, and dropping one signature invalidates it.
-        assert!(mine.verify_stable_proof(0, 3, &root, &stable.proof));
-        assert!(!mine.verify_stable_proof(0, 3, &root, &stable.proof[..2]));
+        assert!(mine.verify_stable_proof(&stable));
+        let mut short = stable.clone();
+        short.proof.truncate(2);
+        assert!(!mine.verify_stable_proof(&short));
         let _ = registry;
     }
 

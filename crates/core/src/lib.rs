@@ -27,11 +27,15 @@
 //!   `tests/state_equivalence.rs`);
 //! * [`node`] — the Manager: the full ISS replica tying everything together
 //!   as an event-driven process (also usable in single-leader baseline mode
-//!   and in a Mir-BFT-like mode with an epoch primary);
+//!   and in a Mir-BFT-like mode with an epoch primary). Each of its jobs has
+//!   one submodule: `node::ordering` (SB instances, proposals, commits and
+//!   in-order delivery), `node::epochs` (epoch transitions, checkpoints and
+//!   Mir's epoch primary) and `node::recovery` (WAL replay, persistence,
+//!   snapshots and state transfer);
 //! * [`stages`] — the compartmentalized pipeline: batcher stages (request
 //!   intake and batch cutting) in front of the orderer and executor stages
 //!   (delivery fan-out) behind it, each a first-class simulated process with
-//!   its own CPU budget.
+//!   its own CPU budget, plus the orderer's hooks into them.
 
 pub mod buckets;
 pub mod checkpoint;

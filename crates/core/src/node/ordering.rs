@@ -1,0 +1,271 @@
+//! Ordering: driving the epoch's SB instances and applying their actions,
+//! this node's proposals, commits and in-order delivery (Algorithm 1).
+
+use super::{record_cut, IssNode, KIND_INSTANCE, KIND_PROPOSE};
+use crate::log::DeliveredBatch;
+use crate::stages::deliver_requests;
+use crate::state::InstanceSlot;
+use iss_messages::NetMsg;
+use iss_runtime::process::{Addr, Context};
+use iss_sb::{SbAction, SbContext, SbInstance};
+use iss_types::{Batch, Duration, InstanceId, NodeId, SeqNr};
+
+impl IssNode {
+    /// The interval between this leader's proposals, derived from the
+    /// system-wide batch rate (Section 6.2: a fixed batch rate means O(1/n)
+    /// proposals per leader).
+    pub(super) fn proposal_interval(&self) -> Duration {
+        match self.opts.config.batch_rate {
+            Some(rate) => {
+                let leaders = self.epoch.leaders.len().max(1) as f64;
+                Duration::from_secs_f64(leaders / rate)
+            }
+            None => Duration::from_millis(100),
+        }
+    }
+
+    /// Runs a closure against the SB instance at `slot` and applies its
+    /// actions. Dispatch is slot-based: the caller resolves an `InstanceId`
+    /// to a slot once (at the message boundary), and every touch from here
+    /// on — take, restore, timer registration — is an O(1) slab access.
+    pub(super) fn drive<F>(&mut self, slot: InstanceSlot, ctx: &mut Context<'_, NetMsg>, f: F)
+    where
+        F: FnOnce(&mut dyn SbInstance, &mut SbContext<'_>),
+    {
+        let Some((instance_id, mut instance)) = self.state.take_instance(slot) else {
+            return;
+        };
+        let actions = {
+            let mut sb_ctx = SbContext::new(ctx.now(), &mut self.validation, ctx.rng());
+            f(instance.as_mut(), &mut sb_ctx);
+            sb_ctx.take_actions()
+        };
+        self.state.restore_instance(slot, instance);
+        let rejected = self.validation.rejected_proposals();
+        if rejected > self.reported_proposal_rejections {
+            let delta = rejected - self.reported_proposal_rejections;
+            self.reported_proposal_rejections = rejected;
+            self.sink
+                .borrow_mut()
+                .on_proposal_rejected(self.my_id, delta, ctx.now());
+        }
+        self.apply_sb_actions(slot, instance_id, actions, ctx);
+    }
+
+    fn apply_sb_actions(
+        &mut self,
+        slot: InstanceSlot,
+        instance_id: InstanceId,
+        actions: Vec<SbAction>,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        for action in actions {
+            match action {
+                SbAction::Send { to, msg } => {
+                    ctx.send(
+                        Addr::Node(to),
+                        NetMsg::Sb {
+                            instance: instance_id,
+                            msg,
+                        },
+                    );
+                }
+                SbAction::Broadcast(msg) => {
+                    let msg = NetMsg::Sb {
+                        instance: instance_id,
+                        msg,
+                    };
+                    ctx.broadcast(&self.all_nodes, msg);
+                }
+                SbAction::Deliver { seq_nr, batch } => {
+                    self.on_sb_deliver(seq_nr, batch, ctx);
+                }
+                SbAction::SetTimer { token, delay } => {
+                    let id = ctx.set_timer(delay, KIND_INSTANCE);
+                    self.state.register_timer(id, slot, token);
+                }
+                SbAction::CancelTimer { token } => {
+                    let mut ids = Vec::new();
+                    self.state.take_matching_timers(slot, token, &mut ids);
+                    for id in ids {
+                        ctx.cancel_timer(id);
+                    }
+                }
+                // The leader policy learns of failures from ⊥ deliveries
+                // (`record_nil_delivery`), not from suspicions.
+                SbAction::Suspect(_) => {}
+            }
+        }
+    }
+
+    /// Handles an sb-delivery: inserts the batch into the log, removes its
+    /// requests from the bucket queues, resurrects unsuccessfully proposed
+    /// requests on ⊥, delivers the contiguous prefix and advances the epoch
+    /// when complete (Algorithm 1, lines 40-56).
+    fn on_sb_deliver(&mut self, sn: SeqNr, batch: Option<Batch>, ctx: &mut Context<'_, NetMsg>) {
+        let leader = self.state.leader_of(sn).unwrap_or(
+            self.epoch
+                .segment_of(sn)
+                .map(|s| s.leader)
+                .unwrap_or(NodeId(0)),
+        );
+        if !self.log.commit(sn, batch.clone(), leader) {
+            return; // already committed (e.g. via state transfer)
+        }
+        self.opts.telemetry.on_quorum(ctx.now(), sn);
+        self.persist_commit(sn, leader, &batch);
+        match &batch {
+            Some(b) => {
+                for req in b.requests() {
+                    self.buckets.remove(&req.id);
+                    self.validation.mark_delivered(&req.id);
+                }
+                // Compartmentalized pipeline: the queued copies live at the
+                // batcher stages, not in `self.buckets` — drop them there.
+                if let Some(p) = &self.pipeline {
+                    p.on_commit(b, ctx);
+                }
+            }
+            None => {
+                // ⊥ delivered: resurrect our own unsuccessful proposal, if any.
+                self.policy.record_nil_delivery(leader, sn);
+                if let Some(proposed) = self.state.take_proposed(sn) {
+                    match &self.pipeline {
+                        Some(p) => p.resurrect(proposed.requests(), &self.validation, ctx),
+                        None => {
+                            for req in proposed.requests() {
+                                if !self.validation.is_delivered(&req.id) {
+                                    self.buckets.resurrect(req.clone());
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        self.sink.borrow_mut().on_batch_committed(
+            self.my_id,
+            sn,
+            batch.as_ref().map(Batch::len).unwrap_or(0),
+            ctx.now(),
+        );
+        self.deliver_ready(ctx);
+        self.continue_recovery(sn, ctx);
+        self.maybe_finish_epoch(ctx);
+    }
+
+    /// Delivers the log's newly contiguous prefix.
+    pub(super) fn deliver_ready(&mut self, ctx: &mut Context<'_, NetMsg>) {
+        let delivered = self.log.deliver_ready();
+        if delivered.is_empty() {
+            return;
+        }
+        let now = ctx.now();
+        // One deliver span per batch. End-to-end completion is recorded
+        // wherever delivery actually happens: here for the monolithic node,
+        // at the executor stages for the pipeline (through the shared
+        // per-machine telemetry).
+        for d in &delivered {
+            self.opts.telemetry.on_deliver(now, d.seq_nr);
+        }
+        match &self.pipeline {
+            Some(p) => p.execute(&delivered, ctx),
+            None => deliver_requests(
+                self.my_id,
+                delivered.iter().flat_map(DeliveredBatch::numbered),
+                &self.sink,
+                &self.opts.telemetry,
+                self.opts.respond_to_clients,
+                ctx,
+            ),
+        }
+    }
+
+    /// Proposal pacing tick (Section 3.2 "Proposing Batches" plus the batch
+    /// rate of Section 6.2 and the straggler behaviour of Section 6.4.2).
+    pub(super) fn on_propose_tick(&mut self, ctx: &mut Context<'_, NetMsg>) {
+        // Re-arm first so the tick keeps running across epochs.
+        let interval = match self.opts.straggler {
+            Some(s) => s.proposal_interval.div(4).max(Duration::from_millis(100)),
+            None => self.proposal_interval(),
+        };
+        ctx.set_timer(interval, KIND_PROPOSE);
+
+        let Some(seg_idx) = self.my_segment_idx else {
+            return;
+        };
+        if self.mir_waiting {
+            return;
+        }
+        let segment = &self.epoch.segments[seg_idx];
+        if self.next_proposal >= segment.seq_nrs.len() {
+            return;
+        }
+        let sn = segment.seq_nrs[self.next_proposal];
+        let instance_id = segment.instance;
+        let now = ctx.now();
+        let since_last = now.saturating_since(self.last_proposal_at);
+        let max_size = self.opts.config.max_batch_size;
+        let max_wait = self.opts.config.max_batch_timeout;
+        // An empty proposal on the max-batch timeout keeps the segment live
+        // when there is nothing to propose.
+        let timed_out = max_wait > Duration::ZERO && since_last >= max_wait;
+
+        // Telemetry: batch keys of the ready batches merged into this
+        // proposal (pipeline mode), pairing the batcher's cut timestamps
+        // with the proposal below. Only collected while telemetry is on.
+        let mut proposal_sources: Vec<u64> = Vec::new();
+        let telemetry_on = self.opts.telemetry.is_enabled();
+
+        let batch = if let Some(straggler) = self.opts.straggler {
+            // A Byzantine straggler delays as much as possible and proposes
+            // only empty batches.
+            if since_last < straggler.proposal_interval && self.next_proposal > 0 {
+                return;
+            }
+            Batch::empty()
+        } else if let Some(p) = self.pipeline.as_mut() {
+            // Compartmentalized pipeline: propose what the batcher stages
+            // cut.
+            match p.take_proposal(max_size, telemetry_on.then_some(&mut proposal_sources)) {
+                Some(batch) => batch,
+                None if timed_out => Batch::empty(),
+                None => return,
+            }
+        } else {
+            // `segment` borrows `self.epoch`; the queues live in
+            // `self.buckets` — disjoint fields, so the bucket list is read in
+            // place instead of being cloned per tick.
+            let available = self.buckets.available_in(&segment.buckets);
+            let full = available >= max_size;
+            let have_some = available > 0 && since_last >= self.opts.config.min_batch_timeout;
+            if !(full || have_some || timed_out) {
+                return;
+            }
+            self.buckets.cut_batch(&segment.buckets, max_size)
+        };
+
+        if telemetry_on {
+            if self.pipeline.is_none() && !batch.is_empty() {
+                // Monolithic node: the batch is cut and proposed in the same
+                // tick, so record both edges here (cut→propose ≈ 0; the
+                // pipeline's batcher stages record their cuts themselves).
+                proposal_sources.push(record_cut(&self.opts.telemetry, now, &batch));
+            }
+            self.opts.telemetry.on_propose(
+                now,
+                sn,
+                batch.len() as u64,
+                proposal_sources.into_iter(),
+            );
+        }
+
+        self.last_proposal_at = now;
+        self.next_proposal += 1;
+        self.state.record_proposed(sn, batch.clone());
+        let Some(slot) = self.state.slot_of(instance_id) else {
+            return;
+        };
+        self.drive(slot, ctx, |inst, sb| inst.propose(sn, batch, sb));
+    }
+}

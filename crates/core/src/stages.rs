@@ -26,16 +26,26 @@
 //! state about one request (queued copy, delivered mark) lives at exactly one
 //! batcher and the [`StageMsg::Committed`] / [`StageMsg::Resurrect`] fan-outs
 //! from the orderer always reach the stage that holds it.
+//!
+//! The orderer's side — its ready queue and every handoff to these stages —
+//! is `PipelineState`, which [`IssNode`](crate::IssNode) calls through
+//! one-line hooks.
 
 use crate::buckets::BucketQueues;
-use crate::node::{telemetry_batch_key, telemetry_request_key, DeliverySink};
+use crate::log::DeliveredBatch;
+use crate::node::{
+    record_cut, telemetry_batch_key, telemetry_request_key, DeliverySink, PipelineOptions,
+};
 use crate::validation::{EpochBuckets, RequestValidation};
 use iss_crypto::SignatureRegistry;
 use iss_messages::{ClientMsg, NetMsg, StageMsg};
-use iss_runtime::process::{Addr, Context, Process};
-use iss_telemetry::TelemetryHandle;
-use iss_types::{BucketId, Duration, IssConfig, NodeId, Time, TimerId};
+use iss_runtime::process::{Addr, Context, Process, StageRole};
+use iss_telemetry::{Recorder, TelemetryHandle};
+use iss_types::{
+    Batch, BucketId, Duration, EpochNr, IssConfig, NodeId, Request, RequestId, Time, TimerId,
+};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -237,14 +247,7 @@ impl Process<NetMsg> for BatcherProcess {
         if let Some(c) = &self.counters {
             c.borrow_mut().handoffs += 1;
         }
-        self.telemetry.on_cut(
-            now,
-            telemetry_batch_key(&batch),
-            batch
-                .requests()
-                .iter()
-                .map(|r| telemetry_request_key(&r.id)),
-        );
+        record_cut(&self.telemetry, now, &batch);
         ctx.send(
             Addr::Node(self.parent),
             NetMsg::Stage(StageMsg::BatchReady { batch }),
@@ -296,26 +299,207 @@ impl Process<NetMsg> for ExecutorProcess {
             c.handoffs += 1;
             c.max_queue_depth = c.max_queue_depth.max(deliveries.len());
         }
-        let now = ctx.now();
-        for (request, request_seq_nr) in deliveries {
-            self.telemetry
-                .on_end_to_end(now, telemetry_request_key(&request.id));
-            self.sink
-                .borrow_mut()
-                .on_request_delivered(self.parent, &request, request_seq_nr, now);
-            if self.respond_to_clients {
-                ctx.send(
-                    Addr::Client(request.id.client),
-                    NetMsg::Client(ClientMsg::Response {
-                        request: request.id,
-                        seq_nr: request_seq_nr,
-                    }),
-                );
+        deliver_requests(
+            self.parent,
+            deliveries.iter().map(|(request, sn)| (*sn, request)),
+            &self.sink,
+            &self.telemetry,
+            self.respond_to_clients,
+            ctx,
+        );
+    }
+
+    fn on_timer(&mut self, _id: TimerId, _kind: u64, _ctx: &mut Context<'_, NetMsg>) {}
+}
+
+/// Delivers requests at replica `node`, in order: closes each request's
+/// end-to-end telemetry span, notifies the sink and, when `respond` is set,
+/// answers the client. Used by the monolithic orderer and by the executor
+/// stages alike.
+pub(crate) fn deliver_requests<'a>(
+    node: NodeId,
+    deliveries: impl IntoIterator<Item = (u64, &'a Request)>,
+    sink: &RefCell<dyn DeliverySink>,
+    telemetry: &TelemetryHandle,
+    respond: bool,
+    ctx: &mut Context<'_, NetMsg>,
+) {
+    let now = ctx.now();
+    let mut sink = sink.borrow_mut();
+    for (request_seq_nr, request) in deliveries {
+        telemetry.on_end_to_end(now, telemetry_request_key(&request.id));
+        sink.on_request_delivered(node, request, request_seq_nr, now);
+        if respond {
+            ctx.send(
+                Addr::Client(request.id.client),
+                NetMsg::Client(ClientMsg::Response {
+                    request: request.id,
+                    seq_nr: request_seq_nr,
+                }),
+            );
+        }
+    }
+}
+
+/// The orderer's side of the compartmentalized pipeline: the batches its
+/// batcher stages cut, waiting for a proposal slot, and every handoff from
+/// the orderer to its stages.
+pub(crate) struct PipelineState {
+    node: NodeId,
+    batchers: u32,
+    executors: u32,
+    num_buckets: usize,
+    num_nodes: usize,
+    /// Batches cut by the batcher stages, waiting for a free slot in this
+    /// node's segment.
+    ready: VecDeque<Batch>,
+    /// Peak ready-queue backlog (the orderer's queue-depth column).
+    counters: Option<StageCountersHandle>,
+}
+
+impl PipelineState {
+    pub(crate) fn new(node: NodeId, config: &IssConfig, opts: &PipelineOptions) -> Self {
+        PipelineState {
+            node,
+            batchers: opts.batchers.max(1),
+            executors: opts.executors.max(1),
+            num_buckets: config.num_buckets(),
+            num_nodes: config.num_nodes,
+            ready: VecDeque::new(),
+            counters: opts.counters.clone(),
+        }
+    }
+
+    /// Queues a batch a batcher stage cut for the next free proposal slot
+    /// (the orderer's pacing tick enforces the batch rate).
+    pub(crate) fn on_batch_ready(&mut self, batch: Batch, telemetry: &TelemetryHandle) {
+        self.ready.push_back(batch);
+        if let Some(c) = &self.counters {
+            let mut c = c.borrow_mut();
+            c.handoffs += 1;
+            c.max_queue_depth = c.max_queue_depth.max(self.ready.len());
+        }
+        telemetry.gauge_set("orderer.ready_queue", self.ready.len() as u64);
+    }
+
+    /// Merges queued batches, oldest first, into one proposal of at most
+    /// `max_size` requests (`None` when nothing is queued): B batchers each
+    /// cut ~1/B-sized batches on the same cadence, so one ready batch per
+    /// proposal would divide throughput by B instead of scaling it. The
+    /// telemetry key of each merged batch goes to `sources`, if given.
+    pub(crate) fn take_proposal(
+        &mut self,
+        max_size: usize,
+        sources: Option<&mut Vec<u64>>,
+    ) -> Option<Batch> {
+        let mut merged = vec![self.ready.pop_front()?];
+        let mut len = merged[0].len();
+        while let Some(next) = self.ready.front() {
+            if len + next.len() > max_size {
+                break;
+            }
+            len += next.len();
+            merged.push(self.ready.pop_front().expect("front checked"));
+        }
+        if let Some(sources) = sources {
+            sources.extend(merged.iter().map(telemetry_batch_key));
+        }
+        let requests = merged.iter().flat_map(|b| b.requests().iter().cloned());
+        Some(Batch::new(requests.collect()))
+    }
+
+    /// Epoch transition. Batches still queued for proposal were cut against
+    /// the previous epoch's bucket-leader alignment: hand their requests back
+    /// to the owning batchers. Then announce the new epoch's `led` buckets
+    /// (empty when this node does not lead), so the batchers cut only from
+    /// buckets this orderer may propose.
+    pub(crate) fn on_epoch_start(
+        &mut self,
+        epoch: EpochNr,
+        led: &[BucketId],
+        validation: &RequestValidation,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        for batch in std::mem::take(&mut self.ready) {
+            self.resurrect(batch.requests(), validation, ctx);
+        }
+        for index in 0..self.batchers {
+            let buckets = led.to_vec();
+            let msg = StageMsg::EpochLeading { epoch, buckets };
+            ctx.send(self.stage(StageRole::Batcher, index), NetMsg::Stage(msg));
+        }
+    }
+
+    /// Commit fan-out: tells the owning batchers these requests are ordered,
+    /// so queued copies are dropped and re-submissions rejected.
+    pub(crate) fn on_commit(&self, batch: &Batch, ctx: &mut Context<'_, NetMsg>) {
+        let ids = batch.requests().iter().map(|r| (self.batcher(&r.id), r.id));
+        let msg = |requests| StageMsg::Committed { requests };
+        self.fan_out(StageRole::Batcher, ids, msg, ctx);
+    }
+
+    /// Hands the not-yet-delivered `requests` back to their owning batchers
+    /// (⊥-resolved proposals, stale ready batches at epoch transitions).
+    pub(crate) fn resurrect(
+        &self,
+        requests: &[Request],
+        validation: &RequestValidation,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        let undelivered = requests
+            .iter()
+            .filter(|r| !validation.is_delivered(&r.id))
+            .map(|r| (self.batcher(&r.id), r.clone()));
+        let msg = |requests| StageMsg::Resurrect { requests };
+        self.fan_out(StageRole::Batcher, undelivered, msg, ctx);
+    }
+
+    /// Delivery fan-out: each delivered request goes to the executor stage
+    /// `request_seq_nr mod E`, which notifies the sink and answers the
+    /// client.
+    pub(crate) fn execute(&self, delivered: &[DeliveredBatch], ctx: &mut Context<'_, NetMsg>) {
+        let e = self.executors as u64;
+        let deliveries = delivered
+            .iter()
+            .flat_map(DeliveredBatch::numbered)
+            .map(|(sn, request)| ((sn % e) as u32, (request.clone(), sn)));
+        let msg = |deliveries| StageMsg::Execute { deliveries };
+        self.fan_out(StageRole::Executor, deliveries, msg, ctx);
+    }
+
+    /// The batcher stage owning the bucket of request `id`.
+    fn batcher(&self, id: &RequestId) -> u32 {
+        batcher_for(id.bucket(self.num_buckets), self.num_nodes, self.batchers)
+    }
+
+    /// Groups `items` by the index of their stage of `role` and sends each
+    /// stage its group as one message, skipping empty groups.
+    fn fan_out<T>(
+        &self,
+        role: StageRole,
+        items: impl Iterator<Item = (u32, T)>,
+        msg: fn(Vec<T>) -> StageMsg,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        let stages = match role {
+            StageRole::Batcher => self.batchers,
+            StageRole::Executor => self.executors,
+        };
+        let mut groups: Vec<Vec<T>> = (0..stages).map(|_| Vec::new()).collect();
+        for (index, item) in items {
+            groups[index as usize].push(item);
+        }
+        for (index, group) in (0..stages).zip(groups) {
+            if !group.is_empty() {
+                ctx.send(self.stage(role, index), NetMsg::Stage(msg(group)));
             }
         }
     }
 
-    fn on_timer(&mut self, _id: TimerId, _kind: u64, _ctx: &mut Context<'_, NetMsg>) {}
+    fn stage(&self, role: StageRole, index: u32) -> Addr {
+        let node = self.node;
+        Addr::Stage { node, role, index }
+    }
 }
 
 #[cfg(test)]

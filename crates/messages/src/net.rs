@@ -58,9 +58,6 @@ pub enum NetMsg {
         /// The protocol message.
         msg: SbMsg,
     },
-    /// An ordering-protocol message of a single-leader baseline deployment
-    /// (no ISS multiplexing, one unbounded instance).
-    Baseline(SbMsg),
     /// ISS checkpointing / state transfer.
     Iss(IssMsg),
     /// Mir-BFT baseline traffic.
@@ -75,7 +72,6 @@ impl Payload for NetMsg {
         match self {
             NetMsg::Client(m) => m.wire_size(),
             NetMsg::Sb { msg, .. } => 12 + msg.wire_size(),
-            NetMsg::Baseline(m) => m.wire_size(),
             NetMsg::Iss(m) => m.wire_size(),
             NetMsg::Mir(m) => m.wire_size(),
             NetMsg::Stage(m) => m.wire_size(),
@@ -86,7 +82,6 @@ impl Payload for NetMsg {
         match self {
             NetMsg::Client(m) => m.num_requests(),
             NetMsg::Sb { msg, .. } => msg.num_requests(),
-            NetMsg::Baseline(m) => m.num_requests(),
             NetMsg::Iss(m) => m.num_requests(),
             NetMsg::Mir(_) => 0,
             NetMsg::Stage(m) => m.num_requests(),
@@ -101,7 +96,7 @@ impl Payload for NetMsg {
             // (digesting, validation, logging); the rest is quorum
             // bookkeeping. This split is what separates the orderer's
             // per-request work from its per-message work.
-            NetMsg::Sb { msg, .. } | NetMsg::Baseline(msg) => {
+            NetMsg::Sb { msg, .. } => {
                 if msg.num_requests() > 0 {
                     MsgClass::Proposal
                 } else {
@@ -122,6 +117,13 @@ impl Payload for NetMsg {
 mod tests {
     use super::*;
     use iss_types::{Batch, ClientId, Request};
+
+    fn sb(msg: SbMsg) -> NetMsg {
+        NetMsg::Sb {
+            instance: InstanceId::new(0, 0),
+            msg,
+        }
+    }
 
     fn preprepare(reqs: usize) -> PbftMsg {
         PbftMsg::PrePrepare {
@@ -150,7 +152,7 @@ mod tests {
     fn all_variants_report_sizes() {
         let msgs = vec![
             NetMsg::Client(ClientMsg::Request(Request::synthetic(ClientId(0), 0, 500))),
-            NetMsg::Baseline(SbMsg::Raft(RaftMsg::VoteResponse {
+            sb(SbMsg::Raft(RaftMsg::VoteResponse {
                 term: 0,
                 granted: true,
             })),
@@ -162,17 +164,11 @@ mod tests {
                 epoch: 0,
                 config_digest: [0; 32],
             }),
-            NetMsg::Sb {
-                instance: InstanceId::new(0, 0),
-                msg: SbMsg::HotStuff(HotStuffMsg::NewView {
-                    view: 0,
-                    high_qc: crate::hotstuff::QuorumCert::genesis(),
-                }),
-            },
-            NetMsg::Sb {
-                instance: InstanceId::new(0, 0),
-                msg: SbMsg::Reference(RefSbMsg::Heartbeat),
-            },
+            sb(SbMsg::HotStuff(HotStuffMsg::NewView {
+                view: 0,
+                high_qc: crate::hotstuff::QuorumCert::genesis(),
+            })),
+            sb(SbMsg::Reference(RefSbMsg::Heartbeat)),
         ];
         for m in msgs {
             assert!(m.wire_size() > 0);
@@ -181,12 +177,9 @@ mod tests {
 
     #[test]
     fn classes_split_proposals_from_votes() {
-        let proposal = NetMsg::Baseline(SbMsg::Pbft(preprepare(3)));
+        let proposal = sb(SbMsg::Pbft(preprepare(3)));
         assert_eq!(proposal.class(), MsgClass::Proposal);
-        let vote = NetMsg::Sb {
-            instance: InstanceId::new(0, 0),
-            msg: SbMsg::Reference(RefSbMsg::Heartbeat),
-        };
+        let vote = sb(SbMsg::Reference(RefSbMsg::Heartbeat));
         assert_eq!(vote.class(), MsgClass::Vote);
         let req = NetMsg::Client(ClientMsg::Request(Request::synthetic(ClientId(0), 0, 500)));
         assert_eq!(req.class(), MsgClass::Request);
@@ -199,7 +192,7 @@ mod tests {
 
     #[test]
     fn num_requests_routed_through() {
-        let m = NetMsg::Baseline(SbMsg::Pbft(preprepare(7)));
+        let m = sb(SbMsg::Pbft(preprepare(7)));
         assert_eq!(m.num_requests(), 7);
         let m = NetMsg::Client(ClientMsg::Request(Request::synthetic(ClientId(0), 0, 500)));
         assert_eq!(m.num_requests(), 1);

@@ -10,10 +10,10 @@
 //!
 //! # Scope
 //!
-//! Encoded: `Client(*)`, `Sb { instance, Pbft(*) }`, `Baseline(Pbft(*))`
-//! and `Iss(*)` — everything a PBFT-backed ISS deployment (the
-//! configuration the TCP backend boots) puts on the wire, including
-//! checkpoint snapshots for crash recovery. HotStuff/Raft/Reference
+//! Encoded: `Client(*)`, `Sb { instance, Pbft(*) }` and `Iss(*)` —
+//! everything a PBFT-backed ISS deployment (the configuration the TCP
+//! backend boots) puts on the wire, including checkpoint snapshots for
+//! crash recovery. HotStuff/Raft/Reference
 //! ordering messages, the Mir baseline and intra-replica `Stage` handoffs
 //! return [`Error::Codec`]: the first three are simulator-only baselines
 //! and stage handoffs never leave the machine by construction, so
@@ -33,7 +33,6 @@ use iss_types::{Batch, BucketId, Error, InstanceId, NodeId, RequestId, Result};
 // Leading tag bytes, one namespace per enum.
 const NET_CLIENT: u8 = 0;
 const NET_SB: u8 = 1;
-const NET_BASELINE: u8 = 2;
 const NET_ISS: u8 = 3;
 
 const CLIENT_REQUEST: u8 = 0;
@@ -69,10 +68,6 @@ pub fn encode_net_msg(msg: &NetMsg, buf: &mut BytesMut) -> Result<()> {
             buf.put_u32_le(instance.index);
             encode_sb_msg(msg, buf)?;
         }
-        NetMsg::Baseline(m) => {
-            buf.put_u8(NET_BASELINE);
-            encode_sb_msg(m, buf)?;
-        }
         NetMsg::Iss(m) => {
             buf.put_u8(NET_ISS);
             encode_iss_msg(m, buf);
@@ -107,7 +102,6 @@ pub fn decode_net_msg(buf: &mut Bytes) -> Result<NetMsg> {
                 msg: decode_sb_msg(buf)?,
             })
         }
-        NET_BASELINE => Ok(NetMsg::Baseline(decode_sb_msg(buf)?)),
         NET_ISS => Ok(NetMsg::Iss(decode_iss_msg(buf)?)),
         t => Err(Error::Codec(format!("invalid net message tag {t}"))),
     }
@@ -690,9 +684,8 @@ mod tests {
         ] {
             roundtrip(NetMsg::Sb {
                 instance: InstanceId::new(5, 2),
-                msg: SbMsg::Pbft(msg.clone()),
+                msg: SbMsg::Pbft(msg),
             });
-            roundtrip(NetMsg::Baseline(SbMsg::Pbft(msg)));
         }
     }
 
@@ -749,10 +742,13 @@ mod tests {
                 config_digest: [0; 32],
             }),
             NetMsg::Stage(StageMsg::BatchReady { batch: batch(1) }),
-            NetMsg::Baseline(SbMsg::Raft(crate::raft::RaftMsg::VoteResponse {
-                term: 0,
-                granted: true,
-            })),
+            NetMsg::Sb {
+                instance: InstanceId::new(0, 0),
+                msg: SbMsg::Raft(crate::raft::RaftMsg::VoteResponse {
+                    term: 0,
+                    granted: true,
+                }),
+            },
         ] {
             assert!(encode_net_msg(&msg, &mut buf).is_err(), "{msg:?}");
         }
@@ -782,7 +778,13 @@ mod tests {
                 "prefix of length {cut} decoded"
             );
         }
-        let mut garbage = Bytes::from_static(&[99, 1, 2, 3]);
-        assert!(decode_net_msg(&mut garbage).is_err());
+        // Unassigned tags, including 2 (no `NetMsg` variant encodes to it).
+        for tag in [2u8, 99] {
+            let mut garbage = Bytes::from(vec![tag, 1, 2, 3]);
+            match decode_net_msg(&mut garbage) {
+                Err(Error::Codec(e)) => assert_eq!(e, format!("invalid net message tag {tag}")),
+                other => panic!("tag {tag} decoded: {other:?}"),
+            }
+        }
     }
 }
