@@ -1,11 +1,10 @@
 //! Criterion micro-benchmarks of the building blocks: hashing, signatures,
 //! batch signature verification, request-digest memoization, proposal
-//! validation and delivery bookkeeping, the simulator's safety checker, the
-//! CPU-model scheduler (heap vs scan), Merkle trees, bucket mapping, batch
-//! cutting, the binary codec, a full PBFT three-phase round for one batch,
-//! the file WAL's checkpoint prune, the simnet event-queue engine (timing
-//! wheel vs the reference binary heap) and a fig8-scale simulation
-//! wall-clock smoke.
+//! validation and delivery bookkeeping, the delivery checker behind the
+//! simulator's metrics sink, the CPU-model scheduler, Merkle trees, bucket
+//! mapping, batch cutting, the binary codec, a full PBFT three-phase round
+//! for one batch, the file WAL's checkpoint prune, the simnet timing-wheel
+//! event queue and a fig8-scale simulation wall-clock smoke.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use iss_core::buckets::BucketQueues;
@@ -19,8 +18,8 @@ use iss_pbft::{PbftConfig, PbftInstance};
 use iss_sb::testing::LocalNet;
 use iss_sb::{ProposalValidator, SbInstance};
 use iss_sim::{run_scenario, CrashTiming, Protocol, Scenario};
-use iss_simnet::cpu::{CpuState, ReferenceCpuState};
-use iss_simnet::event::{EventKind, EventQueue, ReferenceQueue};
+use iss_simnet::cpu::CpuState;
+use iss_simnet::event::{EventKind, EventQueue};
 use iss_simnet::{Addr, Context as SimContext, Process, Runtime, RuntimeConfig, StageRole};
 use iss_types::{
     Batch, BucketId, ClientId, Duration, InstanceId, NodeId, Request, RequestId, Segment, Time,
@@ -285,7 +284,7 @@ fn bench_validate_proposal(c: &mut Criterion) {
     group.finish();
 }
 
-/// The simulator's always-on safety checker at the paper's largest PBFT
+/// The simulator's always-on delivery checker at the paper's largest PBFT
 /// shape: 32 nodes each deliver the same 2048 requests at the same global
 /// request sequence numbers, through the metrics sink every node feeds.
 fn bench_check_delivery(c: &mut Criterion) {
@@ -300,7 +299,7 @@ fn bench_check_delivery(c: &mut Criterion) {
     group.throughput(Throughput::Elements(32 * 2048));
     group.bench_function("check_delivery_n32_2048", |b| {
         b.iter_batched(
-            || MetricsSink::new(metrics_handle(NodeId(0), None)),
+            || MetricsSink::new(metrics_handle(32, NodeId(0), None)),
             |mut sink| {
                 for node in 0..32 {
                     for (nr, req) in requests.iter().enumerate() {
@@ -363,36 +362,21 @@ fn bench_file_prune(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The per-message CPU-model scheduling step at fig8-and-beyond core counts:
-/// the production heap vs the scan oracle it replaced, on a saturating
-/// workload (the regime where the scan degenerates to full sweeps).
+/// The per-message CPU-model scheduling step at fig8-and-beyond core counts,
+/// on a saturating workload.
 fn bench_cpu_schedule(c: &mut Criterion) {
     let mut group = c.benchmark_group("cpu");
     group.throughput(Throughput::Elements(1));
-    // Each variant gets its own identically-seeded stream so heap and scan
-    // are measured on the same arrival/cost sequence.
-    let fresh_draw = || {
+    group.bench_function("cpu_schedule_128cores", |b| {
+        let mut cpu = CpuState::new(128);
+        let mut arrival = Time::ZERO;
         let mut state = 0xDEAD_BEEFu64;
-        move || {
+        let mut draw = move || {
             state ^= state >> 12;
             state ^= state << 25;
             state ^= state >> 27;
             state
-        }
-    };
-    group.bench_function("cpu_schedule_128cores", |b| {
-        let mut cpu = CpuState::new(128);
-        let mut arrival = Time::ZERO;
-        let mut draw = fresh_draw();
-        b.iter(|| {
-            arrival += Duration::from_micros(draw() % 3);
-            cpu.schedule(arrival, Duration::from_micros(100 + draw() % 200))
-        })
-    });
-    group.bench_function("cpu_schedule_128cores_scan", |b| {
-        let mut cpu = ReferenceCpuState::new(128);
-        let mut arrival = Time::ZERO;
-        let mut draw = fresh_draw();
+        };
         b.iter(|| {
             arrival += Duration::from_micros(draw() % 3);
             cpu.schedule(arrival, Duration::from_micros(100 + draw() % 200))
@@ -483,8 +467,6 @@ use iss_bench::engine::next_delay_us;
 /// Steady-state event-engine throughput: hold the queue at a sim-realistic
 /// depth and, per element, pop the earliest event and push a successor at a
 /// randomized offset — exactly the simulator's pop→dispatch→push cycle.
-/// `wheel` is the production timing wheel, `heap` the pre-wheel BinaryHeap
-/// baseline measured in the same run for the before/after comparison.
 fn bench_simnet_event_throughput(c: &mut Criterion) {
     const DEPTH: usize = iss_bench::engine::DEPTH;
     let mut group = c.benchmark_group("simnet_event_throughput");
@@ -496,22 +478,6 @@ fn bench_simnet_event_throughput(c: &mut Criterion) {
 
     group.bench_function("wheel", |b| {
         let mut q: EventQueue<u32> = EventQueue::new();
-        let mut state = iss_bench::engine::WORKLOAD_SEED;
-        for i in 0..DEPTH {
-            q.push(Time::from_micros(next_delay_us(&mut state)), start_event(i));
-        }
-        b.iter(|| {
-            let e = q.pop().expect("queue is held at constant depth");
-            q.push(
-                e.at + Duration::from_micros(next_delay_us(&mut state)),
-                e.kind,
-            );
-            e.at
-        })
-    });
-
-    group.bench_function("heap", |b| {
-        let mut q: ReferenceQueue<u32> = ReferenceQueue::new();
         let mut state = iss_bench::engine::WORKLOAD_SEED;
         for i in 0..DEPTH {
             q.push(Time::from_micros(next_delay_us(&mut state)), start_event(i));

@@ -2,8 +2,9 @@
 //! over real sockets with per-node durable [`FileStorage`], loads it with
 //! open-loop clients, kills one replica mid-run, verifies the surviving
 //! 2f+1 keep delivering, restarts the victim and requires it to recover by
-//! replaying its own WAL and rejoin ordering — finishing with the pairwise
-//! agreement check over everything every node delivered.
+//! replaying its own WAL and rejoin ordering. Every delivery of every node,
+//! before and after the restart, goes through the online delivery checker
+//! (agreement and no duplication); the smoke fails on its first violation.
 //!
 //! This is the wall-clock twin of the simulator's crash-restart scenario
 //! (`recovery_smoke`): same protocol code behind the sans-IO runtime
@@ -107,9 +108,9 @@ fn main() -> ExitCode {
             .find(|(n, _, _)| *n == victim)
             .expect("recovery recorded");
         println!("recovery: wal_entries={replayed} snapshot_chunks={chunks}");
-        if let Err(e) = log.check_agreement(&nodes) {
+        if let Err(violation) = log.check() {
             drop(log);
-            return fail(cluster, &format!("agreement violated: {e}"));
+            return fail(cluster, &format!("{violation}"));
         }
         for n in &nodes {
             println!("delivered node={} count={}", n.0, log.delivered_at(*n));

@@ -118,6 +118,10 @@ fn run_tcp() -> bool {
         .telemetry_snapshot()
         .expect("telemetry-enabled cluster must produce a snapshot");
     let mut ok = check_phases(&snapshot, "tcp");
+    if let Err(violation) = commits.lock().unwrap().check() {
+        eprintln!("tcp: {violation}");
+        ok = false;
+    }
 
     let spans_ok = !snapshot.spans.is_empty();
     println!(

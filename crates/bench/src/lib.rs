@@ -12,9 +12,8 @@
 use iss_sim::experiments::Scale;
 
 pub mod engine {
-    //! Shared workload definition for the simnet event-engine measurements
-    //! (the `simnet_event_throughput` bench and the `perf_smoke` CI binary),
-    //! so both drive the queues with the identical push schedule.
+    //! The seeded delay stream of the `simnet_event_throughput` bench, which
+    //! also seeds the bytes the `perf_smoke` binary hashes.
 
     /// Deterministic xorshift64* delay stream: mostly sub-250 ms network/CPU
     /// style delays, occasionally seconds-out protocol timers.

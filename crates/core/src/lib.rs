@@ -16,6 +16,9 @@
 //! * [`validation`] — request validity (Section 3.7), client watermarks and
 //!   duplication prevention across segments and epochs; implements the
 //!   [`iss_sb::ProposalValidator`] hook used by the ordering protocols;
+//! * [`checker`] — the delivery checker every engine feeds: agreement and
+//!   no duplication of the global log, checked online at each delivery with
+//!   state bounded by the positions not every node has delivered yet;
 //! * [`checkpoint`] — the checkpointing sub-protocol and state transfer
 //!   (Section 3.5);
 //! * [`orderer`] — the Orderer side of the Manager/Orderer split
@@ -38,6 +41,7 @@
 //!   its own CPU budget, plus the orderer's hooks into them.
 
 pub mod buckets;
+pub mod checker;
 pub mod checkpoint;
 pub mod epoch;
 pub mod log;
@@ -49,6 +53,7 @@ pub mod state;
 pub mod validation;
 
 pub use buckets::{BucketAssignment, BucketQueues};
+pub use checker::{DeliveryChecker, Violation};
 pub use checkpoint::CheckpointManager;
 pub use epoch::EpochConfig;
 pub use log::IssLog;

@@ -6,12 +6,14 @@
 //! [`NodeOptions`], same orderer factory, same `ClientProcess`), swapping
 //! the discrete-event runtime for one [`TcpRuntime`] per process. Where the
 //! simulated deployment collects metrics through per-process `Rc` sinks,
-//! the TCP cluster's sinks funnel into one `Arc<Mutex<CommitLog>>` shared
-//! across node threads — the log is both the test oracle (agreement across
-//! nodes, recovery evidence) and the observable progress counter.
+//! the TCP cluster's sinks funnel into one `Arc<Mutex<ClusterLog>>` shared
+//! across node threads. Under that lock every delivery goes through the
+//! [`DeliveryChecker`] the simulator uses; the log keeps its first
+//! [`Violation`] (a protocol thread must not panic) and the progress
+//! counters, and no per-request history.
 
 use crate::runtime::{peer_table, PeerTable, TcpConfig, TcpHandle, TcpRuntime};
-use iss_core::{DeliverySink, IssNode, NodeOptions};
+use iss_core::{DeliveryChecker, DeliverySink, IssNode, NodeOptions, Violation};
 use iss_crypto::SignatureRegistry;
 use iss_sim::client_proc::ClientProcess;
 use iss_sim::{make_factory, Protocol, Scenario};
@@ -29,10 +31,11 @@ use std::sync::{Arc, Mutex};
 
 /// Everything the node sinks record, shared across the cluster's threads.
 #[derive(Default)]
-pub struct CommitLog {
-    /// `(node, request_seq_nr, request id)` per delivered request, in each
-    /// node's local delivery order.
-    pub delivered: Vec<(NodeId, u64, RequestId)>,
+pub struct ClusterLog {
+    /// Every delivery of every node goes through it.
+    checker: DeliveryChecker,
+    /// The first delivery the checker rejected.
+    violation: Option<Violation>,
     /// Per-node count of committed log entries and the highest committed
     /// sequence number (progress/diagnostic indicator).
     pub committed: HashMap<NodeId, (u64, SeqNr)>,
@@ -42,56 +45,58 @@ pub struct CommitLog {
     pub recoveries: Vec<(NodeId, u64, u64)>,
 }
 
-impl CommitLog {
+impl ClusterLog {
+    fn new(num_nodes: usize) -> Self {
+        ClusterLog {
+            checker: DeliveryChecker::new(num_nodes),
+            ..Default::default()
+        }
+    }
+
     /// Requests delivered at `node`.
     pub fn delivered_at(&self, node: NodeId) -> u64 {
-        self.delivered.iter().filter(|(n, _, _)| *n == node).count() as u64
+        self.checker.delivered_at(node)
     }
 
-    /// The `(request_seq_nr, request id)` sequence a node delivered, sorted
-    /// by request sequence number.
-    pub fn sequence_of(&self, node: NodeId) -> Vec<(u64, RequestId)> {
-        let mut seq: Vec<(u64, RequestId)> = self
-            .delivered
-            .iter()
-            .filter(|(n, _, _)| *n == node)
-            .map(|(_, sn, id)| (*sn, *id))
-            .collect();
-        seq.sort_unstable_by_key(|(sn, _)| *sn);
-        seq
-    }
-
-    /// Checks the agreement invariant: every pair of nodes must assign the
-    /// same request to every request sequence number both delivered.
-    pub fn check_agreement(&self, nodes: &[NodeId]) -> Result<(), String> {
-        let sequences: Vec<(NodeId, Vec<(u64, RequestId)>)> =
-            nodes.iter().map(|n| (*n, self.sequence_of(*n))).collect();
-        for (i, (na, a)) in sequences.iter().enumerate() {
-            for (nb, b) in &sequences[i + 1..] {
-                let common = a.len().min(b.len());
-                for k in 0..common {
-                    if a[k] != b[k] {
-                        return Err(format!(
-                            "divergence at position {k}: {na} delivered {:?}, {nb} \
-                             delivered {:?}",
-                            a[k], b[k]
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
+    /// The first agreement or duplication violation any node's delivery
+    /// caused so far.
+    pub fn check(&self) -> Result<(), Violation> {
+        self.violation.clone().map_or(Ok(()), Err)
     }
 }
 
-/// Shared handle to the cluster's commit log.
-pub type CommitLogHandle = Arc<Mutex<CommitLog>>;
+/// Shared handle to the cluster's log.
+pub type ClusterLogHandle = Arc<Mutex<ClusterLog>>;
 
-/// A [`DeliverySink`] writing into the shared [`CommitLog`]. Each node
+/// The delivery check after the run, for a harness that collects its
+/// deliveries itself: [`CommitLog::check_agreement`] replays them through a
+/// [`DeliveryChecker`].
+#[doc(hidden)]
+#[derive(Default)]
+pub struct CommitLog {
+    /// `(node, request_seq_nr, request id)` per delivered request.
+    pub delivered: Vec<(NodeId, u64, RequestId)>,
+}
+
+impl CommitLog {
+    /// Replays the deliveries of `nodes` through one [`DeliveryChecker`]
+    /// and returns its first violation.
+    pub fn check_agreement(&self, nodes: &[NodeId]) -> Result<(), String> {
+        let num_nodes = nodes.iter().map(|n| n.index() + 1).max().unwrap_or(0);
+        let mut checker = DeliveryChecker::new(num_nodes);
+        self.delivered
+            .iter()
+            .filter(|(node, _, _)| nodes.contains(node))
+            .try_for_each(|&(node, position, id)| checker.check(node, id, position))
+            .map_err(|violation| violation.to_string())
+    }
+}
+
+/// A [`DeliverySink`] writing into the shared [`ClusterLog`]. Each node
 /// thread constructs its own (the `Rc<RefCell<…>>` the node wants cannot
 /// cross threads); the `Arc` inside can.
 struct SharedSink {
-    log: CommitLogHandle,
+    log: ClusterLogHandle,
 }
 
 impl DeliverySink for SharedSink {
@@ -102,11 +107,10 @@ impl DeliverySink for SharedSink {
         request_seq_nr: u64,
         _now: Time,
     ) {
-        self.log
-            .lock()
-            .unwrap()
-            .delivered
-            .push((node, request_seq_nr, request.id));
+        let mut log = self.log.lock().expect("log poisoned by a panic");
+        if let Err(violation) = log.checker.check(node, request.id, request_seq_nr) {
+            log.violation.get_or_insert(violation);
+        }
     }
 
     fn on_batch_committed(&mut self, node: NodeId, seq_nr: SeqNr, _: usize, _: Time) {
@@ -187,7 +191,7 @@ pub struct TcpCluster {
     peers: PeerTable,
     nodes: Vec<Option<TcpHandle>>,
     clients: Vec<TcpHandle>,
-    commits: CommitLogHandle,
+    commits: ClusterLogHandle,
     /// One handle per replica, created at launch and reused across
     /// restarts, so a node's histograms accumulate over its incarnations.
     telemetry: Vec<TelemetryHandle>,
@@ -210,7 +214,7 @@ impl TcpCluster {
         // votes, so dropping them would wedge slots short of quorum forever.
         iss.buffer_early_votes = true;
         let peers = peer_table();
-        let commits: CommitLogHandle = Arc::new(Mutex::new(CommitLog::default()));
+        let commits = Arc::new(Mutex::new(ClusterLog::new(cfg.num_nodes)));
 
         let mut listeners = Vec::with_capacity(cfg.num_nodes);
         for n in 0..cfg.num_nodes as u32 {
@@ -251,8 +255,8 @@ impl TcpCluster {
         Ok(cluster)
     }
 
-    /// The shared commit log (test oracle and progress counter).
-    pub fn commits(&self) -> CommitLogHandle {
+    /// The shared log: safety verdict and progress counters.
+    pub fn commits(&self) -> ClusterLogHandle {
         Arc::clone(&self.commits)
     }
 
@@ -446,5 +450,57 @@ impl TcpCluster {
             None,
             builder,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Feeds `(node, client, timestamp, position)` deliveries through one
+    /// cluster sink, in order, and returns the log's verdict.
+    fn verdict(deliveries: &[(u32, u32, u64, u64)]) -> Result<(), Violation> {
+        let log = Arc::new(Mutex::new(ClusterLog::new(4)));
+        let mut sink = SharedSink {
+            log: Arc::clone(&log),
+        };
+        for &(node, client, timestamp, position) in deliveries {
+            let request = Request::synthetic(ClientId(client), timestamp, 16);
+            sink.on_request_delivered(NodeId(node), &request, position, Time::ZERO);
+        }
+        let verdict = log.lock().unwrap().check();
+        verdict
+    }
+
+    #[test]
+    fn the_first_violation_is_reported_and_not_overwritten() {
+        let c = |client, timestamp| RequestId::new(ClientId(client), timestamp);
+        // Node 1 diverges at 7; node 2 then delivers c0#8 twice.
+        let divergent = verdict(&[(0, 0, 7, 7), (1, 1, 7, 7), (2, 0, 8, 8), (2, 0, 8, 9)]);
+        let (node, position, first, delivered) = (NodeId(1), 7, c(0, 7), c(1, 7));
+        let agreement = Violation::Agreement {
+            node,
+            position,
+            first,
+            delivered,
+        };
+        assert_eq!(divergent, Err(agreement.clone()));
+        // Node 0 delivers c0#3 at 3 and again at 4; node 1 then diverges at 3.
+        let duplicate = verdict(&[(0, 0, 3, 3), (0, 0, 3, 4), (1, 1, 0, 3)]);
+        let (node, position, id) = (NodeId(0), 4, c(0, 3));
+        let duplicated = Violation::Duplicated { node, position, id };
+        assert_eq!(duplicate, Err(duplicated.clone()));
+        for (violation, prefix, names) in [
+            (
+                agreement,
+                "agreement violation",
+                ["number 7", "c0#7", "c1#7"],
+            ),
+            (duplicated, "duplicate delivery", ["number 4", "c0#3", "n0"]),
+        ] {
+            let text = violation.to_string();
+            assert!(text.starts_with(prefix), "{text}");
+            assert!(names.iter().all(|name| text.contains(name)), "{text}");
+        }
     }
 }

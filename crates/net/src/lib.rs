@@ -30,5 +30,5 @@ pub mod cluster;
 pub mod frame;
 pub mod runtime;
 
-pub use cluster::{CommitLog, CommitLogHandle, TcpCluster, TcpClusterConfig};
+pub use cluster::{ClusterLog, ClusterLogHandle, CommitLog, TcpCluster, TcpClusterConfig};
 pub use runtime::{peer_table, PeerTable, ProcessBuilder, TcpConfig, TcpHandle, TcpRuntime};

@@ -15,12 +15,10 @@ use iss_messages::{ClientMsg, NetMsg};
 use iss_net::frame;
 use iss_net::runtime::FLUSH_BYTES;
 use iss_net::{
-    peer_table, CommitLog, PeerTable, TcpCluster, TcpClusterConfig, TcpConfig, TcpHandle,
-    TcpRuntime,
+    peer_table, PeerTable, TcpCluster, TcpClusterConfig, TcpConfig, TcpHandle, TcpRuntime,
 };
 use iss_runtime::{Addr, Context, Process};
 use iss_types::{ClientId, Duration, NodeId, Request, RequestId, TimerId};
-use std::collections::HashSet;
 use std::io::{ErrorKind, Read};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -44,27 +42,6 @@ fn wait_until(deadline: StdDuration, mut done: impl FnMut() -> bool) -> bool {
         std::thread::sleep(StdDuration::from_millis(50));
     }
     done()
-}
-
-/// No request and no request sequence number may be delivered twice at any
-/// node: a chunk re-sent whole after a failed write puts duplicate frames on
-/// the wire, and they must die in the protocol, not in the log.
-fn assert_no_duplicate_delivery(log: &CommitLog, nodes: &[NodeId]) {
-    for node in nodes {
-        let seq = log.sequence_of(*node);
-        let seq_nrs: HashSet<u64> = seq.iter().map(|(sn, _)| *sn).collect();
-        let requests: HashSet<RequestId> = seq.iter().map(|(_, id)| *id).collect();
-        assert_eq!(
-            seq_nrs.len(),
-            seq.len(),
-            "{node} delivered a sequence number twice"
-        );
-        assert_eq!(
-            requests.len(),
-            seq.len(),
-            "{node} delivered a request twice"
-        );
-    }
 }
 
 /// The numbered message the transport tests exchange.
@@ -425,7 +402,7 @@ fn three_node_loopback_cluster_delivers_and_agrees() {
             delivered_everywhere,
             "every node must deliver ≥1000 requests, got {counts:?}"
         );
-        log.check_agreement(&nodes).expect("agreement invariant");
+        log.check().expect("agreement and no duplication");
     }
     cluster.shutdown();
 }
@@ -502,14 +479,14 @@ fn killed_node_recovers_from_its_wal_on_restart() {
         }),
         "the restarted node must deliver new requests"
     );
-    {
-        // Every survivor's writer to the victim had a write fail and wrote
-        // that chunk again on the new connection.
-        let log = commits.lock().unwrap();
-        log.check_agreement(&nodes)
-            .expect("agreement invariant across the crash-restart");
-        assert_no_duplicate_delivery(&log, &nodes);
-    }
+    // Every survivor's writer to the victim had a write fail and wrote that
+    // chunk again on the new connection: duplicate frames must die in the
+    // protocol, not in the log.
+    commits
+        .lock()
+        .unwrap()
+        .check()
+        .expect("agreement and no duplication across the crash-restart");
 
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&tmp);

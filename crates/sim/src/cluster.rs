@@ -171,7 +171,7 @@ impl Deployment {
                     .find(healthy)
             })
             .unwrap_or(NodeId(0));
-        let metrics = metrics_handle(observer, Some(Rc::clone(&workload)));
+        let metrics = metrics_handle(scenario.num_nodes, observer, Some(Rc::clone(&workload)));
         if !scenario.adversary.is_empty() {
             // Liveness gates need the observer's per-request delivery times;
             // the map stays empty (and unallocated) in benign runs.

@@ -1,35 +1,15 @@
 //! Metrics collection: throughput time series, latency statistics and
 //! progress counters, shared between the harness and the node processes.
 //!
-//! Beyond measurement, the sink doubles as a cluster-wide safety checker:
-//! every delivery from every node flows through it, so it is the one place
-//! that can assert the safety of the one global log a correct SMR run
-//! builds. It checks three invariants, keyed by the global request sequence
-//! number of Equation 2 (a request's *position*):
-//!
-//! 1. *Agreement* — every node delivers the same request at a position:
-//!    the first delivery at a position records the request's id hash there,
-//!    and every later delivery at it must match.
-//! 2. *No duplication in the log* — a request occupies one position at
-//!    most: the id hash → position map is filled once per position, and a
-//!    request recorded at a second position panics.
-//! 3. *No re-delivery* — a node delivers each position at most once: each
-//!    node keeps a bitmap of the positions it delivered, which catches a
-//!    position delivered again after a crash-restart from durable storage.
-//!    Nodes may report positions out of order (the pipeline's executor
-//!    stages do) and may skip positions (a snapshot install).
-//!
-//! Together these imply the per-node property *a node never delivers the
-//! same request twice*: if node `k` delivered request `r` at positions `p`
-//! and `q`, then `p = q` is caught by (3), and for `p ≠ q` agreement (1)
-//! says both positions hold `r`, which (2) rejects. The state is dense: one
-//! id hash per position, one map entry per position, and one bit per node
-//! per position, instead of a hash-set entry per node per request.
-//! Violations panic; the checker never prints, so deterministic experiment
-//! stdout is unaffected.
+//! Beyond measurement, the sink is where the simulator checks safety: every
+//! delivery from every node flows through it into one
+//! [`DeliveryChecker`], and a [`Violation`](iss_core::Violation) panics at
+//! the delivery that caused it (see [`iss_core::checker`] for the
+//! invariants and the argument). The checker never prints, so
+//! deterministic experiment stdout is unaffected.
 
-use iss_core::DeliverySink;
-use iss_types::{BitWindow, EpochNr, Error, FxHashMap, NodeId, Request, RequestId, SeqNr, Time};
+use iss_core::{DeliveryChecker, DeliverySink};
+use iss_types::{EpochNr, Error, NodeId, Request, RequestId, SeqNr, Time};
 use iss_workload::{LatencyStats, ThroughputTimeline, Workload};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -58,83 +38,9 @@ impl RecoveryEvent {
     }
 }
 
-/// Marks a position no delivery has reached yet in
-/// [`SafetyInvariants::by_position`] (id hashes are never zero).
-const UNASSIGNED: u64 = 0;
-
-/// Cluster-wide safety invariants, fed by every delivery (see module docs).
-#[derive(Default)]
-struct SafetyInvariants {
-    /// Per global request sequence number: hash of the request id the first
-    /// node to reach that position delivered there, or [`UNASSIGNED`].
-    by_position: Vec<u64>,
-    /// Request id hash → the one position it was delivered at.
-    position_of: FxHashMap<u64, u64>,
-    /// Per node (indexed by node id): the positions it delivered.
-    delivered: Vec<BitWindow>,
-}
-
-/// FNV-1a over (client, timestamp), never zero: collisions are negligible
-/// for checking, and hashing keeps the per-position footprint at 8 bytes
-/// instead of the full id.
-fn id_hash(id: RequestId) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in id
-        .client
-        .0
-        .to_le_bytes()
-        .into_iter()
-        .chain(id.timestamp.to_le_bytes())
-    {
-        h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h.max(1)
-}
-
-impl SafetyInvariants {
-    fn check_delivery(&mut self, node: NodeId, request: &Request, request_seq_nr: u64) {
-        let id = request.id;
-        let h = id_hash(id);
-        let position = request_seq_nr as usize;
-        if position >= self.by_position.len() {
-            self.by_position.resize(position + 1, UNASSIGNED);
-        }
-        let assigned = &mut self.by_position[position];
-        if *assigned == UNASSIGNED {
-            *assigned = h;
-            if let Some(first) = self.position_of.insert(h, request_seq_nr) {
-                panic!(
-                    "duplicate delivery: node {node:?} delivered request {id:?} at global \
-                     sequence number {request_seq_nr}, but it was delivered at {first} already"
-                );
-            }
-        } else {
-            assert_eq!(
-                *assigned, h,
-                "agreement violation: node {node:?} delivered a different request \
-                 at global sequence number {request_seq_nr} than an earlier node"
-            );
-        }
-        let node_index = node.0 as usize;
-        if node_index >= self.delivered.len() {
-            self.delivered
-                .resize_with(node_index + 1, BitWindow::default);
-        }
-        let delivered = &mut self.delivered[node_index];
-        assert!(
-            delivered.insert(request_seq_nr),
-            "duplicate delivery: node {node:?} delivered global sequence number \
-             {request_seq_nr} (request {id:?}) twice"
-        );
-        delivered.advance();
-    }
-}
-
 /// Aggregated measurements of one run.
 #[derive(Default)]
 pub struct Metrics {
-    /// Requests delivered per node.
-    pub delivered_per_node: FxHashMap<NodeId, u64>,
     /// Throughput time series measured at the observer node.
     pub timeline: ThroughputTimeline,
     /// End-to-end latency (submission to delivery at the observer node).
@@ -169,26 +75,26 @@ pub struct Metrics {
     /// First delivery time of each request at the observer node (populated
     /// only when [`Metrics::track_deliveries`] is set).
     pub delivered_at: HashMap<RequestId, Time>,
-    /// Safety-invariant state (always on; panics on violation).
-    invariants: SafetyInvariants,
+    /// Checks every delivery of every node (always on; the sink panics on
+    /// a violation) and counts deliveries per node.
+    pub checker: DeliveryChecker,
 }
 
 impl Metrics {
-    /// Creates metrics for a run observed at `observer`.
-    pub fn new(observer: NodeId, workload: Option<Rc<dyn Workload>>) -> Self {
+    /// Creates metrics for a run of `num_nodes` nodes observed at
+    /// `observer`.
+    pub fn new(num_nodes: usize, observer: NodeId, workload: Option<Rc<dyn Workload>>) -> Self {
         Metrics {
             observer,
             workload,
+            checker: DeliveryChecker::new(num_nodes),
             ..Default::default()
         }
     }
 
     /// Total requests delivered at the observer node.
     pub fn observer_delivered(&self) -> u64 {
-        self.delivered_per_node
-            .get(&self.observer)
-            .copied()
-            .unwrap_or(0)
+        self.checker.delivered_at(self.observer)
     }
 
     /// Average delivered throughput at the observer over `[from, until)`.
@@ -200,9 +106,13 @@ impl Metrics {
 /// Shared handle to the run's metrics.
 pub type MetricsHandle = Rc<RefCell<Metrics>>;
 
-/// Creates a fresh shared metrics handle.
-pub fn metrics_handle(observer: NodeId, workload: Option<Rc<dyn Workload>>) -> MetricsHandle {
-    Rc::new(RefCell::new(Metrics::new(observer, workload)))
+/// Creates a fresh shared metrics handle for a run of `num_nodes` nodes.
+pub fn metrics_handle(
+    num_nodes: usize,
+    observer: NodeId,
+    workload: Option<Rc<dyn Workload>>,
+) -> MetricsHandle {
+    Rc::new(RefCell::new(Metrics::new(num_nodes, observer, workload)))
 }
 
 /// The [`DeliverySink`] installed into every node, funnelling observations
@@ -227,8 +137,9 @@ impl DeliverySink for MetricsSink {
         now: Time,
     ) {
         let mut m = self.metrics.borrow_mut();
-        m.invariants.check_delivery(node, request, request_seq_nr);
-        *m.delivered_per_node.entry(node).or_insert(0) += 1;
+        if let Err(violation) = m.checker.check(node, request.id, request_seq_nr) {
+            panic!("{violation}");
+        }
         if node == m.observer {
             m.timeline.record(now, 1);
             if let Some(workload) = m.workload.clone() {
@@ -304,7 +215,7 @@ mod tests {
     #[test]
     fn sink_records_observer_only_series() {
         let schedule: Rc<dyn Workload> = Rc::new(OpenLoop::new(1, 100.0, Time::ZERO));
-        let handle = metrics_handle(NodeId(1), Some(schedule));
+        let handle = metrics_handle(4, NodeId(1), Some(schedule));
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         let req = Request::synthetic(ClientId(0), 0, 500);
         sink.on_request_delivered(NodeId(0), &req, 0, Time::from_millis(50));
@@ -315,7 +226,7 @@ mod tests {
 
         let m = handle.borrow();
         assert_eq!(m.observer_delivered(), 1);
-        assert_eq!(*m.delivered_per_node.get(&NodeId(0)).unwrap(), 1);
+        assert_eq!(m.checker.delivered_at(NodeId(0)), 1);
         assert_eq!(m.timeline.total(), 1);
         assert_eq!(m.batches_committed, 2);
         assert_eq!(m.nil_committed, 1);
@@ -328,7 +239,7 @@ mod tests {
         // Request #10 of a 100 req/s client is submitted at 100 ms; delivered
         // at 350 ms → latency 250 ms.
         let schedule: Rc<dyn Workload> = Rc::new(OpenLoop::new(1, 100.0, Time::ZERO));
-        let handle = metrics_handle(NodeId(0), Some(schedule));
+        let handle = metrics_handle(4, NodeId(0), Some(schedule));
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         let req = Request::synthetic(ClientId(0), 10, 500);
         sink.on_request_delivered(NodeId(0), &req, 0, Time::from_millis(350));
@@ -337,7 +248,7 @@ mod tests {
 
     #[test]
     fn recovery_events_pair_start_and_completion() {
-        let handle = metrics_handle(NodeId(0), None);
+        let handle = metrics_handle(4, NodeId(0), None);
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         sink.on_recovery_started(NodeId(1), Time::from_secs(6));
         // Re-entering recovery keeps the earliest start.
@@ -357,7 +268,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "agreement violation")]
     fn conflicting_delivery_at_same_position_panics() {
-        let handle = metrics_handle(NodeId(0), None);
+        let handle = metrics_handle(4, NodeId(0), None);
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         sink.on_request_delivered(
             NodeId(0),
@@ -376,7 +287,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate delivery")]
     fn redelivering_a_request_on_the_same_node_panics() {
-        let handle = metrics_handle(NodeId(0), None);
+        let handle = metrics_handle(4, NodeId(0), None);
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         let req = Request::synthetic(ClientId(0), 4, 16);
         sink.on_request_delivered(NodeId(0), &req, 10, Time::ZERO);
@@ -386,7 +297,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate delivery")]
     fn redelivering_a_position_after_a_restart_panics() {
-        let handle = metrics_handle(NodeId(0), None);
+        let handle = metrics_handle(4, NodeId(0), None);
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         for ts in 0..3 {
             let req = Request::synthetic(ClientId(0), ts, 16);
@@ -400,7 +311,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate delivery")]
     fn one_request_at_two_positions_on_different_nodes_panics() {
-        let handle = metrics_handle(NodeId(0), None);
+        let handle = metrics_handle(4, NodeId(0), None);
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         let req = Request::synthetic(ClientId(3), 9, 16);
         sink.on_request_delivered(NodeId(0), &req, 4, Time::ZERO);
@@ -409,7 +320,7 @@ mod tests {
 
     #[test]
     fn out_of_order_positions_from_executor_stages_pass() {
-        let handle = metrics_handle(NodeId(0), None);
+        let handle = metrics_handle(4, NodeId(0), None);
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         // Two executors per node: odd positions overtake even ones.
         let order = [1u64, 3, 0, 5, 2, 4, 7, 6, 200, 130, 64, 63];
@@ -419,12 +330,12 @@ mod tests {
                 sink.on_request_delivered(NodeId(node), &req, pos, Time::ZERO);
             }
         }
-        assert_eq!(handle.borrow().delivered_per_node[&NodeId(1)], 12);
+        assert_eq!(handle.borrow().checker.delivered_at(NodeId(1)), 12);
     }
 
     #[test]
     fn skipped_positions_after_a_snapshot_install_pass() {
-        let handle = metrics_handle(NodeId(0), None);
+        let handle = metrics_handle(4, NodeId(0), None);
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         let deliver = |sink: &mut MetricsSink, node: u32, pos: u64| {
             let req = Request::synthetic(ClientId(2), pos, 16);
@@ -442,12 +353,12 @@ mod tests {
             deliver(&mut sink, 1, pos);
             deliver(&mut sink, 0, pos);
         }
-        assert_eq!(handle.borrow().delivered_per_node[&NodeId(1)], 210);
+        assert_eq!(handle.borrow().checker.delivered_at(NodeId(1)), 210);
     }
 
     #[test]
     fn rejections_are_counted_per_node_and_split_by_replay() {
-        let handle = metrics_handle(NodeId(0), None);
+        let handle = metrics_handle(4, NodeId(0), None);
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         let req = Request::synthetic(ClientId(0), 0, 16);
         sink.on_request_rejected(
@@ -467,14 +378,14 @@ mod tests {
 
     #[test]
     fn delivery_times_are_tracked_only_when_enabled() {
-        let handle = metrics_handle(NodeId(0), None);
+        let handle = metrics_handle(4, NodeId(0), None);
         let req = Request::synthetic(ClientId(0), 3, 16);
         {
             let mut sink = MetricsSink::new(Rc::clone(&handle));
             sink.on_request_delivered(NodeId(0), &req, 0, Time::from_millis(5));
         }
         assert!(handle.borrow().delivered_at.is_empty());
-        let tracked = metrics_handle(NodeId(0), None);
+        let tracked = metrics_handle(4, NodeId(0), None);
         tracked.borrow_mut().track_deliveries = true;
         {
             let mut sink = MetricsSink::new(Rc::clone(&tracked));
@@ -488,7 +399,7 @@ mod tests {
 
     #[test]
     fn matching_deliveries_across_nodes_pass_the_checker() {
-        let handle = metrics_handle(NodeId(0), None);
+        let handle = metrics_handle(4, NodeId(0), None);
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         for node in 0..3 {
             for ts in 0..50 {
@@ -496,6 +407,7 @@ mod tests {
                 sink.on_request_delivered(NodeId(node), &req, ts, Time::ZERO);
             }
         }
-        assert_eq!(handle.borrow().delivered_per_node.len(), 3);
+        let m = handle.borrow();
+        assert!((0..3).all(|node| m.checker.delivered_at(NodeId(node)) == 50));
     }
 }

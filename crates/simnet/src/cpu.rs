@@ -70,15 +70,16 @@ impl CpuModel {
 ///
 /// Core free-times are held in a binary min-heap, so the earliest-free core
 /// is always the cached root: scheduling one message is a root read plus one
-/// sift-down (≤ log₂ cores comparisons) instead of the up-to-`cores`-entry
-/// array scan of [`ReferenceCpuState`] — the per-message cost the 64/128-node
-/// simulations were bottlenecked on.
+/// sift-down (≤ log₂ cores comparisons) instead of an up-to-`cores`-entry
+/// array scan — the per-message cost the 64/128-node simulations were
+/// bottlenecked on.
 ///
 /// # Equivalence to the scan implementation
 ///
-/// Completion times are bit-identical to [`ReferenceCpuState`] for any
-/// workload with monotonically non-decreasing arrivals (which a
-/// discrete-event run guarantees). The core free-times form a *multiset*:
+/// Completion times are bit-identical to the scan's (first idle core by
+/// index, else the earliest-free one) for any workload with monotonically
+/// non-decreasing arrivals (which a discrete-event run guarantees). The
+/// core free-times form a *multiset*:
 /// which index holds which value never influences an outcome, because a
 /// schedule decision depends only on (a) whether some core is idle
 /// (`free_at <= arrival` — the heap root is `<= arrival` iff any entry is)
@@ -87,7 +88,8 @@ impl CpuModel {
 /// idle by index, the heap picks the root — yields equivalent multisets:
 /// both retired values are `<= arrival`, and with arrivals never decreasing,
 /// values `<= arrival` are indistinguishable forever after ("idle is idle").
-/// The property test in `tests/wheel_equivalence.rs` exercises exactly this.
+/// The property tests in `tests/wheel_equivalence.rs` check exactly this
+/// against the scan.
 #[derive(Clone, Debug)]
 pub struct CpuState {
     /// Binary min-heap of per-core free times (`heap[0]` is the minimum;
@@ -150,48 +152,6 @@ impl CpuState {
     }
 }
 
-/// The pre-heap scan implementation of [`CpuState`], kept as the oracle the
-/// heap is property-tested and benchmarked against.
-#[derive(Clone, Debug)]
-pub struct ReferenceCpuState {
-    core_free_at: Vec<Time>,
-}
-
-impl ReferenceCpuState {
-    /// Creates an idle CPU with `cores` cores.
-    pub fn new(cores: usize) -> Self {
-        ReferenceCpuState {
-            core_free_at: vec![Time::ZERO; cores.max(1)],
-        }
-    }
-
-    /// Scan-based scheduling: first idle core by index, else the full
-    /// earliest-free scan.
-    pub fn schedule(&mut self, arrival: Time, cost: Duration) -> Time {
-        let mut min_idx = 0;
-        let mut min_free = Time(u64::MAX);
-        for (idx, &free_at) in self.core_free_at.iter().enumerate() {
-            if free_at <= arrival {
-                let done = arrival + cost;
-                self.core_free_at[idx] = done;
-                return done;
-            }
-            if free_at < min_free {
-                min_free = free_at;
-                min_idx = idx;
-            }
-        }
-        let done = min_free + cost;
-        self.core_free_at[min_idx] = done;
-        done
-    }
-
-    /// The earliest time at which any core is free.
-    pub fn earliest_free(&self) -> Time {
-        *self.core_free_at.iter().min().expect("at least one core")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,6 +206,21 @@ mod tests {
         assert_eq!(cpu.earliest_free(), Time::from_millis(4));
     }
 
+    /// The per-core scan the heap replaced: first idle core by index, else
+    /// the earliest-free core.
+    fn scan_schedule(core_free_at: &mut [Time], arrival: Time, cost: Duration) -> Time {
+        if let Some(free_at) = core_free_at.iter_mut().find(|f| **f <= arrival) {
+            *free_at = arrival + cost;
+            return *free_at;
+        }
+        let earliest = core_free_at
+            .iter_mut()
+            .min_by_key(|f| **f)
+            .expect("at least one core");
+        *earliest += cost;
+        *earliest
+    }
+
     #[test]
     fn heap_matches_reference_scan_on_bursty_workload() {
         // Deterministic xorshift workload with non-decreasing arrivals:
@@ -253,7 +228,7 @@ mod tests {
         // counts. Completion times must be bit-identical, pop for pop.
         for cores in [1usize, 2, 3, 32] {
             let mut heap = CpuState::new(cores);
-            let mut scan = ReferenceCpuState::new(cores);
+            let mut scan = vec![Time::ZERO; cores];
             let mut state = 0x9E37_79B9u64;
             let mut arrival = Time::ZERO;
             for step in 0..5_000u64 {
@@ -267,7 +242,7 @@ mod tests {
                 let cost = Duration::from_micros(state % 200);
                 assert_eq!(
                     heap.schedule(arrival, cost),
-                    scan.schedule(arrival, cost),
+                    scan_schedule(&mut scan, arrival, cost),
                     "divergence at step {step} with {cores} cores"
                 );
                 // `earliest_free` is NOT asserted equal: the heap retires the

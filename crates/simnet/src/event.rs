@@ -22,14 +22,14 @@
 //!
 //! Push and pop are O(1) amortized for in-window events; far-future events
 //! pay one extra O(log n) detour through the overflow map. The pop order is
-//! *exactly* the `(time, seq)` order of the reference heap implementation
-//! ([`ReferenceQueue`]), which a property test asserts over randomized
+//! *exactly* the `(time, seq)` order of a binary heap, which
+//! `tests/wheel_equivalence.rs` asserts against such a heap over randomized
 //! workloads.
 
 use crate::process::Addr;
 use iss_types::{Time, TimerId};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// A scheduled event.
 #[derive(Debug)]
@@ -103,7 +103,8 @@ impl<M> PartialOrd for Event<M> {
 }
 impl<M> Ord for Event<M> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
+        // Inverted: a sorted slot holds its earliest event last, where
+        // `Vec::pop` drains it.
         other
             .at
             .cmp(&self.at)
@@ -288,59 +289,6 @@ impl<M> EventQueue<M> {
     }
 }
 
-/// The reference event queue: a plain binary heap ordered by `(time, seq)`.
-///
-/// This is the pre-timing-wheel implementation, kept as the behavioural
-/// oracle for the wheel's equivalence property test and as the baseline the
-/// `simnet_event_throughput` benchmark measures the wheel against.
-pub struct ReferenceQueue<M> {
-    heap: BinaryHeap<Event<M>>,
-    next_seq: u64,
-}
-
-impl<M> Default for ReferenceQueue<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> ReferenceQueue<M> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        ReferenceQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules an event at time `at`.
-    pub fn push(&mut self, at: Time, kind: EventKind<M>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Event { at, seq, kind });
-    }
-
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<Event<M>> {
-        self.heap.pop()
-    }
-
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,45 +387,38 @@ mod tests {
     #[test]
     fn interleaved_push_pop_across_window_reanchors() {
         // Mimics the simulator: pop an event, schedule follow-ups relative to
-        // its time, repeat. Times repeatedly cross the wheel horizon.
-        let mut q: EventQueue<u32> = EventQueue::new();
-        let mut r: ReferenceQueue<u32> = ReferenceQueue::new();
-        for i in 0..4u64 {
-            let t = Time::from_millis(i * 2_800);
+        // its time, repeat. Times repeatedly cross the wheel horizon. The
+        // oracle is a plain min-heap of `(time, push order)`.
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        type Oracle = BinaryHeap<Reverse<(Time, u64)>>;
+        fn push(q: &mut EventQueue<u32>, r: &mut Oracle, pushed: &mut u64, t: Time, node: u32) {
+            r.push(Reverse((t, *pushed)));
+            *pushed += 1;
             q.push(
                 t,
                 EventKind::Start {
-                    addr: Addr::Node(NodeId(i as u32)),
-                },
-            );
-            r.push(
-                t,
-                EventKind::Start {
-                    addr: Addr::Node(NodeId(i as u32)),
+                    addr: Addr::Node(NodeId(node)),
                 },
             );
         }
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut r = Oracle::new();
+        let mut pushed = 0u64;
+        for i in 0..4u64 {
+            let t = Time::from_millis(i * 2_800);
+            push(&mut q, &mut r, &mut pushed, t, i as u32);
+        }
         let mut popped = Vec::new();
         while let Some(e) = q.pop() {
-            let re = r.pop().expect("reference has the same events");
-            assert_eq!(e.at, re.at);
+            let Reverse((rt, _)) = r.pop().expect("reference has the same events");
+            assert_eq!(e.at, rt);
             popped.push(e.at);
             if popped.len() < 64 {
                 // Two follow-ups: one near, one past the horizon.
                 for delay in [150u64, 5_100_000] {
                     let t = e.at + iss_types::Duration::from_micros(delay);
-                    q.push(
-                        t,
-                        EventKind::Start {
-                            addr: Addr::Node(NodeId(9)),
-                        },
-                    );
-                    r.push(
-                        t,
-                        EventKind::Start {
-                            addr: Addr::Node(NodeId(9)),
-                        },
-                    );
+                    push(&mut q, &mut r, &mut pushed, t, 9);
                 }
             }
         }

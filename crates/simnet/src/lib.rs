@@ -33,9 +33,8 @@
 //!   window that cascades back in when the window re-anchors. Push and pop are
 //!   O(1) amortized for the near-future events that dominate; the cached
 //!   global minimum makes `peek_time` O(1). The pre-wheel `BinaryHeap`
-//!   implementation survives as [`event::ReferenceQueue`], the oracle for
-//!   the equivalence property test and the baseline for the
-//!   `simnet_event_throughput` benchmark.
+//!   implementation survives in `tests/wheel_equivalence.rs`, as the
+//!   oracle of the equivalence property tests.
 //! * **Slab-indexed processes** ([`runtime::Runtime`]). Processes and their
 //!   CPU state live in one dense `Vec` addressed through `NodeId`/`ClientId`
 //!   → slot tables, so dispatching an event is two array indexes — no map
@@ -72,7 +71,7 @@ pub mod topology;
 
 pub use bandwidth::BandwidthConfig;
 pub use cpu::CpuModel;
-pub use event::{EventQueue, ReferenceQueue};
+pub use event::EventQueue;
 pub use fault::{CrashSchedule, FaultConfig, LossWindow, Partition};
 pub use iss_runtime::{Driver, Event};
 pub use process::{Addr, Context, Payload, Process, StageRole};

@@ -1,20 +1,77 @@
-//! Equivalence property tests: the timing-wheel [`EventQueue`] must pop the
-//! exact `(time, seq)` sequence of the reference `BinaryHeap` queue for
-//! randomized push/pop/cancel workloads, including same-time ties, and the
-//! generation-stamped [`TimerSlab`] must suppress exactly the timers a
-//! tombstone-set model would suppress.
+//! Equivalence property tests against the oracles the engine replaced: the
+//! timing-wheel [`EventQueue`] must pop the exact `(time, seq)` sequence of
+//! a `BinaryHeap` queue, the generation-stamped [`TimerSlab`] must fire
+//! exactly the timers a tombstone-set model fires, and the heap-based
+//! [`CpuState`] must complete work exactly when the per-core scan did.
 //!
 //! The workloads are generated from seeded RNGs, so failures are perfectly
 //! reproducible; well over 1000 randomized cases run across the tests.
 
-use iss_simnet::cpu::{CpuState, ReferenceCpuState};
-use iss_simnet::event::{EventKind, EventQueue, ReferenceQueue};
+use iss_simnet::cpu::CpuState;
+use iss_simnet::event::{EventKind, EventQueue};
 use iss_simnet::process::Addr;
 use iss_simnet::timer::TimerSlab;
 use iss_types::{Duration, NodeId, Time, TimerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
+
+/// The pre-wheel event queue, reduced to what the wheel is checked against:
+/// a binary min-heap of `(time, push sequence number, event identity)`.
+#[derive(Default)]
+struct ReferenceQueue {
+    heap: BinaryHeap<Reverse<(Time, u64, u64)>>,
+    pushed: u64,
+}
+
+impl ReferenceQueue {
+    fn push(&mut self, at: Time, ident: u64) {
+        self.heap.push(Reverse((at, self.pushed, ident)));
+        self.pushed += 1;
+    }
+
+    fn pop(&mut self) -> Option<(Time, u64)> {
+        self.heap.pop().map(|Reverse((at, _, ident))| (at, ident))
+    }
+
+    fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+}
+
+/// The pre-heap CPU model: first idle core by index, else a full scan for
+/// the earliest-free core.
+struct ReferenceCpuState {
+    core_free_at: Vec<Time>,
+}
+
+impl ReferenceCpuState {
+    fn new(cores: usize) -> Self {
+        ReferenceCpuState {
+            core_free_at: vec![Time::ZERO; cores.max(1)],
+        }
+    }
+
+    fn schedule(&mut self, arrival: Time, cost: Duration) -> Time {
+        let mut min_idx = 0;
+        let mut min_free = Time(u64::MAX);
+        for (idx, &free_at) in self.core_free_at.iter().enumerate() {
+            if free_at <= arrival {
+                let done = arrival + cost;
+                self.core_free_at[idx] = done;
+                return done;
+            }
+            if free_at < min_free {
+                min_free = free_at;
+                min_idx = idx;
+            }
+        }
+        let done = min_free + cost;
+        self.core_free_at[min_idx] = done;
+        done
+    }
+}
 
 /// Identity of a pushed event, recovered from the payload on pop.
 fn ident(kind: &EventKind<u64>) -> u64 {
@@ -53,6 +110,9 @@ fn draw_time(rng: &mut StdRng, anchor: Time, prev: Time) -> Time {
     }
 }
 
+/// The simulator's pattern — push relative to the last popped time, pop the
+/// earliest — with a fifth of the pushes past the wheel's window, so the
+/// window re-anchors and cascades the overflow back in again and again.
 #[test]
 fn wheel_pops_identical_sequences_to_reference_heap() {
     let mut cases = 0u32;
@@ -60,7 +120,7 @@ fn wheel_pops_identical_sequences_to_reference_heap() {
         cases += 1;
         let mut rng = StdRng::seed_from_u64(0xBEEF_CAFE ^ seed);
         let mut wheel: EventQueue<u64> = EventQueue::new();
-        let mut heap: ReferenceQueue<u64> = ReferenceQueue::new();
+        let mut heap = ReferenceQueue::default();
         let mut next_ident = 0u64;
         let mut anchor = Time::ZERO;
         let mut prev = Time::ZERO;
@@ -72,31 +132,17 @@ fn wheel_pops_identical_sequences_to_reference_heap() {
                 prev = at;
                 let n = rng.gen_range(1usize..4); // bursts create ties
                 for _ in 0..n {
-                    let id = next_ident;
+                    let (from, to) = (Addr::Node(NodeId(0)), Addr::Node(NodeId(1)));
+                    let msg = next_ident;
+                    wheel.push(at, EventKind::Deliver { from, to, msg });
+                    heap.push(at, msg);
                     next_ident += 1;
-                    wheel.push(
-                        at,
-                        EventKind::Deliver {
-                            from: Addr::Node(NodeId(0)),
-                            to: Addr::Node(NodeId(1)),
-                            msg: id,
-                        },
-                    );
-                    heap.push(
-                        at,
-                        EventKind::Deliver {
-                            from: Addr::Node(NodeId(0)),
-                            to: Addr::Node(NodeId(1)),
-                            msg: id,
-                        },
-                    );
                 }
             } else {
                 assert_eq!(wheel.peek_time(), heap.peek_time(), "seed {seed}");
-                assert_eq!(wheel.len(), heap.len(), "seed {seed}");
-                let (w, h) = (wheel.pop().unwrap(), heap.pop().unwrap());
-                assert_eq!(w.at, h.at, "seed {seed}");
-                assert_eq!(ident(&w.kind), ident(&h.kind), "seed {seed}");
+                assert_eq!(wheel.len(), heap.heap.len(), "seed {seed}");
+                let w = wheel.pop().unwrap();
+                assert_eq!((w.at, ident(&w.kind)), heap.pop().unwrap(), "seed {seed}");
                 // The simulator schedules relative to the popped time.
                 anchor = w.at;
             }
@@ -106,10 +152,7 @@ fn wheel_pops_identical_sequences_to_reference_heap() {
             assert_eq!(wheel.peek_time(), heap.peek_time(), "seed {seed}");
             match (wheel.pop(), heap.pop()) {
                 (None, None) => break,
-                (Some(w), Some(h)) => {
-                    assert_eq!(w.at, h.at, "seed {seed}");
-                    assert_eq!(ident(&w.kind), ident(&h.kind), "seed {seed}");
-                }
+                (Some(w), Some(h)) => assert_eq!((w.at, ident(&w.kind)), h, "seed {seed}"),
                 _ => panic!("queues disagree on emptiness (seed {seed})"),
             }
         }
@@ -193,10 +236,11 @@ fn timer_slab_matches_tombstone_model() {
 }
 
 /// The heap-based [`CpuState`] must produce completion times bit-identical
-/// to the scan-based [`ReferenceCpuState`] for any workload with
+/// to the scan-based `ReferenceCpuState` for any workload with
 /// non-decreasing arrivals — the invariant the discrete-event runtime
 /// guarantees. 300 randomized workloads across core counts, mixing idle
-/// stretches, saturation bursts and zero-cost messages.
+/// stretches, saturation bursts (half the arrivals share the previous
+/// one's instant) and zero-cost messages.
 #[test]
 fn cpu_heap_matches_reference_scan() {
     for seed in 0..300u64 {

@@ -105,7 +105,8 @@
 //! single protocol thread per node, and a file write-ahead log each (one
 //! `write_all` per record, never synced: it survives the process, not the
 //! machine — see ROADMAP.md, storage item) — then loads them with open-loop clients on the wall clock and
-//! verifies pairwise agreement over everything delivered.
+//! checks every delivery online for agreement and no duplication, with the
+//! same [`core::DeliveryChecker`] the simulator's metrics sink uses.
 //! [`net::TcpCluster`] is the embeddable form of the same harness; the CI
 //! `tcp_smoke` gate additionally kills a replica under load and requires
 //! WAL-replay recovery and rejoin.

@@ -30,13 +30,7 @@ fn iss_pbft_smr_delivers_and_all_correct_nodes_agree_on_volume() {
     // requests because they assemble the same log.
     let metrics = deployment.metrics.borrow();
     let counts: Vec<u64> = (0..4u32)
-        .map(|n| {
-            metrics
-                .delivered_per_node
-                .get(&NodeId(n))
-                .copied()
-                .unwrap_or(0)
-        })
+        .map(|n| metrics.checker.delivered_at(NodeId(n)))
         .collect();
     assert!(
         counts.iter().all(|c| *c == counts[0]),
