@@ -1,19 +1,18 @@
-//! Benchmark harness regenerating every table and figure of the paper's
+//! Benchmark harness regenerating the tables and figures of the paper's
 //! evaluation (Section 6).
 //!
 //! * `cargo bench -p iss-bench --bench micro` — Criterion micro-benchmarks of
 //!   the substrates (hashing, Merkle trees, signatures, bucket mapping,
 //!   batch cutting, codec, PBFT instance stepping).
-//! * `cargo bench -p iss-bench --bench figures` — scaled-down regeneration of
-//!   every figure (prints the same series the paper plots).
-//! * `cargo run --release -p iss-bench --bin figN` — the individual
-//!   experiments at configurable scale (`ISS_SCALE=quick|default|paper`).
+//! * `cargo run --release -p iss-bench -- <command>` — the `iss-bench`
+//!   command: `table1`, `fig5` … `fig12` and `compartment-scale` print one
+//!   table or figure each at configurable scale (`ISS_SCALE=quick|default|paper`),
+//!   `smoke <name>` runs a CI gate and `diff` compares micro-bench baselines.
 
 use iss_sim::experiments::Scale;
 
 pub mod engine {
-    //! The seeded delay stream of the `simnet_event_throughput` bench, which
-    //! also seeds the bytes the `perf_smoke` binary hashes.
+    //! The seeded delay stream of the `simnet_event_throughput` bench.
 
     /// Deterministic xorshift64* delay stream: mostly sub-250 ms network/CPU
     /// style delays, occasionally seconds-out protocol timers.
@@ -75,26 +74,18 @@ pub mod authload {
     }
 }
 
-/// Reads the experiment scale from the `ISS_SCALE` environment variable
-/// (`quick`, `default` or `paper`). `ISS_FAULT_NODES` overrides the cluster
-/// size of the fault experiments (figures 7–9), e.g. to reproduce the
-/// full-scale n=32 crash runs at quick duration.
-pub fn scale_from_env() -> Scale {
-    scale_or(Scale::default())
-}
-
-/// The scale of the `*_smoke` binaries: like [`scale_from_env`], but `quick`
-/// when `ISS_SCALE` is unset.
-pub fn smoke_scale() -> Scale {
-    scale_or(Scale::quick())
-}
-
-fn scale_or(unset: Scale) -> Scale {
+/// The scale an `iss-bench` command runs at, read from `ISS_SCALE`
+/// (`quick`, `default` or `paper`). Unset, `smoke` gets `quick` and every
+/// other command the benchmark scale `default`. `ISS_FAULT_NODES` overrides
+/// the cluster size of the fault experiments (figures 7–9), e.g. to
+/// reproduce the full-scale n=32 crash runs at quick duration.
+pub fn scale_for(command: &str) -> Scale {
     let mut scale = match std::env::var("ISS_SCALE").as_deref() {
         Ok("quick") => Scale::quick(),
         Ok("paper") => Scale::paper(),
         Ok(_) => Scale::default(),
-        Err(_) => unset,
+        Err(_) if command == "smoke" => Scale::quick(),
+        Err(_) => Scale::default(),
     };
     if let Some(n) = std::env::var("ISS_FAULT_NODES")
         .ok()
@@ -105,20 +96,39 @@ fn scale_or(unset: Scale) -> Scale {
     scale
 }
 
-/// Prints a table header for a figure binary.
-pub fn header(figure: &str, description: &str) {
-    println!("# {figure}: {description}");
-    println!("# (reproduction on the simulated 16-datacenter WAN; see EXPERIMENTS.md)");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn same_scale(a: Scale, b: Scale) -> bool {
+        a.node_counts == b.node_counts
+            && a.duration_secs == b.duration_secs
+            && a.load_factor == b.load_factor
+    }
+
     #[test]
     fn scale_default_without_env() {
         std::env::remove_var("ISS_SCALE");
-        let s = scale_from_env();
-        assert!(s.duration_secs >= 12);
+        for figure in [
+            "table1",
+            "fig5",
+            "fig6",
+            "fig7",
+            "fig8",
+            "fig9",
+            "fig10",
+            "fig11",
+            "fig12",
+            "compartment-scale",
+        ] {
+            assert!(
+                same_scale(scale_for(figure), Scale::default()),
+                "{figure} must default to the benchmark scale"
+            );
+        }
+        assert!(
+            same_scale(scale_for("smoke"), Scale::quick()),
+            "smoke commands must default to quick scale"
+        );
     }
 }

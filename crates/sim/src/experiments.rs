@@ -382,7 +382,7 @@ pub fn compartment_scale(scale: Scale) -> Vec<CompartmentPoint> {
 
 // ---------------------------------------------------------------------------
 // Beyond-the-paper scenarios (new workload / fault shapes the Scenario API
-// opens up; exercised by the `experiments_smoke` CI binary).
+// opens up; exercised by the `iss-bench smoke experiments` CI gate).
 // ---------------------------------------------------------------------------
 
 /// Bursty on/off load on a small ISS-PBFT cluster: 3 s bursts separated by
@@ -482,7 +482,7 @@ pub fn scenario_lossy_window(scale: Scale) -> Report {
 
 // ---------------------------------------------------------------------------
 // Byzantine attack scenarios (the adversary subsystem of [`crate::adversary`];
-// exercised by the `byzantine_smoke` CI binary and its safety/liveness gates).
+// exercised by the `iss-bench smoke byzantine` CI gate).
 // ---------------------------------------------------------------------------
 
 /// The shared shape of the attack scenarios: 4 ISS-PBFT replicas (f = 1)

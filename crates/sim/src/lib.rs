@@ -36,7 +36,7 @@
 //! One experiment function per table/figure of the paper's evaluation
 //! (Section 6) lives in [`experiments`], alongside beyond-the-paper
 //! scenarios (bursty, skewed, partition-heal, lossy-window) exercised by the
-//! `experiments_smoke` CI binary.
+//! `iss-bench smoke experiments` CI gate.
 
 pub mod adversary;
 pub mod client_proc;

@@ -94,16 +94,10 @@ pub struct IssConfig {
     /// Size of the per-client watermark window (how many requests a client
     /// may have in flight, Section 3.7).
     pub client_watermark_window: u64,
-    /// Number of dummy sequence numbers appended to HotStuff segments to
-    /// flush the chained pipeline (Section 4.2.2 uses 3).
-    pub hotstuff_dummy_slots: u64,
     /// BACKOFF policy: initial ban period in epochs.
     pub backoff_ban_period: u64,
     /// BACKOFF policy: linear decrease of the ban period per correct epoch.
     pub backoff_decrease: u64,
-    /// Hard limit on the number of batches a PBFT leader may have in flight
-    /// ("rate-limiting proposals", Section 4.4.1).
-    pub max_inflight_proposals: usize,
     /// Whether PBFT instances buffer PREPAREs/COMMITs that arrive before the
     /// pre-prepare of their slot and replay them once it lands. Real
     /// transports (`iss-net`) need this: per-peer connections give no
@@ -134,10 +128,8 @@ impl IssConfig {
             view_change_timeout: Duration::from_secs(10),
             client_signatures: true,
             client_watermark_window: 1024,
-            hotstuff_dummy_slots: 3,
             backoff_ban_period: 4,
             backoff_decrease: 1,
-            max_inflight_proposals: 4,
             buffer_early_votes: false,
         }
     }
@@ -159,10 +151,8 @@ impl IssConfig {
             view_change_timeout: Duration::from_secs(10),
             client_signatures: true,
             client_watermark_window: 1024,
-            hotstuff_dummy_slots: 3,
             backoff_ban_period: 4,
             backoff_decrease: 1,
-            max_inflight_proposals: 4,
             buffer_early_votes: false,
         }
     }
@@ -184,10 +174,8 @@ impl IssConfig {
             view_change_timeout: Duration::from_secs(10),
             client_signatures: false,
             client_watermark_window: 1024,
-            hotstuff_dummy_slots: 3,
             backoff_ban_period: 4,
             backoff_decrease: 1,
-            max_inflight_proposals: 4,
             buffer_early_votes: false,
         }
     }

@@ -107,9 +107,10 @@
 //! machine — see ROADMAP.md, storage item) — then loads them with open-loop clients on the wall clock and
 //! checks every delivery online for agreement and no duplication, with the
 //! same [`core::DeliveryChecker`] the simulator's metrics sink uses.
-//! [`net::TcpCluster`] is the embeddable form of the same harness; the CI
-//! `tcp_smoke` gate additionally kills a replica under load and requires
-//! WAL-replay recovery and rejoin.
+//! [`net::TcpCluster`] is the embeddable form of the same harness; the
+//! `iss-net` loopback test `killed_node_recovers_from_its_wal_on_restart`
+//! additionally kills a replica under load and requires WAL-replay recovery
+//! and rejoin.
 //!
 //! Beyond the paper's uniform open loop, `iss::workload` provides bursty
 //! on/off traffic, linearly ramping load and Zipf-skewed per-client rates
