@@ -626,7 +626,7 @@ fn bench_fig8_smoke_wallclock(c: &mut Criterion) {
 }
 
 fn bench_telemetry(c: &mut Criterion) {
-    use iss_telemetry::{request_key, Recorder, TelemetryHandle};
+    use iss_telemetry::{request_key, TelemetryHandle};
     let mut group = c.benchmark_group("telemetry");
 
     // The guard for the default configuration: with telemetry disabled,

@@ -464,10 +464,10 @@ impl Process<NetMsg> for IssNode {
                 }),
                 Some(node),
             ) => self.serve_state_request(node, from_seq_nr, to_seq_nr, ctx),
-            (NetMsg::Iss(IssMsg::StateResponse { entries, .. }), _) => {
-                // Integrity is protected by the stable checkpoint; the proof
-                // was verified against known signers when the checkpoint was
-                // formed.
+            (NetMsg::Iss(IssMsg::StateResponse { entries, .. }), Some(_)) => {
+                // Only a replica transfers committed state. Integrity is
+                // protected by the stable checkpoint; the proof was verified
+                // against known signers when the checkpoint was formed.
                 self.commit_transferred(entries.into_iter().map(|e| (e.seq_nr, e.batch)), ctx);
                 self.maybe_finish_epoch(ctx);
             }
@@ -477,8 +477,12 @@ impl Process<NetMsg> for IssNode {
             (NetMsg::Iss(chunk @ IssMsg::SnapshotChunk { .. }), Some(node)) => {
                 self.on_snapshot_chunk(node, chunk, ctx);
             }
-            (NetMsg::Mir(MirMsg::NewEpoch { epoch, .. }), _) => {
-                if self.opts.mode == Mode::Mir && self.mir_waiting && epoch == self.epoch.epoch + 1
+            (NetMsg::Mir(MirMsg::NewEpoch { epoch, .. }), Some(node)) => {
+                // Only the next epoch's primary announces it.
+                if self.opts.mode == Mode::Mir
+                    && self.mir_waiting
+                    && epoch == self.epoch.epoch + 1
+                    && node == self.mir_primary(epoch)
                 {
                     self.start_next_epoch(ctx);
                 }
@@ -489,7 +493,7 @@ impl Process<NetMsg> for IssNode {
                 }
             }
             (NetMsg::Client(_) | NetMsg::Stage(_), _)
-            | (NetMsg::Sb { .. } | NetMsg::Iss(_), None) => {}
+            | (NetMsg::Sb { .. } | NetMsg::Iss(_) | NetMsg::Mir(_), None) => {}
         }
     }
 
@@ -562,6 +566,34 @@ mod tests {
         assert_eq!(node.mir_primary(0), NodeId(0));
         assert_eq!(node.mir_primary(1), NodeId(1));
         assert_eq!(node.mir_primary(5), NodeId(1));
+    }
+
+    #[test]
+    fn mir_epoch_starts_only_on_its_primarys_announcement() {
+        use rand::SeedableRng;
+        let mut node = make_node(Mode::Mir, 4);
+        node.mir_waiting = true;
+        let mut timers = iss_runtime::TimerSlab::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut announce = |node: &mut IssNode, from: Addr| {
+            let mut actions = Vec::new();
+            let me = Addr::Node(NodeId(0));
+            let mut ctx = Context::new(Time::ZERO, me, &mut timers, &mut actions, &mut rng);
+            let msg = MirMsg::NewEpoch {
+                epoch: 1,
+                config_digest: [0; 32],
+            };
+            node.on_message(from, NetMsg::Mir(msg), &mut ctx);
+        };
+        // Epoch 1's primary is node 1: neither another replica nor a client
+        // can start it.
+        announce(&mut node, Addr::Node(NodeId(2)));
+        announce(&mut node, Addr::Client(ClientId(0)));
+        assert_eq!(node.current_epoch(), 0);
+        assert!(node.mir_waiting);
+        announce(&mut node, Addr::Node(NodeId(1)));
+        assert_eq!(node.current_epoch(), 1);
+        assert!(!node.mir_waiting);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::validation::{EpochBuckets, RequestValidation};
 use iss_crypto::SignatureRegistry;
 use iss_messages::{ClientMsg, NetMsg, StageMsg};
 use iss_runtime::process::{Addr, Context, Process, StageRole};
-use iss_telemetry::{Recorder, TelemetryHandle};
+use iss_telemetry::TelemetryHandle;
 use iss_types::{
     Batch, BucketId, Duration, EpochNr, IssConfig, NodeId, Request, RequestId, Time, TimerId,
 };

@@ -49,8 +49,11 @@ impl Process<NetMsg> for Shared {
     }
 }
 
-#[test]
-fn transferred_batch_settles_a_queued_request() {
+type Mounted = (SansIo<NetMsg>, Rc<RefCell<IssNode>>, Rc<RefCell<Sink>>);
+
+/// Node 0 of a 4-node cluster on `SansIo`, started, with `req` queued in its
+/// buckets.
+fn node_with_queued(req: &Request) -> Mounted {
     let mut config = IssConfig::pbft(4);
     config.client_signatures = false;
     let factory = FnOrdererFactory::new("reference", |id, seg| {
@@ -69,16 +72,21 @@ fn transferred_batch_settles_a_queued_request() {
     let mut driver: SansIo<NetMsg> = SansIo::new(1);
     driver.mount(Addr::Node(NodeId(0)), Box::new(Shared(Rc::clone(&node))));
     driver.handle(Time::ZERO, Event::Start);
+    driver.handle(Time::from_millis(1), submit(req));
+    assert_eq!(node.borrow().pending_requests(), 1);
+    (driver, node, sink)
+}
 
-    let req = Request::synthetic(ClientId(1), 0, 16);
-    let submit = Event::Message {
+fn submit(req: &Request) -> Event<NetMsg> {
+    Event::Message {
         from: Addr::Client(req.id.client),
         msg: NetMsg::Client(ClientMsg::Request(req.clone())),
-    };
-    driver.handle(Time::from_millis(1), submit.clone());
-    assert_eq!(node.borrow().pending_requests(), 1);
+    }
+}
 
-    // A peer transfers the committed batch that carries the request.
+/// A state response transferring the committed batch at sequence number 0
+/// that carries `req`, as sent by `from`.
+fn transfer(from: Addr, req: &Request) -> Event<NetMsg> {
     let entries = vec![LogEntry {
         seq_nr: 0,
         batch: Some(Batch::new(vec![req.clone()])),
@@ -89,16 +97,38 @@ fn transferred_batch_settles_a_queued_request() {
         root: [0; 32],
         proof: Vec::new(),
     };
-    let from = Addr::Node(NodeId(1));
     let msg = NetMsg::Iss(response);
-    driver.handle(Time::from_millis(2), Event::Message { from, msg });
+    Event::Message { from, msg }
+}
+
+#[test]
+fn transferred_batch_settles_a_queued_request() {
+    let req = Request::synthetic(ClientId(1), 0, 16);
+    let (mut driver, node, sink) = node_with_queued(&req);
+
+    // A peer transfers the committed batch that carries the request.
+    driver.handle(Time::from_millis(2), transfer(Addr::Node(NodeId(1)), &req));
     assert_eq!(node.borrow().pending_requests(), 0, "queued copy dropped");
     assert_eq!(sink.borrow().delivered, vec![(req.id, 0)]);
 
-    driver.handle(Time::from_millis(3), submit);
+    driver.handle(Time::from_millis(3), submit(&req));
     assert_eq!(
         sink.borrow().rejected,
         vec![req.id],
         "re-submission is a replay"
     );
+}
+
+#[test]
+fn state_response_from_a_client_commits_nothing() {
+    let req = Request::synthetic(ClientId(1), 0, 16);
+    let (mut driver, node, sink) = node_with_queued(&req);
+
+    // A client is not a replica: it cannot transfer committed state.
+    driver.handle(
+        Time::from_millis(2),
+        transfer(Addr::Client(ClientId(2)), &req),
+    );
+    assert_eq!(node.borrow().pending_requests(), 1, "request stays queued");
+    assert!(sink.borrow().delivered.is_empty(), "nothing delivered");
 }

@@ -18,7 +18,7 @@ use iss_crypto::SignatureRegistry;
 use iss_sim::client_proc::ClientProcess;
 use iss_sim::{make_factory, Protocol, Scenario};
 use iss_storage::{FileStorage, Storage};
-use iss_telemetry::{Recorder, TelemetryHandle, TelemetrySnapshot};
+use iss_telemetry::{TelemetryHandle, TelemetrySnapshot};
 use iss_types::{ClientId, Duration, EpochNr, IssConfig, NodeId, Request, RequestId, SeqNr, Time};
 use iss_workload::OpenLoop;
 use std::cell::RefCell;
@@ -139,6 +139,13 @@ impl DeliverySink for SharedSink {
     }
 }
 
+/// View-change and epoch-change timeout of a [`TcpCluster`]. The Table 1
+/// presets use 10 s — tuned for WAN latencies in virtual time, where waiting
+/// is free. On a loopback wall clock that turns every leader failure into a
+/// 10-second stall, so the cluster uses an aggressive 2 s (commits reset the
+/// progress timer, so a loaded healthy segment never fires it).
+pub const PROTOCOL_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Configuration of a localhost TCP cluster. Its replicas order with PBFT,
 /// the one protocol the socket wire format encodes.
 pub struct TcpClusterConfig {
@@ -155,12 +162,6 @@ pub struct TcpClusterConfig {
     /// When set, node `i` persists to `<root>/node-<i>` through
     /// [`FileStorage`]; a restarted node recovers from the same directory.
     pub storage_root: Option<PathBuf>,
-    /// View-change and epoch-change timeout. The Table 1 presets use 10 s —
-    /// tuned for WAN latencies in virtual time, where waiting is free. On a
-    /// loopback wall clock that turns every leader failure into a 10-second
-    /// stall, so the cluster defaults to an aggressive 2 s (commits reset
-    /// the progress timer, so a loaded healthy segment never fires it).
-    pub protocol_timeout: Duration,
     /// When `true`, every replica records telemetry (commit-path spans,
     /// per-phase latency histograms, transport gauges) into a per-node
     /// [`TelemetryHandle`]; [`TcpCluster::telemetry_snapshot`] merges them.
@@ -178,7 +179,6 @@ impl TcpClusterConfig {
             run_for: Duration::from_secs(3),
             seed: 42,
             storage_root: None,
-            protocol_timeout: Duration::from_secs(2),
             telemetry: false,
         }
     }
@@ -206,8 +206,8 @@ impl TcpCluster {
             .seed(cfg.seed)
             .build();
         let mut iss = scenario.iss_config();
-        iss.view_change_timeout = cfg.protocol_timeout;
-        iss.epoch_change_timeout = cfg.protocol_timeout;
+        iss.view_change_timeout = PROTOCOL_TIMEOUT;
+        iss.epoch_change_timeout = PROTOCOL_TIMEOUT;
         // Per-peer TCP connections give no cross-peer ordering: a backup's
         // vote can overtake the leader's pre-prepare (it cannot under the
         // simulator's metric latency matrix), and PBFT never retransmits
@@ -435,7 +435,6 @@ impl TcpCluster {
                 iss.all_nodes(),
                 iss.num_buckets(),
                 iss.f() + 1,
-                false,
                 Time::ZERO + run_for,
             );
             Box::new(client) as Box<dyn iss_runtime::Process<iss_messages::NetMsg>>

@@ -15,8 +15,10 @@
 //!   the protocol thread and becomes the connection's reader;
 //! * one **writer thread per dialed peer** — owns the outbound connection
 //!   to that peer, dials lazily with exponential backoff, re-dials (and
-//!   re-sends its hello) whenever a write fails, and spawns a reader on
-//!   each fresh connection. The peer's current socket address is re-read
+//!   re-sends its hello) whenever a write fails. In a client it also spawns
+//!   a reader on each fresh connection, since replicas answer clients over
+//!   it; a replica's dialed connections carry nothing back (see the
+//!   connection policy below). The peer's current socket address is re-read
 //!   from the shared [`PeerTable`] on every dial, so a peer that restarts
 //!   on a new port is found without reconfiguration.
 //!
@@ -64,7 +66,7 @@
 //! dropping the writer's handle closes nothing: whoever gives a connection
 //! up — a writer on a failed write or on exit, the protocol thread on exit
 //! for its inbound connections — calls `shutdown(Both)`, which ends the
-//! readers at both ends.
+//! reader at either end.
 //!
 //! # Time
 //!
@@ -331,14 +333,16 @@ impl TcpRuntime {
         }
 
         // One writer per dialed peer, created up front; the writer dials on
-        // first use and re-dials on failure.
+        // first use and re-dials on failure. Only a client reads what comes
+        // back: a replica never writes on an inbound replica connection.
+        let read_back = matches!(cfg.addr, Addr::Client(_));
         let mut outbox = Outbox::default();
         for peer in &cfg.dial {
             // Unbounded channel, bounded use: `Outbox::send` admits a frame
             // only while the peer's `queue_depth` is below `WRITER_QUEUE`.
             let (tx, rx) = mpsc::channel::<Chunk>();
             let peers = Arc::clone(&cfg.peers);
-            let mailbox = mailbox.clone();
+            let mailbox = read_back.then(|| mailbox.clone());
             let stop = Arc::clone(&stop);
             let hello = hello.clone();
             let peer = *peer;
@@ -611,8 +615,8 @@ fn protocol_loop(
     }
     p.out.flush();
     // The readers of the inbound connections hold clones of these sockets:
-    // only an explicit shutdown ends them (and the dialers' readers at the
-    // other end).
+    // only an explicit shutdown ends them (and a dialing client's reader at
+    // the other end).
     for conn in p.out.inbound.values() {
         let _ = conn.stream.shutdown(Shutdown::Both);
     }
@@ -734,13 +738,15 @@ fn reader_loop(stream: TcpStream, from: Addr, mailbox: MailboxTx) {
 /// backoff), writes each chunk with one `write`, and re-dials whenever a
 /// write fails — the chunk being written when the connection died is
 /// written again, whole, on the new connection; frames the protocol thread
-/// finds no room for in the queue are dropped there instead.
+/// finds no room for in the queue are dropped there instead. With a
+/// `mailbox`, each connection also gets a reader for what the peer writes
+/// back.
 fn writer_loop(
     peer: NodeId,
     peers: PeerTable,
     hello: Vec<u8>,
     rx: Receiver<Chunk>,
-    mailbox: MailboxTx,
+    mailbox: Option<MailboxTx>,
     stop: Arc<AtomicBool>,
     stats: Arc<PeerStats>,
 ) {
@@ -750,7 +756,7 @@ fn writer_loop(
         stats.note_dequeued(chunk.frames);
         while !stop.load(Ordering::SeqCst) {
             let Some(stream) = &mut conn else {
-                conn = dial(peer, &peers, &hello, &mailbox);
+                conn = dial(peer, &peers, &hello, mailbox.as_ref());
                 if conn.is_some() {
                     backoff = 10;
                     stats.connects.fetch_add(1, Ordering::Relaxed);
@@ -774,14 +780,19 @@ fn writer_loop(
 }
 
 /// One attempt at a connection to `peer`: its address re-read from the peer
-/// table, the hello sent, and a reader spawned for whatever the peer writes
-/// back.
-fn dial(peer: NodeId, peers: &PeerTable, hello: &[u8], mailbox: &MailboxTx) -> Option<TcpStream> {
+/// table, the hello sent, and, given a `mailbox`, a reader spawned for
+/// whatever the peer writes back.
+fn dial(
+    peer: NodeId,
+    peers: &PeerTable,
+    hello: &[u8],
+    mailbox: Option<&MailboxTx>,
+) -> Option<TcpStream> {
     let target = peers.read().ok()?.get(&peer).copied()?;
     let mut stream = TcpStream::connect(target).ok()?;
     let _ = stream.set_nodelay(true);
     frame::write_frame(&mut stream, hello).ok()?;
-    if let Ok(read_half) = stream.try_clone() {
+    if let (Some(mailbox), Ok(read_half)) = (mailbox, stream.try_clone()) {
         let mailbox = mailbox.clone();
         thread::spawn(move || reader_loop(read_half, Addr::Node(peer), mailbox));
     }

@@ -8,9 +8,6 @@ pub struct PbftConfig {
     /// Time without any commit after which a follower starts a view change
     /// (Section 6.4 uses 10 s).
     pub view_change_timeout: Duration,
-    /// Whether view-change messages carry (and verify) signatures. Disabled
-    /// only in micro-benchmarks that isolate the normal-case path.
-    pub signed_view_change: bool,
     /// Whether votes that arrive before their slot's pre-prepare are
     /// buffered and replayed instead of dropped (see `EarlyVote` in
     /// `instance.rs`). On by default — required for transports without
@@ -23,7 +20,6 @@ impl Default for PbftConfig {
     fn default() -> Self {
         PbftConfig {
             view_change_timeout: Duration::from_secs(10),
-            signed_view_change: true,
             buffer_early_votes: true,
         }
     }
@@ -47,7 +43,6 @@ mod tests {
     fn default_matches_paper() {
         let c = PbftConfig::default();
         assert_eq!(c.view_change_timeout, Duration::from_secs(10));
-        assert!(c.signed_view_change);
         assert!(c.buffer_early_votes);
     }
 

@@ -351,15 +351,11 @@ impl PbftInstance {
                 }
             })
             .collect();
-        let signature = if self.config.signed_view_change {
-            bytes::Bytes::from(
-                self.keypair
-                    .sign(&Self::vc_signing_bytes(target, &prepared))
-                    .to_vec(),
-            )
-        } else {
-            bytes::Bytes::new()
-        };
+        let signature = bytes::Bytes::from(
+            self.keypair
+                .sign(&Self::vc_signing_bytes(target, &prepared))
+                .to_vec(),
+        );
         let msg = PbftMsg::ViewChange {
             new_view: target,
             prepared: prepared.clone(),
@@ -562,11 +558,9 @@ impl SbInstance for PbftInstance {
                 if new_view <= self.view {
                     return;
                 }
-                if self.config.signed_view_change {
-                    let bytes = Self::vc_signing_bytes(new_view, &prepared);
-                    if self.registry.verify_node(from, &bytes, &signature).is_err() {
-                        return;
-                    }
+                let bytes = Self::vc_signing_bytes(new_view, &prepared);
+                if self.registry.verify_node(from, &bytes, &signature).is_err() {
+                    return;
                 }
                 for p in &prepared {
                     if p.digest != NIL_DIGEST {

@@ -11,7 +11,7 @@
 use crate::instance::{SbAction, SbContext, SbInstance};
 use crate::validator::{AcceptAll, ProposalValidator};
 use iss_messages::SbMsg;
-use iss_types::{Batch, Duration, NodeId, SeqNr, Time};
+use iss_types::{Batch, NodeId, SeqNr, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -252,11 +252,6 @@ impl<I: SbInstance> LocalNet<I> {
             }
         }
     }
-}
-
-/// Convenience: a default duration used by tests that need "some" delay.
-pub fn short_delay() -> Duration {
-    Duration::from_millis(100)
 }
 
 /// An inert [`SbInstance`]: ignores every callback and never completes.

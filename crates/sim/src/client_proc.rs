@@ -23,8 +23,6 @@ pub struct ClientProcess {
     submitted: u64,
     /// Stop submitting after this time (lets the run drain).
     stop_at: Time,
-    /// Number of responses received (only meaningful when nodes respond).
-    pub responses: u64,
     /// Whether the client re-submits unanswered requests when the bucket
     /// assignment rotates (the paper's client-side censorship defense,
     /// Section 4.3: a censored bucket reaches a correct leader within a
@@ -47,25 +45,24 @@ pub struct ClientProcess {
 }
 
 impl ClientProcess {
-    /// Creates a client driven by `workload`.
+    /// Creates a client driven by `workload`. Its requests are unsigned:
+    /// the simulator charges client authentication through the CPU model.
     pub fn new(
         id: ClientId,
         workload: Rc<dyn Workload>,
         nodes: Vec<NodeId>,
         num_buckets: usize,
         quorum: usize,
-        sign: bool,
         stop_at: Time,
     ) -> Self {
         let num_nodes = nodes.len();
         ClientProcess {
             id,
-            factory: RequestFactory::new(id, sign),
+            factory: RequestFactory::new(id, false),
             workload,
             leaders: LeaderTable::new(nodes, num_buckets, quorum),
             submitted: 0,
             stop_at,
-            responses: 0,
             retransmit: false,
             outstanding: HashMap::new(),
             tracker: ResponseTracker::new(quorum),
@@ -172,7 +169,6 @@ impl Process<NetMsg> for ClientProcess {
                 }
             }
             ClientMsg::Response { request, seq_nr } => {
-                self.responses += 1;
                 if self.retransmit {
                     // Responses come from the node itself or, in a
                     // compartmentalized deployment, from one of its executor
@@ -190,18 +186,6 @@ impl Process<NetMsg> for ClientProcess {
 
     fn on_timer(&mut self, _id: TimerId, _kind: u64, ctx: &mut Context<'_, NetMsg>) {
         self.tick(ctx);
-    }
-}
-
-impl ClientProcess {
-    /// The client's identity (diagnostics).
-    pub fn client_id(&self) -> ClientId {
-        self.id
-    }
-
-    /// Number of requests submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
     }
 }
 
@@ -254,7 +238,6 @@ mod tests {
                     (0..4).map(NodeId).collect(),
                     64,
                     1,
-                    false,
                     Time::from_secs(5),
                 )),
             );
@@ -345,7 +328,6 @@ mod tests {
                     vec![NodeId(0)],
                     64,
                     1,
-                    false,
                     Time::from_secs(1),
                 )
                 .with_retransmission(),

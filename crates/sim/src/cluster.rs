@@ -15,7 +15,7 @@ use iss_simnet::fault::CrashSchedule;
 use iss_simnet::process::{Addr, Process, StageRole};
 use iss_simnet::{CpuModel, Runtime, RuntimeConfig};
 use iss_storage::{MemStorage, Storage};
-use iss_telemetry::{Recorder, TelemetryHandle, TelemetrySnapshot};
+use iss_telemetry::{TelemetryHandle, TelemetrySnapshot};
 use iss_types::{ClientId, Duration, IssConfig, NodeId, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -178,9 +178,10 @@ impl Deployment {
             metrics.borrow_mut().track_deliveries = true;
         }
         // Censorship recovery relies on clients retransmitting requests that
-        // got no response, so censoring scenarios force responses on.
-        let respond_to_clients =
-            scenario.respond_to_clients || !scenario.adversary.censors().is_empty();
+        // got no response, so censoring scenarios turn responses and client
+        // retransmission on; every other run measures latency at delivery and
+        // keeps the response traffic out of the event count.
+        let respond_to_clients = !scenario.adversary.censors().is_empty();
 
         // Simulated testbed on the scenario's topology.
         let mut runtime_config = RuntimeConfig::testbed();
@@ -200,7 +201,6 @@ impl Deployment {
         if let Some(cores) = scenario.cpu_cores {
             runtime_config.cpu.cores = cores;
         }
-        runtime_config.stage_latency = scenario.stage_latency;
         let cpu_cores = runtime_config.cpu.cores;
 
         // Compartmentalized pipeline: spawn per-node batcher/executor stages
@@ -378,7 +378,6 @@ impl Deployment {
         }
 
         let stop_at = Time::ZERO + scenario.window.duration;
-        let retransmit = !scenario.adversary.censors().is_empty();
         for c in &clients {
             let mut client = ClientProcess::new(
                 *c,
@@ -386,10 +385,9 @@ impl Deployment {
                 config.all_nodes(),
                 config.num_buckets(),
                 config.f() + 1,
-                false,
                 stop_at,
             );
-            if retransmit {
+            if respond_to_clients {
                 client = client.with_retransmission();
             }
             if let Some((batchers, _)) = stages {

@@ -54,7 +54,6 @@ impl OrdererFactory for PbftFactory {
             PbftConfig {
                 view_change_timeout: self.view_change_timeout,
                 buffer_early_votes: self.buffer_early_votes,
-                ..PbftConfig::default()
             },
             KeyPair::for_node(my_id),
             Arc::clone(&self.registry),

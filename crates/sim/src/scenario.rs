@@ -63,8 +63,8 @@ pub struct ProtocolStack {
     /// Leader-selection policy.
     pub policy: LeaderPolicyKind,
     /// Batcher stages per node (compartmentalized pipeline). `0` keeps the
-    /// monolithic wiring; so does `1` with zero stage latency, because one
-    /// batcher with a free handoff is the monolith by another name.
+    /// monolithic wiring; so does `1`, because one batcher with a free
+    /// handoff is the monolith by another name.
     pub batchers: usize,
     /// Executor stages per node (compartmentalized pipeline). Same lowering
     /// rule as [`ProtocolStack::batchers`].
@@ -360,15 +360,8 @@ pub struct Scenario {
     pub adversary: AdversaryPlan,
     /// Duration / warm-up / drain.
     pub window: RunWindow,
-    /// Whether nodes send responses to clients (off by default in large
-    /// simulations to bound event counts; latency is measured at delivery).
-    pub respond_to_clients: bool,
     /// RNG seed.
     pub seed: u64,
-    /// Extra delivery delay of the in-memory handoff between a node and its
-    /// co-located pipeline stages (zero by default: a handoff between worker
-    /// pools of one process costs CPU, not network).
-    pub stage_latency: Duration,
     /// Overrides the number of CPU cores per machine (`None` keeps the
     /// testbed's 32). Compartmentalization experiments pin this to a small
     /// number so the stage split, not raw core count, is what moves the
@@ -397,9 +390,7 @@ impl Scenario {
                 faults: FaultPlan::none(),
                 adversary: AdversaryPlan::none(),
                 window: RunWindow::default(),
-                respond_to_clients: false,
                 seed: 42,
-                stage_latency: Duration::ZERO,
                 cpu_cores: None,
                 telemetry: false,
             },
@@ -445,17 +436,12 @@ impl Scenario {
 
     /// The `(batchers, executors)` stage counts of a compartmentalized
     /// deployment, or `None` when the scenario lowers to the monolithic
-    /// wiring. One batcher and one executor with zero stage latency *are*
-    /// the monolith (same work on the same machine, handed off for free), so
-    /// that degenerate configuration lowers to the monolithic path and stays
-    /// byte-identical to it; real stage processes spawn as soon as any stage
-    /// is replicated or the handoff costs time.
+    /// wiring. One batcher and one executor *are* the monolith (same work on
+    /// the same machine, handed off for free), so that degenerate
+    /// configuration lowers to the monolithic path and stays byte-identical
+    /// to it; real stage processes spawn as soon as any stage is replicated.
     pub fn stage_counts(&self) -> Option<(u32, u32)> {
-        let compartmentalized = self.stack.batchers >= 2
-            || self.stack.executors >= 2
-            || ((self.stack.batchers > 0 || self.stack.executors > 0)
-                && self.stage_latency > Duration::ZERO);
-        compartmentalized.then(|| {
+        (self.stack.batchers >= 2 || self.stack.executors >= 2).then(|| {
             (
                 self.stack.batchers.max(1) as u32,
                 self.stack.executors.max(1) as u32,
@@ -520,13 +506,6 @@ impl ScenarioBuilder {
     /// node.
     pub fn executors(mut self, n: usize) -> Self {
         self.scenario.stack.executors = n;
-        self
-    }
-
-    /// Sets the in-memory handoff delay between a node and its co-located
-    /// pipeline stages.
-    pub fn stage_latency(mut self, latency: Duration) -> Self {
-        self.scenario.stage_latency = latency;
         self
     }
 
@@ -706,12 +685,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Makes nodes send responses back to clients.
-    pub fn respond_to_clients(mut self, respond: bool) -> Self {
-        self.scenario.respond_to_clients = respond;
-        self
-    }
-
     /// Finishes the scenario (materializing a deferred skewed workload with
     /// the final seed).
     pub fn build(mut self) -> Scenario {
@@ -743,10 +716,8 @@ mod tests {
         assert_eq!(s.window.warmup, Duration::from_secs(10));
         assert_eq!(s.window.drain, Duration::from_secs(4));
         assert_eq!(s.seed, 42);
-        assert!(!s.respond_to_clients);
         assert_eq!(s.stack.batchers, 0);
         assert_eq!(s.stack.executors, 0);
-        assert_eq!(s.stage_latency, Duration::ZERO);
         assert_eq!(s.cpu_cores, None);
         assert_eq!(s.stage_counts(), None);
     }
@@ -761,8 +732,8 @@ mod tests {
                 .build();
             assert_eq!(s.stage_counts(), None, "({b},{e}) must stay monolithic");
         }
-        // Replicating either stage (or pricing the handoff) compartmentalizes,
-        // and the missing count is normalized up to one stage.
+        // Replicating either stage compartmentalizes, and the missing count
+        // is normalized up to one stage.
         let s = Scenario::builder(Protocol::Pbft, 4).batchers(3).build();
         assert_eq!(s.stage_counts(), Some((3, 1)));
         let s = Scenario::builder(Protocol::Pbft, 4)
@@ -770,16 +741,6 @@ mod tests {
             .executors(2)
             .build();
         assert_eq!(s.stage_counts(), Some((2, 2)));
-        let s = Scenario::builder(Protocol::Pbft, 4)
-            .batchers(1)
-            .executors(1)
-            .stage_latency(Duration::from_micros(50))
-            .build();
-        assert_eq!(s.stage_counts(), Some((1, 1)));
-        let s = Scenario::builder(Protocol::Pbft, 4)
-            .stage_latency(Duration::from_micros(50))
-            .build();
-        assert_eq!(s.stage_counts(), None, "latency alone configures nothing");
     }
 
     #[test]

@@ -112,9 +112,9 @@ impl Partition {
 /// A window of probabilistic message loss.
 ///
 /// While active, every message accepted for transmission is dropped with
-/// the given probability — a time-bounded generalization of the pre-GST
-/// loss model that lets experiments schedule lossy episodes anywhere in a
-/// run (and lets several windows with different severities coexist).
+/// the given probability. Pre-GST asynchrony is the window from zero to the
+/// global stabilization time; other lossy episodes sit anywhere in a run,
+/// and several windows with different severities may coexist.
 #[derive(Clone, Copy, Debug)]
 pub struct LossWindow {
     /// Probability of dropping a message sent inside the window.
@@ -139,11 +139,7 @@ pub struct FaultConfig {
     pub crashes: CrashSchedule,
     /// Active partitions.
     pub partitions: Vec<Partition>,
-    /// Probability of dropping any node-to-node message before `gst`.
-    pub pre_gst_drop_probability: f64,
-    /// Global stabilization time; after this no message is dropped.
-    pub gst: Time,
-    /// Scheduled windows of probabilistic loss (independent of `gst`).
+    /// Scheduled windows of probabilistic loss.
     pub loss_windows: Vec<LossWindow>,
 }
 
@@ -155,7 +151,7 @@ impl FaultConfig {
 
     /// Whether a message from `from` to `to` at `now` must be dropped
     /// deterministically (crash or partition). Probabilistic loss is decided
-    /// by the runtime using its RNG and [`FaultConfig::pre_gst_drop_probability`].
+    /// by the runtime using its RNG and [`FaultConfig::drop_probability`].
     pub fn drops(&self, from: Addr, to: Addr, now: Time) -> bool {
         // Stages share their parent replica's fault domain: a crashed machine
         // takes its co-located batcher/executor processes down with it.
@@ -172,29 +168,20 @@ impl FaultConfig {
         self.partitions.iter().any(|p| p.blocks(from, to, now))
     }
 
-    /// Whether probabilistic loss applies at `now` (pre-GST asynchrony or a
-    /// scheduled loss window).
+    /// Whether a scheduled loss window is active at `now`.
     pub fn lossy_at(&self, now: Time) -> bool {
-        (self.pre_gst_drop_probability > 0.0 && now < self.gst)
-            || self.loss_windows.iter().any(|w| w.active(now))
+        self.loss_windows.iter().any(|w| w.active(now))
     }
 
-    /// The drop probability in force at `now`: the strongest of the pre-GST
-    /// probability and every active loss window (so overlapping windows
-    /// degrade to the worst one instead of compounding, which keeps a
-    /// window's effect independent of how the schedule was sliced).
+    /// The drop probability in force at `now`: the strongest active loss
+    /// window (so overlapping windows degrade to the worst one instead of
+    /// compounding, which keeps a window's effect independent of how the
+    /// schedule was sliced).
     pub fn drop_probability(&self, now: Time) -> f64 {
-        let mut p = if now < self.gst {
-            self.pre_gst_drop_probability
-        } else {
-            0.0
-        };
-        for w in &self.loss_windows {
-            if w.active(now) {
-                p = p.max(w.probability);
-            }
-        }
-        p
+        self.loss_windows
+            .iter()
+            .filter(|w| w.active(now))
+            .fold(0.0, |p, w| p.max(w.probability))
     }
 }
 
@@ -263,9 +250,12 @@ mod tests {
                 from: Time::ZERO,
                 until: Time::from_secs(1),
             }],
-            pre_gst_drop_probability: 0.1,
-            gst: Time::from_secs(3),
-            loss_windows: Vec::new(),
+            // Pre-GST loss: a window from zero to GST at 3 s.
+            loss_windows: vec![LossWindow {
+                probability: 0.1,
+                from: Time::ZERO,
+                until: Time::from_secs(3),
+            }],
         };
         assert!(cfg.drops(
             Addr::Node(NodeId(1)),
@@ -327,13 +317,19 @@ mod tests {
     #[test]
     fn loss_windows_combine_with_pre_gst_loss() {
         let cfg = FaultConfig {
-            pre_gst_drop_probability: 0.5,
-            gst: Time::from_secs(3),
-            loss_windows: vec![LossWindow {
-                probability: 0.1,
-                from: Time::from_secs(2),
-                until: Time::from_secs(10),
-            }],
+            loss_windows: vec![
+                // Pre-GST loss: a window from zero to GST at 3 s.
+                LossWindow {
+                    probability: 0.5,
+                    from: Time::ZERO,
+                    until: Time::from_secs(3),
+                },
+                LossWindow {
+                    probability: 0.1,
+                    from: Time::from_secs(2),
+                    until: Time::from_secs(10),
+                },
+            ],
             ..FaultConfig::none()
         };
         // Before GST the stronger pre-GST probability wins.

@@ -37,11 +37,6 @@ pub struct RuntimeConfig {
     pub cpu: CpuModel,
     /// Fault injection.
     pub faults: FaultConfig,
-    /// Delivery delay of a co-located stage handoff (a message between a
-    /// pipeline stage and its parent orderer, or between two stages of one
-    /// machine). Models the in-memory channel between compartmentalized
-    /// stages; zero by default, so stage handoffs are instantaneous.
-    pub stage_latency: Duration,
     /// RNG seed; two runs with identical configuration and seed produce
     /// identical schedules.
     pub seed: u64,
@@ -56,7 +51,6 @@ impl RuntimeConfig {
             bandwidth: BandwidthConfig::gigabit(),
             cpu: CpuModel::testbed(),
             faults: FaultConfig::none(),
-            stage_latency: Duration::ZERO,
             seed: 42,
         }
     }
@@ -69,7 +63,6 @@ impl RuntimeConfig {
             bandwidth: BandwidthConfig::unlimited(),
             cpu: CpuModel::free(),
             faults: FaultConfig::none(),
-            stage_latency: Duration::ZERO,
             seed: 7,
         }
     }
@@ -82,7 +75,7 @@ pub struct RuntimeStats {
     pub messages_sent: u64,
     /// Bytes accepted for transmission (wire sizes).
     pub bytes_sent: u64,
-    /// Messages dropped by crashes, partitions or pre-GST loss.
+    /// Messages dropped by crashes, partitions or loss windows.
     pub messages_dropped: u64,
     /// Events executed.
     pub events_processed: u64,
@@ -191,8 +184,7 @@ impl<M: Payload> Runtime<M> {
         let rng = StdRng::seed_from_u64(config.seed);
         let crash_faults = !config.faults.crashes.is_empty();
         let drop_faults = crash_faults || !config.faults.partitions.is_empty();
-        let lossy_faults =
-            config.faults.pre_gst_drop_probability > 0.0 || !config.faults.loss_windows.is_empty();
+        let lossy_faults = !config.faults.loss_windows.is_empty();
         let jitter_us = config.topology.jitter_us;
         Runtime {
             config,
@@ -362,13 +354,6 @@ impl<M: Payload> Runtime<M> {
         processed
     }
 
-    /// Runs until the event queue drains completely (useful for tests; liveness
-    /// protocols with periodic timers never drain, so prefer
-    /// [`Runtime::run_until`] for those).
-    pub fn run_to_quiescence(&mut self, hard_limit: Time) -> u64 {
-        self.run_until(hard_limit)
-    }
-
     fn dispatch(&mut self, kind: EventKind<M>) {
         self.stats.events_processed += 1;
         match kind {
@@ -396,7 +381,6 @@ impl<M: Payload> Runtime<M> {
                                     if let Some((_, h)) =
                                         self.telemetry.iter().find(|(a, _)| *a == to)
                                     {
-                                        use iss_telemetry::Recorder as _;
                                         h.cpu_charge(msg.class(), cost.as_micros());
                                     }
                                 }
@@ -551,7 +535,7 @@ impl<M: Payload> Runtime<M> {
             self.stats.messages_dropped += 1;
             return;
         }
-        // Probabilistic loss: pre-GST asynchrony or a scheduled loss window.
+        // Probabilistic loss: a scheduled loss window.
         // The RNG is only drawn while loss is actually in force, so runs
         // whose loss schedule never activates keep a bit-identical
         // jitter/drop stream to a loss-free configuration.
@@ -566,27 +550,19 @@ impl<M: Payload> Runtime<M> {
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += size as u64;
 
-        // Local delivery (a process sending to itself) skips the network.
-        if from == to {
+        // Local delivery skips the network: a process sending to itself, and
+        // a co-located stage handoff (stage ↔ parent orderer, stage ↔ stage on
+        // one machine), which is an in-memory channel. Neither touches the
+        // NIC, the topology latency or the jitter draw, so runs without stage
+        // processes keep a bit-identical RNG stream and schedule.
+        if from == to
+            || ((from.is_stage() || to.is_stage())
+                && from.machine_node().is_some()
+                && from.machine_node() == to.machine_node())
+        {
             self.queue
                 .push(self.now, EventKind::Deliver { from, to, msg });
             return;
-        }
-
-        // A co-located stage handoff (stage ↔ parent orderer, stage ↔ stage
-        // on one machine) is an in-memory channel: it skips the NIC, the
-        // topology latency and the jitter draw entirely, so runs without
-        // stage processes keep a bit-identical RNG stream and schedule.
-        if from.is_stage() || to.is_stage() {
-            if let (Some(a), Some(b)) = (from.machine_node(), to.machine_node()) {
-                if a == b {
-                    self.queue.push(
-                        self.now + self.config.stage_latency,
-                        EventKind::Deliver { from, to, msg },
-                    );
-                    return;
-                }
-            }
         }
 
         let (sent_at, _) =
@@ -1019,9 +995,8 @@ mod tests {
             fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<'_, Ping>) {}
         }
 
-        let run = |stage_latency: Duration, per_message: Duration| {
+        let run = |per_message: Duration| {
             let mut cfg = RuntimeConfig::testbed(); // WAN latency + jitter
-            cfg.stage_latency = stage_latency;
             cfg.cpu = CpuModel {
                 cores: 1,
                 per_message,
@@ -1047,19 +1022,15 @@ mod tests {
             (recorded, rt.busy_time(stage))
         };
 
-        // Free CPU, zero stage latency: the round trip through the stage is
-        // instantaneous — no WAN latency, no jitter draw.
-        let (times, busy) = run(Duration::ZERO, Duration::ZERO);
+        // Free CPU: the round trip through the stage is instantaneous — no
+        // WAN latency, no jitter draw.
+        let (times, busy) = run(Duration::ZERO);
         assert_eq!(times, vec![Time::ZERO]);
         assert_eq!(busy, Duration::ZERO);
 
-        // A configured stage latency delays each of the two handoffs.
-        let (times, _) = run(Duration::from_micros(30), Duration::ZERO);
-        assert_eq!(times, vec![Time::from_micros(60)]);
-
         // The stage has its own CPU: processing on the stage is charged to
         // the stage's budget (visible via busy_time), not the node's.
-        let (times, busy) = run(Duration::ZERO, Duration::from_micros(500));
+        let (times, busy) = run(Duration::from_micros(500));
         assert_eq!(busy, Duration::from_micros(500));
         // stage handling at 500µs, node handling adds another 500µs
         assert_eq!(times, vec![Time::from_micros(1000)]);

@@ -18,8 +18,8 @@
 //!   (plus an optional small index for per-peer or per-stage series) so
 //!   recording never formats or allocates.
 //!
-//! The disabled mode is a `None` handle: every recording call is one branch
-//! and returns, the event loop's behaviour (RNG draws, event order, output)
+//! Every recording call goes through a [`TelemetryHandle`]. The disabled mode
+//! is a `None` handle: every recording call is one branch and returns, the event loop's behaviour (RNG draws, event order, output)
 //! is untouched, and same-seed runs stay byte-identical with telemetry off.
 
 pub mod export;
@@ -34,8 +34,8 @@ use iss_types::{FxHashMap, MsgClass, Time};
 pub use hist::Histogram;
 pub use ring::{SpanKind, SpanRecord, SpanRing};
 
-/// Default per-machine span-ring capacity.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
+/// Per-machine span-ring capacity.
+pub const RING_CAPACITY: usize = 4096;
 
 /// A commit-path phase whose latency is tracked in its own histogram.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -121,34 +121,6 @@ pub struct GaugeStat {
 /// (peer id, stage index) so per-peer series never allocate a name string.
 pub type SeriesKey = (&'static str, Option<u32>);
 
-/// Sink for counters, gauges and CPU attribution. Implemented by
-/// [`TelemetryHandle`] (recording when enabled, a single branch when
-/// disabled) and by [`NoopRecorder`] (statically nothing).
-pub trait Recorder {
-    /// Adds `by` to the counter `name`.
-    fn counter_add(&self, name: &'static str, by: u64);
-    /// Adds `by` to the indexed counter series `name[idx]`.
-    fn counter_add_for(&self, name: &'static str, idx: u32, by: u64);
-    /// Sets the gauge `name` to `v` (tracks last and max).
-    fn gauge_set(&self, name: &'static str, v: u64);
-    /// Sets the indexed gauge series `name[idx]` to `v`.
-    fn gauge_set_for(&self, name: &'static str, idx: u32, v: u64);
-    /// Attributes `us` microseconds of CPU time to message class `class`.
-    fn cpu_charge(&self, class: MsgClass, us: u64);
-}
-
-/// A [`Recorder`] that statically records nothing.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn counter_add(&self, _name: &'static str, _by: u64) {}
-    fn counter_add_for(&self, _name: &'static str, _idx: u32, _by: u64) {}
-    fn gauge_set(&self, _name: &'static str, _v: u64) {}
-    fn gauge_set_for(&self, _name: &'static str, _idx: u32, _v: u64) {}
-    fn cpu_charge(&self, _class: MsgClass, _us: u64) {}
-}
-
 /// Per-machine telemetry state: span ring, phase histograms, correlation
 /// maps, counters/gauges and CPU-by-class totals. One instance is shared by
 /// a node and its co-located pipeline stages, so cross-stage phases
@@ -172,11 +144,11 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Fresh telemetry for `node` with the given span-ring capacity.
-    pub fn new(node: u32, ring_capacity: usize) -> Self {
+    /// Fresh telemetry for `node` with a [`RING_CAPACITY`]-span ring.
+    pub fn new(node: u32) -> Self {
         Telemetry {
             node,
-            ring: SpanRing::new(ring_capacity),
+            ring: SpanRing::new(RING_CAPACITY),
             phases: std::array::from_fn(|_| Histogram::new()),
             pending_arrival: FxHashMap::default(),
             pending_cut: FxHashMap::default(),
@@ -410,15 +382,10 @@ impl TelemetryHandle {
         TelemetryHandle { inner: None }
     }
 
-    /// An enabled handle for `node` with the default ring capacity.
+    /// An enabled handle for `node`.
     pub fn enabled(node: u32) -> Self {
-        Self::with_capacity(node, DEFAULT_RING_CAPACITY)
-    }
-
-    /// An enabled handle for `node` with an explicit ring capacity.
-    pub fn with_capacity(node: u32, ring_capacity: usize) -> Self {
         TelemetryHandle {
-            inner: Some(Arc::new(Mutex::new(Telemetry::new(node, ring_capacity)))),
+            inner: Some(Arc::new(Mutex::new(Telemetry::new(node)))),
         }
     }
 
@@ -477,36 +444,33 @@ impl TelemetryHandle {
         self.with(|tel| tel.on_end_to_end(t, req_key));
     }
 
-    /// Snapshot of everything recorded, `None` when disabled.
-    pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.with(|tel| tel.snapshot())
-    }
-}
-
-impl Recorder for TelemetryHandle {
+    /// Adds `by` to the counter `name`.
     #[inline]
-    fn counter_add(&self, name: &'static str, by: u64) {
+    pub fn counter_add(&self, name: &'static str, by: u64) {
         self.with(|tel| tel.counter_add((name, None), by));
     }
 
+    /// Sets the gauge `name` to `v` (tracks last and max).
     #[inline]
-    fn counter_add_for(&self, name: &'static str, idx: u32, by: u64) {
-        self.with(|tel| tel.counter_add((name, Some(idx)), by));
-    }
-
-    #[inline]
-    fn gauge_set(&self, name: &'static str, v: u64) {
+    pub fn gauge_set(&self, name: &'static str, v: u64) {
         self.with(|tel| tel.gauge_set((name, None), v));
     }
 
+    /// Sets the indexed gauge series `name[idx]` to `v`.
     #[inline]
-    fn gauge_set_for(&self, name: &'static str, idx: u32, v: u64) {
+    pub fn gauge_set_for(&self, name: &'static str, idx: u32, v: u64) {
         self.with(|tel| tel.gauge_set((name, Some(idx)), v));
     }
 
+    /// Attributes `us` microseconds of CPU time to message class `class`.
     #[inline]
-    fn cpu_charge(&self, class: MsgClass, us: u64) {
+    pub fn cpu_charge(&self, class: MsgClass, us: u64) {
         self.with(|tel| tel.cpu_charge(class, us));
+    }
+
+    /// Snapshot of everything recorded, `None` when disabled.
+    pub fn snapshot(&self) -> Option<TelemetrySnapshot> {
+        self.with(|tel| tel.snapshot())
     }
 }
 

@@ -56,7 +56,7 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
 
     /// Builds a duration from whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         Duration(s * 1_000_000)
     }
 
