@@ -17,7 +17,7 @@ use iss_messages::{codec, ClientMsg, NetMsg, StageMsg};
 use iss_pbft::{PbftConfig, PbftInstance};
 use iss_sb::testing::LocalNet;
 use iss_sb::{ProposalValidator, SbInstance};
-use iss_sim::{run_scenario, CrashTiming, Protocol, Scenario};
+use iss_sim::{CrashTiming, Protocol, Scenario};
 use iss_simnet::cpu::CpuState;
 use iss_simnet::event::{EventKind, EventQueue};
 use iss_simnet::{Addr, Context as SimContext, Process, Runtime, RuntimeConfig, StageRole};
@@ -615,7 +615,7 @@ fn bench_fig8_smoke_wallclock(c: &mut Criterion) {
         b.iter_batched(
             fig8_smoke_scenario,
             |scenario| {
-                let report = run_scenario(scenario);
+                let report = scenario.run();
                 assert!(report.delivered > 0, "smoke run must deliver requests");
                 report.delivered
             },

@@ -20,7 +20,7 @@ use iss_sim::experiments::{
     figure7, figure8, scenario_bursty, scenario_crash_restart, scenario_lossy_window,
     scenario_partition_heal, scenario_skewed, throughput_timeline, Scale,
 };
-use iss_sim::{run_scenario, CrashTiming, Protocol, Report, Scenario, CENSORSHIP_EPOCH_BOUND};
+use iss_sim::{CrashTiming, Protocol, Report, Scenario, CENSORSHIP_EPOCH_BOUND};
 use iss_telemetry::{Phase, TelemetrySnapshot};
 use iss_types::{Duration, IssConfig, MsgClass, NodeId};
 use std::collections::BTreeMap;
@@ -632,9 +632,9 @@ fn smoke_compartment(scale: Scale) -> ExitCode {
     }
 
     println!("# compartment smoke: n=4, 1 vs 3 batcher stages per node");
-    let monolith = run_scenario(compartment_scenario(4, 1, scale));
+    let monolith = compartment_scenario(4, 1, scale).run();
     print_report(1, &monolith);
-    let compartmentalized = run_scenario(compartment_scenario(4, 3, scale));
+    let compartmentalized = compartment_scenario(4, 3, scale).run();
     print_report(3, &compartmentalized);
 
     if monolith.delivered == 0 || compartmentalized.delivered == 0 {
@@ -687,8 +687,8 @@ fn smoke_compartment(scale: Scale) -> ExitCode {
 fn smoke_byzantine(scale: Scale) {
     println!("# byzantine attack matrix smoke");
     for (name, scenario) in attack_matrix(scale) {
-        let report = run_scenario(scenario.clone());
-        let again = run_scenario(scenario);
+        let report = scenario.clone().run();
+        let again = scenario.run();
         assert_eq!(
             report, again,
             "{name}: same-seed adversarial runs must be bit-identical"

@@ -126,13 +126,15 @@ impl LeaderTable {
     }
 }
 
-/// Counts per-request responses and reports completion at a quorum of f+1
-/// (Section 6.1: "the latency from the moment a client submits a request
-/// until the client receives f + 1 responses").
+/// Counts per-request responses and reports completion once f+1 nodes have
+/// sent *matching* responses, i.e. the same sequence number (Section 6.1:
+/// "the latency from the moment a client submits a request until the client
+/// receives f + 1 responses").
 #[derive(Default)]
 pub struct ResponseTracker {
     quorum: usize,
-    responses: HashMap<RequestId, HashSet<NodeId>>,
+    /// Per pending request, the distinct `(responder, seq_nr)` pairs so far.
+    responses: HashMap<RequestId, Vec<(NodeId, SeqNr)>>,
     completed: HashMap<RequestId, SeqNr>,
 }
 
@@ -145,8 +147,8 @@ impl ResponseTracker {
         }
     }
 
-    /// Records a response. Returns `Some(seq_nr)` the first time the request
-    /// reaches its response quorum.
+    /// Records a response. Returns `Some(seq_nr)` the first time `quorum`
+    /// distinct nodes have reported the request at the same `seq_nr`.
     pub fn on_response(
         &mut self,
         from: NodeId,
@@ -156,9 +158,11 @@ impl ResponseTracker {
         if self.completed.contains_key(&request) {
             return None;
         }
-        let set = self.responses.entry(request).or_default();
-        set.insert(from);
-        if set.len() >= self.quorum {
+        let received = self.responses.entry(request).or_default();
+        if !received.contains(&(from, seq_nr)) {
+            received.push((from, seq_nr));
+        }
+        if received.iter().filter(|(_, s)| *s == seq_nr).count() >= self.quorum {
             self.responses.remove(&request);
             self.completed.insert(request, seq_nr);
             Some(seq_nr)
@@ -271,5 +275,24 @@ mod tests {
         assert_eq!(t.on_response(NodeId(2), req, 5), None, "already completed");
         assert!(t.is_complete(&req));
         assert_eq!(t.completed_count(), 1);
+    }
+
+    #[test]
+    fn response_tracker_counts_only_matching_seq_nrs() {
+        let mut t = ResponseTracker::new(2);
+        let req = RequestId::new(ClientId(0), 0);
+        assert_eq!(t.on_response(NodeId(0), req, 5), None);
+        assert_eq!(
+            t.on_response(NodeId(1), req, 9),
+            None,
+            "two responders disagreeing on the seq_nr are not a quorum"
+        );
+        assert!(!t.is_complete(&req));
+        assert_eq!(
+            t.on_response(NodeId(2), req, 5),
+            Some(5),
+            "the second matching response completes at the agreed seq_nr"
+        );
+        assert_eq!(t.on_response(NodeId(3), req, 9), None, "already completed");
     }
 }

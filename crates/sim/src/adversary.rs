@@ -1,5 +1,6 @@
 //! The adversary-injection subsystem: actively malicious behaviors for
-//! replicas and clients, driven by a seed-deterministic [`AdversaryPlan`].
+//! replicas and clients, scheduled per node and per client in an
+//! [`AdversaryPlan`] by the [`crate::ScenarioBuilder`] attack methods.
 //!
 //! ISS's headline claim (Stathakopoulou et al., EuroSys 2022; extended
 //! version arXiv 2203.05681) is safety *and* liveness under Byzantine
@@ -59,7 +60,7 @@ use iss_crypto::batch_digest;
 use iss_messages::{ClientMsg, NetMsg, PbftMsg, RefSbMsg, SbMsg};
 use iss_simnet::process::{Addr, Context, Process};
 use iss_types::{Batch, BucketId, ClientId, EpochNr, NodeId, Request, RequestId, Time, TimerId};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// How a malformed proposer corrupts its batches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,225 +73,48 @@ pub enum MalformedKind {
     Oversized,
 }
 
-/// One entry of an [`AdversaryPlan`].
-#[derive(Clone, Debug)]
-pub enum AdversaryEvent {
-    /// `node` proposes conflicting batches to different followers for every
-    /// proposal in epochs `[from_epoch, until_epoch)`.
-    EquivocatingLeader {
-        /// The equivocating replica.
-        node: NodeId,
-        /// First epoch of the attack window (inclusive).
-        from_epoch: EpochNr,
-        /// End of the attack window (exclusive).
-        until_epoch: EpochNr,
-    },
-    /// `node` drops every incoming client request mapping to `bucket`, for
-    /// the whole run.
-    CensoringLeader {
-        /// The censoring replica.
-        node: NodeId,
-        /// The censored bucket.
-        bucket: BucketId,
-    },
-    /// `node` corrupts every batch it proposes in epochs `[from_epoch,
-    /// until_epoch)`.
-    MalformedProposals {
-        /// The misbehaving replica.
-        node: NodeId,
-        /// The corruption applied.
-        kind: MalformedKind,
-        /// First epoch of the attack window (inclusive).
-        from_epoch: EpochNr,
-        /// End of the attack window (exclusive).
-        until_epoch: EpochNr,
-    },
-    /// `client` submits a conflicting copy (same request id, different
-    /// payload) of every request to a second replica.
-    ByzantineClient {
-        /// The misbehaving client.
-        client: ClientId,
-    },
-    /// `client` re-sends every 4th request immediately and replays an old
-    /// (typically long-delivered) request every 8th submission.
-    DuplicatingClient {
-        /// The misbehaving client.
-        client: ClientId,
-    },
+/// The attacks one replica runs. One node may combine several, so the
+/// combined-attack acceptance scenario stays within f = 1.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct NodeAttacks {
+    /// Epochs `[from, until)` in which every proposal goes out as
+    /// conflicting batches to different followers.
+    pub(crate) equivocate: Option<(EpochNr, EpochNr)>,
+    /// The bucket whose incoming client requests are dropped all run.
+    pub(crate) censor: Option<BucketId>,
+    /// The corruption applied to every proposal of epochs `[from, until)`.
+    pub(crate) malformed: Option<(MalformedKind, EpochNr, EpochNr)>,
 }
 
-/// The adversarial dimension of a scenario: a schedule of actively malicious
-/// node and client behaviors, pure data like [`crate::FaultPlan`]. An empty
-/// plan wires up nothing at all — deployments with `AdversaryPlan::none()`
-/// are byte-identical to pre-adversary builds.
+/// The attacks one client runs.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct ClientAttacks {
+    /// Every request also goes, with a different payload under the same id,
+    /// to a second replica.
+    pub(crate) conflict: bool,
+    /// Every 4th request is re-sent at once and every 8th submission
+    /// replays an old (typically long-delivered) request.
+    pub(crate) duplicate_replay: bool,
+}
+
+/// The adversarial dimension of a scenario, filled by the
+/// [`crate::ScenarioBuilder`] attack methods: the attacks each adversarial
+/// node and client runs. An empty plan wires up nothing at all — attack-free
+/// deployments are byte-identical to pre-adversary builds.
 #[derive(Clone, Debug, Default)]
 pub struct AdversaryPlan {
-    /// The scheduled adversarial behaviors, in insertion order.
-    pub events: Vec<AdversaryEvent>,
+    /// Per adversarial replica, its attacks. These nodes are excluded from
+    /// observer selection and do not count as "correct" owners for the
+    /// censorship liveness gate.
+    pub(crate) nodes: BTreeMap<NodeId, NodeAttacks>,
+    /// Per adversarial client, its attacks.
+    pub(crate) clients: BTreeMap<ClientId, ClientAttacks>,
 }
 
 impl AdversaryPlan {
-    /// The attack-free plan.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// Whether the plan schedules no adversarial behavior at all.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Makes `node` an equivocating leader during `[from_epoch, until_epoch)`.
-    pub fn equivocating_leader(
-        mut self,
-        node: NodeId,
-        from_epoch: EpochNr,
-        until_epoch: EpochNr,
-    ) -> Self {
-        self.events.push(AdversaryEvent::EquivocatingLeader {
-            node,
-            from_epoch,
-            until_epoch,
-        });
-        self
-    }
-
-    /// Makes `node` censor every request of `bucket` for the whole run.
-    pub fn censoring_leader(mut self, node: NodeId, bucket: BucketId) -> Self {
-        self.events
-            .push(AdversaryEvent::CensoringLeader { node, bucket });
-        self
-    }
-
-    /// Makes `node` propose malformed batches during `[from_epoch,
-    /// until_epoch)`.
-    pub fn malformed_proposals(
-        mut self,
-        node: NodeId,
-        kind: MalformedKind,
-        from_epoch: EpochNr,
-        until_epoch: EpochNr,
-    ) -> Self {
-        self.events.push(AdversaryEvent::MalformedProposals {
-            node,
-            kind,
-            from_epoch,
-            until_epoch,
-        });
-        self
-    }
-
-    /// Makes `client` submit conflicting same-id requests to two replicas.
-    pub fn byzantine_client(mut self, client: ClientId) -> Self {
-        self.events.push(AdversaryEvent::ByzantineClient { client });
-        self
-    }
-
-    /// Makes `client` duplicate fresh requests and replay delivered ones.
-    pub fn duplicating_client(mut self, client: ClientId) -> Self {
-        self.events
-            .push(AdversaryEvent::DuplicatingClient { client });
-        self
-    }
-
-    /// Every replica with at least one adversarial behavior, deduplicated,
-    /// in plan order. These nodes are excluded from observer selection and
-    /// do not count as "correct" owners for the censorship liveness gate.
-    pub fn adversarial_nodes(&self) -> Vec<NodeId> {
-        let mut nodes = Vec::new();
-        for e in &self.events {
-            let n = match e {
-                AdversaryEvent::EquivocatingLeader { node, .. } => *node,
-                AdversaryEvent::CensoringLeader { node, .. } => *node,
-                AdversaryEvent::MalformedProposals { node, .. } => *node,
-                _ => continue,
-            };
-            if !nodes.contains(&n) {
-                nodes.push(n);
-            }
-        }
-        nodes
-    }
-
-    /// The censoring leaders with their censored buckets, in plan order.
-    pub fn censors(&self) -> Vec<(NodeId, BucketId)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                AdversaryEvent::CensoringLeader { node, bucket } => Some((*node, *bucket)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The behavior for `node`, if the plan gives it one. `num_nodes`,
-    /// `num_buckets` and `max_batch_size` parameterize the attacks.
-    pub fn node_behavior(
-        &self,
-        node: NodeId,
-        num_nodes: usize,
-        num_buckets: usize,
-        max_batch_size: usize,
-    ) -> Option<NodeAdversary> {
-        let mut adv = NodeAdversary {
-            node,
-            num_nodes,
-            num_buckets,
-            max_batch_size,
-            equivocate: None,
-            censor: None,
-            malformed: None,
-        };
-        let mut any = false;
-        for e in &self.events {
-            match e {
-                AdversaryEvent::EquivocatingLeader {
-                    node: n,
-                    from_epoch,
-                    until_epoch,
-                } if *n == node => {
-                    adv.equivocate = Some((*from_epoch, *until_epoch));
-                    any = true;
-                }
-                AdversaryEvent::CensoringLeader { node: n, bucket } if *n == node => {
-                    adv.censor = Some(*bucket);
-                    any = true;
-                }
-                AdversaryEvent::MalformedProposals {
-                    node: n,
-                    kind,
-                    from_epoch,
-                    until_epoch,
-                } if *n == node => {
-                    adv.malformed = Some((*kind, *from_epoch, *until_epoch));
-                    any = true;
-                }
-                _ => {}
-            }
-        }
-        any.then_some(adv)
-    }
-
-    /// The behavior for `client`, if the plan gives it one.
-    pub fn client_behavior(&self, client: ClientId, num_nodes: usize) -> Option<ClientAdversary> {
-        let mut conflict = false;
-        let mut duplicate_replay = false;
-        for e in &self.events {
-            match e {
-                AdversaryEvent::ByzantineClient { client: c } if *c == client => conflict = true,
-                AdversaryEvent::DuplicatingClient { client: c } if *c == client => {
-                    duplicate_replay = true;
-                }
-                _ => {}
-            }
-        }
-        (conflict || duplicate_replay).then_some(ClientAdversary {
-            num_nodes,
-            conflict,
-            duplicate_replay,
-            history: VecDeque::new(),
-            sent: 0,
-        })
+        self.nodes.is_empty() && self.clients.is_empty()
     }
 }
 
@@ -356,17 +180,14 @@ impl Process<NetMsg> for AdversarialProcess {
     }
 }
 
-/// The combined node-side adversary: any subset of {equivocation, censoring,
-/// malformed proposals} on one replica (one node can play several roles, so
-/// the combined-attack acceptance scenario stays within f = 1).
-pub struct NodeAdversary {
+/// The node-side adversary: a replica's [`NodeAttacks`] wrapped around its
+/// I/O.
+pub(crate) struct NodeAdversary {
     node: NodeId,
+    attacks: NodeAttacks,
     num_nodes: usize,
     num_buckets: usize,
     max_batch_size: usize,
-    equivocate: Option<(EpochNr, EpochNr)>,
-    censor: Option<BucketId>,
-    malformed: Option<(MalformedKind, EpochNr, EpochNr)>,
 }
 
 /// A batch with the last request removed — a *conflicting* proposal for the
@@ -401,7 +222,54 @@ fn malformed_variant(batch: &Batch, kind: MalformedKind, max_batch_size: usize) 
     Some(Batch::new(corrupted))
 }
 
+/// `sb` with the batch it proposes (a PBFT pre-prepare's or a BRB send's)
+/// replaced by `corrupt(batch)`, the pre-prepare digest recomputed to match;
+/// `None` when `sb` proposes no batch or `corrupt` declines.
+fn corrupt_proposal(sb: &SbMsg, corrupt: impl FnOnce(&Batch) -> Option<Batch>) -> Option<SbMsg> {
+    Some(match sb {
+        SbMsg::Pbft(PbftMsg::PrePrepare {
+            view,
+            seq_nr,
+            batch: Some(batch),
+            ..
+        }) => {
+            let batch = corrupt(batch)?;
+            SbMsg::Pbft(PbftMsg::PrePrepare {
+                view: *view,
+                seq_nr: *seq_nr,
+                digest: batch_digest(&batch),
+                batch: Some(batch),
+            })
+        }
+        SbMsg::Reference(RefSbMsg::BrbSend { seq_nr, batch }) => {
+            SbMsg::Reference(RefSbMsg::BrbSend {
+                seq_nr: *seq_nr,
+                batch: corrupt(batch)?,
+            })
+        }
+        _ => return None,
+    })
+}
+
 impl NodeAdversary {
+    /// `node` running `attacks` in a cluster of `num_nodes` replicas with
+    /// `num_buckets` buckets and batches of at most `max_batch_size`.
+    pub(crate) fn new(
+        node: NodeId,
+        attacks: NodeAttacks,
+        num_nodes: usize,
+        num_buckets: usize,
+        max_batch_size: usize,
+    ) -> Self {
+        NodeAdversary {
+            node,
+            attacks,
+            num_nodes,
+            num_buckets,
+            max_batch_size,
+        }
+    }
+
     /// Whether this send is a proposal the equivocator splits: the immediate
     /// successor of the adversary keeps the original, everyone else gets the
     /// conflicting variant. At n = 4 this yields a 2-vs-2 split *including
@@ -414,7 +282,7 @@ impl NodeAdversary {
 
 impl Behavior for NodeAdversary {
     fn on_inbound(&mut self, _now: Time, _from: Addr, msg: &NetMsg) -> bool {
-        let Some(censored) = self.censor else {
+        let Some(censored) = self.attacks.censor else {
             return true;
         };
         match msg {
@@ -434,121 +302,61 @@ impl Behavior for NodeAdversary {
             emit(to, msg);
             return;
         };
-        let epoch = instance.epoch;
-        let in_window = |w: Option<(EpochNr, EpochNr)>| {
-            w.is_some_and(|(from, until)| epoch >= from && epoch < until)
-        };
+        let in_window = |(from, until): (EpochNr, EpochNr)| (from..until).contains(&instance.epoch);
         // Equivocation: per-destination conflicting proposals.
-        if in_window(self.equivocate) {
-            let target = to.as_node();
-            match (sb, target) {
-                (
-                    SbMsg::Pbft(PbftMsg::PrePrepare {
-                        view,
-                        seq_nr,
-                        batch: Some(batch),
-                        ..
-                    }),
-                    Some(node),
-                ) if !batch.is_empty() && !self.gets_original(node) => {
-                    let variant = conflicting_variant(batch);
-                    let digest = batch_digest(&variant);
-                    emit(
-                        to,
-                        NetMsg::Sb {
-                            instance: *instance,
-                            msg: SbMsg::Pbft(PbftMsg::PrePrepare {
-                                view: *view,
-                                seq_nr: *seq_nr,
-                                batch: Some(variant),
-                                digest,
-                            }),
-                        },
-                    );
-                    return;
-                }
-                (SbMsg::Reference(RefSbMsg::BrbSend { seq_nr, batch }), Some(node))
-                    if !batch.is_empty() && !self.gets_original(node) =>
-                {
-                    emit(
-                        to,
-                        NetMsg::Sb {
-                            instance: *instance,
-                            msg: SbMsg::Reference(RefSbMsg::BrbSend {
-                                seq_nr: *seq_nr,
-                                batch: conflicting_variant(batch),
-                            }),
-                        },
-                    );
-                    return;
-                }
-                _ => {}
-            }
-        }
+        let equivocate = self.attacks.equivocate.is_some_and(in_window)
+            && to.as_node().is_some_and(|n| !self.gets_original(n));
+        let corrupted = if equivocate {
+            corrupt_proposal(sb, |b| (!b.is_empty()).then(|| conflicting_variant(b)))
+        } else {
+            None
+        };
         // Malformed proposals: the same corrupted batch to every follower.
-        if let Some((kind, _, _)) = self.malformed {
-            if in_window(self.malformed.map(|(_, f, u)| (f, u))) {
-                match sb {
-                    SbMsg::Pbft(PbftMsg::PrePrepare {
-                        view,
-                        seq_nr,
-                        batch: Some(batch),
-                        ..
-                    }) => {
-                        if let Some(variant) = malformed_variant(batch, kind, self.max_batch_size) {
-                            let digest = batch_digest(&variant);
-                            emit(
-                                to,
-                                NetMsg::Sb {
-                                    instance: *instance,
-                                    msg: SbMsg::Pbft(PbftMsg::PrePrepare {
-                                        view: *view,
-                                        seq_nr: *seq_nr,
-                                        batch: Some(variant),
-                                        digest,
-                                    }),
-                                },
-                            );
-                            return;
-                        }
-                    }
-                    SbMsg::Reference(RefSbMsg::BrbSend { seq_nr, batch }) => {
-                        if let Some(variant) = malformed_variant(batch, kind, self.max_batch_size) {
-                            emit(
-                                to,
-                                NetMsg::Sb {
-                                    instance: *instance,
-                                    msg: SbMsg::Reference(RefSbMsg::BrbSend {
-                                        seq_nr: *seq_nr,
-                                        batch: variant,
-                                    }),
-                                },
-                            );
-                            return;
-                        }
-                    }
-                    _ => {}
-                }
-            }
+        let corrupted = corrupted.or_else(|| {
+            let (kind, ..) = self
+                .attacks
+                .malformed
+                .filter(|&(_, from, until)| in_window((from, until)))?;
+            corrupt_proposal(sb, |b| malformed_variant(b, kind, self.max_batch_size))
+        });
+        match corrupted {
+            Some(sb) => emit(
+                to,
+                NetMsg::Sb {
+                    instance: *instance,
+                    msg: sb,
+                },
+            ),
+            None => emit(to, msg),
         }
-        emit(to, msg);
     }
 }
 
 /// Number of requests the duplicating client keeps for replays.
 const REPLAY_HISTORY: usize = 64;
 
-/// The combined client-side adversary: conflicting same-id requests and/or
-/// duplicate + replayed submissions.
-pub struct ClientAdversary {
+/// The client-side adversary: a client's [`ClientAttacks`] wrapped around
+/// its I/O.
+pub(crate) struct ClientAdversary {
+    attacks: ClientAttacks,
     num_nodes: usize,
-    conflict: bool,
-    duplicate_replay: bool,
     /// Recent requests with their original targets, for replays.
     history: VecDeque<(Addr, Request)>,
     /// Requests observed from the wrapped client (drives the deterministic
     /// every-Nth duplication/replay schedule).
     sent: u64,
+}
+
+impl ClientAdversary {
+    /// A client running `attacks` against `num_nodes` replicas.
+    pub(crate) fn new(attacks: ClientAttacks, num_nodes: usize) -> Self {
+        ClientAdversary {
+            attacks,
+            num_nodes,
+            history: VecDeque::new(),
+            sent: 0,
+        }
+    }
 }
 
 impl Behavior for ClientAdversary {
@@ -565,7 +373,7 @@ impl Behavior for ClientAdversary {
         };
         let req = req.clone();
         emit(to, msg);
-        if self.conflict {
+        if self.attacks.conflict {
             // Same request id, different payload — a conflicting "signing"
             // of the request — to a second replica. Both copies map to the
             // same bucket (the bucket is a function of the id alone), so the
@@ -578,7 +386,7 @@ impl Behavior for ClientAdversary {
             };
             emit(other, NetMsg::Client(ClientMsg::Request(twin)));
         }
-        if self.duplicate_replay {
+        if self.attacks.duplicate_replay {
             self.sent += 1;
             if self.sent.is_multiple_of(4) {
                 // Immediate duplicate of the fresh request.
@@ -659,15 +467,14 @@ pub fn evaluate_gates(scenario: &Scenario, metrics: &Metrics) -> AdversaryReport
         epoch_advances: metrics.epochs.len() as u64,
         ..Default::default()
     };
-    let censors = plan.censors();
-    if censors.is_empty() {
+    let censored: Vec<BucketId> = plan.nodes.values().filter_map(|a| a.censor).collect();
+    if censored.is_empty() {
         return report;
     }
 
     let config = scenario.iss_config();
     let num_buckets = config.num_buckets();
     let all_nodes = config.all_nodes();
-    let adversarial = plan.adversarial_nodes();
 
     // Observer epoch start times: epoch 0 starts at t=0, later epochs when
     // the observer announced the transition.
@@ -696,7 +503,7 @@ pub fn evaluate_gates(scenario: &Scenario, metrics: &Metrics) -> AdversaryReport
     };
 
     let stop_at = Time::ZERO + scenario.window.duration;
-    for (_, bucket) in censors {
+    for bucket in censored {
         // Cache the rotation schedule of this bucket across observed epochs.
         let owners: Vec<NodeId> = (0..=max_epoch).map(|e| owner_of(bucket, e)).collect();
         for c in 0..scenario.num_clients() as u32 {
@@ -711,7 +518,7 @@ pub fn evaluate_gates(scenario: &Scenario, metrics: &Metrics) -> AdversaryReport
                 // First epoch at/after submission owned by a correct node.
                 let e_rot = (0..=max_epoch).find(|&e| {
                     start_of(e).is_some_and(|s| s >= submit)
-                        && !adversarial.contains(&owners[e as usize])
+                        && !plan.nodes.contains_key(&owners[e as usize])
                 });
                 let Some(e_rot) = e_rot else { continue };
                 let Some(deadline) = start_of(e_rot + CENSORSHIP_EPOCH_BOUND) else {
@@ -734,29 +541,39 @@ mod tests {
 
     #[test]
     fn plan_builders_and_accessors() {
-        let plan = AdversaryPlan::none()
+        let builder = || Scenario::builder(crate::Protocol::Pbft, 4);
+        let plan = builder()
             .equivocating_leader(NodeId(0), 1, 2)
             .censoring_leader(NodeId(0), BucketId(3))
             .malformed_proposals(NodeId(2), MalformedKind::Oversized, 1, 3)
             .byzantine_client(ClientId(5))
-            .duplicating_client(ClientId(6));
+            .duplicating_client(ClientId(6))
+            .build()
+            .adversary;
         assert!(!plan.is_empty());
-        assert!(AdversaryPlan::none().is_empty());
-        assert_eq!(plan.adversarial_nodes(), vec![NodeId(0), NodeId(2)]);
-        assert_eq!(plan.censors(), vec![(NodeId(0), BucketId(3))]);
-        // Node 0 combines two roles in one behavior; node 1 has none.
-        let b = plan.node_behavior(NodeId(0), 4, 16, 64).unwrap();
+        assert!(builder().build().adversary.is_empty());
+        let nodes: Vec<NodeId> = plan.nodes.keys().copied().collect();
+        assert_eq!(nodes, vec![NodeId(0), NodeId(2)]);
+        let censors: Vec<(NodeId, BucketId)> = plan
+            .nodes
+            .iter()
+            .filter_map(|(n, a)| a.censor.map(|b| (*n, b)))
+            .collect();
+        assert_eq!(censors, vec![(NodeId(0), BucketId(3))]);
+        // Node 0 combines two roles in one entry; node 1 has none.
+        let b = plan.nodes[&NodeId(0)];
         assert_eq!(b.equivocate, Some((1, 2)));
         assert_eq!(b.censor, Some(BucketId(3)));
         assert!(b.malformed.is_none());
-        assert!(plan.node_behavior(NodeId(1), 4, 16, 64).is_none());
-        assert!(plan.client_behavior(ClientId(5), 4).unwrap().conflict);
-        assert!(
-            plan.client_behavior(ClientId(6), 4)
-                .unwrap()
-                .duplicate_replay
-        );
-        assert!(plan.client_behavior(ClientId(7), 4).is_none());
+        assert!(!plan.nodes.contains_key(&NodeId(1)));
+        assert!(plan.clients[&ClientId(5)].conflict);
+        assert!(plan.clients[&ClientId(6)].duplicate_replay);
+        assert!(!plan.clients.contains_key(&ClientId(7)));
+    }
+
+    /// The behavior a 4-node deployment wraps around `node` for `attacks`.
+    fn node_adversary(node: u32, attacks: NodeAttacks) -> NodeAdversary {
+        NodeAdversary::new(NodeId(node), attacks, 4, 16, 64)
     }
 
     #[test]
@@ -764,8 +581,11 @@ mod tests {
         // At n=4, whoever the adversary is, exactly one follower keeps the
         // original; with the leader itself that is a 2-2 split.
         for leader in 0..4u32 {
-            let plan = AdversaryPlan::none().equivocating_leader(NodeId(leader), 0, 1);
-            let adv = plan.node_behavior(NodeId(leader), 4, 16, 64).unwrap();
+            let attacks = NodeAttacks {
+                equivocate: Some((0, 1)),
+                ..NodeAttacks::default()
+            };
+            let adv = node_adversary(leader, attacks);
             let originals: Vec<u32> = (0..4)
                 .filter(|&n| n != leader && adv.gets_original(NodeId(n)))
                 .collect();
@@ -775,8 +595,11 @@ mod tests {
 
     #[test]
     fn censor_drops_only_the_censored_bucket() {
-        let plan = AdversaryPlan::none().censoring_leader(NodeId(0), BucketId(0));
-        let mut adv = plan.node_behavior(NodeId(0), 4, 16, 64).unwrap();
+        let attacks = NodeAttacks {
+            censor: Some(BucketId(0)),
+            ..NodeAttacks::default()
+        };
+        let mut adv = node_adversary(0, attacks);
         let from = Addr::Client(ClientId(0));
         // Find one request per bucket-class deterministically.
         let mut kept = 0;
@@ -823,8 +646,11 @@ mod tests {
 
     #[test]
     fn client_adversary_emits_conflicting_twin_to_next_node() {
-        let plan = AdversaryPlan::none().byzantine_client(ClientId(1));
-        let mut adv = plan.client_behavior(ClientId(1), 4).unwrap();
+        let attacks = ClientAttacks {
+            conflict: true,
+            ..ClientAttacks::default()
+        };
+        let mut adv = ClientAdversary::new(attacks, 4);
         let req = Request::synthetic(ClientId(1), 0, 100);
         let mut out: Vec<(Addr, NetMsg)> = Vec::new();
         adv.on_outbound(
@@ -847,8 +673,11 @@ mod tests {
 
     #[test]
     fn duplicating_client_schedule_is_deterministic() {
-        let plan = AdversaryPlan::none().duplicating_client(ClientId(0));
-        let mut adv = plan.client_behavior(ClientId(0), 4).unwrap();
+        let attacks = ClientAttacks {
+            duplicate_replay: true,
+            ..ClientAttacks::default()
+        };
+        let mut adv = ClientAdversary::new(attacks, 4);
         let mut emissions = 0usize;
         for t in 0..16u64 {
             let req = Request::synthetic(ClientId(0), t, 100);

@@ -3,7 +3,9 @@
 //! configured topology, runs it for the scenario's window and produces a
 //! [`Report`].
 
-use crate::adversary::{evaluate_gates, AdversarialProcess, AdversaryReport, NodeAdversary};
+use crate::adversary::{
+    evaluate_gates, AdversarialProcess, AdversaryReport, ClientAdversary, NodeAdversary,
+};
 use crate::client_proc::ClientProcess;
 use crate::factories::{make_factory, Protocol};
 use crate::metrics::{metrics_handle, MetricsHandle, MetricsSink, RecoveryEvent};
@@ -128,24 +130,30 @@ impl Deployment {
         ));
         let workload = Rc::clone(&scenario.workload);
 
-        // Observer: the highest-numbered node that neither crashes nor lags,
-        // preferring nodes outside the minority side of every scheduled
-        // partition — a cut-off replica delivers nothing while partitioned
-        // (and takes a protocol timeout to catch up after heal), so it would
-        // silently report the stalled side instead of the committing quorum.
-        let crashes = scenario.faults.crashes();
-        let crash_restarts = scenario.faults.crash_restarts();
-        // A restarting node spends part of the run down and catching up, so
-        // it is just as unsuitable an observer as a permanently crashed one.
-        let crashed: Vec<NodeId> = crashes
-            .iter()
-            .map(|(n, _)| *n)
-            .chain(crash_restarts.iter().map(|(n, _, _)| *n))
-            .collect();
-        let stragglers = scenario.faults.stragglers();
-        let isolated: Vec<NodeId> = scenario
-            .faults
-            .partitions()
+        // The fault plan lowers in one pass: the crash schedule is the one
+        // source of which nodes go down and which of them reboot when.
+        let faults = &scenario.faults;
+        let mut crashes = CrashSchedule::none();
+        for (&node, &(timing, restart_after)) in &faults.crashes {
+            let down = scenario.crash_time(timing);
+            crashes = match restart_after {
+                None => crashes.crash(node, down),
+                Some(down_for) => crashes.crash_restart(node, down, down + down_for),
+            };
+        }
+        let restarts = crashes.restarts();
+
+        // Observer: the highest-numbered node that neither crashes (a
+        // restarting node spends part of the run down and catching up), lags
+        // nor attacks (an equivocator's or censor's local log is not what the
+        // correct quorum commits), preferring nodes outside the minority side
+        // of every scheduled partition — a cut-off replica delivers nothing
+        // while partitioned (and takes a protocol timeout to catch up after
+        // heal), so it would silently report the stalled side instead of the
+        // committing quorum.
+        let crashed = crashes.crashed_nodes();
+        let isolated: Vec<NodeId> = faults
+            .partitions
             .iter()
             .flat_map(|p| match p.group_a.len().cmp(&p.group_b.len()) {
                 std::cmp::Ordering::Less => p.group_a.clone(),
@@ -153,12 +161,10 @@ impl Deployment {
                 std::cmp::Ordering::Equal => Vec::new(),
             })
             .collect();
-        // Adversarial replicas are just as unsuitable observers: an
-        // equivocator's or censor's local log is not representative of what
-        // the correct quorum commits.
-        let adversarial = scenario.adversary.adversarial_nodes();
         let healthy = |n: &NodeId| {
-            !crashed.contains(n) && !stragglers.contains(n) && !adversarial.contains(n)
+            !crashed.contains(n)
+                && !faults.stragglers.contains(n)
+                && !scenario.adversary.nodes.contains_key(n)
         };
         let observer = (0..scenario.num_nodes as u32)
             .rev()
@@ -181,7 +187,11 @@ impl Deployment {
         // got no response, so censoring scenarios turn responses and client
         // retransmission on; every other run measures latency at delivery and
         // keeps the response traffic out of the event count.
-        let respond_to_clients = !scenario.adversary.censors().is_empty();
+        let respond_to_clients = scenario
+            .adversary
+            .nodes
+            .values()
+            .any(|a| a.censor.is_some());
 
         // Simulated testbed on the scenario's topology.
         let mut runtime_config = RuntimeConfig::testbed();
@@ -214,22 +224,14 @@ impl Deployment {
                 "the compartmentalized pipeline is ISS-only"
             );
             assert!(
-                scenario.faults.is_empty() && scenario.adversary.is_empty(),
+                faults.is_empty() && scenario.adversary.is_empty(),
                 "compartmentalized deployments are fault-free: the batcher \
                  derives its cut cadence from every node leading"
             );
         }
-        let mut crash_schedule = CrashSchedule::none();
-        for (node, timing) in &crashes {
-            crash_schedule = crash_schedule.crash(*node, scenario.crash_time(*timing));
-        }
-        for (node, timing, down_for) in &crash_restarts {
-            let down = scenario.crash_time(*timing);
-            crash_schedule = crash_schedule.crash_restart(*node, down, down + *down_for);
-        }
-        runtime_config.faults.crashes = crash_schedule;
-        runtime_config.faults.partitions = scenario.faults.partitions();
-        runtime_config.faults.loss_windows = scenario.faults.loss_windows();
+        runtime_config.faults.crashes = crashes;
+        runtime_config.faults.partitions = faults.partitions.clone();
+        runtime_config.faults.loss_windows = faults.loss_windows.clone();
 
         let mut runtime: Runtime<NetMsg> = Runtime::new(runtime_config);
         let clients: Vec<ClientId> = (0..num_clients as u32).map(ClientId).collect();
@@ -257,26 +259,27 @@ impl Deployment {
             opts.respond_to_clients = respond_to_clients;
             opts.announce_buckets = true;
             opts.clients = clients.clone();
-            if stragglers.contains(&node_id) {
+            if faults.stragglers.contains(&node_id) {
                 opts.straggler = Some(StragglerBehavior {
                     proposal_interval: config.epoch_change_timeout.div(2),
                 });
             }
             // A restarting node gets durable (simulated in-memory) storage
             // and a reboot scheduled at the end of its down window; everyone
-            // else runs storage-free, exactly as before.
-            let restart_window = crash_restarts.iter().find(|(id, _, _)| *id == node_id).map(
-                |(_, timing, down_for)| {
-                    let down = scenario.crash_time(*timing);
-                    (down, down + *down_for)
-                },
-            );
-            let behavior = scenario.adversary.node_behavior(
-                node_id,
-                scenario.num_nodes,
-                config.num_buckets(),
-                config.max_batch_size,
-            );
+            // else runs storage-free.
+            let restart_at = restarts
+                .iter()
+                .find(|(id, _)| *id == node_id)
+                .map(|&(_, up)| up);
+            let behavior = scenario.adversary.nodes.get(&node_id).map(|&attacks| {
+                NodeAdversary::new(
+                    node_id,
+                    attacks,
+                    scenario.num_nodes,
+                    config.num_buckets(),
+                    config.max_batch_size,
+                )
+            });
             // Only the observer node carries counters: the report's stage
             // rows are observer-scoped, and counter-free nodes skip the
             // bookkeeping entirely.
@@ -297,7 +300,7 @@ impl Deployment {
                 &config,
                 &registry,
                 &metrics,
-                restart_window,
+                restart_at,
                 behavior,
             );
             let Some((batchers, executors)) = stages else {
@@ -394,8 +397,11 @@ impl Deployment {
                 client = client.with_batchers(batchers);
             }
             let process: Box<dyn Process<NetMsg>> = Box::new(client);
-            let process = match scenario.adversary.client_behavior(*c, scenario.num_nodes) {
-                Some(behavior) => Box::new(AdversarialProcess::new(process, Box::new(behavior))),
+            let process = match scenario.adversary.clients.get(c) {
+                Some(&attacks) => Box::new(AdversarialProcess::new(
+                    process,
+                    Box::new(ClientAdversary::new(attacks, scenario.num_nodes)),
+                )),
                 None => process,
             };
             runtime.add_process(Addr::Client(*c), process);
@@ -412,13 +418,13 @@ impl Deployment {
     }
 
     /// Registers one replica, wiring up durable storage and a scheduled
-    /// reboot when the fault plan restarts it (`restart_window` is its
-    /// `(down, up)` interval). The rebooted incarnation is built at restart
-    /// time from the same shared storage, so it recovers exactly what the
-    /// pre-crash incarnation persisted. An adversarial `behavior` wraps the
-    /// node's I/O (adversarial nodes are not combinable with crash-restarts:
-    /// a restarting Byzantine node is indistinguishable from a fresh one in
-    /// this model, so the plan simply does not schedule both on one node).
+    /// reboot when the fault plan restarts it (at `restart_at`). The rebooted
+    /// incarnation is built at restart time from the same shared storage, so
+    /// it recovers exactly what the pre-crash incarnation persisted. An
+    /// adversarial `behavior` wraps the node's I/O (adversarial nodes are not
+    /// combinable with crash-restarts: a restarting Byzantine node is
+    /// indistinguishable from a fresh one in this model, so the plan simply
+    /// does not schedule both on one node).
     #[allow(clippy::too_many_arguments)]
     fn add_node(
         runtime: &mut Runtime<NetMsg>,
@@ -428,12 +434,12 @@ impl Deployment {
         config: &IssConfig,
         registry: &Arc<SignatureRegistry>,
         metrics: &MetricsHandle,
-        restart_window: Option<(Time, Time)>,
+        restart_at: Option<Time>,
         behavior: Option<NodeAdversary>,
     ) {
         let factory = make_factory(scenario.stack.protocol, config, Arc::clone(registry));
         let sink = Rc::new(RefCell::new(MetricsSink::new(Rc::clone(metrics))));
-        let Some((_down_at, up_at)) = restart_window else {
+        let Some(up_at) = restart_at else {
             let node = IssNode::new(node_id, opts, factory, Arc::clone(registry), sink);
             let process: Box<dyn Process<NetMsg>> = Box::new(node);
             let process = match behavior {
@@ -568,11 +574,6 @@ impl Deployment {
     }
 }
 
-/// Convenience: build and run a scenario in one call.
-pub fn run_scenario(scenario: Scenario) -> Report {
-    Deployment::new(scenario).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,7 +614,7 @@ mod tests {
             .duration(Duration::from_secs(12))
             .warmup(Duration::from_secs(2))
             .build();
-        let report = run_scenario(scenario);
+        let report = scenario.run();
         assert!(report.delivered > 1000, "delivered {}", report.delivered);
         // Observer rows: 1 orderer + 2 batchers + 2 executors.
         assert_eq!(report.stages.len(), 5, "stages: {:?}", report.stages);
@@ -691,7 +692,7 @@ mod tests {
                 Time::from_secs(6),
             )
             .build();
-        let report = run_scenario(scenario);
+        let report = scenario.run();
         assert!(report.delivered > 500, "delivered {}", report.delivered);
         assert!(
             report.messages_dropped > 0,
@@ -701,42 +702,76 @@ mod tests {
 
     #[test]
     fn observer_avoids_the_minority_side_of_a_partition() {
-        let scenario = Scenario::builder(Protocol::Pbft, 4)
-            .open_loop(4, 400.0)
-            .partition(
-                vec![NodeId(0), NodeId(1), NodeId(2)],
-                vec![NodeId(3)],
-                Time::from_secs(3),
-                Time::from_secs(6),
-            )
-            .build();
-        let deployment = Deployment::new(scenario);
+        let partitioned = || {
+            Scenario::builder(Protocol::Pbft, 4)
+                .open_loop(4, 400.0)
+                .partition(
+                    vec![NodeId(0), NodeId(1), NodeId(2)],
+                    vec![NodeId(3)],
+                    Time::from_secs(3),
+                    Time::from_secs(6),
+                )
+        };
+        let observer = |builder: ScenarioBuilder| {
+            let deployment = Deployment::new(builder.build());
+            let observer = deployment.metrics.borrow().observer;
+            observer
+        };
         assert_eq!(
-            deployment.metrics.borrow().observer,
+            observer(partitioned()),
             NodeId(2),
             "the cut-off node 3 must not be the observer"
         );
+        // Faults on the majority side push the observer further down it.
+        assert_eq!(observer(partitioned().straggler(NodeId(2))), NodeId(1));
+        assert_eq!(
+            observer(
+                partitioned()
+                    .crash(NodeId(2), CrashTiming::EpochStart)
+                    .crash_restart(NodeId(1), CrashTiming::EpochEnd, Duration::from_secs(2))
+            ),
+            NodeId(0)
+        );
         // Without partitions the highest node is chosen, as before.
-        let plain = Deployment::new(Scenario::builder(Protocol::Pbft, 4).build());
-        assert_eq!(plain.metrics.borrow().observer, NodeId(3));
+        assert_eq!(observer(Scenario::builder(Protocol::Pbft, 4)), NodeId(3));
     }
 
     #[test]
     fn observer_avoids_adversarial_nodes() {
-        let scenario = Scenario::builder(Protocol::Pbft, 4)
-            .open_loop(4, 400.0)
-            .equivocating_leader(NodeId(3), 1, 2)
-            .build();
-        let deployment = Deployment::new(scenario);
-        assert_eq!(
-            deployment.metrics.borrow().observer,
-            NodeId(2),
-            "an equivocator must not be the observer"
-        );
-        assert!(
-            deployment.metrics.borrow().track_deliveries,
-            "adversarial runs track per-request delivery times for the gates"
-        );
+        let base = || Scenario::builder(Protocol::Pbft, 4).open_loop(4, 400.0);
+        let cases = [
+            (
+                "an equivocator",
+                base().equivocating_leader(NodeId(3), 1, 2),
+            ),
+            (
+                "a crashed node",
+                base().crash(NodeId(3), CrashTiming::EpochStart),
+            ),
+            (
+                "a restarting node",
+                base().crash_restart(
+                    NodeId(3),
+                    CrashTiming::At(Time::from_secs(3)),
+                    Duration::from_secs(2),
+                ),
+            ),
+            ("a straggler", base().straggler(NodeId(3))),
+        ];
+        for (what, builder) in cases {
+            let deployment = Deployment::new(builder.build());
+            let metrics = deployment.metrics.borrow();
+            assert_eq!(
+                metrics.observer,
+                NodeId(2),
+                "{what} must not be the observer"
+            );
+            assert_eq!(
+                metrics.track_deliveries,
+                what == "an equivocator",
+                "only adversarial runs track per-request delivery times for the gates"
+            );
+        }
     }
 
     #[test]
@@ -747,7 +782,7 @@ mod tests {
             .warmup(Duration::from_secs(2))
             .lossy_window(0.05, Time::from_secs(2), Time::from_secs(5))
             .build();
-        let report = run_scenario(scenario);
+        let report = scenario.run();
         assert!(report.delivered > 500, "delivered {}", report.delivered);
         assert!(
             report.messages_dropped > 0,

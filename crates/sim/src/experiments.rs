@@ -6,7 +6,7 @@
 //! simulated traffic).
 
 use crate::adversary::MalformedKind;
-use crate::cluster::{run_scenario, Report, StageReport};
+use crate::cluster::{Report, StageReport};
 use crate::factories::Protocol;
 use crate::scenario::{CrashTiming, Scenario, ScenarioBuilder};
 use iss_core::Mode;
@@ -117,7 +117,7 @@ pub fn figure5(scale: Scale) -> Vec<ScalabilityPoint> {
     for (name, protocol, mode) in series {
         for &nodes in scale.node_counts {
             let rate = saturating_rate(nodes, mode != Mode::SingleLeader, scale.load_factor);
-            let report = run_scenario(scenario_for(name, protocol, mode, nodes, rate, scale));
+            let report = scenario_for(name, protocol, mode, nodes, rate, scale).run();
             points.push(ScalabilityPoint {
                 series: name.to_string(),
                 nodes,
@@ -149,7 +149,7 @@ pub fn figure6(protocol: Protocol, scale: Scale) -> Vec<LatencyThroughputPoint> 
             for fraction in [0.25, 0.5, 0.75, 1.0] {
                 let scenario =
                     scenario_for(label, protocol, mode, nodes, saturation * fraction, scale);
-                let report = run_scenario(scenario);
+                let report = scenario.run();
                 points.push(LatencyThroughputPoint {
                     series: format!("{label}-{} {nodes} nodes", protocol.name()),
                     kreq_per_sec: report.throughput / 1000.0,
@@ -201,7 +201,7 @@ pub fn figure7(scale: Scale) -> Vec<PolicyLatency> {
             let scenario = fault_scenario(scale, policy, 1.0)
                 .crash(NodeId(0), timing)
                 .build();
-            let report = run_scenario(scenario);
+            let report = scenario.run();
             rows.push(PolicyLatency {
                 policy: policy.name().to_string(),
                 timing: label.to_string(),
@@ -247,7 +247,7 @@ pub fn figure8(scale: Scale) -> Vec<CrashLatencyPoint> {
                 for i in 0..faults {
                     builder = builder.crash(NodeId(i as u32), timing);
                 }
-                let report = run_scenario(builder.build());
+                let report = builder.build().run();
                 rows.push(CrashLatencyPoint {
                     faults,
                     timing: label.to_string(),
@@ -267,7 +267,7 @@ pub fn throughput_timeline(mode: Mode, timing: CrashTiming, scale: Scale) -> Rep
         .mode(mode)
         .crash(NodeId(0), timing)
         .build();
-    run_scenario(scenario)
+    scenario.run()
 }
 
 /// Figure 11: latency over throughput with 0/1/5/10 Byzantine stragglers.
@@ -284,7 +284,7 @@ pub fn figure11(scale: Scale) -> Vec<LatencyThroughputPoint> {
             for i in 0..count {
                 builder = builder.straggler(NodeId(i as u32));
             }
-            let report = run_scenario(builder.build());
+            let report = builder.build().run();
             points.push(LatencyThroughputPoint {
                 series: format!("{count} stragglers"),
                 kreq_per_sec: report.throughput / 1000.0,
@@ -300,7 +300,7 @@ pub fn figure12(scale: Scale) -> Report {
     let scenario = fault_scenario(scale, LeaderPolicyKind::Blacklist, 1.0)
         .straggler(NodeId(0))
         .build();
-    run_scenario(scenario)
+    scenario.run()
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ pub fn compartment_scale(scale: Scale) -> Vec<CompartmentPoint> {
         for batchers in [1usize, 2, 3] {
             let scenario = compartment_scenario(nodes, batchers, scale);
             let executors = scenario.stack.executors;
-            let report = run_scenario(scenario);
+            let report = scenario.run();
             points.push(CompartmentPoint {
                 nodes,
                 batchers,
@@ -390,31 +390,29 @@ pub fn compartment_scale(scale: Scale) -> Vec<CompartmentPoint> {
 /// idle seconds.
 pub fn scenario_bursty(scale: Scale) -> Report {
     let duration = scale.duration_secs.max(12);
-    run_scenario(
-        Scenario::builder(Protocol::Pbft, 4)
-            .bursty(
-                8,
-                2_000.0 * scale.load_factor,
-                Duration::from_secs(3),
-                Duration::from_secs(3),
-            )
-            .duration(Duration::from_secs(duration))
-            .warmup(Duration::from_secs(2))
-            .build(),
-    )
+    Scenario::builder(Protocol::Pbft, 4)
+        .bursty(
+            8,
+            2_000.0 * scale.load_factor,
+            Duration::from_secs(3),
+            Duration::from_secs(3),
+        )
+        .duration(Duration::from_secs(duration))
+        .warmup(Duration::from_secs(2))
+        .build()
+        .run()
 }
 
 /// Zipf-skewed per-client rates on a small ISS-PBFT cluster (a few heavy
 /// hitters dominate the request space).
 pub fn scenario_skewed(scale: Scale) -> Report {
     let duration = scale.duration_secs.max(12);
-    run_scenario(
-        Scenario::builder(Protocol::Pbft, 4)
-            .skewed(8, 1_200.0 * scale.load_factor, 1.2)
-            .duration(Duration::from_secs(duration))
-            .warmup(Duration::from_secs(2))
-            .build(),
-    )
+    Scenario::builder(Protocol::Pbft, 4)
+        .skewed(8, 1_200.0 * scale.load_factor, 1.2)
+        .duration(Duration::from_secs(duration))
+        .warmup(Duration::from_secs(2))
+        .build()
+        .run()
 }
 
 /// A minority partition that heals: node 0 is cut off from the other three
@@ -425,19 +423,18 @@ pub fn scenario_skewed(scale: Scale) -> Report {
 /// stall → heal → recover arc at the observer.
 pub fn scenario_partition_heal(scale: Scale) -> Report {
     let duration = scale.duration_secs.max(24);
-    run_scenario(
-        Scenario::builder(Protocol::Pbft, 4)
-            .open_loop(8, 800.0 * scale.load_factor)
-            .duration(Duration::from_secs(duration))
-            .warmup(Duration::from_secs(2))
-            .partition(
-                vec![NodeId(1), NodeId(2), NodeId(3)],
-                vec![NodeId(0)],
-                Time::from_secs(3),
-                Time::from_secs(6),
-            )
-            .build(),
-    )
+    Scenario::builder(Protocol::Pbft, 4)
+        .open_loop(8, 800.0 * scale.load_factor)
+        .duration(Duration::from_secs(duration))
+        .warmup(Duration::from_secs(2))
+        .partition(
+            vec![NodeId(1), NodeId(2), NodeId(3)],
+            vec![NodeId(0)],
+            Time::from_secs(3),
+            Time::from_secs(6),
+        )
+        .build()
+        .run()
 }
 
 /// A crash-restart: node 1 crashes at t=3 s, stays down for 12 s, then
@@ -450,18 +447,17 @@ pub fn scenario_partition_heal(scale: Scale) -> Report {
 /// epoch-change timeout a snapshot-less rejoin would wait out.
 pub fn scenario_crash_restart(scale: Scale) -> Report {
     let duration = scale.duration_secs.max(24);
-    run_scenario(
-        Scenario::builder(Protocol::Pbft, 4)
-            .open_loop(8, 800.0 * scale.load_factor)
-            .duration(Duration::from_secs(duration))
-            .warmup(Duration::from_secs(2))
-            .crash_restart(
-                NodeId(1),
-                CrashTiming::At(Time::from_secs(3)),
-                Duration::from_secs(12),
-            )
-            .build(),
-    )
+    Scenario::builder(Protocol::Pbft, 4)
+        .open_loop(8, 800.0 * scale.load_factor)
+        .duration(Duration::from_secs(duration))
+        .warmup(Duration::from_secs(2))
+        .crash_restart(
+            NodeId(1),
+            CrashTiming::At(Time::from_secs(3)),
+            Duration::from_secs(12),
+        )
+        .build()
+        .run()
 }
 
 /// A lossy-link window: 10% of all messages sent between t=2 s and t=5 s
@@ -470,14 +466,13 @@ pub fn scenario_crash_restart(scale: Scale) -> Report {
 /// timeouts fire, so the run is long enough to observe recovery.
 pub fn scenario_lossy_window(scale: Scale) -> Report {
     let duration = scale.duration_secs.max(24);
-    run_scenario(
-        Scenario::builder(Protocol::Pbft, 4)
-            .open_loop(8, 800.0 * scale.load_factor)
-            .duration(Duration::from_secs(duration))
-            .warmup(Duration::from_secs(2))
-            .lossy_window(0.1, Time::from_secs(2), Time::from_secs(5))
-            .build(),
-    )
+    Scenario::builder(Protocol::Pbft, 4)
+        .open_loop(8, 800.0 * scale.load_factor)
+        .duration(Duration::from_secs(duration))
+        .warmup(Duration::from_secs(2))
+        .lossy_window(0.1, Time::from_secs(2), Time::from_secs(5))
+        .build()
+        .run()
 }
 
 // ---------------------------------------------------------------------------
@@ -587,23 +582,17 @@ mod tests {
         };
         // Only compare the two PBFT series to keep the test fast.
         let rate_iss = saturating_rate(4, true, tiny.load_factor);
-        let iss = run_scenario(scenario_for(
-            "ISS-PBFT",
-            Protocol::Pbft,
-            Mode::Iss,
-            4,
-            rate_iss,
-            tiny,
-        ));
+        let iss = scenario_for("ISS-PBFT", Protocol::Pbft, Mode::Iss, 4, rate_iss, tiny).run();
         let rate_single = saturating_rate(4, false, tiny.load_factor);
-        let single = run_scenario(scenario_for(
+        let single = scenario_for(
             "PBFT",
             Protocol::Pbft,
             Mode::SingleLeader,
             4,
             rate_single,
             tiny,
-        ));
+        )
+        .run();
         assert!(iss.delivered > 0 && single.delivered > 0);
     }
 
@@ -652,21 +641,17 @@ mod tests {
 
     #[test]
     fn empty_adversary_plan_reports_are_identical() {
-        // A scenario with an explicitly-attached empty plan must produce the
-        // exact same report as the default build: the adversary subsystem
-        // wires up nothing when the plan is empty.
+        // A scenario without attacks carries the empty plan, and the
+        // adversary subsystem wires up nothing for it: no verdict, no
+        // rejections, and the same report on every run.
         let base = || {
             Scenario::builder(Protocol::Pbft, 4)
                 .open_loop(4, 400.0)
                 .duration(Duration::from_secs(12))
                 .warmup(Duration::from_secs(2))
         };
-        let plain = run_scenario(base().build());
-        let with_empty_plan = run_scenario(
-            base()
-                .adversary(crate::adversary::AdversaryPlan::none())
-                .build(),
-        );
+        let plain = base().build().run();
+        let with_empty_plan = base().build().run();
         assert_eq!(plain, with_empty_plan);
         assert!(plain.adversary.is_none());
         assert!(plain.rejected_requests.is_empty());
@@ -679,8 +664,8 @@ mod tests {
         // checked inline (a violation panics); the liveness gates come back
         // in the report. Running the same scenario twice must produce
         // bit-identical reports.
-        let first = run_scenario(scenario_combined_attack(Scale::quick()));
-        let second = run_scenario(scenario_combined_attack(Scale::quick()));
+        let first = scenario_combined_attack(Scale::quick()).run();
+        let second = scenario_combined_attack(Scale::quick()).run();
         assert_eq!(first, second, "adversarial runs must be deterministic");
         assert!(first.delivered > 0);
         let gates = first.adversary.expect("adversarial run carries a verdict");

@@ -5,16 +5,18 @@
 //! **Scenario API** ([`scenario`]):
 //!
 //! ```text
-//! Scenario = ProtocolStack × Workload × Topology × FaultPlan × RunWindow
+//! Scenario = ProtocolStack × Workload × Topology × FaultPlan × AdversaryPlan × RunWindow
 //! ```
 //!
 //! Pick an ordering protocol and mode, a client workload (open-loop, bursty,
-//! ramp, Zipf-skewed — or any [`iss_workload::Workload`] implementation), a
+//! Zipf-skewed — or any [`iss_workload::Workload`] implementation), a
 //! topology (the paper's 16-datacenter WAN, a LAN, a uniform mesh, or a
-//! custom latency matrix), a unified fault plan (crashes, Byzantine
-//! stragglers, healing partitions, lossy-link windows), an adversary plan
-//! (equivocating/censoring leaders, malformed proposers, Byzantine clients —
-//! see [`adversary`]) and a run window, then build and run:
+//! custom latency matrix), faults (crashes and Byzantine stragglers per node,
+//! healing partitions, lossy-link windows), attacks (equivocating/censoring
+//! leaders, malformed proposers, Byzantine clients — see [`adversary`]) and a
+//! run window, then build and run. Every fault and attack is scheduled by
+//! one [`ScenarioBuilder`] method, which files it in the scenario's
+//! [`FaultPlan`] or [`AdversaryPlan`]:
 //!
 //! ```no_run
 //! use iss_sim::{Protocol, Scenario};
@@ -47,12 +49,10 @@ pub mod metrics;
 pub mod scenario;
 
 pub use adversary::{
-    evaluate_gates, AdversarialProcess, AdversaryEvent, AdversaryPlan, AdversaryReport, Behavior,
-    ClientAdversary, MalformedKind, NodeAdversary, CENSORSHIP_EPOCH_BOUND,
+    evaluate_gates, AdversarialProcess, AdversaryPlan, AdversaryReport, Behavior, MalformedKind,
+    CENSORSHIP_EPOCH_BOUND,
 };
-pub use cluster::{run_scenario, CrashTiming, Deployment, Report, StageReport};
+pub use cluster::{CrashTiming, Deployment, Report, StageReport};
 pub use factories::{make_factory, Protocol};
 pub use metrics::{Metrics, MetricsHandle, MetricsSink};
-pub use scenario::{
-    FaultEvent, FaultPlan, ProtocolStack, RunWindow, Scenario, ScenarioBuilder, TopologySpec,
-};
+pub use scenario::{FaultPlan, ProtocolStack, RunWindow, Scenario, ScenarioBuilder, TopologySpec};

@@ -4,40 +4,43 @@
 //! deployments" claim needs to be testable:
 //!
 //! ```text
-//! Scenario = ProtocolStack × Workload × Topology × FaultPlan × RunWindow
+//! Scenario = ProtocolStack × Workload × Topology × FaultPlan × AdversaryPlan × RunWindow
 //! ```
 //!
 //! * [`ProtocolStack`] — which ordering protocol runs in each segment, in
 //!   which mode (ISS / single-leader / Mir-BFT baseline) and under which
 //!   leader-selection policy.
 //! * [`iss_workload::Workload`] — *what* the clients submit and when: the
-//!   paper's uniform open loop, bursty on/off traffic, a linear ramp, or
-//!   Zipf-skewed per-client rates, each with configurable payload-size
-//!   distributions.
+//!   paper's uniform open loop, bursty on/off traffic, or Zipf-skewed
+//!   per-client rates, each with configurable payload-size distributions.
 //! * [`TopologySpec`] — *where* the deployment runs: the paper's
 //!   16-datacenter WAN, a LAN, a uniform mesh, or a custom latency matrix.
-//! * [`FaultPlan`] — one unified schedule of crashes (permanent or with a
-//!   restart from durable storage), Byzantine stragglers, timed partitions
-//!   (with heal) and lossy-link windows.
-//! * [`crate::adversary::AdversaryPlan`] — the actively malicious dimension:
-//!   equivocating and censoring leaders, malformed/oversized proposers, and
-//!   Byzantine clients (conflicting, duplicated and replayed requests), with
-//!   cluster-wide safety/liveness gates evaluated into the run report.
+//! * [`FaultPlan`] — crashes (permanent or with a restart from durable
+//!   storage) and Byzantine stragglers per node, timed partitions (with
+//!   heal) and lossy-link windows.
+//! * [`crate::adversary::AdversaryPlan`] — the actively malicious dimension,
+//!   per node (equivocating and censoring leaders, malformed/oversized
+//!   proposers) and per client (conflicting, duplicated and replayed
+//!   requests), with cluster-wide safety/liveness gates evaluated into the
+//!   run report.
 //! * [`RunWindow`] — how long the run lasts, how much of it is warm-up, and
 //!   how long the post-cutoff drain is.
 //!
-//! Scenarios are built with [`ScenarioBuilder`] (see [`Scenario::builder`])
-//! and are pure data: new experiment shapes are new scenarios, not new code
-//! paths.
+//! Scenarios are built with [`ScenarioBuilder`] (see [`Scenario::builder`]),
+//! whose methods are the only way to schedule a fault or an attack, and are
+//! pure data: new experiment shapes are new scenarios, not new code paths.
 
-use crate::adversary::AdversaryPlan;
+use crate::adversary::{AdversaryPlan, ClientAttacks, MalformedKind, NodeAttacks};
 use crate::cluster::{Deployment, Report};
 use crate::factories::Protocol;
 use iss_core::Mode;
 use iss_simnet::fault::{LossWindow, Partition};
 use iss_simnet::Topology;
-use iss_types::{Duration, IssConfig, LeaderPolicyKind, NodeId, ProtocolKind, Time};
-use iss_workload::{Bursty, OpenLoop, Ramp, Skewed, Workload};
+use iss_types::{
+    BucketId, ClientId, Duration, EpochNr, IssConfig, LeaderPolicyKind, NodeId, ProtocolKind, Time,
+};
+use iss_workload::{Bursty, OpenLoop, Skewed, Workload};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// When a crash fault is injected (Section 6.4.1).
@@ -141,199 +144,32 @@ impl Default for RunWindow {
     }
 }
 
-/// One entry of a [`FaultPlan`].
-#[derive(Clone, Debug)]
-pub enum FaultEvent {
-    /// `node` crashes at the given timing and stays down for the rest of the
-    /// run (schedule a [`FaultEvent::CrashRestart`] instead for a node that
-    /// comes back).
-    Crash {
-        /// The crashing node.
-        node: NodeId,
-        /// When the crash happens.
-        at: CrashTiming,
-    },
-    /// `node` crashes at the given timing, stays down for `down_for`, then
-    /// reboots from its durable storage (WAL + latest checkpoint snapshot),
-    /// replays its log and rejoins the cluster under the same identity.
-    CrashRestart {
-        /// The crashing node.
-        node: NodeId,
-        /// When the crash happens.
-        at: CrashTiming,
-        /// How long the node stays down before rebooting.
-        down_for: Duration,
-    },
-    /// `node` behaves as a Byzantine straggler for the whole run
-    /// (Section 6.4.2: proposes as late and as little as possible).
-    Straggler {
-        /// The misbehaving node.
-        node: NodeId,
-    },
-    /// The network partitions `group_a` from `group_b` during `[from,
-    /// until)`; communication heals at `until` (the GST of the partial
-    /// synchrony assumption).
-    Partition {
-        /// One side of the partition.
-        group_a: Vec<NodeId>,
-        /// The other side.
-        group_b: Vec<NodeId>,
-        /// Start of the partition (inclusive).
-        from: Time,
-        /// Heal time (exclusive).
-        until: Time,
-    },
-    /// Every message sent during `[from, until)` is dropped with the given
-    /// probability.
-    LossyWindow {
-        /// Drop probability inside the window.
-        probability: f64,
-        /// Start of the window (inclusive).
-        from: Time,
-        /// End of the window (exclusive).
-        until: Time,
-    },
-}
-
-/// The fault dimension of a scenario: one schedule unifying crash faults,
-/// Byzantine stragglers, timed partitions and lossy-link windows. The plan
-/// is lowered onto [`iss_simnet::FaultConfig`] (crashes, partitions, loss)
-/// and node options (stragglers) when the deployment is built.
+/// The fault dimension of a scenario, filled by the [`ScenarioBuilder`]
+/// fault methods and lowered by [`Deployment::new`]: crashes onto the
+/// simulator's [`iss_simnet::fault::CrashSchedule`], stragglers onto node
+/// options, partitions and loss windows onto [`iss_simnet::FaultConfig`]
+/// as they are.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// The scheduled fault events, in insertion order.
-    pub events: Vec<FaultEvent>,
+    /// Per crashing node: when it crashes and, for a crash-restart, how long
+    /// it stays down before rebooting from durable storage (`None`: down for
+    /// the rest of the run).
+    pub(crate) crashes: BTreeMap<NodeId, (CrashTiming, Option<Duration>)>,
+    /// Byzantine stragglers (Section 6.4.2).
+    pub(crate) stragglers: BTreeSet<NodeId>,
+    /// Timed partitions, each healing at its `until`.
+    pub(crate) partitions: Vec<Partition>,
+    /// Windows of probabilistic message loss.
+    pub(crate) loss_windows: Vec<LossWindow>,
 }
 
 impl FaultPlan {
-    /// The fault-free plan.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// Whether the plan schedules no faults at all.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Adds a crash of `node` at `at` (permanent: the node stays down).
-    pub fn crash(mut self, node: NodeId, at: CrashTiming) -> Self {
-        self.events.push(FaultEvent::Crash { node, at });
-        self
-    }
-
-    /// Adds a crash of `node` at `at` followed by a reboot from durable
-    /// storage `down_for` later.
-    pub fn crash_restart(mut self, node: NodeId, at: CrashTiming, down_for: Duration) -> Self {
-        self.events
-            .push(FaultEvent::CrashRestart { node, at, down_for });
-        self
-    }
-
-    /// Marks `node` as a Byzantine straggler.
-    pub fn straggler(mut self, node: NodeId) -> Self {
-        self.events.push(FaultEvent::Straggler { node });
-        self
-    }
-
-    /// Partitions `group_a` from `group_b` during `[from, until)`.
-    pub fn partition(
-        mut self,
-        group_a: Vec<NodeId>,
-        group_b: Vec<NodeId>,
-        from: Time,
-        until: Time,
-    ) -> Self {
-        self.events.push(FaultEvent::Partition {
-            group_a,
-            group_b,
-            from,
-            until,
-        });
-        self
-    }
-
-    /// Drops every message with `probability` during `[from, until)`.
-    pub fn lossy_window(mut self, probability: f64, from: Time, until: Time) -> Self {
-        self.events.push(FaultEvent::LossyWindow {
-            probability,
-            from,
-            until,
-        });
-        self
-    }
-
-    /// The scheduled permanent crashes, in plan order.
-    pub fn crashes(&self) -> Vec<(NodeId, CrashTiming)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::Crash { node, at } => Some((*node, *at)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The scheduled crash-restarts, in plan order.
-    pub fn crash_restarts(&self) -> Vec<(NodeId, CrashTiming, Duration)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::CrashRestart { node, at, down_for } => Some((*node, *at, *down_for)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The straggler nodes, in plan order.
-    pub fn stragglers(&self) -> Vec<NodeId> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::Straggler { node } => Some(*node),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The partition windows, lowered to the simulator representation.
-    pub fn partitions(&self) -> Vec<Partition> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::Partition {
-                    group_a,
-                    group_b,
-                    from,
-                    until,
-                } => Some(Partition {
-                    group_a: group_a.clone(),
-                    group_b: group_b.clone(),
-                    from: *from,
-                    until: *until,
-                }),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The lossy windows, lowered to the simulator representation.
-    pub fn loss_windows(&self) -> Vec<LossWindow> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::LossyWindow {
-                    probability,
-                    from,
-                    until,
-                } => Some(LossWindow {
-                    probability: *probability,
-                    from: *from,
-                    until: *until,
-                }),
-                _ => None,
-            })
-            .collect()
+        self.crashes.is_empty()
+            && self.stragglers.is_empty()
+            && self.partitions.is_empty()
+            && self.loss_windows.is_empty()
     }
 }
 
@@ -387,8 +223,8 @@ impl Scenario {
                 num_nodes,
                 workload: Rc::new(OpenLoop::new(16, 1_000.0, Time::ZERO)),
                 topology: TopologySpec::Wan16,
-                faults: FaultPlan::none(),
-                adversary: AdversaryPlan::none(),
+                faults: FaultPlan::default(),
+                adversary: AdversaryPlan::default(),
                 window: RunWindow::default(),
                 seed: 42,
                 cpu_cores: None,
@@ -540,11 +376,6 @@ impl ScenarioBuilder {
         self.workload(Bursty::new(num_clients, total_rate, on, off))
     }
 
-    /// Load ramping linearly from `start_rate` to `end_rate` over `ramp`.
-    pub fn ramp(self, num_clients: usize, start_rate: f64, end_rate: f64, ramp: Duration) -> Self {
-        self.workload(Ramp::new(num_clients, start_rate, end_rate, ramp))
-    }
-
     /// Zipf-skewed per-client rates. The rank permutation is drawn from the
     /// scenario seed when [`ScenarioBuilder::build`] runs, so this composes
     /// with [`ScenarioBuilder::seed`] in either order.
@@ -559,32 +390,32 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replaces the whole fault plan.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.scenario.faults = faults;
-        self
-    }
-
-    /// Schedules a permanent crash of `node` at `at`.
+    /// Schedules a permanent crash of `node` at `at`. A node crashes at most
+    /// once: this replaces any crash scheduled for it before.
     pub fn crash(mut self, node: NodeId, at: CrashTiming) -> Self {
-        self.scenario.faults = self.scenario.faults.crash(node, at);
+        self.scenario.faults.crashes.insert(node, (at, None));
         self
     }
 
     /// Schedules a crash of `node` at `at` with a reboot from durable
-    /// storage `down_for` later.
+    /// storage `down_for` later, replacing any crash scheduled for it before.
     pub fn crash_restart(mut self, node: NodeId, at: CrashTiming, down_for: Duration) -> Self {
-        self.scenario.faults = self.scenario.faults.crash_restart(node, at, down_for);
+        self.scenario
+            .faults
+            .crashes
+            .insert(node, (at, Some(down_for)));
         self
     }
 
-    /// Marks `node` as a Byzantine straggler.
+    /// Marks `node` as a Byzantine straggler: it proposes as late and as
+    /// little as possible for the whole run (Section 6.4.2).
     pub fn straggler(mut self, node: NodeId) -> Self {
-        self.scenario.faults = self.scenario.faults.straggler(node);
+        self.scenario.faults.stragglers.insert(node);
         self
     }
 
-    /// Partitions `group_a` from `group_b` during `[from, until)`.
+    /// Partitions `group_a` from `group_b` during `[from, until)`;
+    /// communication heals at `until` (the GST of partial synchrony).
     pub fn partition(
         mut self,
         group_a: Vec<NodeId>,
@@ -592,22 +423,22 @@ impl ScenarioBuilder {
         from: Time,
         until: Time,
     ) -> Self {
-        self.scenario.faults = self
-            .scenario
-            .faults
-            .partition(group_a, group_b, from, until);
+        self.scenario.faults.partitions.push(Partition {
+            group_a,
+            group_b,
+            from,
+            until,
+        });
         self
     }
 
     /// Drops every message with `probability` during `[from, until)`.
     pub fn lossy_window(mut self, probability: f64, from: Time, until: Time) -> Self {
-        self.scenario.faults = self.scenario.faults.lossy_window(probability, from, until);
-        self
-    }
-
-    /// Replaces the whole adversary plan.
-    pub fn adversary(mut self, adversary: AdversaryPlan) -> Self {
-        self.scenario.adversary = adversary;
+        self.scenario.faults.loss_windows.push(LossWindow {
+            probability,
+            from,
+            until,
+        });
         self
     }
 
@@ -616,20 +447,17 @@ impl ScenarioBuilder {
     pub fn equivocating_leader(
         mut self,
         node: NodeId,
-        from_epoch: iss_types::EpochNr,
-        until_epoch: iss_types::EpochNr,
+        from_epoch: EpochNr,
+        until_epoch: EpochNr,
     ) -> Self {
-        self.scenario.adversary =
-            self.scenario
-                .adversary
-                .equivocating_leader(node, from_epoch, until_epoch);
+        self.node_attacks(node).equivocate = Some((from_epoch, until_epoch));
         self
     }
 
     /// Makes `node` censor every client request of `bucket` for the whole
     /// run (Section 4.3's bucket-rotation defense is what bounds the damage).
-    pub fn censoring_leader(mut self, node: NodeId, bucket: iss_types::BucketId) -> Self {
-        self.scenario.adversary = self.scenario.adversary.censoring_leader(node, bucket);
+    pub fn censoring_leader(mut self, node: NodeId, bucket: BucketId) -> Self {
+        self.node_attacks(node).censor = Some(bucket);
         self
     }
 
@@ -638,27 +466,36 @@ impl ScenarioBuilder {
     pub fn malformed_proposals(
         mut self,
         node: NodeId,
-        kind: crate::adversary::MalformedKind,
-        from_epoch: iss_types::EpochNr,
-        until_epoch: iss_types::EpochNr,
+        kind: MalformedKind,
+        from_epoch: EpochNr,
+        until_epoch: EpochNr,
     ) -> Self {
-        self.scenario.adversary =
-            self.scenario
-                .adversary
-                .malformed_proposals(node, kind, from_epoch, until_epoch);
+        self.node_attacks(node).malformed = Some((kind, from_epoch, until_epoch));
         self
     }
 
-    /// Makes `client` submit conflicting same-id requests to two replicas.
-    pub fn byzantine_client(mut self, client: iss_types::ClientId) -> Self {
-        self.scenario.adversary = self.scenario.adversary.byzantine_client(client);
+    /// Makes `client` submit a conflicting copy (same request id, different
+    /// payload) of every request to a second replica.
+    pub fn byzantine_client(mut self, client: ClientId) -> Self {
+        self.client_attacks(client).conflict = true;
         self
     }
 
-    /// Makes `client` duplicate fresh requests and replay delivered ones.
-    pub fn duplicating_client(mut self, client: iss_types::ClientId) -> Self {
-        self.scenario.adversary = self.scenario.adversary.duplicating_client(client);
+    /// Makes `client` re-send every 4th request immediately and replay an
+    /// old (typically long-delivered) request every 8th submission.
+    pub fn duplicating_client(mut self, client: ClientId) -> Self {
+        self.client_attacks(client).duplicate_replay = true;
         self
+    }
+
+    /// The attacks scheduled for `node` so far (an empty entry if none).
+    fn node_attacks(&mut self, node: NodeId) -> &mut NodeAttacks {
+        self.scenario.adversary.nodes.entry(node).or_default()
+    }
+
+    /// The attacks scheduled for `client` so far (an empty entry if none).
+    fn client_attacks(&mut self, client: ClientId) -> &mut ClientAttacks {
+        self.scenario.adversary.clients.entry(client).or_default()
     }
 
     /// Sets the run duration.
@@ -745,8 +582,8 @@ mod tests {
 
     #[test]
     fn fault_plan_partitions_events_by_kind_preserving_order() {
-        let plan = FaultPlan::none()
-            .crash(NodeId(1), CrashTiming::EpochStart)
+        let plan = Scenario::builder(Protocol::Pbft, 4)
+            .crash(NodeId(3), CrashTiming::EpochEnd)
             .straggler(NodeId(2))
             .partition(
                 vec![NodeId(0)],
@@ -755,21 +592,34 @@ mod tests {
                 Time::from_secs(2),
             )
             .lossy_window(0.3, Time::from_secs(4), Time::from_secs(5))
-            .crash(NodeId(3), CrashTiming::EpochEnd);
-        let crashes = plan.crashes();
-        assert_eq!(crashes.len(), 2);
-        assert_eq!(crashes[0].0, NodeId(1));
-        assert_eq!(crashes[1].0, NodeId(3));
-        assert_eq!(plan.stragglers(), vec![NodeId(2)]);
-        let parts = plan.partitions();
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].group_a, vec![NodeId(0)]);
-        assert_eq!(parts[0].until, Time::from_secs(2));
-        let loss = plan.loss_windows();
-        assert_eq!(loss.len(), 1);
-        assert_eq!(loss[0].probability, 0.3);
+            .lossy_window(0.1, Time::from_secs(6), Time::from_secs(7))
+            .crash_restart(NodeId(1), CrashTiming::EpochStart, Duration::from_secs(2))
+            .build()
+            .faults;
+        let crashes: Vec<_> = plan
+            .crashes
+            .iter()
+            .map(|(n, (_, restart))| (*n, *restart))
+            .collect();
+        assert_eq!(
+            crashes,
+            vec![(NodeId(1), Some(Duration::from_secs(2))), (NodeId(3), None)]
+        );
+        assert!(matches!(plan.crashes[&NodeId(3)].0, CrashTiming::EpochEnd));
+        assert_eq!(
+            plan.stragglers.iter().copied().collect::<Vec<_>>(),
+            vec![NodeId(2)]
+        );
+        assert_eq!(plan.partitions.len(), 1);
+        assert_eq!(plan.partitions[0].group_a, vec![NodeId(0)]);
+        assert_eq!(plan.partitions[0].until, Time::from_secs(2));
+        let loss: Vec<f64> = plan.loss_windows.iter().map(|w| w.probability).collect();
+        assert_eq!(loss, vec![0.3, 0.1], "windows keep their scheduling order");
         assert!(!plan.is_empty());
-        assert!(FaultPlan::none().is_empty());
+        assert!(Scenario::builder(Protocol::Pbft, 4)
+            .build()
+            .faults
+            .is_empty());
     }
 
     #[test]

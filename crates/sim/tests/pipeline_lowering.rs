@@ -7,8 +7,7 @@
 //! lowering rule in `Scenario::stage_counts` regressed and "pipeline off"
 //! silently stopped meaning "exactly yesterday's node".
 
-use iss_sim::cluster::{run_scenario, Report};
-use iss_sim::{Protocol, Scenario};
+use iss_sim::{Protocol, Report, Scenario};
 use iss_types::Duration;
 
 fn assert_identical(monolith: &Report, degenerate: &Report, label: &str) {
@@ -70,8 +69,8 @@ fn base(nodes: usize) -> iss_sim::ScenarioBuilder {
 #[test]
 fn single_stage_zero_latency_pipeline_is_byte_identical_to_the_monolith() {
     for nodes in [4usize, 8] {
-        let monolith = run_scenario(base(nodes).build());
-        let degenerate = run_scenario(base(nodes).batchers(1).executors(1).build());
+        let monolith = base(nodes).build().run();
+        let degenerate = base(nodes).batchers(1).executors(1).build().run();
         assert!(
             monolith.delivered > 0,
             "n={nodes}: the run must actually deliver requests"

@@ -4,7 +4,7 @@
 //! an epoch (Section 6.4.1) and Byzantine stragglers (Section 6.4.2).
 //! Crashes and partitions are injected here at the network level; straggler
 //! behaviour is a protocol-level misbehaviour implemented in the node logic
-//! (`iss-sim::faults`).
+//! (`iss_core::NodeOptions::straggler`).
 
 use crate::process::Addr;
 use iss_types::{NodeId, Time};

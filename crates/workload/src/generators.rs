@@ -1,6 +1,5 @@
 //! The built-in [`Workload`] generators: open-loop (the paper's load
-//! shape), bursty on/off traffic, linearly ramping load and per-client
-//! Zipf-skewed rates.
+//! shape), bursty on/off traffic and per-client Zipf-skewed rates.
 //!
 //! Every generator is closed-form: both the forward direction (how many
 //! requests are due by `now`) and the inverse (when request `k` was
@@ -191,117 +190,6 @@ impl Workload for Bursty {
     }
 }
 
-/// Linearly increasing offered load: the aggregate rate grows from
-/// `start_rate` to `end_rate` over `ramp`, then stays at `end_rate`. Used to
-/// find the saturation knee of a deployment in a single run.
-#[derive(Clone, Copy, Debug)]
-pub struct Ramp {
-    /// Number of clients.
-    pub num_clients: usize,
-    /// Aggregate rate at the start of the ramp (requests per second).
-    pub start_rate: f64,
-    /// Aggregate rate at the end of the ramp (requests per second).
-    pub end_rate: f64,
-    /// How long the ramp lasts.
-    pub ramp: Duration,
-    /// Payload-size distribution.
-    pub payload: PayloadDist,
-    /// Seed for the payload-size distribution.
-    pub seed: u64,
-    /// Time at which submission starts.
-    pub start: Time,
-}
-
-impl Ramp {
-    /// Creates a ramping schedule with default 500-byte payloads.
-    pub fn new(num_clients: usize, start_rate: f64, end_rate: f64, ramp: Duration) -> Self {
-        Ramp {
-            num_clients,
-            start_rate,
-            end_rate,
-            ramp,
-            payload: PayloadDist::DEFAULT,
-            seed: 0,
-            start: Time::ZERO,
-        }
-    }
-
-    /// Replaces the payload-size distribution.
-    pub fn with_payload(mut self, payload: PayloadDist) -> Self {
-        self.payload = payload;
-        self
-    }
-
-    /// Replaces the seed of the payload-size distribution.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    fn rates(&self) -> (f64, f64) {
-        let n = self.num_clients.max(1) as f64;
-        (self.start_rate / n, self.end_rate / n)
-    }
-
-    /// Requests one client has submitted `t` seconds in (continuous form:
-    /// the integral of the instantaneous rate).
-    fn count_at(&self, t: f64) -> f64 {
-        let (r0, r1) = self.rates();
-        let ramp = self.ramp.as_secs_f64();
-        if ramp <= 0.0 || t >= ramp {
-            let ramp_total = if ramp <= 0.0 {
-                0.0
-            } else {
-                (r0 + r1) * ramp / 2.0
-            };
-            ramp_total + r1 * (t - ramp.max(0.0)).max(0.0)
-        } else {
-            r0 * t + (r1 - r0) * t * t / (2.0 * ramp)
-        }
-    }
-}
-
-impl Workload for Ramp {
-    fn num_clients(&self) -> usize {
-        self.num_clients
-    }
-
-    fn due_by(&self, _client: ClientId, now: Time) -> u64 {
-        if now < self.start {
-            return 0;
-        }
-        self.count_at((now - self.start).as_secs_f64()).floor() as u64
-    }
-
-    fn submit_time(&self, _client: ClientId, timestamp: ReqTimestamp) -> Time {
-        let (r0, r1) = self.rates();
-        let ramp = self.ramp.as_secs_f64();
-        let k = timestamp as f64;
-        let ramp_total = if ramp <= 0.0 {
-            0.0
-        } else {
-            (r0 + r1) * ramp / 2.0
-        };
-        let t = if ramp > 0.0 && k < ramp_total {
-            // Invert k = r0·t + (r1−r0)·t²/(2·ramp) on the ramp section.
-            let slope = (r1 - r0) / ramp;
-            if slope.abs() < MIN_RATE {
-                k / r0.max(MIN_RATE)
-            } else {
-                let disc = (r0 * r0 + 2.0 * slope * k).max(0.0);
-                (disc.sqrt() - r0) / slope
-            }
-        } else {
-            ramp.max(0.0) + (k - ramp_total) / r1.max(MIN_RATE)
-        };
-        self.start + Duration::from_secs_f64(t)
-    }
-
-    fn payload_size(&self, client: ClientId, timestamp: ReqTimestamp) -> u32 {
-        self.payload.size_for(self.seed, client, timestamp)
-    }
-}
-
 /// Zipf-skewed per-client rates: client ranks are a seed-deterministic
 /// permutation and the client of rank `r` submits proportionally to
 /// `1 / (r + 1)^exponent`, so a few heavy hitters dominate the request
@@ -463,32 +351,6 @@ mod tests {
             b.due_by(ClientId(0), Time::from_secs(7)),
             o.due_by(ClientId(0), Time::from_secs(7))
         );
-    }
-
-    #[test]
-    fn ramp_grows_quadratically_then_linearly() {
-        // 0 → 100 req/s over 10 s, then constant 100 req/s.
-        let w = Ramp::new(1, 0.0, 100.0, Duration::from_secs(10));
-        let c = ClientId(0);
-        assert_eq!(w.due_by(c, Time::ZERO), 0);
-        // Integral at t=10 is 500; halfway (t=5) is 125 (quadratic, not 250).
-        assert_eq!(w.due_by(c, Time::from_secs(5)), 125);
-        assert_eq!(w.due_by(c, Time::from_secs(10)), 500);
-        // Steady state afterwards: +100/s.
-        assert_eq!(w.due_by(c, Time::from_secs(12)), 700);
-    }
-
-    #[test]
-    fn ramp_submit_time_inverts_count() {
-        let w = Ramp::new(1, 0.0, 100.0, Duration::from_secs(10));
-        let c = ClientId(0);
-        assert_eq!(w.submit_time(c, 125), Time::from_secs(5));
-        assert_eq!(w.submit_time(c, 500), Time::from_secs(10));
-        assert_eq!(w.submit_time(c, 700), Time::from_secs(12));
-        // Flat ramp degenerates to open loop.
-        let flat = Ramp::new(1, 50.0, 50.0, Duration::from_secs(10));
-        assert_eq!(flat.submit_time(c, 100), Time::from_secs(2));
-        assert_eq!(flat.due_by(c, Time::from_secs(2)), 100);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Workload generation and measurement containers used by the evaluation
 //! harness: the [`Workload`] trait with its built-in generators (open-loop,
-//! bursty, ramp, skewed), payload-size distributions, latency statistics and
+//! bursty, skewed), payload-size distributions, latency statistics and
 //! per-second throughput time series.
 //!
 //! # The `Workload` trait
@@ -24,7 +24,7 @@ pub mod generators;
 pub mod stats;
 pub mod timeline;
 
-pub use generators::{Bursty, OpenLoop, Ramp, Skewed};
+pub use generators::{Bursty, OpenLoop, Skewed};
 pub use stats::LatencyStats;
 pub use timeline::ThroughputTimeline;
 

@@ -6,13 +6,13 @@
 //! must be recomputable.
 
 use iss_types::{ClientId, Duration, Time};
-use iss_workload::{Bursty, OpenLoop, PayloadDist, Ramp, Skewed, Workload};
+use iss_workload::{Bursty, OpenLoop, PayloadDist, Skewed, Workload};
 use proptest::prelude::*;
 
 /// The generators under test, built twice from identical parameters.
 fn pair(kind: u8, clients: usize, rate: f64, seed: u64) -> (Box<dyn Workload>, Box<dyn Workload>) {
     let secs = 1 + seed % 5;
-    match kind % 4 {
+    match kind % 3 {
         0 => (
             Box::new(OpenLoop::new(clients, rate, Time::ZERO).with_seed(seed)),
             Box::new(OpenLoop::new(clients, rate, Time::ZERO).with_seed(seed)),
@@ -23,13 +23,6 @@ fn pair(kind: u8, clients: usize, rate: f64, seed: u64) -> (Box<dyn Workload>, B
             (
                 Box::new(Bursty::new(clients, rate, on, off).with_seed(seed)),
                 Box::new(Bursty::new(clients, rate, on, off).with_seed(seed)),
-            )
-        }
-        2 => {
-            let ramp = Duration::from_secs(secs + 1);
-            (
-                Box::new(Ramp::new(clients, rate / 10.0, rate, ramp).with_seed(seed)),
-                Box::new(Ramp::new(clients, rate / 10.0, rate, ramp).with_seed(seed)),
             )
         }
         _ => (
@@ -58,7 +51,7 @@ fn payload_for(seed: u64) -> PayloadDist {
 proptest! {
     #[test]
     fn same_seed_gives_the_same_submit_sequence_twice(
-        kind in 0u8..4,
+        kind in 0u8..3,
         clients in 1usize..12,
         rate_centi in 100u64..400_000,
         seed in 0u64..1_000_000,
@@ -72,12 +65,12 @@ proptest! {
                 prop_assert_eq!(
                     a.submit_time(client, ts),
                     b.submit_time(client, ts),
-                    "kind {} client {} ts {}", kind % 4, c, ts
+                    "kind {} client {} ts {}", kind % 3, c, ts
                 );
                 prop_assert_eq!(
                     a.payload_size(client, ts),
                     b.payload_size(client, ts),
-                    "payload kind {} client {} ts {}", kind % 4, c, ts
+                    "payload kind {} client {} ts {}", kind % 3, c, ts
                 );
             }
         }
@@ -85,7 +78,7 @@ proptest! {
 
     #[test]
     fn submit_times_are_monotone_in_the_timestamp(
-        kind in 0u8..4,
+        kind in 0u8..3,
         clients in 1usize..8,
         rate_centi in 1_000u64..400_000,
         seed in 0u64..1_000_000,
@@ -100,7 +93,7 @@ proptest! {
                 prop_assert!(
                     t >= prev,
                     "kind {} client {}: submit_time({}) = {:?} < submit_time({}) = {:?}",
-                    kind % 4, c, ts, t, ts - 1, prev
+                    kind % 3, c, ts, t, ts - 1, prev
                 );
                 prev = t;
             }
@@ -109,7 +102,7 @@ proptest! {
 
     #[test]
     fn due_by_is_monotone_and_consistent_with_submit_time(
-        kind in 0u8..4,
+        kind in 0u8..3,
         clients in 1usize..8,
         rate_centi in 1_000u64..200_000,
         seed in 0u64..1_000_000,

@@ -10,9 +10,11 @@ use iss::types::Duration;
 
 fn main() {
     // A scenario is Protocol stack × Workload × Topology × FaultPlan ×
-    // RunWindow. Here: 4 ISS-PBFT replicas spread over 4 continents, 16
-    // open-loop clients submitting 500-byte requests at 1000 req/s in
-    // aggregate, no faults, 20 simulated seconds with a 5 s warm-up.
+    // AdversaryPlan × RunWindow; faults and attacks are scheduled by builder
+    // methods such as `.crash(..)` and `.censoring_leader(..)`. Here: 4
+    // ISS-PBFT replicas spread over 4 continents, 16 open-loop clients
+    // submitting 500-byte requests at 1000 req/s in aggregate, no faults,
+    // 20 simulated seconds with a 5 s warm-up.
     let scenario = Scenario::builder(Protocol::Pbft, 4)
         .open_loop(16, 1_000.0)
         .duration(Duration::from_secs(20))

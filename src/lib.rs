@@ -28,7 +28,8 @@
 //!
 //! Experiments are described by the composable **Scenario API** —
 //! `Scenario = Protocol stack × Workload × Topology × FaultPlan ×
-//! RunWindow` — so new experiment shapes are data, not new code paths:
+//! AdversaryPlan × RunWindow` — so new experiment shapes are data, not new
+//! code paths:
 //!
 //! ```
 //! use iss::sim::{Protocol, Scenario};
@@ -113,10 +114,12 @@
 //! and rejoin.
 //!
 //! Beyond the paper's uniform open loop, `iss::workload` provides bursty
-//! on/off traffic, linearly ramping load and Zipf-skewed per-client rates
-//! (plus payload-size distributions), and the scenario's `FaultPlan`
-//! unifies crashes, Byzantine stragglers, healing partitions and
-//! lossy-link windows; see `iss::sim::scenario` for the full surface.
+//! on/off traffic and Zipf-skewed per-client rates (plus payload-size
+//! distributions), and `ScenarioBuilder` schedules crashes, Byzantine
+//! stragglers, healing partitions, lossy-link windows and Byzantine
+//! leaders and clients — one method each — into the scenario's
+//! `FaultPlan` and `AdversaryPlan`; see `iss::sim::scenario` for the full
+//! surface.
 
 pub use iss_client as client;
 pub use iss_core as core;
