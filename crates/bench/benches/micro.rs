@@ -13,19 +13,17 @@ use iss_crypto::{
     batch_digest, merkle_root, request_digest, request_digest_uncached, HmacKey, KeyPair, Sha256,
     SignatureRegistry, ThresholdScheme,
 };
-use iss_messages::{codec, ClientMsg, NetMsg, StageMsg};
+use iss_messages::codec;
 use iss_pbft::{PbftConfig, PbftInstance};
+use iss_runtime::Addr;
 use iss_sb::testing::LocalNet;
 use iss_sb::{ProposalValidator, SbInstance};
 use iss_sim::{CrashTiming, Protocol, Scenario};
 use iss_simnet::cpu::CpuState;
 use iss_simnet::event::{EventKind, EventQueue};
-use iss_simnet::{Addr, Context as SimContext, Process, Runtime, RuntimeConfig, StageRole};
 use iss_types::{
     Batch, BucketId, ClientId, Duration, InstanceId, NodeId, Request, RequestId, Segment, Time,
 };
-use std::cell::Cell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 fn request(i: u32) -> Request {
@@ -495,106 +493,6 @@ fn bench_simnet_event_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Drives the compartmentalized batcher inside a real runtime: announces
-/// leadership of every bucket, injects `requests` client requests, then
-/// counts the requests handed back as `BatchReady` on the cut tick.
-struct HandoffDriver {
-    requests: u32,
-    batcher: Addr,
-    num_buckets: usize,
-    got: Rc<Cell<usize>>,
-}
-
-impl Process<NetMsg> for HandoffDriver {
-    fn on_start(&mut self, ctx: &mut SimContext<'_, NetMsg>) {
-        let buckets: Vec<BucketId> = (0..self.num_buckets as u32).map(BucketId).collect();
-        ctx.send(
-            self.batcher,
-            NetMsg::Stage(StageMsg::EpochLeading { epoch: 0, buckets }),
-        );
-        for i in 0..self.requests {
-            // Contiguous per-client counters, so every request clears the
-            // batcher's watermark validation.
-            let req = Request::new(ClientId(i % 64), (i / 64) as u64, vec![0u8; 500]);
-            ctx.send(self.batcher, NetMsg::Client(ClientMsg::Request(req)));
-        }
-    }
-
-    fn on_message(&mut self, _from: Addr, msg: NetMsg, _ctx: &mut SimContext<'_, NetMsg>) {
-        if let NetMsg::Stage(StageMsg::BatchReady { batch }) = msg {
-            self.got.set(self.got.get() + batch.len());
-        }
-    }
-
-    fn on_timer(&mut self, _id: iss_types::TimerId, _kind: u64, _ctx: &mut SimContext<'_, NetMsg>) {
-    }
-}
-
-/// A one-node runtime holding a single batcher stage and its parent driver;
-/// the returned counter observes how many requests came back as batches.
-fn stage_runtime(requests: u32) -> (Runtime<NetMsg>, Rc<Cell<usize>>) {
-    let mut config = iss_types::IssConfig::pbft(4);
-    config.client_signatures = false;
-    let batcher = Addr::Stage {
-        node: NodeId(0),
-        role: StageRole::Batcher,
-        index: 0,
-    };
-    let got = Rc::new(Cell::new(0usize));
-    let mut rt: Runtime<NetMsg> = Runtime::new(RuntimeConfig::ideal());
-    rt.add_process(
-        batcher,
-        Box::new(iss_core::BatcherProcess::new(
-            NodeId(0),
-            0,
-            1,
-            config.clone(),
-            Arc::new(SignatureRegistry::with_processes(4, 4)),
-            None,
-            iss_telemetry::TelemetryHandle::disabled(),
-        )),
-    );
-    rt.add_process(
-        Addr::Node(NodeId(0)),
-        Box::new(HandoffDriver {
-            requests,
-            batcher,
-            num_buckets: config.num_buckets(),
-            got: Rc::clone(&got),
-        }),
-    );
-    (rt, got)
-}
-
-/// The batcher → orderer stage handoff: intake, the 125 ms cut tick and the
-/// `BatchReady` delivery back to the parent, all inside the event engine.
-fn bench_stages(c: &mut Criterion) {
-    let mut group = c.benchmark_group("stages");
-    group.bench_function("stage_handoff", |b| {
-        b.iter_batched(
-            || stage_runtime(1),
-            |(mut rt, got)| {
-                rt.run_until(Time::from_micros(130_000));
-                assert_eq!(got.get(), 1, "the single request must round-trip");
-                got.get()
-            },
-            BatchSize::PerIteration,
-        )
-    });
-    group.bench_function("batcher_cut_2048", |b| {
-        b.iter_batched(
-            || stage_runtime(2048),
-            |(mut rt, got)| {
-                rt.run_until(Time::from_micros(130_000));
-                assert_eq!(got.get(), 2048, "one full-size batch must be cut");
-                got.get()
-            },
-            BatchSize::PerIteration,
-        )
-    });
-    group.finish();
-}
-
 /// A scaled-down Figure 8 deployment (crash fault at epoch start, Blacklist
 /// policy): 8 nodes on the WAN testbed, one epoch-start crash, several
 /// seconds of virtual traffic per iteration.
@@ -675,7 +573,6 @@ criterion_group!(
     bench_pbft_round,
     bench_file_prune,
     bench_simnet_event_throughput,
-    bench_stages,
     bench_telemetry,
     bench_fig8_smoke_wallclock,
 );

@@ -5,9 +5,9 @@
 //!   the substrates (hashing, Merkle trees, signatures, bucket mapping,
 //!   batch cutting, codec, PBFT instance stepping).
 //! * `cargo run --release -p iss-bench -- <command>` — the `iss-bench`
-//!   command: `table1`, `fig5` … `fig12` and `compartment-scale` print one
-//!   table or figure each at configurable scale (`ISS_SCALE=quick|default|paper`),
-//!   `smoke <name>` runs a CI gate and `diff` compares micro-bench baselines.
+//!   command: `table1` and `fig5` … `fig12` print one table or figure each
+//!   at configurable scale (`ISS_SCALE=quick|default|paper`), `smoke <name>`
+//!   runs a CI gate and `diff` compares micro-bench baselines.
 
 use iss_sim::experiments::Scale;
 
@@ -110,16 +110,7 @@ mod tests {
     fn scale_default_without_env() {
         std::env::remove_var("ISS_SCALE");
         for figure in [
-            "table1",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "compartment-scale",
+            "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
         ] {
             assert!(
                 same_scale(scale_for(figure), Scale::default()),

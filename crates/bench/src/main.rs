@@ -1,12 +1,11 @@
 //! `iss-bench <command>`: regenerates the paper's Table 1 and Figures 5–12
 //! on the simulated WAN, runs the CI smokes and diffs micro-bench baselines.
 //!
-//! * `table1`, `fig5` … `fig12`, `compartment-scale` — print one table or
-//!   figure series each, at `ISS_SCALE` (`quick`, `default` or `paper`;
-//!   the benchmark scale `default` when unset).
-//! * `smoke {experiments|recovery|compartment|byzantine|telemetry}` — run
-//!   one CI gate at `ISS_SCALE` (`quick` when unset) and exit non-zero when
-//!   it fails.
+//! * `table1`, `fig5` … `fig12` — print one table or figure series each,
+//!   at `ISS_SCALE` (`quick`, `default` or `paper`; the benchmark scale
+//!   `default` when unset).
+//! * `smoke {experiments|recovery|byzantine|telemetry}` — run one CI gate
+//!   at `ISS_SCALE` (`quick` when unset) and exit non-zero when it fails.
 //! * `diff <committed.json> <fresh.json>` — compare micro-bench medians.
 //!
 //! `ISS_FAULT_NODES` overrides the cluster size of the fault experiments
@@ -16,9 +15,9 @@ use iss_bench::scale_for;
 use iss_core::Mode;
 use iss_net::{TcpCluster, TcpClusterConfig};
 use iss_sim::experiments::{
-    attack_matrix, compartment_scale, compartment_scenario, figure11, figure12, figure5, figure6,
-    figure7, figure8, scenario_bursty, scenario_crash_restart, scenario_lossy_window,
-    scenario_partition_heal, scenario_skewed, throughput_timeline, Scale,
+    attack_matrix, figure11, figure12, figure5, figure6, figure7, figure8, scenario_bursty,
+    scenario_crash_restart, scenario_lossy_window, scenario_partition_heal, scenario_skewed,
+    throughput_timeline, Scale,
 };
 use iss_sim::{CrashTiming, Protocol, Report, Scenario, CENSORSHIP_EPOCH_BOUND};
 use iss_telemetry::{Phase, TelemetrySnapshot};
@@ -27,8 +26,8 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: iss-bench <command>
-  table1 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12 | compartment-scale
-  smoke experiments | smoke recovery | smoke compartment | smoke byzantine | smoke telemetry
+  table1 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12
+  smoke experiments | smoke recovery | smoke byzantine | smoke telemetry
   diff <committed-baseline.json> <fresh-baselines.json>";
 
 fn main() -> ExitCode {
@@ -45,10 +44,8 @@ fn main() -> ExitCode {
         ["fig10"] => fig10(scale),
         ["fig11"] => fig11(scale),
         ["fig12"] => fig12(scale),
-        ["compartment-scale"] => compartment_scale_table(scale),
         ["smoke", "experiments"] => return smoke_experiments(scale),
         ["smoke", "recovery"] => return smoke_recovery(scale),
-        ["smoke", "compartment"] => return smoke_compartment(scale),
         ["smoke", "byzantine"] => smoke_byzantine(scale),
         ["smoke", "telemetry"] => return smoke_telemetry(),
         ["diff", committed, fresh] => return diff(committed, fresh),
@@ -247,50 +244,6 @@ fn fig12(scale: Scale) {
     let report = figure12(scale);
     print_timeline(&report.timeline);
     println!("# nil (⊥) entries committed: {}", report.nil_committed);
-}
-
-/// Compartmentalized node pipeline: saturated throughput for 1 → 2 → 3
-/// batcher stages per replica on single-core machines, with per-stage CPU
-/// utilization and backlog columns identifying the bottleneck of each
-/// configuration. The 1-batcher point runs the monolithic wiring and marks
-/// the plateau the compartmentalized pipeline moves past.
-fn compartment_scale_table(scale: Scale) {
-    header(
-        "Compartment scale",
-        "saturated throughput vs batcher stages per node (1 core/machine)",
-    );
-    let points = compartment_scale(scale);
-    println!(
-        "{:<6} {:>9} {:>10} {:>9}   per-stage cpu% (handoffs, peak queue)",
-        "nodes", "batchers", "executors", "kreq/s"
-    );
-    for p in &points {
-        let mut stages: Vec<String> = p
-            .stages
-            .iter()
-            .map(|s| {
-                format!(
-                    "{}{}={:.0}%({},{})",
-                    s.role,
-                    s.index,
-                    s.cpu_utilization * 100.0,
-                    s.handoffs,
-                    s.max_queue_depth
-                )
-            })
-            .collect();
-        if stages.is_empty() {
-            stages.push("monolith".to_string());
-        }
-        println!(
-            "{:<6} {:>9} {:>10} {:>9.1}   {}",
-            p.nodes,
-            p.batchers,
-            p.executors,
-            p.kreq_per_sec,
-            stages.join(" ")
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -597,75 +550,6 @@ fn smoke_recovery(scale: Scale) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Compartmentalized-pipeline smoke: runs the n=4 compartmentalization
-/// scenario with 1 batcher (which lowers to the monolithic wiring) and with
-/// 3 batcher stages per node, prints every headline number, and fails unless
-/// the 3-batcher deployment's saturated throughput is at least the
-/// monolith's — the whole point of the stage split.
-///
-/// Safety is asserted as a side effect: the delivery checker panics on an
-/// agreement violation or a duplicate delivery at any node, so a clean run
-/// is itself the safety gate. The output is purely a function of the seed,
-/// so CI also double-runs this smoke and diffs the bytes.
-fn smoke_compartment(scale: Scale) -> ExitCode {
-    fn print_report(batchers: usize, report: &Report) {
-        println!(
-            "batchers={batchers} kreq_per_sec={:.1} delivered={} nil_committed={} \
-             messages_sent={} bytes_sent={}",
-            report.throughput / 1_000.0,
-            report.delivered,
-            report.nil_committed,
-            report.messages_sent,
-            report.bytes_sent
-        );
-        for s in &report.stages {
-            println!(
-                "stage node={} role={} index={} cpu_pct={:.1} handoffs={} peak_queue={}",
-                s.node.0,
-                s.role,
-                s.index,
-                s.cpu_utilization * 100.0,
-                s.handoffs,
-                s.max_queue_depth
-            );
-        }
-    }
-
-    println!("# compartment smoke: n=4, 1 vs 3 batcher stages per node");
-    let monolith = compartment_scenario(4, 1, scale).run();
-    print_report(1, &monolith);
-    let compartmentalized = compartment_scenario(4, 3, scale).run();
-    print_report(3, &compartmentalized);
-
-    if monolith.delivered == 0 || compartmentalized.delivered == 0 {
-        eprintln!("compartment smoke: a run delivered nothing");
-        return ExitCode::FAILURE;
-    }
-    if !monolith.stages.is_empty() {
-        eprintln!("compartment smoke: the 1-batcher point must lower to the monolith");
-        return ExitCode::FAILURE;
-    }
-    // 1 orderer + 3 batchers + 2 executors at the observer node.
-    if compartmentalized.stages.len() != 6 {
-        eprintln!(
-            "compartment smoke: expected 6 stage rows, got {}",
-            compartmentalized.stages.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    if compartmentalized.throughput < monolith.throughput {
-        eprintln!(
-            "compartment smoke: 3 batchers ({:.1} kreq/s) fell below the monolith \
-             ({:.1} kreq/s) — the stage split stopped paying for itself",
-            compartmentalized.throughput / 1_000.0,
-            monolith.throughput / 1_000.0
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("compartment smoke: OK");
-    ExitCode::SUCCESS
-}
-
 /// Byzantine attack-matrix smoke: runs every adversarial scenario of
 /// [`attack_matrix`] — equivocating leader, censoring leader, Byzantine
 /// clients (conflicting + duplicate/replayed requests), malformed and
@@ -837,10 +721,9 @@ fn telemetry_simnet() -> bool {
 
     let mut ok = check_phases(&snapshot, "simnet");
 
-    // The orderer profile: proposal processing must dominate the node's
-    // attributed CPU (the paper's motivation for compartmentalization — the
-    // orderer burns ~70% of a monolithic node's cycles, most of it in
-    // proposal validation/digesting).
+    // The node profile: proposal processing must dominate the node's
+    // attributed CPU (~70% of its cycles, most of it in proposal
+    // validation/digesting).
     let total = snapshot.cpu_total_us();
     let proposal = snapshot.cpu_us[MsgClass::Proposal as usize];
     let proposal_pct = 100 * proposal / total.max(1);

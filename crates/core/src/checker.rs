@@ -18,8 +18,8 @@
 //! 3. *No re-delivery* — a node delivers each position at most once: each
 //!    node keeps a [`BitWindow`] of the positions it delivered, which catches
 //!    a position delivered again after a crash-restart from durable storage.
-//!    Nodes may report positions out of order (the pipeline's executor
-//!    stages do) and may skip positions (a snapshot install).
+//!    Nodes may report positions in any order (the check assumes no
+//!    reporting order) and may skip positions (a snapshot install).
 //!
 //! Together these imply the per-node property *a node never delivers the
 //! same request twice*: if node `k` delivered request `r` at positions `p`

@@ -34,11 +34,7 @@
 //!   one submodule: `node::ordering` (SB instances, proposals, commits and
 //!   in-order delivery), `node::epochs` (epoch transitions, checkpoints and
 //!   Mir's epoch primary) and `node::recovery` (WAL replay, persistence,
-//!   snapshots and state transfer);
-//! * [`stages`] — the compartmentalized pipeline: batcher stages (request
-//!   intake and batch cutting) in front of the orderer and executor stages
-//!   (delivery fan-out) behind it, each a first-class simulated process with
-//!   its own CPU budget, plus the orderer's hooks into them.
+//!   snapshots and state transfer).
 
 pub mod buckets;
 pub mod checker;
@@ -48,7 +44,6 @@ pub mod log;
 pub mod node;
 pub mod orderer;
 pub mod policy;
-pub mod stages;
 pub mod state;
 pub mod validation;
 
@@ -57,14 +52,8 @@ pub use checker::{DeliveryChecker, Violation};
 pub use checkpoint::CheckpointManager;
 pub use epoch::EpochConfig;
 pub use log::IssLog;
-pub use node::{
-    DeliverySink, IssNode, Mode, NodeOptions, NullSink, PipelineOptions, StragglerBehavior,
-};
+pub use node::{DeliverySink, IssNode, Mode, NodeOptions, NullSink, StragglerBehavior};
 pub use orderer::OrdererFactory;
 pub use policy::LeaderPolicy;
-pub use stages::{
-    batcher_for, stage_counters, BatcherProcess, ExecutorProcess, StageCounters,
-    StageCountersHandle,
-};
 pub use state::{EpochState, InstanceSlot};
 pub use validation::{EpochBuckets, RequestValidation};

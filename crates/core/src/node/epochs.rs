@@ -74,7 +74,7 @@ impl IssNode {
                 self.my_segment_idx = Some(idx);
             }
             let instance_id = segment.instance;
-            let instance = self.factory.create(self.my_id, segment);
+            let instance = (self.factory)(self.my_id, segment);
             let slot = self.state.insert_instance(instance_id, instance);
             self.drive(slot, ctx, |inst, sb| inst.init(sb));
         }
@@ -91,14 +91,6 @@ impl IssNode {
             for client in &self.opts.clients {
                 ctx.send(Addr::Client(*client), NetMsg::Client(leaders.clone()));
             }
-        }
-
-        if let Some(p) = self.pipeline.as_mut() {
-            let led = self
-                .my_segment_idx
-                .map(|idx| self.epoch.segments[idx].buckets.as_slice())
-                .unwrap_or_default();
-            p.on_epoch_start(self.epoch.epoch, led, &self.validation, ctx);
         }
     }
 

@@ -22,7 +22,7 @@
 //! instances, proposals, commits and in-order delivery), `epochs` (epoch
 //! transitions, checkpoints and Mir's epoch primary) and `recovery` (WAL
 //! replay, persistence, snapshots and state transfer; every storage call is
-//! there). The pipeline's orderer side lives in [`crate::stages`].
+//! there).
 //!
 //! # Epoch-state layout
 //!
@@ -55,11 +55,10 @@ use crate::epoch::EpochConfig;
 use crate::log::IssLog;
 use crate::orderer::OrdererFactory;
 use crate::policy::LeaderPolicy;
-use crate::stages::{PipelineState, StageCountersHandle};
 use crate::state::EpochState;
 use crate::validation::RequestValidation;
 use iss_crypto::{KeyPair, SignatureRegistry};
-use iss_messages::{ClientMsg, IssMsg, MirMsg, NetMsg, StageMsg};
+use iss_messages::{ClientMsg, IssMsg, MirMsg, NetMsg};
 use iss_runtime::process::{Addr, Context, Process};
 use iss_storage::record::PolicyState;
 use iss_storage::Storage;
@@ -156,21 +155,6 @@ impl DeliverySink for NullSink {
     fn on_epoch_advanced(&mut self, _: NodeId, _: EpochNr, _: Time) {}
 }
 
-/// Wiring of the compartmentalized pipeline around one orderer: how many
-/// batcher/executor stage processes the deployment spawned for this node.
-/// The stage counts must match the processes actually registered at
-/// `Addr::Stage { node, .. }` addresses — the node fans handoffs out by
-/// [`batcher_for`](crate::batcher_for) and `request_seq_nr mod executors`.
-#[derive(Clone)]
-pub struct PipelineOptions {
-    /// Number of batcher stages in front of this orderer (≥ 1).
-    pub batchers: u32,
-    /// Number of executor stages behind it (≥ 1).
-    pub executors: u32,
-    /// Counter handle for the orderer's ready-batch backlog column.
-    pub counters: Option<StageCountersHandle>,
-}
-
 /// Per-node deployment options.
 #[derive(Clone)]
 pub struct NodeOptions {
@@ -187,18 +171,16 @@ pub struct NodeOptions {
     pub clients: Vec<ClientId>,
     /// If set, this node behaves as a Byzantine straggler when leading.
     pub straggler: Option<StragglerBehavior>,
-    /// Compartmentalized pipeline wiring (`None` = monolithic node).
-    pub pipeline: Option<PipelineOptions>,
-    /// Commit-path telemetry for this machine, shared with any co-located
-    /// pipeline stages (disabled by default). Recording never touches the
-    /// process RNG or emits actions, so enabling it cannot perturb a run.
+    /// Commit-path telemetry for this node (disabled by default). Recording
+    /// never touches the process RNG or emits actions, so enabling it cannot
+    /// perturb a run.
     pub telemetry: TelemetryHandle,
 }
 
 impl NodeOptions {
     /// Default options for the given configuration: ISS mode, responses on,
-    /// announcements off (the simulator's clients route by configuration),
-    /// monolithic (no pipeline stages).
+    /// no straggling, telemetry off. Bucket announcements are off: a caller
+    /// that turns them on also lists the `clients` to announce to.
     pub fn new(config: IssConfig) -> Self {
         NodeOptions {
             config,
@@ -207,38 +189,28 @@ impl NodeOptions {
             announce_buckets: false,
             clients: Vec::new(),
             straggler: None,
-            pipeline: None,
             telemetry: TelemetryHandle::disabled(),
         }
     }
 }
 
-/// Telemetry correlation key of a request (stable across the machines and
-/// stages that see the same request).
-pub fn telemetry_request_key(id: &RequestId) -> u64 {
+/// Telemetry correlation key of a request (stable across the machines that
+/// see the same request).
+pub(crate) fn telemetry_request_key(id: &RequestId) -> u64 {
     iss_telemetry::request_key(id.client.0 as u64, id.timestamp)
 }
 
-/// Telemetry correlation key of a batch: the order-sensitive fold over its
-/// request keys. The batcher (at cut time) and the orderer (per constituent
-/// batch at proposal time) compute the same key independently.
-pub fn telemetry_batch_key(batch: &Batch) -> u64 {
-    iss_telemetry::batch_key(
+/// Records a batch cut at `now`; returns the batch's telemetry key, the
+/// order-sensitive fold over its request keys.
+pub(crate) fn record_cut(telemetry: &TelemetryHandle, now: Time, batch: &Batch) -> u64 {
+    let requests = || {
         batch
             .requests()
             .iter()
-            .map(|r| telemetry_request_key(&r.id)),
-    )
-}
-
-/// Records a batch cut at `now`; returns the batch's telemetry key.
-pub(crate) fn record_cut(telemetry: &TelemetryHandle, now: Time, batch: &Batch) -> u64 {
-    let key = telemetry_batch_key(batch);
-    let requests = batch
-        .requests()
-        .iter()
-        .map(|r| telemetry_request_key(&r.id));
-    telemetry.on_cut(now, key, requests);
+            .map(|r| telemetry_request_key(&r.id))
+    };
+    let key = iss_telemetry::batch_key(requests());
+    telemetry.on_cut(now, key, requests());
     key
 }
 
@@ -250,7 +222,7 @@ pub struct IssNode {
     /// every message; recomputing or cloning it there would be per-message
     /// allocation).
     all_nodes: Vec<NodeId>,
-    factory: Box<dyn OrdererFactory>,
+    factory: OrdererFactory,
     sink: Rc<RefCell<dyn DeliverySink>>,
 
     // Manager state.
@@ -292,9 +264,6 @@ pub struct IssNode {
     /// Proposal rejections already forwarded to the sink (the validation
     /// counter is cumulative; this tracks the delta reported so far).
     reported_proposal_rejections: u64,
-
-    /// Compartmentalized pipeline state (`None` = monolithic node).
-    pipeline: Option<PipelineState>,
 }
 
 impl IssNode {
@@ -302,7 +271,7 @@ impl IssNode {
     pub fn new(
         my_id: NodeId,
         opts: NodeOptions,
-        factory: Box<dyn OrdererFactory>,
+        factory: OrdererFactory,
         registry: Arc<SignatureRegistry>,
         sink: Rc<RefCell<dyn DeliverySink>>,
     ) -> Self {
@@ -327,10 +296,6 @@ impl IssNode {
         let epoch = epochs::epoch_config(&opts, &policy, 0, 0);
         let buckets = BucketQueues::new(config.num_buckets());
         let all_nodes = config.all_nodes();
-        let pipeline = opts
-            .pipeline
-            .as_ref()
-            .map(|p| PipelineState::new(my_id, config, p));
         IssNode {
             my_id,
             opts,
@@ -354,7 +319,6 @@ impl IssNode {
             recovery: None,
             incoming_snapshot: None,
             reported_proposal_rejections: 0,
-            pipeline,
         }
     }
 
@@ -368,7 +332,7 @@ impl IssNode {
     pub fn with_storage(
         my_id: NodeId,
         opts: NodeOptions,
-        factory: Box<dyn OrdererFactory>,
+        factory: OrdererFactory,
         registry: Arc<SignatureRegistry>,
         sink: Rc<RefCell<dyn DeliverySink>>,
         storage: Rc<dyn Storage>,
@@ -487,12 +451,7 @@ impl Process<NetMsg> for IssNode {
                     self.start_next_epoch(ctx);
                 }
             }
-            (NetMsg::Stage(StageMsg::BatchReady { batch }), _) => {
-                if let Some(p) = self.pipeline.as_mut() {
-                    p.on_batch_ready(batch, &self.opts.telemetry);
-                }
-            }
-            (NetMsg::Client(_) | NetMsg::Stage(_), _)
+            (NetMsg::Client(_), _)
             | (NetMsg::Sb { .. } | NetMsg::Iss(_) | NetMsg::Mir(_), None) => {}
         }
     }
@@ -520,7 +479,6 @@ impl Process<NetMsg> for IssNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orderer::FnOrdererFactory;
     use iss_sb::reference::ReferenceSb;
     use iss_sb::SbInstance;
 
@@ -530,13 +488,12 @@ mod tests {
         config.client_signatures = false;
         let mut opts = NodeOptions::new(config);
         opts.mode = mode;
-        let factory = FnOrdererFactory::new("reference", |id, seg| {
-            Box::new(ReferenceSb::new(id, seg)) as Box<dyn SbInstance>
-        });
+        let factory: OrdererFactory =
+            Box::new(|id, seg| Box::new(ReferenceSb::new(id, seg)) as Box<dyn SbInstance>);
         IssNode::new(
             NodeId(0),
             opts,
-            Box::new(factory),
+            factory,
             Arc::new(SignatureRegistry::with_processes(n, 4)),
             Rc::new(RefCell::new(NullSink)),
         )

@@ -1,11 +1,10 @@
 //! Ordering: driving the epoch's SB instances and applying their actions,
 //! this node's proposals, commits and in-order delivery (Algorithm 1).
 
-use super::{record_cut, IssNode, KIND_INSTANCE, KIND_PROPOSE};
+use super::{record_cut, telemetry_request_key, IssNode, KIND_INSTANCE, KIND_PROPOSE};
 use crate::log::DeliveredBatch;
-use crate::stages::deliver_requests;
 use crate::state::InstanceSlot;
-use iss_messages::NetMsg;
+use iss_messages::{ClientMsg, NetMsg};
 use iss_runtime::process::{Addr, Context};
 use iss_sb::{SbAction, SbContext, SbInstance};
 use iss_types::{Batch, Duration, InstanceId, NodeId, SeqNr};
@@ -120,24 +119,14 @@ impl IssNode {
                     self.buckets.remove(&req.id);
                     self.validation.mark_delivered(&req.id);
                 }
-                // Compartmentalized pipeline: the queued copies live at the
-                // batcher stages, not in `self.buckets` — drop them there.
-                if let Some(p) = &self.pipeline {
-                    p.on_commit(b, ctx);
-                }
             }
             None => {
                 // ⊥ delivered: resurrect our own unsuccessful proposal, if any.
                 self.policy.record_nil_delivery(leader, sn);
                 if let Some(proposed) = self.state.take_proposed(sn) {
-                    match &self.pipeline {
-                        Some(p) => p.resurrect(proposed.requests(), &self.validation, ctx),
-                        None => {
-                            for req in proposed.requests() {
-                                if !self.validation.is_delivered(&req.id) {
-                                    self.buckets.resurrect(req.clone());
-                                }
-                            }
+                    for req in proposed.requests() {
+                        if !self.validation.is_delivered(&req.id) {
+                            self.buckets.resurrect(req.clone());
                         }
                     }
                 }
@@ -154,30 +143,32 @@ impl IssNode {
         self.maybe_finish_epoch(ctx);
     }
 
-    /// Delivers the log's newly contiguous prefix.
+    /// Delivers the log's newly contiguous prefix: one deliver span per
+    /// batch, then, in order, each request's end-to-end span, the sink
+    /// notification and (when enabled) the client response.
     pub(super) fn deliver_ready(&mut self, ctx: &mut Context<'_, NetMsg>) {
         let delivered = self.log.deliver_ready();
         if delivered.is_empty() {
             return;
         }
         let now = ctx.now();
-        // One deliver span per batch. End-to-end completion is recorded
-        // wherever delivery actually happens: here for the monolithic node,
-        // at the executor stages for the pipeline (through the shared
-        // per-machine telemetry).
+        let telemetry = &self.opts.telemetry;
         for d in &delivered {
-            self.opts.telemetry.on_deliver(now, d.seq_nr);
+            telemetry.on_deliver(now, d.seq_nr);
         }
-        match &self.pipeline {
-            Some(p) => p.execute(&delivered, ctx),
-            None => deliver_requests(
-                self.my_id,
-                delivered.iter().flat_map(DeliveredBatch::numbered),
-                &self.sink,
-                &self.opts.telemetry,
-                self.opts.respond_to_clients,
-                ctx,
-            ),
+        let mut sink = self.sink.borrow_mut();
+        for (request_seq_nr, request) in delivered.iter().flat_map(DeliveredBatch::numbered) {
+            telemetry.on_end_to_end(now, telemetry_request_key(&request.id));
+            sink.on_request_delivered(self.my_id, request, request_seq_nr, now);
+            if self.opts.respond_to_clients {
+                ctx.send(
+                    Addr::Client(request.id.client),
+                    NetMsg::Client(ClientMsg::Response {
+                        request: request.id,
+                        seq_nr: request_seq_nr,
+                    }),
+                );
+            }
         }
     }
 
@@ -211,12 +202,6 @@ impl IssNode {
         // when there is nothing to propose.
         let timed_out = max_wait > Duration::ZERO && since_last >= max_wait;
 
-        // Telemetry: batch keys of the ready batches merged into this
-        // proposal (pipeline mode), pairing the batcher's cut timestamps
-        // with the proposal below. Only collected while telemetry is on.
-        let mut proposal_sources: Vec<u64> = Vec::new();
-        let telemetry_on = self.opts.telemetry.is_enabled();
-
         let batch = if let Some(straggler) = self.opts.straggler {
             // A Byzantine straggler delays as much as possible and proposes
             // only empty batches.
@@ -224,14 +209,6 @@ impl IssNode {
                 return;
             }
             Batch::empty()
-        } else if let Some(p) = self.pipeline.as_mut() {
-            // Compartmentalized pipeline: propose what the batcher stages
-            // cut.
-            match p.take_proposal(max_size, telemetry_on.then_some(&mut proposal_sources)) {
-                Some(batch) => batch,
-                None if timed_out => Batch::empty(),
-                None => return,
-            }
         } else {
             // `segment` borrows `self.epoch`; the queues live in
             // `self.buckets` — disjoint fields, so the bucket list is read in
@@ -245,19 +222,13 @@ impl IssNode {
             self.buckets.cut_batch(&segment.buckets, max_size)
         };
 
-        if telemetry_on {
-            if self.pipeline.is_none() && !batch.is_empty() {
-                // Monolithic node: the batch is cut and proposed in the same
-                // tick, so record both edges here (cut→propose ≈ 0; the
-                // pipeline's batcher stages record their cuts themselves).
-                proposal_sources.push(record_cut(&self.opts.telemetry, now, &batch));
-            }
-            self.opts.telemetry.on_propose(
-                now,
-                sn,
-                batch.len() as u64,
-                proposal_sources.into_iter(),
-            );
+        if self.opts.telemetry.is_enabled() {
+            // The batch is cut and proposed in the same tick, so record both
+            // edges here (cut→propose ≈ 0).
+            let source = (!batch.is_empty()).then(|| record_cut(&self.opts.telemetry, now, &batch));
+            self.opts
+                .telemetry
+                .on_propose(now, sn, batch.len() as u64, source.into_iter());
         }
 
         self.last_proposal_at = now;

@@ -3,50 +3,16 @@
 //! The Manager (in [`crate::node`]) announces segments; the Orderer
 //! instantiates one ordering-protocol instance per segment. Which protocol is
 //! used is decided by the [`OrdererFactory`] the node is constructed with —
-//! `iss-sim` provides factories for PBFT, HotStuff, Raft and the reference
-//! implementation.
+//! `iss-sim`'s `make_factory` builds one for PBFT, HotStuff, Raft or the
+//! reference implementation.
 
 use iss_sb::SbInstance;
 use iss_types::{NodeId, Segment};
 use std::sync::Arc;
 
-/// Creates one SB instance per announced segment.
-pub trait OrdererFactory {
-    /// Instantiates the ordering protocol for `segment` at node `my_id`.
-    fn create(&self, my_id: NodeId, segment: Arc<Segment>) -> Box<dyn SbInstance>;
-
-    /// A short protocol name used in diagnostics and experiment output.
-    fn name(&self) -> &'static str;
-}
-
-/// A factory wrapping a closure (convenient for tests).
-pub struct FnOrdererFactory<F> {
-    make: F,
-    name: &'static str,
-}
-
-impl<F> FnOrdererFactory<F>
-where
-    F: Fn(NodeId, Arc<Segment>) -> Box<dyn SbInstance>,
-{
-    /// Wraps a closure as a factory.
-    pub fn new(name: &'static str, make: F) -> Self {
-        FnOrdererFactory { make, name }
-    }
-}
-
-impl<F> OrdererFactory for FnOrdererFactory<F>
-where
-    F: Fn(NodeId, Arc<Segment>) -> Box<dyn SbInstance>,
-{
-    fn create(&self, my_id: NodeId, segment: Arc<Segment>) -> Box<dyn SbInstance> {
-        (self.make)(my_id, segment)
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-}
+/// Creates one SB instance per announced segment: called with the node's
+/// own id and the segment to order.
+pub type OrdererFactory = Box<dyn Fn(NodeId, Arc<Segment>) -> Box<dyn SbInstance>>;
 
 #[cfg(test)]
 mod tests {
@@ -56,10 +22,8 @@ mod tests {
 
     #[test]
     fn fn_factory_creates_instances() {
-        let factory = FnOrdererFactory::new("reference", |id, seg| {
-            Box::new(ReferenceSb::new(id, seg)) as Box<dyn SbInstance>
-        });
-        assert_eq!(factory.name(), "reference");
+        let factory: OrdererFactory =
+            Box::new(|id, seg| Box::new(ReferenceSb::new(id, seg)) as Box<dyn SbInstance>);
         let segment = Segment {
             instance: InstanceId::new(0, 0),
             leader: NodeId(0),
@@ -68,7 +32,7 @@ mod tests {
             nodes: (0..4).map(NodeId).collect(),
             f: 1,
         };
-        let instance = factory.create(NodeId(1), Arc::new(segment));
+        let instance = factory(NodeId(1), Arc::new(segment));
         assert_eq!(instance.delivered_count(), 0);
         assert!(!instance.is_complete());
     }

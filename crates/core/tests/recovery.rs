@@ -2,8 +2,7 @@
 //! WAL replay) must end up with a delivered log bit-identical to a replica
 //! that never crashed and committed the same entries.
 
-use iss_core::orderer::FnOrdererFactory;
-use iss_core::{EpochConfig, IssLog, IssNode, LeaderPolicy, NodeOptions, NullSink};
+use iss_core::{EpochConfig, IssLog, IssNode, LeaderPolicy, NodeOptions, NullSink, OrdererFactory};
 use iss_crypto::SignatureRegistry;
 use iss_sb::reference::ReferenceSb;
 use iss_sb::SbInstance;
@@ -23,13 +22,12 @@ fn test_config() -> IssConfig {
 
 fn restore_node(storage: Rc<MemStorage>) -> IssNode {
     let config = test_config();
-    let factory = FnOrdererFactory::new("reference", |id, seg| {
-        Box::new(ReferenceSb::new(id, seg)) as Box<dyn SbInstance>
-    });
+    let factory: OrdererFactory =
+        Box::new(|id, seg| Box::new(ReferenceSb::new(id, seg)) as Box<dyn SbInstance>);
     IssNode::with_storage(
         NodeId(0),
         NodeOptions::new(config),
-        Box::new(factory),
+        factory,
         Arc::new(SignatureRegistry::with_processes(4, 4)),
         Rc::new(RefCell::new(NullSink)),
         storage,

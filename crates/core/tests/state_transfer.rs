@@ -2,8 +2,7 @@
 //! the transferred commit drops the queued copy, delivers the request and
 //! makes a re-submission a replay.
 
-use iss_core::orderer::FnOrdererFactory;
-use iss_core::{DeliverySink, IssNode, NodeOptions};
+use iss_core::{DeliverySink, IssNode, NodeOptions, OrdererFactory};
 use iss_crypto::SignatureRegistry;
 use iss_messages::isscp::LogEntry;
 use iss_messages::{ClientMsg, IssMsg, NetMsg};
@@ -56,15 +55,14 @@ type Mounted = (SansIo<NetMsg>, Rc<RefCell<IssNode>>, Rc<RefCell<Sink>>);
 fn node_with_queued(req: &Request) -> Mounted {
     let mut config = IssConfig::pbft(4);
     config.client_signatures = false;
-    let factory = FnOrdererFactory::new("reference", |id, seg| {
-        Box::new(ReferenceSb::new(id, seg)) as Box<dyn SbInstance>
-    });
+    let factory: OrdererFactory =
+        Box::new(|id, seg| Box::new(ReferenceSb::new(id, seg)) as Box<dyn SbInstance>);
     let registry = Arc::new(SignatureRegistry::with_processes(4, 4));
     let sink = Rc::new(RefCell::new(Sink::default()));
     let node = IssNode::new(
         NodeId(0),
         NodeOptions::new(config),
-        Box::new(factory),
+        factory,
         registry,
         sink.clone(),
     );

@@ -15,8 +15,6 @@
 //! * [`refsb`] — messages of the reference SB implementation (Algorithm 5);
 //! * [`isscp`] — ISS checkpointing and state transfer (Section 3.5);
 //! * [`mir`] — the Mir-BFT baseline used for comparison in the evaluation;
-//! * [`stage`] — handoffs between the compartmentalized batcher/executor
-//!   stages and their parent orderer;
 //! * [`net`] — the top-level [`NetMsg`] / [`SbMsg`] enums and wire-size
 //!   accounting;
 //! * [`codec`] — a small hand-written binary codec used by state transfer
@@ -33,7 +31,6 @@ pub mod net;
 pub mod pbft;
 pub mod raft;
 pub mod refsb;
-pub mod stage;
 pub mod wire;
 
 pub use client::ClientMsg;
@@ -44,7 +41,6 @@ pub use net::{NetMsg, SbMsg};
 pub use pbft::PbftMsg;
 pub use raft::RaftMsg;
 pub use refsb::RefSbMsg;
-pub use stage::StageMsg;
 
 /// Wire size of a digest.
 pub const DIGEST_WIRE: usize = 32;

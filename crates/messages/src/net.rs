@@ -8,7 +8,6 @@ use crate::mir::MirMsg;
 use crate::pbft::PbftMsg;
 use crate::raft::RaftMsg;
 use crate::refsb::RefSbMsg;
-use crate::stage::StageMsg;
 use iss_types::{InstanceId, MsgClass, Payload};
 
 /// A message of one of the ordering protocols usable as an SB implementation.
@@ -62,9 +61,6 @@ pub enum NetMsg {
     Iss(IssMsg),
     /// Mir-BFT baseline traffic.
     Mir(MirMsg),
-    /// Handoffs between a replica's orderer and its co-located
-    /// batcher/executor pipeline stages.
-    Stage(StageMsg),
 }
 
 impl Payload for NetMsg {
@@ -74,7 +70,6 @@ impl Payload for NetMsg {
             NetMsg::Sb { msg, .. } => 12 + msg.wire_size(),
             NetMsg::Iss(m) => m.wire_size(),
             NetMsg::Mir(m) => m.wire_size(),
-            NetMsg::Stage(m) => m.wire_size(),
         }
     }
 
@@ -84,7 +79,6 @@ impl Payload for NetMsg {
             NetMsg::Sb { msg, .. } => msg.num_requests(),
             NetMsg::Iss(m) => m.num_requests(),
             NetMsg::Mir(_) => 0,
-            NetMsg::Stage(m) => m.num_requests(),
         }
     }
 
@@ -108,7 +102,6 @@ impl Payload for NetMsg {
             // Mir's only message of its own, the epoch announcement, carries
             // no requests.
             NetMsg::Mir(_) => MsgClass::Vote,
-            NetMsg::Stage(_) => MsgClass::Handoff,
         }
     }
 }

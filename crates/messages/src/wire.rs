@@ -14,10 +14,9 @@
 //! everything a PBFT-backed ISS deployment (the configuration the TCP
 //! backend boots) puts on the wire, including checkpoint snapshots for
 //! crash recovery. HotStuff/Raft/Reference
-//! ordering messages, the Mir baseline and intra-replica `Stage` handoffs
-//! return [`Error::Codec`]: the first three are simulator-only baselines
-//! and stage handoffs never leave the machine by construction, so
-//! attempting to serialize one is a routing bug worth surfacing loudly.
+//! ordering messages and the Mir baseline return [`Error::Codec`]: they
+//! are simulator-only baselines, so attempting to serialize one is a
+//! routing bug worth surfacing loudly.
 //!
 //! Framing (length prefix on the socket) is the transport's concern; these
 //! functions encode and decode one message body.
@@ -55,7 +54,7 @@ const ISS_SNAPSHOT_CHUNK: u8 = 4;
 ///
 /// Fails with [`Error::Codec`] for the simulator-only variants that have no
 /// wire representation (HotStuff/Raft/Reference SB messages, Mir baseline
-/// traffic, intra-replica stage handoffs).
+/// traffic).
 pub fn encode_net_msg(msg: &NetMsg, buf: &mut BytesMut) -> Result<()> {
     match msg {
         NetMsg::Client(m) => {
@@ -75,11 +74,6 @@ pub fn encode_net_msg(msg: &NetMsg, buf: &mut BytesMut) -> Result<()> {
         NetMsg::Mir(_) => {
             return Err(Error::Codec(
                 "Mir baseline messages have no socket encoding".into(),
-            ))
-        }
-        NetMsg::Stage(_) => {
-            return Err(Error::Codec(
-                "stage handoffs are machine-local and never serialized".into(),
             ))
         }
     }
@@ -598,7 +592,6 @@ fn get_view_seq(buf: &mut Bytes) -> Result<(u64, u64)> {
 mod tests {
     use super::*;
     use crate::mir::MirMsg;
-    use crate::stage::StageMsg;
     use iss_types::{ClientId, Request};
 
     fn roundtrip(msg: NetMsg) {
@@ -741,7 +734,6 @@ mod tests {
                 epoch: 0,
                 config_digest: [0; 32],
             }),
-            NetMsg::Stage(StageMsg::BatchReady { batch: batch(1) }),
             NetMsg::Sb {
                 instance: InstanceId::new(0, 0),
                 msg: SbMsg::Raft(crate::raft::RaftMsg::VoteResponse {

@@ -4,8 +4,7 @@
 //! A connection carries a sequence of frames, each a `u32` little-endian
 //! length followed by that many payload bytes. The first frame on every
 //! connection is a *hello* identifying the dialing process by its
-//! [`Addr`], which is a node or a client: stage addresses are
-//! simulator-only and have no hello. Every later frame is one [`NetMsg`]
+//! [`Addr`], which is a node or a client. Every later frame is one [`NetMsg`]
 //! encoded with [`iss_messages::wire`]. The hello is what lets an accepting
 //! node route responses: a client never listens, so the node writes
 //! `Response` frames back over the client's own inbound connection, keyed
@@ -210,9 +209,8 @@ fn decode_bytes(mut buf: Bytes) -> io::Result<NetMsg> {
     Ok(msg)
 }
 
-/// Encodes a hello payload announcing `addr`. Fails for a stage address:
-/// stages are simulator-only.
-pub fn encode_hello(addr: Addr) -> io::Result<Vec<u8>> {
+/// Encodes a hello payload announcing `addr`.
+pub fn encode_hello(addr: Addr) -> Vec<u8> {
     let mut buf = BytesMut::new();
     match addr {
         Addr::Node(n) => {
@@ -223,18 +221,12 @@ pub fn encode_hello(addr: Addr) -> io::Result<Vec<u8>> {
             buf.put_u8(ADDR_CLIENT);
             buf.put_u32_le(c.0);
         }
-        Addr::Stage { .. } => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "stage addresses are simulator-only and have no hello",
-            ))
-        }
     }
-    Ok(buf.to_vec())
+    buf.to_vec()
 }
 
-/// Decodes a hello payload: a node or a client. Any other claim, a stage
-/// address included, is an error, and the acceptor drops the connection.
+/// Decodes a hello payload: a node or a client. Any other tag is an error,
+/// and the acceptor drops the connection.
 pub fn decode_hello(payload: &[u8]) -> io::Result<Addr> {
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
     let mut buf = Bytes::copy_from_slice(payload);
@@ -404,17 +396,10 @@ mod tests {
     #[test]
     fn hello_roundtrips_for_every_addr_kind() {
         for addr in [Addr::Node(NodeId(3)), Addr::Client(ClientId(17))] {
-            assert_eq!(decode_hello(&encode_hello(addr).unwrap()).unwrap(), addr);
+            assert_eq!(decode_hello(&encode_hello(addr)).unwrap(), addr);
         }
-        // Stage addresses are simulator-only: there is no hello to send for
-        // one, and a claim of one (tag 2, node 1, role 0, index 2) is
-        // refused.
-        let stage = Addr::Stage {
-            node: NodeId(1),
-            role: iss_runtime::StageRole::Batcher,
-            index: 2,
-        };
-        assert!(encode_hello(stage).is_err());
+        // Tag 2 (once a pipeline-stage claim: node 1, role 0, index 2) names
+        // no address and is refused.
         assert!(decode_hello(&[2, 1, 0, 0, 0, 0, 2, 0, 0, 0]).is_err());
         assert!(decode_hello(&[9, 0, 0, 0, 0]).is_err());
         assert!(decode_hello(&[0, 1]).is_err());

@@ -310,8 +310,7 @@ impl TcpRuntime {
         listener: Option<TcpListener>,
         builder: ProcessBuilder,
     ) -> io::Result<TcpHandle> {
-        // Fails for a stage address before any thread starts.
-        let hello = frame::encode_hello(cfg.addr)?;
+        let hello = frame::encode_hello(cfg.addr);
         let (mailbox_tx, mailbox_rx) = mpsc::channel::<Input>();
         let stop = Arc::new(AtomicBool::new(false));
         let listen = listener.as_ref().map(|l| l.local_addr()).transpose()?;
@@ -443,8 +442,8 @@ impl Outbox {
     /// Encodes `msg` behind whatever is already buffered for `to`.
     fn send(&mut self, to: Addr, msg: &NetMsg) {
         // Only simulator-only message kinds fail to encode; reaching this is
-        // a deployment bug (e.g. booting a compartmentalized node over TCP),
-        // not a runtime state.
+        // a deployment bug (e.g. booting a Mir-mode node over TCP), not a
+        // runtime state.
         let encode = |buf: &mut BytesMut| {
             if let Err(e) = frame::encode_frame(msg, buf) {
                 panic!("unencodable message to {to:?}: {e}");
@@ -477,9 +476,6 @@ impl Outbox {
                 if conn.buf.len() >= FLUSH_BYTES && conn.flush().is_err() {
                     self.inbound.remove(&to);
                 }
-            }
-            Addr::Stage { .. } => {
-                debug_assert!(false, "stage addresses are simulator-only");
             }
         }
     }

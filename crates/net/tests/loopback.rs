@@ -236,9 +236,9 @@ impl Process<NetMsg> for Echo {
     fn on_timer(&mut self, _: TimerId, _: u64, _: &mut Context<'_, NetMsg>) {}
 }
 
-/// Stage addresses are simulator-only, so a peer whose hello claims one has
-/// no place on a socket: the acceptor must hang up instead of registering
-/// it under an address no reply can be routed to.
+/// A hello with tag 2 (once a pipeline-stage claim) names no address: the
+/// acceptor must hang up instead of registering the peer under an address
+/// no reply can be routed to.
 #[test]
 fn a_stage_hello_gets_its_connection_closed() {
     let _turn = serial();
@@ -246,8 +246,7 @@ fn a_stage_hello_gets_its_connection_closed() {
     let node = host_node(0, &[], &peers, Echo);
     let target = peers.read().unwrap()[&NodeId(0)];
     let mut raw = TcpStream::connect(target).expect("connect");
-    // A hello claiming a stage address: tag 2, node 0, role 0 (batcher),
-    // index 0.
+    // A tag-2 hello in the retired stage layout: node 0, role 0, index 0.
     frame::write_frame(&mut raw, &[2, 0, 0, 0, 0, 0, 0, 0, 0, 0]).expect("send hello");
     raw.set_read_timeout(Some(StdDuration::from_secs(2)))
         .expect("read timeout");
@@ -258,7 +257,7 @@ fn a_stage_hello_gets_its_connection_closed() {
     };
     assert!(
         closed,
-        "the connection that claimed a stage address was still open after 2 s"
+        "the connection with a tag-2 hello was still open after 2 s"
     );
     node.shutdown();
 }

@@ -1,6 +1,6 @@
 //! The engine-agnostic runtime boundary: a node is a pure event handler.
 //!
-//! Every participant of the system — replica, client, pipeline stage —
+//! Every participant of the system — replica or client —
 //! implements [`process::Process`]: three callbacks (`on_start`,
 //! `on_message`, `on_timer`) that interact with the world exclusively by
 //! buffering explicit [`process::Action`]s (sends, timer arms) through a
@@ -23,10 +23,6 @@
 //! by the driver — the same protocol bytes produce the same decisions under
 //! every driver. That equivalence is asserted, not assumed: see
 //! `crates/sim/tests/trace_equivalence.rs`.
-//!
-//! This crate was factored out of `iss-simnet` (which re-exports everything
-//! here under its old paths, so `iss_simnet::process::Process` and
-//! `iss_runtime::process::Process` are the same trait).
 
 pub mod driver;
 pub mod process;
@@ -34,6 +30,6 @@ pub mod timer;
 pub mod trace;
 
 pub use driver::{Driver, Event, SansIo};
-pub use process::{rewrite_sends, Action, Addr, Context, Payload, Process, StageRole};
+pub use process::{rewrite_sends, Action, Addr, Context, Payload, Process};
 pub use timer::TimerSlab;
 pub use trace::{replay_trace, EventRef, TraceEntry, TraceRecorder, TraceSink};

@@ -1,4 +1,4 @@
-//! The process model: every participant (replica, client or pipeline stage)
+//! The process model: every participant (replica or client)
 //! implements [`Process`] and interacts with the world exclusively through a
 //! [`Context`].
 //!
@@ -11,16 +11,6 @@ use crate::timer::TimerSlab;
 use iss_types::{ClientId, Duration, NodeId, Time, TimerId};
 use rand::rngs::StdRng;
 
-/// Role of a compartmentalized pipeline stage co-located with a replica.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum StageRole {
-    /// Request intake, signature verification and batch cutting in front of
-    /// the orderer.
-    Batcher,
-    /// Commit fan-out, delivery and metrics emission behind the orderer.
-    Executor,
-}
-
 /// Address of a participant.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Addr {
@@ -28,26 +18,12 @@ pub enum Addr {
     Node(NodeId),
     /// A client.
     Client(ClientId),
-    /// A pipeline stage running on the same machine as replica `node`.
-    Stage {
-        /// The replica the stage belongs to.
-        node: NodeId,
-        /// Batcher or executor.
-        role: StageRole,
-        /// Index among the stages of the same role on this replica.
-        index: u32,
-    },
 }
 
 impl Addr {
     /// Whether the address denotes a replica.
     pub fn is_node(&self) -> bool {
         matches!(self, Addr::Node(_))
-    }
-
-    /// Whether the address denotes a pipeline stage.
-    pub fn is_stage(&self) -> bool {
-        matches!(self, Addr::Stage { .. })
     }
 
     /// Returns the node identifier if this is a node address.
@@ -63,18 +39,6 @@ impl Addr {
         match self {
             Addr::Client(c) => Some(*c),
             _ => None,
-        }
-    }
-
-    /// The replica machine the address lives on: the node itself for
-    /// [`Addr::Node`], the parent replica for [`Addr::Stage`] (stages are
-    /// co-located processes sharing the replica's placement, NIC and fault
-    /// domain), `None` for clients.
-    pub fn machine_node(&self) -> Option<NodeId> {
-        match self {
-            Addr::Node(n) => Some(*n),
-            Addr::Stage { node, .. } => Some(*node),
-            Addr::Client(_) => None,
         }
     }
 }
@@ -294,24 +258,12 @@ mod tests {
     fn addr_helpers() {
         let n: Addr = NodeId(1).into();
         let c: Addr = ClientId(2).into();
-        let s = Addr::Stage {
-            node: NodeId(1),
-            role: StageRole::Batcher,
-            index: 0,
-        };
         assert!(n.is_node());
         assert!(!c.is_node());
-        assert!(!s.is_node());
-        assert!(s.is_stage());
         assert_eq!(n.as_node(), Some(NodeId(1)));
         assert_eq!(n.as_client(), None);
         assert_eq!(c.as_client(), Some(ClientId(2)));
         assert_eq!(c.as_node(), None);
-        assert_eq!(s.as_node(), None, "stages are not replicas");
-        assert_eq!(s.as_client(), None);
-        assert_eq!(n.machine_node(), Some(NodeId(1)));
-        assert_eq!(s.machine_node(), Some(NodeId(1)));
-        assert_eq!(c.machine_node(), None);
     }
 
     #[test]

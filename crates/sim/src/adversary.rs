@@ -58,7 +58,7 @@ use crate::scenario::Scenario;
 use iss_core::BucketAssignment;
 use iss_crypto::batch_digest;
 use iss_messages::{ClientMsg, NetMsg, PbftMsg, RefSbMsg, SbMsg};
-use iss_simnet::process::{Addr, Context, Process};
+use iss_runtime::{Addr, Context, Process};
 use iss_types::{Batch, BucketId, ClientId, EpochNr, NodeId, Request, RequestId, Time, TimerId};
 use std::collections::{BTreeMap, VecDeque};
 

@@ -4,7 +4,7 @@
 
 use iss_client::{LeaderTable, RequestFactory, ResponseTracker};
 use iss_messages::{ClientMsg, NetMsg};
-use iss_simnet::process::{Addr, Context, Process, StageRole};
+use iss_runtime::{Addr, Context, Process};
 use iss_types::{ClientId, Duration, NodeId, Request, RequestId, Time, TimerId};
 use iss_workload::Workload;
 use std::collections::HashMap;
@@ -34,14 +34,6 @@ pub struct ClientProcess {
     outstanding: HashMap<RequestId, (Request, u64)>,
     /// Quorum tracker for responses (drives `outstanding` removal).
     tracker: ResponseTracker,
-    /// Batcher stages per node in a compartmentalized deployment; `0` means
-    /// the monolithic wiring (requests go to the node process itself).
-    num_batchers: u32,
-    /// Number of buckets (drives the request → batcher-stage hash).
-    num_buckets: usize,
-    /// Number of nodes (the batcher hash strides over the leader residue
-    /// classes, so it needs the cluster size).
-    num_nodes: usize,
 }
 
 impl ClientProcess {
@@ -55,7 +47,6 @@ impl ClientProcess {
         quorum: usize,
         stop_at: Time,
     ) -> Self {
-        let num_nodes = nodes.len();
         ClientProcess {
             id,
             factory: RequestFactory::new(id, false),
@@ -66,34 +57,12 @@ impl ClientProcess {
             retransmit: false,
             outstanding: HashMap::new(),
             tracker: ResponseTracker::new(quorum),
-            num_batchers: 0,
-            num_buckets,
-            num_nodes,
         }
     }
 
-    /// Routes requests to the per-node batcher stages of a compartmentalized
-    /// deployment (`num_batchers` stages per node) instead of the node
-    /// process itself.
-    pub fn with_batchers(mut self, num_batchers: u32) -> Self {
-        self.num_batchers = num_batchers;
-        self
-    }
-
-    /// Where a request goes: the leader node owning its bucket — or, in a
-    /// compartmentalized deployment, that node's batcher stage owning the
-    /// bucket (same deterministic bucket hash the stages use).
+    /// Where a request goes: the leader node owning its bucket.
     fn target_addr(&self, id: &RequestId) -> Addr {
-        let node = self.leaders.target_for(id);
-        if self.num_batchers == 0 {
-            return Addr::Node(node);
-        }
-        let bucket = id.bucket(self.num_buckets);
-        Addr::Stage {
-            node,
-            role: StageRole::Batcher,
-            index: iss_core::batcher_for(bucket, self.num_nodes, self.num_batchers),
-        }
+        Addr::Node(self.leaders.target_for(id))
     }
 
     /// Enables re-submission of unanswered requests on every accepted bucket
@@ -170,10 +139,7 @@ impl Process<NetMsg> for ClientProcess {
             }
             ClientMsg::Response { request, seq_nr } => {
                 if self.retransmit {
-                    // Responses come from the node itself or, in a
-                    // compartmentalized deployment, from one of its executor
-                    // stages; either way they count for that machine.
-                    if let Some(node) = from.machine_node() {
+                    if let Some(node) = from.as_node() {
                         if self.tracker.on_response(node, *request, *seq_nr).is_some() {
                             self.outstanding.remove(request);
                         }

@@ -13,8 +13,8 @@ use crate::scenario::Scenario;
 use iss_core::{IssNode, Mode, NodeOptions, StragglerBehavior};
 use iss_crypto::SignatureRegistry;
 use iss_messages::NetMsg;
+use iss_runtime::{Addr, Process};
 use iss_simnet::fault::CrashSchedule;
-use iss_simnet::process::{Addr, Process, StageRole};
 use iss_simnet::{CpuModel, Runtime, RuntimeConfig};
 use iss_storage::{MemStorage, Storage};
 use iss_telemetry::{TelemetryHandle, TelemetrySnapshot};
@@ -33,47 +33,9 @@ pub struct Deployment {
     pub metrics: MetricsHandle,
     /// The scenario the deployment was built from.
     pub scenario: Scenario,
-    /// Observer-node pipeline probes (empty in monolithic deployments):
-    /// counter handles and addresses for the per-stage report rows.
-    stage_probes: Vec<StageProbe>,
-    /// CPU cores per simulated machine (after any scenario override), used
-    /// to normalize per-stage busy time into a utilization.
-    cpu_cores: usize,
     /// Per-node telemetry handles (empty when the scenario leaves telemetry
     /// off); their shards merge into `Report::telemetry` after the run.
     telemetry_handles: Vec<(NodeId, TelemetryHandle)>,
-}
-
-/// One observer-node pipeline probe: where to read a stage's busy time and
-/// counters when the run is summarized.
-struct StageProbe {
-    node: NodeId,
-    role: &'static str,
-    index: u32,
-    addr: Addr,
-    counters: iss_core::StageCountersHandle,
-}
-
-/// Per-stage utilization/backlog row of a compartmentalized run (observer
-/// node only; [`Report::stages`] is empty for monolithic deployments). The
-/// `orderer` row covers the node process itself, so the three roles together
-/// show which stage saturates first.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StageReport {
-    /// The replica machine the stage runs on.
-    pub node: NodeId,
-    /// `"batcher"`, `"orderer"` or `"executor"`.
-    pub role: &'static str,
-    /// Index among the stages of the same role on this replica.
-    pub index: u32,
-    /// Fraction of the machine's per-core time this stage kept busy over the
-    /// whole run (busy time / (run length × cores)).
-    pub cpu_utilization: f64,
-    /// Peak backlog observed at this stage (requests queued at a batcher,
-    /// ready batches at the orderer, deliveries per handoff at an executor).
-    pub max_queue_depth: usize,
-    /// Handoff messages produced (batcher) or consumed (orderer, executor).
-    pub handoffs: u64,
 }
 
 /// Summary of one run.
@@ -109,9 +71,6 @@ pub struct Report {
     /// Liveness-gate verdict of the adversary plan; `None` when the scenario
     /// schedules no adversarial behavior.
     pub adversary: Option<AdversaryReport>,
-    /// Per-stage CPU utilization and backlog at the observer node; empty
-    /// unless the scenario compartmentalizes the node pipeline.
-    pub stages: Vec<StageReport>,
     /// Cluster-wide telemetry snapshot (all nodes' shards merged); `None`
     /// unless the scenario enables telemetry. Virtual time makes the
     /// snapshot — including its rendered exports — byte-identical across
@@ -208,43 +167,19 @@ impl Deployment {
             runtime_config.cpu.per_request =
                 runtime_config.cpu.per_request.saturating_mul(13).div(10);
         }
-        if let Some(cores) = scenario.cpu_cores {
-            runtime_config.cpu.cores = cores;
-        }
-        let cpu_cores = runtime_config.cpu.cores;
-
-        // Compartmentalized pipeline: spawn per-node batcher/executor stages
-        // unless the configuration lowers to the monolith (see
-        // [`Scenario::stage_counts`]).
-        let stages = scenario.stage_counts();
-        if stages.is_some() {
-            assert_eq!(
-                scenario.stack.mode,
-                Mode::Iss,
-                "the compartmentalized pipeline is ISS-only"
-            );
-            assert!(
-                faults.is_empty() && scenario.adversary.is_empty(),
-                "compartmentalized deployments are fault-free: the batcher \
-                 derives its cut cadence from every node leading"
-            );
-        }
         runtime_config.faults.crashes = crashes;
         runtime_config.faults.partitions = faults.partitions.clone();
         runtime_config.faults.loss_windows = faults.loss_windows.clone();
 
         let mut runtime: Runtime<NetMsg> = Runtime::new(runtime_config);
         let clients: Vec<ClientId> = (0..num_clients as u32).map(ClientId).collect();
-        let mut stage_probes: Vec<StageProbe> = Vec::new();
         let mut telemetry_handles: Vec<(NodeId, TelemetryHandle)> = Vec::new();
 
         for n in 0..scenario.num_nodes as u32 {
             let node_id = NodeId(n);
             let mut opts = NodeOptions::new(config.clone());
-            // One telemetry instance per machine, shared by the node and its
-            // co-located stages (cut/propose pairing works through the
-            // shared maps) and attached to every address of the machine for
-            // CPU-by-class attribution.
+            // One telemetry instance per node, also attached to the node's
+            // address for CPU-by-class attribution.
             let telemetry = if scenario.telemetry {
                 TelemetryHandle::enabled(n)
             } else {
@@ -280,18 +215,6 @@ impl Deployment {
                     config.max_batch_size,
                 )
             });
-            // Only the observer node carries counters: the report's stage
-            // rows are observer-scoped, and counter-free nodes skip the
-            // bookkeeping entirely.
-            let orderer_counters =
-                (stages.is_some() && node_id == observer).then(iss_core::stage_counters);
-            if let Some((batchers, executors)) = stages {
-                opts.pipeline = Some(iss_core::PipelineOptions {
-                    batchers,
-                    executors,
-                    counters: orderer_counters.clone(),
-                });
-            }
             Self::add_node(
                 &mut runtime,
                 &scenario,
@@ -303,81 +226,6 @@ impl Deployment {
                 restart_at,
                 behavior,
             );
-            let Some((batchers, executors)) = stages else {
-                continue;
-            };
-            if let Some(counters) = orderer_counters {
-                stage_probes.push(StageProbe {
-                    node: node_id,
-                    role: "orderer",
-                    index: 0,
-                    addr: Addr::Node(node_id),
-                    counters,
-                });
-            }
-            for index in 0..batchers {
-                let counters = (node_id == observer).then(iss_core::stage_counters);
-                let addr = Addr::Stage {
-                    node: node_id,
-                    role: StageRole::Batcher,
-                    index,
-                };
-                if let Some(c) = &counters {
-                    stage_probes.push(StageProbe {
-                        node: node_id,
-                        role: "batcher",
-                        index,
-                        addr,
-                        counters: Rc::clone(c),
-                    });
-                }
-                if telemetry.is_enabled() {
-                    runtime.attach_telemetry(addr, telemetry.clone());
-                }
-                runtime.add_process(
-                    addr,
-                    Box::new(iss_core::BatcherProcess::new(
-                        node_id,
-                        index,
-                        batchers,
-                        config.clone(),
-                        Arc::clone(&registry),
-                        counters,
-                        telemetry.clone(),
-                    )),
-                );
-            }
-            for index in 0..executors {
-                let counters = (node_id == observer).then(iss_core::stage_counters);
-                let addr = Addr::Stage {
-                    node: node_id,
-                    role: StageRole::Executor,
-                    index,
-                };
-                if let Some(c) = &counters {
-                    stage_probes.push(StageProbe {
-                        node: node_id,
-                        role: "executor",
-                        index,
-                        addr,
-                        counters: Rc::clone(c),
-                    });
-                }
-                let sink = Rc::new(RefCell::new(MetricsSink::new(Rc::clone(&metrics))));
-                if telemetry.is_enabled() {
-                    runtime.attach_telemetry(addr, telemetry.clone());
-                }
-                runtime.add_process(
-                    addr,
-                    Box::new(iss_core::ExecutorProcess::new(
-                        node_id,
-                        respond_to_clients,
-                        sink,
-                        counters,
-                        telemetry.clone(),
-                    )),
-                );
-            }
         }
 
         let stop_at = Time::ZERO + scenario.window.duration;
@@ -392,9 +240,6 @@ impl Deployment {
             );
             if respond_to_clients {
                 client = client.with_retransmission();
-            }
-            if let Some((batchers, _)) = stages {
-                client = client.with_batchers(batchers);
             }
             let process: Box<dyn Process<NetMsg>> = Box::new(client);
             let process = match scenario.adversary.clients.get(c) {
@@ -411,8 +256,6 @@ impl Deployment {
             runtime,
             metrics,
             scenario,
-            stage_probes,
-            cpu_cores,
             telemetry_handles,
         }
     }
@@ -502,27 +345,7 @@ impl Deployment {
         rejected_requests.sort_unstable_by_key(|(n, _)| *n);
         let adversary =
             (!self.scenario.adversary.is_empty()).then(|| evaluate_gates(&self.scenario, &m));
-        // Per-stage rows: busy time normalized over the whole run (including
-        // the drain, during which stages keep processing in-flight work).
-        let full_run = (window.duration + window.drain).as_secs_f64();
-        let stages: Vec<StageReport> = self
-            .stage_probes
-            .iter()
-            .map(|p| {
-                let c = p.counters.borrow();
-                StageReport {
-                    node: p.node,
-                    role: p.role,
-                    index: p.index,
-                    cpu_utilization: self.runtime.busy_time(p.addr).as_secs_f64()
-                        / (full_run * self.cpu_cores as f64),
-                    max_queue_depth: c.max_queue_depth,
-                    handoffs: c.handoffs,
-                }
-            })
-            .collect();
-        // Telemetry: stamp per-machine CPU gauges (node process plus any
-        // observer-stage probes), then merge all shards into one
+        // Telemetry: stamp per-node CPU gauges, then merge all shards into one
         // cluster-wide snapshot. Everything is virtual time, so the snapshot
         // is byte-identical across same-seed runs.
         let telemetry = if self.telemetry_handles.is_empty() {
@@ -534,17 +357,6 @@ impl Deployment {
                     node.0,
                     self.runtime.busy_time(Addr::Node(*node)).as_micros(),
                 );
-            }
-            for p in &self.stage_probes {
-                let Some((_, h)) = self.telemetry_handles.iter().find(|(n, _)| *n == p.node) else {
-                    continue;
-                };
-                let busy = self.runtime.busy_time(p.addr).as_micros();
-                match p.role {
-                    "batcher" => h.gauge_set_for("cpu.batcher_busy_us", p.index, busy),
-                    "executor" => h.gauge_set_for("cpu.executor_busy_us", p.index, busy),
-                    _ => h.gauge_set("cpu.orderer_busy_us", busy),
-                }
             }
             let mut merged = TelemetrySnapshot::empty();
             for (_, h) in &self.telemetry_handles {
@@ -568,7 +380,6 @@ impl Deployment {
             recoveries: m.recoveries.clone(),
             rejected_requests,
             adversary,
-            stages,
             telemetry,
         }
     }
@@ -599,49 +410,6 @@ mod tests {
         );
         assert!(report.mean_latency > Duration::ZERO);
         assert!(report.messages_sent > 0);
-        assert!(
-            report.stages.is_empty(),
-            "monolithic runs must report no stage rows"
-        );
-    }
-
-    #[test]
-    fn compartmentalized_pipeline_delivers_and_reports_stages() {
-        let scenario = Scenario::builder(Protocol::Pbft, 4)
-            .open_loop(4, 400.0)
-            .batchers(2)
-            .executors(2)
-            .duration(Duration::from_secs(12))
-            .warmup(Duration::from_secs(2))
-            .build();
-        let report = scenario.run();
-        assert!(report.delivered > 1000, "delivered {}", report.delivered);
-        // Observer rows: 1 orderer + 2 batchers + 2 executors.
-        assert_eq!(report.stages.len(), 5, "stages: {:?}", report.stages);
-        let roles = |r: &str| report.stages.iter().filter(|s| s.role == r).count();
-        assert_eq!(roles("orderer"), 1);
-        assert_eq!(roles("batcher"), 2);
-        assert_eq!(roles("executor"), 2);
-        for s in &report.stages {
-            assert!(
-                (0.0..=1.0).contains(&s.cpu_utilization),
-                "utilization {s:?}"
-            );
-        }
-        let orderer = report.stages.iter().find(|s| s.role == "orderer").unwrap();
-        assert!(
-            orderer.handoffs > 50,
-            "the orderer must receive its batches through the handoff path \
-             (got {})",
-            orderer.handoffs
-        );
-        for s in report.stages.iter().filter(|s| s.role == "batcher") {
-            assert!(s.handoffs > 0, "every batcher must cut batches: {s:?}");
-            assert!(s.cpu_utilization > 0.0, "intake cost lands on batchers");
-        }
-        for s in report.stages.iter().filter(|s| s.role == "executor") {
-            assert!(s.handoffs > 0, "every executor must see deliveries: {s:?}");
-        }
     }
 
     #[test]

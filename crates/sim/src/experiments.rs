@@ -6,7 +6,7 @@
 //! simulated traffic).
 
 use crate::adversary::MalformedKind;
-use crate::cluster::{Report, StageReport};
+use crate::cluster::Report;
 use crate::factories::Protocol;
 use crate::scenario::{CrashTiming, Scenario, ScenarioBuilder};
 use iss_core::Mode;
@@ -301,83 +301,6 @@ pub fn figure12(scale: Scale) -> Report {
         .straggler(NodeId(0))
         .build();
     scenario.run()
-}
-
-// ---------------------------------------------------------------------------
-// Compartmentalized node pipeline (beyond the paper: Whittaker et al.'s
-// batcher/executor decoupling applied to the ISS replica).
-// ---------------------------------------------------------------------------
-
-/// One point of the compartmentalization scale curve.
-#[derive(Clone, Debug)]
-pub struct CompartmentPoint {
-    /// Number of replicas.
-    pub nodes: usize,
-    /// Batcher stages per replica (1 lowers to the monolithic node).
-    pub batchers: usize,
-    /// Executor stages per replica.
-    pub executors: usize,
-    /// Saturated delivered throughput in kreq/s.
-    pub kreq_per_sec: f64,
-    /// Per-stage CPU-utilization / backlog rows at the observer node (empty
-    /// for the monolith-equivalent 1-batcher point).
-    pub stages: Vec<StageReport>,
-}
-
-/// Builds the compartmentalization scenario: `batchers`/`executors` stages
-/// per node on single-core machines under saturating load. One core makes
-/// the node's CPU the bottleneck (the fig8 testbed's 32 cores never
-/// saturate at the ISS proposal ceiling), so moving intake work off the
-/// orderer is what shifts the plateau. `batchers == 1` pairs with one
-/// executor and zero stage latency, which lowers to the monolithic wiring —
-/// that point *is* the plateau baseline.
-pub fn compartment_scenario(nodes: usize, batchers: usize, scale: Scale) -> Scenario {
-    let executors = batchers.min(2);
-    // The offered load must exceed both plateaus (monolith ≈ 22–42 kreq/s
-    // on one core depending on n, compartmentalized ≈ 45–53 kreq/s) and
-    // stay under the ISS proposal ceiling (32 batches/s × 2048 requests
-    // ≈ 65 kreq/s), so the curve measures CPU saturation rather than the
-    // batch-rate cap.
-    // `load_factor` is deliberately not applied: an unsaturated run would
-    // show no plateau at all.
-    let rate = 65_000.0;
-    Scenario::builder(Protocol::Pbft, nodes)
-        .open_loop(16, rate)
-        .batchers(batchers)
-        .executors(executors)
-        .cpu_cores(1)
-        .duration(Duration::from_secs(scale.duration_secs))
-        .warmup(Duration::from_secs(scale.duration_secs / 3))
-        .seed(7 + nodes as u64 + batchers as u64)
-        .build()
-}
-
-/// The compartmentalization scale curve: saturated throughput for 1 → 2 → 3
-/// batcher stages per node at each node count of `scale`. The 1-batcher
-/// point runs the monolithic wiring; adding batcher replicas moves the
-/// saturation plateau, and the per-stage rows show which stage bounds each
-/// configuration (at 3 batchers the orderer's proposal processing is the
-/// measured next bottleneck).
-pub fn compartment_scale(scale: Scale) -> Vec<CompartmentPoint> {
-    let mut points = Vec::new();
-    // The curve is about per-node stage replication, not cluster size: n = 4
-    // and n = 8 bound the interesting range (larger clusters at 65 kreq/s
-    // saturating load only multiply wall-clock, not insight).
-    for &nodes in scale.node_counts.iter().filter(|&&n| n <= 8) {
-        for batchers in [1usize, 2, 3] {
-            let scenario = compartment_scenario(nodes, batchers, scale);
-            let executors = scenario.stack.executors;
-            let report = scenario.run();
-            points.push(CompartmentPoint {
-                nodes,
-                batchers,
-                executors,
-                kreq_per_sec: report.throughput / 1000.0,
-                stages: report.stages,
-            });
-        }
-    }
-    points
 }
 
 // ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ pub use adversary::{
     evaluate_gates, AdversarialProcess, AdversaryPlan, AdversaryReport, Behavior, MalformedKind,
     CENSORSHIP_EPOCH_BOUND,
 };
-pub use cluster::{CrashTiming, Deployment, Report, StageReport};
+pub use cluster::{CrashTiming, Deployment, Report};
 pub use factories::{make_factory, Protocol};
 pub use metrics::{Metrics, MetricsHandle, MetricsSink};
 pub use scenario::{FaultPlan, ProtocolStack, RunWindow, Scenario, ScenarioBuilder, TopologySpec};

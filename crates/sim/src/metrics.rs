@@ -322,7 +322,8 @@ mod tests {
     fn out_of_order_positions_from_executor_stages_pass() {
         let handle = metrics_handle(4, NodeId(0), None);
         let mut sink = MetricsSink::new(Rc::clone(&handle));
-        // Two executors per node: odd positions overtake even ones.
+        // Reports in no particular order: odd positions overtake even ones,
+        // and late positions arrive before early ones.
         let order = [1u64, 3, 0, 5, 2, 4, 7, 6, 200, 130, 64, 63];
         for node in 0..2 {
             for &pos in &order {

@@ -65,25 +65,15 @@ pub struct ProtocolStack {
     pub mode: Mode,
     /// Leader-selection policy.
     pub policy: LeaderPolicyKind,
-    /// Batcher stages per node (compartmentalized pipeline). `0` keeps the
-    /// monolithic wiring; so does `1`, because one batcher with a free
-    /// handoff is the monolith by another name.
-    pub batchers: usize,
-    /// Executor stages per node (compartmentalized pipeline). Same lowering
-    /// rule as [`ProtocolStack::batchers`].
-    pub executors: usize,
 }
 
 impl ProtocolStack {
-    /// ISS over `protocol` with the Blacklist policy (the paper's default)
-    /// and the monolithic (non-compartmentalized) node pipeline.
+    /// ISS over `protocol` with the Blacklist policy (the paper's default).
     pub fn new(protocol: Protocol) -> Self {
         ProtocolStack {
             protocol,
             mode: Mode::Iss,
             policy: LeaderPolicyKind::Blacklist,
-            batchers: 0,
-            executors: 0,
         }
     }
 }
@@ -198,11 +188,6 @@ pub struct Scenario {
     pub window: RunWindow,
     /// RNG seed.
     pub seed: u64,
-    /// Overrides the number of CPU cores per machine (`None` keeps the
-    /// testbed's 32). Compartmentalization experiments pin this to a small
-    /// number so the stage split, not raw core count, is what moves the
-    /// saturation plateau.
-    pub cpu_cores: Option<usize>,
     /// Record commit-path telemetry (spans, phase histograms, CPU-by-class)
     /// on every node and include the merged snapshot in the report. Off by
     /// default: recording is observer-only bookkeeping and cannot change a
@@ -227,7 +212,6 @@ impl Scenario {
                 adversary: AdversaryPlan::default(),
                 window: RunWindow::default(),
                 seed: 42,
-                cpu_cores: None,
                 telemetry: false,
             },
             skewed: None,
@@ -268,21 +252,6 @@ impl Scenario {
             Some(rate) => Duration::from_secs_f64(config.epoch_length(leaders) as f64 / rate),
             None => Duration::from_secs_f64(config.epoch_length(leaders) as f64 * 0.1),
         }
-    }
-
-    /// The `(batchers, executors)` stage counts of a compartmentalized
-    /// deployment, or `None` when the scenario lowers to the monolithic
-    /// wiring. One batcher and one executor *are* the monolith (same work on
-    /// the same machine, handed off for free), so that degenerate
-    /// configuration lowers to the monolithic path and stays byte-identical
-    /// to it; real stage processes spawn as soon as any stage is replicated.
-    pub fn stage_counts(&self) -> Option<(u32, u32)> {
-        (self.stack.batchers >= 2 || self.stack.executors >= 2).then(|| {
-            (
-                self.stack.batchers.max(1) as u32,
-                self.stack.executors.max(1) as u32,
-            )
-        })
     }
 
     /// The absolute time at which a [`CrashTiming`] fires in this scenario.
@@ -329,32 +298,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Runs `n` batcher stages (request intake, validation, batch cutting)
-    /// in front of each node's orderer. `0` (the default) keeps the
-    /// monolithic node.
-    pub fn batchers(mut self, n: usize) -> Self {
-        self.scenario.stack.batchers = n;
-        self
-    }
-
-    /// Runs `n` executor stages (commit fan-out, delivery, client responses)
-    /// behind each node's orderer. `0` (the default) keeps the monolithic
-    /// node.
-    pub fn executors(mut self, n: usize) -> Self {
-        self.scenario.stack.executors = n;
-        self
-    }
-
     /// Enables commit-path telemetry (spans, phase histograms, CPU-by-class)
     /// on every node; the merged snapshot lands in `Report::telemetry`.
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.scenario.telemetry = enabled;
-        self
-    }
-
-    /// Overrides the number of CPU cores per simulated machine.
-    pub fn cpu_cores(mut self, cores: usize) -> Self {
-        self.scenario.cpu_cores = Some(cores);
         self
     }
 
@@ -553,31 +500,6 @@ mod tests {
         assert_eq!(s.window.warmup, Duration::from_secs(10));
         assert_eq!(s.window.drain, Duration::from_secs(4));
         assert_eq!(s.seed, 42);
-        assert_eq!(s.stack.batchers, 0);
-        assert_eq!(s.stack.executors, 0);
-        assert_eq!(s.cpu_cores, None);
-        assert_eq!(s.stage_counts(), None);
-    }
-
-    #[test]
-    fn degenerate_stage_configs_lower_to_the_monolith() {
-        // No stages, or one free batcher/executor: monolithic wiring.
-        for (b, e) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
-            let s = Scenario::builder(Protocol::Pbft, 4)
-                .batchers(b)
-                .executors(e)
-                .build();
-            assert_eq!(s.stage_counts(), None, "({b},{e}) must stay monolithic");
-        }
-        // Replicating either stage compartmentalizes, and the missing count
-        // is normalized up to one stage.
-        let s = Scenario::builder(Protocol::Pbft, 4).batchers(3).build();
-        assert_eq!(s.stage_counts(), Some((3, 1)));
-        let s = Scenario::builder(Protocol::Pbft, 4)
-            .batchers(2)
-            .executors(2)
-            .build();
-        assert_eq!(s.stage_counts(), Some((2, 2)));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! interface, which is exactly the single-leader bottleneck the paper's
 //! multi-leader construction removes.
 
-use crate::process::Addr;
+use iss_runtime::Addr;
 use iss_types::{Duration, Time};
 
 /// Bandwidth configuration.
@@ -89,9 +89,6 @@ impl InterfaceState {
     fn slot(&mut self, addr: Addr, client_if: bool, outbound: bool) -> &mut Time {
         let (table, idx) = match addr {
             Addr::Node(n) => (&mut self.nodes, n.index()),
-            // Stages share the parent replica's NIC (they are co-located
-            // processes, not separate machines).
-            Addr::Stage { node, .. } => (&mut self.nodes, node.index()),
             Addr::Client(c) => (&mut self.clients, c.index()),
         };
         if idx >= table.len() {

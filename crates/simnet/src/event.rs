@@ -26,7 +26,7 @@
 //! `tests/wheel_equivalence.rs` asserts against such a heap over randomized
 //! workloads.
 
-use crate::process::Addr;
+use iss_runtime::Addr;
 use iss_types::{Time, TimerId};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;

@@ -6,7 +6,7 @@
 //! behaviour is a protocol-level misbehaviour implemented in the node logic
 //! (`iss_core::NodeOptions::straggler`).
 
-use crate::process::Addr;
+use iss_runtime::Addr;
 use iss_types::{NodeId, Time};
 use std::collections::HashMap;
 
@@ -101,7 +101,7 @@ impl Partition {
         if now < self.from || now >= self.until {
             return false;
         }
-        let (Some(na), Some(nb)) = (a.machine_node(), b.machine_node()) else {
+        let (Some(na), Some(nb)) = (a.as_node(), b.as_node()) else {
             return false;
         };
         (self.group_a.contains(&na) && self.group_b.contains(&nb))
@@ -153,14 +153,12 @@ impl FaultConfig {
     /// deterministically (crash or partition). Probabilistic loss is decided
     /// by the runtime using its RNG and [`FaultConfig::drop_probability`].
     pub fn drops(&self, from: Addr, to: Addr, now: Time) -> bool {
-        // Stages share their parent replica's fault domain: a crashed machine
-        // takes its co-located batcher/executor processes down with it.
-        if let Some(n) = from.machine_node() {
+        if let Some(n) = from.as_node() {
             if self.crashes.is_crashed(n, now) {
                 return true;
             }
         }
-        if let Some(n) = to.machine_node() {
+        if let Some(n) = to.as_node() {
             if self.crashes.is_crashed(n, now) {
                 return true;
             }

@@ -15,8 +15,8 @@
 //! * **faults** — crash schedules, network partitions and probabilistic
 //!   message drops before GST ([`fault`]).
 //!
-//! Protocol code is written against the [`process::Process`] /
-//! [`process::Context`] interface and is completely unaware of whether it
+//! Protocol code is written against the [`iss_runtime::Process`] /
+//! [`iss_runtime::Context`] interface and is completely unaware of whether it
 //! runs on the simulator or on a real transport.
 //!
 //! # Engine design
@@ -39,7 +39,7 @@
 //!   CPU state live in one dense `Vec` addressed through `NodeId`/`ClientId`
 //!   → slot tables, so dispatching an event is two array indexes — no map
 //!   lookups and no per-event remove/insert churn.
-//! * **Generation-stamped timers** ([`timer::TimerSlab`]). A
+//! * **Generation-stamped timers** ([`iss_runtime::TimerSlab`]). A
 //!   [`iss_types::TimerId`] packs a slab slot and its generation;
 //!   cancellation retires the slot in O(1) and a stale timer event fails its
 //!   generation check when it pops. No tombstone set, memory bounded by the
@@ -64,17 +64,12 @@ pub mod bandwidth;
 pub mod cpu;
 pub mod event;
 pub mod fault;
-pub mod process;
 pub mod runtime;
-pub mod timer;
 pub mod topology;
 
 pub use bandwidth::BandwidthConfig;
 pub use cpu::CpuModel;
 pub use event::EventQueue;
 pub use fault::{CrashSchedule, FaultConfig, LossWindow, Partition};
-pub use iss_runtime::{Driver, Event};
-pub use process::{Addr, Context, Payload, Process, StageRole};
-pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, MAX_STAGES_PER_ROLE};
-pub use timer::TimerSlab;
+pub use runtime::{Runtime, RuntimeConfig, RuntimeStats};
 pub use topology::{Datacenter, Topology};

@@ -9,7 +9,7 @@
 //! indexed directly by node/client id (no per-event map lookups or
 //! remove/insert churn), callbacks buffer their actions in one reusable
 //! per-runtime `Vec`, timers are generation-stamped slab slots with O(1)
-//! cancellation (see [`crate::timer::TimerSlab`]), and the fault/jitter RNG
+//! cancellation (see [`TimerSlab`]), and the fault/jitter RNG
 //! draws in `Runtime::send` go through inlined samplers that produce the
 //! same values as the generic `rand` paths they replace.
 
@@ -17,11 +17,10 @@ use crate::bandwidth::{BandwidthConfig, InterfaceState};
 use crate::cpu::{CpuModel, CpuState};
 use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultConfig;
-use crate::process::{Action, Addr, Context, Payload, Process};
-use crate::timer::TimerSlab;
 use crate::topology::Topology;
 use iss_runtime::trace::{EventRef, TraceSink};
 use iss_runtime::Event;
+use iss_runtime::{Action, Addr, Context, Payload, Process, TimerSlab};
 use iss_types::{Duration, Time};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -88,8 +87,7 @@ pub struct RuntimeStats {
 struct ProcEntry<M: Payload> {
     process: Box<dyn Process<M>>,
     cpu: Option<CpuState>,
-    /// Total CPU time charged to this process (message handling costs);
-    /// feeds the per-stage utilization columns of experiment reports.
+    /// Total CPU time charged to this process (message handling costs).
     busy: Duration,
     /// Bumped on every crash-restart replacement; timers armed by an older
     /// incarnation fail the stamp comparison and are dropped.
@@ -98,25 +96,6 @@ struct ProcEntry<M: Payload> {
 
 /// Sentinel in the id → slot tables for "no process registered".
 const NO_SLOT: u32 = u32::MAX;
-
-/// Maximum number of stages per role on one machine; bounds the dense
-/// stage-slot table at 16 entries per node.
-pub const MAX_STAGES_PER_ROLE: u32 = 8;
-
-/// Dense index of a stage address in the stage-slot table.
-#[inline(always)]
-fn stage_table_index(
-    node: iss_types::NodeId,
-    role: crate::process::StageRole,
-    index: u32,
-) -> usize {
-    debug_assert!(index < MAX_STAGES_PER_ROLE, "at most 8 stages per role");
-    let role_off = match role {
-        crate::process::StageRole::Batcher => 0,
-        crate::process::StageRole::Executor => MAX_STAGES_PER_ROLE,
-    };
-    node.index() * (2 * MAX_STAGES_PER_ROLE as usize) + (role_off + index) as usize
-}
 
 /// Deferred constructor for a crash-restart replacement process.
 type ProcessBuilder<M> = Box<dyn FnOnce() -> Box<dyn Process<M>>>;
@@ -145,8 +124,6 @@ pub struct Runtime<M: Payload> {
     node_slots: Vec<u32>,
     /// ClientId index → slot in `procs` (NO_SLOT when unregistered).
     client_slots: Vec<u32>,
-    /// Stage address (dense, [`stage_table_index`]) → slot in `procs`.
-    stage_slots: Vec<u32>,
     queue: EventQueue<M>,
     interfaces: InterfaceState,
     timers: TimerSlab,
@@ -191,7 +168,6 @@ impl<M: Payload> Runtime<M> {
             procs: Vec::new(),
             node_slots: Vec::new(),
             client_slots: Vec::new(),
-            stage_slots: Vec::new(),
             queue: EventQueue::new(),
             interfaces: InterfaceState::new(),
             timers: TimerSlab::new(),
@@ -210,20 +186,14 @@ impl<M: Payload> Runtime<M> {
         }
     }
 
-    /// Registers a process under the given address. Node and stage addresses
-    /// get a CPU governed by the configured cost model (a stage models a
-    /// worker pool on the replica machine, with its own CPU budget); clients
-    /// are assumed to have ample CPU.
+    /// Registers a process under the given address. Node addresses get a CPU
+    /// governed by the configured cost model; clients are assumed to have
+    /// ample CPU.
     pub fn add_process(&mut self, addr: Addr, process: Box<dyn Process<M>>) {
-        let cpu = addr
-            .machine_node()
-            .map(|_| CpuState::new(self.config.cpu.cores));
+        let cpu = addr.as_node().map(|_| CpuState::new(self.config.cpu.cores));
         let (table, idx) = match addr {
             Addr::Node(n) => (&mut self.node_slots, n.index()),
             Addr::Client(c) => (&mut self.client_slots, c.index()),
-            Addr::Stage { node, role, index } => {
-                (&mut self.stage_slots, stage_table_index(node, role, index))
-            }
         };
         if idx >= table.len() {
             table.resize(idx + 1, NO_SLOT);
@@ -275,9 +245,6 @@ impl<M: Payload> Runtime<M> {
         let (table, idx) = match addr {
             Addr::Node(n) => (&self.node_slots, n.index()),
             Addr::Client(c) => (&self.client_slots, c.index()),
-            Addr::Stage { node, role, index } => {
-                (&self.stage_slots, stage_table_index(node, role, index))
-            }
         };
         match table.get(idx) {
             Some(&slot) if slot != NO_SLOT => Some(slot as usize),
@@ -296,8 +263,7 @@ impl<M: Payload> Runtime<M> {
     }
 
     /// Total CPU time charged to the process at `addr` so far (zero for
-    /// unregistered or CPU-less processes). Divided by the run window this
-    /// yields the per-stage utilization columns of experiment reports.
+    /// unregistered or CPU-less processes).
     pub fn busy_time(&self, addr: Addr) -> Duration {
         self.slot_of(addr)
             .map(|slot| self.procs[slot].busy)
@@ -438,9 +404,7 @@ impl<M: Payload> Runtime<M> {
                 let slot = self.slot_of(addr).expect("restart target is registered");
                 let entry = &mut self.procs[slot];
                 entry.process = builder();
-                entry.cpu = addr
-                    .machine_node()
-                    .map(|_| CpuState::new(self.config.cpu.cores));
+                entry.cpu = addr.as_node().map(|_| CpuState::new(self.config.cpu.cores));
                 entry.incarnation += 1;
                 self.invoke(addr, Event::Start);
             }
@@ -449,10 +413,9 @@ impl<M: Payload> Runtime<M> {
 
     #[inline]
     fn addr_crashed(&self, addr: Addr) -> bool {
-        // Stages share their parent replica's fault domain.
         self.crash_faults
             && addr
-                .machine_node()
+                .as_node()
                 .is_some_and(|n| self.config.faults.crashes.is_crashed(n, self.now))
     }
 
@@ -550,16 +513,9 @@ impl<M: Payload> Runtime<M> {
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += size as u64;
 
-        // Local delivery skips the network: a process sending to itself, and
-        // a co-located stage handoff (stage ↔ parent orderer, stage ↔ stage on
-        // one machine), which is an in-memory channel. Neither touches the
-        // NIC, the topology latency or the jitter draw, so runs without stage
-        // processes keep a bit-identical RNG stream and schedule.
-        if from == to
-            || ((from.is_stage() || to.is_stage())
-                && from.machine_node().is_some()
-                && from.machine_node() == to.machine_node())
-        {
+        // Local delivery skips the network: a process sending to itself
+        // touches neither the NIC, the topology latency nor the jitter draw.
+        if from == to {
             self.queue
                 .push(self.now, EventKind::Deliver { from, to, msg });
             return;
@@ -957,83 +913,6 @@ mod tests {
         plain.run_until(Time::from_secs(30));
         scheduled.run_until(Time::from_secs(30));
         assert_eq!(*log_plain.borrow(), *log_scheduled.borrow());
-    }
-
-    #[test]
-    fn stage_handoffs_are_local_and_charge_the_stage_cpu() {
-        use crate::process::StageRole;
-
-        /// Forwards everything it receives to its parent node.
-        struct Forwarder {
-            parent: NodeId,
-        }
-        impl Process<Ping> for Forwarder {
-            fn on_start(&mut self, _ctx: &mut Context<'_, Ping>) {}
-            fn on_message(&mut self, _f: Addr, msg: Ping, ctx: &mut Context<'_, Ping>) {
-                ctx.send(Addr::Node(self.parent), msg);
-            }
-            fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<'_, Ping>) {}
-        }
-        struct Recorder {
-            times: Rc<RefCell<Vec<Time>>>,
-        }
-        impl Process<Ping> for Recorder {
-            fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
-                // Kick the pipeline through the stage at t=0.
-                ctx.send(
-                    Addr::Stage {
-                        node: NodeId(0),
-                        role: StageRole::Batcher,
-                        index: 0,
-                    },
-                    Ping { hops: 0, size: 64 },
-                );
-            }
-            fn on_message(&mut self, _f: Addr, _m: Ping, ctx: &mut Context<'_, Ping>) {
-                self.times.borrow_mut().push(ctx.now());
-            }
-            fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<'_, Ping>) {}
-        }
-
-        let run = |per_message: Duration| {
-            let mut cfg = RuntimeConfig::testbed(); // WAN latency + jitter
-            cfg.cpu = CpuModel {
-                cores: 1,
-                per_message,
-                per_request: Duration::ZERO,
-                per_byte_ns: 0.0,
-            };
-            let times = Rc::new(RefCell::new(Vec::new()));
-            let mut rt: Runtime<Ping> = Runtime::new(cfg);
-            let stage = Addr::Stage {
-                node: NodeId(0),
-                role: StageRole::Batcher,
-                index: 0,
-            };
-            rt.add_process(stage, Box::new(Forwarder { parent: NodeId(0) }));
-            rt.add_process(
-                Addr::Node(NodeId(0)),
-                Box::new(Recorder {
-                    times: Rc::clone(&times),
-                }),
-            );
-            rt.run_until(Time::from_secs(1));
-            let recorded = times.borrow().clone();
-            (recorded, rt.busy_time(stage))
-        };
-
-        // Free CPU: the round trip through the stage is instantaneous — no
-        // WAN latency, no jitter draw.
-        let (times, busy) = run(Duration::ZERO);
-        assert_eq!(times, vec![Time::ZERO]);
-        assert_eq!(busy, Duration::ZERO);
-
-        // The stage has its own CPU: processing on the stage is charged to
-        // the stage's budget (visible via busy_time), not the node's.
-        let (times, busy) = run(Duration::from_micros(500));
-        assert_eq!(busy, Duration::from_micros(500));
-        // stage handling at 500µs, node handling adds another 500µs
-        assert_eq!(times, vec![Time::from_micros(1000)]);
     }
 
     #[test]

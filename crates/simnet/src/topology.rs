@@ -7,7 +7,7 @@
 //! measurements; [`Topology::lan`] and [`Topology::uniform`] are provided for
 //! testing and micro-benchmarks.
 
-use crate::process::Addr;
+use iss_runtime::Addr;
 use iss_types::Duration;
 
 /// A datacenter location.
@@ -138,8 +138,6 @@ impl Topology {
     pub fn placement(&self, addr: Addr) -> Datacenter {
         let idx = match addr {
             Addr::Node(n) => n.index(),
-            // Stages are co-located with their parent replica.
-            Addr::Stage { node, .. } => node.index(),
             Addr::Client(c) => c.index().wrapping_add(7), // offset so clients spread differently
         };
         let n = self.num_datacenters();

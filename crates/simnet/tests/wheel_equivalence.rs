@@ -7,10 +7,9 @@
 //! The workloads are generated from seeded RNGs, so failures are perfectly
 //! reproducible; well over 1000 randomized cases run across the tests.
 
+use iss_runtime::{Addr, TimerSlab};
 use iss_simnet::cpu::CpuState;
 use iss_simnet::event::{EventKind, EventQueue};
-use iss_simnet::process::Addr;
-use iss_simnet::timer::TimerSlab;
 use iss_types::{Duration, NodeId, Time, TimerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,7 +80,6 @@ fn ident(kind: &EventKind<u64>) -> u64 {
         EventKind::Start { addr } | EventKind::Restart { addr } => match addr {
             Addr::Node(n) => n.0 as u64,
             Addr::Client(c) => c.0 as u64,
-            Addr::Stage { node, index, .. } => (node.0 as u64) << 8 | *index as u64,
         },
     }
 }

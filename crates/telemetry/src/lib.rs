@@ -15,7 +15,7 @@
 //!   between consecutive commit-path events, paired through compact `u64`
 //!   correlation keys ([`request_key`] / [`batch_key`]).
 //! * **Counters / gauges / CPU-by-class** — keyed by `&'static str` names
-//!   (plus an optional small index for per-peer or per-stage series) so
+//!   (plus an optional small index for per-peer series) so
 //!   recording never formats or allocates.
 //!
 //! Every recording call goes through a [`TelemetryHandle`]. The disabled mode
@@ -41,12 +41,10 @@ pub const RING_CAPACITY: usize = 4096;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[repr(u8)]
 pub enum Phase {
-    /// Request arrival at its intake stage → the batch containing it is cut.
+    /// Request arrival at its node → the batch containing it is cut.
     ArrivalToCut = 0,
-    /// Batch cut → the batch is included in a proposal. Near zero in the
-    /// monolithic node (cut happens at proposal time); in the
-    /// compartmentalized pipeline it measures the batcher→orderer handoff
-    /// plus ready-queue waiting.
+    /// Batch cut → the batch is included in a proposal. Near zero: the node
+    /// cuts a batch at proposal time.
     CutToPropose = 1,
     /// Proposal → the ordering instance commits the sequence number
     /// (recorded on the proposing node).
@@ -97,8 +95,7 @@ pub fn request_key(client: u64, timestamp: u64) -> u64 {
 
 /// Compact correlation key for a batch: an order-sensitive fold over the
 /// request keys of its requests. Batches preserve request order from cut to
-/// proposal, so the batcher (at cut time) and the orderer (per constituent
-/// batch at proposal time) compute the same key independently.
+/// proposal, so the cut and the proposal compute the same key independently.
 #[inline]
 pub fn batch_key(req_keys: impl Iterator<Item = u64>) -> u64 {
     let mut acc = 0xCBF2_9CE4_8422_2325u64;
@@ -118,13 +115,11 @@ pub struct GaugeStat {
 }
 
 /// Key for counter/gauge series: a static name plus an optional small index
-/// (peer id, stage index) so per-peer series never allocate a name string.
+/// (a peer id) so per-peer series never allocate a name string.
 pub type SeriesKey = (&'static str, Option<u32>);
 
 /// Per-machine telemetry state: span ring, phase histograms, correlation
-/// maps, counters/gauges and CPU-by-class totals. One instance is shared by
-/// a node and its co-located pipeline stages, so cross-stage phases
-/// (batcher cut → orderer proposal) pair through the shared maps.
+/// maps, counters/gauges and CPU-by-class totals, one per node.
 #[derive(Debug)]
 pub struct Telemetry {
     node: u32,
@@ -171,7 +166,7 @@ impl Telemetry {
         });
     }
 
-    /// A client request arrived at its intake stage.
+    /// A client request arrived at its node.
     pub fn on_arrival(&mut self, t: Time, req_key: u64) {
         self.span(t, SpanKind::Arrival, req_key, 0);
         self.pending_arrival.insert(req_key, t.as_micros());
@@ -366,9 +361,8 @@ impl TelemetrySnapshot {
 /// nothing when telemetry is disabled, in which case every recording call is
 /// a single branch on `None`.
 ///
-/// The handle is shared between a node and its co-located pipeline stages
-/// and, under the TCP runtime, between the protocol thread and the cluster
-/// harness reading snapshots — hence `Arc<Mutex<_>>` rather than anything
+/// Under the TCP runtime the handle is shared between the protocol thread
+/// and the cluster harness reading snapshots — hence `Arc<Mutex<_>>` rather than anything
 /// thread-local. The mutex is uncontended in steady state (the protocol
 /// thread is the only recorder).
 #[derive(Clone, Default, Debug)]

@@ -12,7 +12,7 @@
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[repr(u8)]
 pub enum SpanKind {
-    /// A client request arrived at its intake stage (`key` = request key).
+    /// A client request arrived at its node (`key` = request key).
     Arrival = 0,
     /// A batch was cut from the buckets (`key` = batch key, `aux` = #requests).
     Cut = 1,

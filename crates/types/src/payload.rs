@@ -26,17 +26,15 @@ pub enum MsgClass {
     Checkpoint = 3,
     /// State transfer / snapshot / recovery traffic.
     StateTransfer = 4,
-    /// Pipeline-stage handoffs (batcher → orderer → executor).
-    Handoff = 5,
     /// Responses back to clients.
-    Response = 6,
+    Response = 5,
     /// Everything else.
-    Other = 7,
+    Other = 6,
 }
 
 impl MsgClass {
     /// Number of classes (array-table sizing).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// All classes, in `repr` order.
     pub const ALL: [MsgClass; MsgClass::COUNT] = [
@@ -45,7 +43,6 @@ impl MsgClass {
         MsgClass::Vote,
         MsgClass::Checkpoint,
         MsgClass::StateTransfer,
-        MsgClass::Handoff,
         MsgClass::Response,
         MsgClass::Other,
     ];
@@ -58,7 +55,6 @@ impl MsgClass {
             MsgClass::Vote => "vote",
             MsgClass::Checkpoint => "checkpoint",
             MsgClass::StateTransfer => "state-transfer",
-            MsgClass::Handoff => "handoff",
             MsgClass::Response => "response",
             MsgClass::Other => "other",
         }
