@@ -7,6 +7,8 @@
 //! * `smoke {experiments|recovery|byzantine|telemetry}` — run one CI gate
 //!   at `ISS_SCALE` (`quick` when unset) and exit non-zero when it fails.
 //! * `diff <committed.json> <fresh.json>` — compare micro-bench medians.
+//! * `record <workload>… [--runs N] [--seed S]` — run `BENCHMARK.json`'s
+//!   command and append a row to `BENCH_trajectory.json` (see [`record`]).
 //!
 //! `ISS_FAULT_NODES` overrides the cluster size of the fault experiments
 //! (figures 7–9) under every command.
@@ -25,10 +27,13 @@ use iss_types::{Duration, IssConfig, MsgClass, NodeId};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+mod record;
+
 const USAGE: &str = "usage: iss-bench <command>
   table1 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12
   smoke experiments | smoke recovery | smoke byzantine | smoke telemetry
-  diff <committed-baseline.json> <fresh-baselines.json>";
+  diff <committed-baseline.json> <fresh-baselines.json>
+  record <workload>... [--runs N] [--seed S]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -49,6 +54,7 @@ fn main() -> ExitCode {
         ["smoke", "byzantine"] => smoke_byzantine(scale),
         ["smoke", "telemetry"] => return smoke_telemetry(),
         ["diff", committed, fresh] => return diff(committed, fresh),
+        ["record", ref rest @ ..] => return record::run(rest),
         _ => {
             eprintln!("{USAGE}");
             return ExitCode::FAILURE;

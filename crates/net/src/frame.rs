@@ -75,9 +75,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one length-prefixed frame, taking exactly the frame's bytes from
-/// `r` (the hello is read this way, before a [`FrameReader`] takes over the
-/// connection). The payload buffer grows as the bytes arrive, see
-/// [`READ_BUF`].
+/// `r`. The payload buffer grows as the bytes arrive, see [`READ_BUF`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut prefix = [0u8; PREFIX];
     r.read_exact(&mut prefix)?;
@@ -113,6 +111,12 @@ impl<R: Read> FrameReader<R> {
             start: 0,
             end: 0,
         }
+    }
+
+    /// The wrapped byte stream (to write to a socket whose reads this
+    /// reader owns).
+    pub(crate) fn get_ref(&self) -> &R {
+        &self.inner
     }
 
     /// Receives more bytes with one `read`. End of stream is an error
@@ -226,7 +230,7 @@ pub fn encode_hello(addr: Addr) -> Vec<u8> {
 }
 
 /// Decodes a hello payload: a node or a client. Any other tag is an error,
-/// and the acceptor drops the connection.
+/// and the runtime drops the connection.
 pub fn decode_hello(payload: &[u8]) -> io::Result<Addr> {
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
     let mut buf = Bytes::copy_from_slice(payload);

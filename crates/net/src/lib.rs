@@ -9,13 +9,14 @@
 //! * [`frame`] — length-prefixed frames and the hello that opens every
 //!   connection, with message bodies encoded by [`iss_messages::wire`];
 //!   many frames to a write, many frames from a read;
-//! * [`runtime`] — [`runtime::TcpRuntime`], hosting one process per OS
-//!   runtime: a single protocol thread executes handler callbacks serially
-//!   against a [`iss_runtime::SansIo`] driver (so the process still sees a
-//!   deterministic, single-threaded world), reader threads feed its
-//!   mailbox one entry per socket read, writer threads own outbound
-//!   connections, write one chunk of frames per burst and reconnect with
-//!   backoff;
+//! * [`runtime`] — [`runtime::TcpRuntime`], hosting one process on one OS
+//!   thread: it executes handler callbacks serially against a
+//!   [`iss_runtime::SansIo`] driver (so the process still sees a
+//!   deterministic, single-threaded world), waits in `ppoll(2)` on every
+//!   socket at once, handles every frame a read completed, writes each
+//!   destination's frames with one nonblocking `write` per burst, and
+//!   redials a lost peer with backoff (each connect on a short-lived helper
+//!   thread, since `std` cannot connect without blocking);
 //! * [`cluster`] — [`cluster::TcpCluster`], booting an n-node localhost
 //!   ISS deployment with per-node durable [`iss_storage::FileStorage`] and
 //!   a client fleet, mirroring the simulator `Deployment`'s node recipe.

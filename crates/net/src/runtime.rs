@@ -1,55 +1,60 @@
-//! The threaded TCP runtime: hosts one sans-IO [`Process`] over real
-//! sockets.
+//! The TCP runtime: hosts one sans-IO [`Process`] over real sockets, on one
+//! thread.
 //!
 //! # Thread layout
 //!
-//! One [`TcpRuntime`] runs one process (a replica or a client) and owns:
+//! One [`TcpRuntime`] runs one process (a replica or a client) on one
+//! thread, named `proto-<Addr>`. It is the only thread that touches the
+//! process or its sockets: it owns a [`SansIo`] driver, a monotonic-clock
+//! timer wheel and every connection, and it executes handler callbacks
+//! strictly serially, so the process sees the same single-threaded world it
+//! sees under the simulator. Between callbacks it waits in `ppoll(2)` on
+//! everything at once — the listener (replicas only), every connection and
+//! one end of a `UnixStream` pair that other threads write to wake it —
+//! until the earliest deadline: the next timer, a dial retry or a hello
+//! bound.
 //!
-//! * a **protocol thread** — the only thread that touches the process. It
-//!   owns a [`SansIo`] driver and a monotonic-clock timer wheel, drains one
-//!   mailbox, and executes handler callbacks strictly serially, so the
-//!   process sees the same single-threaded world it sees under the
-//!   simulator;
-//! * an **acceptor thread** (replicas only) — accepts inbound connections,
-//!   reads the hello frame identifying the dialer, hands the write half to
-//!   the protocol thread and becomes the connection's reader;
-//! * one **writer thread per dialed peer** — owns the outbound connection
-//!   to that peer, dials lazily with exponential backoff, re-dials (and
-//!   re-sends its hello) whenever a write fails. In a client it also spawns
-//!   a reader on each fresh connection, since replicas answer clients over
-//!   it; a replica's dialed connections carry nothing back (see the
-//!   connection policy below). The peer's current socket address is re-read
-//!   from the shared [`PeerTable`] on every dial, so a peer that restarts
-//!   on a new port is found without reconfiguration.
+//! * **Accepting.** A replica accepts inline. A new connection's first frame
+//!   is its hello, naming the dialer; a connection that has not sent one
+//!   after [`HELLO_TIMEOUT`] is closed, so a silent dialer costs a socket,
+//!   never a wait.
+//! * **Dialing.** `std` has no nonblocking connect, so every dial attempt
+//!   runs on a short-lived helper thread: it connects, sends the hello,
+//!   hands the stream back over a channel and wakes the protocol thread. A
+//!   peer is dialed once it has frames to send, and again after its
+//!   connection dies; a failed attempt is retried after 10 ms, doubling up
+//!   to `MAX_BACKOFF_MS`. The peer's socket address is re-read from the
+//!   shared [`PeerTable`] on every attempt, so a peer that restarts on a new
+//!   port is found without reconfiguration.
 //!
 //! # Batching
 //!
 //! The wire format is a sequence of length-prefixed frames, one per
-//! message; how many frames travel per syscall and per thread wake-up is
-//! this module's business, and at every hop the answer is "all that are
-//! there":
+//! message; how many frames travel per syscall is this module's business,
+//! and the answer is "all that are there":
 //!
-//! * **Sending.** The protocol thread works in *bursts*: it keeps taking
-//!   inputs while the mailbox has any, and every `Action::Send` is encoded
-//!   straight into a buffer of whole frames kept per destination. A
-//!   destination's buffer is *flushed* — handed to the peer's writer thread
-//!   as one chunk (one channel send, one `write`), or written to a client's
-//!   inbound socket with one `write_all` — when it passes [`FLUSH_BYTES`],
+//! * **Receiving.** Each wake-up gives every readable connection one `read`
+//!   into its 64 KiB buffer ([`frame::FrameReader`]). Every frame the read
+//!   completed is decoded, and the messages are handled one by one, in
+//!   order, exactly as if they had arrived separately (self-sends and due
+//!   timers still run between any two of them). Bytes a read leaves in the
+//!   socket make the next `ppoll` return at once.
+//! * **Sending.** Every `Action::Send` is encoded straight into a buffer of
+//!   whole frames kept per destination. The thread works in *bursts* —
+//!   everything one wake-up brings — and a destination's buffer is written,
+//!   all of it with one nonblocking `write`, when it passes [`FLUSH_BYTES`],
 //!   when the burst has handled [`MAX_BURST`] messages, and always before
-//!   the protocol thread blocks: the mailbox running dry ends the burst, so
-//!   **no byte is ever held across a blocking wait** and an idle runtime
-//!   adds no delay to a lone message.
-//! * **Receiving.** A reader thread reads through a 64 KiB buffer
-//!   ([`frame::FrameReader`]), decodes every complete frame one `read`
-//!   returned and posts them as a single mailbox entry. The protocol thread
-//!   handles the messages of an entry one by one, in order, exactly as if
-//!   they had arrived separately (self-sends and due timers still run
-//!   between any two of them).
+//!   the thread waits again: **no byte is ever held across a wait**, and an
+//!   idle runtime adds no delay to a lone message. What the socket does not
+//!   take stays buffered until `ppoll` reports the connection writable.
 //!
-//! Per-destination FIFO order is kept end to end. A chunk whose write fails
-//! is written again, whole, on the next connection, so the receiver may see
-//! frames of its first part twice — the protocols discard duplicates, as
-//! they must on any retransmitting transport.
+//! A destination buffers at most `WRITER_QUEUE` frames; frames past that are
+//! dropped and counted. Per-destination FIFO order is kept end to end, and
+//! a new connection never starts inside a frame: when a dialed connection
+//! dies, the frame it was part-way through is written again, whole, on the
+//! next one. Frames the dead connection took whole may be lost with it —
+//! the protocols tolerate loss, as they must on any transport that
+//! reconnects.
 //!
 //! # Connection policy
 //!
@@ -60,13 +65,8 @@
 //! connection, keyed by its hello. This keeps connection ownership
 //! unambiguous (exactly one writer per socket) at the cost of two sockets
 //! per node pair — the simulator models neither, see
-//! `docs/architecture.md`.
-//!
-//! A reader holds a clone of the socket its connection's writer owns, so
-//! dropping the writer's handle closes nothing: whoever gives a connection
-//! up — a writer on a failed write or on exit, the protocol thread on exit
-//! for its inbound connections — calls `shutdown(Both)`, which ends the
-//! reader at either end.
+//! `docs/architecture.md`. Every socket has one owner, the protocol thread,
+//! so giving a connection up is dropping it.
 //!
 //! # Time
 //!
@@ -74,7 +74,8 @@
 //! in microseconds — the same [`Time`] axis the simulator uses, anchored at
 //! process boot instead of at global virtual zero. Timers are kept in a
 //! `BinaryHeap` and fire when the monotonic clock passes their deadline;
-//! cancellation stays O(1) through the driver's
+//! `ppoll` takes its timeout in nanoseconds, so a timer is not rounded up
+//! to the next millisecond. Cancellation stays O(1) through the driver's
 //! [`iss_runtime::TimerSlab`] generation check, exactly as under the
 //! simulator.
 
@@ -84,20 +85,23 @@ use iss_messages::NetMsg;
 use iss_runtime::{Action, Addr, Driver, Event, Process, SansIo};
 use iss_types::{NodeId, Time, TimerId};
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Shared node-id → socket-address table.
 ///
-/// Writer threads re-read it on every dial, so restarting a node on a fresh
-/// port only requires updating the table — every peer's reconnect loop picks
-/// the new address up on its next attempt.
+/// Dial attempts re-read it every time, so restarting a node on a fresh port
+/// only requires updating the table — every peer's next attempt picks the
+/// new address up.
 pub type PeerTable = Arc<RwLock<HashMap<NodeId, SocketAddr>>>;
 
 /// Creates an empty peer table.
@@ -111,117 +115,100 @@ pub fn peer_table() -> PeerTable {
 /// themselves.
 pub type ProcessBuilder = Box<dyn FnOnce() -> Box<dyn Process<NetMsg>> + Send>;
 
-/// Frames queued to one peer's writer thread beyond this bound are dropped:
-/// a crashed or unreachable peer must not grow the sender's memory without
-/// limit, and the protocols tolerate message loss by design (a recovering
-/// replica catches up through the WAL / state-transfer path). The bound
-/// counts frames, however they are grouped into chunks. Each drop is
-/// counted in the peer's [`PeerStats`] and surfaced by a rate-limited
-/// warning — loss is tolerated, but never silent.
-const WRITER_QUEUE: u64 = 4096;
+/// Frames buffered for one destination beyond this bound are dropped: a
+/// crashed, unreachable or stalled peer or client must not grow the
+/// sender's memory without limit, and the protocols tolerate message loss
+/// by design (a recovering replica catches up through the WAL /
+/// state-transfer path). The bound counts frames, however many bytes they
+/// hold. Each drop is counted — in the peer's [`PeerStats`], or in
+/// [`NetStats::client_dropped`] — and surfaced by a rate-limited warning:
+/// loss is tolerated, but never silent.
+const WRITER_QUEUE: usize = 4096;
 
-/// Emit a dropped-frame warning on the first drop to a peer and then once
-/// every this many drops (a saturated writer queue drops frames in bursts;
+/// Emit a dropped-frame warning on the first drop to a destination and then
+/// once every this many drops (a full buffer drops frames in bursts;
 /// per-frame logging would melt stderr exactly when the node is busiest).
 const DROP_WARN_EVERY: u64 = 1024;
 
-/// A destination's frame buffer is flushed as soon as it holds this many
+/// A destination's frame buffer is written as soon as it holds this many
 /// bytes, burst or not: past a socket buffer's worth, waiting for more
 /// saves no syscall and only delays the peer.
 pub const FLUSH_BYTES: usize = 64 << 10;
 
-/// A burst is cut (every buffer flushed) after this many network messages
-/// even if the mailbox never runs dry, so a saturated node's votes wait for
+/// A burst is cut (every buffer written) after this many network messages
+/// even if the wake-up brought more, so a saturated node's votes wait for
 /// at most this many callbacks, not for [`FLUSH_BYTES`] of votes.
 pub const MAX_BURST: usize = 256;
 
-/// Live statistics of one peer's outbound writer, shared between the
-/// protocol thread (which enqueues), the writer thread (which drains and
-/// writes) and any harness sampling them. All plain counters — no ordering
-/// requirements beyond each counter being individually consistent, so
-/// `Relaxed` throughout.
+/// An accepted connection that has not sent its hello within this bound is
+/// closed.
+pub const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The wait before the first retry of a failed dial; it doubles with every
+/// further failure, up to [`MAX_BACKOFF_MS`].
+const MIN_BACKOFF_MS: u64 = 10;
+
+/// The longest wait between two dial attempts.
+const MAX_BACKOFF_MS: u64 = 500;
+
+/// Live statistics of one dialed peer's frame buffer, written by the
+/// protocol thread and sampled by any harness. All plain counters — no
+/// ordering requirements beyond each counter being individually consistent,
+/// so `Relaxed` throughout.
 #[derive(Debug, Default)]
 pub struct PeerStats {
-    /// Frames currently queued to the writer thread.
+    /// Frames buffered for the peer that its socket has not taken whole, as
+    /// of the last write attempt.
     pub queue_depth: AtomicU64,
-    /// Peak queue depth observed.
+    /// Peak buffer depth observed.
     pub max_queue_depth: AtomicU64,
-    /// Frames dropped because the writer queue was full.
+    /// Frames dropped because the buffer was full.
     pub dropped: AtomicU64,
     /// Successful dials (the first connect plus every reconnect).
     pub connects: AtomicU64,
-    /// Frames successfully written to the socket.
+    /// Frames the socket took whole.
     pub frames_sent: AtomicU64,
-    /// Payload bytes successfully written to the socket (length prefixes
-    /// not counted).
+    /// Payload bytes of those frames (length prefixes not counted).
     pub bytes_sent: AtomicU64,
 }
 
 impl PeerStats {
-    fn note_enqueued(&self, frames: u64) {
-        let depth = self.queue_depth.fetch_add(frames, Ordering::Relaxed) + frames;
-        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    fn note_dequeued(&self, frames: u64) {
-        self.queue_depth.fetch_sub(frames, Ordering::Relaxed);
-    }
-
-    fn note_dropped(&self, peer: NodeId) {
-        let drops = self.dropped.fetch_add(1, Ordering::Relaxed) + 1;
-        if drops == 1 || drops.is_multiple_of(DROP_WARN_EVERY) {
-            eprintln!("iss-net: writer queue to {peer:?} full, {drops} frame(s) dropped so far");
+    /// One write attempt: the buffer held `before` frames and holds `after`
+    /// now; the socket took `frames` whole, of `bytes` payload bytes.
+    fn note_written(&self, before: usize, after: usize, frames: u64, bytes: u64) {
+        self.max_queue_depth
+            .fetch_max(before as u64, Ordering::Relaxed);
+        self.queue_depth.store(after as u64, Ordering::Relaxed);
+        if frames > 0 {
+            self.frames_sent.fetch_add(frames, Ordering::Relaxed);
+            self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
         }
     }
 }
 
-/// Live statistics of one [`TcpRuntime`]: mailbox depth plus one
-/// [`PeerStats`] per dialed peer. Obtained from [`TcpHandle::stats`] and
-/// safe to sample from any thread while the runtime runs.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    /// Messages (and connection hand-offs) currently queued to the protocol
-    /// thread, however they are grouped into mailbox entries.
-    pub mailbox_depth: AtomicU64,
-    /// Peak mailbox depth observed.
-    pub max_mailbox_depth: AtomicU64,
-    /// Outbound writer statistics per dialed peer.
-    pub peers: HashMap<NodeId, Arc<PeerStats>>,
-}
-
-/// The mailbox sender with depth accounting: every producer (acceptor,
-/// readers, the handle) goes through [`MailboxTx::send`], the protocol
-/// thread decrements after each receive, so `NetStats` always shows how far
-/// the protocol thread has fallen behind its inputs.
-#[derive(Clone)]
-struct MailboxTx {
-    tx: Sender<Input>,
-    stats: Arc<NetStats>,
-}
-
-impl MailboxTx {
-    /// Sends with depth accounting; the error (protocol thread gone — only
-    /// during shutdown) carries no payload, every caller just stops.
-    fn send(&self, input: Input) -> Result<(), ()> {
-        let weight = input.weight();
-        let depth = self
-            .stats
-            .mailbox_depth
-            .fetch_add(weight, Ordering::Relaxed)
-            + weight;
-        self.stats
-            .max_mailbox_depth
-            .fetch_max(depth, Ordering::Relaxed);
-        self.tx.send(input).map_err(|_| {
-            self.stats
-                .mailbox_depth
-                .fetch_sub(weight, Ordering::Relaxed);
-        })
+/// Counts a frame to `to` dropped on a full buffer.
+fn note_dropped(counter: &AtomicU64, to: Addr) {
+    let drops = counter.fetch_add(1, Ordering::Relaxed) + 1;
+    if drops == 1 || drops.is_multiple_of(DROP_WARN_EVERY) {
+        eprintln!("iss-net: writer queue to {to:?} full, {drops} frame(s) dropped so far");
     }
 }
 
-/// How long a dial-retry loop sleeps at most between attempts.
-const MAX_BACKOFF_MS: u64 = 500;
+/// Live statistics of one [`TcpRuntime`]. Obtained from
+/// [`TcpHandle::stats`] and safe to sample from any thread while the
+/// runtime runs.
+#[derive(Debug, Default)]
+pub struct NetStats {
+    /// Messages one socket read delivered that the protocol thread has not
+    /// handled yet.
+    pub mailbox_depth: AtomicU64,
+    /// The most messages one socket read delivered.
+    pub max_mailbox_depth: AtomicU64,
+    /// Frames to clients dropped because the client's buffer was full.
+    pub client_dropped: AtomicU64,
+    /// Frame buffer statistics per dialed peer.
+    pub peers: HashMap<NodeId, Arc<PeerStats>>,
+}
 
 /// Configuration of one [`TcpRuntime`].
 pub struct TcpConfig {
@@ -236,66 +223,44 @@ pub struct TcpConfig {
     pub seed: u64,
 }
 
-/// Everything the protocol thread can receive.
-enum Input {
-    /// Every message one `read` of one connection completed, in wire order.
-    Messages { from: Addr, msgs: Vec<NetMsg> },
-    /// The write half of a fresh inbound connection, keyed by its hello.
-    Inbound { from: Addr, stream: TcpStream },
-    /// Stop the runtime.
-    Shutdown,
-}
-
-impl Input {
-    /// What the entry adds to [`NetStats::mailbox_depth`]: the gauge counts
-    /// messages, so that it means the same whatever the readers' batching.
-    fn weight(&self) -> u64 {
-        match self {
-            Input::Messages { msgs, .. } => msgs.len() as u64,
-            Input::Inbound { .. } | Input::Shutdown => 1,
-        }
-    }
-}
-
 /// Handle to a running [`TcpRuntime`]; dropping it without calling
-/// [`TcpHandle::shutdown`] detaches the runtime's threads.
+/// [`TcpHandle::shutdown`] detaches the runtime's thread.
 pub struct TcpHandle {
-    mailbox: MailboxTx,
     stop: Arc<AtomicBool>,
-    listen: Option<SocketAddr>,
+    waker: Arc<UnixStream>,
     thread: Option<JoinHandle<()>>,
     stats: Arc<NetStats>,
 }
 
 impl TcpHandle {
-    /// Live transport statistics of this runtime (mailbox depth, per-peer
-    /// writer queues/drops/reconnects). Safe to sample from any thread.
+    /// Live transport statistics of this runtime (read batches, per-peer
+    /// buffers, drops and reconnects). Safe to sample from any thread.
     pub fn stats(&self) -> Arc<NetStats> {
         Arc::clone(&self.stats)
     }
 
-    /// Stops the runtime: the protocol thread flushes what it has buffered,
+    /// Stops the runtime: the protocol thread writes what its sockets take,
     /// drops the hosted process (flushing any durable storage it holds) and
-    /// shuts its inbound connections down, the acceptor is woken and exits,
-    /// each writer thread shuts its connection down as its channel closes,
-    /// and the readers at both ends of every connection end with them.
+    /// closes every connection, which ends them at the other end too.
     /// Blocks until the protocol thread has terminated, so a caller that
     /// restarts the process immediately afterwards observes fully-persisted
     /// state.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        let _ = self.mailbox.send(Input::Shutdown);
-        if let Some(listen) = self.listen {
-            // Wake the acceptor blocked in accept().
-            let _ = TcpStream::connect(listen);
-        }
+        wake(&self.waker);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
 }
 
-/// The threaded TCP runtime (see the module docs for the thread layout).
+/// Wakes the protocol thread. A full wake-up socket already holds a
+/// wake-up, so a failed write loses nothing.
+fn wake(waker: &UnixStream) {
+    let _ = (&*waker).write(&[0]);
+}
+
+/// The TCP runtime (see the module docs for the thread layout).
 pub struct TcpRuntime;
 
 impl TcpRuntime {
@@ -310,188 +275,459 @@ impl TcpRuntime {
         listener: Option<TcpListener>,
         builder: ProcessBuilder,
     ) -> io::Result<TcpHandle> {
-        let hello = frame::encode_hello(cfg.addr);
-        let (mailbox_tx, mailbox_rx) = mpsc::channel::<Input>();
+        if let Some(listener) = &listener {
+            listener.set_nonblocking(true)?;
+        }
+        let (wake_rx, waker) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        waker.set_nonblocking(true)?;
+        let waker = Arc::new(waker);
+        let stats = Arc::new(NetStats {
+            peers: cfg.dial.iter().map(|&p| (p, Arc::default())).collect(),
+            ..NetStats::default()
+        });
         let stop = Arc::new(AtomicBool::new(false));
-        let listen = listener.as_ref().map(|l| l.local_addr()).transpose()?;
-
-        let mut stats = NetStats::default();
-        for peer in &cfg.dial {
-            stats.peers.insert(*peer, Arc::new(PeerStats::default()));
-        }
-        let stats = Arc::new(stats);
-        let mailbox = MailboxTx {
-            tx: mailbox_tx,
-            stats: Arc::clone(&stats),
+        let (tx, rx) = mpsc::channel();
+        let dialer = Dialer {
+            hello: frame::encode_hello(cfg.addr).into(),
+            peers: Arc::clone(&cfg.peers),
+            waker: Arc::clone(&waker),
+            tx,
+            rx,
         };
-
-        if let Some(listener) = listener {
-            let tx = mailbox.clone();
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || acceptor_loop(listener, tx, stop));
-        }
-
-        // One writer per dialed peer, created up front; the writer dials on
-        // first use and re-dials on failure. Only a client reads what comes
-        // back: a replica never writes on an inbound replica connection.
-        let read_back = matches!(cfg.addr, Addr::Client(_));
-        let mut outbox = Outbox::default();
-        for peer in &cfg.dial {
-            // Unbounded channel, bounded use: `Outbox::send` admits a frame
-            // only while the peer's `queue_depth` is below `WRITER_QUEUE`.
-            let (tx, rx) = mpsc::channel::<Chunk>();
-            let peers = Arc::clone(&cfg.peers);
-            let mailbox = read_back.then(|| mailbox.clone());
-            let stop = Arc::clone(&stop);
-            let hello = hello.clone();
-            let peer = *peer;
-            let peer_stats = Arc::clone(&stats.peers[&peer]);
-            let writer_stats = Arc::clone(&peer_stats);
-            thread::spawn(move || writer_loop(peer, peers, hello, rx, mailbox, stop, writer_stats));
-            outbox.peers.insert(
-                peer,
-                PeerOut {
-                    tx,
-                    stats: peer_stats,
-                    buf: BytesMut::new(),
-                    frames: 0,
-                },
-            );
-        }
-
-        let run_stats = Arc::clone(&stats);
+        let net = Net::new(Arc::clone(&stats));
         let thread = thread::Builder::new()
             .name(format!("proto-{:?}", cfg.addr))
-            .spawn(move || protocol_loop(cfg, builder, mailbox_rx, outbox, run_stats))?;
-
+            .spawn({
+                let stop = Arc::clone(&stop);
+                move || {
+                    let mut driver: SansIo<NetMsg> = SansIo::new(cfg.seed);
+                    driver.mount(cfg.addr, builder());
+                    let p = Protocol {
+                        addr: cfg.addr,
+                        start: Instant::now(),
+                        driver,
+                        timers: BinaryHeapWheel::new(),
+                        selfq: VecDeque::new(),
+                        actions: Vec::new(),
+                        net,
+                        dialer,
+                        listener,
+                        wake: wake_rx,
+                        burst: 0,
+                        inbox: Vec::new(),
+                        fds: Vec::new(),
+                        tokens: Vec::new(),
+                    };
+                    p.run(&stop);
+                }
+            })?;
         Ok(TcpHandle {
-            mailbox,
             stop,
-            listen,
+            waker,
             thread: Some(thread),
             stats,
         })
     }
 }
 
-/// Whole frames for one peer, written with one `write`.
-struct Chunk {
-    bytes: Vec<u8>,
-    frames: u64,
+/// Names one connection of a runtime for as long as it is open.
+type Token = u64;
+
+/// One connection the protocol thread reads (and perhaps writes).
+struct Conn {
+    frames: FrameReader<TcpStream>,
+    /// The process at the other end: the dialed peer, or whoever the hello
+    /// of an accepted connection named; `None` until that hello arrives.
+    from: Option<Addr>,
+    /// When an accepted connection still without a hello is closed.
+    hello_by: Option<Instant>,
+    /// The socket took less than it was offered: nothing more is written
+    /// until `ppoll` reports it writable.
+    blocked: bool,
 }
 
-/// The protocol thread's side of one dialed peer: the channel to its writer
-/// thread and the frames encoded for it since the last flush.
-struct PeerOut {
-    tx: Sender<Chunk>,
-    stats: Arc<PeerStats>,
-    buf: BytesMut,
-    frames: u64,
-}
-
-impl PeerOut {
-    /// Hands the buffered frames to the writer thread as one chunk.
-    fn flush(&mut self) {
-        if self.frames == 0 {
-            return;
-        }
-        let chunk = Chunk {
-            bytes: std::mem::take(&mut self.buf).into(),
-            frames: std::mem::take(&mut self.frames),
-        };
-        // Count the frames in *before* the send: the writer thread may drain
-        // (and decrement) them the instant `send` returns, and the depth
-        // counter must never dip below zero.
-        self.stats.note_enqueued(chunk.frames);
-        if let Err(mpsc::SendError(chunk)) = self.tx.send(chunk) {
-            // Shutdown path: the writer thread is gone.
-            self.stats.note_dequeued(chunk.frames);
-        }
-    }
-}
-
-/// The write half of an inbound connection (a client, which never listens)
-/// and the frames encoded for it since the last flush.
-struct InboundOut {
-    stream: TcpStream,
-    buf: BytesMut,
-}
-
-impl InboundOut {
-    /// Writes the buffered frames with one `write_all`. After an error the
-    /// connection is of no more use.
-    fn flush(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let written = self.stream.write_all(&self.buf);
-        self.buf.clear();
-        written
-    }
-}
-
-/// Where the protocol thread's sends go: one frame buffer per destination,
-/// flushed by the rules in the module docs.
+/// Whole frames for one destination that no connection has taken whole, in
+/// send order.
 #[derive(Default)]
-struct Outbox {
-    peers: HashMap<NodeId, PeerOut>,
-    inbound: HashMap<Addr, InboundOut>,
+struct Queue {
+    buf: BytesMut,
+    /// The bytes at the front of `buf` of frames already taken whole. They
+    /// are reclaimed once they are at least half of `buf`, so a backlog the
+    /// socket takes in many pieces is moved a few times in all, not once
+    /// per write.
+    retired: usize,
+    /// The length, prefix included, of each frame behind `retired`.
+    lens: VecDeque<usize>,
+    /// The bytes behind `retired` the current connection has taken: always
+    /// part of the first frame once [`Queue::retire`] has run.
+    sent: usize,
 }
 
-impl Outbox {
-    /// Encodes `msg` behind whatever is already buffered for `to`.
-    fn send(&mut self, to: Addr, msg: &NetMsg) {
+impl Queue {
+    fn frames(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// The frames no connection has taken whole.
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.retired..]
+    }
+
+    fn unsent(&self) -> usize {
+        self.pending().len() - self.sent
+    }
+
+    /// Encodes `msg` behind whatever is already buffered.
+    fn push(&mut self, msg: &NetMsg, to: Addr) {
+        let at = self.buf.len();
         // Only simulator-only message kinds fail to encode; reaching this is
         // a deployment bug (e.g. booting a Mir-mode node over TCP), not a
         // runtime state.
-        let encode = |buf: &mut BytesMut| {
-            if let Err(e) = frame::encode_frame(msg, buf) {
-                panic!("unencodable message to {to:?}: {e}");
+        if let Err(e) = frame::encode_frame(msg, &mut self.buf) {
+            panic!("unencodable message to {to:?}: {e}");
+        }
+        self.lens.push_back(self.buf.len() - at);
+    }
+
+    /// Writes the unsent bytes until the socket takes no more without
+    /// blocking.
+    fn write_to(&mut self, mut socket: &TcpStream) -> io::Result<()> {
+        while self.unsent() > 0 {
+            match socket.write(&self.pending()[self.sent..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
             }
+        }
+        Ok(())
+    }
+
+    /// Forgets the frames the socket took whole; returns how many, and
+    /// their payload bytes.
+    fn retire(&mut self) -> (u64, u64) {
+        let (mut frames, mut done) = (0, 0);
+        while let Some(&len) = self.lens.front() {
+            if done + len > self.sent {
+                break;
+            }
+            done += len;
+            frames += 1;
+            self.lens.pop_front();
+        }
+        self.retired += done;
+        self.sent -= done;
+        if self.retired == self.buf.len() {
+            self.buf.clear();
+            self.retired = 0;
+        } else if 2 * self.retired >= self.buf.len() {
+            self.buf.copy_within(self.retired.., 0);
+            self.buf.truncate(self.buf.len() - self.retired);
+            self.retired = 0;
+        }
+        (frames as u64, (done - frame::PREFIX * frames) as u64)
+    }
+}
+
+/// A dialed peer's side of its destination.
+struct Link {
+    stats: Arc<PeerStats>,
+    /// The helper thread running a dial attempt, joined once the attempt
+    /// has reported back.
+    dialing: Option<JoinHandle<()>>,
+    /// No attempt starts before this.
+    retry_at: Option<Instant>,
+    backoff_ms: u64,
+}
+
+impl Link {
+    fn failed(&mut self, now: Instant) {
+        self.retry_at = Some(now + Duration::from_millis(self.backoff_ms));
+        self.backoff_ms = (2 * self.backoff_ms).min(MAX_BACKOFF_MS);
+    }
+}
+
+/// One destination the process sends to: a peer this runtime dials, or a
+/// client that connected to it.
+struct Dest {
+    queue: Queue,
+    /// The connection its frames leave on.
+    conn: Option<Token>,
+    /// `None` for a client.
+    link: Option<Link>,
+}
+
+impl Dest {
+    /// Offers the buffered frames to the destination's connection unless it
+    /// is blocked; `Err` names a connection that failed.
+    fn write(&mut self, conns: &mut HashMap<Token, Conn>) -> Result<(), Token> {
+        let before = self.queue.frames();
+        if before == 0 {
+            return Ok(());
+        }
+        let (mut result, mut frames, mut bytes) = (Ok(()), 0, 0);
+        if let Some((token, conn)) = self.conn.and_then(|t| Some((t, conns.get_mut(&t)?))) {
+            if !conn.blocked {
+                let written = self.queue.write_to(conn.frames.get_ref());
+                (frames, bytes) = self.queue.retire();
+                conn.blocked = self.queue.unsent() > 0;
+                result = written.map_err(|_| token);
+            }
+        }
+        if let Some(link) = &self.link {
+            link.stats
+                .note_written(before, self.queue.frames(), frames, bytes);
+        }
+        result
+    }
+}
+
+/// Every connection and destination of one runtime.
+struct Net {
+    conns: HashMap<Token, Conn>,
+    next_token: Token,
+    dests: HashMap<Addr, Dest>,
+    stats: Arc<NetStats>,
+}
+
+impl Net {
+    /// A destination per dialed peer in `stats`, none connected yet.
+    fn new(stats: Arc<NetStats>) -> Net {
+        let dests = stats
+            .peers
+            .iter()
+            .map(|(&peer, peer_stats)| {
+                let link = Link {
+                    stats: Arc::clone(peer_stats),
+                    dialing: None,
+                    retry_at: None,
+                    backoff_ms: MIN_BACKOFF_MS,
+                };
+                let dest = Dest {
+                    queue: Queue::default(),
+                    conn: None,
+                    link: Some(link),
+                };
+                (Addr::Node(peer), dest)
+            })
+            .collect();
+        Net {
+            conns: HashMap::new(),
+            next_token: 0,
+            dests,
+            stats,
+        }
+    }
+
+    /// Starts reading a nonblocking socket.
+    fn add(&mut self, socket: TcpStream, from: Option<Addr>, hello_by: Option<Instant>) -> Token {
+        let token = self.next_token;
+        self.next_token += 1;
+        let conn = Conn {
+            frames: FrameReader::new(socket),
+            from,
+            hello_by,
+            blocked: false,
         };
-        match to {
-            Addr::Node(n) => {
-                let Some(peer) = self.peers.get_mut(&n) else {
-                    return;
-                };
-                // Only this thread adds to the depth, so the check cannot be
-                // overtaken; the writer draining meanwhile only makes room.
-                if peer.stats.queue_depth.load(Ordering::Relaxed) + peer.frames >= WRITER_QUEUE {
-                    peer.stats.note_dropped(n);
-                    return;
-                }
-                encode(&mut peer.buf);
-                peer.frames += 1;
-                if peer.buf.len() >= FLUSH_BYTES {
-                    peer.flush();
-                }
-            }
-            // Clients never listen: answer over their inbound connection. A
-            // vanished client just loses the frame.
-            Addr::Client(_) => {
-                let Some(conn) = self.inbound.get_mut(&to) else {
-                    return;
-                };
-                encode(&mut conn.buf);
-                if conn.buf.len() >= FLUSH_BYTES && conn.flush().is_err() {
-                    self.inbound.remove(&to);
-                }
+        self.conns.insert(token, conn);
+        token
+    }
+
+    /// Encodes `msg` behind whatever is already buffered for `to`.
+    fn send(&mut self, to: Addr, msg: &NetMsg) {
+        // A node this runtime does not dial, or a client that has not
+        // connected or is gone: the frame has nowhere to go.
+        let Some(dest) = self.dests.get_mut(&to) else {
+            return;
+        };
+        if dest.queue.frames() >= WRITER_QUEUE {
+            let counter = match &dest.link {
+                Some(link) => &link.stats.dropped,
+                None => &self.stats.client_dropped,
+            };
+            note_dropped(counter, to);
+            return;
+        }
+        dest.queue.push(msg, to);
+        if dest.queue.unsent() >= FLUSH_BYTES {
+            if let Err(token) = dest.write(&mut self.conns) {
+                self.close(token);
             }
         }
     }
 
-    /// Ends a burst: every destination's buffer leaves. An inbound
-    /// connection that fails is forgotten.
+    /// Ends a burst: every destination's buffer is offered to its socket.
     fn flush(&mut self) {
-        for peer in self.peers.values_mut() {
-            peer.flush();
+        let mut failed = Vec::new();
+        for dest in self.dests.values_mut() {
+            if let Err(token) = dest.write(&mut self.conns) {
+                failed.push(token);
+            }
         }
-        self.inbound.retain(|_, conn| conn.flush().is_ok());
+        for token in failed {
+            self.close(token);
+        }
+    }
+
+    /// Reads `token`'s socket once and decodes every frame the read
+    /// completed into `msgs`; returns who sent them. An accepted
+    /// connection's first frame is its hello: it names the sender, and a
+    /// client's replies leave over the connection it names. `Err` for a
+    /// connection that ended or spoke garbage (which gets dropped, not
+    /// interpreted).
+    fn receive(&mut self, token: Token, msgs: &mut Vec<NetMsg>) -> io::Result<Option<Addr>> {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return Ok(None);
+        };
+        match conn.frames.fill() {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(conn.from),
+            read => read?,
+        }
+        while let Some(payload) = conn.frames.next_frame()? {
+            if conn.from.is_some() {
+                msgs.push(frame::decode_frame(payload)?);
+                continue;
+            }
+            let from = frame::decode_hello(payload)?;
+            conn.from = Some(from);
+            conn.hello_by = None;
+            if let Addr::Client(_) = from {
+                let dest = Dest {
+                    queue: Queue::default(),
+                    conn: Some(token),
+                    link: None,
+                };
+                self.dests.insert(from, dest);
+            }
+        }
+        Ok(conn.from)
+    }
+
+    /// Gives a connection up. A dialed peer keeps its frames for the next
+    /// connection, the one the dead connection was part-way through
+    /// included; a client's frames go with its connection.
+    fn close(&mut self, token: Token) {
+        let Some(from) = self.conns.remove(&token).and_then(|conn| conn.from) else {
+            return;
+        };
+        let Some(dest) = self.dests.get_mut(&from) else {
+            return;
+        };
+        if dest.conn != Some(token) {
+            return;
+        }
+        if dest.link.is_some() {
+            dest.conn = None;
+            dest.queue.sent = 0;
+        } else {
+            self.dests.remove(&from);
+        }
+    }
+
+    /// A dial attempt to `peer` ended, with a connected and greeted socket
+    /// or without one.
+    fn dialed(&mut self, peer: NodeId, socket: Option<TcpStream>, now: Instant) {
+        let to = Addr::Node(peer);
+        let token = socket.map(|socket| self.add(socket, Some(to), None));
+        let Some(Dest {
+            conn,
+            link: Some(link),
+            ..
+        }) = self.dests.get_mut(&to)
+        else {
+            return;
+        };
+        // The helper has handed its result over: joining it only reaps it.
+        if let Some(helper) = link.dialing.take() {
+            let _ = helper.join();
+        }
+        match token {
+            Some(token) => {
+                *conn = Some(token);
+                link.backoff_ms = MIN_BACKOFF_MS;
+                link.stats.connects.fetch_add(1, Ordering::Relaxed);
+            }
+            None => link.failed(now),
+        }
+    }
+}
+
+/// Runs dial attempts on helper threads and collects their sockets.
+struct Dialer {
+    hello: Arc<[u8]>,
+    peers: PeerTable,
+    waker: Arc<UnixStream>,
+    tx: Sender<(NodeId, Option<TcpStream>)>,
+    rx: Receiver<(NodeId, Option<TcpStream>)>,
+}
+
+impl Dialer {
+    /// Starts an attempt for every dialed peer with frames to send, no
+    /// connection and no attempt running, whose backoff has passed; returns
+    /// when the next backoff still running ends.
+    fn start_due(&self, net: &mut Net, now: Instant) -> Option<Instant> {
+        let mut next = None;
+        for (to, dest) in &mut net.dests {
+            let (Addr::Node(peer), Some(link)) = (*to, &mut dest.link) else {
+                continue;
+            };
+            if dest.conn.is_some() || link.dialing.is_some() || dest.queue.frames() == 0 {
+                continue;
+            }
+            match link.retry_at {
+                Some(at) if at > now => next = earliest(next, Some(at)),
+                _ => match self.spawn(peer) {
+                    Ok(helper) => {
+                        link.dialing = Some(helper);
+                        link.retry_at = None;
+                    }
+                    Err(_) => link.failed(now),
+                },
+            }
+        }
+        next
+    }
+
+    /// One attempt at a connection to `peer` on a helper thread, which
+    /// hands the socket back and wakes the protocol thread.
+    fn spawn(&self, peer: NodeId) -> io::Result<JoinHandle<()>> {
+        let hello = Arc::clone(&self.hello);
+        let peers = Arc::clone(&self.peers);
+        let waker = Arc::clone(&self.waker);
+        let tx = self.tx.clone();
+        thread::Builder::new().spawn(move || {
+            let socket = dial(peer, &peers, &hello);
+            // A failed send means the protocol thread is gone: no one to wake.
+            if tx.send((peer, socket)).is_ok() {
+                wake(&waker);
+            }
+        })
+    }
+}
+
+/// Connects to `peer` at the address the peer table holds now, sends the
+/// hello and leaves the socket nonblocking.
+fn dial(peer: NodeId, peers: &PeerTable, hello: &[u8]) -> Option<TcpStream> {
+    let target = peers.read().ok()?.get(&peer).copied()?;
+    let mut socket = TcpStream::connect(target).ok()?;
+    let _ = socket.set_nodelay(true);
+    frame::write_frame(&mut socket, hello).ok()?;
+    socket.set_nonblocking(true).ok()?;
+    Some(socket)
+}
+
+/// The earlier of two optional deadlines.
+fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
 /// The protocol thread's state: the single place the hosted process
-/// executes.
+/// executes, and the owner of every socket.
 struct Protocol {
     addr: Addr,
     start: Instant,
@@ -500,12 +736,24 @@ struct Protocol {
     /// sequence keeps equal-deadline timers FIFO, matching the simulator's
     /// same-time submission order.
     timers: BinaryHeapWheel,
-    out: Outbox,
     /// Self-addressed sends loop straight back as the next events, ahead of
     /// anything the network delivers — same as the simulator's zero-latency
     /// local delivery being scheduled before later arrivals.
     selfq: VecDeque<NetMsg>,
     actions: Vec<Action<NetMsg>>,
+    net: Net,
+    dialer: Dialer,
+    listener: Option<TcpListener>,
+    /// The read end of the wake-up pair.
+    wake: UnixStream,
+    /// Network messages handled since the buffers were last written.
+    burst: usize,
+    /// The messages of one read, waiting to be handled.
+    inbox: Vec<NetMsg>,
+    /// The poll set of the current wait: the wake-up socket, the listener
+    /// if any, then the connection of each entry of `tokens`.
+    fds: Vec<PollFd>,
+    tokens: Vec<Token>,
 }
 
 impl Protocol {
@@ -524,7 +772,7 @@ impl Protocol {
                     self.timers.push(now.0 + delay.as_micros(), id, kind);
                 }
                 Action::Send { to, msg } if to == self.addr => self.selfq.push_back(msg),
-                Action::Send { to, msg } => self.out.send(to, &msg),
+                Action::Send { to, msg } => self.net.send(to, &msg),
             }
         }
     }
@@ -545,92 +793,158 @@ impl Protocol {
             }
         }
     }
-}
 
-/// The protocol thread (see the module docs for bursts and the flush rule).
-fn protocol_loop(
-    cfg: TcpConfig,
-    builder: ProcessBuilder,
-    mailbox: Receiver<Input>,
-    out: Outbox,
-    stats: Arc<NetStats>,
-) {
-    let mut driver: SansIo<NetMsg> = SansIo::new(cfg.seed);
-    driver.mount(cfg.addr, builder());
-    let mut p = Protocol {
-        addr: cfg.addr,
-        start: Instant::now(),
-        driver,
-        timers: BinaryHeapWheel::new(),
-        out,
-        selfq: VecDeque::new(),
-        actions: Vec::new(),
-    };
-    p.handle(Event::Start);
+    /// The protocol thread (see the module docs for bursts and the flush
+    /// rule).
+    fn run(mut self, stop: &AtomicBool) {
+        self.handle(Event::Start);
+        loop {
+            self.run_local();
+            // The burst ends: nothing stays buffered while the thread waits.
+            self.net.flush();
+            self.burst = 0;
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let retry = self.dialer.start_due(&mut self.net, Instant::now());
+            self.wait(retry);
+        }
+        // On return `self` drops here, on the protocol thread: the driver
+        // (and with it the process and its storage handle) and every socket.
+    }
 
-    // Network messages handled since the last full flush.
-    let mut burst = 0;
-    loop {
-        p.run_local();
-        let input = match mailbox.try_recv() {
-            Ok(input) => input,
-            Err(TryRecvError::Disconnected) => break,
-            // The mailbox ran dry: the burst ends, and nothing stays
-            // buffered while this thread sleeps.
-            Err(TryRecvError::Empty) => {
-                p.out.flush();
-                burst = 0;
-                match mailbox.recv_timeout(p.timers.until_next(p.now())) {
-                    Ok(input) => input,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
+    /// Waits for a socket, the wake-up pair or the earliest deadline, and
+    /// handles what the wake-up brought.
+    fn wait(&mut self, dial_retry: Option<Instant>) {
+        self.fds.clear();
+        self.tokens.clear();
+        self.fds.push(PollFd::new(self.wake.as_raw_fd(), POLLIN));
+        if let Some(listener) = &self.listener {
+            self.fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+        }
+        let fixed = self.fds.len();
+        let mut deadline = dial_retry;
+        for (&token, conn) in &self.net.conns {
+            let events = if conn.blocked {
+                POLLIN | POLLOUT
+            } else {
+                POLLIN
+            };
+            self.fds
+                .push(PollFd::new(conn.frames.get_ref().as_raw_fd(), events));
+            self.tokens.push(token);
+            deadline = earliest(deadline, conn.hello_by);
+        }
+        let now = Instant::now();
+        let mut timeout = self.timers.until_next(self.now());
+        if let Some(deadline) = deadline {
+            timeout = timeout.min(deadline.saturating_duration_since(now));
+        }
+        poll(&mut self.fds, timeout);
+
+        if self.fds[0].revents != 0 {
+            self.woken();
+        }
+        if fixed == 2 && self.fds[1].revents != 0 {
+            self.accept();
+        }
+        let tokens = std::mem::take(&mut self.tokens);
+        for (i, &token) in tokens.iter().enumerate() {
+            let revents = self.fds[fixed + i].revents;
+            if revents & POLLOUT != 0 {
+                if let Some(conn) = self.net.conns.get_mut(&token) {
+                    conn.blocked = false;
                 }
             }
-        };
-        stats
-            .mailbox_depth
-            .fetch_sub(input.weight(), Ordering::Relaxed);
-        match input {
-            Input::Messages { from, msgs } => {
-                for msg in msgs {
-                    p.handle(Event::Message { from, msg });
-                    p.run_local();
-                    burst += 1;
-                    if burst >= MAX_BURST {
-                        p.out.flush();
-                        burst = 0;
-                    }
-                }
+            // Readable, or at its end or failed: a read tells which.
+            if revents & !POLLOUT != 0 {
+                self.read(token);
             }
-            Input::Inbound { from, stream } => {
-                let buf = BytesMut::new();
-                p.out.inbound.insert(from, InboundOut { stream, buf });
-            }
-            Input::Shutdown => break,
+        }
+        self.tokens = tokens;
+
+        let now = Instant::now();
+        if deadline.is_some_and(|deadline| deadline <= now) {
+            self.net
+                .conns
+                .retain(|_, conn| conn.hello_by.is_none_or(|by| by > now));
         }
     }
-    p.out.flush();
-    // The readers of the inbound connections hold clones of these sockets:
-    // only an explicit shutdown ends them (and a dialing client's reader at
-    // the other end).
-    for conn in p.out.inbound.values() {
-        let _ = conn.stream.shutdown(Shutdown::Both);
+
+    /// Drains the wake-up socket and takes the sockets dial attempts
+    /// handed back.
+    fn woken(&mut self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake).read(&mut sink), Ok(n) if n > 0) {}
+        let now = Instant::now();
+        while let Ok((peer, socket)) = self.dialer.rx.try_recv() {
+            self.net.dialed(peer, socket, now);
+        }
     }
-    // On return `p` drops here, on the protocol thread: the driver (and with
-    // it the process and its storage handle), and the writers' senders,
-    // which ends the writer threads.
+
+    /// Accepts every pending connection; each waits for its hello.
+    fn accept(&mut self) {
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        loop {
+            match listener.accept() {
+                Ok((socket, _)) => {
+                    if socket.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = socket.set_nodelay(true);
+                    let hello_by = Instant::now() + HELLO_TIMEOUT;
+                    self.net.add(socket, None, Some(hello_by));
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // Nothing left to accept (or no descriptor to accept it
+                // with): the next wake-up tries again.
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Reads one connection once and handles every message it delivered.
+    fn read(&mut self, token: Token) {
+        let mut msgs = std::mem::take(&mut self.inbox);
+        match self.net.receive(token, &mut msgs) {
+            Ok(Some(from)) if !msgs.is_empty() => {
+                let depth = msgs.len() as u64;
+                let stats = &self.net.stats;
+                stats.max_mailbox_depth.fetch_max(depth, Ordering::Relaxed);
+                stats.mailbox_depth.store(depth, Ordering::Relaxed);
+                for msg in msgs.drain(..) {
+                    self.handle(Event::Message { from, msg });
+                    self.run_local();
+                    self.burst += 1;
+                    if self.burst >= MAX_BURST {
+                        self.net.flush();
+                        self.burst = 0;
+                    }
+                }
+                self.net.stats.mailbox_depth.store(0, Ordering::Relaxed);
+            }
+            Ok(_) => {}
+            Err(_) => {
+                msgs.clear();
+                self.net.close(token);
+            }
+        }
+        self.inbox = msgs;
+    }
 }
 
 /// Min-heap timer wheel on the monotonic clock.
 struct BinaryHeapWheel {
-    heap: std::collections::BinaryHeap<Reverse<(u64, u64, u64, u64)>>,
+    heap: BinaryHeap<Reverse<(u64, u64, u64, u64)>>,
     seq: u64,
 }
 
 impl BinaryHeapWheel {
     fn new() -> Self {
         BinaryHeapWheel {
-            heap: std::collections::BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             seq: 0,
         }
     }
@@ -653,153 +967,168 @@ impl BinaryHeapWheel {
     }
 
     /// How long the protocol thread may sleep before the next deadline.
-    fn until_next(&self, now: Time) -> std::time::Duration {
+    fn until_next(&self, now: Time) -> Duration {
         match self.heap.peek() {
-            Some(&Reverse((deadline, ..))) => {
-                std::time::Duration::from_micros(deadline.saturating_sub(now.0))
-            }
+            Some(&Reverse((deadline, ..))) => Duration::from_micros(deadline.saturating_sub(now.0)),
             // No timer armed: wake periodically anyway, purely defensively.
-            None => std::time::Duration::from_millis(100),
+            None => Duration::from_millis(100),
         }
     }
 }
 
-/// Accepts inbound connections; each gets a thread that reads the hello,
-/// registers the write half with the protocol thread and then reads frames
-/// until the connection dies.
-fn acceptor_loop(listener: TcpListener, mailbox: MailboxTx, stop: Arc<AtomicBool>) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            return;
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+impl PollFd {
+    fn new(fd: RawFd, events: c_short) -> PollFd {
+        PollFd {
+            fd,
+            events,
+            revents: 0,
         }
-        let Ok(stream) = conn else { continue };
-        let mailbox = mailbox.clone();
-        thread::spawn(move || {
-            let _ = stream.set_nodelay(true);
-            let mut reader = stream;
-            // Bound the hello wait so a connection that never identifies
-            // itself cannot hold this thread forever.
-            let _ = reader.set_read_timeout(Some(std::time::Duration::from_secs(5)));
-            let Ok(hello) = frame::read_frame(&mut reader) else {
-                return;
-            };
-            let Ok(from) = frame::decode_hello(&hello) else {
-                return;
-            };
-            let _ = reader.set_read_timeout(None);
-            if let Ok(write_half) = reader.try_clone() {
-                if mailbox
-                    .send(Input::Inbound {
-                        from,
-                        stream: write_half,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
+    }
+}
+
+/// `struct timespec`.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+
+extern "C" {
+    /// `ppoll(2)`; `nfds_t` is an `unsigned long` on Linux.
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
+}
+
+/// Waits until a socket of `fds` is ready or `timeout` passes, and leaves
+/// what happened in each entry's `revents`.
+fn poll(fds: &mut [PollFd], timeout: Duration) {
+    let timeout = Timespec {
+        tv_sec: timeout.as_secs().min(c_long::MAX as u64) as c_long,
+        tv_nsec: timeout.subsec_nanos() as c_long,
+    };
+    // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)` pollfd
+    // structs, passed with its exact length, so the kernel reads and writes
+    // (`revents` only) inside it; `timeout` is a valid timespec that
+    // outlives the call; a null signal mask leaves the mask unchanged.
+    let ready = unsafe {
+        ppoll(
+            fds.as_mut_ptr(),
+            fds.len() as c_ulong,
+            &timeout,
+            std::ptr::null(),
+        )
+    };
+    if ready < 0 {
+        let error = io::Error::last_os_error();
+        assert_eq!(error.kind(), io::ErrorKind::Interrupted, "ppoll: {error}");
+        // A signal cut the wait short: nothing is ready.
+        for fd in fds {
+            fd.revents = 0;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iss_messages::ClientMsg;
+    use iss_types::{ClientId, Request};
+    use std::net::Ipv4Addr;
+
+    #[test]
+    fn a_client_that_stops_reading_cannot_stall_a_replica() {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
+        // The client's end: connected, never read.
+        let _client_end = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let (socket, _) = listener.accept().expect("accept");
+        socket.set_nonblocking(true).expect("nonblocking");
+        let stats = Arc::new(NetStats::default());
+        let mut net = Net::new(Arc::clone(&stats));
+        let client = Addr::Client(ClientId(0));
+        let token = net.add(socket, Some(client), None);
+        let dest = Dest {
+            queue: Queue::default(),
+            conn: Some(token),
+            link: None,
+        };
+        net.dests.insert(client, dest);
+        let reply = NetMsg::Client(ClientMsg::Request(Request::new(
+            ClientId(0),
+            0,
+            vec![7; 4096],
+        )));
+        let dropped = || stats.client_dropped.load(Ordering::Relaxed);
+
+        // Until the socket is full, then the buffer, then a buffer's worth
+        // more: every frame past the bound must be dropped, none may wait.
+        let mut slowest = Duration::ZERO;
+        let mut sends = 0;
+        while dropped() < WRITER_QUEUE as u64 && sends < 1 << 16 {
+            let began = Instant::now();
+            net.send(client, &reply);
+            if sends % 64 == 0 {
+                net.flush();
             }
-            reader_loop(reader, from, mailbox);
-        });
-    }
-}
-
-/// Decodes one connection's frames into the mailbox, one entry per `read`:
-/// every frame the read completed, in wire order. Exits when the socket or
-/// the mailbox closes, or on the first malformed frame (a peer speaking
-/// garbage gets its connection dropped, not interpreted).
-fn reader_loop(stream: TcpStream, from: Addr, mailbox: MailboxTx) {
-    let mut frames = FrameReader::new(stream);
-    loop {
-        if frames.fill().is_err() {
-            return;
+            slowest = slowest.max(began.elapsed());
+            sends += 1;
+            let buffered = net.dests[&client].queue.frames();
+            assert!(buffered <= WRITER_QUEUE, "{buffered} frames buffered");
         }
-        let mut msgs = Vec::new();
-        loop {
-            match frames.next_frame() {
-                Ok(Some(payload)) => match frame::decode_frame(payload) {
-                    Ok(msg) => msgs.push(msg),
-                    Err(_) => return,
-                },
-                Ok(None) => break,
-                Err(_) => return,
-            }
-        }
-        if !msgs.is_empty() && mailbox.send(Input::Messages { from, msgs }).is_err() {
-            return;
-        }
+        assert!(
+            slowest < Duration::from_millis(100),
+            "a send took {slowest:?}"
+        );
+        assert_eq!(
+            dropped(),
+            WRITER_QUEUE as u64,
+            "{sends} sends, {} frames buffered",
+            net.dests[&client].queue.frames()
+        );
+        assert!(
+            net.conns[&token].blocked,
+            "the stalled socket waits for POLLOUT"
+        );
     }
-}
 
-/// Owns the outbound connection to one peer: dials lazily (with exponential
-/// backoff), writes each chunk with one `write`, and re-dials whenever a
-/// write fails — the chunk being written when the connection died is
-/// written again, whole, on the new connection; frames the protocol thread
-/// finds no room for in the queue are dropped there instead. With a
-/// `mailbox`, each connection also gets a reader for what the peer writes
-/// back.
-fn writer_loop(
-    peer: NodeId,
-    peers: PeerTable,
-    hello: Vec<u8>,
-    rx: Receiver<Chunk>,
-    mailbox: Option<MailboxTx>,
-    stop: Arc<AtomicBool>,
-    stats: Arc<PeerStats>,
-) {
-    let mut conn: Option<TcpStream> = None;
-    let mut backoff = 10u64;
-    'chunks: for chunk in rx.iter() {
-        stats.note_dequeued(chunk.frames);
-        while !stop.load(Ordering::SeqCst) {
-            let Some(stream) = &mut conn else {
-                conn = dial(peer, &peers, &hello, mailbox.as_ref());
-                if conn.is_some() {
-                    backoff = 10;
-                    stats.connects.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    thread::sleep(std::time::Duration::from_millis(backoff));
-                    backoff = (backoff * 2).min(MAX_BACKOFF_MS);
-                }
-                continue;
-            };
-            if stream.write_all(&chunk.bytes).is_ok() {
-                stats.frames_sent.fetch_add(chunk.frames, Ordering::Relaxed);
-                let payload = chunk.bytes.len() as u64 - frame::PREFIX as u64 * chunk.frames;
-                stats.bytes_sent.fetch_add(payload, Ordering::Relaxed);
-                continue 'chunks;
-            }
-            close(&mut conn);
+    #[test]
+    fn a_dead_connection_restarts_its_unfinished_frame_whole() {
+        let mut queue = Queue::default();
+        let msg = |k| {
+            NetMsg::Client(ClientMsg::Request(Request::new(
+                ClientId(0),
+                k,
+                vec![1; 10],
+            )))
+        };
+        for k in 0..3 {
+            queue.push(&msg(k), Addr::Client(ClientId(0)));
         }
-        break;
-    }
-    close(&mut conn);
-}
-
-/// One attempt at a connection to `peer`: its address re-read from the peer
-/// table, the hello sent, and, given a `mailbox`, a reader spawned for
-/// whatever the peer writes back.
-fn dial(
-    peer: NodeId,
-    peers: &PeerTable,
-    hello: &[u8],
-    mailbox: Option<&MailboxTx>,
-) -> Option<TcpStream> {
-    let target = peers.read().ok()?.get(&peer).copied()?;
-    let mut stream = TcpStream::connect(target).ok()?;
-    let _ = stream.set_nodelay(true);
-    frame::write_frame(&mut stream, hello).ok()?;
-    if let (Some(mailbox), Ok(read_half)) = (mailbox, stream.try_clone()) {
-        let mailbox = mailbox.clone();
-        thread::spawn(move || reader_loop(read_half, Addr::Node(peer), mailbox));
-    }
-    Some(stream)
-}
-
-/// Gives a dialed connection up. Dropping the handle alone would leave the
-/// socket open under the reader's clone, and both ends' readers blocked on
-/// it for good.
-fn close(conn: &mut Option<TcpStream>) {
-    if let Some(stream) = conn.take() {
-        let _ = stream.shutdown(Shutdown::Both);
+        let len = queue.lens[0];
+        // The socket took the first frame and part of the second.
+        queue.sent = len + 3;
+        assert_eq!(queue.retire(), (1, (len - frame::PREFIX) as u64));
+        assert_eq!((queue.frames(), queue.sent), (2, 3));
+        // A new connection starts at the second frame's first byte.
+        queue.sent = 0;
+        let mut wire = BytesMut::new();
+        for k in 1..3 {
+            frame::encode_frame(&msg(k), &mut wire).unwrap();
+        }
+        assert_eq!(queue.pending(), &wire[..]);
     }
 }

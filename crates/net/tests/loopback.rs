@@ -8,12 +8,12 @@
 //! runtime fails loudly instead of hanging the suite.
 //!
 //! The tests of this file take turns ([`serial`]): one asserts a round-trip
-//! time and one counts the process's threads, and neither can share the
+//! time and two count the process's threads, and none of them can share the
 //! machine or the process with a four-replica cluster under load.
 
 use iss_messages::{ClientMsg, NetMsg};
 use iss_net::frame;
-use iss_net::runtime::FLUSH_BYTES;
+use iss_net::runtime::{FLUSH_BYTES, HELLO_TIMEOUT};
 use iss_net::{
     peer_table, PeerTable, TcpCluster, TcpClusterConfig, TcpConfig, TcpHandle, TcpRuntime,
 };
@@ -193,8 +193,8 @@ fn every_destination_sees_fifo_order_across_bursts_and_threshold_flushes() {
     )
     .expect("spawn client");
 
-    // The client's copy crossed one inbound connection, the echo two writer
-    // threads and the echoing node's bursts in between.
+    // The client's copy crossed one inbound connection, the echo two dialed
+    // connections and the echoing node's bursts in between.
     let expected: Vec<u64> = (0..total).collect();
     for (who, seen) in [("the client", &at_client), ("the echoing peer", &echoed)] {
         let complete = wait_until(StdDuration::from_secs(30), || {
@@ -208,7 +208,7 @@ fn every_destination_sees_fifo_order_across_bursts_and_threshold_flushes() {
         );
         assert!(*seen == expected, "frames from {who} out of order");
     }
-    // The writer's counters count frames, whatever the chunking.
+    // The buffer's counters count frames, whatever the writes.
     let stats = burster.stats();
     let to_peer = &stats.peers[&NodeId(0)];
     let relaxed = std::sync::atomic::Ordering::Relaxed;
@@ -237,7 +237,7 @@ impl Process<NetMsg> for Echo {
 }
 
 /// A hello with tag 2 (once a pipeline-stage claim) names no address: the
-/// acceptor must hang up instead of registering the peer under an address
+/// runtime must hang up instead of registering the peer under an address
 /// no reply can be routed to.
 #[test]
 fn a_stage_hello_gets_its_connection_closed() {
@@ -260,6 +260,62 @@ fn a_stage_hello_gets_its_connection_closed() {
         "the connection with a tag-2 hello was still open after 2 s"
     );
     node.shutdown();
+}
+
+/// A dialer that never sends its hello holds nothing up: a real peer
+/// connects and exchanges messages meanwhile, and the silent socket is
+/// closed once the hello bound has passed.
+#[test]
+fn a_silent_connection_blocks_nothing() {
+    let _turn = serial();
+    let peers = peer_table();
+    let round_trips = Arc::new(Mutex::new(Vec::new()));
+    let echo = host_node(0, &[1], &peers, Echo);
+    let target = peers.read().unwrap()[&NodeId(0)];
+    let mut silent = TcpStream::connect(target).expect("connect");
+    let opened = Instant::now();
+
+    let rounds = 5;
+    let pinger = host_node(
+        1,
+        &[0],
+        &peers,
+        Pinger {
+            to: Addr::Node(NodeId(0)),
+            rounds,
+            sent_at: Instant::now(),
+            round_trips: Arc::clone(&round_trips),
+        },
+    );
+    assert!(
+        wait_until(StdDuration::from_secs(2), || {
+            round_trips.lock().unwrap().len() as u64 >= rounds
+        }),
+        "a silent connection held up a real peer: {} of {rounds} echoes",
+        round_trips.lock().unwrap().len()
+    );
+
+    let mut byte = [0u8; 1];
+    silent
+        .set_read_timeout(Some(StdDuration::from_millis(100)))
+        .expect("read timeout");
+    let early = silent.read(&mut byte);
+    assert!(
+        matches!(&early, Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+        "the silent connection ended before the hello bound: {early:?}"
+    );
+    silent
+        .set_read_timeout(Some(HELLO_TIMEOUT + StdDuration::from_secs(3)))
+        .expect("read timeout");
+    let end = silent.read(&mut byte);
+    assert!(
+        matches!(end, Ok(0)),
+        "the silent connection read {end:?} after {:?}",
+        opened.elapsed()
+    );
+    assert!(opened.elapsed() >= HELLO_TIMEOUT, "closed before the bound");
+    pinger.shutdown();
+    echo.shutdown();
 }
 
 /// Sends one message, waits for its echo, sends the next; arms no timer.
@@ -364,9 +420,8 @@ fn shut_down_clusters_leave_no_threads_behind() {
     for _ in 0..3 {
         cycle();
     }
-    // Readers end on the shutdown of their sockets and writers on the close
-    // of their channels, a moment after `shutdown` returns. One running
-    // cluster is about 50 threads; a few of slack covers the test harness.
+    // A dial helper still running at shutdown ends a moment after
+    // `shutdown` returns; a few of slack covers the test harness.
     let mut after = 0;
     let settled = wait_until(StdDuration::from_secs(10), || {
         after = live_threads();
@@ -376,6 +431,41 @@ fn shut_down_clusters_leave_no_threads_behind() {
         settled,
         "{before} threads before three clusters, {after} after"
     );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_running_cluster_has_one_thread_per_runtime() {
+    let _turn = serial();
+    let before = live_threads();
+    let mut cfg = TcpClusterConfig::new(4);
+    cfg.num_clients = 2;
+    cfg.total_rate = 400.0;
+    cfg.run_for = Duration::from_secs(30);
+    let cluster = TcpCluster::launch(cfg).expect("cluster boots");
+    let commits = cluster.commits();
+    let nodes = cluster.node_ids();
+    let delivered = |at_least| {
+        let log = commits.lock().unwrap();
+        nodes.iter().all(|n| log.delivered_at(*n) >= at_least)
+    };
+    assert!(
+        wait_until(StdDuration::from_secs(30), || delivered(100)),
+        "cluster must come up and deliver"
+    );
+    // Six runtimes, one thread each, and room for two dial helpers.
+    let allowed = before + 6 + 2;
+    let mut peak = 0;
+    for _ in 0..20 {
+        peak = peak.max(live_threads());
+        std::thread::sleep(StdDuration::from_millis(50));
+    }
+    assert!(delivered(200), "the cluster stopped delivering");
+    assert!(
+        peak <= allowed,
+        "{peak} threads while delivering, {before} before launch"
+    );
+    cluster.shutdown();
 }
 
 #[test]
@@ -478,9 +568,9 @@ fn killed_node_recovers_from_its_wal_on_restart() {
         }),
         "the restarted node must deliver new requests"
     );
-    // Every survivor's writer to the victim had a write fail and wrote that
-    // chunk again on the new connection: duplicate frames must die in the
-    // protocol, not in the log.
+    // Every survivor's connection to the victim died and was dialed again,
+    // with frames lost or restarted at the seam: the protocol must absorb
+    // both, and the log must not see duplicates.
     commits
         .lock()
         .unwrap()

@@ -19,8 +19,9 @@ const TIMER_PROGRESS: u64 = 1 << 32;
 /// (a peer's vote always travels leader→peer→us, strictly longer than
 /// leader→us), but real transports deliver each peer connection
 /// independently: during connection ramp-up a peer's vote routinely overtakes
-/// the leader's pre-prepare. PBFT never retransmits votes, so dropping them
-/// here would wedge the slot short of quorum forever.
+/// the leader's pre-prepare, and after a view change a peer's vote of the new
+/// view can overtake the NEW-VIEW itself. PBFT never retransmits votes, so
+/// dropping them here would wedge the slot short of quorum forever.
 #[derive(Clone, Copy)]
 struct EarlyVote {
     from: NodeId,
@@ -153,6 +154,18 @@ impl PbftInstance {
         }
     }
 
+    /// Buffers a vote of a later view than this node's when that view is
+    /// one this node has asked to move to: the NEW-VIEW that starts it and
+    /// the votes it triggers at other nodes travel different connections.
+    fn buffer_next_view_vote(&mut self, sn: SeqNr, vote: EarlyVote) {
+        let awaited = self
+            .changing_to
+            .is_some_and(|to| self.view < vote.view && vote.view <= to);
+        if awaited && self.slots.contains_key(&sn) {
+            self.buffer_early_vote(sn, vote);
+        }
+    }
+
     /// Replays the buffered votes for `sn` now that its pre-prepare fixed a
     /// digest; `record_prepare`/`record_commit` re-check view and digest, so
     /// stale or conflicting buffered votes fall out here.
@@ -177,21 +190,20 @@ impl PbftInstance {
         from: NodeId,
         ctx: &mut SbContext<'_>,
     ) {
+        let vote = EarlyVote {
+            from,
+            view,
+            digest,
+            commit: false,
+        };
         if view != self.view {
+            self.buffer_next_view_vote(sn, vote);
             return;
         }
         match self.slots.get(&sn).map(Slot::digest) {
             None => return, // not in this segment
             Some(None) => {
-                self.buffer_early_vote(
-                    sn,
-                    EarlyVote {
-                        from,
-                        view,
-                        digest,
-                        commit: false,
-                    },
-                );
+                self.buffer_early_vote(sn, vote);
                 return;
             }
             Some(Some(d)) if d != digest => return,
@@ -222,21 +234,20 @@ impl PbftInstance {
         from: NodeId,
         ctx: &mut SbContext<'_>,
     ) {
+        let vote = EarlyVote {
+            from,
+            view,
+            digest,
+            commit: true,
+        };
         if view != self.view {
+            self.buffer_next_view_vote(sn, vote);
             return;
         }
         match self.slots.get(&sn).map(Slot::digest) {
             None => return, // not in this segment
             Some(None) => {
-                self.buffer_early_vote(
-                    sn,
-                    EarlyVote {
-                        from,
-                        view,
-                        digest,
-                        commit: true,
-                    },
-                );
+                self.buffer_early_vote(sn, vote);
                 return;
             }
             Some(Some(d)) if d != digest => return,
@@ -476,9 +487,13 @@ impl PbftInstance {
         for (_, slot) in self.slots.iter_mut() {
             slot.reset_for_view();
         }
-        // Buffered votes are from older views; they would be filtered on
-        // replay anyway, so free them eagerly.
-        self.early_votes.clear();
+        // Votes of older views would be filtered on replay anyway, so free
+        // them eagerly; votes of this view that overtook the NEW-VIEW wait
+        // for its pre-prepares.
+        self.early_votes.retain(|_, votes| {
+            votes.retain(|v| v.view >= view);
+            !votes.is_empty()
+        });
         self.arm_progress_timer(ctx);
     }
 }
@@ -925,6 +940,44 @@ mod tests {
         );
         net.run_messages();
         assert!(net.log_of(3).get(&0).is_none());
+    }
+
+    #[test]
+    fn a_vote_that_overtakes_its_new_view_still_counts() {
+        let mut net = net(4, 0, vec![0], 100);
+        net.init_all();
+        net.crash(0);
+        // Node 2 hears nothing from node 1, the primary of view 1, while the
+        // view change runs: node 3's votes of view 1 reach it first.
+        net.drop_links.insert((NodeId(1), NodeId(2)));
+        net.run(3);
+        assert!(net.log_of(2).get(&0).is_none());
+        net.drop_links.clear();
+        let re_proposals = vec![(0, NIL_DIGEST)];
+        for msg in [
+            PbftMsg::NewView {
+                view: 1,
+                re_proposals,
+                certificate: vec![bytes::Bytes::new(); 3],
+            },
+            PbftMsg::PrePrepare {
+                view: 1,
+                seq_nr: 0,
+                batch: None,
+                digest: NIL_DIGEST,
+            },
+        ] {
+            net.inject_message(NodeId(1), NodeId(2), SbMsg::Pbft(msg));
+        }
+        net.run_messages();
+        for node in 1..4 {
+            assert_eq!(
+                net.log_of(node).get(&0),
+                Some(&None),
+                "node {node} did not commit the re-proposal"
+            );
+        }
+        net.assert_agreement();
     }
 
     #[test]

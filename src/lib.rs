@@ -102,8 +102,8 @@
 //! ```
 //!
 //! boots 4 ISS-PBFT replicas on 127.0.0.1 — length-prefixed frames over
-//! `std::net::TcpStream`, one reader thread per peer funneling into a
-//! single protocol thread per node, and a file write-ahead log each (one
+//! `std::net::TcpStream`, one thread per node that polls all of its
+//! sockets and runs the protocol, and a file write-ahead log each (one
 //! `write_all` per record, never synced: it survives the process, not the
 //! machine — see ROADMAP.md, storage item) — then loads them with open-loop clients on the wall clock and
 //! checks every delivery online for agreement and no duplication, with the
