@@ -14,7 +14,12 @@
 //!   of 500 bytes and the wall time of one quick-scale Figure 8 run, so
 //!   rows from different days can be normalised;
 //! * per workload, the first quartile, median and third quartile of each
-//!   end-to-end metric, with the values of every run.
+//!   end-to-end metric, with the values of every run;
+//! * per workload, the headline per-layer metrics ([`PER_LAYER`]) of one
+//!   more run with `--trace 1` and the first seed (`null` for a metric
+//!   missing from its result line; the benchmark reports 0 for a metric
+//!   the workload has no layer for, such as `sim_paper_scale`'s protocol
+//!   thread).
 //!
 //! A run that exits non-zero or reports `"correct": false` or a failed
 //! request aborts the recording; no row is written.
@@ -30,6 +35,17 @@ const TRAJECTORY: &str = "BENCH_trajectory.json";
 
 /// The end-to-end metrics every row summarises.
 const METRICS: [&str; 3] = ["setup_s", "throughput_rps", "cpu_us_per_req"];
+
+/// The per-layer metrics every row carries: where a request's CPU goes in
+/// the core and on the protocol thread, what a checkpoint's prune costs,
+/// the peak memory, and the tail latency a batching change spends.
+const PER_LAYER: [&str; 5] = [
+    "core.busy_us_per_req",
+    "net.proto_thread_cpu_us_per_req",
+    "storage.prune_ms_mean",
+    "proc.peak_rss_mb",
+    "client.latency_p99_ms",
+];
 
 const USAGE: &str = "usage: iss-bench record <workload>... [--runs N] [--seed S]";
 
@@ -60,6 +76,38 @@ fn record(args: &[&str]) -> Result<(), String> {
         .ok_or("BENCHMARK.json has no run_seconds")?;
     let (program, fixed) = command.split_first().ok_or("empty command")?;
 
+    let bench = |workload: &str, seed: u64, trace: bool| -> Result<Json, String> {
+        let output = Command::new(program)
+            .args(fixed)
+            .args(["--workload", workload, "--seed", &seed.to_string()])
+            .args(["--seconds", &seconds.to_string()])
+            .args(["--trace", if trace { "1" } else { "0" }])
+            .stderr(Stdio::inherit())
+            .output()
+            .map_err(|e| format!("cannot run {program}: {e}"))?;
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let last = stdout.lines().rev().find(|l| !l.trim().is_empty());
+        let result = Json::parse(last.unwrap_or_default())?;
+        let correct = result.get("correct") == Some(&Json::Bool(true));
+        let failed = result.get("failed").and_then(Json::as_f64);
+        if !output.status.success() || !correct || failed != Some(0.0) {
+            return Err(format!(
+                "{workload} seed {seed}: {} (correct {correct}, failed {failed:?})",
+                output.status
+            ));
+        }
+        result
+            .get("metrics")
+            .cloned()
+            .ok_or_else(|| format!("{workload}: no metrics in {result}"))
+    };
+    let value = |metrics: &Json, metric: &str| {
+        metrics
+            .get(metric)
+            .and_then(|m| m.get("value"))
+            .and_then(Json::as_f64)
+    };
+
     let mut results = Vec::new();
     for workload in &workloads {
         let mut values: Vec<Vec<f64>> = vec![Vec::new(); METRICS.len()];
@@ -69,39 +117,28 @@ fn record(args: &[&str]) -> Result<(), String> {
                 "iss-bench record: {workload} seed {seed} ({}/{runs})",
                 k + 1
             );
-            let output = Command::new(program)
-                .args(fixed)
-                .args(["--workload", workload, "--seed", &seed.to_string()])
-                .args(["--seconds", &seconds.to_string()])
-                .stderr(Stdio::inherit())
-                .output()
-                .map_err(|e| format!("cannot run {program}: {e}"))?;
-            let stdout = String::from_utf8_lossy(&output.stdout);
-            let last = stdout.lines().rev().find(|l| !l.trim().is_empty());
-            let result = Json::parse(last.unwrap_or_default())?;
-            let correct = result.get("correct") == Some(&Json::Bool(true));
-            let failed = result.get("failed").and_then(Json::as_f64);
-            if !output.status.success() || !correct || failed != Some(0.0) {
-                return Err(format!(
-                    "{workload} seed {seed}: {} (correct {correct}, failed {failed:?})",
-                    output.status
-                ));
-            }
+            let metrics = bench(workload, seed, false)?;
             for (metric, values) in METRICS.iter().zip(&mut values) {
-                let value = result
-                    .get("metrics")
-                    .and_then(|m| m.get(metric))
-                    .and_then(|m| m.get("value"))
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("{workload}: no {metric} in {result}"))?;
+                let value = value(&metrics, metric)
+                    .ok_or_else(|| format!("{workload}: no {metric} in {metrics}"))?;
                 values.push(value);
             }
         }
-        let summary = METRICS
+        let mut summary: Vec<(String, Json)> = METRICS
             .iter()
             .zip(values)
             .map(|(metric, values)| (metric.to_string(), summarise(values)))
             .collect();
+        eprintln!("iss-bench record: {workload} seed {seed} traced");
+        let traced = bench(workload, seed, true)?;
+        let per_layer = PER_LAYER
+            .iter()
+            .map(|&metric| {
+                let value = value(&traced, metric).map_or(Json::Null, Json::Num);
+                (metric.to_string(), value)
+            })
+            .collect();
+        summary.push(("per_layer".into(), Json::Obj(per_layer)));
         results.push((workload.to_string(), Json::Obj(summary)));
     }
 

@@ -8,7 +8,10 @@
 
 use iss_crypto::{request_digest, KeyPair};
 use iss_messages::ClientMsg;
-use iss_types::{BucketId, ClientId, EpochNr, NodeId, ReqTimestamp, Request, RequestId, SeqNr};
+use iss_types::{
+    BitWindow, BucketId, ClientId, EpochNr, FxHashMap, NodeId, ReqTimestamp, Request, RequestId,
+    SeqNr,
+};
 use std::collections::{HashMap, HashSet};
 
 /// Builds signed (or unsigned) requests for one client with increasing
@@ -130,12 +133,19 @@ impl LeaderTable {
 /// sent *matching* responses, i.e. the same sequence number (Section 6.1:
 /// "the latency from the moment a client submits a request until the client
 /// receives f + 1 responses").
+///
+/// A client's timestamps count up from zero, so its completed requests are
+/// a [`BitWindow`] over timestamps: memory follows the timestamps between
+/// the oldest incomplete request and the newest completed one, not the
+/// requests completed so far.
 #[derive(Default)]
 pub struct ResponseTracker {
     quorum: usize,
     /// Per pending request, the distinct `(responder, seq_nr)` pairs so far.
-    responses: HashMap<RequestId, Vec<(NodeId, SeqNr)>>,
-    completed: HashMap<RequestId, SeqNr>,
+    responses: FxHashMap<RequestId, Vec<(NodeId, SeqNr)>>,
+    /// Per client, the timestamps of its completed requests.
+    completed: FxHashMap<ClientId, BitWindow>,
+    completed_count: usize,
 }
 
 impl ResponseTracker {
@@ -155,7 +165,7 @@ impl ResponseTracker {
         request: RequestId,
         seq_nr: SeqNr,
     ) -> Option<SeqNr> {
-        if self.completed.contains_key(&request) {
+        if self.is_complete(&request) {
             return None;
         }
         let received = self.responses.entry(request).or_default();
@@ -164,7 +174,10 @@ impl ResponseTracker {
         }
         if received.iter().filter(|(_, s)| *s == seq_nr).count() >= self.quorum {
             self.responses.remove(&request);
-            self.completed.insert(request, seq_nr);
+            let window = self.completed.entry(request.client).or_default();
+            window.insert(request.timestamp);
+            window.advance();
+            self.completed_count += 1;
             Some(seq_nr)
         } else {
             None
@@ -173,12 +186,14 @@ impl ResponseTracker {
 
     /// Whether the request has completed.
     pub fn is_complete(&self, request: &RequestId) -> bool {
-        self.completed.contains_key(request)
+        self.completed
+            .get(&request.client)
+            .is_some_and(|window| window.contains(request.timestamp))
     }
 
     /// Number of completed requests.
     pub fn completed_count(&self) -> usize {
-        self.completed.len()
+        self.completed_count
     }
 }
 
@@ -294,5 +309,32 @@ mod tests {
             "the second matching response completes at the agreed seq_nr"
         );
         assert_eq!(t.on_response(NodeId(3), req, 9), None, "already completed");
+    }
+
+    #[test]
+    fn response_tracker_forgets_a_run_of_completions() {
+        let mut t = ResponseTracker::new(2);
+        let client = ClientId(1);
+        let total = 1_000_000;
+        for k in 0..total {
+            let req = RequestId::new(client, k);
+            assert_eq!(t.on_response(NodeId(0), req, k), None);
+            assert_eq!(t.on_response(NodeId(1), req, k), Some(k));
+        }
+        assert_eq!(t.completed_count(), total as usize);
+        assert!(t.responses.is_empty());
+        let words = t.completed[&client].word_count();
+        assert!(
+            words <= 1,
+            "{words} words after {total} in-order completions"
+        );
+        let late = RequestId::new(client, 17);
+        assert_eq!(
+            t.on_response(NodeId(2), late, 17),
+            None,
+            "a late duplicate of a long-completed request"
+        );
+        assert!(t.is_complete(&late));
+        assert!(t.responses.is_empty(), "nothing kept for the duplicate");
     }
 }

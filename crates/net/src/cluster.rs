@@ -301,7 +301,7 @@ impl TcpCluster {
     ///
     /// Before merging, each live node's transport statistics are stamped
     /// into its telemetry as gauges (`net.mailbox_depth`,
-    /// `net.writer_depth[peer]`, `net.writer_drops[peer]`,
+    /// `net.wakeups[node]`, `net.writer_depth[peer]`, `net.writer_drops[peer]`,
     /// `net.reconnects[peer]`, `net.frames_sent[peer]`,
     /// `net.bytes_sent[peer]`), so the snapshot carries the satellite view
     /// of the wire next to the protocol's latency histograms. Killed nodes
@@ -329,6 +329,11 @@ impl TcpCluster {
                 stats
                     .mailbox_depth
                     .load(std::sync::atomic::Ordering::Relaxed),
+            );
+            tel.gauge_set_for(
+                "net.wakeups",
+                i as u32,
+                stats.wakeups.load(std::sync::atomic::Ordering::Relaxed),
             );
             let mut peers: Vec<_> = stats.peers.iter().collect();
             peers.sort_by_key(|(peer, _)| **peer);

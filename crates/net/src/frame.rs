@@ -147,6 +147,12 @@ impl<R: Read> FrameReader<R> {
         Ok(())
     }
 
+    /// Whether the last [`FrameReader::fill`] took all the room the buffer
+    /// had: the stream may hold more bytes right now.
+    pub fn is_full(&self) -> bool {
+        self.end == self.buf.len()
+    }
+
     /// The next complete frame's payload already received, `None` when the
     /// buffer holds only part of one (call [`FrameReader::fill`]), or an
     /// error for a length prefix over [`MAX_FRAME`].
@@ -189,14 +195,16 @@ pub fn encode_frame(msg: &NetMsg, buf: &mut BytesMut) -> io::Result<()> {
     Ok(())
 }
 
-/// Decodes a frame payload into a message.
+/// Decodes a frame payload into a message. Turning the vector into
+/// refcounted storage copies it once; request payloads inside the message
+/// are slices of that copy.
 pub fn decode_msg(payload: Vec<u8>) -> io::Result<NetMsg> {
     decode_bytes(Bytes::from(payload))
 }
 
-/// Decodes a frame payload borrowed from a read buffer. The one copy into
-/// refcounted storage is the same one [`decode_msg`] makes: request payloads
-/// inside the message are slices of it.
+/// Decodes a frame payload borrowed from a read buffer. It is copied once,
+/// into refcounted storage, as [`decode_msg`] copies its vector: request
+/// payloads inside the message are slices of that copy.
 pub fn decode_frame(payload: &[u8]) -> io::Result<NetMsg> {
     decode_bytes(Bytes::copy_from_slice(payload))
 }

@@ -13,7 +13,9 @@
 //!   thread: it executes handler callbacks serially against a
 //!   [`iss_runtime::SansIo`] driver (so the process still sees a
 //!   deterministic, single-threaded world), waits in `ppoll(2)` on every
-//!   socket at once, handles every frame a read completed, writes each
+//!   socket at once (a replica's client connections only once a 5 ms
+//!   intake period has passed since it last read one), handles every frame
+//!   a read completed, writes each
 //!   destination's frames with one nonblocking `write` per burst, and
 //!   redials a lost peer with backoff (each connect on a short-lived helper
 //!   thread, since `std` cannot connect without blocking);

@@ -11,8 +11,8 @@
 //! sees under the simulator. Between callbacks it waits in `ppoll(2)` on
 //! everything at once — the listener (replicas only), every connection and
 //! one end of a `UnixStream` pair that other threads write to wake it —
-//! until the earliest deadline: the next timer, a dial retry or a hello
-//! bound.
+//! until the earliest deadline: the next timer, a dial retry, a hello
+//! bound or the end of an intake period (see *Receiving* below).
 //!
 //! * **Accepting.** A replica accepts inline. A new connection's first frame
 //!   is its hello, naming the dialer; a connection that has not sent one
@@ -39,6 +39,21 @@
 //!   order, exactly as if they had arrived separately (self-sends and due
 //!   timers still run between any two of them). Bytes a read leaves in the
 //!   socket make the next `ppoll` return at once.
+//!
+//!   Client connections — on a replica, the only runtime that has them —
+//!   are read in batches. For [`INTAKE`] after the thread last read one,
+//!   they stay in the wait set only for writability and hang-ups: their
+//!   bytes are read whenever the thread wakes for anything else, through
+//!   one `ppoll` over them that waits for nothing, and at the latest when
+//!   the period ends. After a quiet period they rejoin the wait set, so a
+//!   lone request is read at once. At every wake-up the client connections
+//!   are read first, and every request they delivered is handled before a
+//!   peer connection is read or a due timer runs (only self-sends run in
+//!   between); a read that filled the buffer is followed by another. A
+//!   batch cut at a wake-up therefore takes every request that had
+//!   arrived, and under client load a replica wakes about once per period
+//!   instead of once per client write ([`NetStats::wakeups`] counts the
+//!   wake-ups).
 //! * **Sending.** Every `Action::Send` is encoded straight into a buffer of
 //!   whole frames kept per destination. The thread works in *bursts* —
 //!   everything one wake-up brings — and a destination's buffer is written,
@@ -151,6 +166,18 @@ const MIN_BACKOFF_MS: u64 = 10;
 /// The longest wait between two dial attempts.
 const MAX_BACKOFF_MS: u64 = 500;
 
+/// A replica that has just read a client connection stops waiting on client
+/// connections for this long: their bytes are picked up whenever the thread
+/// wakes for anything else, and at the latest when the period ends. A
+/// request is of no use to its leader before the next batch cut (every
+/// 125 ms in Table 1), so the few milliseconds cost little latency, while
+/// a replica under client load wakes once per period instead of once per
+/// client write. The period is bounded instead of lasting until the next
+/// timer: a loopback socket's receive window starts near 64 KiB, less than
+/// a load generator writes between two batch cuts, so a longer wait leaves
+/// the tail of its requests in the sender's buffers until after the cut.
+pub const INTAKE: Duration = Duration::from_millis(5);
+
 /// Live statistics of one dialed peer's frame buffer, written by the
 /// protocol thread and sampled by any harness. All plain counters — no
 /// ordering requirements beyond each counter being individually consistent,
@@ -206,6 +233,8 @@ pub struct NetStats {
     pub max_mailbox_depth: AtomicU64,
     /// Frames to clients dropped because the client's buffer was full.
     pub client_dropped: AtomicU64,
+    /// Returns from the blocking wait: how often the protocol thread woke.
+    pub wakeups: AtomicU64,
     /// Frame buffer statistics per dialed peer.
     pub peers: HashMap<NodeId, Arc<PeerStats>>,
 }
@@ -318,6 +347,7 @@ impl TcpRuntime {
                         inbox: Vec::new(),
                         fds: Vec::new(),
                         tokens: Vec::new(),
+                        intake_until: None,
                     };
                     p.run(&stop);
                 }
@@ -345,6 +375,13 @@ struct Conn {
     /// The socket took less than it was offered: nothing more is written
     /// until `ppoll` reports it writable.
     blocked: bool,
+}
+
+impl Conn {
+    /// Whether the hello named a client: only a replica accepts those.
+    fn is_client(&self) -> bool {
+        matches!(self.from, Some(Addr::Client(_)))
+    }
 }
 
 /// Whole frames for one destination that no connection has taken whole, in
@@ -572,19 +609,25 @@ impl Net {
     }
 
     /// Reads `token`'s socket once and decodes every frame the read
-    /// completed into `msgs`; returns who sent them. An accepted
+    /// completed into `msgs`; returns who sent them, and whether the read
+    /// filled the connection's buffer (so more bytes may wait). An accepted
     /// connection's first frame is its hello: it names the sender, and a
     /// client's replies leave over the connection it names. `Err` for a
     /// connection that ended or spoke garbage (which gets dropped, not
     /// interpreted).
-    fn receive(&mut self, token: Token, msgs: &mut Vec<NetMsg>) -> io::Result<Option<Addr>> {
+    fn receive(
+        &mut self,
+        token: Token,
+        msgs: &mut Vec<NetMsg>,
+    ) -> io::Result<(Option<Addr>, bool)> {
         let Some(conn) = self.conns.get_mut(&token) else {
-            return Ok(None);
+            return Ok((None, false));
         };
         match conn.frames.fill() {
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(conn.from),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok((conn.from, false)),
             read => read?,
         }
+        let full = conn.frames.is_full();
         while let Some(payload) = conn.frames.next_frame()? {
             if conn.from.is_some() {
                 msgs.push(frame::decode_frame(payload)?);
@@ -602,7 +645,7 @@ impl Net {
                 self.dests.insert(from, dest);
             }
         }
-        Ok(conn.from)
+        Ok((conn.from, full))
     }
 
     /// Gives a connection up. A dialed peer keeps its frames for the next
@@ -751,9 +794,13 @@ struct Protocol {
     /// The messages of one read, waiting to be handled.
     inbox: Vec<NetMsg>,
     /// The poll set of the current wait: the wake-up socket, the listener
-    /// if any, then the connection of each entry of `tokens`.
+    /// if any, then the connection of each entry of `tokens`, clients
+    /// first.
     fds: Vec<PollFd>,
     tokens: Vec<Token>,
+    /// Until then, client connections are not waited on for reading (see
+    /// [`INTAKE`]); `None` on a client runtime, which has none.
+    intake_until: Option<Instant>,
 }
 
 impl Protocol {
@@ -777,14 +824,19 @@ impl Protocol {
         }
     }
 
+    /// Self-sends, and the self-sends they cause, until none is left.
+    fn run_self_sends(&mut self) {
+        while let Some(msg) = self.selfq.pop_front() {
+            let from = self.addr;
+            self.handle(Event::Message { from, msg });
+        }
+    }
+
     /// Self-sends first, then due timers, until neither is left: what runs
     /// ahead of the next network message.
     fn run_local(&mut self) {
         loop {
-            while let Some(msg) = self.selfq.pop_front() {
-                let from = self.addr;
-                self.handle(Event::Message { from, msg });
-            }
+            self.run_self_sends();
             while let Some((id, kind)) = self.timers.pop_due(self.now()) {
                 self.handle(Event::Timer { id, kind });
             }
@@ -814,7 +866,8 @@ impl Protocol {
     }
 
     /// Waits for a socket, the wake-up pair or the earliest deadline, and
-    /// handles what the wake-up brought.
+    /// handles what the wake-up brought: client connections first, then the
+    /// others.
     fn wait(&mut self, dial_retry: Option<Instant>) {
         self.fds.clear();
         self.tokens.clear();
@@ -823,24 +876,45 @@ impl Protocol {
             self.fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
         }
         let fixed = self.fds.len();
-        let mut deadline = dial_retry;
-        for (&token, conn) in &self.net.conns {
-            let events = if conn.blocked {
-                POLLIN | POLLOUT
-            } else {
-                POLLIN
-            };
-            self.fds
-                .push(PollFd::new(conn.frames.get_ref().as_raw_fd(), events));
-            self.tokens.push(token);
-            deadline = earliest(deadline, conn.hello_by);
-        }
         let now = Instant::now();
+        let intake_until = self.intake_until.filter(|&until| until > now);
+        let mut deadline = dial_retry;
+        let mut clients = 0;
+        for client_pass in [true, false] {
+            for (&token, conn) in &self.net.conns {
+                if conn.is_client() != client_pass {
+                    continue;
+                }
+                let mut events = if conn.blocked { POLLOUT } else { 0 };
+                // Inside the intake period a client connection stays in the
+                // set only for writability and hang-ups.
+                if !(client_pass && intake_until.is_some()) {
+                    events |= POLLIN;
+                }
+                self.fds
+                    .push(PollFd::new(conn.frames.get_ref().as_raw_fd(), events));
+                self.tokens.push(token);
+                deadline = earliest(deadline, conn.hello_by);
+            }
+            if client_pass {
+                clients = self.tokens.len();
+            }
+        }
         let mut timeout = self.timers.until_next(self.now());
-        if let Some(deadline) = deadline {
-            timeout = timeout.min(deadline.saturating_duration_since(now));
+        if let Some(until) = earliest(deadline, intake_until) {
+            timeout = timeout.min(until.saturating_duration_since(now));
         }
         poll(&mut self.fds, timeout);
+        self.net.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+        let intake = fixed..fixed + clients;
+        if intake_until.is_some() && !intake.is_empty() {
+            // What every client sent meanwhile, in one look that waits for
+            // nothing.
+            for fd in &mut self.fds[intake.clone()] {
+                fd.events |= POLLIN;
+            }
+            poll(&mut self.fds[intake], Duration::ZERO);
+        }
 
         if self.fds[0].revents != 0 {
             self.woken();
@@ -850,15 +924,25 @@ impl Protocol {
         }
         let tokens = std::mem::take(&mut self.tokens);
         for (i, &token) in tokens.iter().enumerate() {
-            let revents = self.fds[fixed + i].revents;
-            if revents & POLLOUT != 0 {
+            if self.fds[fixed + i].revents & POLLOUT != 0 {
                 if let Some(conn) = self.net.conns.get_mut(&token) {
                     conn.blocked = false;
                 }
             }
-            // Readable, or at its end or failed: a read tells which.
-            if revents & !POLLOUT != 0 {
-                self.read(token);
+        }
+        // Readable, or at its end or failed: a read tells which. Every client
+        // request that has arrived is handled before a due timer runs, so a
+        // batch cut at this wake-up takes all of them; a read that filled the
+        // buffer is followed by another.
+        for (i, &token) in tokens.iter().enumerate() {
+            if self.fds[fixed + i].revents & !POLLOUT == 0 {
+                continue;
+            }
+            if i < clients {
+                self.intake_until = Some(Instant::now() + INTAKE);
+                while self.read(token, false) {}
+            } else {
+                self.read(token, true);
             }
         }
         self.tokens = tokens;
@@ -905,18 +989,26 @@ impl Protocol {
         }
     }
 
-    /// Reads one connection once and handles every message it delivered.
-    fn read(&mut self, token: Token) {
+    /// Reads one connection once and handles every message it delivered,
+    /// with due timers in between only if `timers`; returns whether the
+    /// read filled the connection's buffer.
+    fn read(&mut self, token: Token, timers: bool) -> bool {
         let mut msgs = std::mem::take(&mut self.inbox);
-        match self.net.receive(token, &mut msgs) {
-            Ok(Some(from)) if !msgs.is_empty() => {
+        let read = self.net.receive(token, &mut msgs);
+        let full = matches!(read, Ok((_, true)));
+        match read {
+            Ok((Some(from), _)) if !msgs.is_empty() => {
                 let depth = msgs.len() as u64;
                 let stats = &self.net.stats;
                 stats.max_mailbox_depth.fetch_max(depth, Ordering::Relaxed);
                 stats.mailbox_depth.store(depth, Ordering::Relaxed);
                 for msg in msgs.drain(..) {
                     self.handle(Event::Message { from, msg });
-                    self.run_local();
+                    if timers {
+                        self.run_local();
+                    } else {
+                        self.run_self_sends();
+                    }
                     self.burst += 1;
                     if self.burst >= MAX_BURST {
                         self.net.flush();
@@ -932,6 +1024,7 @@ impl Protocol {
             }
         }
         self.inbox = msgs;
+        full
     }
 }
 

@@ -13,7 +13,7 @@
 
 use iss_messages::{ClientMsg, NetMsg};
 use iss_net::frame;
-use iss_net::runtime::{FLUSH_BYTES, HELLO_TIMEOUT};
+use iss_net::runtime::{FLUSH_BYTES, HELLO_TIMEOUT, INTAKE};
 use iss_net::{
     peer_table, PeerTable, TcpCluster, TcpClusterConfig, TcpConfig, TcpHandle, TcpRuntime,
 };
@@ -385,6 +385,163 @@ fn a_lone_message_on_an_idle_runtime_waits_for_no_timer() {
     );
     pinger.shutdown();
     echo.shutdown();
+}
+
+/// When each numbered message arrived, in arrival order.
+type Arrivals = Arc<Mutex<Vec<(u64, Instant)>>>;
+
+/// A replica that notes when each request arrives and answers nothing.
+struct Intake {
+    arrived: Arrivals,
+}
+
+impl Process<NetMsg> for Intake {
+    fn on_start(&mut self, _ctx: &mut Context<'_, NetMsg>) {}
+
+    fn on_message(&mut self, _from: Addr, msg: NetMsg, _ctx: &mut Context<'_, NetMsg>) {
+        let now = Instant::now();
+        self.arrived.lock().unwrap().push((number_of(&msg), now));
+    }
+
+    fn on_timer(&mut self, _: TimerId, _: u64, _: &mut Context<'_, NetMsg>) {}
+}
+
+/// A client that sends request `k` to node 0 once `k` ms have passed, for
+/// [`Trickle::STREAM`] requests, and then [`Trickle::LONE`] more, each after
+/// [`Trickle::QUIET_MS`] without a request. Notes when each one left.
+struct Trickle {
+    start: Instant,
+    next: u64,
+    sent: Arc<Mutex<Vec<Instant>>>,
+}
+
+impl Trickle {
+    const STREAM: u64 = 1000;
+    const LONE: u64 = 20;
+    /// Milliseconds of quiet before each lone request.
+    const QUIET_MS: u64 = 50;
+
+    fn send(&mut self, ctx: &mut Context<'_, NetMsg>) {
+        let k = self.next;
+        self.next += 1;
+        self.sent.lock().unwrap().push(Instant::now());
+        let request = Request::new(ClientId(0), k, vec![k as u8; 100]);
+        ctx.send(
+            Addr::Node(NodeId(0)),
+            NetMsg::Client(ClientMsg::Request(request)),
+        );
+    }
+}
+
+impl Process<NetMsg> for Trickle {
+    fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
+        self.start = Instant::now();
+        self.on_timer(TimerId(0), 0, ctx);
+    }
+
+    fn on_message(&mut self, _: Addr, _: NetMsg, _: &mut Context<'_, NetMsg>) {}
+
+    fn on_timer(&mut self, _: TimerId, _: u64, ctx: &mut Context<'_, NetMsg>) {
+        if self.next < Self::STREAM {
+            let due = (self.start.elapsed().as_millis() as u64 + 1).min(Self::STREAM);
+            while self.next < due {
+                self.send(ctx);
+            }
+            let wait = if self.next < Self::STREAM {
+                Duration::from_millis(1)
+            } else {
+                Duration::from_millis(Self::QUIET_MS)
+            };
+            ctx.set_timer(wait, 0);
+        } else if self.next < Self::STREAM + Self::LONE {
+            self.send(ctx);
+            ctx.set_timer(Duration::from_millis(Self::QUIET_MS), 0);
+        }
+    }
+}
+
+/// A client writing every millisecond wakes an idle replica about once per
+/// [`INTAKE`], not once per write; the requests wait about half a period,
+/// and a lone request after a quiet spell waits for nothing.
+#[test]
+fn a_replica_under_client_load_wakes_once_per_intake_period() {
+    let _turn = serial();
+    let peers = peer_table();
+    let arrived = Arrivals::default();
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let replica = host_node(
+        0,
+        &[],
+        &peers,
+        Intake {
+            arrived: Arc::clone(&arrived),
+        },
+    );
+    let stats = replica.stats();
+    let trickle = Trickle {
+        start: Instant::now(),
+        next: 0,
+        sent: Arc::clone(&sent),
+    };
+    let client = TcpRuntime::spawn(
+        TcpConfig {
+            addr: Addr::Client(ClientId(0)),
+            dial: vec![NodeId(0)],
+            peers: Arc::clone(&peers),
+            seed: 7,
+        },
+        None,
+        Box::new(move || Box::new(trickle)),
+    )
+    .expect("spawn client");
+
+    // The replica's wake-ups from the stream's first request to its last.
+    let wakeups_once = |arrivals: u64| {
+        let start = Instant::now();
+        while (arrived.lock().unwrap().len() as u64) < arrivals {
+            assert!(
+                start.elapsed() < StdDuration::from_secs(20),
+                "{} of {arrivals} requests arrived",
+                arrived.lock().unwrap().len()
+            );
+            std::thread::sleep(StdDuration::from_millis(1));
+        }
+        stats.wakeups.load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let first = wakeups_once(1);
+    let last = wakeups_once(Trickle::STREAM);
+    wakeups_once(Trickle::STREAM + Trickle::LONE);
+    client.shutdown();
+    replica.shutdown();
+
+    let bound = (StdDuration::from_secs(1).as_micros() / INTAKE.as_micros()) as u64 + 20;
+    let wakeups = last - first;
+    assert!(
+        wakeups <= bound,
+        "{wakeups} wake-ups for {} requests in 1 s",
+        Trickle::STREAM
+    );
+    let sent = sent.lock().unwrap();
+    let (mut stream, mut lone): (Vec<_>, Vec<_>) = arrived
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|&(k, at)| (k, at - sent[k as usize]))
+        .partition(|&(k, _)| k < Trickle::STREAM);
+    let median = |delays: &mut Vec<(u64, StdDuration)>| {
+        delays.sort_by_key(|&(_, delay)| delay);
+        delays[delays.len() / 2].1
+    };
+    let stream_median = median(&mut stream);
+    assert!(
+        stream_median <= INTAKE + StdDuration::from_millis(5),
+        "median delay under load {stream_median:?}"
+    );
+    let lone_median = median(&mut lone);
+    assert!(
+        lone_median < StdDuration::from_millis(2),
+        "median delay of a lone request {lone_median:?}, all: {lone:?}"
+    );
 }
 
 /// Live threads of this process.

@@ -27,9 +27,9 @@
 //! as long as the log is large.
 
 use crate::record::{Snapshot, WalRecord};
-use crate::wal::{append_frame, scan_frames, FrameIndex, FRAME_HEADER};
+use crate::wal::{append_record, scan_frames, FrameIndex, FRAME_HEADER};
 use crate::{Recovered, Storage};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use iss_types::{Error, Result, SeqNr};
 use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
@@ -43,6 +43,9 @@ pub struct FileStorage {
     wal: RefCell<File>,
     /// The frames of `wal.log`, which ends where the index ends.
     index: RefCell<FrameIndex>,
+    /// The frame being appended, encoded in place; it keeps its capacity
+    /// from one append to the next.
+    frame: RefCell<BytesMut>,
 }
 
 fn io_err(what: &str, e: std::io::Error) -> Error {
@@ -68,6 +71,7 @@ impl FileStorage {
             dir,
             wal: RefCell::new(wal),
             index: RefCell::new(FrameIndex::from_scan(&scan)),
+            frame: RefCell::new(BytesMut::new()),
         })
     }
 
@@ -87,9 +91,9 @@ impl FileStorage {
 
 impl Storage for FileStorage {
     fn append(&self, record: &WalRecord) -> Result<()> {
-        let payload = record.encode();
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        append_frame(&mut frame, &payload);
+        let mut frame = self.frame.borrow_mut();
+        frame.clear();
+        append_record(&mut frame, record);
         let mut wal = self.wal.borrow_mut();
         let mut index = self.index.borrow_mut();
         if let Err(e) = wal.write_all(&frame) {
@@ -98,7 +102,7 @@ impl Storage for FileStorage {
             let _ = wal.set_len(index.end() as u64);
             return Err(io_err("append wal record", e));
         }
-        index.push(&payload);
+        index.push(&frame[FRAME_HEADER..]);
         Ok(())
     }
 

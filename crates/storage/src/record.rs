@@ -60,6 +60,12 @@ impl WalRecord {
     /// Encodes the record payload (framing is the caller's job).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = BytesMut::new();
+        self.encode_into(&mut buf);
+        buf.into()
+    }
+
+    /// Appends the record payload to `buf`.
+    pub fn encode_into(&self, buf: &mut BytesMut) {
         match self {
             WalRecord::Committed {
                 seq_nr,
@@ -68,10 +74,9 @@ impl WalRecord {
             } => {
                 buf.put_u8(TAG_COMMITTED);
                 buf.put_u32_le(leader.0);
-                encode_log_entry(*seq_nr, batch, &mut buf);
+                encode_log_entry(*seq_nr, batch, buf);
             }
         }
-        buf.to_vec()
     }
 
     /// Decodes a record payload.

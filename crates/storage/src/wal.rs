@@ -26,7 +26,7 @@
 //! not the whole log.
 
 use crate::record::WalRecord;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use iss_crypto::Sha256;
 use iss_types::{Error, Result, SeqNr};
 
@@ -46,14 +46,31 @@ fn frame_check(payload: &[u8]) -> u64 {
     u64::from_le_bytes(digest[..8].try_into().expect("8-byte prefix"))
 }
 
+/// Fills in the header of `frame`, a reserved header followed by the whole
+/// payload.
+fn seal(frame: &mut [u8]) {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER);
+    debug_assert!(payload.len() <= MAX_FRAME_LEN, "oversized WAL frame");
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&frame_check(payload).to_le_bytes());
+}
+
 /// Appends one framed record to `buf`.
 pub fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN, "oversized WAL frame");
-    let mut header = BytesMut::with_capacity(FRAME_HEADER);
-    header.put_u32_le(payload.len() as u32);
-    header.put_u64_le(frame_check(payload));
-    buf.extend_from_slice(&header);
+    let at = buf.len();
+    buf.resize(at + FRAME_HEADER, 0);
     buf.extend_from_slice(payload);
+    seal(&mut buf[at..]);
+}
+
+/// Appends `record` to `buf` as one frame, with no copy of its payload:
+/// the header is reserved, the record encoded behind it, and the header
+/// filled in place.
+pub fn append_record(buf: &mut BytesMut, record: &WalRecord) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    record.encode_into(buf);
+    seal(&mut buf[at..]);
 }
 
 /// The result of scanning a WAL buffer.
@@ -276,6 +293,35 @@ mod tests {
             batch: None,
         }
         .encode()
+    }
+
+    #[test]
+    fn a_record_framed_in_place_is_its_payload_framed() {
+        let batch = iss_types::Batch::new(vec![iss_types::Request::new(
+            iss_types::ClientId(3),
+            9,
+            vec![0xAB; 300],
+        )]);
+        let records = [
+            WalRecord::Committed {
+                seq_nr: 4,
+                leader: iss_types::NodeId(2),
+                batch: Some(batch),
+            },
+            WalRecord::Committed {
+                seq_nr: 5,
+                leader: iss_types::NodeId(3),
+                batch: None,
+            },
+        ];
+        let mut in_place = BytesMut::new();
+        in_place.extend_from_slice(b"earlier bytes");
+        let mut copied = b"earlier bytes".to_vec();
+        for rec in &records {
+            append_record(&mut in_place, rec);
+            append_frame(&mut copied, &rec.encode());
+        }
+        assert_eq!(in_place[..], copied[..]);
     }
 
     /// A log of `seq_nrs` in append order, and its index.

@@ -96,6 +96,11 @@ impl BitWindow {
         self.base
     }
 
+    /// The 64-bit words the window holds above its base: its memory.
+    pub fn word_count(&self) -> usize {
+        self.words.len()
+    }
+
     /// Empties the window and moves its base to `base`, keeping the
     /// allocation.
     pub fn reset(&mut self, base: u64) {
