@@ -15,13 +15,13 @@
 
 use iss_bench::scale_for;
 use iss_core::Mode;
-use iss_net::{TcpCluster, TcpClusterConfig};
+use iss_net::TcpCluster;
 use iss_sim::experiments::{
     attack_matrix, figure11, figure12, figure5, figure6, figure7, figure8, scenario_bursty,
     scenario_crash_restart, scenario_lossy_window, scenario_partition_heal, scenario_skewed,
     throughput_timeline, Scale,
 };
-use iss_sim::{CrashTiming, Protocol, Report, Scenario, CENSORSHIP_EPOCH_BOUND};
+use iss_sim::{CrashTiming, Protocol, Report, Scenario, TopologySpec, CENSORSHIP_EPOCH_BOUND};
 use iss_telemetry::{Phase, TelemetrySnapshot};
 use iss_types::{Duration, IssConfig, MsgClass, NodeId};
 use std::collections::BTreeMap;
@@ -754,23 +754,25 @@ fn telemetry_simnet() -> bool {
 
 fn telemetry_tcp() -> bool {
     println!("## tcp: 4-node loopback cluster, 4 clients, telemetry on");
-    let mut cfg = TcpClusterConfig::new(4);
-    cfg.total_rate = 800.0;
-    cfg.run_for = Duration::from_secs(30);
-    cfg.telemetry = true;
-    let cluster = TcpCluster::launch(cfg).expect("cluster boots");
-    let commits = cluster.commits();
+    let scenario = Scenario::builder(Protocol::Pbft, 4)
+        .topology(TopologySpec::Lan(Duration::from_millis(1)))
+        .open_loop(4, 800.0)
+        .duration(Duration::from_secs(30))
+        .telemetry(true)
+        .build();
+    let cluster = TcpCluster::launch(&scenario, None).expect("cluster boots");
+    let metrics = cluster.metrics();
     // Run until real traffic has flowed end to end (bounded by a deadline so
     // a wedged cluster fails loudly instead of hanging CI).
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     loop {
         std::thread::sleep(std::time::Duration::from_millis(200));
         let delivered = {
-            let log = commits.lock().unwrap();
+            let m = metrics.lock().expect("metrics poisoned");
             cluster
                 .node_ids()
                 .iter()
-                .map(|n| log.delivered_at(*n))
+                .map(|n| m.checker.delivered_at(*n))
                 .min()
                 .unwrap_or(0)
         };
@@ -786,7 +788,7 @@ fn telemetry_tcp() -> bool {
         .telemetry_snapshot()
         .expect("telemetry-enabled cluster must produce a snapshot");
     let mut ok = check_phases(&snapshot, "tcp");
-    if let Err(violation) = commits.lock().unwrap().check() {
+    if let Some(violation) = &metrics.lock().expect("metrics poisoned").violation {
         eprintln!("tcp: {violation}");
         ok = false;
     }

@@ -19,9 +19,11 @@
 //!   destination's frames with one nonblocking `write` per burst, and
 //!   redials a lost peer with backoff (each connect on a short-lived helper
 //!   thread, since `std` cannot connect without blocking);
-//! * [`cluster`] — [`cluster::TcpCluster`], booting an n-node localhost
-//!   ISS deployment with per-node durable [`iss_storage::FileStorage`] and
-//!   a client fleet, mirroring the simulator `Deployment`'s node recipe.
+//! * [`cluster`] — [`cluster::TcpCluster`], lowering a simulator
+//!   [`iss_sim::Scenario`] onto localhost: the simulator's own replicas,
+//!   clients and metrics, with per-node durable
+//!   [`iss_storage::FileStorage`], its crashes as node kills and restarts
+//!   on the wall clock, and the same [`iss_sim::Report`] at the end.
 //!
 //! What the sockets add over the simulator — and what they cost — is
 //! documented in `docs/architecture.md` (runtime boundary section): real
@@ -33,5 +35,5 @@ pub mod cluster;
 pub mod frame;
 pub mod runtime;
 
-pub use cluster::{ClusterLog, ClusterLogHandle, CommitLog, TcpCluster, TcpClusterConfig};
+pub use cluster::{CommitLog, TcpCluster};
 pub use runtime::{peer_table, PeerTable, ProcessBuilder, TcpConfig, TcpHandle, TcpRuntime};

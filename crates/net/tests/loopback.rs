@@ -2,9 +2,9 @@
 //!
 //! These are wall-clock tests: real protocol threads, real listeners and
 //! real connections on 127.0.0.1. The cluster tests boot a [`TcpCluster`]
-//! and poll the shared commit log until it has made enough progress; the
-//! transport tests host small scripted processes directly on
-//! [`TcpRuntime`]. Every wait is bounded by a generous deadline, so a hung
+//! from a simulator [`Scenario`] and poll its metrics until it has made
+//! enough progress, or run a whole scenario on both engines; the transport
+//! tests host small scripted processes directly on [`TcpRuntime`]. Every wait is bounded by a generous deadline, so a hung
 //! runtime fails loudly instead of hanging the suite.
 //!
 //! The tests of this file take turns ([`serial`]): one asserts a round-trip
@@ -14,11 +14,11 @@
 use iss_messages::{ClientMsg, NetMsg};
 use iss_net::frame;
 use iss_net::runtime::{FLUSH_BYTES, HELLO_TIMEOUT, INTAKE};
-use iss_net::{
-    peer_table, PeerTable, TcpCluster, TcpClusterConfig, TcpConfig, TcpHandle, TcpRuntime,
-};
+use iss_net::{peer_table, PeerTable, TcpCluster, TcpConfig, TcpHandle, TcpRuntime};
 use iss_runtime::{Addr, Context, Process};
-use iss_types::{ClientId, Duration, NodeId, Request, RequestId, TimerId};
+use iss_sim::{CrashTiming, Protocol, Report, Scenario, ScenarioBuilder, SharedMetrics};
+use iss_sim::{MalformedKind, TopologySpec};
+use iss_types::{BucketId, ClientId, Duration, NodeId, Request, RequestId, Time, TimerId};
 use std::io::{ErrorKind, Read};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -552,30 +552,54 @@ fn live_threads() -> usize {
         .count()
 }
 
+/// PBFT on loopback: `n` replicas under an open loop of `clients` at
+/// `rate` requests/s, submitting for `secs` seconds.
+fn lan(n: usize, clients: usize, rate: f64, secs: u64) -> ScenarioBuilder {
+    Scenario::builder(Protocol::Pbft, n)
+        .topology(TopologySpec::Lan(Duration::from_micros(100)))
+        .open_loop(clients, rate)
+        .duration(Duration::from_secs(secs))
+}
+
+/// Requests each of `nodes` has delivered so far.
+fn delivered(metrics: &SharedMetrics, nodes: &[NodeId]) -> Vec<(NodeId, u64)> {
+    let m = metrics.lock().unwrap();
+    nodes
+        .iter()
+        .map(|&n| (n, m.checker.delivered_at(n)))
+        .collect()
+}
+
+/// Whether every one of `nodes` has delivered `at_least` requests.
+fn all_delivered(metrics: &SharedMetrics, nodes: &[NodeId], at_least: u64) -> bool {
+    delivered(metrics, nodes)
+        .iter()
+        .all(|&(_, count)| count >= at_least)
+}
+
+/// Launches `scenario` and waits until every replica has delivered
+/// `at_least` requests.
+fn delivering(scenario: ScenarioBuilder, at_least: u64) -> TcpCluster {
+    let cluster = TcpCluster::launch(&scenario.build(), None).expect("cluster boots");
+    let (metrics, nodes) = (cluster.metrics(), cluster.node_ids());
+    let up = wait_until(StdDuration::from_secs(30), || {
+        all_delivered(&metrics, &nodes, at_least)
+    });
+    let counts = delivered(&metrics, &nodes);
+    assert!(
+        up,
+        "every node must deliver ≥{at_least} requests, got {counts:?}"
+    );
+    cluster
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn shut_down_clusters_leave_no_threads_behind() {
     let _turn = serial();
-    let cycle = || {
-        let mut cfg = TcpClusterConfig::new(3);
-        cfg.num_clients = 2;
-        cfg.total_rate = 400.0;
-        cfg.run_for = Duration::from_secs(30);
-        let cluster = TcpCluster::launch(cfg).expect("cluster boots");
-        let commits = cluster.commits();
-        let nodes = cluster.node_ids();
-        assert!(
-            wait_until(StdDuration::from_secs(30), || {
-                let log = commits.lock().unwrap();
-                nodes.iter().all(|n| log.delivered_at(*n) >= 100)
-            }),
-            "cluster must come up and deliver"
-        );
-        cluster.shutdown();
-    };
     let before = live_threads();
     for _ in 0..3 {
-        cycle();
+        delivering(lan(3, 2, 400.0, 30), 100).shutdown();
     }
     // A dial helper still running at shutdown ends a moment after
     // `shutdown` returns; a few of slack covers the test harness.
@@ -595,21 +619,7 @@ fn shut_down_clusters_leave_no_threads_behind() {
 fn a_running_cluster_has_one_thread_per_runtime() {
     let _turn = serial();
     let before = live_threads();
-    let mut cfg = TcpClusterConfig::new(4);
-    cfg.num_clients = 2;
-    cfg.total_rate = 400.0;
-    cfg.run_for = Duration::from_secs(30);
-    let cluster = TcpCluster::launch(cfg).expect("cluster boots");
-    let commits = cluster.commits();
-    let nodes = cluster.node_ids();
-    let delivered = |at_least| {
-        let log = commits.lock().unwrap();
-        nodes.iter().all(|n| log.delivered_at(*n) >= at_least)
-    };
-    assert!(
-        wait_until(StdDuration::from_secs(30), || delivered(100)),
-        "cluster must come up and deliver"
-    );
+    let cluster = delivering(lan(4, 2, 400.0, 30), 100);
     // Six runtimes, one thread each, and room for two dial helpers.
     let allowed = before + 6 + 2;
     let mut peak = 0;
@@ -617,7 +627,10 @@ fn a_running_cluster_has_one_thread_per_runtime() {
         peak = peak.max(live_threads());
         std::thread::sleep(StdDuration::from_millis(50));
     }
-    assert!(delivered(200), "the cluster stopped delivering");
+    assert!(
+        all_delivered(&cluster.metrics(), &cluster.node_ids(), 200),
+        "the cluster stopped delivering"
+    );
     assert!(
         peak <= allowed,
         "{peak} threads while delivering, {before} before launch"
@@ -625,31 +638,69 @@ fn a_running_cluster_has_one_thread_per_runtime() {
     cluster.shutdown();
 }
 
+/// Every scenario dimension the loopback engine has no lowering for makes
+/// `launch` fail with `Unsupported`, naming it, before any thread starts.
+#[cfg(target_os = "linux")]
+#[test]
+fn simulator_only_features_are_refused_before_anything_starts() {
+    let _turn = serial();
+    let base = || lan(4, 2, 400.0, 5);
+    let (a, b) = (vec![NodeId(0)], vec![NodeId(1), NodeId(2), NodeId(3)]);
+    let (from, until) = (Time::from_secs(1), Time::from_secs(2));
+    let rows: Vec<(&str, ScenarioBuilder)> = vec![
+        (
+            "HotStuff",
+            Scenario::builder(Protocol::HotStuff, 4).topology(TopologySpec::Lan(Duration::ZERO)),
+        ),
+        (
+            "Raft",
+            Scenario::builder(Protocol::Raft, 4).topology(TopologySpec::Lan(Duration::ZERO)),
+        ),
+        (
+            "Reference",
+            Scenario::builder(Protocol::Reference, 4).topology(TopologySpec::Lan(Duration::ZERO)),
+        ),
+        ("Mir", base().mode(iss_core::Mode::Mir)),
+        ("Wan16", base().topology(TopologySpec::Wan16)),
+        (
+            "Uniform",
+            base().topology(TopologySpec::Uniform {
+                datacenters: 2,
+                latency: Duration::from_millis(5),
+            }),
+        ),
+        ("partition", base().partition(a, b, from, until)),
+        ("loss window", base().lossy_window(0.1, from, until)),
+        ("attack", base().equivocating_leader(NodeId(1), 1, 2)),
+        ("attack", base().censoring_leader(NodeId(1), BucketId(0))),
+        (
+            "attack",
+            base().malformed_proposals(NodeId(1), MalformedKind::Oversized, 1, 2),
+        ),
+        ("attack", base().byzantine_client(ClientId(0))),
+        ("attack", base().duplicating_client(ClientId(1))),
+        (
+            "crash_restart",
+            base().crash_restart(NodeId(0), CrashTiming::EpochStart, Duration::from_secs(1)),
+        ),
+    ];
+    let before = live_threads();
+    for (feature, builder) in rows {
+        let refused = TcpCluster::launch(&builder.build(), None).map(|c| c.shutdown());
+        let error = refused.expect_err(feature);
+        assert_eq!(error.kind(), ErrorKind::Unsupported, "{feature}: {error}");
+        assert!(error.to_string().contains(feature), "{feature}: {error}");
+        assert_eq!(live_threads(), before, "{feature} started a thread");
+    }
+}
+
 #[test]
 fn three_node_loopback_cluster_delivers_and_agrees() {
     let _turn = serial();
-    let mut cfg = TcpClusterConfig::new(3);
-    cfg.num_clients = 4;
-    cfg.total_rate = 800.0;
-    cfg.run_for = Duration::from_secs(3);
-    let cluster = TcpCluster::launch(cfg).expect("cluster boots");
-    let commits = cluster.commits();
-    let nodes = cluster.node_ids();
-
     // Every node must deliver at least 1000 requests.
-    let delivered_everywhere = wait_until(StdDuration::from_secs(30), || {
-        let log = commits.lock().unwrap();
-        nodes.iter().all(|n| log.delivered_at(*n) >= 1000)
-    });
-    {
-        let log = commits.lock().unwrap();
-        let counts: Vec<(NodeId, u64)> = nodes.iter().map(|n| (*n, log.delivered_at(*n))).collect();
-        assert!(
-            delivered_everywhere,
-            "every node must deliver ≥1000 requests, got {counts:?}"
-        );
-        log.check().expect("agreement and no duplication");
-    }
+    let cluster = delivering(lan(3, 4, 800.0, 3), 1000);
+    let violation = cluster.metrics().lock().unwrap().violation.clone();
+    assert_eq!(violation, None, "agreement and no duplication");
     cluster.shutdown();
 }
 
@@ -658,82 +709,132 @@ fn killed_node_recovers_from_its_wal_on_restart() {
     let _turn = serial();
     let tmp = std::env::temp_dir().join(format!("iss-net-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
-    let mut cfg = TcpClusterConfig::new(4);
-    cfg.num_clients = 4;
-    cfg.total_rate = 600.0;
     // Keep the load running for the whole test: the later phases (survivor
     // progress while the victim is down, fresh deliveries after the restart)
     // need requests still flowing when they run.
-    cfg.run_for = Duration::from_secs(120);
-    cfg.storage_root = Some(tmp.clone());
-    let mut cluster = TcpCluster::launch(cfg).expect("cluster boots");
-    let commits = cluster.commits();
-    let nodes = cluster.node_ids();
+    let scenario = lan(4, 4, 600.0, 120).build();
+    let mut cluster = TcpCluster::launch(&scenario, Some(tmp.clone())).expect("cluster boots");
+    let (metrics, nodes) = (cluster.metrics(), cluster.node_ids());
     let victim = NodeId(0);
+    let at = |node| metrics.lock().unwrap().checker.delivered_at(node);
 
     // Let the victim commit (and persist) some work first.
-    let progressed = wait_until(StdDuration::from_secs(20), || {
-        commits.lock().unwrap().delivered_at(victim) >= 200
-    });
-    {
-        let log = commits.lock().unwrap();
-        let counts: Vec<(NodeId, u64)> = nodes.iter().map(|n| (*n, log.delivered_at(*n))).collect();
-        assert!(
-            progressed,
-            "victim must make progress before the crash; delivered: {counts:?}, \
-             committed: {:?}, epochs: {:?}",
-            log.committed, log.epochs
-        );
-    }
+    let progressed = wait_until(StdDuration::from_secs(20), || at(victim) >= 200);
+    let counts = delivered(&metrics, &nodes);
+    assert!(
+        progressed,
+        "victim must make progress before the crash; delivered: {counts:?}"
+    );
     cluster.kill_node(victim);
     // The survivors (3 of 4 = 2f+1 for f=1) keep committing while the
     // victim is down.
-    let down_mark = commits.lock().unwrap().delivered_at(NodeId(1));
+    let down_mark = at(NodeId(1));
     let survivors_progressed = wait_until(StdDuration::from_secs(20), || {
-        commits.lock().unwrap().delivered_at(NodeId(1)) >= down_mark + 200
+        at(NodeId(1)) >= down_mark + 200
     });
-    {
-        let log = commits.lock().unwrap();
-        let counts: Vec<(NodeId, u64)> = nodes.iter().map(|n| (*n, log.delivered_at(*n))).collect();
-        assert!(
-            survivors_progressed,
-            "survivors must keep committing while the victim is down; \
-             down_mark: {down_mark}, delivered: {counts:?}, committed: {:?}, \
-             epochs: {:?}",
-            log.committed, log.epochs
-        );
-    }
+    let counts = delivered(&metrics, &nodes);
+    assert!(
+        survivors_progressed,
+        "survivors must keep committing while the victim is down; \
+         down_mark: {down_mark}, delivered: {counts:?}"
+    );
 
     cluster.restart_node(victim).expect("restart");
     // The rebooted incarnation must have replayed its WAL: recovery
     // completes with a positive replay count once it has caught up.
     assert!(
         wait_until(StdDuration::from_secs(30), || {
-            let log = commits.lock().unwrap();
-            log.recoveries
+            let m = metrics.lock().unwrap();
+            m.recoveries
                 .iter()
-                .any(|(n, replayed, _)| *n == victim && *replayed > 0)
+                .any(|r| r.node == victim && r.entries_replayed > 0)
         }),
         "the restarted node must recover through WAL replay; recoveries: {:?}",
-        commits.lock().unwrap().recoveries
+        metrics.lock().unwrap().recoveries
     );
     // And it must rejoin ordering: fresh deliveries after the restart.
-    let after_restart = commits.lock().unwrap().delivered_at(victim);
+    let after_restart = at(victim);
     assert!(
-        wait_until(StdDuration::from_secs(30), || {
-            commits.lock().unwrap().delivered_at(victim) > after_restart
-        }),
+        wait_until(StdDuration::from_secs(30), || at(victim) > after_restart),
         "the restarted node must deliver new requests"
     );
     // Every survivor's connection to the victim died and was dialed again,
     // with frames lost or restarted at the seam: the protocol must absorb
-    // both, and the log must not see duplicates.
-    commits
-        .lock()
-        .unwrap()
-        .check()
-        .expect("agreement and no duplication across the crash-restart");
+    // both, and the checker must not see duplicates.
+    let violation = metrics.lock().unwrap().violation.clone();
+    assert_eq!(
+        violation, None,
+        "agreement and no duplication across the crash-restart"
+    );
 
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// The fields of two reports, one row each, side by side.
+fn side_by_side(simulated: &Report, loopback: &Report) -> String {
+    let rows = |r: &Report| {
+        [
+            format!("delivered {}", r.delivered),
+            format!("throughput {:.1}/s", r.throughput),
+            format!("mean latency {:?}", r.mean_latency),
+            format!("p95 latency {:?}", r.p95_latency),
+            format!("timeline {:?}", r.timeline),
+            format!("epochs {:?}", r.epochs),
+            format!("nil committed {}", r.nil_committed),
+            format!("recoveries {:?}", r.recoveries),
+            format!("violation {:?}", r.violation),
+        ]
+    };
+    let mut table = format!("{:<60} | loopback\n", "simulated");
+    for (s, l) in rows(simulated).iter().zip(rows(loopback)) {
+        table += &format!("{s:<60} | {l}\n");
+    }
+    table
+}
+
+/// One `Scenario`, both engines: the same value runs on the simulator and
+/// on loopback TCP, and both reports agree on what matters — no
+/// violation, the observer delivering, and node 0 recovering from its WAL
+/// after a crash 2 s into the first epoch, away from its boundary.
+///
+/// The window is 12 s because the simulated node 0 completes its recovery
+/// only at the first epoch's checkpoint, about 11 s in: the simulated crash
+/// drops what its peers sent it while down, while loopback peers keep
+/// those frames queued and hand them over on reconnect, so the loopback
+/// node catches up within a second of its restart. The replicas of both
+/// engines run at 1 ms: at 100 µs the simulated PBFT votes overtake their
+/// pre-prepares and, with early-vote buffering off in the simulator's
+/// presets, the simulated run wedges after 25 deliveries.
+#[test]
+fn one_scenario_runs_on_both_engines() {
+    let _turn = serial();
+    let scenario = lan(4, 4, 400.0, 12)
+        .topology(TopologySpec::Lan(Duration::from_millis(1)))
+        .warmup(Duration::from_secs(1))
+        .drain(Duration::from_secs(1))
+        .crash_restart(
+            NodeId(0),
+            CrashTiming::At(Time::from_secs(2)),
+            Duration::from_secs(1),
+        )
+        .build();
+    let simulated = scenario.clone().run();
+    let root = std::env::temp_dir().join(format!("iss-both-engines-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let loopback = TcpCluster::run(scenario, Some(root.clone())).expect("loopback run");
+    let _ = std::fs::remove_dir_all(&root);
+
+    let both = side_by_side(&simulated, &loopback);
+    for report in [&simulated, &loopback] {
+        assert_eq!(report.violation, None, "\n{both}");
+        assert!(report.delivered > 1500, "observer deliveries\n{both}");
+        assert!(
+            report
+                .recoveries
+                .iter()
+                .any(|r| r.node == NodeId(0) && r.entries_replayed > 0),
+            "node 0 must recover through WAL replay\n{both}"
+        );
+    }
 }

@@ -8,7 +8,7 @@ use iss_runtime::{Addr, Context, Process};
 use iss_types::{ClientId, Duration, NodeId, Request, RequestId, Time, TimerId};
 use iss_workload::Workload;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Tick granularity of the generator: several requests may be emitted per
 /// tick to keep the event count manageable at high rates.
@@ -18,7 +18,7 @@ const TICK: Duration = Duration(10_000); // 10 ms
 pub struct ClientProcess {
     id: ClientId,
     factory: RequestFactory,
-    workload: Rc<dyn Workload>,
+    workload: Arc<dyn Workload>,
     leaders: LeaderTable,
     submitted: u64,
     /// Stop submitting after this time (lets the run drain).
@@ -41,7 +41,7 @@ impl ClientProcess {
     /// the simulator charges client authentication through the CPU model.
     pub fn new(
         id: ClientId,
-        workload: Rc<dyn Workload>,
+        workload: Arc<dyn Workload>,
         nodes: Vec<NodeId>,
         num_buckets: usize,
         quorum: usize,
@@ -163,6 +163,7 @@ mod tests {
     use iss_workload::{Bursty, OpenLoop, PayloadDist};
     use std::cell::RefCell;
     use std::rc::Rc;
+    use std::sync::Arc;
 
     /// A node stub that counts received client requests (and their bytes).
     struct CountingNode {
@@ -182,7 +183,7 @@ mod tests {
 
     type Counters = (Rc<RefCell<u64>>, Rc<RefCell<Vec<u32>>>);
 
-    fn counting_runtime(workload: Rc<dyn Workload>, clients: u32) -> (Runtime<NetMsg>, Counters) {
+    fn counting_runtime(workload: Arc<dyn Workload>, clients: u32) -> (Runtime<NetMsg>, Counters) {
         let count = Rc::new(RefCell::new(0u64));
         let sizes = Rc::new(RefCell::new(Vec::new()));
         let mut rt: Runtime<NetMsg> = Runtime::new(RuntimeConfig::ideal());
@@ -200,7 +201,7 @@ mod tests {
                 Addr::Client(ClientId(c)),
                 Box::new(ClientProcess::new(
                     ClientId(c),
-                    Rc::clone(&workload),
+                    Arc::clone(&workload),
                     (0..4).map(NodeId).collect(),
                     64,
                     1,
@@ -213,7 +214,7 @@ mod tests {
 
     #[test]
     fn client_submits_at_the_configured_rate() {
-        let workload: Rc<dyn Workload> = Rc::new(OpenLoop::new(2, 200.0, Time::ZERO));
+        let workload: Arc<dyn Workload> = Arc::new(OpenLoop::new(2, 200.0, Time::ZERO));
         let (mut rt, (count, sizes)) = counting_runtime(workload, 2);
         rt.run_until(Time::from_secs(2));
         // 200 req/s aggregate for ~2 s ≈ 400 requests (within tick rounding).
@@ -224,7 +225,7 @@ mod tests {
 
     #[test]
     fn bursty_client_is_silent_during_off_windows() {
-        let workload: Rc<dyn Workload> = Rc::new(Bursty::new(
+        let workload: Arc<dyn Workload> = Arc::new(Bursty::new(
             1,
             100.0,
             Duration::from_secs(1),
@@ -284,7 +285,7 @@ mod tests {
                 count: Rc::clone(&count),
             }),
         );
-        let workload: Rc<dyn Workload> = Rc::new(OpenLoop::new(1, 100.0, Time::ZERO));
+        let workload: Arc<dyn Workload> = Arc::new(OpenLoop::new(1, 100.0, Time::ZERO));
         rt.add_process(
             Addr::Client(ClientId(0)),
             Box::new(
@@ -323,12 +324,12 @@ mod tests {
 
     #[test]
     fn client_applies_the_payload_distribution() {
-        let workload: Rc<dyn Workload> = Rc::new(
+        let workload: Arc<dyn Workload> = Arc::new(
             OpenLoop::new(1, 100.0, Time::ZERO)
                 .with_payload(PayloadDist::Uniform { min: 100, max: 900 })
                 .with_seed(11),
         );
-        let (mut rt, (_, sizes)) = counting_runtime(Rc::clone(&workload), 1);
+        let (mut rt, (_, sizes)) = counting_runtime(Arc::clone(&workload), 1);
         rt.run_until(Time::from_secs(1));
         let sizes = sizes.borrow();
         assert!(!sizes.is_empty());

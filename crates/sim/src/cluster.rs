@@ -1,16 +1,16 @@
 //! Deployment construction and execution: materializes a [`Scenario`] into
 //! an n-node ISS (or baseline) deployment with simulated clients on the
 //! configured topology, runs it for the scenario's window and produces a
-//! [`Report`].
+//! [`Report`]. [`replica`] and [`Report`] are shared with the loopback TCP
+//! engine (`iss_net::TcpCluster`).
 
 use crate::adversary::{
     evaluate_gates, AdversarialProcess, AdversaryReport, ClientAdversary, NodeAdversary,
 };
-use crate::client_proc::ClientProcess;
 use crate::factories::{make_factory, Protocol};
-use crate::metrics::{metrics_handle, MetricsHandle, MetricsSink, RecoveryEvent};
+use crate::metrics::{MetricsHandle, MetricsSink, RecoveryEvent};
 use crate::scenario::Scenario;
-use iss_core::{IssNode, Mode, NodeOptions, StragglerBehavior};
+use iss_core::{DeliverySink, IssNode, Mode, NodeOptions, Violation};
 use iss_crypto::SignatureRegistry;
 use iss_messages::NetMsg;
 use iss_runtime::{Addr, Process};
@@ -18,7 +18,7 @@ use iss_simnet::fault::CrashSchedule;
 use iss_simnet::{CpuModel, Runtime, RuntimeConfig};
 use iss_storage::{MemStorage, Storage};
 use iss_telemetry::{TelemetryHandle, TelemetrySnapshot};
-use iss_types::{ClientId, Duration, IssConfig, NodeId, Time};
+use iss_types::{ClientId, Duration, NodeId, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -38,7 +38,13 @@ pub struct Deployment {
     telemetry_handles: Vec<(NodeId, TelemetryHandle)>,
 }
 
-/// Summary of one run.
+/// Summary of one run, on either engine.
+///
+/// On loopback TCP every time is the clock of the runtime that observed it,
+/// counted from that runtime's spawn: the observer's deliveries are stamped
+/// on the observer's clock and their submission times on the clients',
+/// which start a few milliseconds later, so latencies include that launch
+/// skew. A restarted node's clock starts again at its restart.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Report {
     /// Average delivered throughput (requests/s) in the measurement window.
@@ -55,11 +61,14 @@ pub struct Report {
     pub epochs: Vec<(u64, Time)>,
     /// ⊥ entries committed at the observer node.
     pub nil_committed: u64,
-    /// Total protocol messages sent in the run.
+    /// Total protocol messages sent in the run. No loopback source (0): see
+    /// the telemetry's `net.frames_sent` gauges there.
     pub messages_sent: u64,
-    /// Total bytes sent in the run.
+    /// Total bytes sent in the run. No loopback source (0): see the
+    /// telemetry's `net.bytes_sent` gauges there.
     pub bytes_sent: u64,
-    /// Messages dropped by crashes, partitions or probabilistic loss.
+    /// Messages dropped by crashes, partitions or probabilistic loss. No
+    /// loopback source (0): see the telemetry's `net.writer_drops` gauges.
     pub messages_dropped: u64,
     /// Completed recoveries (crash-restarts rebooting from durable storage,
     /// reconnect fast paths), with time-to-catch-up, WAL entries replayed
@@ -69,88 +78,54 @@ pub struct Report {
     /// empty in benign runs).
     pub rejected_requests: Vec<(NodeId, u64)>,
     /// Liveness-gate verdict of the adversary plan; `None` when the scenario
-    /// schedules no adversarial behavior.
+    /// schedules no adversarial behavior. Always `None` on loopback, which
+    /// refuses attacks.
     pub adversary: Option<AdversaryReport>,
+    /// The first delivery the checker rejected. Always `None` on the
+    /// simulator, which panics at it.
+    pub violation: Option<Violation>,
     /// Cluster-wide telemetry snapshot (all nodes' shards merged); `None`
     /// unless the scenario enables telemetry. Virtual time makes the
     /// snapshot — including its rendered exports — byte-identical across
-    /// same-seed runs.
+    /// same-seed runs; on loopback it also carries the transport gauges and
+    /// no `cpu.node_busy_us`.
     pub telemetry: Option<TelemetrySnapshot>,
+}
+
+/// Replica `node_id` ordering with `protocol`, built the same way on both
+/// engines: with `storage`, it first recovers what an earlier incarnation
+/// persisted there.
+pub fn replica(
+    node_id: NodeId,
+    opts: NodeOptions,
+    protocol: Protocol,
+    registry: Arc<SignatureRegistry>,
+    sink: Rc<RefCell<dyn DeliverySink>>,
+    storage: Option<Rc<dyn Storage>>,
+) -> IssNode {
+    let factory = make_factory(protocol, &opts.config, Arc::clone(&registry));
+    match storage {
+        Some(storage) => IssNode::with_storage(node_id, opts, factory, registry, sink, storage),
+        None => IssNode::new(node_id, opts, factory, registry, sink),
+    }
 }
 
 impl Deployment {
     /// Builds the deployment described by `scenario`.
     pub fn new(scenario: Scenario) -> Self {
         let config = scenario.iss_config();
-        let num_clients = scenario.num_clients();
-        let registry = Arc::new(SignatureRegistry::with_processes(
-            scenario.num_nodes,
-            num_clients,
-        ));
-        let workload = Rc::clone(&scenario.workload);
+        let registry = scenario.registry();
 
         // The fault plan lowers in one pass: the crash schedule is the one
         // source of which nodes go down and which of them reboot when.
-        let faults = &scenario.faults;
         let mut crashes = CrashSchedule::none();
-        for (&node, &(timing, restart_after)) in &faults.crashes {
-            let down = scenario.crash_time(timing);
-            crashes = match restart_after {
+        for (node, down, up) in scenario.crashes() {
+            crashes = match up {
                 None => crashes.crash(node, down),
-                Some(down_for) => crashes.crash_restart(node, down, down + down_for),
+                Some(up) => crashes.crash_restart(node, down, up),
             };
         }
-        let restarts = crashes.restarts();
-
-        // Observer: the highest-numbered node that neither crashes (a
-        // restarting node spends part of the run down and catching up), lags
-        // nor attacks (an equivocator's or censor's local log is not what the
-        // correct quorum commits), preferring nodes outside the minority side
-        // of every scheduled partition — a cut-off replica delivers nothing
-        // while partitioned (and takes a protocol timeout to catch up after
-        // heal), so it would silently report the stalled side instead of the
-        // committing quorum.
-        let crashed = crashes.crashed_nodes();
-        let isolated: Vec<NodeId> = faults
-            .partitions
-            .iter()
-            .flat_map(|p| match p.group_a.len().cmp(&p.group_b.len()) {
-                std::cmp::Ordering::Less => p.group_a.clone(),
-                std::cmp::Ordering::Greater => p.group_b.clone(),
-                std::cmp::Ordering::Equal => Vec::new(),
-            })
-            .collect();
-        let healthy = |n: &NodeId| {
-            !crashed.contains(n)
-                && !faults.stragglers.contains(n)
-                && !scenario.adversary.nodes.contains_key(n)
-        };
-        let observer = (0..scenario.num_nodes as u32)
-            .rev()
-            .map(NodeId)
-            .find(|n| healthy(n) && !isolated.contains(n))
-            .or_else(|| {
-                (0..scenario.num_nodes as u32)
-                    .rev()
-                    .map(NodeId)
-                    .find(healthy)
-            })
-            .unwrap_or(NodeId(0));
-        let metrics = metrics_handle(scenario.num_nodes, observer, Some(Rc::clone(&workload)));
-        if !scenario.adversary.is_empty() {
-            // Liveness gates need the observer's per-request delivery times;
-            // the map stays empty (and unallocated) in benign runs.
-            metrics.borrow_mut().track_deliveries = true;
-        }
-        // Censorship recovery relies on clients retransmitting requests that
-        // got no response, so censoring scenarios turn responses and client
-        // retransmission on; every other run measures latency at delivery and
-        // keeps the response traffic out of the event count.
-        let respond_to_clients = scenario
-            .adversary
-            .nodes
-            .values()
-            .any(|a| a.censor.is_some());
+        let metrics = Rc::new(RefCell::new(scenario.metrics()));
 
         // Simulated testbed on the scenario's topology.
         let mut runtime_config = RuntimeConfig::testbed();
@@ -168,44 +143,27 @@ impl Deployment {
                 runtime_config.cpu.per_request.saturating_mul(13).div(10);
         }
         runtime_config.faults.crashes = crashes;
-        runtime_config.faults.partitions = faults.partitions.clone();
-        runtime_config.faults.loss_windows = faults.loss_windows.clone();
+        runtime_config.faults.partitions = scenario.faults.partitions.clone();
+        runtime_config.faults.loss_windows = scenario.faults.loss_windows.clone();
 
         let mut runtime: Runtime<NetMsg> = Runtime::new(runtime_config);
-        let clients: Vec<ClientId> = (0..num_clients as u32).map(ClientId).collect();
         let mut telemetry_handles: Vec<(NodeId, TelemetryHandle)> = Vec::new();
 
         for n in 0..scenario.num_nodes as u32 {
             let node_id = NodeId(n);
-            let mut opts = NodeOptions::new(config.clone());
-            // One telemetry instance per node, also attached to the node's
-            // address for CPU-by-class attribution.
-            let telemetry = if scenario.telemetry {
-                TelemetryHandle::enabled(n)
-            } else {
-                TelemetryHandle::disabled()
-            };
-            opts.telemetry = telemetry.clone();
-            if telemetry.is_enabled() {
-                telemetry_handles.push((node_id, telemetry.clone()));
-                runtime.attach_telemetry(Addr::Node(node_id), telemetry.clone());
-            }
-            opts.mode = scenario.stack.mode;
-            opts.respond_to_clients = respond_to_clients;
-            opts.announce_buckets = true;
-            opts.clients = clients.clone();
-            if faults.stragglers.contains(&node_id) {
-                opts.straggler = Some(StragglerBehavior {
-                    proposal_interval: config.epoch_change_timeout.div(2),
-                });
+            let opts = scenario.node_options(node_id, &config);
+            // Each node's telemetry is also attached to its address for
+            // CPU-by-class attribution.
+            if opts.telemetry.is_enabled() {
+                telemetry_handles.push((node_id, opts.telemetry.clone()));
+                runtime.attach_telemetry(Addr::Node(node_id), opts.telemetry.clone());
             }
             // A restarting node gets durable (simulated in-memory) storage
             // and a reboot scheduled at the end of its down window; everyone
             // else runs storage-free.
-            let restart_at = restarts
-                .iter()
-                .find(|(id, _)| *id == node_id)
-                .map(|&(_, up)| up);
+            let restart_at = scenario
+                .crashes()
+                .find_map(|(id, _, up)| up.filter(|_| id == node_id));
             let behavior = scenario.adversary.nodes.get(&node_id).map(|&attacks| {
                 NodeAdversary::new(
                     node_id,
@@ -217,10 +175,9 @@ impl Deployment {
             });
             Self::add_node(
                 &mut runtime,
-                &scenario,
+                scenario.stack.protocol,
                 node_id,
                 opts,
-                &config,
                 &registry,
                 &metrics,
                 restart_at,
@@ -228,28 +185,16 @@ impl Deployment {
             );
         }
 
-        let stop_at = Time::ZERO + scenario.window.duration;
-        for c in &clients {
-            let mut client = ClientProcess::new(
-                *c,
-                Rc::clone(&workload),
-                config.all_nodes(),
-                config.num_buckets(),
-                config.f() + 1,
-                stop_at,
-            );
-            if respond_to_clients {
-                client = client.with_retransmission();
-            }
-            let process: Box<dyn Process<NetMsg>> = Box::new(client);
-            let process = match scenario.adversary.clients.get(c) {
+        for c in (0..scenario.num_clients() as u32).map(ClientId) {
+            let process: Box<dyn Process<NetMsg>> = Box::new(scenario.client_process(c, &config));
+            let process = match scenario.adversary.clients.get(&c) {
                 Some(&attacks) => Box::new(AdversarialProcess::new(
                     process,
                     Box::new(ClientAdversary::new(attacks, scenario.num_nodes)),
                 )),
                 None => process,
             };
-            runtime.add_process(Addr::Client(*c), process);
+            runtime.add_process(Addr::Client(c), process);
         }
 
         Deployment {
@@ -271,78 +216,56 @@ impl Deployment {
     #[allow(clippy::too_many_arguments)]
     fn add_node(
         runtime: &mut Runtime<NetMsg>,
-        scenario: &Scenario,
+        protocol: Protocol,
         node_id: NodeId,
         opts: NodeOptions,
-        config: &IssConfig,
         registry: &Arc<SignatureRegistry>,
         metrics: &MetricsHandle,
         restart_at: Option<Time>,
         behavior: Option<NodeAdversary>,
     ) {
-        let factory = make_factory(scenario.stack.protocol, config, Arc::clone(registry));
-        let sink = Rc::new(RefCell::new(MetricsSink::new(Rc::clone(metrics))));
-        let Some(up_at) = restart_at else {
-            let node = IssNode::new(node_id, opts, factory, Arc::clone(registry), sink);
-            let process: Box<dyn Process<NetMsg>> = Box::new(node);
-            let process = match behavior {
-                Some(b) => Box::new(AdversarialProcess::new(process, Box::new(b))),
-                None => process,
-            };
-            runtime.add_process(Addr::Node(node_id), process);
-            return;
-        };
         debug_assert!(
-            behavior.is_none(),
+            behavior.is_none() || restart_at.is_none(),
             "adversarial nodes must not be scheduled for crash-restart"
         );
-        let storage: Rc<MemStorage> = Rc::new(MemStorage::new());
-        let node = IssNode::with_storage(
-            node_id,
-            opts.clone(),
-            factory,
-            Arc::clone(registry),
-            sink,
-            Rc::clone(&storage) as Rc<dyn Storage>,
-        );
-        runtime.add_process(Addr::Node(node_id), Box::new(node));
-        let protocol = scenario.stack.protocol;
-        let config = config.clone();
-        let registry = Arc::clone(registry);
-        let metrics = Rc::clone(metrics);
-        runtime.schedule_restart(Addr::Node(node_id), up_at, move || {
-            let factory = make_factory(protocol, &config, Arc::clone(&registry));
-            let sink = Rc::new(RefCell::new(MetricsSink::new(metrics)));
-            Box::new(IssNode::with_storage(
+        let storage = restart_at.map(|_| Rc::new(MemStorage::new()) as Rc<dyn Storage>);
+        let (registry, metrics) = (Arc::clone(registry), Rc::clone(metrics));
+        let build = move |storage| {
+            let sink = Rc::new(RefCell::new(MetricsSink::new(Rc::clone(&metrics))));
+            replica(
                 node_id,
-                opts,
-                factory,
-                registry,
+                opts.clone(),
+                protocol,
+                Arc::clone(&registry),
                 sink,
-                storage as Rc<dyn Storage>,
-            )) as Box<dyn Process<NetMsg>>
-        });
+                storage,
+            )
+        };
+        let process: Box<dyn Process<NetMsg>> = Box::new(build(storage.clone()));
+        let process = match behavior {
+            Some(b) => Box::new(AdversarialProcess::new(process, Box::new(b))),
+            None => process,
+        };
+        runtime.add_process(Addr::Node(node_id), process);
+        if let Some(up_at) = restart_at {
+            runtime.schedule_restart(Addr::Node(node_id), up_at, move || {
+                Box::new(build(storage)) as Box<dyn Process<NetMsg>>
+            });
+        }
     }
 
     /// Runs the deployment for the configured duration and summarizes it.
     pub fn run(&mut self) -> Report {
         let window = self.scenario.window;
-        let end = Time::ZERO + window.duration;
         // Run past the submission cutoff so the last proposals settle.
         // Throughput is averaged over [warmup, duration] only; latency
         // samples, delivery counts and message/byte totals deliberately
         // include the drain window, so late deliveries of pre-cutoff
         // requests are observed instead of truncated.
-        self.runtime.run_until(end + window.drain);
-        let warm = Time::ZERO + window.warmup;
+        self.runtime
+            .run_until(Time::ZERO + window.duration + window.drain);
         let stats = self.runtime.stats();
         let mut m = self.metrics.borrow_mut();
-        let throughput = m.average_throughput(warm, end);
-        let mean_latency = m.latency.mean();
-        let p95_latency = m.latency.p95();
-        let mut rejected_requests: Vec<(NodeId, u64)> =
-            m.rejected_per_node.iter().map(|(n, c)| (*n, *c)).collect();
-        rejected_requests.sort_unstable_by_key(|(n, _)| *n);
         let adversary =
             (!self.scenario.adversary.is_empty()).then(|| evaluate_gates(&self.scenario, &m));
         // Telemetry: stamp per-node CPU gauges, then merge all shards into one
@@ -367,20 +290,12 @@ impl Deployment {
             Some(merged)
         };
         Report {
-            throughput,
-            mean_latency,
-            p95_latency,
-            delivered: m.observer_delivered(),
-            timeline: m.timeline.series().to_vec(),
-            epochs: m.epochs.clone(),
-            nil_committed: m.nil_committed,
             messages_sent: stats.messages_sent,
             bytes_sent: stats.bytes_sent,
             messages_dropped: stats.messages_dropped,
-            recoveries: m.recoveries.clone(),
-            rejected_requests,
             adversary,
             telemetry,
+            ..m.report(window)
         }
     }
 }

@@ -1,8 +1,11 @@
 //! Full-system evaluation harness.
 //!
 //! This crate assembles everything into runnable deployments on the
-//! discrete-event simulator. The experiment surface is the composable
-//! **Scenario API** ([`scenario`]):
+//! discrete-event simulator, and holds the engine-neutral half of a
+//! deployment that the loopback TCP engine (`iss_net::TcpCluster`) lowers
+//! the same scenarios through: replica options, replica and client
+//! construction, metrics and the run [`Report`]. The experiment surface is
+//! the composable **Scenario API** ([`scenario`]):
 //!
 //! ```text
 //! Scenario = ProtocolStack × Workload × Topology × FaultPlan × AdversaryPlan × RunWindow
@@ -35,6 +38,9 @@
 //! println!("delivered {} requests", report.delivered);
 //! ```
 //!
+//! Which dimensions also run on loopback TCP, and which are simulator-only,
+//! is listed in the [`scenario`] module docs.
+//!
 //! One experiment function per table/figure of the paper's evaluation
 //! (Section 6) lives in [`experiments`], alongside beyond-the-paper
 //! scenarios (bursty, skewed, partition-heal, lossy-window) exercised by the
@@ -52,7 +58,7 @@ pub use adversary::{
     evaluate_gates, AdversarialProcess, AdversaryPlan, AdversaryReport, Behavior, MalformedKind,
     CENSORSHIP_EPOCH_BOUND,
 };
-pub use cluster::{CrashTiming, Deployment, Report};
+pub use cluster::{replica, CrashTiming, Deployment, Report};
 pub use factories::{make_factory, Protocol};
-pub use metrics::{Metrics, MetricsHandle, MetricsSink};
+pub use metrics::{Metrics, MetricsCell, MetricsHandle, MetricsSink, SharedMetrics};
 pub use scenario::{FaultPlan, ProtocolStack, RunWindow, Scenario, ScenarioBuilder, TopologySpec};

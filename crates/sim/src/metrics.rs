@@ -1,19 +1,26 @@
 //! Metrics collection: throughput time series, latency statistics and
-//! progress counters, shared between the harness and the node processes.
+//! progress counters, shared between the harness and the node processes of
+//! either engine ([`MetricsHandle`] on the simulator, [`SharedMetrics`]
+//! across loopback's protocol threads).
 //!
-//! Beyond measurement, the sink is where the simulator checks safety: every
+//! Beyond measurement, the sink is where a run's safety is checked: every
 //! delivery from every node flows through it into one
-//! [`DeliveryChecker`], and a [`Violation`](iss_core::Violation) panics at
-//! the delivery that caused it (see [`iss_core::checker`] for the
-//! invariants and the argument). The checker never prints, so
+//! [`DeliveryChecker`] (see [`iss_core::checker`] for the invariants and
+//! the argument). On the simulator a [`Violation`] panics at the delivery
+//! that caused it; on loopback, where a protocol thread must not panic,
+//! [`Metrics::violation`] keeps the first one. The checker never prints, so
 //! deterministic experiment stdout is unaffected.
 
-use iss_core::{DeliveryChecker, DeliverySink};
+use crate::cluster::Report;
+use crate::scenario::RunWindow;
+use iss_core::{DeliveryChecker, DeliverySink, Violation};
 use iss_types::{EpochNr, Error, NodeId, Request, RequestId, SeqNr, Time};
 use iss_workload::{LatencyStats, ThroughputTimeline, Workload};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::DerefMut;
 use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// One completed catch-up (crash-restart recovery or reconnect fast path).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,7 +64,7 @@ pub struct Metrics {
     pub recovery_started: HashMap<NodeId, Time>,
     /// The workload whose (deterministic) schedule is used to recompute
     /// request submit times.
-    pub workload: Option<Rc<dyn Workload>>,
+    pub workload: Option<Arc<dyn Workload>>,
     /// The node whose deliveries feed the timeline and latency statistics.
     pub observer: NodeId,
     /// Requests rejected at intake validation, per rejecting node (any
@@ -75,15 +82,18 @@ pub struct Metrics {
     /// First delivery time of each request at the observer node (populated
     /// only when [`Metrics::track_deliveries`] is set).
     pub delivered_at: HashMap<RequestId, Time>,
-    /// Checks every delivery of every node (always on; the sink panics on
-    /// a violation) and counts deliveries per node.
+    /// Checks every delivery of every node (always on) and counts
+    /// deliveries per node.
     pub checker: DeliveryChecker,
+    /// The first delivery the checker rejected. Only a [`SharedMetrics`]
+    /// sink records one; a [`MetricsHandle`] sink panics at it instead.
+    pub violation: Option<Violation>,
 }
 
 impl Metrics {
     /// Creates metrics for a run of `num_nodes` nodes observed at
     /// `observer`.
-    pub fn new(num_nodes: usize, observer: NodeId, workload: Option<Rc<dyn Workload>>) -> Self {
+    pub fn new(num_nodes: usize, observer: NodeId, workload: Option<Arc<dyn Workload>>) -> Self {
         Metrics {
             observer,
             workload,
@@ -101,34 +111,94 @@ impl Metrics {
     pub fn average_throughput(&self, from: Time, until: Time) -> f64 {
         self.timeline.average_between(from, until)
     }
+
+    /// The report fields both engines take from the metrics (throughput
+    /// over `window`'s `[warmup, duration]`), the rest zero or `None`.
+    pub fn report(&mut self, window: RunWindow) -> Report {
+        let (warm, end) = (Time::ZERO + window.warmup, Time::ZERO + window.duration);
+        let mut rejected_requests: Vec<_> = self.rejected_per_node.clone().into_iter().collect();
+        rejected_requests.sort_unstable_by_key(|(n, _)| *n);
+        Report {
+            throughput: self.average_throughput(warm, end),
+            mean_latency: self.latency.mean(),
+            p95_latency: self.latency.p95(),
+            delivered: self.observer_delivered(),
+            timeline: self.timeline.series().to_vec(),
+            epochs: self.epochs.clone(),
+            nil_committed: self.nil_committed,
+            messages_sent: 0,
+            bytes_sent: 0,
+            messages_dropped: 0,
+            recoveries: self.recoveries.clone(),
+            rejected_requests,
+            adversary: None,
+            violation: self.violation.clone(),
+            telemetry: None,
+        }
+    }
 }
 
-/// Shared handle to the run's metrics.
+/// The simulator's handle to the run's metrics: one thread, so a
+/// violation can panic at the delivery that caused it.
 pub type MetricsHandle = Rc<RefCell<Metrics>>;
+
+/// The loopback engine's handle to the run's metrics, shared by the
+/// protocol threads; it keeps the first violation instead of panicking.
+pub type SharedMetrics = Arc<Mutex<Metrics>>;
 
 /// Creates a fresh shared metrics handle for a run of `num_nodes` nodes.
 pub fn metrics_handle(
     num_nodes: usize,
     observer: NodeId,
-    workload: Option<Rc<dyn Workload>>,
+    workload: Option<Arc<dyn Workload>>,
 ) -> MetricsHandle {
     Rc::new(RefCell::new(Metrics::new(num_nodes, observer, workload)))
 }
 
-/// The [`DeliverySink`] installed into every node, funnelling observations
-/// into the shared [`Metrics`].
-pub struct MetricsSink {
-    metrics: MetricsHandle,
+/// A handle a [`MetricsSink`] records through: [`MetricsHandle`] or
+/// [`SharedMetrics`].
+pub trait MetricsCell {
+    /// The metrics behind the handle, borrowed for one callback.
+    fn open(&self) -> impl DerefMut<Target = Metrics> + '_;
+
+    /// Handles a delivery the checker rejected.
+    fn violated(metrics: &mut Metrics, violation: Violation);
 }
 
-impl MetricsSink {
+impl MetricsCell for MetricsHandle {
+    fn open(&self) -> impl DerefMut<Target = Metrics> + '_ {
+        self.borrow_mut()
+    }
+
+    fn violated(_: &mut Metrics, violation: Violation) {
+        panic!("{violation}");
+    }
+}
+
+impl MetricsCell for SharedMetrics {
+    fn open(&self) -> impl DerefMut<Target = Metrics> + '_ {
+        self.lock().expect("metrics poisoned by a panic")
+    }
+
+    fn violated(metrics: &mut Metrics, violation: Violation) {
+        metrics.violation.get_or_insert(violation);
+    }
+}
+
+/// The [`DeliverySink`] installed into every node, funnelling observations
+/// into the shared [`Metrics`].
+pub struct MetricsSink<H = MetricsHandle> {
+    metrics: H,
+}
+
+impl<H> MetricsSink<H> {
     /// Creates a sink backed by the shared metrics.
-    pub fn new(metrics: MetricsHandle) -> Self {
+    pub fn new(metrics: H) -> Self {
         MetricsSink { metrics }
     }
 }
 
-impl DeliverySink for MetricsSink {
+impl<H: MetricsCell> DeliverySink for MetricsSink<H> {
     fn on_request_delivered(
         &mut self,
         node: NodeId,
@@ -136,13 +206,14 @@ impl DeliverySink for MetricsSink {
         request_seq_nr: u64,
         now: Time,
     ) {
-        let mut m = self.metrics.borrow_mut();
+        let mut guard = self.metrics.open();
+        let m = &mut *guard;
         if let Err(violation) = m.checker.check(node, request.id, request_seq_nr) {
-            panic!("{violation}");
+            H::violated(m, violation);
         }
         if node == m.observer {
             m.timeline.record(now, 1);
-            if let Some(workload) = m.workload.clone() {
+            if let Some(workload) = &m.workload {
                 let submitted = workload.submit_time(request.id.client, request.id.timestamp);
                 m.latency.record(now.saturating_since(submitted));
             }
@@ -153,7 +224,7 @@ impl DeliverySink for MetricsSink {
     }
 
     fn on_request_rejected(&mut self, node: NodeId, _request: &Request, error: &Error, _now: Time) {
-        let mut m = self.metrics.borrow_mut();
+        let mut m = self.metrics.open();
         *m.rejected_per_node.entry(node).or_insert(0) += 1;
         if matches!(error, Error::Replayed(_)) {
             *m.replayed_per_node.entry(node).or_insert(0) += 1;
@@ -161,12 +232,12 @@ impl DeliverySink for MetricsSink {
     }
 
     fn on_proposal_rejected(&mut self, node: NodeId, count: u64, _now: Time) {
-        let mut m = self.metrics.borrow_mut();
+        let mut m = self.metrics.open();
         *m.rejected_proposals_per_node.entry(node).or_insert(0) += count;
     }
 
     fn on_batch_committed(&mut self, node: NodeId, _seq_nr: SeqNr, batch_size: usize, _now: Time) {
-        let mut m = self.metrics.borrow_mut();
+        let mut m = self.metrics.open();
         if node == m.observer {
             m.batches_committed += 1;
             if batch_size == 0 {
@@ -176,14 +247,14 @@ impl DeliverySink for MetricsSink {
     }
 
     fn on_epoch_advanced(&mut self, node: NodeId, epoch: EpochNr, now: Time) {
-        let mut m = self.metrics.borrow_mut();
+        let mut m = self.metrics.open();
         if node == m.observer {
             m.epochs.push((epoch, now));
         }
     }
 
     fn on_recovery_started(&mut self, node: NodeId, now: Time) {
-        let mut m = self.metrics.borrow_mut();
+        let mut m = self.metrics.open();
         m.recovery_started.entry(node).or_insert(now);
     }
 
@@ -194,7 +265,7 @@ impl DeliverySink for MetricsSink {
         snapshot_chunks: u64,
         now: Time,
     ) {
-        let mut m = self.metrics.borrow_mut();
+        let mut m = self.metrics.open();
         let started_at = m.recovery_started.remove(&node).unwrap_or(now);
         m.recoveries.push(RecoveryEvent {
             node,
@@ -214,7 +285,7 @@ mod tests {
 
     #[test]
     fn sink_records_observer_only_series() {
-        let schedule: Rc<dyn Workload> = Rc::new(OpenLoop::new(1, 100.0, Time::ZERO));
+        let schedule: Arc<dyn Workload> = Arc::new(OpenLoop::new(1, 100.0, Time::ZERO));
         let handle = metrics_handle(4, NodeId(1), Some(schedule));
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         let req = Request::synthetic(ClientId(0), 0, 500);
@@ -238,7 +309,7 @@ mod tests {
     fn latency_uses_schedule_submit_time() {
         // Request #10 of a 100 req/s client is submitted at 100 ms; delivered
         // at 350 ms → latency 250 ms.
-        let schedule: Rc<dyn Workload> = Rc::new(OpenLoop::new(1, 100.0, Time::ZERO));
+        let schedule: Arc<dyn Workload> = Arc::new(OpenLoop::new(1, 100.0, Time::ZERO));
         let handle = metrics_handle(4, NodeId(0), Some(schedule));
         let mut sink = MetricsSink::new(Rc::clone(&handle));
         let req = Request::synthetic(ClientId(0), 10, 500);

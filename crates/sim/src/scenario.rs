@@ -28,20 +28,40 @@
 //!
 //! Scenarios are built with [`ScenarioBuilder`] (see [`Scenario::builder`]),
 //! whose methods are the only way to schedule a fault or an attack, and are
-//! pure data: new experiment shapes are new scenarios, not new code paths.
+//! pure, `Send` data: new experiment shapes are new scenarios, not new code
+//! paths.
+//!
+//! # Two engines
+//!
+//! [`Scenario::run`] runs a scenario on the simulator and
+//! `iss_net::TcpCluster::run` runs it over loopback TCP on the wall clock;
+//! both build replicas and clients with [`Scenario::node_options`],
+//! [`crate::cluster::replica`] and [`Scenario::client_process`], and
+//! return the same [`Report`]. On both engines: PBFT in ISS or
+//! single-leader mode under any policy, any workload, window and seed,
+//! crashes and crash-restarts (loopback restarts a node from its file WAL,
+//! so it needs a storage root), stragglers and telemetry. Simulator-only,
+//! refused by loopback before it opens a socket: HotStuff, Raft, the
+//! reference protocol and Mir mode (the socket codec encodes none of
+//! them), every topology but [`TopologySpec::Lan`] (loopback has its own
+//! latency), partitions, loss windows and every attack.
 
 use crate::adversary::{AdversaryPlan, ClientAttacks, MalformedKind, NodeAttacks};
+use crate::client_proc::ClientProcess;
 use crate::cluster::{Deployment, Report};
 use crate::factories::Protocol;
-use iss_core::Mode;
+use crate::metrics::Metrics;
+use iss_core::{Mode, NodeOptions, StragglerBehavior};
+use iss_crypto::SignatureRegistry;
 use iss_simnet::fault::{LossWindow, Partition};
 use iss_simnet::Topology;
+use iss_telemetry::TelemetryHandle;
 use iss_types::{
     BucketId, ClientId, Duration, EpochNr, IssConfig, LeaderPolicyKind, NodeId, ProtocolKind, Time,
 };
 use iss_workload::{Bursty, OpenLoop, Skewed, Workload};
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// When a crash fault is injected (Section 6.4.1).
 #[derive(Clone, Copy, Debug)]
@@ -174,7 +194,7 @@ pub struct Scenario {
     /// Number of replicas.
     pub num_nodes: usize,
     /// The client workload (also defines the number of clients).
-    pub workload: Rc<dyn Workload>,
+    pub workload: Arc<dyn Workload>,
     /// Where the deployment runs.
     pub topology: TopologySpec,
     /// The unified fault schedule.
@@ -206,7 +226,7 @@ impl Scenario {
             scenario: Scenario {
                 stack: ProtocolStack::new(protocol),
                 num_nodes,
-                workload: Rc::new(OpenLoop::new(16, 1_000.0, Time::ZERO)),
+                workload: Arc::new(OpenLoop::new(16, 1_000.0, Time::ZERO)),
                 topology: TopologySpec::Wan16,
                 faults: FaultPlan::default(),
                 adversary: AdversaryPlan::default(),
@@ -240,6 +260,12 @@ impl Scenario {
         config
     }
 
+    /// The keys of every replica and client of the scenario.
+    pub fn registry(&self) -> Arc<SignatureRegistry> {
+        let (nodes, clients) = (self.num_nodes, self.num_clients());
+        Arc::new(SignatureRegistry::with_processes(nodes, clients))
+    }
+
     /// The epoch duration implied by the configuration (used to time
     /// epoch-start / epoch-end crash faults).
     pub fn expected_epoch_duration(&self) -> Duration {
@@ -265,6 +291,138 @@ impl Scenario {
                 let back_off = epoch.div(16).max(Duration::from_millis(200));
                 Time::from_micros(epoch.as_micros().saturating_sub(back_off.as_micros()))
             }
+        }
+    }
+
+    /// The crash plan at absolute times: `(node, down, up)` per crashing
+    /// node in node order, where `up` is the reboot time of a
+    /// crash-restart.
+    pub fn crashes(&self) -> impl Iterator<Item = (NodeId, Time, Option<Time>)> + '_ {
+        self.faults
+            .crashes
+            .iter()
+            .map(|(&node, &(timing, down_for))| {
+                let down = self.crash_time(timing);
+                (node, down, down_for.map(|d| down + d))
+            })
+    }
+
+    /// The first dimension of this scenario that only the simulator runs
+    /// (see the module docs), named for an error message; `None` when the
+    /// loopback engine can lower all of them.
+    pub fn simulator_only(&self) -> Option<String> {
+        let topology = match self.topology {
+            TopologySpec::Lan(_) => None,
+            TopologySpec::Wan16 => Some("the Wan16 topology"),
+            TopologySpec::Uniform { .. } => Some("a Uniform topology"),
+            TopologySpec::Custom(_) => Some("a Custom topology"),
+        };
+        let protocol = self.stack.protocol;
+        [
+            (protocol != Protocol::Pbft).then(|| format!("protocol {protocol:?}")),
+            (self.stack.mode == Mode::Mir).then(|| "Mir mode".into()),
+            topology.map(String::from),
+            (!self.faults.partitions.is_empty()).then(|| "a partition".into()),
+            (!self.faults.loss_windows.is_empty()).then(|| "a loss window".into()),
+            (!self.adversary.is_empty()).then(|| "an attack".into()),
+        ]
+        .into_iter()
+        .flatten()
+        .next()
+    }
+
+    /// The node whose deliveries feed the timeline and latency statistics:
+    /// the highest-numbered node that neither crashes (a restarting node
+    /// spends part of the run down and catching up), lags nor attacks (an
+    /// equivocator's or censor's local log is not what the correct quorum
+    /// commits), preferring nodes outside the minority side of every
+    /// scheduled partition — a cut-off replica delivers nothing while
+    /// partitioned (and takes a protocol timeout to catch up after heal), so
+    /// it would silently report the stalled side instead of the committing
+    /// quorum.
+    fn observer(&self) -> NodeId {
+        let isolated: Vec<NodeId> = self
+            .faults
+            .partitions
+            .iter()
+            .flat_map(|p| match p.group_a.len().cmp(&p.group_b.len()) {
+                std::cmp::Ordering::Less => p.group_a.clone(),
+                std::cmp::Ordering::Greater => p.group_b.clone(),
+                std::cmp::Ordering::Equal => Vec::new(),
+            })
+            .collect();
+        let healthy = |n: &NodeId| {
+            !self.faults.crashes.contains_key(n)
+                && !self.faults.stragglers.contains(n)
+                && !self.adversary.nodes.contains_key(n)
+        };
+        let nodes = || (0..self.num_nodes as u32).rev().map(NodeId);
+        nodes()
+            .find(|n| healthy(n) && !isolated.contains(n))
+            .or_else(|| nodes().find(healthy))
+            .unwrap_or(NodeId(0))
+    }
+
+    /// Empty metrics for a run of this scenario, observed at its
+    /// highest-numbered healthy node, with latency taken against the
+    /// workload's schedule.
+    pub fn metrics(&self) -> Metrics {
+        let mut metrics = Metrics::new(
+            self.num_nodes,
+            self.observer(),
+            Some(Arc::clone(&self.workload)),
+        );
+        // Liveness gates need the observer's per-request delivery times;
+        // the map stays empty (and unallocated) in benign runs.
+        metrics.track_deliveries = !self.adversary.is_empty();
+        metrics
+    }
+
+    /// Censorship recovery relies on clients retransmitting requests that
+    /// got no response, so censoring scenarios turn responses and client
+    /// retransmission on; every other run measures latency at delivery and
+    /// keeps the response traffic out of the event count.
+    fn respond_to_clients(&self) -> bool {
+        self.adversary.nodes.values().any(|a| a.censor.is_some())
+    }
+
+    /// The options of replica `node` under `config` ([`Scenario::iss_config`]
+    /// or an engine's adjustment of it): mode, client set, bucket
+    /// announcements, straggling, responses and a telemetry handle of its
+    /// own when the scenario records telemetry.
+    pub fn node_options(&self, node: NodeId, config: &IssConfig) -> NodeOptions {
+        let mut opts = NodeOptions::new(config.clone());
+        opts.mode = self.stack.mode;
+        opts.respond_to_clients = self.respond_to_clients();
+        opts.announce_buckets = true;
+        opts.clients = (0..self.num_clients() as u32).map(ClientId).collect();
+        if self.faults.stragglers.contains(&node) {
+            opts.straggler = Some(StragglerBehavior {
+                proposal_interval: config.epoch_change_timeout.div(2),
+            });
+        }
+        if self.telemetry {
+            opts.telemetry = TelemetryHandle::enabled(node.0);
+        }
+        opts
+    }
+
+    /// The process of `client`: submits the scenario's workload to the
+    /// replicas of `config` until the end of the run window, and re-sends
+    /// unanswered requests when the replicas respond.
+    pub fn client_process(&self, client: ClientId, config: &IssConfig) -> ClientProcess {
+        let process = ClientProcess::new(
+            client,
+            Arc::clone(&self.workload),
+            config.all_nodes(),
+            config.num_buckets(),
+            config.f() + 1,
+            Time::ZERO + self.window.duration,
+        );
+        if self.respond_to_clients() {
+            process.with_retransmission()
+        } else {
+            process
         }
     }
 
@@ -307,7 +465,7 @@ impl ScenarioBuilder {
 
     /// Installs an arbitrary [`Workload`] implementation.
     pub fn workload(mut self, workload: impl Workload + 'static) -> Self {
-        self.scenario.workload = Rc::new(workload);
+        self.scenario.workload = Arc::new(workload);
         self.skewed = None;
         self
     }
@@ -473,7 +631,7 @@ impl ScenarioBuilder {
     /// the final seed).
     pub fn build(mut self) -> Scenario {
         if let Some((num_clients, total_rate, exponent)) = self.skewed {
-            self.scenario.workload = Rc::new(Skewed::new(
+            self.scenario.workload = Arc::new(Skewed::new(
                 num_clients,
                 total_rate,
                 exponent,

@@ -9,20 +9,19 @@
 //! recorded events through a **fresh** node mounted on the standalone
 //! [`SansIo`] driver, asserting action-for-action equality.
 //!
-//! The replayed node is built from the same recipe `Deployment` uses — a
-//! construction drift between the engines shows up here as a divergence at
-//! some entry index. A negative control (a node configured differently)
-//! proves the comparison has teeth.
+//! The replayed node is built through the same recipe `Deployment` uses
+//! ([`Scenario::node_options`] and [`replica`]) — a construction drift
+//! between the engines shows up here as a divergence at some entry index.
+//! A negative control (a node configured differently) proves the
+//! comparison has teeth.
 
-use iss_core::{IssNode, NodeOptions, NullSink};
-use iss_crypto::SignatureRegistry;
+use iss_core::{IssNode, NullSink};
 use iss_messages::NetMsg;
 use iss_runtime::{replay_trace, Addr, Driver, SansIo, TraceEntry, TraceRecorder};
-use iss_sim::{make_factory, CrashTiming, Deployment, Protocol, Scenario};
-use iss_types::{ClientId, Duration, LeaderPolicyKind, NodeId};
+use iss_sim::{replica, CrashTiming, Deployment, Protocol, Scenario};
+use iss_types::{Duration, LeaderPolicyKind, NodeId};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 const NUM_NODES: usize = 4;
 const NUM_CLIENTS: usize = 4;
@@ -56,24 +55,16 @@ fn record_sim_trace(scenario: Scenario) -> Vec<TraceEntry<NetMsg>> {
     trace
 }
 
-/// Builds a replica exactly the way `Deployment` builds the simulated one
-/// (same options, same orderer factory, same signature registry shape), to
-/// be mounted on the standalone driver.
+/// Builds a replica through the recipe `Deployment` builds the simulated
+/// one with (same options, same orderer factory, same signature registry
+/// shape), to be mounted on the standalone driver; `respond_to_clients`
+/// overrides the recipe's response rule.
 fn standalone_replica(scenario: &Scenario, respond_to_clients: bool) -> IssNode {
-    let config = scenario.iss_config();
-    let registry = Arc::new(SignatureRegistry::with_processes(NUM_NODES, NUM_CLIENTS));
-    let mut opts = NodeOptions::new(config.clone());
+    let registry = scenario.registry();
+    let mut opts = scenario.node_options(TRACED, &scenario.iss_config());
     opts.respond_to_clients = respond_to_clients;
-    opts.announce_buckets = true;
-    opts.clients = (0..NUM_CLIENTS as u32).map(ClientId).collect();
-    let factory = make_factory(Protocol::Pbft, &config, Arc::clone(&registry));
-    IssNode::new(
-        TRACED,
-        opts,
-        factory,
-        registry,
-        Rc::new(RefCell::new(NullSink)),
-    )
+    let sink = Rc::new(RefCell::new(NullSink));
+    replica(TRACED, opts, Protocol::Pbft, registry, sink, None)
 }
 
 #[test]

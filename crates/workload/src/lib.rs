@@ -17,8 +17,10 @@
 //!   same submission sequence, which is what makes whole-run byte-identity
 //!   (the determinism CI gate) possible at all.
 //!
-//! The trait is object-safe: the experiment harness stores scenarios'
-//! workloads as `Rc<dyn Workload>`.
+//! The trait is object-safe and `Send + Sync` (a schedule is plain data):
+//! the experiment harness stores a scenario's workload as one
+//! `Arc<dyn Workload>` that the simulator's clients and the loopback
+//! engine's client threads share.
 
 pub mod generators;
 pub mod stats;
@@ -32,7 +34,7 @@ use iss_types::{ClientId, ReqTimestamp, Time};
 
 /// An object-safe, deterministic request-submission schedule for a set of
 /// clients (see the crate docs for the determinism contract).
-pub trait Workload: std::fmt::Debug {
+pub trait Workload: std::fmt::Debug + Send + Sync {
     /// Number of clients this workload drives.
     fn num_clients(&self) -> usize;
 

@@ -8,75 +8,72 @@
 //! cargo run --release --example ordering_service
 //! ```
 //!
-//! With `--tcp`, the same node code runs as a real ordering service instead
-//! of a simulation: 4 replicas over localhost TCP sockets, each with a
-//! durable write-ahead log, loaded by open-loop clients on the wall clock
-//! (see `iss::net` and the runtime-boundary section of
-//! `docs/architecture.md`):
+//! With `--tcp`, the same service scenario runs as a real ordering service
+//! instead of a simulation: 4 ISS replicas over localhost TCP sockets, each
+//! with a durable write-ahead log, loaded by the same 16 open-loop clients
+//! for a 10 s window on the wall clock (see `iss::net` and the
+//! runtime-boundary section of `docs/architecture.md`):
 //!
 //! ```sh
 //! cargo run --release --example ordering_service -- --tcp
 //! ```
 
 use iss::core::Mode;
-use iss::net::{TcpCluster, TcpClusterConfig};
-use iss::sim::{Protocol, Scenario};
+use iss::net::TcpCluster;
+use iss::sim::{Protocol, Report, Scenario, ScenarioBuilder, TopologySpec};
 use iss::types::Duration;
 
-fn run(label: &str, mode: Mode, nodes: usize, offered: f64) -> f64 {
-    let report = Scenario::builder(Protocol::Pbft, nodes)
+/// The ordering service under test: `nodes` replicas in `mode`, loaded by
+/// 16 open-loop clients offering `offered` transactions per second.
+fn service(mode: Mode, nodes: usize, offered: f64) -> ScenarioBuilder {
+    Scenario::builder(Protocol::Pbft, nodes)
         .mode(mode)
         .open_loop(16, offered)
-        .duration(Duration::from_secs(16))
-        .warmup(Duration::from_secs(6))
-        .build()
-        .run();
+}
+
+fn print(label: &str, nodes: usize, offered: f64, report: &Report) {
     println!(
         "  {label:<14} n={nodes:<3} offered {:>7.0} tx/s  delivered {:>8.1} tx/s  mean latency {:>5.2} s",
         offered,
         report.throughput,
         report.mean_latency.as_secs_f64()
     );
+}
+
+fn run(label: &str, mode: Mode, nodes: usize, offered: f64) -> f64 {
+    let report = service(mode, nodes, offered)
+        .duration(Duration::from_secs(16))
+        .warmup(Duration::from_secs(6))
+        .build()
+        .run();
+    print(label, nodes, offered, &report);
     report.throughput
 }
 
-/// Boots a real 4-node ISS-PBFT ordering service on loopback sockets with
-/// durable per-node storage and measures delivered throughput on the wall
-/// clock.
+/// Runs the same service shape as a real 4-node ISS-PBFT ordering service
+/// on loopback sockets, with durable per-node storage, for a 10 s window on
+/// the wall clock.
 fn run_tcp() {
     let storage = std::env::temp_dir().join(format!("iss-ordering-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&storage);
-    let mut cfg = TcpClusterConfig::new(4);
-    cfg.num_clients = 4;
-    cfg.total_rate = 1_000.0;
-    cfg.run_for = Duration::from_secs(60);
-    cfg.storage_root = Some(storage.clone());
-    cfg.telemetry = true;
+    let scenario = service(Mode::Iss, 4, 1_000.0)
+        .topology(TopologySpec::Lan(Duration::from_millis(1)))
+        .duration(Duration::from_secs(8))
+        .warmup(Duration::from_secs(2))
+        .drain(Duration::from_secs(2))
+        .telemetry(true)
+        .build();
     println!("ordering service over TCP: 4 ISS-PBFT replicas on 127.0.0.1, file WAL per node");
-    let cluster = TcpCluster::launch(cfg).expect("cluster boots");
-    let commits = cluster.commits();
-    let start = std::time::Instant::now();
-    std::thread::sleep(std::time::Duration::from_secs(10));
-    let elapsed = start.elapsed().as_secs_f64();
-    {
-        let log = commits.lock().unwrap();
-        for n in cluster.node_ids() {
-            println!(
-                "  node {}: delivered {:>6} tx  ({:>7.1} tx/s)",
-                n.0,
-                log.delivered_at(n),
-                log.delivered_at(n) as f64 / elapsed
-            );
-        }
-        log.check().expect("agreement across replicas");
-    }
+    let report = TcpCluster::run(scenario, Some(storage.clone())).expect("cluster runs");
+    let _ = std::fs::remove_dir_all(&storage);
+    print("ISS-PBFT", 4, 1_000.0, &report);
+    assert_eq!(report.violation, None, "agreement across replicas");
+    assert!(report.delivered > 0, "the service delivered nothing");
     println!("  agreement and no duplication checked at every delivery");
-    if let Some(snapshot) = cluster.telemetry_snapshot() {
+    if let Some(snapshot) = report.telemetry {
         println!();
         print!("{}", snapshot.render_table());
     }
-    cluster.shutdown();
-    let _ = std::fs::remove_dir_all(&storage);
 }
 
 fn main() {
