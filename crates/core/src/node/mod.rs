@@ -486,10 +486,12 @@ mod tests {
         let mut config = IssConfig::pbft(n);
         config.min_epoch_length = 8;
         config.client_signatures = false;
+        let timeout = config.epoch_change_timeout;
         let mut opts = NodeOptions::new(config);
         opts.mode = mode;
-        let factory: OrdererFactory =
-            Box::new(|id, seg| Box::new(ReferenceSb::new(id, seg)) as Box<dyn SbInstance>);
+        let factory: OrdererFactory = Box::new(move |id, seg| {
+            Box::new(ReferenceSb::new(id, seg, timeout)) as Box<dyn SbInstance>
+        });
         IssNode::new(
             NodeId(0),
             opts,

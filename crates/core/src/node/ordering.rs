@@ -83,16 +83,6 @@ impl IssNode {
                     let id = ctx.set_timer(delay, KIND_INSTANCE);
                     self.state.register_timer(id, slot, token);
                 }
-                SbAction::CancelTimer { token } => {
-                    let mut ids = Vec::new();
-                    self.state.take_matching_timers(slot, token, &mut ids);
-                    for id in ids {
-                        ctx.cancel_timer(id);
-                    }
-                }
-                // The leader policy learns of failures from ⊥ deliveries
-                // (`record_nil_delivery`), not from suspicions.
-                SbAction::Suspect(_) => {}
             }
         }
     }

@@ -24,7 +24,7 @@
 //!   [`iss_types::TimerId`] / the simnet `TimerSlab`). Message dispatch
 //!   resolves `InstanceId` → slot through the arena's dense
 //!   segment-index table, and every subsequent touch (drive, timer
-//!   registration, cancellation) is an array index.
+//!   registration) is an array index.
 //! * **Timers resolve in O(1) and GC is a wholesale drop.** A timer route
 //!   stores the `InstanceSlot` it belongs to; when the epoch dies the slab
 //!   slot's generation is bumped, so a stale timer firing later fails its
@@ -32,6 +32,10 @@
 //!   `retain` scan at GC time. Epoch GC retires the arena's slots (one
 //!   generation bump each, instances dropped wholesale with the arena's
 //!   tables) — no per-entry scans over any map.
+//! * **Timers are never cancelled.** An SB instance can only arm a timer;
+//!   one that re-arms a timeout stamps the token with a generation and
+//!   ignores stale fires itself. So a route leaves the table only when its
+//!   timer fires, and an instance needs no list of its own timers.
 //!
 //! The old `HashMap` implementation lives on in
 //! `crates/core/tests/state_equivalence.rs`, not in this crate: it is the
@@ -72,8 +76,7 @@ impl InstanceSlot {
 /// Sentinel for "no leader recorded" in the dense per-epoch leader table.
 const NO_LEADER: NodeId = NodeId(u32::MAX);
 
-/// One slab slot: the instance boxed in it, its identifier, and the timers
-/// it currently has armed (token → handle, for cancellation by token).
+/// One slab slot: the instance boxed in it and its identifier.
 struct SlabEntry {
     /// Current generation; an [`InstanceSlot`] handle is live iff it
     /// carries this value.
@@ -84,11 +87,6 @@ struct SlabEntry {
     id: InstanceId,
     /// The boxed instance; `None` while taken for a callback.
     instance: Option<Box<dyn SbInstance>>,
-    /// Armed timers of this instance: `(token, handle)` pairs. Small (an
-    /// instance arms a handful of timeouts), so cancellation by token is a
-    /// short scan of this list instead of a filter over every timer of the
-    /// node.
-    timers: Vec<(u64, TimerId)>,
 }
 
 /// The dense tables of one live epoch. All three tables are indexed by
@@ -132,9 +130,9 @@ impl EpochArena {
 /// * `take_instance` / `restore_instance` bracket a callback into the
 ///   instance (the node's `drive` loop); a take of a dead or already-taken
 ///   slot returns `None`.
-/// * `register_timer` / `resolve_timer` / `take_matching_timers` route the
-///   embedding's timer handles to (slot, token) pairs; resolving a timer
-///   whose instance died returns `None` and drops the route.
+/// * `register_timer` / `resolve_timer` route the embedding's timer handles
+///   to (slot, token) pairs; resolving a timer whose instance died returns
+///   `None` and drops the route.
 /// * `record_proposed` / `take_proposed` / `clear_proposed` track the
 ///   batches this node proposed for its own segment (resurrection on ⊥).
 /// * `gc(keep_epochs_from, leader_cut)` drops instances and timer routes of
@@ -152,8 +150,8 @@ pub struct EpochState {
     slab: Vec<SlabEntry>,
     free: Vec<u32>,
     /// Timer handle → (instance slot, token). Entries are removed when the
-    /// timer fires or is cancelled — a dead instance's timers fall out on
-    /// their own fire via the generation check, so GC never scans this map.
+    /// timer fires — a dead instance's timers fall out on their own fire via
+    /// the generation check, so GC never scans this map.
     timer_routes: FxHashMap<TimerId, (InstanceSlot, u64)>,
     /// `leader_of` answers `None` below this (stable-checkpoint) cut,
     /// matching the reference oracle's `retain`-based forgetting.
@@ -198,14 +196,12 @@ impl EpochState {
     }
 
     /// Retires one slab slot: bumps the generation (invalidating every
-    /// outstanding handle), drops the instance and its timer list, and
-    /// recycles the slot.
+    /// outstanding handle), drops the instance, and recycles the slot.
     fn retire_slot(&mut self, slot: InstanceSlot) {
         if let Some(entry) = self.entry_mut(slot) {
             entry.generation = entry.generation.wrapping_add(1);
             entry.live = false;
             entry.instance = None;
-            entry.timers.clear();
             self.free.push(slot.slot());
         }
     }
@@ -273,7 +269,6 @@ impl EpochState {
                     live: true,
                     id,
                     instance: Some(instance),
-                    timers: Vec::new(),
                 });
                 InstanceSlot::from_parts(index, 0)
             }
@@ -367,8 +362,7 @@ impl EpochState {
 
     /// Routes `timer` to `(slot, token)` for [`Self::resolve_timer`].
     pub fn register_timer(&mut self, timer: TimerId, slot: InstanceSlot, token: u64) {
-        if let Some(entry) = self.entry_mut(slot) {
-            entry.timers.push((token, timer));
+        if self.entry(slot).is_some() {
             self.timer_routes.insert(timer, (slot, token));
         }
     }
@@ -378,31 +372,8 @@ impl EpochState {
     /// if the instance died in the meantime.
     pub fn resolve_timer(&mut self, timer: TimerId) -> Option<(InstanceSlot, u64)> {
         let (slot, token) = self.timer_routes.remove(&timer)?;
-        let entry = self.entry_mut(slot)?; // dead instance: route already dropped
-        entry.timers.retain(|(_, t)| *t != timer);
+        self.entry(slot)?; // dead instance: route already dropped
         Some((slot, token))
-    }
-
-    /// Removes every timer route of `slot` carrying `token` and appends the
-    /// timer handles to `out` (the caller cancels them on its runtime
-    /// context). Order is unspecified.
-    pub fn take_matching_timers(&mut self, slot: InstanceSlot, token: u64, out: &mut Vec<TimerId>) {
-        let Some(entry) = self.entry_mut(slot) else {
-            return;
-        };
-        let start = out.len();
-        let mut i = 0;
-        while i < entry.timers.len() {
-            if entry.timers[i].0 == token {
-                let (_, timer) = entry.timers.swap_remove(i);
-                out.push(timer);
-            } else {
-                i += 1;
-            }
-        }
-        for timer in &out[start..] {
-            self.timer_routes.remove(timer);
-        }
     }
 
     /// Epoch garbage collection: drops instances (and their timer routing)
@@ -542,18 +513,8 @@ mod tests {
     fn timers_route_in_o1_and_die_with_their_instance() {
         let mut state = EpochState::new();
         let slots = epoch_with_instances(&mut state, 0, 0, 2, 2);
-        let t1 = TimerId(101);
-        let t2 = TimerId(202);
         let t3 = TimerId(303);
-        state.register_timer(t1, slots[0], 7);
-        state.register_timer(t2, slots[0], 7);
         state.register_timer(t3, slots[1], 9);
-        // Cancellation by token takes both matching timers, leaves others.
-        let mut cancelled = Vec::new();
-        state.take_matching_timers(slots[0], 7, &mut cancelled);
-        cancelled.sort();
-        assert_eq!(cancelled, vec![t1, t2]);
-        assert!(state.resolve_timer(t1).is_none(), "cancelled route is gone");
         assert_eq!(state.resolve_timer(t3), Some((slots[1], 9)));
         assert!(state.resolve_timer(t3).is_none(), "a route resolves once");
         // A timer surviving its instance resolves to None after GC.

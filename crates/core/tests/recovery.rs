@@ -22,8 +22,10 @@ fn test_config() -> IssConfig {
 
 fn restore_node(storage: Rc<MemStorage>) -> IssNode {
     let config = test_config();
-    let factory: OrdererFactory =
-        Box::new(|id, seg| Box::new(ReferenceSb::new(id, seg)) as Box<dyn SbInstance>);
+    let timeout = config.epoch_change_timeout;
+    let factory: OrdererFactory = Box::new(move |id, seg| {
+        Box::new(ReferenceSb::new(id, seg, timeout)) as Box<dyn SbInstance>
+    });
     IssNode::with_storage(
         NodeId(0),
         NodeOptions::new(config),

@@ -1,13 +1,13 @@
 //! Lockstep equivalence property suite: the dense [`EpochState`] arena must
 //! be observably indistinguishable from the [`ReferenceNodeState`] `HashMap`
 //! oracle under randomized epoch lifecycles — propose bookkeeping, message
-//! dispatch (take/restore), timer register/fire/cancel, epoch changes and
-//! garbage collection. The oracle is the arena's pre-arena implementation
+//! dispatch (take/restore), timer register/fire, epoch changes and garbage
+//! collection. The oracle is the arena's pre-arena implementation
 //! and lives here, in the test, rather than in the crate.
 //!
 //! Every operation is applied to both implementations and every output is
 //! compared: leader lookups, proposed-batch round-trips, slot liveness,
-//! timer resolutions and cancellation sets, live-instance counts. Slot
+//! timer resolutions, live-instance counts. Slot
 //! handles themselves are implementation-specific, so the driver tracks the
 //! pair of handles an insertion returned and always addresses both states
 //! through their own handle.
@@ -26,8 +26,7 @@ use std::collections::HashMap;
 
 /// The pre-arena implementation, kept verbatim as the behavioural oracle:
 /// four `HashMap`s keyed by `InstanceId` / `SeqNr` / `TimerId`, epoch GC by
-/// `retain` scans, timer cancellation by filtering the whole timer map.
-/// Slot handles are opaque unique tokens resolved through a map.
+/// `retain` scans. Slot handles are opaque unique tokens resolved through a map.
 #[derive(Default)]
 struct ReferenceNodeState {
     instances: HashMap<InstanceId, Box<dyn SbInstance>>,
@@ -118,22 +117,6 @@ impl ReferenceNodeState {
         }
     }
 
-    fn take_matching_timers(&mut self, slot: InstanceSlot, token: u64, out: &mut Vec<TimerId>) {
-        let Some(id) = self.handle_to_id.get(&slot.0).copied() else {
-            return;
-        };
-        let ids: Vec<TimerId> = self
-            .instance_timers
-            .iter()
-            .filter(|(_, (inst, t))| *inst == id && *t == token)
-            .map(|(timer, _)| *timer)
-            .collect();
-        for timer in ids {
-            self.instance_timers.remove(&timer);
-            out.push(timer);
-        }
-    }
-
     fn gc(&mut self, keep_epochs_from: EpochNr, leader_cut: Option<SeqNr>) {
         self.instances.retain(|id, _| id.epoch >= keep_epochs_from);
         self.taken.retain(|id, _| id.epoch >= keep_epochs_from);
@@ -180,7 +163,7 @@ struct LiveEpoch {
     segments: Vec<(InstanceId, InstanceSlot, InstanceSlot)>,
 }
 
-/// Timers the driver has armed and not yet seen fire or cancel.
+/// Timers the driver has armed and not yet seen fire.
 struct LiveTimer {
     id: TimerId,
     /// Which segment pair the timer belongs to.
@@ -391,22 +374,6 @@ impl Driver {
                 // A second resolution must fail on both.
                 assert!(self.dense.resolve_timer(t.id).is_none());
                 assert!(self.reference.resolve_timer(t.id).is_none());
-            }
-            // Cancel by (instance, token), as `SbAction::CancelTimer` does.
-            90..=94 => {
-                let Some((_, d, r)) = self.pick_pair(rng) else {
-                    return;
-                };
-                let token = rng.gen_range(0u64..4);
-                let mut dense_ids = Vec::new();
-                let mut reference_ids = Vec::new();
-                self.dense.take_matching_timers(d, token, &mut dense_ids);
-                self.reference
-                    .take_matching_timers(r, token, &mut reference_ids);
-                dense_ids.sort();
-                reference_ids.sort();
-                assert_eq!(dense_ids, reference_ids, "cancellation sets diverged");
-                self.timers.retain(|t| !dense_ids.contains(&t.id));
             }
             // Queries.
             _ => {

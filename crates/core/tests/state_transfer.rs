@@ -6,7 +6,7 @@ use iss_core::{DeliverySink, IssNode, NodeOptions, OrdererFactory};
 use iss_crypto::SignatureRegistry;
 use iss_messages::isscp::LogEntry;
 use iss_messages::{ClientMsg, IssMsg, NetMsg};
-use iss_runtime::{Addr, Context, Driver, Event, Process, SansIo};
+use iss_runtime::{Addr, Context, Event, Process, SansIo};
 use iss_sb::reference::ReferenceSb;
 use iss_sb::SbInstance;
 use iss_types::{
@@ -55,8 +55,10 @@ type Mounted = (SansIo<NetMsg>, Rc<RefCell<IssNode>>, Rc<RefCell<Sink>>);
 fn node_with_queued(req: &Request) -> Mounted {
     let mut config = IssConfig::pbft(4);
     config.client_signatures = false;
-    let factory: OrdererFactory =
-        Box::new(|id, seg| Box::new(ReferenceSb::new(id, seg)) as Box<dyn SbInstance>);
+    let timeout = config.epoch_change_timeout;
+    let factory: OrdererFactory = Box::new(move |id, seg| {
+        Box::new(ReferenceSb::new(id, seg, timeout)) as Box<dyn SbInstance>
+    });
     let registry = Arc::new(SignatureRegistry::with_processes(4, 4));
     let sink = Rc::new(RefCell::new(Sink::default()));
     let node = IssNode::new(

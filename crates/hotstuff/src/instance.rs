@@ -407,7 +407,6 @@ impl SbInstance for HotStuffInstance {
         }
         // Pacemaker timeout: suspect the current leader, advance the round,
         // send our high QC to the new leader.
-        ctx.suspect(self.current_leader());
         self.leader_round += 1;
         self.current_timeout = self.current_timeout.saturating_mul(2);
         // Resume proposing from the first view without a certified block.
@@ -430,14 +429,8 @@ impl SbInstance for HotStuffInstance {
         self.arm_pacemaker(ctx);
     }
 
-    fn on_suspect(&mut self, _node: NodeId, _ctx: &mut SbContext<'_>) {}
-
     fn is_complete(&self) -> bool {
         self.delivered == self.segment.seq_nrs.len()
-    }
-
-    fn delivered_count(&self) -> usize {
-        self.delivered
     }
 }
 
@@ -527,13 +520,12 @@ mod tests {
             assert!(
                 net.instances[node].is_complete(),
                 "node {node} delivered {}",
-                net.instances[node].delivered_count()
+                net.log_of(node).len()
             );
             assert_eq!(net.log_of(node).get(&0), Some(&None));
             assert_eq!(net.log_of(node).get(&1), Some(&None));
         }
         net.assert_agreement();
-        assert!(net.suspicions[1].contains(&NodeId(0)));
     }
 
     #[test]

@@ -97,7 +97,7 @@
 use crate::frame::{self, FrameReader};
 use bytes::BytesMut;
 use iss_messages::NetMsg;
-use iss_runtime::{Action, Addr, Driver, Event, Process, SansIo};
+use iss_runtime::{Action, Addr, Event, Process, SansIo};
 use iss_types::{NodeId, Time, TimerId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};

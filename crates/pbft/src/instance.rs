@@ -345,9 +345,6 @@ impl PbftInstance {
             return;
         }
         self.changing_to = Some(target);
-        // Suspect the primary we are abandoning (◇S(bz) output extracted from
-        // the protocol timeout, Section 4.2.4).
-        ctx.suspect(self.primary_of(self.view));
         let prepared: Vec<PreparedProof> = self
             .slots
             .iter()
@@ -626,21 +623,8 @@ impl SbInstance for PbftInstance {
         self.start_view_change(target, ctx);
     }
 
-    fn on_suspect(&mut self, node: NodeId, ctx: &mut SbContext<'_>) {
-        // An external suspicion of the current primary triggers the same path
-        // as the internal timeout.
-        if node == self.primary_of(self.view) && !self.is_complete() {
-            let target = self.changing_to.unwrap_or(self.view) + 1;
-            self.start_view_change(target, ctx);
-        }
-    }
-
     fn is_complete(&self) -> bool {
         self.delivered == self.segment.seq_nrs.len()
-    }
-
-    fn delivered_count(&self) -> usize {
-        self.delivered
     }
 }
 
@@ -739,14 +723,12 @@ mod tests {
             assert!(
                 net.instances[node].is_complete(),
                 "SB termination after leader crash (node {node}): delivered {}",
-                net.instances[node].delivered_count()
+                net.log_of(node).len()
             );
             assert_eq!(net.log_of(node).get(&0), Some(&None));
             assert_eq!(net.log_of(node).get(&1), Some(&None));
         }
         net.assert_agreement();
-        // The crashed primary was suspected.
-        assert!(net.suspicions[1].contains(&NodeId(0)));
     }
 
     #[test]

@@ -245,7 +245,6 @@ impl RaftInstance {
         self.role = Role::Candidate;
         self.voted_for.insert(self.term, self.my_id);
         self.votes_received = 1;
-        ctx.suspect(self.segment.leader);
         let last_log_index = self.log.len() as u64;
         let last_log_term = self.log.last().map(|e| e.term).unwrap_or(0);
         ctx.broadcast(SbMsg::Raft(RaftMsg::RequestVote {
@@ -462,18 +461,8 @@ impl SbInstance for RaftInstance {
         }
     }
 
-    fn on_suspect(&mut self, node: NodeId, ctx: &mut SbContext<'_>) {
-        if node == self.segment.leader && self.role == Role::Follower && !self.is_complete() {
-            self.start_election(ctx);
-        }
-    }
-
     fn is_complete(&self) -> bool {
         self.delivered == self.segment.seq_nrs.len()
-    }
-
-    fn delivered_count(&self) -> usize {
-        self.delivered
     }
 }
 
@@ -561,13 +550,12 @@ mod tests {
             assert!(
                 net.instances[node].is_complete(),
                 "node {node} delivered {}",
-                net.instances[node].delivered_count()
+                net.log_of(node).len()
             );
             assert_eq!(net.log_of(node).get(&0), Some(&None));
             assert_eq!(net.log_of(node).get(&1), Some(&None));
         }
         net.assert_agreement();
-        assert!(net.suspicions[1].contains(&NodeId(0)) || net.suspicions[2].contains(&NodeId(0)));
     }
 
     #[test]

@@ -36,18 +36,6 @@ pub enum Event<M> {
     },
 }
 
-/// Something that can host sans-IO processes.
-///
-/// The trait is deliberately thin — mounting is the only operation every
-/// engine shares; how events are produced (a virtual-time queue, an OS
-/// socket, a recorded trace) is the engine's business. `iss-simnet`'s
-/// `Runtime` and [`SansIo`] both implement it.
-pub trait Driver<M: Payload> {
-    /// Registers `process` under `addr`; the driver will deliver its events
-    /// and interpret its actions from now on.
-    fn mount(&mut self, addr: Addr, process: Box<dyn Process<M>>);
-}
-
 /// The standalone driver: feed events in, get actions back, nothing else.
 ///
 /// `SansIo` owns the full ambient state of one process — its [`TimerSlab`]
@@ -71,7 +59,7 @@ pub struct SansIo<M> {
 }
 
 impl<M: Payload> SansIo<M> {
-    /// Creates an empty driver; [`Driver::mount`] a process before handling
+    /// Creates an empty driver; [`SansIo::mount`] a process before handling
     /// events. The seed feeds `ctx.rng()` — note that a standalone driver
     /// has its own RNG, so only processes that never draw from the context
     /// RNG (every protocol here except Raft's election jitter) replay
@@ -84,6 +72,13 @@ impl<M: Payload> SansIo<M> {
             actions: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         }
+    }
+
+    /// Registers `process` under `addr`, replacing any process mounted
+    /// before; [`SansIo::handle`] drives it from now on.
+    pub fn mount(&mut self, addr: Addr, process: Box<dyn Process<M>>) {
+        self.addr = Some(addr);
+        self.process = Some(process);
     }
 
     /// The mounted address, if any.
@@ -133,13 +128,6 @@ impl<M: Payload> SansIo<M> {
         let mut out = Vec::new();
         self.handle_into(now, event, &mut out);
         out
-    }
-}
-
-impl<M: Payload> Driver<M> for SansIo<M> {
-    fn mount(&mut self, addr: Addr, process: Box<dyn Process<M>>) {
-        self.addr = Some(addr);
-        self.process = Some(process);
     }
 }
 

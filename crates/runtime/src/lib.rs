@@ -29,7 +29,7 @@ pub mod process;
 pub mod timer;
 pub mod trace;
 
-pub use driver::{Driver, Event, SansIo};
+pub use driver::{Event, SansIo};
 pub use process::{rewrite_sends, Action, Addr, Context, Payload, Process};
 pub use timer::TimerSlab;
 pub use trace::{replay_trace, EventRef, TraceEntry, TraceRecorder, TraceSink};

@@ -207,7 +207,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::Driver;
     use crate::process::{Context, Process};
     use iss_types::{Duration, NodeId};
 

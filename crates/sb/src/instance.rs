@@ -26,23 +26,14 @@ pub enum SbAction {
         batch: Option<Batch>,
     },
     /// Arm a timer that will call [`SbInstance::on_timer`] with `token` after
-    /// `delay`.
+    /// `delay`. Timers cannot be cancelled: an instance that re-arms a
+    /// timeout stamps the token with a generation and ignores stale fires.
     SetTimer {
         /// Token passed back on expiry.
         token: u64,
         /// Delay until expiry.
         delay: Duration,
     },
-    /// Cancel a previously armed timer with the given token.
-    CancelTimer {
-        /// Token of the timer to cancel.
-        token: u64,
-    },
-    /// Report that the instance's internal failure detection suspects `node`
-    /// (Section 4.2.4: the production protocols extract ◇S(bz) from their
-    /// own timeouts). The embedding feeds this into its leader-selection
-    /// policy.
-    Suspect(NodeId),
 }
 
 /// Per-callback context handed to an SB instance.
@@ -90,16 +81,6 @@ impl<'a> SbContext<'a> {
         self.actions.push(SbAction::SetTimer { token, delay });
     }
 
-    /// Cancels a timer.
-    pub fn cancel_timer(&mut self, token: u64) {
-        self.actions.push(SbAction::CancelTimer { token });
-    }
-
-    /// Reports a suspicion.
-    pub fn suspect(&mut self, node: NodeId) {
-        self.actions.push(SbAction::Suspect(node));
-    }
-
     /// Drains the buffered actions (embedding use).
     pub fn take_actions(self) -> Vec<SbAction> {
         self.actions
@@ -135,21 +116,14 @@ pub trait SbInstance {
     /// A protocol message for this instance arrived from `from`.
     fn on_message(&mut self, from: NodeId, msg: SbMsg, ctx: &mut SbContext<'_>);
 
-    /// A timer armed by this instance fired.
+    /// A timer armed by this instance fired. This is also where an instance
+    /// suspects its sender: each implementation derives its ◇S(bz) failure
+    /// detector from its own timeouts (Section 4.2.4).
     fn on_timer(&mut self, token: u64, ctx: &mut SbContext<'_>);
-
-    /// The embedding's failure detector suspects `node` (used by
-    /// implementations that rely on an external ◇S(bz) detector, such as the
-    /// reference implementation; protocols with built-in timeouts may ignore
-    /// it).
-    fn on_suspect(&mut self, _node: NodeId, _ctx: &mut SbContext<'_>) {}
 
     /// Whether the instance has delivered a value for every sequence number
     /// of its segment (SB3 Termination reached).
     fn is_complete(&self) -> bool;
-
-    /// Number of sequence numbers delivered so far (diagnostics).
-    fn delivered_count(&self) -> usize;
 }
 
 #[cfg(test)]
@@ -172,9 +146,7 @@ mod tests {
         ctx.deliver(3, None);
         ctx.deliver(4, Some(Batch::empty()));
         ctx.set_timer(1, Duration::from_secs(1));
-        ctx.cancel_timer(1);
-        ctx.suspect(NodeId(2));
-        assert_eq!(ctx.len(), 7);
+        assert_eq!(ctx.len(), 5);
         let actions = ctx.take_actions();
         assert!(matches!(actions[0], SbAction::Send { to: NodeId(1), .. }));
         assert!(matches!(actions[1], SbAction::Broadcast(_)));
@@ -193,8 +165,6 @@ mod tests {
             }
         ));
         assert!(matches!(actions[4], SbAction::SetTimer { token: 1, .. }));
-        assert!(matches!(actions[5], SbAction::CancelTimer { token: 1 }));
-        assert!(matches!(actions[6], SbAction::Suspect(NodeId(2))));
     }
 
     #[test]

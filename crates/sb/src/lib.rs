@@ -7,20 +7,27 @@
 //! number — even if σ fails — while ⊥ may only be delivered if some correct
 //! node suspected σ after the instance was initialized.
 //!
+//! The suspicion comes from inside the instance. Each implementation derives
+//! its ◇S(bz) failure detector from its own timeout (Section 4.2.4): PBFT's
+//! view-change timer, HotStuff's pacemaker, Raft's election timer and the
+//! reference implementation's progress timer. The embedding supplies no
+//! failure-detector input; it only arms the timers an instance asks for and
+//! calls [`SbInstance::on_timer`] when they fire.
+//!
 //! This crate defines:
 //!
 //! * [`SbInstance`] — the trait every ordering protocol implements to act as
 //!   an SB instance for one segment (PBFT, HotStuff and Raft adapters live in
 //!   their own crates);
 //! * [`SbAction`] / [`SbContext`] — the effect vocabulary instances use to
-//!   talk to the embedding (send, deliver, timers, suspicion);
+//!   talk to the embedding (send, broadcast, deliver, arm a timer);
 //! * [`ProposalValidator`] — the hook through which the embedding (ISS)
 //!   enforces request validity, bucket membership and duplication freedom on
 //!   proposals received from leaders (design principle 3 of Section 4.2);
 //! * [`mod@reference`] — the paper's reference implementation of SB from
 //!   Byzantine reliable broadcast + per-sequence-number agreement + a ◇S(bz)
-//!   failure detector (Algorithm 5), used as an executable specification in
-//!   tests.
+//!   failure detector built on a progress timeout (Algorithm 5), used as an
+//!   executable specification in tests.
 
 pub mod instance;
 pub mod reference;

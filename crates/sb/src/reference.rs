@@ -4,16 +4,22 @@
 //! brb-delivered batch or the nil value ⊥, driven by a ◇S(bz) failure
 //! detector.
 //!
+//! Like the production protocols, the instance derives that detector from
+//! its own timeout (Section 4.2.4). A progress timer is armed at `SB-INIT`
+//! and re-armed on every delivery; when it fires on an incomplete segment,
+//! the node suspects the sender and runs `abort()`, voting ⊥ for every
+//! sequence number it has not voted on yet.
+//!
 //! This implementation serves as an executable specification of the SB
 //! properties and is used by the property tests; the production path wraps
 //! PBFT, HotStuff or Raft instead (Section 4.2). One simplification relative
 //! to Algorithm 5: the per-sequence-number Byzantine consensus is realized as
 //! a single round of votes decided at a strong quorum (2f+1) of matching
 //! values. This is sufficient for every scenario exercised here (correct
-//! sender, crashed/quiet sender, suspected-then-restored sender); a sender
-//! that *equivocates* within BRB is blocked by BRB consistency before the
-//! vote round — no conflicting digest can gather a 2f+1 echo quorum, so the
-//! instance starves until suspicion resolves it to ⊥ (exercised by the
+//! sender, crashed/quiet sender); a sender that *equivocates* within BRB is
+//! blocked by BRB consistency before the vote round — no conflicting digest
+//! can gather a 2f+1 echo quorum, so the instance starves until the timeout
+//! resolves it to ⊥ (exercised by the
 //! `equivocating_sender_is_blocked_by_brb_and_resolves_to_nil` test below) —
 //! but a fully Byzantine-resilient decision under split votes would require
 //! the view-change machinery that the production protocols provide.
@@ -21,7 +27,7 @@
 use crate::instance::{SbContext, SbInstance};
 use iss_crypto::{batch_digest, Digest};
 use iss_messages::{RefSbMsg, SbMsg};
-use iss_types::{Batch, NodeId, Segment, SeqNr};
+use iss_types::{Batch, Duration, NodeId, Segment, SeqNr};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -31,8 +37,12 @@ pub struct ReferenceSb {
     my_id: NodeId,
     /// The segment (sender σ, sequence numbers S, nodes, f).
     segment: Arc<Segment>,
-    initialized: bool,
-    sender_suspected: bool,
+    /// How long the segment may go without a delivery before this node
+    /// suspects the sender.
+    timeout: Duration,
+    /// Generation of the armed progress timer; a fire carrying an older
+    /// token is stale.
+    timer_generation: u64,
 
     /// Batches received via BRB SEND, keyed by digest.
     batches: HashMap<(SeqNr, Digest), Batch>,
@@ -51,13 +61,14 @@ pub struct ReferenceSb {
 }
 
 impl ReferenceSb {
-    /// Creates an instance for `my_id` over `segment`.
-    pub fn new(my_id: NodeId, segment: Arc<Segment>) -> Self {
+    /// Creates an instance for `my_id` over `segment` that suspects the
+    /// sender after `timeout` without a delivery.
+    pub fn new(my_id: NodeId, segment: Arc<Segment>, timeout: Duration) -> Self {
         ReferenceSb {
             my_id,
             segment,
-            initialized: false,
-            sender_suspected: false,
+            timeout,
+            timer_generation: 0,
             batches: HashMap::new(),
             echoed: HashSet::new(),
             ready_sent: HashSet::new(),
@@ -83,6 +94,11 @@ impl ReferenceSb {
 
     fn weak(&self) -> usize {
         self.segment.weak_quorum()
+    }
+
+    fn arm_progress_timer(&mut self, ctx: &mut SbContext<'_>) {
+        self.timer_generation += 1;
+        ctx.set_timer(self.timer_generation, self.timeout);
     }
 
     fn record_echo(&mut self, sn: SeqNr, digest: Digest, from: NodeId, ctx: &mut SbContext<'_>) {
@@ -154,21 +170,21 @@ impl ReferenceSb {
         let Some(value) = self.decided.get(&sn).copied() else {
             return;
         };
-        match value {
-            None => {
-                self.delivered.insert(sn);
-                self.pending_delivery.remove(&sn);
-                ctx.deliver(sn, None);
-            }
-            Some(digest) => {
-                if let Some(batch) = self.batches.get(&(sn, digest)).cloned() {
-                    self.delivered.insert(sn);
-                    self.pending_delivery.remove(&sn);
-                    ctx.deliver(sn, Some(batch));
-                } else {
+        let batch = match value {
+            None => None,
+            Some(digest) => match self.batches.get(&(sn, digest)) {
+                Some(batch) => Some(batch.clone()),
+                None => {
                     self.pending_delivery.insert(sn);
+                    return;
                 }
-            }
+            },
+        };
+        self.delivered.insert(sn);
+        self.pending_delivery.remove(&sn);
+        ctx.deliver(sn, batch);
+        if !self.is_complete() {
+            self.arm_progress_timer(ctx);
         }
     }
 
@@ -185,10 +201,7 @@ impl ReferenceSb {
 
 impl SbInstance for ReferenceSb {
     fn init(&mut self, ctx: &mut SbContext<'_>) {
-        self.initialized = true;
-        if self.sender_suspected {
-            self.abort(ctx);
-        }
+        self.arm_progress_timer(ctx);
     }
 
     fn propose(&mut self, seq_nr: SeqNr, batch: Batch, ctx: &mut SbContext<'_>) {
@@ -249,24 +262,15 @@ impl SbInstance for ReferenceSb {
         }
     }
 
-    fn on_timer(&mut self, _token: u64, _ctx: &mut SbContext<'_>) {}
-
-    fn on_suspect(&mut self, node: NodeId, ctx: &mut SbContext<'_>) {
-        if node != self.segment.leader {
-            return;
-        }
-        self.sender_suspected = true;
-        if self.initialized {
+    fn on_timer(&mut self, token: u64, ctx: &mut SbContext<'_>) {
+        // No delivery for a whole timeout: suspect the sender.
+        if token == self.timer_generation && !self.is_complete() {
             self.abort(ctx);
         }
     }
 
     fn is_complete(&self) -> bool {
         self.delivered.len() == self.segment.seq_nrs.len()
-    }
-
-    fn delivered_count(&self) -> usize {
-        self.delivered.len()
     }
 }
 
@@ -289,7 +293,13 @@ mod tests {
 
     fn net(n: usize, leader: u32, seq_nrs: Vec<SeqNr>) -> LocalNet<ReferenceSb> {
         let instances = (0..n)
-            .map(|i| ReferenceSb::new(NodeId(i as u32), segment(n, leader, seq_nrs.clone())))
+            .map(|i| {
+                ReferenceSb::new(
+                    NodeId(i as u32),
+                    segment(n, leader, seq_nrs.clone()),
+                    Duration::from_millis(100),
+                )
+            })
             .collect();
         LocalNet::new(instances)
     }
@@ -321,10 +331,9 @@ mod tests {
         let mut net = net(4, 0, vec![0, 1]);
         net.crash(0);
         net.init_all();
-        // The ◇S(bz) detector eventually suspects the quiet sender at every
-        // correct node.
-        net.suspect_everywhere(NodeId(0));
-        net.run_messages();
+        // The progress timeout suspects the quiet sender at every correct
+        // node.
+        net.run(16);
         for node in 1..4 {
             assert_eq!(net.log_of(node).get(&0), Some(&None), "⊥ delivered");
             assert_eq!(net.log_of(node).get(&1), Some(&None));
@@ -335,8 +344,8 @@ mod tests {
 
     #[test]
     fn nil_requires_suspicion_sb4() {
-        // Without any suspicion, no correct node ever delivers ⊥ (SB4
-        // eventual progress, contrapositive).
+        // Before any progress timer fires, no correct node ever delivers ⊥
+        // (SB4 eventual progress, contrapositive).
         let mut net = net(4, 0, vec![0]);
         net.init_all();
         net.propose(0, 0, batch(9));
@@ -355,8 +364,7 @@ mod tests {
         net.run_messages();
         // Sender crashes before proposing 2 and 3.
         net.crash(0);
-        net.suspect_everywhere(NodeId(0));
-        net.run_messages();
+        net.run(16);
         for node in 1..4 {
             assert!(net.instances[node].is_complete(), "termination after crash");
             assert_eq!(net.log_of(node).get(&0).unwrap().as_ref(), Some(&batch(1)));
@@ -368,19 +376,19 @@ mod tests {
     }
 
     #[test]
-    fn suspicion_before_init_only_takes_effect_at_init() {
-        let mut net = net(4, 0, vec![0]);
-        // Suspect before SB-INIT: nothing must be delivered yet.
-        net.suspect_everywhere(NodeId(0));
-        net.run_messages();
-        for node in 1..4 {
-            assert!(net.log_of(node).is_empty());
-        }
-        // After init, the pre-existing suspicion triggers the abort path.
+    fn stale_progress_timers_do_not_abort_a_live_sender() {
+        let mut net = net(4, 0, vec![0, 1]);
         net.init_all();
+        net.propose(0, 0, batch(0));
         net.run_messages();
-        for node in 1..4 {
-            assert_eq!(net.log_of(node).get(&0), Some(&None));
+        // The delivery of 0 re-armed every progress timer; the four fires
+        // armed at SB-INIT are stale and must not vote ⊥ for 1.
+        net.run(4);
+        net.propose(0, 1, batch(1));
+        net.run_messages();
+        assert!(net.all_complete());
+        for node in 0..4 {
+            assert_eq!(net.log_of(node).get(&1).unwrap().as_ref(), Some(&batch(1)));
         }
     }
 
@@ -458,10 +466,9 @@ mod tests {
                 "node {node} must not deliver either equivocated batch"
             );
         }
-        // The ◇S(bz) detector eventually suspects the stalled sender; the
+        // The progress timeout eventually suspects the stalled sender; the
         // abort path votes ⊥ and the three correct nodes form a ⊥ quorum.
-        net.suspect_everywhere(NodeId(0));
-        net.run_messages();
+        net.run(16);
         for node in 1..4 {
             assert_eq!(net.log_of(node).get(&0), Some(&None), "resolved via ⊥");
             assert!(net.instances[node].is_complete());
@@ -485,29 +492,16 @@ mod tests {
     }
 
     #[test]
-    fn restored_sender_is_not_aborted_without_new_suspicion() {
-        // on_suspect for a *different* node has no effect.
-        let mut net = net(4, 0, vec![0]);
-        net.init_all();
-        net.suspect_everywhere(NodeId(2));
-        net.propose(0, 0, batch(3));
-        net.run_messages();
-        for node in 0..4 {
-            assert_eq!(net.log_of(node).get(&0).unwrap().as_ref(), Some(&batch(3)));
-        }
-    }
-
-    #[test]
-    fn delivered_count_and_completion_track_progress() {
+    fn completion_tracks_delivery_progress() {
         let mut net = net(4, 0, vec![0, 1]);
         net.init_all();
         net.propose(0, 0, batch(0));
         net.run_messages();
-        assert_eq!(net.instances[1].delivered_count(), 1);
+        assert_eq!(net.log_of(1).len(), 1);
         assert!(!net.instances[1].is_complete());
         net.propose(0, 1, batch(1));
         net.run_messages();
-        assert_eq!(net.instances[1].delivered_count(), 2);
+        assert_eq!(net.log_of(1).len(), 2);
         assert!(net.instances[1].is_complete());
     }
 }

@@ -23,7 +23,6 @@ struct PendingTimer {
     seq: u64,
     node: usize,
     token: u64,
-    cancelled: bool,
 }
 
 /// The in-memory harness.
@@ -38,8 +37,6 @@ pub struct LocalNet<I> {
     crashed: HashSet<usize>,
     /// Per-node sb-delivered values.
     pub delivered: Vec<BTreeMap<SeqNr, Option<Batch>>>,
-    /// Per-node suspicion reports emitted by the instances.
-    pub suspicions: Vec<Vec<NodeId>>,
     rng: StdRng,
     /// Drop every message whose (from, to) pair is in this set.
     pub drop_links: HashSet<(NodeId, NodeId)>,
@@ -60,7 +57,6 @@ impl<I: SbInstance> LocalNet<I> {
             now: Time::ZERO,
             crashed: HashSet::new(),
             delivered: vec![BTreeMap::new(); n],
-            suspicions: vec![Vec::new(); n],
             rng: StdRng::seed_from_u64(0xD15C0),
             drop_links: HashSet::new(),
         }
@@ -100,13 +96,6 @@ impl<I: SbInstance> LocalNet<I> {
         self.queue.push_back((from, to, msg));
     }
 
-    /// Feeds an external suspicion (◇S(bz) output) into every live instance.
-    pub fn suspect_everywhere(&mut self, suspect: NodeId) {
-        for i in 0..self.instances.len() {
-            self.step(i, |inst, ctx| inst.on_suspect(suspect, ctx));
-        }
-    }
-
     /// Runs until the message queue is empty and either all timers have fired
     /// or `max_timer_fires` timers have been processed.
     pub fn run(&mut self, max_timer_fires: usize) {
@@ -128,7 +117,7 @@ impl<I: SbInstance> LocalNet<I> {
                 .timers
                 .iter()
                 .enumerate()
-                .filter(|(_, t)| !t.cancelled && !self.crashed.contains(&t.node))
+                .filter(|(_, t)| !self.crashed.contains(&t.node))
                 .min_by_key(|(_, t)| (t.at, t.seq))
                 .map(|(i, _)| i);
             match next {
@@ -236,18 +225,7 @@ impl<I: SbInstance> LocalNet<I> {
                         seq: self.timer_seq,
                         node,
                         token,
-                        cancelled: false,
                     });
-                }
-                SbAction::CancelTimer { token } => {
-                    for t in &mut self.timers {
-                        if t.node == node && t.token == token {
-                            t.cancelled = true;
-                        }
-                    }
-                }
-                SbAction::Suspect(n) => {
-                    self.suspicions[node].push(n);
                 }
             }
         }
@@ -269,8 +247,5 @@ impl SbInstance for NullSb {
     fn on_timer(&mut self, _token: u64, _ctx: &mut SbContext<'_>) {}
     fn is_complete(&self) -> bool {
         false
-    }
-    fn delivered_count(&self) -> usize {
-        0
     }
 }

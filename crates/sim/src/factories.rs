@@ -74,7 +74,8 @@ pub fn make_factory(
             Box::new(move |my_id, segment| Box::new(RaftInstance::new(my_id, segment, raft)))
         }
         Protocol::Reference => {
-            Box::new(|my_id, segment| Box::new(ReferenceSb::new(my_id, segment)))
+            let timeout = config.epoch_change_timeout;
+            Box::new(move |my_id, segment| Box::new(ReferenceSb::new(my_id, segment, timeout)))
         }
     }
 }

@@ -17,7 +17,7 @@
 
 use iss_core::{IssNode, NullSink};
 use iss_messages::NetMsg;
-use iss_runtime::{replay_trace, Addr, Driver, SansIo, TraceEntry, TraceRecorder};
+use iss_runtime::{replay_trace, Addr, SansIo, TraceEntry, TraceRecorder};
 use iss_sim::{replica, CrashTiming, Deployment, Protocol, Scenario};
 use iss_types::{Duration, LeaderPolicyKind, NodeId};
 use std::cell::RefCell;

@@ -542,14 +542,6 @@ impl<M: Payload> Runtime<M> {
     }
 }
 
-/// Mounting a process on the simulator is plain registration; the simulated
-/// network, CPU model and virtual clock drive it from there.
-impl<M: Payload> iss_runtime::Driver<M> for Runtime<M> {
-    fn mount(&mut self, addr: Addr, process: Box<dyn Process<M>>) {
-        self.add_process(addr, process);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -61,8 +61,8 @@ const _OBJECT_SAFE: fn(&dyn Workload) = |_| {};
 /// A deterministic payload-size distribution.
 ///
 /// Sizes are a pure function of `(seed, client, timestamp)` so the same
-/// request always gets the same size — across runs, across the generator and
-/// the metrics side, and across both ends of a lowered compatibility spec.
+/// request always gets the same size — across runs, and across the generator
+/// and the metrics side.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PayloadDist {
     /// Every request carries exactly this many bytes (the paper uses 500,

@@ -59,7 +59,7 @@
 //! suite):
 //!
 //! ```
-//! use iss::runtime::{Action, Addr, Context, Driver, Event, Payload, Process, SansIo};
+//! use iss::runtime::{Action, Addr, Context, Event, Payload, Process, SansIo};
 //! use iss::types::{NodeId, Time};
 //!
 //! #[derive(Clone, Debug, PartialEq)]

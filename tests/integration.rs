@@ -124,3 +124,21 @@ fn reference_sb_implementation_also_drives_iss() {
     let report = base(Protocol::Reference, 4, 200.0).build().run();
     assert!(report.delivered > 100, "delivered {}", report.delivered);
 }
+
+#[test]
+fn reference_sb_resolves_a_crashed_leader_to_nil() {
+    // Algorithm 5 suspects a quiet sender through its own progress timeout
+    // (`epoch_change_timeout`) and fills the crashed leader's slots with ⊥,
+    // so the epoch completes and the next ones run without node 1.
+    let report = base(Protocol::Reference, 4, 200.0)
+        .duration(Duration::from_secs(25))
+        .crash(NodeId(1), CrashTiming::EpochStart)
+        .build()
+        .run();
+    assert!(
+        report.nil_committed > 0,
+        "the crashed leader's slots must be filled with ⊥"
+    );
+    assert!(!report.epochs.is_empty(), "no epoch ever completed");
+    assert!(report.delivered > 1000, "delivered {}", report.delivered);
+}
