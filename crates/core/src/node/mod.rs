@@ -532,7 +532,7 @@ mod tests {
         use rand::SeedableRng;
         let mut node = make_node(Mode::Mir, 4);
         node.mir_waiting = true;
-        let mut timers = iss_runtime::TimerSlab::new();
+        let mut timers = 0;
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let mut announce = |node: &mut IssNode, from: Addr| {
             let mut actions = Vec::new();

@@ -20,8 +20,7 @@
 //!   `epoch - front_epoch` since epochs are contiguous too).
 //! * **Instances live in a generation-stamped slab.** Each live
 //!   `Box<dyn SbInstance>` occupies a slab slot addressed by a compact
-//!   [`InstanceSlot`] handle (slot index + generation, mirroring
-//!   [`iss_types::TimerId`] / the simnet `TimerSlab`). Message dispatch
+//!   [`InstanceSlot`] handle (slot index + generation). Message dispatch
 //!   resolves `InstanceId` → slot through the arena's dense
 //!   segment-index table, and every subsequent touch (drive, timer
 //!   registration) is an array index.
@@ -47,10 +46,10 @@ use iss_types::{Batch, EpochNr, FxHashMap, InstanceId, NodeId, SeqNr, TimerId};
 
 /// Compact handle of a live SB instance in the [`EpochState`] slab.
 ///
-/// Packs a slab slot index (high 32 bits) and a generation (low 32 bits),
-/// exactly like [`TimerId`]: a handle is *live* iff its generation matches
-/// the slot's current generation, so a handle outliving its instance (a
-/// timer armed by a GC'd epoch, a late message) is rejected in O(1).
+/// Packs a slab slot index (high 32 bits) and a generation (low 32 bits):
+/// a handle is *live* iff its generation matches the slot's current
+/// generation, so a handle outliving its instance (a timer armed by a GC'd
+/// epoch, a late message) is rejected in O(1).
 /// The test-file oracle, which has no slab, treats the handle as an opaque
 /// unique token.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

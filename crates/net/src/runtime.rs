@@ -90,9 +90,9 @@
 //! process boot instead of at global virtual zero. Timers are kept in a
 //! `BinaryHeap` and fire when the monotonic clock passes their deadline;
 //! `ppoll` takes its timeout in nanoseconds, so a timer is not rounded up
-//! to the next millisecond. Cancellation stays O(1) through the driver's
-//! [`iss_runtime::TimerSlab`] generation check, exactly as under the
-//! simulator.
+//! to the next millisecond. Every timer fires once: nothing cancels one, so
+//! the heap is the only place a timer lives, and its handle is the one the
+//! driver numbered it with, exactly as under the simulator.
 
 use crate::frame::{self, FrameReader};
 use bytes::BytesMut;
@@ -1047,8 +1047,7 @@ impl BinaryHeapWheel {
         self.seq += 1;
     }
 
-    /// Pops the next timer whose deadline has passed. Stale handles are
-    /// filtered later by the driver's generation check, not here.
+    /// Pops the next timer whose deadline has passed.
     fn pop_due(&mut self, now: Time) -> Option<(TimerId, u64)> {
         match self.heap.peek() {
             Some(&Reverse((deadline, _, id, kind))) if deadline <= now.0 => {

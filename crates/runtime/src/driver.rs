@@ -1,15 +1,15 @@
 //! Drivers: the things that host a [`Process`] and feed it [`Event`]s.
 //!
 //! A driver owns everything ambient a process is allowed to observe — the
-//! clock behind `ctx.now()`, the [`TimerSlab`] behind timer handles, the
-//! seeded RNG — and interprets the [`Action`] list each callback emits.
+//! clock behind `ctx.now()`, the count of timers armed behind timer handles,
+//! the seeded RNG — and interprets the [`Action`] list each callback emits.
+//! It keeps no per-timer state: a timer fires once, and nothing cancels it.
 //! `iss-simnet`'s `Runtime` and `iss-net`'s `TcpRuntime` are the two real
 //! drivers; [`SansIo`] is the degenerate one that interprets nothing and
 //! returns the actions to the caller, which is exactly what standalone trace
 //! replay needs.
 
 use crate::process::{Action, Addr, Context, Payload, Process};
-use crate::timer::TimerSlab;
 use iss_types::{Time, TimerId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,13 +38,11 @@ pub enum Event<M> {
 
 /// The standalone driver: feed events in, get actions back, nothing else.
 ///
-/// `SansIo` owns the full ambient state of one process — its [`TimerSlab`]
-/// (so `set_timer`/`cancel_timer` handles behave exactly as under a real
-/// engine, including generation-stamped staleness), a reusable action
-/// buffer, and a per-driver seeded RNG. [`SansIo::handle`] runs one callback
-/// and returns what the process decided. Timer events whose handle was
-/// cancelled (or already fired) are suppressed here, mirroring the
-/// generation check real engines perform when a timer pops.
+/// `SansIo` owns the full ambient state of one process — its timer count
+/// (so `set_timer` handles are numbered exactly as under a real engine), a
+/// reusable action buffer, and a per-driver seeded RNG. [`SansIo::handle`]
+/// runs one callback and returns what the process decided; every event is
+/// delivered, timer events included.
 ///
 /// Used by the trace-equivalence suite (replay a recorded simnet trace
 /// through a fresh node and diff the decisions) and by `iss-net`'s protocol
@@ -53,7 +51,8 @@ pub enum Event<M> {
 pub struct SansIo<M> {
     addr: Option<Addr>,
     process: Option<Box<dyn Process<M>>>,
-    timers: TimerSlab,
+    /// Timers the mounted process armed so far: the next handle.
+    next_timer: u64,
     actions: Vec<Action<M>>,
     rng: StdRng,
 }
@@ -68,33 +67,24 @@ impl<M: Payload> SansIo<M> {
         SansIo {
             addr: None,
             process: None,
-            timers: TimerSlab::new(),
+            next_timer: 0,
             actions: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
     /// Registers `process` under `addr`, replacing any process mounted
-    /// before; [`SansIo::handle`] drives it from now on.
+    /// before; [`SansIo::handle`] drives it from now on. The mounted process
+    /// is a new incarnation: its timers are numbered from zero.
     pub fn mount(&mut self, addr: Addr, process: Box<dyn Process<M>>) {
         self.addr = Some(addr);
         self.process = Some(process);
-    }
-
-    /// The mounted address, if any.
-    pub fn addr(&self) -> Option<Addr> {
-        self.addr
-    }
-
-    /// Whether a timer handle is still armed and uncancelled.
-    pub fn timer_live(&self, id: TimerId) -> bool {
-        self.timers.is_live(id)
+        self.next_timer = 0;
     }
 
     /// Runs one callback at time `now` and appends the actions the process
     /// emitted to `out` (reusing the internal buffer, so steady-state calls
-    /// allocate nothing). A [`Event::Timer`] whose handle is stale is a
-    /// no-op, exactly as under a real engine.
+    /// allocate nothing).
     ///
     /// # Panics
     ///
@@ -102,17 +92,11 @@ impl<M: Payload> SansIo<M> {
     pub fn handle_into(&mut self, now: Time, event: Event<M>, out: &mut Vec<Action<M>>) {
         let addr = self.addr.expect("mount a process before driving events");
         let process = self.process.as_mut().expect("process mounted with addr");
-        if let Event::Timer { id, .. } = event {
-            // Same O(1) generation check every engine performs when a timer
-            // pops: retiring a stale handle fails and the event is dropped.
-            if !self.timers.retire(id) {
-                return;
-            }
-        }
         debug_assert!(self.actions.is_empty());
         let mut actions = std::mem::take(&mut self.actions);
         {
-            let mut ctx = Context::new(now, addr, &mut self.timers, &mut actions, &mut self.rng);
+            let mut ctx =
+                Context::new(now, addr, &mut self.next_timer, &mut actions, &mut self.rng);
             match event {
                 Event::Start => process.on_start(&mut ctx),
                 Event::Message { from, msg } => process.on_message(from, msg, &mut ctx),
@@ -145,39 +129,23 @@ mod tests {
     }
 
     /// Echoes every message back to its sender and re-arms a heartbeat.
-    struct Echo {
-        heartbeat: Option<TimerId>,
-        beats: u32,
-    }
+    struct Echo;
     impl Process<Msg> for Echo {
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            self.heartbeat = Some(ctx.set_timer(Duration::from_millis(10), 1));
+            ctx.set_timer(Duration::from_millis(10), 1);
         }
         fn on_message(&mut self, from: Addr, msg: Msg, ctx: &mut Context<'_, Msg>) {
             ctx.send(from, Msg(msg.0 + 1));
-            if msg.0 == 99 {
-                // Cancel the pending heartbeat on a poison message.
-                if let Some(t) = self.heartbeat.take() {
-                    ctx.cancel_timer(t);
-                }
-            }
         }
         fn on_timer(&mut self, _id: TimerId, kind: u64, ctx: &mut Context<'_, Msg>) {
             assert_eq!(kind, 1);
-            self.beats += 1;
-            self.heartbeat = Some(ctx.set_timer(Duration::from_millis(10), 1));
+            ctx.set_timer(Duration::from_millis(10), 1);
         }
     }
 
     fn driver() -> SansIo<Msg> {
         let mut d = SansIo::new(7);
-        d.mount(
-            Addr::Node(NodeId(0)),
-            Box::new(Echo {
-                heartbeat: None,
-                beats: 0,
-            }),
-        );
+        d.mount(Addr::Node(NodeId(0)), Box::new(Echo));
         d
     }
 
@@ -188,8 +156,10 @@ mod tests {
         let Action::SetTimer { id, delay, kind } = start[0] else {
             panic!("expected a heartbeat arm, got {start:?}");
         };
-        assert_eq!((delay, kind), (Duration::from_millis(10), 1));
-        assert!(d.timer_live(id));
+        assert_eq!(
+            (id, delay, kind),
+            (TimerId(0), Duration::from_millis(10), 1)
+        );
 
         let replies = d.handle(
             Time::from_millis(1),
@@ -206,31 +176,16 @@ mod tests {
             }]
         );
 
-        // The heartbeat fires and re-arms itself under a fresh handle.
+        // The heartbeat fires and re-arms itself under the next handle.
         let beat = d.handle(Time::from_millis(10), Event::Timer { id, kind: 1 });
-        assert!(!d.timer_live(id), "fired handle is retired");
-        assert!(matches!(beat[0], Action::SetTimer { kind: 1, .. }));
-    }
-
-    #[test]
-    fn stale_timer_events_are_suppressed() {
-        let mut d = driver();
-        let start = d.handle(Time::ZERO, Event::Start);
-        let Action::SetTimer { id, .. } = start[0] else {
-            panic!();
-        };
-        // The poison message cancels the heartbeat in the slab...
-        d.handle(
-            Time::from_millis(2),
-            Event::Message {
-                from: Addr::Node(NodeId(1)),
-                msg: Msg(99),
-            },
-        );
-        // ...so the queued timer event is dropped on arrival, exactly like
-        // the simulator's generation check.
-        let fired = d.handle(Time::from_millis(10), Event::Timer { id, kind: 1 });
-        assert!(fired.is_empty());
+        assert!(matches!(
+            beat[0],
+            Action::SetTimer {
+                id: TimerId(1),
+                kind: 1,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //!   through a node standalone and diff its decisions action for action
 //!   ([`trace`]).
 //!
+//! A timer is armed once and fires once. Its handle numbers it among the
+//! timers its process incarnation armed, so a driver keeps no per-timer
+//! state and every driver hands a process the same handles.
+//!
 //! Because the handler is a pure function of `(state, event)` — the only
 //! ambient inputs are the context's `now` and its seeded RNG, both supplied
 //! by the driver — the same protocol bytes produce the same decisions under
@@ -26,10 +30,8 @@
 
 pub mod driver;
 pub mod process;
-pub mod timer;
 pub mod trace;
 
 pub use driver::{Event, SansIo};
-pub use process::{rewrite_sends, Action, Addr, Context, Payload, Process};
-pub use timer::TimerSlab;
-pub use trace::{replay_trace, EventRef, TraceEntry, TraceRecorder, TraceSink};
+pub use process::{Action, Addr, Context, Payload, Process};
+pub use trace::{replay_trace, TraceEntry, TraceRecorder, TraceSink};

@@ -6,8 +6,12 @@
 //! deterministic and lets the same implementation run on the discrete-event
 //! simulator (`iss-simnet`), on a real threaded transport (`iss-net`), or
 //! standalone under the [`crate::driver::SansIo`] driver for trace replay.
+//!
+//! A timer is armed once and fires once; nothing cancels it. Its handle,
+//! `TimerId(n)`, says it is the n-th timer this process incarnation armed,
+//! counted by the driver from zero at every (re)start, so every driver
+//! hands a process the same handles and keeps no per-timer state.
 
-use crate::timer::TimerSlab;
 use iss_types::{ClientId, Duration, NodeId, Time, TimerId};
 use rand::rngs::StdRng;
 
@@ -63,13 +67,12 @@ pub use iss_types::Payload;
 
 /// Actions a process can request from its driver during a single callback.
 ///
-/// Timer cancellation is not an action: [`Context::cancel_timer`] retires the
-/// handle in the driver's [`TimerSlab`] immediately, which is O(1), needs no
-/// queue traffic, and — unlike a queued cancel — can never race the timer it
-/// cancels. Durable storage is likewise not an action: a node that persists
-/// holds its `Storage` handle directly (the handle *is* the disk), so a
-/// commit is durable before the callback returns instead of at some later
-/// point in the driver's action loop.
+/// A timer is armed once and fires once: there is no cancellation, and a
+/// process that no longer wants a timeout ignores its fire itself. Durable
+/// storage is not an action either: a node that persists holds its
+/// `Storage` handle directly (the handle *is* the disk), so a commit is
+/// durable before the callback returns instead of at some later point in
+/// the driver's action loop.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Action<M> {
     /// Send `msg` to `to`.
@@ -91,39 +94,6 @@ pub enum Action<M> {
     },
 }
 
-/// Rewrites every [`Action::Send`] buffered in `actions` since `mark`
-/// through `f`.
-///
-/// `f` receives the original destination and message plus an `emit`
-/// callback; whatever it emits replaces the original send (emit zero times
-/// to drop it, several times to multiply or equivocate). Non-send actions
-/// (timers) buffered in the same window are kept untouched, and the relative
-/// order of actions `f` leaves alone is preserved.
-///
-/// This is the engine-agnostic primitive behind adversarial `Behavior`
-/// wrappers (`iss_sim::adversary`): interception operates on the plain
-/// action list, never on driver internals, so the same wrapper works under
-/// every driver. [`Context::rewrite_sends_since`] is the in-callback
-/// convenience form.
-pub fn rewrite_sends<M>(
-    actions: &mut Vec<Action<M>>,
-    mark: usize,
-    mut f: impl FnMut(Addr, M, &mut dyn FnMut(Addr, M)),
-) {
-    debug_assert!(mark <= actions.len());
-    let tail: Vec<Action<M>> = actions.drain(mark..).collect();
-    for action in tail {
-        match action {
-            Action::Send { to, msg } => {
-                let sink: &mut Vec<Action<M>> = actions;
-                let mut emit = |to: Addr, msg: M| sink.push(Action::Send { to, msg });
-                f(to, msg, &mut emit);
-            }
-            other => actions.push(other),
-        }
-    }
-}
-
 /// Execution context handed to a process on every callback.
 ///
 /// The context *buffers* actions in a driver-owned buffer (reused across
@@ -133,18 +103,20 @@ pub fn rewrite_sends<M>(
 pub struct Context<'a, M> {
     now: Time,
     self_addr: Addr,
-    timers: &'a mut TimerSlab,
-    pub(crate) actions: &'a mut Vec<Action<M>>,
+    next_timer: &'a mut u64,
+    actions: &'a mut Vec<Action<M>>,
     rng: &'a mut StdRng,
 }
 
 impl<'a, M> Context<'a, M> {
     /// Creates a context (used by drivers; protocol code never constructs
-    /// one). `actions` is the driver's reusable buffer; it must be empty.
+    /// one). `next_timer` is the number of timers this process incarnation
+    /// has armed so far, which the driver keeps; `actions` is the driver's
+    /// reusable buffer and must be empty.
     pub fn new(
         now: Time,
         self_addr: Addr,
-        timers: &'a mut TimerSlab,
+        next_timer: &'a mut u64,
         actions: &'a mut Vec<Action<M>>,
         rng: &'a mut StdRng,
     ) -> Self {
@@ -152,7 +124,7 @@ impl<'a, M> Context<'a, M> {
         Context {
             now,
             self_addr,
-            timers,
+            next_timer,
             actions,
             rng,
         }
@@ -188,20 +160,14 @@ impl<'a, M> Context<'a, M> {
         }
     }
 
-    /// Arms a timer; the returned handle can be used to cancel it.
+    /// Arms a timer that fires once, after `delay`. The handle is
+    /// `TimerId(n)` for the n-th timer this process incarnation armed, so
+    /// every driver numbers a process's timers alike.
     pub fn set_timer(&mut self, delay: Duration, kind: u64) -> TimerId {
-        let id = self.timers.allocate();
+        let id = TimerId(*self.next_timer);
+        *self.next_timer += 1;
         self.actions.push(Action::SetTimer { id, delay, kind });
         id
-    }
-
-    /// Cancels a timer; firing of cancelled timers is suppressed.
-    ///
-    /// O(1): the handle's slab slot is retired immediately, so the timer
-    /// event already in the driver's queue fails its generation check when
-    /// it fires.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.timers.retire(id);
     }
 
     /// Deterministic random number generator (seeded per run by the driver).
@@ -216,15 +182,35 @@ impl<'a, M> Context<'a, M> {
         self.actions.len()
     }
 
-    /// Rewrites every `Send` buffered since `mark` through `f` — the
-    /// in-callback form of the free function [`rewrite_sends`], to which it
-    /// delegates (see there for the emit semantics).
+    /// Rewrites every [`Action::Send`] buffered since `mark` through `f`.
+    ///
+    /// `f` receives the original destination and message plus an `emit`
+    /// callback; whatever it emits replaces the original send (emit zero
+    /// times to drop it, several times to multiply or equivocate). Non-send
+    /// actions (timers) buffered in the same window are kept untouched, and
+    /// the relative order of actions `f` leaves alone is preserved.
+    ///
+    /// This is the engine-agnostic primitive behind adversarial `Behavior`
+    /// wrappers (`iss_sim::adversary`): interception operates on the plain
+    /// action list, never on driver internals, so the same wrapper works
+    /// under every driver.
     pub fn rewrite_sends_since(
         &mut self,
         mark: usize,
-        f: impl FnMut(Addr, M, &mut dyn FnMut(Addr, M)),
+        mut f: impl FnMut(Addr, M, &mut dyn FnMut(Addr, M)),
     ) {
-        rewrite_sends(self.actions, mark, f);
+        debug_assert!(mark <= self.actions.len());
+        let tail: Vec<Action<M>> = self.actions.drain(mark..).collect();
+        for action in tail {
+            match action {
+                Action::Send { to, msg } => {
+                    let sink: &mut Vec<Action<M>> = self.actions;
+                    let mut emit = |to: Addr, msg: M| sink.push(Action::Send { to, msg });
+                    f(to, msg, &mut emit);
+                }
+                other => self.actions.push(other),
+            }
+        }
     }
 }
 
@@ -267,11 +253,11 @@ mod tests {
     }
 
     #[test]
-    fn context_buffers_actions_and_cancels_in_place() {
-        let mut timers = TimerSlab::new();
+    fn context_buffers_actions() {
+        let mut timers = 0;
         let mut actions = Vec::new();
         let mut rng = StdRng::seed_from_u64(1);
-        let t = {
+        {
             let mut ctx = Context::new(
                 Time::from_secs(1),
                 Addr::Node(NodeId(0)),
@@ -282,12 +268,10 @@ mod tests {
             assert_eq!(ctx.now(), Time::from_secs(1));
             assert_eq!(ctx.self_addr(), Addr::Node(NodeId(0)));
             ctx.send(Addr::Node(NodeId(1)), Msg(10));
-            let t = ctx.set_timer(Duration::from_millis(5), 7);
-            ctx.cancel_timer(t);
-            t
-        };
-        // Send and SetTimer are buffered; the cancellation retired the slab
-        // slot directly instead of queueing an action.
+            assert_eq!(ctx.set_timer(Duration::from_millis(5), 7), TimerId(0));
+        }
+        // Send and SetTimer are buffered, in order, and the context counted
+        // the armed timer.
         assert_eq!(actions.len(), 2);
         assert!(matches!(
             actions[0],
@@ -297,12 +281,12 @@ mod tests {
             }
         ));
         assert!(matches!(actions[1], Action::SetTimer { kind: 7, .. }));
-        assert!(!timers.is_live(t));
+        assert_eq!(timers, 1);
     }
 
     #[test]
     fn broadcast_excludes_self() {
-        let mut timers = TimerSlab::new();
+        let mut timers = 0;
         let mut actions = Vec::new();
         let mut rng = StdRng::seed_from_u64(1);
         {
@@ -335,7 +319,7 @@ mod tests {
 
     #[test]
     fn rewrite_sends_since_drops_multiplies_and_keeps_timers() {
-        let mut timers = TimerSlab::new();
+        let mut timers = 0;
         let mut actions = Vec::new();
         let mut rng = StdRng::seed_from_u64(1);
         {
@@ -378,37 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_sends_works_on_a_plain_action_list_without_a_context() {
-        // The adversary layer's interception primitive must not depend on
-        // any driver: rewriting a bare Vec<Action> is the whole contract.
-        let mut actions: Vec<Action<Msg>> = vec![
-            Action::Send {
-                to: Addr::Node(NodeId(1)),
-                msg: Msg(1),
-            },
-            Action::SetTimer {
-                id: TimerSlab::new().allocate(),
-                delay: Duration::from_millis(1),
-                kind: 4,
-            },
-            Action::Send {
-                to: Addr::Node(NodeId(2)),
-                msg: Msg(2),
-            },
-        ];
-        rewrite_sends(&mut actions, 0, |to, msg, emit| {
-            if msg.0 != 1 {
-                emit(to, msg);
-            }
-        });
-        assert_eq!(actions.len(), 2);
-        assert!(matches!(actions[0], Action::SetTimer { kind: 4, .. }));
-        assert!(matches!(&actions[1], Action::Send { msg, .. } if msg.0 == 2));
-    }
-
-    #[test]
     fn rewrite_sends_since_noop_rewriter_preserves_everything() {
-        let mut timers = TimerSlab::new();
+        let mut timers = 0;
         let mut actions = Vec::new();
         let mut rng = StdRng::seed_from_u64(1);
         {
@@ -439,7 +394,7 @@ mod tests {
 
     #[test]
     fn timer_ids_are_unique() {
-        let mut timers = TimerSlab::new();
+        let mut timers = 0;
         let mut actions = Vec::new();
         let mut rng = StdRng::seed_from_u64(1);
         let mut ctx: Context<'_, Msg> = Context::new(
@@ -452,10 +407,6 @@ mod tests {
         let a = ctx.set_timer(Duration::from_millis(1), 0);
         let b = ctx.set_timer(Duration::from_millis(1), 0);
         assert_ne!(a, b);
-        // Cancelling and re-arming reuses the slot under a new generation.
-        ctx.cancel_timer(a);
-        let c = ctx.set_timer(Duration::from_millis(1), 0);
-        assert_ne!(c, a);
-        assert_ne!(c, b);
+        assert_eq!((a, b), (TimerId(0), TimerId(1)));
     }
 }

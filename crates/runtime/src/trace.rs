@@ -4,66 +4,33 @@
 //! ⇒ same outbound actions under every driver* — is checked with three
 //! pieces:
 //!
-//! 1. a [`TraceSink`] hook an engine calls around each process invocation
-//!    (simnet's `Runtime::record_trace` installs one for a single address;
-//!    the hook is `None` by default, so untraced runs pay one branch and
-//!    stay byte-identical);
-//! 2. [`TraceRecorder`], the sink that clones each invocation into an owned
-//!    [`TraceEntry`] list;
+//! 1. a [`TraceSink`] an engine hands every invocation of one process to,
+//!    as plain data: the time, the triggering [`Event`] and the actions the
+//!    callback emitted (simnet's `Runtime::record_trace` installs one for a
+//!    single address; the hook is `None` by default, so untraced runs pay
+//!    one branch and stay byte-identical);
+//! 2. [`TraceRecorder`], the sink that keeps each invocation as an owned
+//!    [`TraceEntry`];
 //! 3. [`replay_trace`], which drives a *fresh* process under the standalone
-//!    [`SansIo`] driver with the recorded events and diffs the emitted
-//!    actions entry by entry.
+//!    [`SansIo`] driver with the recorded events and compares the emitted
+//!    actions entry by entry, verbatim.
 //!
-//! Timer handles need care: a `TimerId` packs a slot of the driver's
-//! [`crate::timer::TimerSlab`], and the recording engine may share one slab
-//! across many processes (simnet does), so the replayed node allocates
-//! *different* handle values for the *same* timers. The replay therefore
-//! matches `SetTimer` actions on `(delay, kind)` and maintains the recorded
-//! → replayed handle bijection, translating recorded timer events through it
-//! before delivery. Everything else must be equal verbatim.
+//! Timer handles compare verbatim too: every driver numbers a process
+//! incarnation's timers from zero in the order it arms them, so the same
+//! decisions carry the same handles under every engine.
 
 use crate::driver::{Event, SansIo};
-use crate::process::{Action, Addr, Payload};
-use iss_types::{Time, TimerId};
+use crate::process::{Action, Payload};
+use iss_types::Time;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt::Debug;
 use std::rc::Rc;
 
-/// A borrowed view of one invocation's triggering event, handed to
-/// [`TraceSink::begin`] before the callback runs (the engine still owns the
-/// message and is about to consume it).
-#[derive(Debug)]
-pub enum EventRef<'a, M> {
-    /// `on_start` is about to run.
-    Start,
-    /// `on_message(from, msg)` is about to run.
-    Message {
-        /// Sender address.
-        from: Addr,
-        /// The message, still owned by the engine.
-        msg: &'a M,
-    },
-    /// `on_timer(id, kind)` is about to run.
-    Timer {
-        /// The timer handle.
-        id: TimerId,
-        /// The timer tag.
-        kind: u64,
-    },
-}
-
-/// Receives one `begin`/`finish` pair around every traced invocation.
-///
-/// Split in two because the engine hands the message to the callback by
-/// value: the event is only borrowable *before* the invocation, the action
-/// list only exists *after* it.
+/// Receives every traced invocation once the callback has returned.
 pub trait TraceSink<M> {
-    /// Called before the callback runs, with the triggering event.
-    fn begin(&mut self, now: Time, event: EventRef<'_, M>);
-
-    /// Called after the callback returns, with everything it emitted.
-    fn finish(&mut self, actions: &[Action<M>]);
+    /// Records that the callback for `event` ran at `now` and emitted
+    /// `actions`.
+    fn record(&mut self, now: Time, event: Event<M>, actions: &[Action<M>]);
 }
 
 /// One recorded invocation: when, what came in, what went out.
@@ -81,7 +48,7 @@ pub struct TraceEntry<M> {
 /// keeps the handle).
 pub type TraceHandle<M> = Rc<RefCell<Vec<TraceEntry<M>>>>;
 
-/// A [`TraceSink`] that clones every invocation into an owned entry list.
+/// A [`TraceSink`] that keeps every invocation as an owned entry.
 #[derive(Default)]
 pub struct TraceRecorder<M> {
     entries: TraceHandle<M>,
@@ -103,60 +70,29 @@ impl<M> TraceRecorder<M> {
 }
 
 impl<M: Clone> TraceSink<M> for TraceRecorder<M> {
-    fn begin(&mut self, now: Time, event: EventRef<'_, M>) {
-        let event = match event {
-            EventRef::Start => Event::Start,
-            EventRef::Message { from, msg } => Event::Message {
-                from,
-                msg: msg.clone(),
-            },
-            EventRef::Timer { id, kind } => Event::Timer { id, kind },
-        };
+    fn record(&mut self, now: Time, event: Event<M>, actions: &[Action<M>]) {
         self.entries.borrow_mut().push(TraceEntry {
             now,
             event,
-            actions: Vec::new(),
+            actions: actions.to_vec(),
         });
-    }
-
-    fn finish(&mut self, actions: &[Action<M>]) {
-        let mut entries = self.entries.borrow_mut();
-        let entry = entries.last_mut().expect("finish follows begin");
-        entry.actions = actions.to_vec();
     }
 }
 
 /// Replays `trace` through `driver` (which must have a fresh process
-/// mounted) and checks action-for-action equivalence, returning the total
-/// number of actions compared.
-///
-/// `SetTimer` actions are matched on `(delay, kind)` — handle values are
-/// driver-local, see the module docs — and every match extends the recorded
-/// → replayed handle bijection used to translate later timer events. Any
-/// other divergence (different action kind, different send, different
-/// count) is reported with its entry index.
+/// mounted) and checks that every entry emits exactly the recorded
+/// actions, timer handles included, returning the total number of actions
+/// compared. The first divergence (different action, different count) is
+/// reported with its entry index.
 pub fn replay_trace<M>(driver: &mut SansIo<M>, trace: &[TraceEntry<M>]) -> Result<usize, String>
 where
     M: Payload + Clone + PartialEq + Debug,
 {
-    let mut timer_map: HashMap<TimerId, TimerId> = HashMap::new();
     let mut compared = 0usize;
     let mut out = Vec::new();
     for (i, entry) in trace.iter().enumerate() {
-        let event = match &entry.event {
-            Event::Timer { id, kind } => {
-                let mapped = *timer_map.get(id).ok_or_else(|| {
-                    format!("entry {i}: timer event for unknown recorded handle {id:?}")
-                })?;
-                Event::Timer {
-                    id: mapped,
-                    kind: *kind,
-                }
-            }
-            other => other.clone(),
-        };
         out.clear();
-        driver.handle_into(entry.now, event, &mut out);
+        driver.handle_into(entry.now, entry.event.clone(), &mut out);
         if out.len() != entry.actions.len() {
             return Err(format!(
                 "entry {i} (t={:?}, {:?}): recorded {} actions, replay emitted {}\nrecorded: {:#?}\nreplayed: {:#?}",
@@ -169,34 +105,10 @@ where
             ));
         }
         for (j, (recorded, replayed)) in entry.actions.iter().zip(out.iter()).enumerate() {
-            match (recorded, replayed) {
-                (
-                    Action::SetTimer {
-                        id: rid,
-                        delay: rd,
-                        kind: rk,
-                    },
-                    Action::SetTimer {
-                        id: pid,
-                        delay: pd,
-                        kind: pk,
-                    },
-                ) => {
-                    if (rd, rk) != (pd, pk) {
-                        return Err(format!(
-                            "entry {i} action {j}: recorded SetTimer({rd:?}, kind {rk}), \
-                             replay armed SetTimer({pd:?}, kind {pk})"
-                        ));
-                    }
-                    timer_map.insert(*rid, *pid);
-                }
-                (recorded, replayed) => {
-                    if recorded != replayed {
-                        return Err(format!(
-                            "entry {i} action {j} diverged\nrecorded: {recorded:#?}\nreplayed: {replayed:#?}"
-                        ));
-                    }
-                }
+            if recorded != replayed {
+                return Err(format!(
+                    "entry {i} action {j} diverged\nrecorded: {recorded:#?}\nreplayed: {replayed:#?}"
+                ));
             }
             compared += 1;
         }
@@ -207,8 +119,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::{Context, Process};
-    use iss_types::{Duration, NodeId};
+    use crate::process::{Addr, Context, Process};
+    use iss_types::{Duration, NodeId, TimerId};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Msg(u32);
@@ -218,10 +130,9 @@ mod tests {
         }
     }
 
-    /// Arms a retransmit timer per message and cancels it on the next one —
-    /// enough timer churn to exercise the handle bijection.
+    /// Arms a retransmit timer per message — enough timer churn that every
+    /// entry's handles are checked.
     struct Proto {
-        pending: Option<TimerId>,
         divergent: bool,
     }
     impl Process<Msg> for Proto {
@@ -229,64 +140,38 @@ mod tests {
             ctx.set_timer(Duration::from_millis(100), 9);
         }
         fn on_message(&mut self, from: Addr, msg: Msg, ctx: &mut Context<'_, Msg>) {
-            if let Some(t) = self.pending.take() {
-                ctx.cancel_timer(t);
-            }
             let reply = if self.divergent { msg.0 * 2 } else { msg.0 + 1 };
             ctx.send(from, Msg(reply));
-            self.pending = Some(ctx.set_timer(Duration::from_millis(50), 1));
+            ctx.set_timer(Duration::from_millis(50), 1);
         }
         fn on_timer(&mut self, _id: TimerId, kind: u64, ctx: &mut Context<'_, Msg>) {
             ctx.send(Addr::Node(NodeId(1)), Msg(kind as u32));
         }
     }
 
-    /// Records a reference run under one SansIo driver, pre-polluting the
-    /// slab so recorded handle values differ from a fresh driver's.
+    /// Records a reference run under one SansIo driver, on the second
+    /// process it mounts: a second `mount` numbers its timers from zero, so
+    /// the recording's handles are a fresh driver's.
     fn record(divergent: bool) -> Vec<TraceEntry<Msg>> {
-        let recorder: TraceRecorder<Msg> = TraceRecorder::new();
-        let handle = recorder.handle();
-        let mut sink = recorder;
+        let mut sink: TraceRecorder<Msg> = TraceRecorder::new();
+        let handle = sink.handle();
         let mut rec = SansIo::new(3);
-        // Burn slab slots (each Start arms a never-cancelled timer) so the
-        // recording's TimerIds differ from a fresh replay driver's.
-        rec.mount(
-            Addr::Node(NodeId(0)),
-            Box::new(Proto {
-                pending: None,
-                divergent: false,
-            }),
-        );
+        // The first incarnation arms five timers that never fire.
+        rec.mount(Addr::Node(NodeId(0)), Box::new(Proto { divergent: false }));
         for _ in 0..5 {
             rec.handle(Time::ZERO, Event::Start);
         }
-        rec.mount(
-            Addr::Node(NodeId(0)),
-            Box::new(Proto {
-                pending: None,
-                divergent,
-            }),
-        );
+        rec.mount(Addr::Node(NodeId(0)), Box::new(Proto { divergent }));
         let mut feed = |now: Time, event: Event<Msg>| {
-            sink.begin(
-                now,
-                match &event {
-                    Event::Start => EventRef::Start,
-                    Event::Message { from, msg } => EventRef::Message { from: *from, msg },
-                    Event::Timer { id, kind } => EventRef::Timer {
-                        id: *id,
-                        kind: *kind,
-                    },
-                },
-            );
-            let actions = rec.handle(now, event);
-            sink.finish(&actions);
+            let actions = rec.handle(now, event.clone());
+            sink.record(now, event, &actions);
             actions
         };
         let started = feed(Time::ZERO, Event::Start);
         let Action::SetTimer { id: watchdog, .. } = started[0] else {
             panic!();
         };
+        assert_eq!(watchdog, TimerId(0), "a second mount numbers from zero");
         for k in 0..3u32 {
             feed(
                 Time::from_millis(10 + k as u64),
@@ -310,17 +195,11 @@ mod tests {
 
     #[test]
     fn replay_matches_an_identical_process() {
-        // The recording ran on a polluted slab (handles differ), yet the
-        // replay is action-identical thanks to the bijection.
+        // The recording ran on a driver that had mounted a process before,
+        // yet the replay is action-identical, handles included.
         let trace = record(false);
         let mut fresh = SansIo::new(99);
-        fresh.mount(
-            Addr::Node(NodeId(0)),
-            Box::new(Proto {
-                pending: None,
-                divergent: false,
-            }),
-        );
+        fresh.mount(Addr::Node(NodeId(0)), Box::new(Proto { divergent: false }));
         let compared = replay_trace(&mut fresh, &trace).expect("equivalent");
         assert!(compared >= 8, "compared {compared} actions");
     }
@@ -329,13 +208,7 @@ mod tests {
     fn replay_flags_a_divergent_process() {
         let trace = record(false);
         let mut fresh = SansIo::new(99);
-        fresh.mount(
-            Addr::Node(NodeId(0)),
-            Box::new(Proto {
-                pending: None,
-                divergent: true,
-            }),
-        );
+        fresh.mount(Addr::Node(NodeId(0)), Box::new(Proto { divergent: true }));
         let err = replay_trace(&mut fresh, &trace).unwrap_err();
         assert!(err.contains("diverged"), "got: {err}");
     }

@@ -38,10 +38,9 @@
 //! outbound send buffered by the inner process is rewritten through the
 //! behavior using [`iss_runtime::Context::rewrite_sends_since`] — dropped,
 //! mutated, or multiplied per destination. The rewrite operates on the
-//! engine-agnostic [`iss_runtime::Action`] list (the free-function form is
-//! [`iss_runtime::rewrite_sends`]), *behind* the runtime boundary: an
-//! adversarial wrapper therefore works unchanged under any driver — the
-//! simulator here, or the threaded TCP runtime. Behaviors draw no
+//! engine-agnostic [`iss_runtime::Action`] list, *behind* the runtime
+//! boundary: an adversarial wrapper therefore works unchanged under any
+//! driver — the simulator here, or the threaded TCP runtime. Behaviors draw no
 //! randomness: every decision is a function of (destination, epoch, local
 //! counters), so runs stay bit-deterministic under a fixed seed.
 //!

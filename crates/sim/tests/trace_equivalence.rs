@@ -78,8 +78,8 @@ fn sim_recorded_trace_replays_identically_on_the_standalone_driver() {
     );
 
     // A fresh node under the standalone driver (different engine, different
-    // timer slab, different driver seed) must make every decision the
-    // simulated node made.
+    // driver seed) must make every decision the simulated node made, down
+    // to the handle of every timer it arms.
     let mut driver: SansIo<NetMsg> = SansIo::new(0xD1CE);
     driver.mount(
         Addr::Node(TRACED),

@@ -39,11 +39,11 @@
 //!   CPU state live in one dense `Vec` addressed through `NodeId`/`ClientId`
 //!   → slot tables, so dispatching an event is two array indexes — no map
 //!   lookups and no per-event remove/insert churn.
-//! * **Generation-stamped timers** ([`iss_runtime::TimerSlab`]). A
-//!   [`iss_types::TimerId`] packs a slab slot and its generation;
-//!   cancellation retires the slot in O(1) and a stale timer event fails its
-//!   generation check when it pops. No tombstone set, memory bounded by the
-//!   number of concurrently armed timers.
+//! * **Timers are queue events and nothing else.** A timer fires once and
+//!   nothing cancels it, so the runtime keeps no per-timer state: each
+//!   process counts the timers its incarnation armed, and the count is the
+//!   next [`iss_types::TimerId`]. The incarnation stamp on a timer event
+//!   keeps a pre-crash timer out of the restarted process.
 //! * **Reused action buffer.** Every callback writes its actions into one
 //!   runtime-owned `Vec` that is drained and handed back, so steady-state
 //!   invocations allocate nothing.

@@ -8,8 +8,8 @@
 //! The hot path is allocation- and hash-free: processes live in a dense slab
 //! indexed directly by node/client id (no per-event map lookups or
 //! remove/insert churn), callbacks buffer their actions in one reusable
-//! per-runtime `Vec`, timers are generation-stamped slab slots with O(1)
-//! cancellation (see [`TimerSlab`]), and the fault/jitter RNG
+//! per-runtime `Vec`, a timer is one queue event and a per-process count
+//! (it fires once, so nothing else tracks it), and the fault/jitter RNG
 //! draws in `Runtime::send` go through inlined samplers that produce the
 //! same values as the generic `rand` paths they replace.
 
@@ -18,9 +18,7 @@ use crate::cpu::{CpuModel, CpuState};
 use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultConfig;
 use crate::topology::Topology;
-use iss_runtime::trace::{EventRef, TraceSink};
-use iss_runtime::Event;
-use iss_runtime::{Action, Addr, Context, Payload, Process, TimerSlab};
+use iss_runtime::{Action, Addr, Context, Event, Payload, Process, TraceSink};
 use iss_types::{Duration, Time};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -76,10 +74,6 @@ pub struct RuntimeStats {
     pub bytes_sent: u64,
     /// Messages dropped by crashes, partitions or loss windows.
     pub messages_dropped: u64,
-    /// Events executed.
-    pub events_processed: u64,
-    /// Timers fired (after cancellation filtering).
-    pub timers_fired: u64,
 }
 
 /// One registered participant: its state machine and (for nodes) its CPU
@@ -92,6 +86,8 @@ struct ProcEntry<M: Payload> {
     /// Bumped on every crash-restart replacement; timers armed by an older
     /// incarnation fail the stamp comparison and are dropped.
     incarnation: u32,
+    /// Timers this incarnation armed so far: the next timer's handle.
+    next_timer: u64,
 }
 
 /// Sentinel in the id → slot tables for "no process registered".
@@ -126,7 +122,6 @@ pub struct Runtime<M: Payload> {
     client_slots: Vec<u32>,
     queue: EventQueue<M>,
     interfaces: InterfaceState,
-    timers: TimerSlab,
     /// Reusable action buffer handed to every `Context` (empty between
     /// invocations).
     action_buf: Vec<Action<M>>,
@@ -170,7 +165,6 @@ impl<M: Payload> Runtime<M> {
             client_slots: Vec::new(),
             queue: EventQueue::new(),
             interfaces: InterfaceState::new(),
-            timers: TimerSlab::new(),
             action_buf: Vec::new(),
             pending_restarts: Vec::new(),
             now: Time::ZERO,
@@ -205,6 +199,7 @@ impl<M: Payload> Runtime<M> {
                 cpu,
                 busy: Duration::ZERO,
                 incarnation: 0,
+                next_timer: 0,
             });
         } else {
             // Re-registration replaces the process (and resets its CPU).
@@ -270,17 +265,12 @@ impl<M: Payload> Runtime<M> {
             .unwrap_or(Duration::ZERO)
     }
 
-    /// Immutable access to the run configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
     /// Installs an invocation trace for the process at `addr`: every
-    /// callback invoked on it from now on is reported to `sink` (the event
-    /// before the callback, the emitted actions after — see
-    /// [`iss_runtime::trace`]). One address at a time; installing a new sink
-    /// replaces the old one. Used by the trace-equivalence suite to record
-    /// a node's inbound events and outbound decisions for standalone replay.
+    /// callback invoked on it from now on is reported to `sink`, with its
+    /// event and the actions it emitted (see [`iss_runtime::trace`]). One
+    /// address at a time; installing a new sink replaces the old one. Used
+    /// by the trace-equivalence suite to record a node's inbound events and
+    /// outbound decisions for standalone replay.
     pub fn record_trace(&mut self, addr: Addr, sink: Box<dyn TraceSink<M>>) {
         self.trace = Some((addr, sink));
     }
@@ -321,7 +311,6 @@ impl<M: Payload> Runtime<M> {
     }
 
     fn dispatch(&mut self, kind: EventKind<M>) {
-        self.stats.events_processed += 1;
         match kind {
             EventKind::Start { addr } => {
                 self.invoke(addr, Event::Start);
@@ -377,11 +366,6 @@ impl<M: Payload> Runtime<M> {
                 kind,
                 incarnation,
             } => {
-                // O(1) liveness check: a cancelled (or superseded) handle
-                // fails the generation match and is dropped here.
-                if !self.timers.retire(id) {
-                    return;
-                }
                 if self.addr_crashed(addr) {
                     return;
                 }
@@ -393,7 +377,6 @@ impl<M: Payload> Runtime<M> {
                 {
                     return;
                 }
-                self.stats.timers_fired += 1;
                 self.invoke(addr, Event::Timer { id, kind });
             }
             EventKind::Restart { addr } => {
@@ -406,6 +389,7 @@ impl<M: Payload> Runtime<M> {
                 entry.process = builder();
                 entry.cpu = addr.as_node().map(|_| CpuState::new(self.config.cpu.cores));
                 entry.incarnation += 1;
+                entry.next_timer = 0;
                 self.invoke(addr, Event::Start);
             }
         }
@@ -426,21 +410,11 @@ impl<M: Payload> Runtime<M> {
         let Some(slot) = self.slot_of(addr) else {
             return;
         };
-        let traced = matches!(&self.trace, Some((a, _)) if *a == addr);
-        if traced {
-            let sink = &mut self.trace.as_mut().expect("traced").1;
-            sink.begin(
-                self.now,
-                match &event {
-                    Event::Start => EventRef::Start,
-                    Event::Message { from, msg } => EventRef::Message { from: *from, msg },
-                    Event::Timer { id, kind } => EventRef::Timer {
-                        id: *id,
-                        kind: *kind,
-                    },
-                },
-            );
-        }
+        // The callback consumes the event, so a traced one is cloned first.
+        let traced = match &self.trace {
+            Some((a, _)) if *a == addr => Some(event.clone()),
+            _ => None,
+        };
         // Take the reusable buffer for the duration of the callback; the
         // process stays in place (disjoint field borrows), so there is no
         // per-event remove/insert churn.
@@ -450,7 +424,7 @@ impl<M: Payload> Runtime<M> {
             let mut ctx = Context::new(
                 self.now,
                 addr,
-                &mut self.timers,
+                &mut entry.next_timer,
                 &mut actions,
                 &mut self.rng,
             );
@@ -460,9 +434,8 @@ impl<M: Payload> Runtime<M> {
                 Event::Timer { id, kind } => entry.process.on_timer(id, kind, &mut ctx),
             }
         }
-        if traced {
-            let sink = &mut self.trace.as_mut().expect("traced").1;
-            sink.finish(&actions);
+        if let (Some(event), Some((_, sink))) = (traced, self.trace.as_mut()) {
+            sink.record(self.now, event, &actions);
         }
         self.apply_actions(addr, &mut actions);
         debug_assert!(actions.is_empty());
@@ -674,26 +647,24 @@ mod tests {
         );
     }
 
-    /// A process that arms and cancels timers.
+    /// A process that arms three timers, latest deadline first.
     struct TimerNode {
-        fired: Rc<RefCell<Vec<u64>>>,
+        fired: Rc<RefCell<Vec<(TimerId, u64)>>>,
     }
     impl Process<Ping> for TimerNode {
         fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
-            let keep = ctx.set_timer(Duration::from_millis(10), 1);
-            let cancel = ctx.set_timer(Duration::from_millis(20), 2);
-            ctx.cancel_timer(cancel);
-            let _ = keep;
             ctx.set_timer(Duration::from_millis(30), 3);
+            ctx.set_timer(Duration::from_millis(20), 2);
+            ctx.set_timer(Duration::from_millis(10), 1);
         }
         fn on_message(&mut self, _f: Addr, _m: Ping, _c: &mut Context<'_, Ping>) {}
-        fn on_timer(&mut self, _id: TimerId, kind: u64, _ctx: &mut Context<'_, Ping>) {
-            self.fired.borrow_mut().push(kind);
+        fn on_timer(&mut self, id: TimerId, kind: u64, _ctx: &mut Context<'_, Ping>) {
+            self.fired.borrow_mut().push((id, kind));
         }
     }
 
     #[test]
-    fn cancelled_timers_do_not_fire() {
+    fn timers_fire_once_in_deadline_order() {
         let fired = Rc::new(RefCell::new(Vec::new()));
         let mut rt: Runtime<Ping> = Runtime::new(RuntimeConfig::ideal());
         rt.add_process(
@@ -703,8 +674,11 @@ mod tests {
             }),
         );
         rt.run_until(Time::from_secs(1));
-        assert_eq!(*fired.borrow(), vec![1, 3]);
-        assert_eq!(rt.stats().timers_fired, 2);
+        // Handles count arms; fires follow deadlines.
+        assert_eq!(
+            *fired.borrow(),
+            vec![(TimerId(2), 1), (TimerId(1), 2), (TimerId(0), 3)]
+        );
     }
 
     /// Guards the inlined hot-path samplers against silently diverging from
@@ -805,7 +779,7 @@ mod tests {
     struct RestartProbe {
         label: u32,
         arrivals: Rc<RefCell<Vec<(Time, u32)>>>,
-        timer_fires: Rc<RefCell<Vec<(Time, u32)>>>,
+        timer_fires: Rc<RefCell<Vec<(Time, u32, TimerId)>>>,
     }
     impl Process<Ping> for RestartProbe {
         fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
@@ -816,8 +790,10 @@ mod tests {
         fn on_message(&mut self, _f: Addr, _m: Ping, ctx: &mut Context<'_, Ping>) {
             self.arrivals.borrow_mut().push((ctx.now(), self.label));
         }
-        fn on_timer(&mut self, _i: TimerId, _k: u64, ctx: &mut Context<'_, Ping>) {
-            self.timer_fires.borrow_mut().push((ctx.now(), self.label));
+        fn on_timer(&mut self, id: TimerId, _k: u64, ctx: &mut Context<'_, Ping>) {
+            self.timer_fires
+                .borrow_mut()
+                .push((ctx.now(), self.label, id));
         }
     }
 
@@ -891,6 +867,40 @@ mod tests {
             timer_fires.borrow()
         );
         assert!(rt.stats().messages_dropped >= 9, "downtime drops pings");
+    }
+
+    #[test]
+    fn a_restarted_incarnation_numbers_its_timers_from_zero() {
+        let mut cfg = RuntimeConfig::ideal();
+        cfg.faults.crashes =
+            CrashSchedule::none().crash_restart(NodeId(1), Time::from_secs(2), Time::from_secs(3));
+        let arrivals = Rc::new(RefCell::new(Vec::new()));
+        let timer_fires = Rc::new(RefCell::new(Vec::new()));
+        let mut rt: Runtime<Ping> = Runtime::new(cfg);
+        rt.add_process(
+            Addr::Node(NodeId(1)),
+            Box::new(RestartProbe {
+                label: 1,
+                arrivals: Rc::clone(&arrivals),
+                timer_fires: Rc::clone(&timer_fires),
+            }),
+        );
+        let (a2, t2) = (Rc::clone(&arrivals), Rc::clone(&timer_fires));
+        rt.schedule_restart(Addr::Node(NodeId(1)), Time::from_secs(3), move || {
+            Box::new(RestartProbe {
+                label: 2,
+                arrivals: a2,
+                timer_fires: t2,
+            })
+        });
+        rt.run_until(Time::from_secs(8));
+        // The first incarnation armed TimerId(0) for 4 s, which the restart
+        // at 3 s outlives; the second incarnation's own first timer (armed at
+        // 3, fires at 7) is TimerId(0) again.
+        assert_eq!(
+            *timer_fires.borrow(),
+            vec![(Time::from_secs(7), 2, TimerId(0))]
+        );
     }
 
     #[test]

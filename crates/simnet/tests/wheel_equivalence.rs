@@ -1,20 +1,19 @@
 //! Equivalence property tests against the oracles the engine replaced: the
 //! timing-wheel [`EventQueue`] must pop the exact `(time, seq)` sequence of
-//! a `BinaryHeap` queue, the generation-stamped [`TimerSlab`] must fire
-//! exactly the timers a tombstone-set model fires, and the heap-based
-//! [`CpuState`] must complete work exactly when the per-core scan did.
+//! a `BinaryHeap` queue, and the heap-based [`CpuState`] must complete work
+//! exactly when the per-core scan did.
 //!
 //! The workloads are generated from seeded RNGs, so failures are perfectly
 //! reproducible; well over 1000 randomized cases run across the tests.
 
-use iss_runtime::{Addr, TimerSlab};
+use iss_runtime::Addr;
 use iss_simnet::cpu::CpuState;
 use iss_simnet::event::{EventKind, EventQueue};
-use iss_types::{Duration, NodeId, Time, TimerId};
+use iss_types::{Duration, NodeId, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// The pre-wheel event queue, reduced to what the wheel is checked against:
 /// a binary min-heap of `(time, push sequence number, event identity)`.
@@ -156,81 +155,6 @@ fn wheel_pops_identical_sequences_to_reference_heap() {
         }
     }
     assert!(cases >= 1000, "must cover 1000+ randomized cases");
-}
-
-/// The slab must fire exactly the timers the tombstone-set model fires, in
-/// the same order, across randomized arm/cancel/fire interleavings.
-#[test]
-fn timer_slab_matches_tombstone_model() {
-    for seed in 0..300u64 {
-        let mut rng = StdRng::seed_from_u64(0x7145_u64 ^ (seed << 8));
-        let mut queue: EventQueue<u64> = EventQueue::new();
-        let mut slab = TimerSlab::new();
-        // Tombstone model: the cancelled-handle set of the old runtime.
-        let mut cancelled: HashSet<TimerId> = HashSet::new();
-        let mut armed: Vec<TimerId> = Vec::new();
-        let mut tag = 0u64;
-        let mut now = Time::ZERO;
-        let mut fired_slab: Vec<u64> = Vec::new();
-        let mut fired_model: Vec<u64> = Vec::new();
-        for _ in 0..rng.gen_range(50usize..150) {
-            match rng.gen_range(0u32..10) {
-                // Arm a timer.
-                0..=4 => {
-                    let id = slab.allocate();
-                    let at = now + iss_types::Duration::from_micros(rng.gen_range(0u64..3_000_000));
-                    tag += 1;
-                    queue.push(
-                        at,
-                        EventKind::Timer {
-                            addr: Addr::Node(NodeId(0)),
-                            id,
-                            kind: tag,
-                            incarnation: 0,
-                        },
-                    );
-                    armed.push(id);
-                }
-                // Cancel a random armed handle (possibly already fired).
-                5..=6 => {
-                    if !armed.is_empty() {
-                        let id = armed[rng.gen_range(0usize..armed.len())];
-                        slab.retire(id);
-                        cancelled.insert(id);
-                    }
-                }
-                // Advance: fire the next pending timer.
-                _ => {
-                    if let Some(event) = queue.pop() {
-                        now = event.at;
-                        if let EventKind::Timer { id, kind, .. } = event.kind {
-                            if slab.retire(id) {
-                                fired_slab.push(kind);
-                            }
-                            if !cancelled.remove(&id) {
-                                fired_model.push(kind);
-                            }
-                        }
-                    }
-                }
-            }
-            assert_eq!(fired_slab, fired_model, "seed {seed}");
-        }
-        // Drain the queue: remaining uncancelled timers fire.
-        while let Some(event) = queue.pop() {
-            if let EventKind::Timer { id, kind, .. } = event.kind {
-                if slab.retire(id) {
-                    fired_slab.push(kind);
-                }
-                if !cancelled.remove(&id) {
-                    fired_model.push(kind);
-                }
-            }
-        }
-        assert_eq!(fired_slab, fired_model, "seed {seed}");
-        // The slab never grew beyond the number of concurrently armed timers.
-        assert!(slab.capacity() <= armed.len().max(1), "seed {seed}");
-    }
 }
 
 /// The heap-based [`CpuState`] must produce completion times bit-identical

@@ -124,33 +124,11 @@ impl fmt::Debug for InstanceId {
     }
 }
 
-/// Opaque handle for a timer set through a runtime [`crate::time`] context.
-///
-/// The 64-bit handle packs a *slot index* (high 32 bits) and a *generation*
-/// (low 32 bits). Runtimes that manage timers in a slab bump a slot's
-/// generation whenever the timer occupying it fires or is cancelled, so a
-/// stale handle — one whose generation no longer matches the slot — can be
-/// rejected in O(1) without keeping a tombstone set. Code that treats the
-/// handle as a plain opaque `u64` keeps working unchanged.
+/// Handle of a timer set through a runtime [`crate::time`] context:
+/// `TimerId(n)` is the n-th timer its process incarnation armed, counting
+/// from zero, under every runtime.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct TimerId(pub u64);
-
-impl TimerId {
-    /// Packs a slab slot index and its generation into a handle.
-    pub fn from_parts(slot: u32, generation: u32) -> Self {
-        TimerId(((slot as u64) << 32) | generation as u64)
-    }
-
-    /// The slab slot index encoded in the handle.
-    pub fn slot(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-
-    /// The generation encoded in the handle.
-    pub fn generation(self) -> u32 {
-        self.0 as u32
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -186,19 +164,6 @@ mod tests {
     fn bucket_id_index() {
         assert_eq!(BucketId(11).index(), 11);
         assert_eq!(format!("{:?}", BucketId(2)), "b2");
-    }
-
-    #[test]
-    fn timer_id_packs_slot_and_generation() {
-        let id = TimerId::from_parts(7, 3);
-        assert_eq!(id.slot(), 7);
-        assert_eq!(id.generation(), 3);
-        assert_ne!(TimerId::from_parts(7, 4), id);
-        assert_ne!(TimerId::from_parts(8, 3), id);
-        // Extremes round-trip.
-        let max = TimerId::from_parts(u32::MAX, u32::MAX);
-        assert_eq!(max.slot(), u32::MAX);
-        assert_eq!(max.generation(), u32::MAX);
     }
 
     #[test]
