@@ -14,7 +14,7 @@ use iss_crypto::{
     SignatureRegistry, ThresholdScheme,
 };
 use iss_messages::codec;
-use iss_pbft::{PbftConfig, PbftInstance};
+use iss_pbft::PbftInstance;
 use iss_runtime::Addr;
 use iss_sb::testing::LocalNet;
 use iss_sb::{ProposalValidator, SbInstance};
@@ -169,7 +169,7 @@ fn pbft_net(n: usize, seq: Vec<u64>) -> LocalNet<PbftInstance> {
                 PbftInstance::new(
                     NodeId(i as u32),
                     segment(i),
-                    PbftConfig::default(),
+                    Duration::from_secs(10),
                     KeyPair::for_node(NodeId(i as u32)),
                     Arc::clone(&registry),
                 )

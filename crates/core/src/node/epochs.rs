@@ -1,16 +1,16 @@
-//! Epochs: entering an epoch (Algorithm 3, `initEpoch`) and opening its SB
-//! instances, the epoch-end checkpoint and transition (Section 3.5), and
-//! Mir's epoch primary.
+//! Epochs: entering an epoch (Algorithm 3, `initEpoch`), opening its SB
+//! instances and replaying the SB messages held back for it, the epoch-end
+//! checkpoint and transition (Section 3.5), and Mir's epoch primary.
 
 use super::{IssNode, Mode, NodeOptions, KIND_MIR_EPOCH};
 use crate::checkpoint::{CheckpointManager, StableCheckpoint};
 use crate::epoch::EpochConfig;
 use crate::policy::LeaderPolicy;
 use crate::validation::EpochBuckets;
-use iss_messages::{ClientMsg, MirMsg, NetMsg};
+use iss_messages::{ClientMsg, MirMsg, NetMsg, SbMsg};
 use iss_runtime::process::{Addr, Context};
 use iss_storage::record::PolicyState;
-use iss_types::{EpochNr, NodeId, SeqNr};
+use iss_types::{EpochNr, InstanceId, NodeId, SeqNr};
 
 /// Epoch `epoch` starting at `first_seq_nr`, led by the leaderset the mode
 /// and the leader policy choose. Every epoch the node enters — at boot,
@@ -36,7 +36,9 @@ impl IssNode {
     }
 
     /// Enters `epoch` at `first_seq_nr` on a running node: reports the
-    /// advance to the sink and opens the epoch's SB instances.
+    /// advance to the sink, opens the epoch's SB instances and replays the
+    /// messages held back for it. Held messages of any other epoch (one a
+    /// snapshot jumped past) are discarded.
     pub(super) fn start_epoch(
         &mut self,
         epoch: EpochNr,
@@ -48,6 +50,49 @@ impl IssNode {
             .borrow_mut()
             .on_epoch_advanced(self.my_id, epoch, ctx.now());
         self.setup_epoch_instances(ctx);
+        self.held_per_sender.clear();
+        for (from, instance, msg) in std::mem::take(&mut self.next_epoch_msgs) {
+            if instance.epoch == epoch {
+                self.on_sb_message(from, instance, msg, ctx);
+            }
+        }
+    }
+
+    /// Hands an SB message to its instance. A message of the next epoch is
+    /// held back until this node enters it: a node enters an epoch once it
+    /// has itself delivered the previous one, so peers normally start it
+    /// first, and SB protocols never re-send a proposal. A sender may have
+    /// at most `3 × epoch length` messages held, what a correct peer sends
+    /// for one epoch at view 0 (a pre-prepare, a prepare and a commit per
+    /// sequence number); past that, and two epochs ahead, it is dropped.
+    pub(super) fn on_sb_message(
+        &mut self,
+        from: NodeId,
+        instance: InstanceId,
+        msg: SbMsg,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        if let Some(slot) = self.state.slot_of(instance) {
+            self.drive(slot, ctx, |inst, sb| inst.on_message(from, msg, sb));
+            return;
+        }
+        if instance.epoch <= self.epoch.epoch {
+            return;
+        }
+        if instance.epoch == self.epoch.epoch + 1 {
+            let config = &self.opts.config;
+            let held = self.held_per_sender.entry(from).or_default();
+            if *held < 3 * config.epoch_length(config.num_nodes) {
+                *held += 1;
+                self.next_epoch_msgs.push((from, instance, msg));
+            }
+        }
+        // We may also have fallen behind: take the snapshot fast path — the
+        // sender serves its latest stable checkpoint plus the retained log
+        // suffix, which catches us up if we missed commits of our own epoch
+        // that no one will re-send (Section 3.5 generalized to checkpoint
+        // snapshots).
+        self.request_snapshot(Some(from), ctx);
     }
 
     pub(super) fn setup_epoch_instances(&mut self, ctx: &mut Context<'_, NetMsg>) {

@@ -58,14 +58,14 @@ use crate::policy::LeaderPolicy;
 use crate::state::EpochState;
 use crate::validation::RequestValidation;
 use iss_crypto::{KeyPair, SignatureRegistry};
-use iss_messages::{ClientMsg, IssMsg, MirMsg, NetMsg};
+use iss_messages::{ClientMsg, IssMsg, MirMsg, NetMsg, SbMsg};
 use iss_runtime::process::{Addr, Context, Process};
 use iss_storage::record::PolicyState;
 use iss_storage::Storage;
 use iss_telemetry::TelemetryHandle;
 use iss_types::{
-    Batch, ClientId, Duration, EpochNr, Error, IssConfig, NodeId, Request, RequestId, SeqNr, Time,
-    TimerId,
+    Batch, ClientId, Duration, EpochNr, Error, InstanceId, IssConfig, NodeId, Request, RequestId,
+    SeqNr, Time, TimerId,
 };
 use recovery::{RecoveryProgress, SnapshotAssembly};
 use std::cell::RefCell;
@@ -236,6 +236,10 @@ pub struct IssNode {
     validation: RequestValidation,
     policy: LeaderPolicy,
     checkpoints: CheckpointManager,
+    /// SB messages of the next epoch in arrival order, replayed when this
+    /// node enters it, and how many of them each sender has held.
+    next_epoch_msgs: Vec<(NodeId, InstanceId, SbMsg)>,
+    held_per_sender: HashMap<NodeId, u64>,
 
     // Proposal state for the segment this node leads (if any).
     my_segment_idx: Option<usize>,
@@ -309,6 +313,8 @@ impl IssNode {
             validation,
             policy,
             checkpoints,
+            next_epoch_msgs: Vec::new(),
+            held_per_sender: HashMap::new(),
             my_segment_idx: None,
             next_proposal: 0,
             last_proposal_at: Time::ZERO,
@@ -358,6 +364,12 @@ impl IssNode {
         self.buckets.len()
     }
 
+    /// Number of SB messages of the next epoch held back until this node
+    /// enters it (testing / diagnostics).
+    pub fn held_next_epoch_messages(&self) -> usize {
+        self.next_epoch_msgs.len()
+    }
+
     /// Whether the node is currently catching up (testing / diagnostics).
     pub fn is_recovering(&self) -> bool {
         self.recovery.is_some()
@@ -394,16 +406,7 @@ impl Process<NetMsg> for IssNode {
                 }
             }
             (NetMsg::Sb { instance, msg }, Some(node)) => {
-                if let Some(slot) = self.state.slot_of(instance) {
-                    self.drive(slot, ctx, |inst, sb| inst.on_message(node, msg, sb));
-                } else if instance.epoch > self.epoch.epoch {
-                    // We have fallen behind: take the snapshot fast path —
-                    // the sender serves its latest stable checkpoint plus
-                    // the retained log suffix, which catches us up without
-                    // waiting out epoch-change timeouts (Section 3.5
-                    // generalized to checkpoint snapshots).
-                    self.request_snapshot(Some(node), ctx);
-                }
+                self.on_sb_message(node, instance, msg, ctx);
             }
             (
                 NetMsg::Iss(IssMsg::Checkpoint {

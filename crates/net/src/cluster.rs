@@ -98,11 +98,6 @@ impl TcpCluster {
         let mut iss = scenario.iss_config();
         iss.view_change_timeout = PROTOCOL_TIMEOUT;
         iss.epoch_change_timeout = PROTOCOL_TIMEOUT;
-        // Per-peer TCP connections give no cross-peer ordering: a backup's
-        // vote can overtake the leader's pre-prepare (it cannot under the
-        // simulator's metric latency matrix), and PBFT never retransmits
-        // votes, so dropping them would wedge slots short of quorum forever.
-        iss.buffer_early_votes = true;
         let peers = peer_table();
         let node_ids: Vec<NodeId> = (0..scenario.num_nodes as u32).map(NodeId).collect();
         let mut listeners = Vec::with_capacity(node_ids.len());

@@ -1,6 +1,5 @@
 //! The PBFT state machine for one segment.
 
-use crate::config::PbftConfig;
 use crate::slot::{Slot, NIL_DIGEST};
 use iss_crypto::{batch_digest, Digest, KeyPair, SignatureRegistry};
 use iss_messages::pbft::PreparedProof;
@@ -15,13 +14,14 @@ use std::sync::Arc;
 const TIMER_PROGRESS: u64 = 1 << 32;
 
 /// A PREPARE or COMMIT that arrived before this node accepted a pre-prepare
-/// for its slot. The simulator's latency model makes that ordering impossible
-/// (a peer's vote always travels leader→peer→us, strictly longer than
-/// leader→us), but real transports deliver each peer connection
-/// independently: during connection ramp-up a peer's vote routinely overtakes
-/// the leader's pre-prepare, and after a view change a peer's vote of the new
-/// view can overtake the NEW-VIEW itself. PBFT never retransmits votes, so
-/// dropping them here would wedge the slot short of quorum forever.
+/// for its slot. Nothing orders messages across peers: over TCP each peer
+/// connection is delivered independently, and on a simulated LAN the
+/// leader's interface serializes a large pre-prepare to each backup in turn,
+/// so the first backup's vote can reach the last backup before it does.
+/// After a view change a peer's vote of the new view can likewise overtake
+/// the NEW-VIEW itself. PBFT never retransmits votes, so such a vote is
+/// always held back and replayed once the slot has a digest; dropping it
+/// could wedge the slot short of quorum forever.
 #[derive(Clone, Copy)]
 struct EarlyVote {
     from: NodeId,
@@ -34,7 +34,6 @@ struct EarlyVote {
 pub struct PbftInstance {
     my_id: NodeId,
     segment: Arc<Segment>,
-    config: PbftConfig,
     keypair: KeyPair,
     registry: Arc<SignatureRegistry>,
 
@@ -63,11 +62,13 @@ pub struct PbftInstance {
 }
 
 impl PbftInstance {
-    /// Creates a PBFT instance for `my_id` over `segment`.
+    /// Creates a PBFT instance for `my_id` over `segment`. A follower starts
+    /// a view change after `view_change_timeout` without any commit (Section
+    /// 6.4 uses 10 s), and doubles it with every view change.
     pub fn new(
         my_id: NodeId,
         segment: Arc<Segment>,
-        config: PbftConfig,
+        view_change_timeout: Duration,
         keypair: KeyPair,
         registry: Arc<SignatureRegistry>,
     ) -> Self {
@@ -76,11 +77,9 @@ impl PbftInstance {
             .iter()
             .map(|sn| (*sn, Slot::default()))
             .collect();
-        let current_timeout = config.view_change_timeout;
         PbftInstance {
             my_id,
             segment,
-            config,
             keypair,
             registry,
             view: 0,
@@ -91,7 +90,7 @@ impl PbftInstance {
             validated: HashSet::new(),
             known_batches: HashMap::new(),
             early_votes: HashMap::new(),
-            current_timeout,
+            current_timeout: view_change_timeout,
             timer_generation: 0,
             delivered: 0,
         }
@@ -144,9 +143,6 @@ impl PbftInstance {
     /// a Byzantine peer cannot grow the buffer past its legitimate size (one
     /// prepare plus one commit per node).
     fn buffer_early_vote(&mut self, sn: SeqNr, vote: EarlyVote) {
-        if !self.config.buffer_early_votes {
-            return;
-        }
         let cap = 2 * self.segment.nodes.len();
         let pending = self.early_votes.entry(sn).or_default();
         if pending.len() < cap {
@@ -653,7 +649,7 @@ mod tests {
                 PbftInstance::new(
                     NodeId(i as u32),
                     segment(n, leader, seq_nrs.clone()),
-                    PbftConfig::with_timeout(Duration::from_millis(timeout_ms)),
+                    Duration::from_millis(timeout_ms),
                     KeyPair::for_node(NodeId(i as u32)),
                     Arc::clone(&registry),
                 )
@@ -833,7 +829,7 @@ mod tests {
         let inst = PbftInstance::new(
             NodeId(0),
             seg,
-            PbftConfig::default(),
+            Duration::from_secs(10),
             KeyPair::for_node(NodeId(0)),
             Arc::new(SignatureRegistry::with_processes(4, 0)),
         );

@@ -21,9 +21,7 @@
 //! the evaluation: the baseline is simply an instance whose segment spans the
 //! whole log prefix and whose leader is never rotated by ISS.
 
-pub mod config;
 pub mod instance;
 pub mod slot;
 
-pub use config::PbftConfig;
 pub use instance::PbftInstance;

@@ -3,7 +3,7 @@
 use iss_core::orderer::OrdererFactory;
 use iss_crypto::{KeyPair, SignatureRegistry};
 use iss_hotstuff::{HotStuffConfig, HotStuffInstance};
-use iss_pbft::{PbftConfig, PbftInstance};
+use iss_pbft::PbftInstance;
 use iss_raft::{RaftConfig, RaftInstance};
 use iss_sb::reference::ReferenceSb;
 use iss_types::{Duration, IssConfig};
@@ -43,15 +43,12 @@ pub fn make_factory(
 ) -> OrdererFactory {
     match protocol {
         Protocol::Pbft => {
-            let pbft = PbftConfig {
-                view_change_timeout: config.view_change_timeout,
-                buffer_early_votes: config.buffer_early_votes,
-            };
+            let view_change_timeout = config.view_change_timeout;
             Box::new(move |my_id, segment| {
                 Box::new(PbftInstance::new(
                     my_id,
                     segment,
-                    pbft,
+                    view_change_timeout,
                     KeyPair::for_node(my_id),
                     Arc::clone(&registry),
                 ))

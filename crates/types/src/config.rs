@@ -98,15 +98,10 @@ pub struct IssConfig {
     pub backoff_ban_period: u64,
     /// BACKOFF policy: linear decrease of the ban period per correct epoch.
     pub backoff_decrease: u64,
-    /// Whether PBFT instances buffer PREPAREs/COMMITs that arrive before the
-    /// pre-prepare of their slot and replay them once it lands. Real
-    /// transports (`iss-net`) need this: per-peer connections give no
-    /// cross-peer ordering, so a backup's vote routinely overtakes the
-    /// leader's pre-prepare during connection ramp-up, and votes are never
-    /// retransmitted. The Table 1 presets leave it off — the simulator's
-    /// metric latency matrix delivers votes after their causal pre-prepare
-    /// (up to rare jitter inversions the protocol tolerates), and the
-    /// recorded figure baselines are byte-stable against that behavior.
+    /// Read by nothing: PBFT always holds back a vote that arrives before
+    /// its slot's pre-prepare. Exists only because the wall-clock harness in
+    /// `bench/` still assigns it; ROADMAP F4 deletes it.
+    #[doc(hidden)]
     pub buffer_early_votes: bool,
 }
 
