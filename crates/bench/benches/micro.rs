@@ -4,7 +4,8 @@
 //! simulator's metrics sink, the CPU-model scheduler, Merkle trees, bucket
 //! mapping, batch cutting, the binary codec, a full PBFT three-phase round
 //! for one batch, the file WAL's checkpoint prune, the simnet timing-wheel
-//! event queue and a fig8-scale simulation wall-clock smoke.
+//! event queue (with small and message-sized payloads, and in broadcast
+//! bursts at the cursor) and a fig8-scale simulation wall-clock smoke.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use iss_core::buckets::BucketQueues;
@@ -490,7 +491,68 @@ fn bench_simnet_event_throughput(c: &mut Criterion) {
         })
     });
 
+    // The same cycle with a payload as large as the simulator's own message
+    // type: the `u32` of the row above cannot tell moving a 24-byte key from
+    // moving a whole event.
+    group.bench_function("wheel_netmsg", |b| {
+        let mut q: EventQueue<NetMsgSized> = EventQueue::new();
+        let mut state = iss_bench::engine::WORKLOAD_SEED;
+        for i in 0..DEPTH {
+            q.push(Time::from_micros(next_delay_us(&mut state)), deliver(i));
+        }
+        b.iter(|| {
+            let e = q.pop().expect("queue is held at constant depth");
+            q.push(
+                e.at + Duration::from_micros(next_delay_us(&mut state)),
+                e.kind,
+            );
+            e.at
+        })
+    });
+
+    // A broadcast to 128 nodes: each element pops one event, schedules
+    // `BURST` deliveries into its own wheel slot and pops them back, so
+    // every insert lands at the cursor.
+    const BURST: usize = 128;
+    group.throughput(Throughput::Elements(BURST as u64));
+    group.bench_function("cursor_burst", |b| {
+        let mut q: EventQueue<NetMsgSized> = EventQueue::new();
+        let mut state = iss_bench::engine::WORKLOAD_SEED;
+        for i in 0..DEPTH {
+            q.push(Time::from_micros(next_delay_us(&mut state)), deliver(i));
+        }
+        b.iter(|| {
+            let e = q.pop().expect("queue is held at constant depth");
+            let slot_us = 1 << iss_simnet::event::SLOT_BITS;
+            let slot_left = slot_us - e.at.as_micros() % slot_us;
+            for i in 0..BURST {
+                let delay = next_delay_us(&mut state) % slot_left;
+                q.push(e.at + Duration::from_micros(delay), deliver(i));
+            }
+            for _ in 0..BURST {
+                criterion::black_box(q.pop());
+            }
+            q.push(
+                e.at + Duration::from_micros(next_delay_us(&mut state)),
+                e.kind,
+            );
+            e.at
+        })
+    });
+
     group.finish();
+}
+
+/// A payload as large as [`iss_messages::NetMsg`], the simulator's message.
+type NetMsgSized = [u8; std::mem::size_of::<iss_messages::NetMsg>()];
+
+/// A delivery of a [`NetMsgSized`] payload between two nodes.
+fn deliver(i: usize) -> EventKind<NetMsgSized> {
+    EventKind::Deliver {
+        from: Addr::Node(NodeId(i as u32 % 128)),
+        to: Addr::Node(NodeId((i as u32 + 1) % 128)),
+        msg: [i as u8; std::mem::size_of::<iss_messages::NetMsg>()],
+    }
 }
 
 /// A scaled-down Figure 8 deployment (crash fault at epoch start, Blacklist

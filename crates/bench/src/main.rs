@@ -6,6 +6,10 @@
 //!   `default` when unset).
 //! * `smoke {experiments|recovery|byzantine|telemetry}` — run one CI gate
 //!   at `ISS_SCALE` (`quick` when unset) and exit non-zero when it fails.
+//! * `point <series> <nodes> [--seconds S]` — run one Figure 5 point (a
+//!   series label of the figure, e.g. `ISS-PBFT`, at `nodes` replicas) at
+//!   `ISS_SCALE`, `S` virtual seconds long when given; print the wall time,
+//!   then a fingerprint line that two runs of the same point must repeat.
 //! * `diff <committed.json> <fresh.json>` — compare micro-bench medians.
 //! * `record <workload>… [--runs N] [--seed S]` — run `BENCHMARK.json`'s
 //!   command and append a row to `BENCH_trajectory.json` (see [`record`]).
@@ -17,21 +21,23 @@ use iss_bench::scale_for;
 use iss_core::Mode;
 use iss_net::TcpCluster;
 use iss_sim::experiments::{
-    attack_matrix, figure11, figure12, figure5, figure6, figure7, figure8, scenario_bursty,
-    scenario_crash_restart, scenario_lossy_window, scenario_partition_heal, scenario_skewed,
-    throughput_timeline, Scale,
+    attack_matrix, figure11, figure12, figure5, figure5_scenario, figure6, figure7, figure8,
+    scenario_bursty, scenario_crash_restart, scenario_lossy_window, scenario_partition_heal,
+    scenario_skewed, throughput_timeline, Scale, FIGURE5_SERIES,
 };
 use iss_sim::{CrashTiming, Protocol, Report, Scenario, TopologySpec, CENSORSHIP_EPOCH_BOUND};
 use iss_telemetry::{Phase, TelemetrySnapshot};
 use iss_types::{Duration, IssConfig, MsgClass, NodeId};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::time::Instant;
 
 mod record;
 
 const USAGE: &str = "usage: iss-bench <command>
   table1 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12
   smoke experiments | smoke recovery | smoke byzantine | smoke telemetry
+  point <series> <nodes> [--seconds S]
   diff <committed-baseline.json> <fresh-baselines.json>
   record <workload>... [--runs N] [--seed S]";
 
@@ -53,6 +59,10 @@ fn main() -> ExitCode {
         ["smoke", "recovery"] => return smoke_recovery(scale),
         ["smoke", "byzantine"] => smoke_byzantine(scale),
         ["smoke", "telemetry"] => return smoke_telemetry(),
+        ["point", series, nodes] => return point(series, nodes, None, scale),
+        ["point", series, nodes, "--seconds", seconds] => {
+            return point(series, nodes, Some(seconds), scale)
+        }
         ["diff", committed, fresh] => return diff(committed, fresh),
         ["record", ref rest @ ..] => return record::run(rest),
         _ => {
@@ -60,6 +70,49 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    ExitCode::SUCCESS
+}
+
+/// `point <series> <nodes> [--seconds S]`: one Figure 5 scenario, timed on
+/// the wall clock. The fingerprint line (last) holds the counts a seeded
+/// run must reproduce bit for bit.
+fn point(series: &str, nodes: &str, seconds: Option<&str>, scale: Scale) -> ExitCode {
+    let Ok(nodes) = nodes.parse::<usize>() else {
+        eprintln!("point: <nodes> must be a number, got {nodes:?}");
+        return ExitCode::FAILURE;
+    };
+    let duration_secs = match seconds.map(str::parse::<u64>) {
+        None => scale.duration_secs,
+        Some(Ok(s)) if s > 0 => s,
+        Some(_) => {
+            eprintln!("point: --seconds must be a positive number of seconds");
+            return ExitCode::FAILURE;
+        }
+    };
+    let scale = Scale {
+        duration_secs,
+        ..scale
+    };
+    let Some(scenario) = figure5_scenario(series, nodes, scale) else {
+        let names: Vec<&str> = FIGURE5_SERIES.iter().map(|(name, _, _)| *name).collect();
+        eprintln!(
+            "point: unknown series {series:?}; one of {}",
+            names.join(", ")
+        );
+        return ExitCode::FAILURE;
+    };
+    let start = Instant::now();
+    let report = scenario.run();
+    println!("wall_s {:.2}", start.elapsed().as_secs_f64());
+    println!(
+        "{series} n={nodes} {duration_secs}s: delivered {} messages_sent {} bytes_sent {} \
+         throughput_bits {:#018x} ({:.0} req/s)",
+        report.delivered,
+        report.messages_sent,
+        report.bytes_sent,
+        report.throughput.to_bits(),
+        report.throughput
+    );
     ExitCode::SUCCESS
 }
 

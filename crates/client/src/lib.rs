@@ -67,7 +67,9 @@ pub struct LeaderTable {
     quorum: usize,
     num_buckets: usize,
     all_nodes: Vec<NodeId>,
-    current: HashMap<BucketId, NodeId>,
+    /// The accepted assignment, indexed by bucket; `None` for a bucket the
+    /// assignment does not name.
+    current: Vec<Option<NodeId>>,
     accepted_epoch: Option<EpochNr>,
     /// epoch → set of nodes that announced it (assignments are deterministic,
     /// so counting senders is sufficient).
@@ -82,7 +84,7 @@ impl LeaderTable {
             quorum,
             num_buckets,
             all_nodes,
-            current: HashMap::new(),
+            current: vec![None; num_buckets],
             accepted_epoch: None,
             pending: HashMap::new(),
         }
@@ -108,7 +110,13 @@ impl LeaderTable {
             .or_insert_with(|| (HashSet::new(), leaders.clone()));
         entry.0.insert(from);
         if entry.0.len() >= self.quorum {
-            self.current = entry.1.iter().copied().collect();
+            self.current.fill(None);
+            // A bucket this client does not have cannot route a request.
+            for &(bucket, leader) in &entry.1 {
+                if let Some(owner) = self.current.get_mut(bucket.index()) {
+                    *owner = Some(leader);
+                }
+            }
             self.accepted_epoch = Some(*epoch);
             self.pending.retain(|e, _| *e > *epoch);
             true
@@ -121,11 +129,8 @@ impl LeaderTable {
     /// owning the request's bucket, falling back to a deterministic default
     /// (bucket number modulo n) before the first announcement.
     pub fn target_for(&self, request: &RequestId) -> NodeId {
-        let bucket = request.bucket(self.num_buckets);
-        match self.current.get(&bucket) {
-            Some(leader) => *leader,
-            None => self.all_nodes[bucket.index() % self.all_nodes.len()],
-        }
+        let bucket = request.bucket(self.num_buckets).index();
+        self.current[bucket].unwrap_or_else(|| self.all_nodes[bucket % self.all_nodes.len()])
     }
 }
 
@@ -274,6 +279,34 @@ mod tests {
         );
         assert_eq!(table.accepted_epoch(), Some(2));
         assert_eq!(table.target_for(&RequestId::new(ClientId(0), 0)), NodeId(2));
+    }
+
+    #[test]
+    fn leader_table_falls_back_before_an_announcement_and_ignores_unknown_buckets() {
+        let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let num_buckets = 8;
+        let mut table = LeaderTable::new(nodes, num_buckets, 1);
+        let requests: Vec<RequestId> = (0..64).map(|t| RequestId::new(ClientId(2), t)).collect();
+        assert!(requests.iter().any(|r| r.bucket(num_buckets).index() == 0));
+        // Before any announcement: bucket number modulo n.
+        for req in &requests {
+            let bucket = req.bucket(num_buckets).index();
+            assert_eq!(table.target_for(req), NodeId((bucket % 4) as u32));
+        }
+        // An assignment naming bucket 0 and buckets this client does not
+        // have: bucket 0 moves to node 3, out-of-range entries are ignored and
+        // every other bucket keeps the fallback.
+        let leaders = vec![
+            (BucketId(0), NodeId(3)),
+            (BucketId(num_buckets as u32), NodeId(1)),
+            (BucketId(u32::MAX), NodeId(2)),
+        ];
+        assert!(table.on_announcement(NodeId(0), &ClientMsg::BucketLeaders { epoch: 1, leaders }));
+        for req in &requests {
+            let bucket = req.bucket(num_buckets).index();
+            let expected = if bucket == 0 { 3 } else { bucket % 4 };
+            assert_eq!(table.target_for(req), NodeId(expected as u32));
+        }
     }
 
     #[test]

@@ -42,8 +42,8 @@ impl EpochConfig {
             .iter()
             .enumerate()
             .map(|(l, leader)| {
-                let seq_nrs: Vec<SeqNr> = (0..length)
-                    .filter(|offset| (*offset as usize) % leaders.len() == l)
+                let seq_nrs: Vec<SeqNr> = (l as u64..length)
+                    .step_by(leaders.len())
                     .map(|offset| first_seq_nr + offset)
                     .collect();
                 Arc::new(Segment {
@@ -163,6 +163,32 @@ mod tests {
         }
         assert!(e.segment_of(99).is_none());
         assert!(e.segment_of(112).is_none());
+    }
+
+    #[test]
+    fn strided_segments_equal_the_round_robin_definition() {
+        // Leaders beyond the epoch length get empty segments; 128 leaders is
+        // the paper's largest deployment.
+        for leaders in [1usize, 2, 3, 5, 7, 16, 31, 64, 128, 130] {
+            let mut cfg = config(leaders.max(4));
+            cfg.min_segment_size = 0;
+            for length in [1u64, 2, 5, 12, 63, 64, 100, 129, 256, 1000] {
+                cfg.min_epoch_length = length;
+                let ids: Vec<NodeId> = (0..leaders as u32).map(NodeId).collect();
+                let e = EpochConfig::build(&cfg, 1, 40, ids);
+                assert_eq!(e.length, length, "min_segment_size 0 keeps the length");
+                for (l, segment) in e.segments.iter().enumerate() {
+                    let round_robin: Vec<SeqNr> = (0..length)
+                        .filter(|offset| (*offset as usize) % leaders == l)
+                        .map(|offset| 40 + offset)
+                        .collect();
+                    assert_eq!(
+                        segment.seq_nrs, round_robin,
+                        "length {length}, {leaders} leaders, segment {l}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

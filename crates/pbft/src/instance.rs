@@ -72,10 +72,11 @@ impl PbftInstance {
         keypair: KeyPair,
         registry: Arc<SignatureRegistry>,
     ) -> Self {
+        let n = segment.num_nodes();
         let slots = segment
             .seq_nrs
             .iter()
-            .map(|sn| (*sn, Slot::default()))
+            .map(|sn| (*sn, Slot::new(n)))
             .collect();
         PbftInstance {
             my_id,
@@ -209,7 +210,7 @@ impl PbftInstance {
         let my_id = self.my_id;
         let slot = self.slots.get_mut(&sn).expect("checked above");
         slot.prepares.insert(from);
-        if slot.prepares.len() >= quorum && !slot.commits.contains(&my_id) {
+        if slot.prepares.len() >= quorum && !slot.commits.contains(my_id) {
             slot.prepared = true;
             slot.prepared_view = view;
             slot.commits.insert(my_id);
@@ -535,6 +536,11 @@ impl SbInstance for PbftInstance {
 
     fn on_message(&mut self, from: NodeId, msg: SbMsg, ctx: &mut SbContext<'_>) {
         let SbMsg::Pbft(msg) = msg else { return };
+        // The segment's nodes are `0..n`; nothing from another id counts,
+        // and nothing from it is buffered.
+        if from.index() >= self.segment.num_nodes() {
+            return;
+        }
         match msg {
             PbftMsg::PrePrepare {
                 view,
@@ -980,6 +986,70 @@ mod tests {
         for node in 0..4 {
             assert!(net.log_of(node).is_empty());
         }
+    }
+
+    #[test]
+    fn sixty_seven_nodes_commit_with_ids_in_two_words() {
+        // Ids 64..67 live in the second word of every vote set; the leader
+        // is one of them.
+        let n = 67;
+        let mut net = net(n, 65, vec![0, 1], 10_000);
+        net.init_all();
+        for sn in 0..2u64 {
+            net.propose(65, sn, batch(sn as u32));
+        }
+        net.run_messages();
+        assert!(net.all_complete());
+        net.assert_agreement();
+        for node in [0, 63, 64, 66] {
+            assert_eq!(net.log_of(node).get(&1).unwrap().as_ref(), Some(&batch(1)));
+            let slot = &net.instances[node].slots[&1];
+            assert_eq!(slot.prepares.word_count(), 2);
+            // Every vote reached every node, each counted once.
+            assert_eq!((slot.prepares.len(), slot.commits.len()), (n, n));
+            assert!(slot.prepares.contains(NodeId(66)) && slot.commits.contains(NodeId(64)));
+        }
+    }
+
+    #[test]
+    fn a_vote_from_outside_the_segment_neither_counts_nor_allocates() {
+        let n = 4;
+        let mut net = net(n, 0, vec![0], 10_000);
+        net.init_all();
+        let b = batch(1);
+        let digest = batch_digest(&b);
+        let outsider = NodeId(n as u32 + 5);
+        let prepare = SbMsg::Pbft(PbftMsg::Prepare {
+            view: 0,
+            seq_nr: 0,
+            digest,
+        });
+        // Before the pre-prepare: not buffered.
+        net.inject_message(outsider, NodeId(3), prepare.clone());
+        net.run_messages();
+        assert!(net.instances[3].early_votes.is_empty());
+        // After it: node 3 holds the primary's and its own prepare, one
+        // short of the quorum of 3, and the outsider does not fill the gap.
+        net.inject_message(
+            NodeId(0),
+            NodeId(3),
+            SbMsg::Pbft(PbftMsg::PrePrepare {
+                view: 0,
+                seq_nr: 0,
+                batch: Some(b),
+                digest,
+            }),
+        );
+        net.run_messages();
+        net.inject_message(outsider, NodeId(3), prepare);
+        net.run_messages();
+        let slot = &net.instances[3].slots[&0];
+        assert_eq!(slot.prepares.len(), 2);
+        assert!(!slot.prepares.contains(outsider));
+        assert!(!slot.prepared);
+        assert_eq!(slot.prepares.word_count(), 1);
+        assert!(net.instances[3].early_votes.is_empty());
+        assert!(net.log_of(3).get(&0).is_none());
     }
 
     #[test]

@@ -101,23 +101,36 @@ fn scenario_for(
         .build()
 }
 
+/// The series of Figure 5 in plotting order: label, ordering protocol and
+/// deployment mode.
+pub const FIGURE5_SERIES: [(&str, Protocol, Mode); 7] = [
+    ("ISS-PBFT", Protocol::Pbft, Mode::Iss),
+    ("ISS-HotStuff", Protocol::HotStuff, Mode::Iss),
+    ("ISS-Raft", Protocol::Raft, Mode::Iss),
+    ("MirBFT", Protocol::Pbft, Mode::Mir),
+    ("PBFT", Protocol::Pbft, Mode::SingleLeader),
+    ("HotStuff", Protocol::HotStuff, Mode::SingleLeader),
+    ("Raft", Protocol::Raft, Mode::SingleLeader),
+];
+
+/// The scenario behind one Figure 5 point: series `name` (a label of
+/// [`FIGURE5_SERIES`]) at `nodes` replicas under its saturating load;
+/// `None` for an unknown label.
+pub fn figure5_scenario(name: &str, nodes: usize, scale: Scale) -> Option<Scenario> {
+    let &(name, protocol, mode) = FIGURE5_SERIES.iter().find(|(s, _, _)| *s == name)?;
+    let rate = saturating_rate(nodes, mode != Mode::SingleLeader, scale.load_factor);
+    Some(scenario_for(name, protocol, mode, nodes, rate, scale))
+}
+
 /// Figure 5: peak throughput vs. number of nodes for ISS-{PBFT, HotStuff,
 /// Raft}, Mir-BFT and the single-leader baselines.
 pub fn figure5(scale: Scale) -> Vec<ScalabilityPoint> {
     let mut points = Vec::new();
-    let series: [(&str, Protocol, Mode); 7] = [
-        ("ISS-PBFT", Protocol::Pbft, Mode::Iss),
-        ("ISS-HotStuff", Protocol::HotStuff, Mode::Iss),
-        ("ISS-Raft", Protocol::Raft, Mode::Iss),
-        ("MirBFT", Protocol::Pbft, Mode::Mir),
-        ("PBFT", Protocol::Pbft, Mode::SingleLeader),
-        ("HotStuff", Protocol::HotStuff, Mode::SingleLeader),
-        ("Raft", Protocol::Raft, Mode::SingleLeader),
-    ];
-    for (name, protocol, mode) in series {
+    for (name, _, _) in FIGURE5_SERIES {
         for &nodes in scale.node_counts {
-            let rate = saturating_rate(nodes, mode != Mode::SingleLeader, scale.load_factor);
-            let report = scenario_for(name, protocol, mode, nodes, rate, scale).run();
+            let report = figure5_scenario(name, nodes, scale)
+                .expect("a series of the table")
+                .run();
             points.push(ScalabilityPoint {
                 series: name.to_string(),
                 nodes,

@@ -8,28 +8,34 @@
 //! of the simulator: almost every event is scheduled within a few hundred
 //! milliseconds of virtual *now* (network latency, CPU completion, bandwidth
 //! serialization), while a small minority (protocol timers) lands seconds
-//! ahead. The structure has three tiers, consulted in order:
+//! ahead. The tiers order 24-byte `(time, seq, slot)` keys; an event's
+//! [`EventKind`] waits in a slab at `slot` from push to pop, so a payload is
+//! moved into the queue and out of it and never while it is being ordered.
+//! The tiers, consulted in order:
 //!
-//! 1. an *active slot*: the events of the wheel slot the cursor points at,
-//!    sorted once when the cursor enters the slot and drained from the back;
+//! 1. the *cursor slot*: the keys of the wheel slot the cursor points at,
+//!    sorted once when the cursor enters the slot and drained from the back,
+//!    next to a binary heap that takes every key pushed at or before the
+//!    cursor slot afterwards (a broadcast's zero-delay and same-slot
+//!    follow-ups), so such an insert costs O(log k) for k such keys; a pop
+//!    takes the earlier of the two heads;
 //! 2. the *near wheel*: [`WHEEL_SLOTS`] unsorted buckets of
 //!    2^[`SLOT_BITS`] µs each, covering a sliding window of about four
 //!    seconds of virtual time, with an occupancy bitmap to skip empty slots
 //!    64 at a time;
-//! 3. a *sorted overflow* (`BTreeMap` keyed by `(time, seq)`) that spills
-//!    everything beyond the window and cascades back into the wheel when
-//!    the window re-anchors.
+//! 3. a *sorted overflow* (`BTreeSet` of keys) that spills everything beyond
+//!    the window and cascades back into the wheel when the window re-anchors.
 //!
-//! Push and pop are O(1) amortized for in-window events; far-future events
-//! pay one extra O(log n) detour through the overflow map. The pop order is
-//! *exactly* the `(time, seq)` order of a binary heap, which
-//! `tests/wheel_equivalence.rs` asserts against such a heap over randomized
-//! workloads.
+//! Push and pop are O(1) amortized for in-window events, and O(log k) for
+//! the k keys pushed into the cursor slot; far-future events pay one extra
+//! O(log n) detour through the overflow set. The pop order is *exactly* the
+//! `(time, seq)` order of a binary heap, which `tests/wheel_equivalence.rs`
+//! asserts against such a heap over randomized workloads.
 
 use iss_runtime::Addr;
 use iss_types::{Time, TimerId};
-use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// A scheduled event.
 #[derive(Debug)]
@@ -85,31 +91,18 @@ pub enum EventKind<M> {
 pub struct Event<M> {
     /// Virtual time at which the event fires.
     pub at: Time,
-    seq: u64,
     /// What happens.
     pub kind: EventKind<M>,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted: a sorted slot holds its earliest event last, where
-        // `Vec::pop` drains it.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+/// What the tiers order: firing time, then push order. `slot` is where the
+/// event's kind waits in the slab; it never decides an order, because `seq`
+/// is unique.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Key {
+    at: Time,
+    seq: u64,
+    slot: u32,
 }
 
 /// log2 of the width of one wheel slot in microseconds (256 µs).
@@ -124,24 +117,28 @@ const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
 
 /// A deterministic event queue (timing-wheel implementation).
 pub struct EventQueue<M> {
-    /// The overall minimum event, cached so `peek_time` and `pop` are O(1).
+    /// The overall minimum key, cached so `peek_time` and `pop` are O(1).
     /// Invariant: `Some` iff the queue is non-empty.
-    next: Option<Event<M>>,
-    /// Events of the cursor slot (and any event scheduled at or before it),
-    /// sorted so the earliest event is at the *back* — draining is `Vec::pop`
-    /// and the rare insert into the active slot is a binary-search insert.
-    active: Vec<Event<M>>,
+    next: Option<Key>,
+    /// Keys of the cursor slot as it was entered, sorted so the earliest is
+    /// at the *back*: draining is `Vec::pop`.
+    active: Vec<Key>,
+    /// Keys pushed at or before the cursor slot after it was entered.
+    due: BinaryHeap<Reverse<Key>>,
     /// The near wheel: unsorted buckets of 2^SLOT_BITS µs each.
-    wheel: Vec<Vec<Event<M>>>,
-    /// One bit per wheel slot: does the bucket hold any event?
+    wheel: Vec<Vec<Key>>,
+    /// One bit per wheel slot: does the bucket hold any key?
     occupied: [u64; BITMAP_WORDS],
     /// Absolute slot number (`time >> SLOT_BITS`) that `wheel[0]` covers.
     window_start_slot: u64,
-    /// Index into `wheel` of the slot the active heap was loaded from.
+    /// Index into `wheel` of the slot `active` was loaded from.
     cursor: usize,
-    /// Events beyond the wheel window, sorted by `(time µs, seq)`.
-    overflow: BTreeMap<(u64, u64), EventKind<M>>,
-    len: usize,
+    /// Keys beyond the wheel window.
+    overflow: BTreeSet<Key>,
+    /// The kinds of the queued events, at their keys' `slot`s.
+    slab: Vec<Option<EventKind<M>>>,
+    /// Empty slab entries, reused last-freed first.
+    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -157,12 +154,14 @@ impl<M> EventQueue<M> {
         EventQueue {
             next: None,
             active: Vec::new(),
+            due: BinaryHeap::new(),
             wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; BITMAP_WORDS],
             window_start_slot: 0,
             cursor: 0,
-            overflow: BTreeMap::new(),
-            len: 0,
+            overflow: BTreeSet::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -170,101 +169,116 @@ impl<M> EventQueue<M> {
     /// Schedules an event at time `at`.
     #[inline]
     pub fn push(&mut self, at: Time, kind: EventKind<M>) {
-        let seq = self.next_seq;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                self.slab.push(Some(kind));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        let key = Key {
+            at,
+            seq: self.next_seq,
+            slot,
+        };
         self.next_seq += 1;
-        self.len += 1;
-        let event = Event { at, seq, kind };
-        match &self.next {
-            None => self.next = Some(event),
+        match self.next {
+            None => self.next = Some(key),
             // A new event can only displace the cached minimum with a
             // strictly earlier time: on a tie the cached event wins because
             // its sequence number is smaller.
-            Some(min) if event.at < min.at => {
-                let displaced = std::mem::replace(self.next.as_mut().expect("checked"), event);
-                self.insert(displaced);
+            Some(min) if key.at < min.at => {
+                self.next = Some(key);
+                self.insert(min);
             }
-            Some(_) => self.insert(event),
+            Some(_) => self.insert(key),
         }
     }
 
     /// Pops the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<Event<M>> {
-        let event = self.next.take()?;
-        self.len -= 1;
+        let key = self.next.take()?;
         self.next = self.extract_min();
-        Some(event)
+        let kind = self.slab[key.slot as usize]
+            .take()
+            .expect("a queued key's kind waits in its slab slot");
+        self.free.push(key.slot);
+        Some(Event { at: key.at, kind })
     }
 
     /// Time of the next event without removing it.
     #[inline]
     pub fn peek_time(&self) -> Option<Time> {
-        self.next.as_ref().map(|e| e.at)
+        self.next.map(|key| key.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.len() - self.free.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.next.is_none()
     }
 
-    /// Routes an event into the tier matching its distance from the cursor.
-    fn insert(&mut self, event: Event<M>) {
-        let slot_abs = event.at.as_micros() >> SLOT_BITS;
+    /// Routes a key into the tier matching its distance from the cursor.
+    fn insert(&mut self, key: Key) {
+        let slot_abs = key.at.as_micros() >> SLOT_BITS;
         if slot_abs <= self.window_start_slot + self.cursor as u64 {
-            // At or before the cursor slot (e.g. a zero-delay self-send):
-            // goes straight into the sorted active slot. The existing `Ord`
-            // sorts "earliest last", which is exactly the drain order.
-            let pos = self.active.binary_search(&event).unwrap_or_else(|p| p);
-            self.active.insert(pos, event);
+            // At or before the cursor slot (e.g. a zero-delay self-send).
+            self.due.push(Reverse(key));
             return;
         }
         let offset = slot_abs - self.window_start_slot;
         if offset < WHEEL_SLOTS as u64 {
             let idx = offset as usize;
-            self.wheel[idx].push(event);
+            self.wheel[idx].push(key);
             self.occupied[idx / 64] |= 1u64 << (idx % 64);
         } else {
-            self.overflow
-                .insert((event.at.as_micros(), event.seq), event.kind);
+            self.overflow.insert(key);
         }
     }
 
-    /// Extracts the globally earliest event from the three tiers.
-    fn extract_min(&mut self) -> Option<Event<M>> {
+    /// Extracts the globally earliest key from the three tiers.
+    fn extract_min(&mut self) -> Option<Key> {
         loop {
-            if let Some(event) = self.active.pop() {
-                return Some(event);
+            // Both heads belong to the cursor slot or earlier, so they come
+            // before anything on the wheel.
+            match (self.active.last(), self.due.peek()) {
+                (Some(a), Some(Reverse(d))) if d < a => return self.due.pop().map(|r| r.0),
+                (Some(_), _) => return self.active.pop(),
+                (None, Some(_)) => return self.due.pop().map(|r| r.0),
+                (None, None) => {}
             }
             // Advance the cursor to the next occupied wheel slot.
             if let Some(idx) = self.next_occupied_slot() {
                 self.cursor = idx;
                 self.occupied[idx / 64] &= !(1u64 << (idx % 64));
                 // Swap buffers (the active vec is empty here) and sort the
-                // slot once; draining it is then pop-from-back.
+                // slot once, earliest last; draining it is then pop-from-back.
                 std::mem::swap(&mut self.active, &mut self.wheel[idx]);
-                self.active.sort_unstable();
+                self.active.sort_unstable_by(|a, b| b.cmp(a));
                 continue;
             }
             // Wheel exhausted: re-anchor the window at the first overflow
-            // event and cascade everything inside the new window back in.
-            let (&(first_us, _), _) = self.overflow.iter().next()?;
-            self.window_start_slot = first_us >> SLOT_BITS;
+            // key and cascade everything inside the new window back in.
+            let first = *self.overflow.first()?;
+            self.window_start_slot = first.at.as_micros() >> SLOT_BITS;
             self.cursor = 0;
-            let window_end_us = (self.window_start_slot + WHEEL_SLOTS as u64) << SLOT_BITS;
-            let far = self.overflow.split_off(&(window_end_us, 0));
-            let near = std::mem::replace(&mut self.overflow, far);
-            for ((at_us, seq), kind) in near {
-                let idx = ((at_us >> SLOT_BITS) - self.window_start_slot) as usize;
-                self.wheel[idx].push(Event {
-                    at: Time::from_micros(at_us),
-                    seq,
-                    kind,
-                });
+            let window_end = Key {
+                at: Time::from_micros((self.window_start_slot + WHEEL_SLOTS as u64) << SLOT_BITS),
+                seq: 0,
+                slot: 0,
+            };
+            let far = self.overflow.split_off(&window_end);
+            for key in std::mem::replace(&mut self.overflow, far) {
+                let idx = ((key.at.as_micros() >> SLOT_BITS) - self.window_start_slot) as usize;
+                self.wheel[idx].push(key);
                 self.occupied[idx / 64] |= 1u64 << (idx % 64);
             }
         }

@@ -26,15 +26,19 @@
 //! is built to be allocation-free and hash-free:
 //!
 //! * **Timing-wheel event queue** ([`event::EventQueue`]). Three tiers,
-//!   consulted in order: a sorted *active slot* drained from the back, a
-//!   *near wheel* of [`event::WHEEL_SLOTS`] unsorted 2^[`event::SLOT_BITS`]
-//!   µs buckets (about four seconds of virtual time) with an occupancy
-//!   bitmap, and a *sorted overflow* `BTreeMap` for everything beyond the
-//!   window that cascades back in when the window re-anchors. Push and pop are
-//!   O(1) amortized for the near-future events that dominate; the cached
-//!   global minimum makes `peek_time` O(1). The pre-wheel `BinaryHeap`
-//!   implementation survives in `tests/wheel_equivalence.rs`, as the
-//!   oracle of the equivalence property tests.
+//!   consulted in order: the *cursor slot* (its sorted keys drained from
+//!   the back, beside a binary heap that takes every push at or before the
+//!   cursor slot, so a broadcast's same-slot follow-ups cost a heap push
+//!   each), a *near wheel* of [`event::WHEEL_SLOTS`] unsorted
+//!   2^[`event::SLOT_BITS`] µs buckets (about four seconds of virtual time)
+//!   with an occupancy bitmap, and a *sorted overflow* `BTreeSet` for
+//!   everything beyond the window that cascades back in when the window
+//!   re-anchors. The tiers order 24-byte `(time, seq, slot)` keys; payloads
+//!   stay put in a slab from push to pop. Push and pop are O(1) amortized
+//!   for the near-future events that dominate; the cached global minimum
+//!   makes `peek_time` O(1). The pre-wheel `BinaryHeap` implementation
+//!   survives in `tests/wheel_equivalence.rs`, as the oracle of the
+//!   equivalence property tests.
 //! * **Slab-indexed processes** ([`runtime::Runtime`]). Processes and their
 //!   CPU state live in one dense `Vec` addressed through `NodeId`/`ClientId`
 //!   → slot tables, so dispatching an event is two array indexes — no map

@@ -1,7 +1,8 @@
 //! Equivalence property tests against the oracles the engine replaced: the
 //! timing-wheel [`EventQueue`] must pop the exact `(time, seq)` sequence of
-//! a `BinaryHeap` queue, and the heap-based [`CpuState`] must complete work
-//! exactly when the per-core scan did.
+//! a `BinaryHeap` queue, under randomized workloads and under the broadcast
+//! bursts at the cursor a 128-node deployment makes, and the heap-based
+//! [`CpuState`] must complete work exactly when the per-core scan did.
 //!
 //! The workloads are generated from seeded RNGs, so failures are perfectly
 //! reproducible; well over 1000 randomized cases run across the tests.
@@ -155,6 +156,79 @@ fn wheel_pops_identical_sequences_to_reference_heap() {
         }
     }
     assert!(cases >= 1000, "must cover 1000+ randomized cases");
+}
+
+/// A broadcast in a 128-node deployment: one popped event schedules
+/// thousands of deliveries and CPU completions in its own wheel slot, so
+/// most pushes land at or before the cursor, between a few pops. A few
+/// pushes of each burst go further out (the wheel and the overflow), and a
+/// few land earlier in the slot than the event just popped.
+#[test]
+fn cursor_slot_bursts_pop_identical_sequences_to_reference_heap() {
+    const SLOT_US: u64 = 1 << iss_simnet::event::SLOT_BITS;
+    let mut at_cursor = 0u64;
+    let mut pushed = 0u64;
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(0x128_B0AD ^ seed);
+        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut heap = ReferenceQueue::default();
+        let mut next_ident = 0u64;
+        let mut anchor = Time::from_millis(1);
+        let mut push = |wheel: &mut EventQueue<u64>, heap: &mut ReferenceQueue, at: Time| {
+            let (from, to) = (Addr::Node(NodeId(0)), Addr::Node(NodeId(1)));
+            wheel.push(
+                at,
+                EventKind::Deliver {
+                    from,
+                    to,
+                    msg: next_ident,
+                },
+            );
+            heap.push(at, next_ident);
+            next_ident += 1;
+        };
+        push(&mut wheel, &mut heap, anchor);
+        for _round in 0..8 {
+            for _ in 0..rng.gen_range(1usize..300) {
+                assert_eq!(wheel.peek_time(), heap.peek_time(), "seed {seed}");
+                let Some(w) = wheel.pop() else { break };
+                assert_eq!((w.at, ident(&w.kind)), heap.pop().unwrap(), "seed {seed}");
+                anchor = w.at;
+            }
+            let slot_start = anchor.as_micros() / SLOT_US * SLOT_US;
+            let slot_left = slot_start + SLOT_US - anchor.as_micros();
+            for _ in 0..rng.gen_range(1_000usize..4_000) {
+                let at = match rng.gen_range(0u32..100) {
+                    // Zero delay: the same instant as the popped event.
+                    0..=29 => anchor,
+                    // Later in the popped event's slot.
+                    30..=79 => anchor + Duration::from_micros(rng.gen_range(0..slot_left)),
+                    // Earlier in the same slot.
+                    80..=84 => Time::from_micros(rng.gen_range(slot_start..=anchor.as_micros())),
+                    // Network distance: the wheel.
+                    85..=96 => anchor + Duration::from_micros(rng.gen_range(SLOT_US..300_000)),
+                    // Protocol timers: the overflow.
+                    _ => anchor + Duration::from_micros(rng.gen_range(5_000_000..8_000_000)),
+                };
+                pushed += 1;
+                at_cursor += u64::from(at.as_micros() < slot_start + SLOT_US);
+                push(&mut wheel, &mut heap, at);
+            }
+            assert_eq!(wheel.len(), heap.heap.len(), "seed {seed}");
+        }
+        loop {
+            assert_eq!(wheel.peek_time(), heap.peek_time(), "seed {seed}");
+            match (wheel.pop(), heap.pop()) {
+                (None, None) => break,
+                (Some(w), Some(h)) => assert_eq!((w.at, ident(&w.kind)), h, "seed {seed}"),
+                _ => panic!("queues disagree on emptiness (seed {seed})"),
+            }
+        }
+    }
+    assert!(
+        at_cursor * 10 >= pushed * 8,
+        "{at_cursor} of {pushed} pushes at or before the cursor slot"
+    );
 }
 
 /// The heap-based [`CpuState`] must produce completion times bit-identical

@@ -13,6 +13,7 @@ pub mod config;
 pub mod error;
 pub mod fxhash;
 pub mod ids;
+pub mod nodeset;
 pub mod payload;
 pub mod request;
 pub mod segment;
@@ -25,6 +26,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{
     BucketId, ClientId, EpochNr, InstanceId, NodeId, ReqTimestamp, SeqNr, TimerId, ViewNr,
 };
+pub use nodeset::NodeSet;
 pub use payload::{MsgClass, Payload};
 pub use request::{Batch, BatchDigest, Request, RequestDigest, RequestId};
 pub use segment::Segment;
