@@ -552,6 +552,7 @@ fn deliver(i: usize) -> EventKind<NetMsgSized> {
         from: Addr::Node(NodeId(i as u32 % 128)),
         to: Addr::Node(NodeId((i as u32 + 1) % 128)),
         msg: [i as u8; std::mem::size_of::<iss_messages::NetMsg>()],
+        size: 0,
     }
 }
 

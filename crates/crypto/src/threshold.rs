@@ -9,9 +9,10 @@
 //!
 //! 1. an aggregate that verifies proves that at least `k` *distinct* share
 //!    holders signed the message, and
-//! 2. the aggregate has constant wire size regardless of `n` (the signer
-//!    bitmap is `⌈n/8⌉` bytes, matching the practical constant-size claim
-//!    closely enough for bandwidth accounting).
+//! 2. the aggregate is nearly constant in size: 32 bytes of folded MACs
+//!    plus the signer set, which the wire format (`iss_messages::wire`)
+//!    writes as a length-prefixed bitmap of about `⌈n/8⌉` bytes, close
+//!    enough to the practical constant-size claim for bandwidth accounting.
 
 use crate::hmac::HmacKey;
 use crate::sha256::Sha256;
@@ -33,13 +34,6 @@ pub struct ThresholdSignature {
     pub signers: Vec<NodeId>,
     /// Fold of the share MACs.
     pub aggregate: [u8; 32],
-}
-
-impl ThresholdSignature {
-    /// Wire size of the aggregate in bytes (MAC + signer bitmap).
-    pub fn wire_size(num_nodes: usize) -> usize {
-        32 + num_nodes.div_ceil(8)
-    }
 }
 
 /// The scheme: derives share keys, signs shares, aggregates and verifies.
@@ -248,12 +242,6 @@ mod tests {
     fn invalid_parameters_rejected() {
         assert!(ThresholdScheme::new(4, 0, b"x").is_err());
         assert!(ThresholdScheme::new(4, 5, b"x").is_err());
-    }
-
-    #[test]
-    fn wire_size_is_constant_in_shares() {
-        assert_eq!(ThresholdSignature::wire_size(8), 33);
-        assert_eq!(ThresholdSignature::wire_size(128), 48);
     }
 
     #[test]

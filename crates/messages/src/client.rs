@@ -1,6 +1,5 @@
 //! Client ↔ node messages (Sections 3.7 and 4.3).
 
-use crate::{HEADER_WIRE, SIG_WIRE};
 use iss_types::{BucketId, EpochNr, NodeId, Request, RequestId, SeqNr};
 
 /// Messages exchanged between clients and nodes.
@@ -29,15 +28,6 @@ pub enum ClientMsg {
 }
 
 impl ClientMsg {
-    /// Approximate size of the message on the wire.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            ClientMsg::Request(r) => HEADER_WIRE + r.wire_size() + SIG_WIRE,
-            ClientMsg::Response { .. } => HEADER_WIRE + 20,
-            ClientMsg::BucketLeaders { leaders, .. } => HEADER_WIRE + 8 + leaders.len() * 8,
-        }
-    }
-
     /// Number of client requests the message carries.
     pub fn num_requests(&self) -> usize {
         match self {
@@ -50,13 +40,18 @@ impl ClientMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iss_types::ClientId;
+    use crate::NetMsg;
+    use iss_types::{ClientId, Payload};
+
+    fn size(msg: &ClientMsg) -> usize {
+        NetMsg::Client(msg.clone()).wire_size()
+    }
 
     #[test]
     fn request_wire_size_includes_payload_and_signature() {
-        let req = Request::new(ClientId(0), 0, vec![0u8; 500]);
+        let req = Request::new(ClientId(0), 0, vec![0u8; 500]).with_signature(vec![0u8; 64]);
         let msg = ClientMsg::Request(req);
-        assert!(msg.wire_size() >= 500 + SIG_WIRE);
+        assert!(size(&msg) >= 500 + 64);
         assert_eq!(msg.num_requests(), 1);
     }
 
@@ -66,7 +61,7 @@ mod tests {
             request: RequestId::new(ClientId(1), 2),
             seq_nr: 3,
         };
-        assert!(msg.wire_size() < 100);
+        assert!(size(&msg) < 100);
         assert_eq!(msg.num_requests(), 0);
     }
 
@@ -80,6 +75,6 @@ mod tests {
             epoch: 1,
             leaders: (0..512).map(|b| (BucketId(b), NodeId(b % 32))).collect(),
         };
-        assert!(big.wire_size() > small.wire_size());
+        assert!(size(&big) > size(&small));
     }
 }

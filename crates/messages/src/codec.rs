@@ -1,20 +1,75 @@
-//! A small hand-written binary codec.
+//! The binary codec's building blocks: requests, batches and log entries.
 //!
-//! Used by the state-transfer path and by the persistence example to encode
-//! requests, batches and log entries into a compact, self-describing binary
-//! format. The codec is deliberately simple (length-prefixed little-endian
-//! fields) and fully round-trip tested, including property-based tests.
+//! WAL records (`iss_storage::record`), snapshot state transfer (the log
+//! bytes `iss_core`'s recovery ships) and the socket wire format
+//! ([`crate::wire`]) are all built from these encoders, so the three share
+//! one byte layout for a request. The format is deliberately simple:
+//! length-prefixed little-endian fields, fully round-trip tested, including
+//! property-based tests.
+//!
+//! Every encoder writes into a [`Sink`]: a buffer, or a [`Counter`], which
+//! writes nothing and measures. Measuring through the encoders is how a
+//! simulated message is priced (`<NetMsg as Payload>::wire_size`), so the
+//! simulator charges exactly the bytes the socket would carry.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use iss_types::{Batch, ClientId, Error, Request, Result, SeqNr};
 
+/// Where the encoders write.
+pub trait Sink: BufMut {
+    /// Takes note of `len` payload bytes that a synthetic request declares
+    /// (`payload_size`) but does not carry. A buffer has nothing to write;
+    /// a [`Counter`] counts them, so a simulated request is charged its
+    /// declared size.
+    fn absent_payload(&mut self, _len: usize) {}
+}
+
+impl Sink for BytesMut {}
+
+/// A sink that writes nothing: `len` is the number of bytes the encoders
+/// would have written, plus the payload synthetic requests declare and do
+/// not carry.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Counter {
+    /// Bytes counted so far.
+    pub len: usize,
+}
+
+impl BufMut for Counter {
+    fn put_slice(&mut self, data: &[u8]) {
+        self.len += data.len();
+    }
+}
+
+impl Sink for Counter {
+    fn absent_payload(&mut self, len: usize) {
+        self.len += len;
+    }
+}
+
+/// How many of `claimed` elements to reserve room for before decoding
+/// them: no more than the bytes left in `buf` can hold, at `min_len` bytes
+/// (the shortest encoding of one element) each. A count is the sender's
+/// claim; a few bytes that claim `u32::MAX` elements reserve nothing.
+pub fn capacity_for(claimed: usize, buf: &impl Buf, min_len: usize) -> usize {
+    claimed.min(buf.remaining() / min_len)
+}
+
+/// Shortest encoding of a request: id, `payload_size`, and two empty
+/// length-prefixed byte strings.
+const REQUEST_MIN_LEN: usize = 24;
+
+/// Shortest encoding of a log entry: sequence number and the ⊥ tag.
+pub(crate) const LOG_ENTRY_MIN_LEN: usize = 9;
+
 /// Encodes a request.
-pub fn encode_request(req: &Request, buf: &mut BytesMut) {
+pub fn encode_request(req: &Request, buf: &mut impl Sink) {
     buf.put_u32_le(req.id.client.0);
     buf.put_u64_le(req.id.timestamp);
     buf.put_u32_le(req.payload_size);
     buf.put_u32_le(req.payload.len() as u32);
     buf.put_slice(&req.payload);
+    buf.absent_payload((req.payload_size as usize).saturating_sub(req.payload.len()));
     buf.put_u32_le(req.signature.len() as u32);
     buf.put_slice(&req.signature);
 }
@@ -59,7 +114,7 @@ pub fn decode_request(buf: &mut Bytes) -> Result<Request> {
 }
 
 /// Encodes a batch.
-pub fn encode_batch(batch: &Batch, buf: &mut BytesMut) {
+pub fn encode_batch(batch: &Batch, buf: &mut impl Sink) {
     buf.put_u32_le(batch.len() as u32);
     for req in batch.requests() {
         encode_request(req, buf);
@@ -72,7 +127,7 @@ pub fn decode_batch(buf: &mut Bytes) -> Result<Batch> {
         return Err(Error::Codec("truncated batch header".into()));
     }
     let n = buf.get_u32_le() as usize;
-    let mut requests = Vec::with_capacity(n.min(1 << 20));
+    let mut requests = Vec::with_capacity(capacity_for(n, &*buf, REQUEST_MIN_LEN));
     for _ in 0..n {
         requests.push(decode_request(buf)?);
     }
@@ -80,7 +135,7 @@ pub fn decode_batch(buf: &mut Bytes) -> Result<Batch> {
 }
 
 /// Encodes a log entry `(sn, Option<Batch>)`; ⊥ is encoded with a zero tag.
-pub fn encode_log_entry(sn: SeqNr, batch: &Option<Batch>, buf: &mut BytesMut) {
+pub fn encode_log_entry(sn: SeqNr, batch: &Option<Batch>, buf: &mut impl Sink) {
     buf.put_u64_le(sn);
     match batch {
         None => buf.put_u8(0),
@@ -122,7 +177,7 @@ pub fn decode_log(data: &[u8]) -> Result<Vec<(SeqNr, Option<Batch>)>> {
         return Err(Error::Codec("truncated log".into()));
     }
     let n = buf.get_u64_le() as usize;
-    let mut entries = Vec::with_capacity(n.min(1 << 20));
+    let mut entries = Vec::with_capacity(capacity_for(n, &buf, LOG_ENTRY_MIN_LEN));
     for _ in 0..n {
         entries.push(decode_log_entry(&mut buf)?);
     }
@@ -191,6 +246,49 @@ mod tests {
         let decoded = decode_request(&mut cursor).unwrap();
         assert!(wire_range.contains(&(decoded.payload.as_ptr() as usize)));
         assert!(wire_range.contains(&(decoded.signature.as_ptr() as usize)));
+    }
+
+    #[test]
+    fn capacity_is_bounded_by_the_bytes_left() {
+        let buf = Bytes::from(vec![0u8; 100]);
+        assert_eq!(capacity_for(3, &buf, 24), 3, "a believable claim is kept");
+        assert_eq!(
+            capacity_for(1_000, &buf, 24),
+            4,
+            "100 bytes hold 4 requests"
+        );
+        assert_eq!(capacity_for(u32::MAX as usize, &buf, 9), 11);
+        assert_eq!(capacity_for(u32::MAX as usize, &Bytes::new(), 1), 0);
+    }
+
+    #[test]
+    fn a_short_buffer_claiming_u32_max_elements_is_rejected() {
+        let mut batch = Bytes::from(vec![0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3]);
+        assert!(decode_batch(&mut batch).is_err());
+        let mut log = u64::from(u32::MAX).to_le_bytes().to_vec();
+        log.extend_from_slice(&[0, 1, 2]);
+        assert!(decode_log(&log).is_err());
+    }
+
+    #[test]
+    fn encoded_request_size_counts_payload_and_signature() {
+        let size = |req: &Request| {
+            let mut counter = Counter::default();
+            encode_request(req, &mut counter);
+            counter.len
+        };
+        let real = Request::new(ClientId(0), 0, vec![0u8; 500]).with_signature(vec![0u8; 64]);
+        assert_eq!(size(&real), REQUEST_MIN_LEN + 500 + 64);
+        let mut buf = BytesMut::new();
+        encode_request(&real, &mut buf);
+        assert_eq!(
+            buf.len(),
+            size(&real),
+            "the counter measures what is written"
+        );
+        // A synthetic request is charged the payload it declares.
+        let synthetic = Request::synthetic(ClientId(0), 0, 500);
+        assert_eq!(size(&synthetic), REQUEST_MIN_LEN + 500);
     }
 
     #[test]

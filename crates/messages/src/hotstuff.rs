@@ -5,7 +5,6 @@
 //! (Figure 4 of the paper). Quorum certificates are threshold signatures
 //! (`iss-crypto::threshold`) over the block digest.
 
-use crate::{DIGEST_WIRE, HEADER_WIRE};
 use iss_crypto::{ThresholdShare, ThresholdSignature};
 use iss_types::{Batch, SeqNr, ViewNr};
 
@@ -31,12 +30,6 @@ impl QuorumCert {
             block: [0u8; 32],
             signature: None,
         }
-    }
-
-    /// Approximate wire size, constant in the number of nodes up to the
-    /// signer bitmap.
-    pub fn wire_size(&self, num_nodes: usize) -> usize {
-        8 + DIGEST_WIRE + ThresholdSignature::wire_size(num_nodes)
     }
 }
 
@@ -82,26 +75,6 @@ pub enum HotStuffMsg {
 }
 
 impl HotStuffMsg {
-    /// Approximate wire size assuming `num_nodes` participants.
-    pub fn wire_size_for(&self, num_nodes: usize) -> usize {
-        match self {
-            HotStuffMsg::Proposal { block } => {
-                HEADER_WIRE
-                    + 16
-                    + block.batch.as_ref().map(Batch::wire_size).unwrap_or(1)
-                    + block.justify.wire_size(num_nodes)
-            }
-            HotStuffMsg::Vote { .. } => HEADER_WIRE + 8 + DIGEST_WIRE + 36,
-            HotStuffMsg::NewView { high_qc, .. } => HEADER_WIRE + 8 + high_qc.wire_size(num_nodes),
-        }
-    }
-
-    /// Approximate wire size with a default cluster size (used by the generic
-    /// [`crate::NetMsg`] accounting; experiment code uses `wire_size_for`).
-    pub fn wire_size(&self) -> usize {
-        self.wire_size_for(32)
-    }
-
     /// Number of client requests the message carries.
     pub fn num_requests(&self) -> usize {
         match self {
@@ -114,8 +87,13 @@ impl HotStuffMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SbMsg;
     use iss_crypto::ThresholdScheme;
     use iss_types::{ClientId, NodeId, Request};
+
+    fn size(msg: &HotStuffMsg) -> usize {
+        crate::net::sb_wire_size(SbMsg::HotStuff(msg.clone()))
+    }
 
     #[test]
     fn genesis_qc_has_no_signature() {
@@ -134,7 +112,7 @@ mod tests {
             justify: QuorumCert::genesis(),
         };
         let msg = HotStuffMsg::Proposal { block };
-        assert!(msg.wire_size_for(4) > 8 * 500);
+        assert!(size(&msg) > 8 * 500);
         assert_eq!(msg.num_requests(), 8);
         let dummy = HotStuffMsg::Proposal {
             block: HsBlock {
@@ -144,7 +122,7 @@ mod tests {
                 justify: QuorumCert::genesis(),
             },
         };
-        assert!(dummy.wire_size_for(4) < 200);
+        assert!(size(&dummy) < 200);
         assert_eq!(dummy.num_requests(), 0);
     }
 
@@ -157,15 +135,47 @@ mod tests {
             block: [0; 32],
             share,
         };
-        assert!(msg.wire_size_for(4) < 200);
-        assert_eq!(msg.wire_size_for(4), msg.wire_size_for(128));
+        assert!(size(&msg) < 200);
+        let far = HotStuffMsg::Vote {
+            view: 1,
+            block: [0; 32],
+            share: ThresholdScheme::new(128, 86, b"t")
+                .unwrap()
+                .sign_share(NodeId(127), b"block"),
+        };
+        assert_eq!(size(&msg), size(&far), "a vote does not grow with n");
     }
 
     #[test]
     fn qc_wire_size_nearly_constant_in_n() {
-        let qc = QuorumCert::genesis();
-        let small = qc.wire_size(4);
-        let large = qc.wire_size(128);
-        assert!(large - small <= 16, "QC grows only by the signer bitmap");
+        let new_view = |n: usize| {
+            let scheme = ThresholdScheme::new(n, 2 * (n - 1) / 3 + 1, b"qc").unwrap();
+            let shares: Vec<_> = (0..n as u32)
+                .rev()
+                .take(scheme.threshold)
+                .map(|i| scheme.sign_share(NodeId(i), b"block"))
+                .collect();
+            let high_qc = QuorumCert {
+                view: 1,
+                block: [0; 32],
+                signature: Some(scheme.aggregate(&shares, b"block").unwrap()),
+            };
+            size(&HotStuffMsg::NewView { view: 2, high_qc })
+        };
+        let (small, large) = (new_view(4), new_view(128));
+        let genesis = size(&HotStuffMsg::NewView {
+            view: 2,
+            high_qc: QuorumCert::genesis(),
+        });
+        assert_eq!(
+            small - genesis,
+            32 + 4 + 1,
+            "aggregate, bitmap length, ⌈4/8⌉"
+        );
+        assert_eq!(
+            large - small,
+            128 / 8 - 1,
+            "QC grows only by the signer bitmap"
+        );
     }
 }

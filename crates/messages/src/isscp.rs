@@ -4,7 +4,6 @@
 //! nodes and a 2f+1-signature stable-checkpoint proof shipped during state
 //! transfer clone handles, not byte buffers.
 
-use crate::{DIGEST_WIRE, HEADER_WIRE, SIG_WIRE};
 use bytes::Bytes;
 use iss_types::{Batch, EpochNr, NodeId, SeqNr};
 
@@ -18,13 +17,6 @@ pub struct LogEntry {
     pub seq_nr: SeqNr,
     /// The committed batch (`None` = ⊥).
     pub batch: Option<Batch>,
-}
-
-impl LogEntry {
-    /// Approximate wire size.
-    pub fn wire_size(&self) -> usize {
-        9 + self.batch.as_ref().map(Batch::wire_size).unwrap_or(1)
-    }
 }
 
 /// ISS-level control messages.
@@ -103,36 +95,6 @@ pub enum IssMsg {
 }
 
 impl IssMsg {
-    /// Approximate size of the message on the wire.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            IssMsg::Checkpoint { .. } => HEADER_WIRE + 16 + DIGEST_WIRE + SIG_WIRE,
-            IssMsg::StateRequest { .. } => HEADER_WIRE + 16,
-            IssMsg::StateResponse { entries, proof, .. } => {
-                HEADER_WIRE
-                    + DIGEST_WIRE
-                    + entries.iter().map(LogEntry::wire_size).sum::<usize>()
-                    + proof.len() * SIG_WIRE
-            }
-            IssMsg::SnapshotRequest { .. } => HEADER_WIRE + 8,
-            IssMsg::SnapshotChunk {
-                proof,
-                policy,
-                data,
-                ..
-            } => {
-                HEADER_WIRE
-                    + 16 // epoch + max_seq_nr
-                    + DIGEST_WIRE
-                    + proof.len() * (4 + SIG_WIRE)
-                    + 8 // total_delivered
-                    + policy.len()
-                    + 9 // offset + total_len + done
-                    + data.len()
-            }
-        }
-    }
-
     /// Number of client requests the message carries.
     pub fn num_requests(&self) -> usize {
         match self {
@@ -148,7 +110,12 @@ impl IssMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iss_types::{ClientId, Request};
+    use crate::NetMsg;
+    use iss_types::{ClientId, Payload, Request};
+
+    fn size(msg: &IssMsg) -> usize {
+        NetMsg::Iss(msg.clone()).wire_size()
+    }
 
     #[test]
     fn checkpoint_is_constant_size() {
@@ -158,7 +125,7 @@ mod tests {
             root: [0; 32],
             signature: vec![0u8; 64].into(),
         };
-        assert!(m.wire_size() < 200);
+        assert!(size(&m) < 200);
         assert_eq!(m.num_requests(), 0);
     }
 
@@ -176,7 +143,7 @@ mod tests {
             root: [0; 32],
             proof: vec![Bytes::from(vec![0u8; 64]); 3],
         };
-        assert!(m.wire_size() > 4 * 8 * 500);
+        assert!(size(&m) > 4 * 8 * 500);
         assert_eq!(m.num_requests(), 32);
     }
 
@@ -196,13 +163,13 @@ mod tests {
             data: Bytes::from(vec![0u8; data_len]),
             done: true,
         };
-        let small = chunk(0).wire_size();
-        let big = chunk(64 << 10).wire_size();
+        let small = size(&chunk(0));
+        let big = size(&chunk(64 << 10));
         assert_eq!(big - small, 64 << 10);
-        assert!(small > HEADER_WIRE + 3 * SIG_WIRE);
+        assert!(small > 3 * 64 + 40, "the proof and the policy are counted");
         assert_eq!(chunk(128).num_requests(), 0);
         assert!(
-            IssMsg::SnapshotRequest { from_seq_nr: 9 }.wire_size() < 64,
+            size(&IssMsg::SnapshotRequest { from_seq_nr: 9 }) < 64,
             "snapshot requests are tiny"
         );
     }
@@ -210,12 +177,10 @@ mod tests {
     #[test]
     fn state_request_small() {
         assert!(
-            IssMsg::StateRequest {
+            size(&IssMsg::StateRequest {
                 from_seq_nr: 0,
                 to_seq_nr: 255
-            }
-            .wire_size()
-                < 64
+            }) < 64
         );
     }
 }

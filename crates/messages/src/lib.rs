@@ -15,12 +15,13 @@
 //! * [`refsb`] — messages of the reference SB implementation (Algorithm 5);
 //! * [`isscp`] — ISS checkpointing and state transfer (Section 3.5);
 //! * [`mir`] — the Mir-BFT baseline used for comparison in the evaluation;
-//! * [`net`] — the top-level [`NetMsg`] / [`SbMsg`] enums and wire-size
-//!   accounting;
-//! * [`codec`] — a small hand-written binary codec used by state transfer
-//!   and by the persistence examples;
+//! * [`net`] — the top-level [`NetMsg`] / [`SbMsg`] enums; a message's
+//!   size is the length of its encoding;
+//! * [`codec`] — the binary encoders of requests, batches and log entries
+//!   that WAL records, recovery's state transfer and the wire format share;
 //! * [`wire`] — the socket wire format used by the threaded TCP runtime
-//!   (`iss-net`) to ship [`NetMsg`] values between OS processes.
+//!   (`iss-net`) to ship [`NetMsg`] values between OS processes, and the
+//!   simulator's measure of every message.
 
 pub mod client;
 pub mod codec;
@@ -41,10 +42,3 @@ pub use net::{NetMsg, SbMsg};
 pub use pbft::PbftMsg;
 pub use raft::RaftMsg;
 pub use refsb::RefSbMsg;
-
-/// Wire size of a digest.
-pub const DIGEST_WIRE: usize = 32;
-/// Wire size of an identity signature.
-pub const SIG_WIRE: usize = 64;
-/// Wire size of a fixed message header (type tag, instance id, sender).
-pub const HEADER_WIRE: usize = 24;

@@ -5,7 +5,6 @@
 //! in Section 6.4.1). Ordering reuses the ISS SB messages; the only message
 //! of its own is the primary's epoch announcement.
 
-use crate::{DIGEST_WIRE, HEADER_WIRE};
 use iss_types::EpochNr;
 
 /// Mir-BFT baseline messages.
@@ -20,28 +19,18 @@ pub enum MirMsg {
     },
 }
 
-impl MirMsg {
-    /// Approximate size of the message on the wire.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            MirMsg::NewEpoch { .. } => HEADER_WIRE + 8 + DIGEST_WIRE,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NetMsg;
+    use iss_types::Payload;
 
     #[test]
     fn epoch_change_messages_small() {
-        assert!(
-            MirMsg::NewEpoch {
-                epoch: 2,
-                config_digest: [0; 32]
-            }
-            .wire_size()
-                < 100
-        );
+        let msg = NetMsg::Mir(MirMsg::NewEpoch {
+            epoch: 2,
+            config_digest: [0; 32],
+        });
+        assert!(msg.wire_size() < 100);
     }
 }

@@ -2,12 +2,14 @@
 //! [`NetMsg`] (everything that travels between processes).
 
 use crate::client::ClientMsg;
+use crate::codec::Counter;
 use crate::hotstuff::HotStuffMsg;
 use crate::isscp::IssMsg;
 use crate::mir::MirMsg;
 use crate::pbft::PbftMsg;
 use crate::raft::RaftMsg;
 use crate::refsb::RefSbMsg;
+use crate::wire::encode_net_msg;
 use iss_types::{InstanceId, MsgClass, Payload};
 
 /// A message of one of the ordering protocols usable as an SB implementation.
@@ -24,16 +26,6 @@ pub enum SbMsg {
 }
 
 impl SbMsg {
-    /// Approximate size of the message on the wire.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            SbMsg::Pbft(m) => m.wire_size(),
-            SbMsg::HotStuff(m) => m.wire_size(),
-            SbMsg::Raft(m) => m.wire_size(),
-            SbMsg::Reference(m) => m.wire_size(),
-        }
-    }
-
     /// Number of client requests the message carries.
     pub fn num_requests(&self) -> usize {
         match self {
@@ -64,13 +56,13 @@ pub enum NetMsg {
 }
 
 impl Payload for NetMsg {
+    /// The length of the message's socket encoding, measured by running the
+    /// encoder into a [`Counter`], plus the payload that synthetic requests
+    /// declare and do not carry.
     fn wire_size(&self) -> usize {
-        match self {
-            NetMsg::Client(m) => m.wire_size(),
-            NetMsg::Sb { msg, .. } => 12 + msg.wire_size(),
-            NetMsg::Iss(m) => m.wire_size(),
-            NetMsg::Mir(m) => m.wire_size(),
-        }
+        let mut counter = Counter::default();
+        encode_net_msg(self, &mut counter);
+        counter.len
     }
 
     fn num_requests(&self) -> usize {
@@ -106,6 +98,16 @@ impl Payload for NetMsg {
     }
 }
 
+/// The size of `msg` inside some SB instance.
+#[cfg(test)]
+pub(crate) fn sb_wire_size(msg: SbMsg) -> usize {
+    NetMsg::Sb {
+        instance: InstanceId::new(0, 0),
+        msg,
+    }
+    .wire_size()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,12 +134,18 @@ mod tests {
 
     #[test]
     fn sb_wrapper_adds_instance_overhead() {
-        let inner = SbMsg::Pbft(preprepare(4));
+        let prepare = sb(SbMsg::Pbft(PbftMsg::Prepare {
+            view: 0,
+            seq_nr: 0,
+            digest: [0; 32],
+        }));
+        // The net tag and the instance id ahead of the SB tag, view,
+        // sequence number and digest.
+        assert_eq!(prepare.wire_size(), 1 + 12 + 1 + 16 + 32);
         let wrapped = NetMsg::Sb {
             instance: InstanceId::new(0, 1),
-            msg: inner.clone(),
+            msg: SbMsg::Pbft(preprepare(4)),
         };
-        assert_eq!(wrapped.wire_size(), 12 + inner.wire_size());
         assert_eq!(wrapped.num_requests(), 4);
     }
 

@@ -5,7 +5,6 @@
 //! change proposes only ⊥ for sequence numbers that the original segment
 //! leader had not proposed (design principle 2 of Section 4.2).
 
-use crate::{DIGEST_WIRE, HEADER_WIRE, SIG_WIRE};
 use bytes::Bytes;
 use iss_types::{Batch, SeqNr, ViewNr};
 
@@ -83,33 +82,6 @@ pub enum PbftMsg {
 }
 
 impl PbftMsg {
-    /// Approximate size of the message on the wire.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            PbftMsg::PrePrepare { batch, .. } => {
-                HEADER_WIRE + 16 + DIGEST_WIRE + batch.as_ref().map(Batch::wire_size).unwrap_or(1)
-            }
-            PbftMsg::Prepare { .. } | PbftMsg::Commit { .. } => HEADER_WIRE + 16 + DIGEST_WIRE,
-            PbftMsg::ViewChange { prepared, .. } => {
-                HEADER_WIRE
-                    + SIG_WIRE
-                    + prepared
-                        .iter()
-                        .map(|p| {
-                            16 + DIGEST_WIRE + p.batch.as_ref().map(Batch::wire_size).unwrap_or(1)
-                        })
-                        .sum::<usize>()
-            }
-            PbftMsg::NewView {
-                re_proposals,
-                certificate,
-                ..
-            } => {
-                HEADER_WIRE + re_proposals.len() * (8 + DIGEST_WIRE) + certificate.len() * SIG_WIRE
-            }
-        }
-    }
-
     /// Number of client requests the message carries.
     pub fn num_requests(&self) -> usize {
         match self {
@@ -133,7 +105,12 @@ impl PbftMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SbMsg;
     use iss_types::{ClientId, Request};
+
+    fn size(msg: &PbftMsg) -> usize {
+        crate::net::sb_wire_size(SbMsg::Pbft(msg.clone()))
+    }
 
     fn batch(n: usize) -> Batch {
         Batch::new(
@@ -157,8 +134,8 @@ mod tests {
             batch: None,
             digest: [0; 32],
         };
-        assert!(full.wire_size() > 10 * 500);
-        assert!(nil.wire_size() < 200);
+        assert!(size(&full) > 10 * 500);
+        assert!(size(&nil) < 200);
         assert_eq!(full.num_requests(), 10);
         assert_eq!(nil.num_requests(), 0);
     }
@@ -175,8 +152,8 @@ mod tests {
             seq_nr: 9,
             digest: [1; 32],
         };
-        assert_eq!(p.wire_size(), c.wire_size());
-        assert!(p.wire_size() < 100);
+        assert_eq!(size(&p), size(&c));
+        assert!(size(&p) < 100);
     }
 
     #[test]
@@ -229,6 +206,6 @@ mod tests {
                 .collect(),
             signature: vec![0u8; 64].into(),
         };
-        assert!(loaded.wire_size() > empty.wire_size());
+        assert!(size(&loaded) > size(&empty));
     }
 }

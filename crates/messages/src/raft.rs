@@ -5,7 +5,6 @@
 //! a crashed segment leader, in which case the new leader only appends ⊥
 //! entries for unproposed sequence numbers.
 
-use crate::HEADER_WIRE;
 use iss_types::{Batch, SeqNr, ViewNr};
 
 /// One replicated log entry: a segment sequence number and the batch (or ⊥)
@@ -18,13 +17,6 @@ pub struct RaftEntry {
     pub seq_nr: SeqNr,
     /// The assigned batch; `None` encodes ⊥.
     pub batch: Option<Batch>,
-}
-
-impl RaftEntry {
-    /// Approximate wire size.
-    pub fn wire_size(&self) -> usize {
-        16 + self.batch.as_ref().map(Batch::wire_size).unwrap_or(1)
-    }
 }
 
 /// Raft protocol messages.
@@ -71,18 +63,6 @@ pub enum RaftMsg {
 }
 
 impl RaftMsg {
-    /// Approximate size of the message on the wire.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            RaftMsg::AppendEntries { entries, .. } => {
-                HEADER_WIRE + 28 + entries.iter().map(RaftEntry::wire_size).sum::<usize>()
-            }
-            RaftMsg::AppendResponse { .. } => HEADER_WIRE + 17,
-            RaftMsg::RequestVote { .. } => HEADER_WIRE + 24,
-            RaftMsg::VoteResponse { .. } => HEADER_WIRE + 9,
-        }
-    }
-
     /// Number of client requests the message carries.
     pub fn num_requests(&self) -> usize {
         match self {
@@ -108,7 +88,12 @@ impl RaftMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SbMsg;
     use iss_types::{ClientId, Request};
+
+    fn size(msg: RaftMsg) -> usize {
+        crate::net::sb_wire_size(SbMsg::Raft(msg))
+    }
 
     #[test]
     fn append_entries_size_tracks_entries() {
@@ -133,8 +118,8 @@ mod tests {
             }],
             leader_commit: 0,
         };
-        assert!(heartbeat.wire_size() < 100);
-        assert!(loaded.wire_size() > 16 * 500);
+        assert!(size(heartbeat.clone()) < 100);
+        assert!(size(loaded.clone()) > 16 * 500);
         assert_eq!(loaded.num_requests(), 16);
         assert_eq!(heartbeat.num_requests(), 0);
     }
@@ -142,30 +127,24 @@ mod tests {
     #[test]
     fn control_messages_are_small() {
         assert!(
-            RaftMsg::AppendResponse {
+            size(RaftMsg::AppendResponse {
                 term: 1,
                 success: true,
                 match_index: 3
-            }
-            .wire_size()
-                < 64
+            }) < 64
         );
         assert!(
-            RaftMsg::RequestVote {
+            size(RaftMsg::RequestVote {
                 term: 2,
                 last_log_index: 0,
                 last_log_term: 0
-            }
-            .wire_size()
-                < 64
+            }) < 64
         );
         assert!(
-            RaftMsg::VoteResponse {
+            size(RaftMsg::VoteResponse {
                 term: 2,
                 granted: false
-            }
-            .wire_size()
-                < 64
+            }) < 64
         );
     }
 
@@ -192,11 +171,18 @@ mod tests {
 
     #[test]
     fn nil_entries_are_cheap() {
-        let e = RaftEntry {
+        let append = |entries| RaftMsg::AppendEntries {
+            term: 1,
+            prev_index: 0,
+            prev_term: 0,
+            entries,
+            leader_commit: 0,
+        };
+        let nil = RaftEntry {
             term: 1,
             seq_nr: 0,
             batch: None,
         };
-        assert!(e.wire_size() < 32);
+        assert!(size(append(vec![nil])) - size(append(vec![])) < 32);
     }
 }

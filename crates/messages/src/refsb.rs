@@ -6,7 +6,6 @@
 //! serve as an executable specification; the production path uses PBFT,
 //! HotStuff or Raft instead.
 
-use crate::{DIGEST_WIRE, HEADER_WIRE};
 use iss_types::{Batch, SeqNr};
 
 /// Digest type alias (32 bytes).
@@ -58,16 +57,6 @@ pub enum RefSbMsg {
 }
 
 impl RefSbMsg {
-    /// Approximate size of the message on the wire.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            RefSbMsg::BrbSend { batch, .. } => HEADER_WIRE + 8 + batch.wire_size(),
-            RefSbMsg::BrbEcho { .. } | RefSbMsg::BrbReady { .. } => HEADER_WIRE + 8 + DIGEST_WIRE,
-            RefSbMsg::Vote { .. } | RefSbMsg::Decide { .. } => HEADER_WIRE + 9 + DIGEST_WIRE,
-            RefSbMsg::Heartbeat => HEADER_WIRE,
-        }
-    }
-
     /// Number of client requests the message carries.
     pub fn num_requests(&self) -> usize {
         match self {
@@ -80,7 +69,12 @@ impl RefSbMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SbMsg;
     use iss_types::{ClientId, Request};
+
+    fn size(msg: &RefSbMsg) -> usize {
+        crate::net::sb_wire_size(SbMsg::Reference(msg.clone()))
+    }
 
     #[test]
     fn send_carries_batch() {
@@ -88,7 +82,7 @@ mod tests {
             seq_nr: 0,
             batch: Batch::new(vec![Request::synthetic(ClientId(0), 0, 500); 4]),
         };
-        assert!(m.wire_size() > 2000);
+        assert!(size(&m) > 2000);
         assert_eq!(m.num_requests(), 4);
     }
 
@@ -113,7 +107,7 @@ mod tests {
             },
             RefSbMsg::Heartbeat,
         ] {
-            assert!(m.wire_size() < 100);
+            assert!(size(&m) < 100);
             assert_eq!(m.num_requests(), 0);
         }
     }

@@ -415,15 +415,12 @@ impl Queue {
         self.pending().len() - self.sent
     }
 
-    /// Encodes `msg` behind whatever is already buffered.
-    fn push(&mut self, msg: &NetMsg, to: Addr) {
+    /// Encodes `msg` behind whatever is already buffered. Every message
+    /// encodes; which protocols a cluster may boot over TCP is decided before
+    /// it starts (`Scenario::simulator_only`).
+    fn push(&mut self, msg: &NetMsg) {
         let at = self.buf.len();
-        // Only simulator-only message kinds fail to encode; reaching this is
-        // a deployment bug (e.g. booting a Mir-mode node over TCP), not a
-        // runtime state.
-        if let Err(e) = frame::encode_frame(msg, &mut self.buf) {
-            panic!("unencodable message to {to:?}: {e}");
-        }
+        frame::encode_frame(msg, &mut self.buf);
         self.lens.push_back(self.buf.len() - at);
     }
 
@@ -587,7 +584,7 @@ impl Net {
             note_dropped(counter, to);
             return;
         }
-        dest.queue.push(msg, to);
+        dest.queue.push(msg);
         if dest.queue.unsent() >= FLUSH_BYTES {
             if let Err(token) = dest.write(&mut self.conns) {
                 self.close(token);
@@ -1208,7 +1205,7 @@ mod tests {
             )))
         };
         for k in 0..3 {
-            queue.push(&msg(k), Addr::Client(ClientId(0)));
+            queue.push(&msg(k));
         }
         let len = queue.lens[0];
         // The socket took the first frame and part of the second.
@@ -1219,7 +1216,7 @@ mod tests {
         queue.sent = 0;
         let mut wire = BytesMut::new();
         for k in 1..3 {
-            frame::encode_frame(&msg(k), &mut wire).unwrap();
+            frame::encode_frame(&msg(k), &mut wire);
         }
         assert_eq!(queue.pending(), &wire[..]);
     }

@@ -58,7 +58,7 @@ fn read_all(wire: &[u8], sizes: &[usize]) -> Vec<NetMsg> {
 fn concatenated(msgs: &[NetMsg]) -> BytesMut {
     let mut wire = BytesMut::new();
     for msg in msgs {
-        encode_frame(msg, &mut wire).expect("encodable");
+        encode_frame(msg, &mut wire);
     }
     wire
 }

@@ -41,10 +41,11 @@
 //! single-leader mode under any policy, any workload, window and seed,
 //! crashes and crash-restarts (loopback restarts a node from its file WAL,
 //! so it needs a storage root), stragglers and telemetry. Simulator-only,
-//! refused by loopback before it opens a socket: HotStuff, Raft, the
-//! reference protocol and Mir mode (the socket codec encodes none of
-//! them), every topology but [`TopologySpec::Lan`] (loopback has its own
-//! latency), partitions, loss windows and every attack.
+//! refused by loopback before it opens a socket: HotStuff, Raft and the
+//! reference protocol (their messages encode, but their timeouts are set
+//! for the simulated WAN and have no loopback values yet), Mir mode, every
+//! topology but [`TopologySpec::Lan`] (loopback has its own latency),
+//! partitions, loss windows and every attack.
 
 use crate::adversary::{AdversaryPlan, ClientAttacks, MalformedKind, NodeAttacks};
 use crate::client_proc::ClientProcess;
@@ -319,7 +320,8 @@ impl Scenario {
         };
         let protocol = self.stack.protocol;
         [
-            (protocol != Protocol::Pbft).then(|| format!("protocol {protocol:?}")),
+            (protocol != Protocol::Pbft)
+                .then(|| format!("protocol {protocol:?} (no loopback timeouts)")),
             (self.stack.mode == Mode::Mir).then(|| "Mir mode".into()),
             topology.map(String::from),
             (!self.faults.partitions.is_empty()).then(|| "a partition".into()),

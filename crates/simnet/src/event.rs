@@ -48,6 +48,8 @@ pub enum EventKind<M> {
         to: Addr,
         /// The message.
         msg: M,
+        /// `msg.wire_size()`, priced once when it was sent.
+        size: usize,
     },
     /// Fire a timer at `addr`.
     Timer {

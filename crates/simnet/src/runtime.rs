@@ -315,7 +315,12 @@ impl<M: Payload> Runtime<M> {
             EventKind::Start { addr } => {
                 self.invoke(addr, Event::Start);
             }
-            EventKind::Deliver { from, to, msg } => {
+            EventKind::Deliver {
+                from,
+                to,
+                msg,
+                size,
+            } => {
                 // Receiver may have crashed while the message was in flight.
                 if self.addr_crashed(to) {
                     self.stats.messages_dropped += 1;
@@ -327,10 +332,7 @@ impl<M: Payload> Runtime<M> {
                         let entry = &mut self.procs[slot];
                         match entry.cpu.as_mut() {
                             Some(cpu) => {
-                                let cost = self
-                                    .config
-                                    .cpu
-                                    .message_cost(msg.num_requests(), msg.wire_size());
+                                let cost = self.config.cpu.message_cost(msg.num_requests(), size);
                                 entry.busy += cost;
                                 if !self.telemetry.is_empty() {
                                     if let Some((_, h)) =
@@ -489,8 +491,15 @@ impl<M: Payload> Runtime<M> {
         // Local delivery skips the network: a process sending to itself
         // touches neither the NIC, the topology latency nor the jitter draw.
         if from == to {
-            self.queue
-                .push(self.now, EventKind::Deliver { from, to, msg });
+            self.queue.push(
+                self.now,
+                EventKind::Deliver {
+                    from,
+                    to,
+                    msg,
+                    size,
+                },
+            );
             return;
         }
 
@@ -510,8 +519,15 @@ impl<M: Payload> Runtime<M> {
             to,
             size,
         );
-        self.queue
-            .push(arrival, EventKind::Deliver { from, to, msg });
+        self.queue.push(
+            arrival,
+            EventKind::Deliver {
+                from,
+                to,
+                msg,
+                size,
+            },
+        );
     }
 }
 

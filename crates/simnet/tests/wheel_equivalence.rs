@@ -132,7 +132,15 @@ fn wheel_pops_identical_sequences_to_reference_heap() {
                 for _ in 0..n {
                     let (from, to) = (Addr::Node(NodeId(0)), Addr::Node(NodeId(1)));
                     let msg = next_ident;
-                    wheel.push(at, EventKind::Deliver { from, to, msg });
+                    wheel.push(
+                        at,
+                        EventKind::Deliver {
+                            from,
+                            to,
+                            msg,
+                            size: 0,
+                        },
+                    );
                     heap.push(at, msg);
                     next_ident += 1;
                 }
@@ -182,6 +190,7 @@ fn cursor_slot_bursts_pop_identical_sequences_to_reference_heap() {
                     from,
                     to,
                     msg: next_ident,
+                    size: 0,
                 },
             );
             heap.push(at, next_ident);

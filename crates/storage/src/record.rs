@@ -6,7 +6,7 @@
 //! `tests/codec_props.rs`.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use iss_messages::codec::{decode_log_entry, encode_log_entry};
+use iss_messages::codec::{capacity_for, decode_log_entry, encode_log_entry};
 use iss_types::{Batch, EpochNr, Error, NodeId, Result, SeqNr};
 
 /// One write-ahead-log record.
@@ -167,7 +167,7 @@ impl Snapshot {
         let root_bytes = buf.copy_to_bytes(32);
         root.copy_from_slice(&root_bytes);
         let n_proof = buf.get_u32_le() as usize;
-        let mut proof = Vec::with_capacity(n_proof.min(1 << 16));
+        let mut proof = Vec::with_capacity(capacity_for(n_proof, &buf, 8));
         for _ in 0..n_proof {
             if buf.remaining() < 8 {
                 return Err(Error::Codec("truncated snapshot proof".into()));
@@ -215,7 +215,7 @@ pub fn decode_policy(buf: &mut Bytes) -> Result<PolicyState> {
         return Err(Error::Codec("truncated policy state".into()));
     }
     let n_pen = buf.get_u32_le() as usize;
-    let mut penalties = Vec::with_capacity(n_pen.min(1 << 16));
+    let mut penalties = Vec::with_capacity(capacity_for(n_pen, &*buf, 12));
     for _ in 0..n_pen {
         if buf.remaining() < 12 {
             return Err(Error::Codec("truncated policy penalty".into()));
@@ -226,7 +226,7 @@ pub fn decode_policy(buf: &mut Bytes) -> Result<PolicyState> {
         return Err(Error::Codec("truncated policy failures".into()));
     }
     let n_fail = buf.get_u32_le() as usize;
-    let mut failures = Vec::with_capacity(n_fail.min(1 << 16));
+    let mut failures = Vec::with_capacity(capacity_for(n_fail, &*buf, 12));
     for _ in 0..n_fail {
         if buf.remaining() < 12 {
             return Err(Error::Codec("truncated policy failure".into()));

@@ -63,8 +63,10 @@ impl MsgClass {
 
 /// Anything that can travel over the (simulated or real) network.
 pub trait Payload: Clone {
-    /// Number of bytes the message occupies on the wire (used by the
-    /// bandwidth model and by transport statistics).
+    /// Number of bytes the message occupies on the wire, which the
+    /// simulator charges to bandwidth and per-byte CPU. For `NetMsg` it is
+    /// the length the socket codec writes (`iss_messages::wire`), plus the
+    /// payload a synthetic request declares and does not carry.
     fn wire_size(&self) -> usize;
 
     /// Number of client requests carried by the message (used by the CPU

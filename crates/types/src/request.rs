@@ -172,12 +172,6 @@ impl Request {
         self.id.bucket(num_buckets)
     }
 
-    /// Approximate number of bytes this request occupies on the wire:
-    /// identifier, payload and signature.
-    pub fn wire_size(&self) -> usize {
-        12 + self.payload_size as usize + self.signature.len()
-    }
-
     /// The memoized request digest, if it has been computed already.
     pub fn cached_digest(&self) -> Option<&RequestDigest> {
         self.digest.get()
@@ -268,15 +262,6 @@ impl Batch {
     /// Whether the batch contains no requests.
     pub fn is_empty(&self) -> bool {
         self.inner.requests.is_empty()
-    }
-
-    /// Approximate wire size of the batch in bytes.
-    pub fn wire_size(&self) -> usize {
-        8 + self
-            .requests()
-            .iter()
-            .map(Request::wire_size)
-            .sum::<usize>()
     }
 
     /// Returns the identifiers of all requests in the batch.
@@ -376,14 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_size_accounts_for_payload_and_signature() {
-        let r = Request::new(ClientId(0), 0, vec![0u8; 500]).with_signature(vec![0u8; 64]);
-        assert_eq!(r.wire_size(), 12 + 500 + 64);
-        let s = Request::synthetic(ClientId(0), 0, 500);
-        assert_eq!(s.wire_size(), 512);
-    }
-
-    #[test]
     fn batch_helpers() {
         let reqs = vec![
             Request::synthetic(ClientId(0), 0, 100),
@@ -393,7 +370,6 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert!(!b.is_empty());
         assert!(Batch::empty().is_empty());
-        assert_eq!(b.wire_size(), 8 + 2 * 112);
         let ids: Vec<_> = b.request_ids().collect();
         assert_eq!(ids, vec![reqs[0].id, reqs[1].id]);
     }
