@@ -566,8 +566,9 @@ fn smoke_experiments(scale: Scale) -> ExitCode {
 ///
 /// The output is purely a function of the simulation seed, so CI runs this
 /// smoke twice and diffs the bytes: the durable-storage path (WAL replay,
-/// snapshot assembly, the gap-chasing state transfer) is covered by the
-/// same same-seed-same-bytes gate as the fault-free figures. It also
+/// the catch-up request, snapshot assembly and the state response) is
+/// covered by the same same-seed-same-bytes gate as the fault-free figures,
+/// and its output is also committed as a golden. It also
 /// enforces the recovery-latency bound — catch-up must take well under the
 /// ≈10 s epoch-change timeout a snapshot-less rejoin would wait out.
 fn smoke_recovery(scale: Scale) -> ExitCode {

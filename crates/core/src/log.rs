@@ -95,17 +95,6 @@ impl IssLog {
         self.first_undelivered
     }
 
-    /// Whether every committed entry has been delivered — no committed
-    /// position is stranded above an undelivered gap. A recovering node uses
-    /// this as its catch-up criterion: once a live commit gets delivered
-    /// with nothing stranded, delivery has reached the cluster's frontier.
-    pub fn fully_delivered(&self) -> bool {
-        self.entries
-            .range(self.first_undelivered..)
-            .next()
-            .is_none()
-    }
-
     /// Total number of requests delivered so far.
     pub fn total_delivered(&self) -> u64 {
         self.total_delivered

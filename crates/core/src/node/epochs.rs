@@ -87,12 +87,11 @@ impl IssNode {
                 self.next_epoch_msgs.push((from, instance, msg));
             }
         }
-        // We may also have fallen behind: take the snapshot fast path — the
-        // sender serves its latest stable checkpoint plus the retained log
-        // suffix, which catches us up if we missed commits of our own epoch
-        // that no one will re-send (Section 3.5 generalized to checkpoint
+        // We may also have fallen behind: catch up from the sender, which
+        // serves what it delivered, including commits of our own epoch that
+        // no one will re-send (Section 3.5 generalized to checkpoint
         // snapshots).
-        self.request_snapshot(Some(from), ctx);
+        self.catch_up(Some(from), ctx);
     }
 
     pub(super) fn setup_epoch_instances(&mut self, ctx: &mut Context<'_, NetMsg>) {
@@ -139,22 +138,21 @@ impl IssNode {
         }
     }
 
-    /// A checkpoint just became stable on this node: persist a snapshot, and
-    /// detect whether the cluster has moved past us (reconnect fast path).
+    /// A checkpoint just became stable on this node, `from`'s checkpoint
+    /// message completing it: persist a snapshot, and detect whether the
+    /// cluster has moved past us (reconnect fast path).
     pub(super) fn on_checkpoint_stable(
         &mut self,
+        from: NodeId,
         stable: StableCheckpoint,
         ctx: &mut Context<'_, NetMsg>,
     ) {
         self.maybe_persist_snapshot(&stable);
         // A quorum finished an epoch we have not even started (e.g. the far
-        // side of a healed partition), or — while already catching up — the
-        // checkpoint now covers our delivery gap: fetch the snapshot instead
-        // of waiting out epoch-change timeouts.
-        let covers_our_gap =
-            self.recovery.is_some() && stable.max_seq_nr >= self.log.first_undelivered();
-        if stable.epoch > self.epoch.epoch || covers_our_gap {
-            self.request_snapshot(None, ctx);
+        // side of a healed partition): catch up from a peer that finished
+        // it instead of waiting out epoch-change timeouts.
+        if stable.epoch > self.epoch.epoch {
+            self.catch_up(Some(from), ctx);
         }
     }
 

@@ -77,6 +77,7 @@ use std::sync::Arc;
 const KIND_PROPOSE: u64 = 1;
 const KIND_INSTANCE: u64 = 2;
 const KIND_MIR_EPOCH: u64 = 3;
+const KIND_CATCH_UP: u64 = 4;
 
 /// Deployment mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -381,9 +382,9 @@ impl Process<NetMsg> for IssNode {
         self.setup_epoch_instances(ctx);
         ctx.set_timer(self.proposal_interval(), KIND_PROPOSE);
         if self.recovery.is_some() {
-            // Rebooted from durable state: immediately ask the cluster for
-            // everything we missed while down (reconnect fast path).
-            self.request_snapshot(None, ctx);
+            // Rebooted from durable state: ask for everything missed while
+            // down.
+            self.catch_up(None, ctx);
         }
     }
 
@@ -421,28 +422,20 @@ impl Process<NetMsg> for IssNode {
                     .checkpoints
                     .on_checkpoint(node, epoch, max_seq_nr, root, signature);
                 if let Some(stable) = stable {
-                    self.on_checkpoint_stable(stable, ctx);
+                    self.on_checkpoint_stable(node, stable, ctx);
                 }
             }
-            (
-                NetMsg::Iss(IssMsg::StateRequest {
-                    from_seq_nr,
-                    to_seq_nr,
-                }),
-                Some(node),
-            ) => self.serve_state_request(node, from_seq_nr, to_seq_nr, ctx),
             (NetMsg::Iss(IssMsg::StateResponse { entries, .. }), Some(_)) => {
                 // Only a replica transfers committed state. Integrity is
                 // protected by the stable checkpoint; the proof was verified
                 // against known signers when the checkpoint was formed.
-                self.commit_transferred(entries.into_iter().map(|e| (e.seq_nr, e.batch)), ctx);
-                self.maybe_finish_epoch(ctx);
+                self.on_state_response(entries, ctx);
             }
             (NetMsg::Iss(IssMsg::SnapshotRequest { from_seq_nr }), Some(node)) => {
-                self.serve_snapshot_request(node, from_seq_nr, ctx);
+                self.serve_catch_up(node, from_seq_nr, ctx);
             }
-            (NetMsg::Iss(chunk @ IssMsg::SnapshotChunk { .. }), Some(node)) => {
-                self.on_snapshot_chunk(node, chunk, ctx);
+            (NetMsg::Iss(chunk @ IssMsg::SnapshotChunk { .. }), Some(_)) => {
+                self.on_snapshot_chunk(chunk, ctx);
             }
             (NetMsg::Mir(MirMsg::NewEpoch { epoch, .. }), Some(node)) => {
                 // Only the next epoch's primary announces it.
@@ -474,6 +467,7 @@ impl Process<NetMsg> for IssNode {
                 // Ungraceful epoch change: the primary was unresponsive.
                 self.start_next_epoch(ctx);
             }
+            KIND_CATCH_UP => self.on_catch_up_timer(id, ctx),
             _ => {}
         }
     }

@@ -129,7 +129,6 @@ impl IssNode {
             ctx.now(),
         );
         self.deliver_ready(ctx);
-        self.continue_recovery(sn, ctx);
         self.maybe_finish_epoch(ctx);
     }
 

@@ -1,10 +1,11 @@
 //! Recovery: durable persistence (the WAL and checkpoint snapshots), the
-//! silent replay at boot, and catching up from peers — snapshot serving and
-//! installation and state transfer (Section 3.5, generalized to checkpoint
-//! snapshots). Every storage call the node makes is in this module.
+//! silent replay at boot, and catching up from peers — one request, one
+//! re-ask timer, and an answer of snapshot chunks and a state response
+//! (Section 3.5, generalized to checkpoint snapshots). Every storage call
+//! the node makes is in this module.
 
 use super::epochs::epoch_config;
-use super::IssNode;
+use super::{IssNode, KIND_CATCH_UP};
 use crate::checkpoint::StableCheckpoint;
 use bytes::{Bytes, BytesMut};
 use iss_messages::codec::{decode_log, encode_log};
@@ -13,7 +14,8 @@ use iss_messages::{IssMsg, NetMsg};
 use iss_runtime::process::{Addr, Context};
 use iss_storage::record::{decode_policy, encode_policy, PolicyState, Snapshot, WalRecord};
 use iss_storage::Storage;
-use iss_types::{Batch, NodeId, SeqNr, Time};
+use iss_types::{Batch, NodeId, SeqNr, Time, TimerId};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Size of one snapshot chunk on the state-transfer fast path.
 const SNAPSHOT_CHUNK_BYTES: usize = 64 << 10;
@@ -27,6 +29,15 @@ pub(super) struct RecoveryProgress {
     entries_replayed: u64,
     /// Snapshot chunks received over the fast path.
     snapshot_chunks: u64,
+    /// The re-ask timer of the catch-up request in flight. At most one
+    /// request is outstanding; a timer of an earlier request or recovery
+    /// matches nothing.
+    outstanding: Option<TimerId>,
+    /// The delivery head an answer promised: once `firstUndelivered`
+    /// reaches it, the node has delivered everything the peer had.
+    caught_up_at: Option<SeqNr>,
+    /// Peers asked in rotation so far.
+    rotations: u32,
 }
 
 /// An incoming chunked snapshot being reassembled.
@@ -34,7 +45,10 @@ pub(super) struct SnapshotAssembly {
     stable: StableCheckpoint,
     total_delivered: u64,
     policy: Bytes,
-    data: Vec<u8>,
+    /// The chunks received so far, by offset.
+    chunks: BTreeMap<u32, Bytes>,
+    /// Bytes the chunks hold together.
+    received: usize,
     total_len: u32,
 }
 
@@ -96,9 +110,8 @@ impl IssNode {
         self.fast_forward_epochs();
         if recovered.snapshot.is_some() || replayed > 0 {
             self.recovery = Some(RecoveryProgress {
-                announced: false,
                 entries_replayed: replayed,
-                snapshot_chunks: 0,
+                ..RecoveryProgress::default()
             });
         }
     }
@@ -153,16 +166,6 @@ impl IssNode {
         }
     }
 
-    /// Marks the node as recovering (idempotent) and emits
-    /// `on_recovery_started` once.
-    fn enter_recovery(&mut self, now: Time) {
-        let progress = self.recovery.get_or_insert_with(RecoveryProgress::default);
-        if !progress.announced {
-            progress.announced = true;
-            self.sink.borrow_mut().on_recovery_started(self.my_id, now);
-        }
-    }
-
     /// Emits `on_recovery_completed` if a recovery was in progress.
     pub(super) fn finish_recovery(&mut self, now: Time) {
         if let Some(progress) = self.recovery.take() {
@@ -175,53 +178,62 @@ impl IssNode {
         }
     }
 
-    /// Enters recovery and asks `target` (every other node when `None`) for
-    /// a snapshot of everything at or above this node's delivery head.
-    pub(super) fn request_snapshot(
-        &mut self,
-        target: Option<NodeId>,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
-        self.enter_recovery(ctx.now());
-        let msg = NetMsg::Iss(IssMsg::SnapshotRequest {
-            from_seq_nr: self.log.first_undelivered(),
+    /// Catches up from a peer, the only way this node asks for state:
+    /// enters recovery (emitting `on_recovery_started` once) and, unless a
+    /// request is outstanding, asks one peer for everything it delivered
+    /// from this node's delivery head on — `prefer`, a peer that showed it
+    /// is ahead, or else the next peer in rotation — and arms the re-ask
+    /// timer.
+    pub(super) fn catch_up(&mut self, prefer: Option<NodeId>, ctx: &mut Context<'_, NetMsg>) {
+        let progress = self.recovery.get_or_insert_with(RecoveryProgress::default);
+        if !progress.announced {
+            progress.announced = true;
+            self.sink
+                .borrow_mut()
+                .on_recovery_started(self.my_id, ctx.now());
+        }
+        if progress.outstanding.is_some() {
+            return;
+        }
+        let peer = prefer.unwrap_or_else(|| {
+            let n = self.all_nodes.len() as u32;
+            let offset = 1 + progress.rotations % n.saturating_sub(1).max(1);
+            progress.rotations += 1;
+            NodeId((self.my_id.0 + offset) % n)
         });
-        match target {
-            Some(node) => ctx.send(Addr::Node(node), msg),
-            None => ctx.broadcast(&self.all_nodes, msg),
+        let timeout = self.opts.config.view_change_timeout;
+        progress.outstanding = Some(ctx.set_timer(timeout, KIND_CATCH_UP));
+        let from_seq_nr = self.log.first_undelivered();
+        ctx.send(
+            Addr::Node(peer),
+            NetMsg::Iss(IssMsg::SnapshotRequest { from_seq_nr }),
+        );
+    }
+
+    /// The re-ask timer fired: if its request is still outstanding, no
+    /// answer caught this node up in time, so ask the next peer.
+    pub(super) fn on_catch_up_timer(&mut self, id: TimerId, ctx: &mut Context<'_, NetMsg>) {
+        let outstanding = self.recovery.as_mut().filter(|p| p.outstanding == Some(id));
+        if let Some(progress) = outstanding {
+            progress.outstanding = None;
+            self.catch_up(None, ctx);
         }
     }
 
-    /// After a live commit on a recovering node. The node is caught up the
-    /// moment a *live* commit gets delivered with nothing stranded behind a
-    /// gap: delivery has reached the cluster's frontier. (Deliveries during
-    /// snapshot install do not count — the frontier is past the checkpoint
-    /// being installed.) While the gap persists, chase it: ask the gap
-    /// head's leader for the delivered prefix we are missing. Each live
-    /// commit re-triggers the request, so the transfer succeeds as soon as
-    /// some peer has delivered past our gap; the recovery window bounds the
-    /// chatter.
-    pub(super) fn continue_recovery(&mut self, committed: SeqNr, ctx: &mut Context<'_, NetMsg>) {
-        if self.recovery.is_none() {
-            return;
+    /// The last answer to a catch-up request: commits the peer's delivered
+    /// suffix. The node is caught up once it has delivered through the
+    /// suffix's last entry, now or when snapshot chunks still in flight
+    /// close the gap below it, and at once when the suffix is empty.
+    pub(super) fn on_state_response(
+        &mut self,
+        entries: Vec<LogEntry>,
+        ctx: &mut Context<'_, NetMsg>,
+    ) {
+        if let Some(progress) = self.recovery.as_mut() {
+            progress.caught_up_at = Some(entries.last().map_or(0, |e| e.seq_nr + 1));
         }
-        if self.log.fully_delivered() {
-            self.finish_recovery(ctx.now());
-            return;
-        }
-        let head = self.log.first_undelivered();
-        let target = self
-            .state
-            .leader_of(head)
-            .filter(|l| *l != self.my_id)
-            .unwrap_or(NodeId((self.my_id.0 + 1) % self.all_nodes.len() as u32));
-        ctx.send(
-            Addr::Node(target),
-            NetMsg::Iss(IssMsg::StateRequest {
-                from_seq_nr: head,
-                to_seq_nr: committed,
-            }),
-        );
+        self.commit_transferred(entries.into_iter().map(|e| (e.seq_nr, e.batch)), ctx);
+        self.maybe_finish_epoch(ctx);
     }
 
     /// Commits log entries another node transferred (a snapshot's log or a
@@ -246,40 +258,49 @@ impl IssNode {
             }
         }
         self.deliver_ready(ctx);
+        let caught_up_at = self.recovery.as_ref().and_then(|p| p.caught_up_at);
+        if caught_up_at.is_some_and(|head| self.log.first_undelivered() >= head) {
+            self.finish_recovery(ctx.now());
+        }
     }
 
-    /// Serves a state request with the delivered contiguous prefix in
-    /// `[from_seq_nr, to_seq_nr]`.
-    pub(super) fn serve_state_request(
+    /// Answers a catch-up request with everything this node has delivered
+    /// from `from_seq_nr` on: its latest stable checkpoint as snapshot
+    /// chunks when `from_seq_nr` is at or below it, then always a state
+    /// response with the delivered entries from the chunks' last one on
+    /// (from `from_seq_nr` without chunks; empty when it has nothing
+    /// newer).
+    pub(super) fn serve_catch_up(
         &self,
         to: NodeId,
         from_seq_nr: SeqNr,
-        to_seq_nr: SeqNr,
         ctx: &mut Context<'_, NetMsg>,
     ) {
+        // After chunks, the suffix repeats the snapshot's last entry, so a
+        // response that overtakes its chunks cannot end the requester's
+        // recovery before they are installed.
+        let suffix_from = self
+            .send_snapshot(to, from_seq_nr, ctx)
+            .unwrap_or(from_seq_nr);
         // Everything this node has itself delivered is backed by an SB
         // quorum (a production implementation would attach the per-entry
         // commit certificates; the simulator does not model forged state
         // transfer). Serving past the last stable checkpoint is what lets a
         // rebooted replica close a mid-epoch gap without waiting out
-        // view-change timeouts.
-        let delivered_head = self.log.first_undelivered();
-        if delivered_head == 0 {
-            return;
-        }
-        let last = to_seq_nr.min(delivered_head - 1);
-        if from_seq_nr > last {
-            return;
-        }
-        // Batch clones are refcount bumps, not payload copies.
-        let entries: Vec<LogEntry> = self
-            .log
-            .range(from_seq_nr, last)
-            .map(|(sn, e)| LogEntry {
-                seq_nr: sn,
-                batch: e.batch.clone(),
-            })
-            .collect();
+        // view-change timeouts. Batch clones are refcount bumps, not
+        // payload copies.
+        let head = self.log.first_undelivered();
+        let entries: Vec<LogEntry> = if suffix_from < head {
+            self.log
+                .range(suffix_from, head - 1)
+                .map(|(sn, e)| LogEntry {
+                    seq_nr: sn,
+                    batch: e.batch.clone(),
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         // The checkpoint anchor is advisory for the receiver (it trusts the
         // quorum behind the entries, see above); absent a stable checkpoint
         // the anchor fields are zeroed.
@@ -302,24 +323,22 @@ impl IssNode {
         );
     }
 
-    /// Serves a snapshot request: the latest stable checkpoint plus every
-    /// retained log entry from the requester's head through the checkpoint,
-    /// chunked so reassembly is independent of message size limits.
-    pub(super) fn serve_snapshot_request(
+    /// Sends the latest stable checkpoint plus every retained log entry from
+    /// `from_seq_nr` through it, chunked so reassembly is independent of
+    /// message size limits. Returns the checkpoint's last sequence number,
+    /// or `None` when `from_seq_nr` is past it or the range cannot be
+    /// served whole.
+    fn send_snapshot(
         &self,
         to: NodeId,
         from_seq_nr: SeqNr,
         ctx: &mut Context<'_, NetMsg>,
-    ) {
-        let Some(stable) = self.checkpoints.latest_stable() else {
-            return;
-        };
+    ) -> Option<SeqNr> {
+        let stable = self.checkpoints.latest_stable()?;
         if from_seq_nr > stable.max_seq_nr {
-            return; // requester is not behind our stable state
+            return None; // requester is not behind our stable state
         }
-        let Some((total_delivered, policy)) = self.snapshot_meta.get(&stable.epoch) else {
-            return;
-        };
+        let (total_delivered, policy) = self.snapshot_meta.get(&stable.epoch)?;
         // The served range must be contiguous: a gap (entries pruned below
         // our own snapshot cut) would stall the requester's delivery.
         let entries: Vec<(SeqNr, Option<Batch>)> = self
@@ -328,7 +347,7 @@ impl IssNode {
             .map(|(sn, e)| (sn, e.batch.clone()))
             .collect();
         if entries.len() as u64 != stable.max_seq_nr - from_seq_nr + 1 {
-            return;
+            return None;
         }
         let data = Bytes::from(encode_log(&entries));
         let policy_bytes = {
@@ -356,16 +375,12 @@ impl IssNode {
                 }),
             );
         }
+        Some(stable.max_seq_nr)
     }
 
     /// Reassembles an incoming [`IssMsg::SnapshotChunk`]; installs the
-    /// snapshot when the final chunk arrives.
-    pub(super) fn on_snapshot_chunk(
-        &mut self,
-        from: NodeId,
-        chunk: IssMsg,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
+    /// snapshot once its chunks add up to the whole payload.
+    pub(super) fn on_snapshot_chunk(&mut self, chunk: IssMsg, ctx: &mut Context<'_, NetMsg>) {
         let IssMsg::SnapshotChunk {
             epoch,
             max_seq_nr,
@@ -376,7 +391,7 @@ impl IssNode {
             offset,
             total_len,
             data,
-            done,
+            ..
         } = chunk
         else {
             return;
@@ -385,7 +400,13 @@ impl IssNode {
         if epoch < self.epoch.epoch || max_seq_nr < self.log.first_undelivered() {
             return;
         }
-        if offset == 0 {
+        // Chunks may arrive in any order (a simulated receiver's cores
+        // finish small messages first); a chunk of another snapshot starts
+        // the assembly over.
+        let same = self.incoming_snapshot.as_ref().is_some_and(|a| {
+            (a.stable.epoch, a.stable.max_seq_nr, a.total_len) == (epoch, max_seq_nr, total_len)
+        });
+        if !same {
             self.incoming_snapshot = Some(SnapshotAssembly {
                 stable: StableCheckpoint {
                     epoch,
@@ -395,43 +416,45 @@ impl IssNode {
                 },
                 total_delivered,
                 policy,
-                data: Vec::with_capacity(total_len as usize),
+                chunks: BTreeMap::new(),
+                received: 0,
                 total_len,
             });
         }
-        let Some(assembly) = self.incoming_snapshot.as_mut() else {
+        let assembly = self.incoming_snapshot.as_mut().expect("set above");
+        let Entry::Vacant(slot) = assembly.chunks.entry(offset) else {
             return;
         };
-        if assembly.stable.epoch != epoch || assembly.data.len() != offset as usize {
-            return; // out-of-order or interleaved stream; wait for a restart
-        }
-        assembly.data.extend_from_slice(&data);
+        assembly.received += data.len();
+        slot.insert(data);
         if let Some(progress) = self.recovery.as_mut() {
             progress.snapshot_chunks += 1;
         }
-        if !done || assembly.data.len() != assembly.total_len as usize {
+        if assembly.received != total_len as usize {
             return;
         }
         let assembly = self.incoming_snapshot.take().expect("checked above");
-        self.install_snapshot(from, assembly, ctx);
+        self.install_snapshot(assembly, ctx);
     }
 
     /// Verifies and installs a fully reassembled snapshot: commits the
     /// transferred entries (with *normal* delivery — they are new to this
-    /// node), adopts the policy state at the cut, fast-forwards the epoch to
-    /// just past the checkpoint, and asks the serving peer for the log
-    /// suffix beyond it.
-    fn install_snapshot(
-        &mut self,
-        from: NodeId,
-        assembly: SnapshotAssembly,
-        ctx: &mut Context<'_, NetMsg>,
-    ) {
+    /// node), adopts the policy state at the cut, and fast-forwards the
+    /// epoch to just past the checkpoint. The state response that follows
+    /// the chunks carries the log suffix beyond it.
+    fn install_snapshot(&mut self, assembly: SnapshotAssembly, ctx: &mut Context<'_, NetMsg>) {
         let stable = &assembly.stable;
         if !self.checkpoints.verify_stable_proof(stable) {
             return;
         }
-        let Ok(entries) = decode_log(&assembly.data) else {
+        let mut data = Vec::with_capacity(assembly.received);
+        for (offset, chunk) in &assembly.chunks {
+            if *offset as usize != data.len() {
+                return; // overlapping chunks
+            }
+            data.extend_from_slice(chunk);
+        }
+        let Ok(entries) = decode_log(&data) else {
             return;
         };
         let Ok(policy) = decode_policy(&mut assembly.policy.clone()) else {
@@ -450,17 +473,5 @@ impl IssNode {
             self.state.gc(epoch + 1, Some(max_seq_nr + 1));
             self.start_epoch(epoch + 1, max_seq_nr + 1, ctx);
         }
-        // Recovery is NOT finished yet: the cluster's frontier is past the
-        // checkpoint just installed. The next live commit that gets
-        // delivered with nothing stranded completes it
-        // (`continue_recovery`). Fetch whatever the serving peer ordered
-        // beyond the checkpoint.
-        ctx.send(
-            Addr::Node(from),
-            NetMsg::Iss(IssMsg::StateRequest {
-                from_seq_nr: self.log.first_undelivered(),
-                to_seq_nr: self.epoch.max_seq_nr(),
-            }),
-        );
     }
 }

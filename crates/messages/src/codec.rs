@@ -22,6 +22,12 @@ pub trait Sink: BufMut {
     /// a [`Counter`] counts them, so a simulated request is charged its
     /// declared size.
     fn absent_payload(&mut self, _len: usize) {}
+
+    /// Appends the bytes `data` holds. A [`Counter`] adds their length
+    /// without forming a slice of them.
+    fn put_shared(&mut self, data: &Bytes) {
+        self.put_slice(data);
+    }
 }
 
 impl Sink for BytesMut {}
@@ -44,6 +50,10 @@ impl BufMut for Counter {
 impl Sink for Counter {
     fn absent_payload(&mut self, len: usize) {
         self.len += len;
+    }
+
+    fn put_shared(&mut self, data: &Bytes) {
+        self.len += data.len();
     }
 }
 
@@ -68,10 +78,10 @@ pub fn encode_request(req: &Request, buf: &mut impl Sink) {
     buf.put_u64_le(req.id.timestamp);
     buf.put_u32_le(req.payload_size);
     buf.put_u32_le(req.payload.len() as u32);
-    buf.put_slice(&req.payload);
+    buf.put_shared(&req.payload);
     buf.absent_payload((req.payload_size as usize).saturating_sub(req.payload.len()));
     buf.put_u32_le(req.signature.len() as u32);
-    buf.put_slice(&req.signature);
+    buf.put_shared(&req.signature);
 }
 
 /// Decodes a request.

@@ -35,16 +35,11 @@ pub enum IssMsg {
         /// Signature by the sending node.
         signature: Bytes,
     },
-    /// Request for missing log entries, sent by a node that has fallen
-    /// behind.
-    StateRequest {
-        /// First sequence number the requester is missing.
-        from_seq_nr: SeqNr,
-        /// First sequence number the requester does not need (exclusive end).
-        to_seq_nr: SeqNr,
-    },
-    /// State-transfer response: the requested entries plus the stable
-    /// checkpoint (2f+1 checkpoint signatures) proving their integrity.
+    /// The last answer to a [`IssMsg::SnapshotRequest`]: the log entries the
+    /// sender has delivered from the last one its snapshot chunks carried
+    /// on (from `from_seq_nr` when it sent none; empty when it has nothing
+    /// newer), plus the stable checkpoint (2f+1 checkpoint signatures)
+    /// proving their integrity.
     StateResponse {
         /// Epoch of the attached stable checkpoint.
         epoch: EpochNr,
@@ -55,10 +50,11 @@ pub enum IssMsg {
         /// The 2f+1 signatures forming the stable checkpoint π(e).
         proof: Vec<Bytes>,
     },
-    /// Request for a checkpoint snapshot, sent by a replica that detects it
-    /// is behind a stable checkpoint (after a reboot or a healed partition):
-    /// "serve me your latest stable snapshot plus whatever log entries at or
-    /// above `from_seq_nr` you still retain."
+    /// The catch-up request, sent by a replica that has fallen behind
+    /// (after a reboot or a healed partition): "send me everything you have
+    /// delivered from `from_seq_nr` on." The answer is the sender's latest
+    /// stable checkpoint as [`IssMsg::SnapshotChunk`]s when `from_seq_nr`
+    /// is at or below it, then always one [`IssMsg::StateResponse`].
     SnapshotRequest {
         /// First sequence number the requester has not delivered.
         from_seq_nr: SeqNr,
@@ -171,16 +167,6 @@ mod tests {
         assert!(
             size(&IssMsg::SnapshotRequest { from_seq_nr: 9 }) < 64,
             "snapshot requests are tiny"
-        );
-    }
-
-    #[test]
-    fn state_request_small() {
-        assert!(
-            size(&IssMsg::StateRequest {
-                from_seq_nr: 0,
-                to_seq_nr: 255
-            }) < 64
         );
     }
 }

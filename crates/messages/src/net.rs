@@ -157,10 +157,7 @@ mod tests {
                 term: 0,
                 granted: true,
             })),
-            NetMsg::Iss(IssMsg::StateRequest {
-                from_seq_nr: 0,
-                to_seq_nr: 1,
-            }),
+            NetMsg::Iss(IssMsg::SnapshotRequest { from_seq_nr: 0 }),
             NetMsg::Mir(MirMsg::NewEpoch {
                 epoch: 0,
                 config_digest: [0; 32],
@@ -184,10 +181,7 @@ mod tests {
         assert_eq!(vote.class(), MsgClass::Vote);
         let req = NetMsg::Client(ClientMsg::Request(Request::synthetic(ClientId(0), 0, 500)));
         assert_eq!(req.class(), MsgClass::Request);
-        let st = NetMsg::Iss(IssMsg::StateRequest {
-            from_seq_nr: 0,
-            to_seq_nr: 1,
-        });
+        let st = NetMsg::Iss(IssMsg::SnapshotRequest { from_seq_nr: 0 });
         assert_eq!(st.class(), MsgClass::StateTransfer);
     }
 

@@ -77,8 +77,8 @@ const REF_VOTE: u8 = 15;
 const REF_DECIDE: u8 = 16;
 const REF_HEARTBEAT: u8 = 17;
 
+// Tag 1 is unused, so the tags below keep their bytes.
 const ISS_CHECKPOINT: u8 = 0;
-const ISS_STATE_REQUEST: u8 = 1;
 const ISS_STATE_RESPONSE: u8 = 2;
 const ISS_SNAPSHOT_REQUEST: u8 = 3;
 const ISS_SNAPSHOT_CHUNK: u8 = 4;
@@ -581,14 +581,6 @@ fn encode_iss_msg(msg: &IssMsg, buf: &mut impl Sink) {
             buf.put_slice(root);
             put_bytes(signature, buf);
         }
-        IssMsg::StateRequest {
-            from_seq_nr,
-            to_seq_nr,
-        } => {
-            buf.put_u8(ISS_STATE_REQUEST);
-            buf.put_u64_le(*from_seq_nr);
-            buf.put_u64_le(*to_seq_nr);
-        }
         IssMsg::StateResponse {
             epoch,
             entries,
@@ -649,10 +641,6 @@ fn decode_iss_msg(buf: &mut Bytes) -> Result<IssMsg> {
             max_seq_nr: get_u64(buf, "sequence number")?,
             root: get_digest(buf)?,
             signature: get_bytes(buf)?,
-        },
-        ISS_STATE_REQUEST => IssMsg::StateRequest {
-            from_seq_nr: get_u64(buf, "sequence number")?,
-            to_seq_nr: get_u64(buf, "sequence number")?,
         },
         ISS_STATE_RESPONSE => IssMsg::StateResponse {
             epoch: get_u64(buf, "epoch")?,
@@ -724,7 +712,7 @@ fn get_vec<T>(
 
 fn put_bytes(b: &Bytes, buf: &mut impl Sink) {
     buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
+    buf.put_shared(b);
 }
 
 fn get_bytes(buf: &mut Bytes) -> Result<Bytes> {
@@ -892,10 +880,6 @@ mod tests {
                 max_seq_nr: 1023,
                 root: [7; 32],
                 signature: Bytes::from(vec![1u8; 64]),
-            },
-            IssMsg::StateRequest {
-                from_seq_nr: 10,
-                to_seq_nr: 20,
             },
             IssMsg::StateResponse {
                 epoch: 1,

@@ -265,14 +265,6 @@ fn messages(real: bool) -> Vec<(&'static str, usize, NetMsg)> {
             }),
         ),
         (
-            "Iss::StateRequest",
-            0,
-            NetMsg::Iss(IssMsg::StateRequest {
-                from_seq_nr: 0,
-                to_seq_nr: 256,
-            }),
-        ),
-        (
             "Iss::StateResponse",
             4,
             NetMsg::Iss(IssMsg::StateResponse {

@@ -133,8 +133,10 @@ pub type ProcessBuilder = Box<dyn FnOnce() -> Box<dyn Process<NetMsg>> + Send>;
 /// Frames buffered for one destination beyond this bound are dropped: a
 /// crashed, unreachable or stalled peer or client must not grow the
 /// sender's memory without limit, and the protocols tolerate message loss
-/// by design (a recovering replica catches up through the WAL /
-/// state-transfer path). The bound counts frames, however many bytes they
+/// by design. A restarted replica replays its WAL and asks one peer for
+/// what it missed, so it does not depend on these frames; a peer that
+/// comes back still receives what is queued for it on reconnect, up to
+/// this bound. The bound counts frames, however many bytes they
 /// hold. Each drop is counted — in the peer's [`PeerStats`], or in
 /// [`NetStats::client_dropped`] — and surfaced by a rate-limited warning:
 /// loss is tolerated, but never silent.
