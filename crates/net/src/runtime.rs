@@ -21,9 +21,9 @@
 //! * **Dialing.** `std` has no nonblocking connect, so every dial attempt
 //!   runs on a short-lived helper thread: it connects, sends the hello,
 //!   hands the stream back over a channel and wakes the protocol thread. A
-//!   peer is dialed once it has frames to send, and again after its
-//!   connection dies; a failed attempt is retried after 10 ms, doubling up
-//!   to `MAX_BACKOFF_MS`. The peer's socket address is re-read from the
+//!   peer is dialed whenever it has frames to send and no connection; a
+//!   failed attempt is retried after 10 ms, doubling up to
+//!   `MAX_BACKOFF_MS`. The peer's socket address is re-read from the
 //!   shared [`PeerTable`] on every attempt, so a peer that restarts on a new
 //!   port is found without reconfiguration.
 //!
@@ -63,13 +63,11 @@
 //!   idle runtime adds no delay to a lone message. What the socket does not
 //!   take stays buffered until `ppoll` reports the connection writable.
 //!
-//! A destination buffers at most `WRITER_QUEUE` frames; frames past that are
-//! dropped and counted. Per-destination FIFO order is kept end to end, and
-//! a new connection never starts inside a frame: when a dialed connection
-//! dies, the frame it was part-way through is written again, whole, on the
-//! next one. Frames the dead connection took whole may be lost with it —
-//! the protocols tolerate loss, as they must on any transport that
-//! reconnects.
+//! A destination buffers at most `WRITER_QUEUE` frames, in FIFO order, and
+//! its frames go with its connection: when the connection dies, or a dial
+//! attempt fails, they are dropped and counted, as the simulator drops a
+//! message to a crashed node. Frames sent while a peer's dial waits out its
+//! backoff wait for the next attempt.
 //!
 //! # Connection policy
 //!
@@ -131,15 +129,11 @@ pub fn peer_table() -> PeerTable {
 pub type ProcessBuilder = Box<dyn FnOnce() -> Box<dyn Process<NetMsg>> + Send>;
 
 /// Frames buffered for one destination beyond this bound are dropped: a
-/// crashed, unreachable or stalled peer or client must not grow the
-/// sender's memory without limit, and the protocols tolerate message loss
-/// by design. A restarted replica replays its WAL and asks one peer for
-/// what it missed, so it does not depend on these frames; a peer that
-/// comes back still receives what is queued for it on reconnect, up to
-/// this bound. The bound counts frames, however many bytes they
-/// hold. Each drop is counted — in the peer's [`PeerStats`], or in
-/// [`NetStats::client_dropped`] — and surfaced by a rate-limited warning:
-/// loss is tolerated, but never silent.
+/// live but stalled peer or client must not grow the sender's memory
+/// without limit, and the protocols tolerate message loss by design. The
+/// bound counts frames, however many bytes they hold. Each drop is counted
+/// — in the peer's [`PeerStats`], or in [`NetStats::client_dropped`] — and
+/// surfaced by a rate-limited warning: loss is tolerated, but never silent.
 const WRITER_QUEUE: usize = 4096;
 
 /// Emit a dropped-frame warning on the first drop to a destination and then
@@ -191,7 +185,8 @@ pub struct PeerStats {
     pub queue_depth: AtomicU64,
     /// Peak buffer depth observed.
     pub max_queue_depth: AtomicU64,
-    /// Frames dropped because the buffer was full.
+    /// Frames dropped: on a full buffer, or with a connection that died or
+    /// could not be made.
     pub dropped: AtomicU64,
     /// Successful dials (the first connect plus every reconnect).
     pub connects: AtomicU64,
@@ -215,11 +210,12 @@ impl PeerStats {
     }
 }
 
-/// Counts a frame to `to` dropped on a full buffer.
-fn note_dropped(counter: &AtomicU64, to: Addr) {
-    let drops = counter.fetch_add(1, Ordering::Relaxed) + 1;
-    if drops == 1 || drops.is_multiple_of(DROP_WARN_EVERY) {
-        eprintln!("iss-net: writer queue to {to:?} full, {drops} frame(s) dropped so far");
+/// Counts `frames` frames to `to` dropped because of `cause`.
+fn note_dropped(counter: &AtomicU64, to: Addr, frames: u64, cause: &str) {
+    let before = counter.fetch_add(frames, Ordering::Relaxed);
+    let drops = before + frames;
+    if before == 0 || before / DROP_WARN_EVERY < drops / DROP_WARN_EVERY {
+        eprintln!("iss-net: {cause}: frames to {to:?} dropped, {drops} so far");
     }
 }
 
@@ -496,6 +492,16 @@ struct Dest {
 }
 
 impl Dest {
+    /// The connection to `to` died or could not be made: every buffered
+    /// frame goes with it, counted as dropped.
+    fn discard(&mut self, to: Addr, cause: &str) {
+        let frames = std::mem::take(&mut self.queue).frames() as u64;
+        if let Some(link) = self.link.as_ref().filter(|_| frames > 0) {
+            link.stats.queue_depth.store(0, Ordering::Relaxed);
+            note_dropped(&link.stats.dropped, to, frames, cause);
+        }
+    }
+
     /// Offers the buffered frames to the destination's connection unless it
     /// is blocked; `Err` names a connection that failed.
     fn write(&mut self, conns: &mut HashMap<Token, Conn>) -> Result<(), Token> {
@@ -583,7 +589,7 @@ impl Net {
                 Some(link) => &link.stats.dropped,
                 None => &self.stats.client_dropped,
             };
-            note_dropped(counter, to);
+            note_dropped(counter, to, 1, "buffer full");
             return;
         }
         dest.queue.push(msg);
@@ -647,9 +653,9 @@ impl Net {
         Ok((conn.from, full))
     }
 
-    /// Gives a connection up. A dialed peer keeps its frames for the next
-    /// connection, the one the dead connection was part-way through
-    /// included; a client's frames go with its connection.
+    /// Gives a connection up, and its destination's frames with it: a dialed
+    /// peer keeps only its link, for the redial, and a client's destination
+    /// goes.
     fn close(&mut self, token: Token) {
         let Some(from) = self.conns.remove(&token).and_then(|conn| conn.from) else {
             return;
@@ -662,7 +668,7 @@ impl Net {
         }
         if dest.link.is_some() {
             dest.conn = None;
-            dest.queue.sent = 0;
+            dest.discard(from, "connection died");
         } else {
             self.dests.remove(&from);
         }
@@ -673,12 +679,10 @@ impl Net {
     fn dialed(&mut self, peer: NodeId, socket: Option<TcpStream>, now: Instant) {
         let to = Addr::Node(peer);
         let token = socket.map(|socket| self.add(socket, Some(to), None));
-        let Some(Dest {
-            conn,
-            link: Some(link),
-            ..
-        }) = self.dests.get_mut(&to)
-        else {
+        let Some(dest) = self.dests.get_mut(&to) else {
+            return;
+        };
+        let Some(link) = &mut dest.link else {
             return;
         };
         // The helper has handed its result over: joining it only reaps it.
@@ -687,11 +691,14 @@ impl Net {
         }
         match token {
             Some(token) => {
-                *conn = Some(token);
+                dest.conn = Some(token);
                 link.backoff_ms = MIN_BACKOFF_MS;
                 link.stats.connects.fetch_add(1, Ordering::Relaxed);
             }
-            None => link.failed(now),
+            None => {
+                link.failed(now);
+                dest.discard(to, "dial failed");
+            }
         }
     }
 }
@@ -1197,8 +1204,15 @@ mod tests {
     }
 
     #[test]
-    fn a_dead_connection_restarts_its_unfinished_frame_whole() {
-        let mut queue = Queue::default();
+    fn a_dialed_peers_frames_go_with_its_connection() {
+        let peer = NodeId(1);
+        let to = Addr::Node(peer);
+        let stats = Arc::new(NetStats {
+            peers: HashMap::from([(peer, Arc::default())]),
+            ..NetStats::default()
+        });
+        let mut net = Net::new(Arc::clone(&stats));
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind");
         let msg = |k| {
             NetMsg::Client(ClientMsg::Request(Request::new(
                 ClientId(0),
@@ -1206,20 +1220,41 @@ mod tests {
                 vec![1; 10],
             )))
         };
-        for k in 0..3 {
-            queue.push(&msg(k));
+        // Hands frame `k` over, dials the peer and checks that `k` is the
+        // first frame the new connection carries; leaves it connected.
+        let next_connection_carries = |net: &mut Net, k| {
+            net.send(to, &msg(k));
+            let socket = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+            socket.set_nonblocking(true).expect("nonblocking");
+            net.dialed(peer, Some(socket), Instant::now());
+            let mut peer_end = listener.accept().expect("accept").0;
+            net.flush();
+            let first = frame::read_frame(&mut peer_end).expect("a frame");
+            assert_eq!(first, frame::encode_msg(&msg(k)).expect("encodes"));
+        };
+        let link = &stats.peers[&peer];
+        let dropped = || link.dropped.load(Ordering::Relaxed);
+
+        // Frames queued, then the connection dies: they go with it, counted
+        // as dropped.
+        next_connection_carries(&mut net, 0);
+        for k in 1..4 {
+            net.send(to, &msg(k));
         }
-        let len = queue.lens[0];
-        // The socket took the first frame and part of the second.
-        queue.sent = len + 3;
-        assert_eq!(queue.retire(), (1, (len - frame::PREFIX) as u64));
-        assert_eq!((queue.frames(), queue.sent), (2, 3));
-        // A new connection starts at the second frame's first byte.
-        queue.sent = 0;
-        let mut wire = BytesMut::new();
-        for k in 1..3 {
-            frame::encode_frame(&msg(k), &mut wire);
+        net.close(net.dests[&to].conn.expect("connected"));
+        assert_eq!(net.dests[&to].queue.frames(), 0);
+        assert_eq!(dropped(), 3);
+        assert_eq!(link.queue_depth.load(Ordering::Relaxed), 0);
+        next_connection_carries(&mut net, 4);
+
+        // Frames queued, then a dial attempt fails: the same.
+        net.close(net.dests[&to].conn.expect("connected"));
+        for k in 5..8 {
+            net.send(to, &msg(k));
         }
-        assert_eq!(queue.pending(), &wire[..]);
+        net.dialed(peer, None, Instant::now());
+        assert_eq!(net.dests[&to].queue.frames(), 0);
+        assert_eq!(dropped(), 6);
+        next_connection_carries(&mut net, 8);
     }
 }

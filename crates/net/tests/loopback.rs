@@ -760,8 +760,8 @@ fn killed_node_recovers_from_its_wal_on_restart() {
         "the restarted node must deliver new requests"
     );
     // Every survivor's connection to the victim died and was dialed again,
-    // with frames lost or restarted at the seam: the protocol must absorb
-    // both, and the checker must not see duplicates.
+    // and the frames buffered for the victim went with it: the protocol
+    // must absorb the loss, and the checker must not see duplicates.
     let violation = metrics.lock().unwrap().violation.clone();
     assert_eq!(
         violation, None,
@@ -799,9 +799,12 @@ fn side_by_side(simulated: &Report, loopback: &Report) -> String {
 /// violation, the observer delivering, and node 0 recovering from its WAL
 /// after a crash 2 s into the first epoch, away from its boundary.
 ///
-/// The restarted node asks a peer for what it missed as it starts, so on
-/// both engines it completes that recovery within one protocol timeout of
-/// its restart, whether or not its peers kept the frames they owed it.
+/// On both engines the crash loses what the node's peers sent it while it
+/// was down: the simulator drops each message, and a TCP peer drops its
+/// frames with the dead connection and with each failed redial, so at
+/// most the last backoff's worth arrives late. The restarted node asks a
+/// peer for what it missed as it starts, so on both engines it completes
+/// that recovery within one protocol timeout of its restart.
 #[test]
 fn one_scenario_runs_on_both_engines() {
     let _turn = serial();
