@@ -384,10 +384,10 @@ fn bench_cpu_schedule(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Manager's per-message bookkeeping at 128-node scale: resolve an
-/// `InstanceId` to its instance and bracket a callback (the `drive` loop),
-/// round-robin across one epoch's 128 SB instances of the dense slab+arena
-/// state.
+/// The Manager's per-message bookkeeping at 128-node scale: take an
+/// instance out by its `InstanceId` and put it back (the `drive` loop),
+/// round-robin across one epoch's 128 SB instances, plus the delivery
+/// path's leader lookup.
 fn bench_node_state(c: &mut Criterion) {
     use iss_core::state::EpochState;
     use iss_sb::testing::NullSb;
@@ -401,17 +401,13 @@ fn bench_node_state(c: &mut Criterion) {
     fn fill_epoch(state: &mut EpochState, epoch: EpochNr, timer_base: &mut u64) {
         let length = SEGMENTS as u64 * PER_SEGMENT;
         let first = epoch * length;
-        state.begin_epoch(epoch, first, length);
+        state.begin_epoch(epoch, first, length, (0..SEGMENTS).map(NodeId).collect());
         for s in 0..SEGMENTS {
-            let seq_nrs: Vec<SeqNr> = (0..length)
-                .filter(|o| o % SEGMENTS as u64 == s as u64)
-                .map(|o| first + o)
-                .collect();
-            state.record_segment(&seq_nrs, NodeId(s));
-            let slot = state.insert_instance(InstanceId::new(epoch, s), Box::new(NullSb));
+            let id = InstanceId::new(epoch, s);
+            state.insert_instance(id, Box::new(NullSb));
             for token in 0..2u64 {
                 *timer_base += 1;
-                state.register_timer(TimerId(*timer_base), slot, token);
+                state.register_timer(TimerId(*timer_base), id, token);
             }
         }
     }
@@ -419,9 +415,8 @@ fn bench_node_state(c: &mut Criterion) {
     fn dispatch_workload(state: &mut EpochState, i: &mut u32) -> SeqNr {
         let id = InstanceId::new(0, *i % SEGMENTS);
         *i = (*i + 1) % SEGMENTS;
-        let slot = state.slot_of(id).expect("live instance");
-        let (_, instance) = state.take_instance(slot).expect("live instance");
-        state.restore_instance(slot, instance);
+        let instance = state.take_instance(id).expect("live instance");
+        state.restore_instance(id, instance);
         // The delivery path's companion lookup: seq-nr → leader.
         let sn = (id.index as u64) * PER_SEGMENT;
         state.leader_of(sn).map(|n| n.0 as u64).unwrap_or(0)

@@ -35,10 +35,9 @@ pub struct CheckpointManager {
     keypair: KeyPair,
     registry: Arc<SignatureRegistry>,
     quorum: usize,
-    /// Collected CHECKPOINT signatures per (epoch, root).
+    /// Collected CHECKPOINT signatures per (epoch, root), for epochs not yet
+    /// stable.
     collected: HashMap<(EpochNr, Digest), HashMap<NodeId, Bytes>>,
-    /// Max sequence number announced per epoch (from the first checkpoint seen).
-    max_seq_nrs: HashMap<EpochNr, SeqNr>,
     stable: HashMap<EpochNr, StableCheckpoint>,
     latest_stable: Option<EpochNr>,
 }
@@ -57,7 +56,6 @@ impl CheckpointManager {
             registry,
             quorum,
             collected: HashMap::new(),
-            max_seq_nrs: HashMap::new(),
             stable: HashMap::new(),
             latest_stable: None,
         }
@@ -131,7 +129,6 @@ impl CheckpointManager {
         if self.stable.contains_key(&epoch) {
             return None;
         }
-        self.max_seq_nrs.entry(epoch).or_insert(max_seq_nr);
         let entry = self.collected.entry((epoch, root)).or_default();
         entry.insert(from, signature);
         if entry.len() >= self.quorum {
@@ -155,7 +152,8 @@ impl CheckpointManager {
     /// the proof; see [`CheckpointManager::verify_stable_proof`].
     pub fn install_stable(&mut self, stable: StableCheckpoint) {
         let epoch = stable.epoch;
-        self.max_seq_nrs.entry(epoch).or_insert(stable.max_seq_nr);
+        // `record` ignores a stable epoch, so its signatures are done with.
+        self.collected.retain(|(e, _), _| *e != epoch);
         self.stable.insert(epoch, stable);
         if self.latest_stable.is_none_or(|e| epoch > e) {
             self.latest_stable = Some(epoch);
@@ -294,5 +292,33 @@ mod tests {
         mine.make_checkpoint(2, 35, [1u8; 32]);
         mine.make_checkpoint(1, 23, [2u8; 32]);
         assert_eq!(mine.latest_stable().unwrap().epoch, 2);
+    }
+
+    #[test]
+    fn stable_epochs_keep_no_collected_signatures() {
+        let signed = |node: u32, epoch, max_seq_nr, root: &Digest| {
+            let bytes = CheckpointManager::signing_bytes(epoch, max_seq_nr, root);
+            Bytes::from(KeyPair::for_node(NodeId(node)).sign(&bytes).to_vec())
+        };
+        let mut mine = manager(0, 3);
+        for epoch in 0..100u64 {
+            let (max_seq_nr, root, other) = (epoch * 8 + 7, [epoch as u8; 32], [255; 32]);
+            // A minority root, then the quorum's.
+            let sig = signed(3, epoch, max_seq_nr, &other);
+            assert!(mine
+                .on_checkpoint(NodeId(3), epoch, max_seq_nr, other, sig)
+                .is_none());
+            mine.make_checkpoint(epoch, max_seq_nr, root);
+            for node in 1..3 {
+                let sig = signed(node, epoch, max_seq_nr, &root);
+                mine.on_checkpoint(NodeId(node), epoch, max_seq_nr, root, sig);
+            }
+            assert!(mine.stable_for(epoch).is_some());
+            // A late signature of a stable epoch is not collected either.
+            let sig = signed(3, epoch, max_seq_nr, &root);
+            mine.on_checkpoint(NodeId(3), epoch, max_seq_nr, root, sig);
+            assert!(mine.collected.is_empty(), "epoch {epoch} left signatures");
+        }
+        assert_eq!(mine.latest_stable().unwrap().epoch, 99);
     }
 }

@@ -80,14 +80,6 @@ impl EpochConfig {
         self.first_seq_nr + self.length
     }
 
-    /// The segment that contains `sn`, if any.
-    pub fn segment_of(&self, sn: SeqNr) -> Option<&Segment> {
-        self.segments
-            .iter()
-            .find(|s| s.contains(sn))
-            .map(Arc::as_ref)
-    }
-
     /// The segment led by `node`, if `node` is a leader this epoch.
     pub fn segment_of_leader(&self, node: NodeId) -> Option<&Segment> {
         self.segments
@@ -158,11 +150,12 @@ mod tests {
         let expected: Vec<SeqNr> = e.seq_nrs().collect();
         assert_eq!(all, expected);
         // Every sequence number maps back to exactly one segment.
+        let owners = |sn| e.segments.iter().filter(|s| s.contains(sn)).count();
         for sn in e.seq_nrs() {
-            assert!(e.segment_of(sn).is_some());
+            assert_eq!(owners(sn), 1);
         }
-        assert!(e.segment_of(99).is_none());
-        assert!(e.segment_of(112).is_none());
+        assert_eq!(owners(99), 0);
+        assert_eq!(owners(112), 0);
     }
 
     #[test]

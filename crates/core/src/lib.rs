@@ -24,10 +24,10 @@
 //! * [`orderer`] — the Orderer side of the Manager/Orderer split
 //!   (Section 4.1): the factory that instantiates an SB implementation per
 //!   segment;
-//! * [`state`] — the Manager's dense, epoch-scoped bookkeeping
-//!   ([`state::EpochState`]: offset-indexed sequence-number tables and a
-//!   generation-stamped instance slab; its `HashMap` oracle lives in
-//!   `tests/state_equivalence.rs`);
+//! * [`state`] — the Manager's epoch-scoped bookkeeping
+//!   ([`state::EpochState`]: one arena per live epoch holding its SB
+//!   instances by segment index and its leaders in segment order; its
+//!   `HashMap` oracle lives in `tests/state_equivalence.rs`);
 //! * [`node`] — the Manager: the full ISS replica tying everything together
 //!   as an event-driven process (also usable in single-leader baseline mode
 //!   and in a Mir-BFT-like mode with an epoch primary). Each of its jobs has
@@ -55,5 +55,5 @@ pub use log::IssLog;
 pub use node::{DeliverySink, IssNode, Mode, NodeOptions, NullSink, StragglerBehavior};
 pub use orderer::OrdererFactory;
 pub use policy::LeaderPolicy;
-pub use state::{EpochState, InstanceSlot};
+pub use state::EpochState;
 pub use validation::{EpochBuckets, RequestValidation};

@@ -58,13 +58,15 @@ impl IssNode {
         }
     }
 
-    /// Hands an SB message to its instance. A message of the next epoch is
-    /// held back until this node enters it: a node enters an epoch once it
-    /// has itself delivered the previous one, so peers normally start it
-    /// first, and SB protocols never re-send a proposal. A sender may have
-    /// at most `3 × epoch length` messages held, what a correct peer sends
-    /// for one epoch at view 0 (a pre-prepare, a prepare and a commit per
-    /// sequence number); past that, and two epochs ahead, it is dropped.
+    /// Hands an SB message to its instance. One addressed to an epoch at or
+    /// below the current one is driven if its instance is still live and
+    /// dropped otherwise. A message of the next epoch is held back until
+    /// this node enters it: a node enters an epoch once it has itself
+    /// delivered the previous one, so peers normally start it first, and SB
+    /// protocols never re-send a proposal. A sender may have at most
+    /// `3 × epoch length` messages held, what a correct peer sends for one
+    /// epoch at view 0 (a pre-prepare, a prepare and a commit per sequence
+    /// number); past that, and two epochs ahead, it is dropped.
     pub(super) fn on_sb_message(
         &mut self,
         from: NodeId,
@@ -72,11 +74,8 @@ impl IssNode {
         msg: SbMsg,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        if let Some(slot) = self.state.slot_of(instance) {
-            self.drive(slot, ctx, |inst, sb| inst.on_message(from, msg, sb));
-            return;
-        }
         if instance.epoch <= self.epoch.epoch {
+            self.drive(instance, ctx, |inst, sb| inst.on_message(from, msg, sb));
             return;
         }
         if instance.epoch == self.epoch.epoch + 1 {
@@ -95,23 +94,26 @@ impl IssNode {
     }
 
     pub(super) fn setup_epoch_instances(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        // Open the epoch's arena, then record segment leadership for the
-        // policy and the bucket restriction for proposal validation. Both
-        // tables are dense and offset-indexed: one leader and one segment
-        // bucket-bitmap entry per sequence number of the epoch.
-        self.state
-            .begin_epoch(self.epoch.epoch, self.epoch.first_seq_nr, self.epoch.length);
+        // Open the epoch's arena with its leaders in segment order (the
+        // leader of a sequence number follows from the stride), and give
+        // proposal validation each segment's buckets.
+        self.state.begin_epoch(
+            self.epoch.epoch,
+            self.epoch.first_seq_nr,
+            self.epoch.length,
+            self.epoch.leaders.clone(),
+        );
         let mut epoch_buckets =
             EpochBuckets::new(self.epoch.first_seq_nr, self.opts.config.num_buckets());
         for segment in &self.epoch.segments {
             epoch_buckets.add_segment(&segment.seq_nrs, &segment.buckets);
-            self.state.record_segment(&segment.seq_nrs, segment.leader);
         }
         self.validation.on_epoch_start(epoch_buckets);
 
-        // Create and initialize one SB instance per segment. Segments are
-        // `Arc`-shared with the instances, so this clone of the segment list
-        // is a refcount bump per segment, not a deep copy.
+        // Create and initialize one SB instance per segment, stored in the
+        // arena by its segment index. Segments are `Arc`-shared with the
+        // instances, so this clone of the segment list is a refcount bump
+        // per segment, not a deep copy.
         self.my_segment_idx = None;
         for (idx, segment) in self.epoch.segments.clone().into_iter().enumerate() {
             if segment.leader == self.my_id {
@@ -119,8 +121,8 @@ impl IssNode {
             }
             let instance_id = segment.instance;
             let instance = (self.factory)(self.my_id, segment);
-            let slot = self.state.insert_instance(instance_id, instance);
-            self.drive(slot, ctx, |inst, sb| inst.init(sb));
+            self.state.insert_instance(instance_id, instance);
+            self.drive(instance_id, ctx, |inst, sb| inst.init(sb));
         }
         self.next_proposal = 0;
         self.state.clear_proposed();
@@ -226,8 +228,9 @@ impl IssNode {
         // just finished (the just-finished epoch's instances are kept one more
         // epoch so slow nodes can still be served, Section 2.3), and the
         // delivered log prefix below the latest stable checkpoint older than
-        // the kept epoch. For the dense state this is a wholesale arena drop:
-        // one generation bump per dead instance, no retain scans.
+        // the kept epoch. A collected epoch's arena forgets its instances and
+        // goes once the cut passes it; a message or timer still addressed to
+        // one of them finds nothing to drive.
         let cut = self
             .checkpoints
             .stable_for(finished.saturating_sub(1))

@@ -28,22 +28,14 @@
 //!
 //! The Manager's per-epoch bookkeeping — which SB instance owns a message,
 //! which leader owned a sequence number, what this node proposed where, and
-//! which instance a timer belongs to — lives in one dense [`EpochState`]
-//! arena: offset-indexed sequence-number tables, a generation-stamped
-//! instance slab addressed by [`crate::state::InstanceSlot`] handles, and
-//! wholesale-drop epoch GC. The original four-`HashMap` implementation
-//! survives only as the lockstep oracle in
-//! `crates/core/tests/state_equivalence.rs`.
-//!
-//! The generation-stamp argument, in short: every handle (instance slot or
-//! timer route) carries the generation of the slab slot it points at, and
-//! retiring a slot bumps the generation. A dangling reference — a timer that
-//! fires after its epoch was garbage-collected, a late message for a dead
-//! instance — therefore fails an O(1) comparison instead of requiring the GC
-//! to eagerly scrub every map that might mention the instance. Epoch GC
-//! becomes one generation bump per instance plus dropping the arena's dense
-//! tables, replacing four `retain` scans whose cost grew with the node count
-//! and the timer population.
+//! which instance a timer belongs to — lives in [`EpochState`], one arena
+//! per live epoch. An SB instance is addressed by its [`InstanceId`]
+//! (epoch, segment index): the epoch finds the arena and the segment index
+//! the instance in it. A sequence number's leader follows from the epoch's
+//! round-robin stride over its leaders. A timer route names the instance it
+//! belongs to, so a timer that fires after its epoch was collected, like a
+//! late message, finds the arena gone or its instances retired and drives
+//! nothing.
 
 mod epochs;
 mod ordering;
@@ -230,7 +222,7 @@ pub struct IssNode {
     /// The current epoch (its number is the node's epoch number).
     epoch: EpochConfig,
     /// Instance storage/dispatch, seq-nr → leader, proposed batches and
-    /// timer routing (the former four `HashMap`s).
+    /// timer routing.
     state: EpochState,
     log: IssLog,
     buckets: BucketQueues,
@@ -426,9 +418,9 @@ impl Process<NetMsg> for IssNode {
                 }
             }
             (NetMsg::Iss(IssMsg::StateResponse { entries, .. }), Some(_)) => {
-                // Only a replica transfers committed state. Integrity is
-                // protected by the stable checkpoint; the proof was verified
-                // against known signers when the checkpoint was formed.
+                // Only a replica transfers committed state. Nothing checks the
+                // entries against a stable checkpoint: a response past the
+                // latest one is taken on the sender's word (ROADMAP E1).
                 self.on_state_response(entries, ctx);
             }
             (NetMsg::Iss(IssMsg::SnapshotRequest { from_seq_nr }), Some(node)) => {
@@ -456,11 +448,9 @@ impl Process<NetMsg> for IssNode {
         match kind {
             KIND_PROPOSE => self.on_propose_tick(ctx),
             KIND_INSTANCE => {
-                // O(1) timer → instance resolution: the route carries the
-                // instance's slot handle; a stale timer (instance GC'd)
-                // fails the generation check inside `resolve_timer`.
-                if let Some((slot, token)) = self.state.resolve_timer(id) {
-                    self.drive(slot, ctx, |inst, sb| inst.on_timer(token, sb));
+                // A timer whose instance was collected resolves to nothing.
+                if let Some((instance, token)) = self.state.resolve_timer(id) {
+                    self.drive(instance, ctx, |inst, sb| inst.on_timer(token, sb));
                 }
             }
             KIND_MIR_EPOCH if self.mir_waiting => {

@@ -3,11 +3,10 @@
 
 use super::{record_cut, telemetry_request_key, IssNode, KIND_INSTANCE, KIND_PROPOSE};
 use crate::log::DeliveredBatch;
-use crate::state::InstanceSlot;
 use iss_messages::{ClientMsg, NetMsg};
 use iss_runtime::process::{Addr, Context};
 use iss_sb::{SbAction, SbContext, SbInstance};
-use iss_types::{Batch, Duration, InstanceId, NodeId, SeqNr};
+use iss_types::{Batch, Duration, InstanceId, SeqNr};
 
 impl IssNode {
     /// The interval between this leader's proposals, derived from the
@@ -23,15 +22,14 @@ impl IssNode {
         }
     }
 
-    /// Runs a closure against the SB instance at `slot` and applies its
-    /// actions. Dispatch is slot-based: the caller resolves an `InstanceId`
-    /// to a slot once (at the message boundary), and every touch from here
-    /// on — take, restore, timer registration — is an O(1) slab access.
-    pub(super) fn drive<F>(&mut self, slot: InstanceSlot, ctx: &mut Context<'_, NetMsg>, f: F)
+    /// Runs a closure against the SB instance `instance_id` and applies its
+    /// actions. Does nothing if the instance is gone: its epoch was
+    /// collected, or it never existed.
+    pub(super) fn drive<F>(&mut self, instance_id: InstanceId, ctx: &mut Context<'_, NetMsg>, f: F)
     where
         F: FnOnce(&mut dyn SbInstance, &mut SbContext<'_>),
     {
-        let Some((instance_id, mut instance)) = self.state.take_instance(slot) else {
+        let Some(mut instance) = self.state.take_instance(instance_id) else {
             return;
         };
         let actions = {
@@ -39,7 +37,7 @@ impl IssNode {
             f(instance.as_mut(), &mut sb_ctx);
             sb_ctx.take_actions()
         };
-        self.state.restore_instance(slot, instance);
+        self.state.restore_instance(instance_id, instance);
         let rejected = self.validation.rejected_proposals();
         if rejected > self.reported_proposal_rejections {
             let delta = rejected - self.reported_proposal_rejections;
@@ -48,12 +46,11 @@ impl IssNode {
                 .borrow_mut()
                 .on_proposal_rejected(self.my_id, delta, ctx.now());
         }
-        self.apply_sb_actions(slot, instance_id, actions, ctx);
+        self.apply_sb_actions(instance_id, actions, ctx);
     }
 
     fn apply_sb_actions(
         &mut self,
-        slot: InstanceSlot,
         instance_id: InstanceId,
         actions: Vec<SbAction>,
         ctx: &mut Context<'_, NetMsg>,
@@ -81,7 +78,7 @@ impl IssNode {
                 }
                 SbAction::SetTimer { token, delay } => {
                     let id = ctx.set_timer(delay, KIND_INSTANCE);
-                    self.state.register_timer(id, slot, token);
+                    self.state.register_timer(id, instance_id, token);
                 }
             }
         }
@@ -92,12 +89,10 @@ impl IssNode {
     /// requests on ⊥, delivers the contiguous prefix and advances the epoch
     /// when complete (Algorithm 1, lines 40-56).
     fn on_sb_deliver(&mut self, sn: SeqNr, batch: Option<Batch>, ctx: &mut Context<'_, NetMsg>) {
-        let leader = self.state.leader_of(sn).unwrap_or(
-            self.epoch
-                .segment_of(sn)
-                .map(|s| s.leader)
-                .unwrap_or(NodeId(0)),
-        );
+        let leader = self
+            .state
+            .leader_of(sn)
+            .expect("a live instance's epoch knows its leaders");
         if !self.log.commit(sn, batch.clone(), leader) {
             return; // already committed (e.g. via state transfer)
         }
@@ -223,9 +218,6 @@ impl IssNode {
         self.last_proposal_at = now;
         self.next_proposal += 1;
         self.state.record_proposed(sn, batch.clone());
-        let Some(slot) = self.state.slot_of(instance_id) else {
-            return;
-        };
-        self.drive(slot, ctx, |inst, sb| inst.propose(sn, batch, sb));
+        self.drive(instance_id, ctx, |inst, sb| inst.propose(sn, batch, sb));
     }
 }

@@ -6,36 +6,32 @@
 //! and lives here, in the test, rather than in the crate.
 //!
 //! Every operation is applied to both implementations and every output is
-//! compared: leader lookups, proposed-batch round-trips, slot liveness,
-//! timer resolutions, live-instance counts. Slot
-//! handles themselves are implementation-specific, so the driver tracks the
-//! pair of handles an insertion returned and always addresses both states
-//! through their own handle.
+//! compared: leader lookups, proposed-batch round-trips, instance liveness,
+//! timer resolutions, live-instance counts. Both sides address an instance
+//! by its `InstanceId`. The oracle records every sequence number's leader
+//! from the segment layout, so `leader_of` also checks the arena's stride
+//! rule.
 //!
 //! The workloads are generated from seeded RNGs (the house property-test
 //! idiom; failures reproduce exactly): 300 randomized lifecycles of up to 12
 //! epochs each.
 
-use iss_core::state::{EpochState, InstanceSlot};
+use iss_core::state::EpochState;
 use iss_sb::testing::NullSb;
 use iss_sb::SbInstance;
 use iss_types::{Batch, ClientId, EpochNr, InstanceId, NodeId, Request, SeqNr, TimerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-/// The pre-arena implementation, kept verbatim as the behavioural oracle:
-/// four `HashMap`s keyed by `InstanceId` / `SeqNr` / `TimerId`, epoch GC by
-/// `retain` scans. Slot handles are opaque unique tokens resolved through a map.
+/// The pre-arena implementation, kept as the behavioural oracle: maps keyed
+/// by `InstanceId` / `SeqNr` / `TimerId`, epoch GC by `retain` scans.
 #[derive(Default)]
 struct ReferenceNodeState {
     instances: HashMap<InstanceId, Box<dyn SbInstance>>,
-    /// Instances currently taken for a callback (so `live_instances` and
-    /// `slot_of` keep counting them, as the slab does).
-    taken: HashMap<InstanceId, ()>,
-    handle_to_id: HashMap<u64, InstanceId>,
-    id_to_handle: HashMap<InstanceId, u64>,
-    next_handle: u64,
+    /// Instances currently taken for a callback (so `live_instances` keeps
+    /// counting them, as the arena does).
+    taken: HashSet<InstanceId>,
     leader_of_sn: HashMap<SeqNr, NodeId>,
     proposed: HashMap<SeqNr, Batch>,
     instance_timers: HashMap<TimerId, (InstanceId, u64)>,
@@ -46,42 +42,29 @@ impl ReferenceNodeState {
         Self::default()
     }
 
-    fn begin_epoch(&mut self, _epoch: EpochNr, _first_seq_nr: SeqNr, _length: u64) {}
-
     fn record_segment(&mut self, seq_nrs: &[SeqNr], leader: NodeId) {
         for sn in seq_nrs {
             self.leader_of_sn.insert(*sn, leader);
         }
     }
 
-    fn insert_instance(&mut self, id: InstanceId, instance: Box<dyn SbInstance>) -> InstanceSlot {
-        let handle = self.next_handle;
-        self.next_handle += 1;
+    fn insert_instance(&mut self, id: InstanceId, instance: Box<dyn SbInstance>) {
         self.instances.insert(id, instance);
-        self.handle_to_id.insert(handle, id);
-        self.id_to_handle.insert(id, handle);
-        InstanceSlot(handle)
     }
 
-    fn slot_of(&self, id: InstanceId) -> Option<InstanceSlot> {
-        if self.instances.contains_key(&id) || self.taken.contains_key(&id) {
-            self.id_to_handle.get(&id).map(|h| InstanceSlot(*h))
-        } else {
-            None
-        }
+    fn is_live(&self, id: InstanceId) -> bool {
+        self.instances.contains_key(&id) || self.taken.contains(&id)
     }
 
-    fn take_instance(&mut self, slot: InstanceSlot) -> Option<(InstanceId, Box<dyn SbInstance>)> {
-        let id = *self.handle_to_id.get(&slot.0)?;
+    fn take_instance(&mut self, id: InstanceId) -> Option<Box<dyn SbInstance>> {
         let instance = self.instances.remove(&id)?;
-        self.taken.insert(id, ());
-        Some((id, instance))
+        self.taken.insert(id);
+        Some(instance)
     }
 
-    fn restore_instance(&mut self, slot: InstanceSlot, instance: Box<dyn SbInstance>) {
-        if let Some(id) = self.handle_to_id.get(&slot.0) {
-            self.taken.remove(id);
-            self.instances.insert(*id, instance);
+    fn restore_instance(&mut self, id: InstanceId, instance: Box<dyn SbInstance>) {
+        if self.taken.remove(&id) {
+            self.instances.insert(id, instance);
         }
     }
 
@@ -101,31 +84,22 @@ impl ReferenceNodeState {
         self.proposed.clear();
     }
 
-    fn register_timer(&mut self, timer: TimerId, slot: InstanceSlot, token: u64) {
-        if let Some(id) = self.handle_to_id.get(&slot.0) {
-            self.instance_timers.insert(timer, (*id, token));
+    fn register_timer(&mut self, timer: TimerId, id: InstanceId, token: u64) {
+        if self.is_live(id) {
+            self.instance_timers.insert(timer, (id, token));
         }
     }
 
-    fn resolve_timer(&mut self, timer: TimerId) -> Option<(InstanceSlot, u64)> {
+    fn resolve_timer(&mut self, timer: TimerId) -> Option<(InstanceId, u64)> {
         let (id, token) = self.instance_timers.remove(&timer)?;
-        let handle = self.id_to_handle.get(&id)?;
-        if self.instances.contains_key(&id) || self.taken.contains_key(&id) {
-            Some((InstanceSlot(*handle), token))
-        } else {
-            None
-        }
+        self.is_live(id).then_some((id, token))
     }
 
     fn gc(&mut self, keep_epochs_from: EpochNr, leader_cut: Option<SeqNr>) {
         self.instances.retain(|id, _| id.epoch >= keep_epochs_from);
-        self.taken.retain(|id, _| id.epoch >= keep_epochs_from);
+        self.taken.retain(|id| id.epoch >= keep_epochs_from);
         self.instance_timers
             .retain(|_, (id, _)| id.epoch >= keep_epochs_from);
-        self.handle_to_id
-            .retain(|_, id| id.epoch >= keep_epochs_from);
-        self.id_to_handle
-            .retain(|id, _| id.epoch >= keep_epochs_from);
         if let Some(cut) = leader_cut {
             self.leader_of_sn.retain(|sn, _| *sn >= cut);
         }
@@ -159,16 +133,13 @@ struct LiveEpoch {
     epoch: EpochNr,
     first_seq_nr: SeqNr,
     length: u64,
-    /// Per segment: the two handles (dense, reference) and the instance id.
-    segments: Vec<(InstanceId, InstanceSlot, InstanceSlot)>,
+    segments: u32,
 }
 
 /// Timers the driver has armed and not yet seen fire.
 struct LiveTimer {
     id: TimerId,
-    /// Which segment pair the timer belongs to.
-    dense_slot: InstanceSlot,
-    reference_slot: InstanceSlot,
+    instance: InstanceId,
     token: u64,
 }
 
@@ -198,47 +169,48 @@ impl Driver {
     }
 
     /// Opens a new epoch with `segments` round-robin segments on both
-    /// implementations.
+    /// implementations. Its length need not be a multiple of the number of
+    /// segments.
     fn begin_epoch(&mut self, rng: &mut StdRng) {
         let segments = rng.gen_range(1u32..6);
         let per_segment = rng.gen_range(1u64..5);
-        let length = segments as u64 * per_segment;
+        let length = segments as u64 * per_segment + rng.gen_range(0..segments as u64);
         let epoch = self.next_epoch;
         let first = self.next_seq_nr;
         self.next_epoch += 1;
         self.next_seq_nr += length;
-        self.dense.begin_epoch(epoch, first, length);
-        self.reference.begin_epoch(epoch, first, length);
-        let mut live = LiveEpoch {
-            epoch,
-            first_seq_nr: first,
-            length,
-            segments: Vec::new(),
-        };
-        for s in 0..segments {
+        let leaders: Vec<NodeId> = (0..segments)
+            .map(|_| NodeId(rng.gen_range(0u32..8)))
+            .collect();
+        self.dense
+            .begin_epoch(epoch, first, length, leaders.clone());
+        for (s, leader) in (0..segments).zip(leaders) {
             let seq_nrs: Vec<SeqNr> = (0..length)
                 .filter(|o| o % segments as u64 == s as u64)
                 .map(|o| first + o)
                 .collect();
-            let leader = NodeId(rng.gen_range(0u32..8));
-            self.dense.record_segment(&seq_nrs, leader);
             self.reference.record_segment(&seq_nrs, leader);
             let id = InstanceId::new(epoch, s);
-            let d = self.dense.insert_instance(id, null());
-            let r = self.reference.insert_instance(id, null());
-            live.segments.push((id, d, r));
+            self.dense.insert_instance(id, null());
+            self.reference.insert_instance(id, null());
         }
-        self.epochs.push(live);
+        self.epochs.push(LiveEpoch {
+            epoch,
+            first_seq_nr: first,
+            length,
+            segments,
+        });
     }
 
-    /// Picks a random known instance pair — possibly one whose epoch has
-    /// been GC'd, so dead-handle behaviour is exercised too.
-    fn pick_pair(&self, rng: &mut StdRng) -> Option<(InstanceId, InstanceSlot, InstanceSlot)> {
+    /// Picks a random instance of a known epoch — possibly one whose epoch
+    /// has been GC'd, or a segment index past the epoch's last, so
+    /// dead-instance behaviour is exercised too.
+    fn pick_instance(&self, rng: &mut StdRng) -> Option<InstanceId> {
         if self.epochs.is_empty() {
             return None;
         }
         let e = &self.epochs[rng.gen_range(0..self.epochs.len())];
-        Some(e.segments[rng.gen_range(0..e.segments.len())])
+        Some(InstanceId::new(e.epoch, rng.gen_range(0..=e.segments)))
     }
 
     /// A random sequence number drawn from the full history (including GC'd
@@ -247,17 +219,23 @@ impl Driver {
         rng.gen_range(0..self.next_seq_nr.max(1) + 4)
     }
 
-    fn check_lookups(&self, sn: SeqNr, id: InstanceId) {
+    /// Takes `id` out of both states and puts it back, checking that they
+    /// agree on whether it is live and that a taken instance cannot be taken
+    /// twice.
+    fn dispatch(&mut self, id: InstanceId) {
+        let dense = self.dense.take_instance(id);
+        let reference = self.reference.take_instance(id);
         assert_eq!(
-            self.dense.leader_of(sn),
-            self.reference.leader_of(sn),
-            "leader_of({sn}) diverged"
+            dense.is_some(),
+            reference.is_some(),
+            "take_instance liveness diverged for {id:?}"
         );
-        assert_eq!(
-            self.dense.slot_of(id).is_some(),
-            self.reference.slot_of(id).is_some(),
-            "slot_of({id:?}) liveness diverged"
-        );
+        if let (Some(dense), Some(reference)) = (dense, reference) {
+            assert!(self.dense.take_instance(id).is_none());
+            assert!(self.reference.take_instance(id).is_none());
+            self.dense.restore_instance(id, dense);
+            self.reference.restore_instance(id, reference);
+        }
     }
 
     fn step(&mut self, rng: &mut StdRng) {
@@ -284,27 +262,10 @@ impl Driver {
                 self.dense.clear_proposed();
                 self.reference.clear_proposed();
             }
-            // Dispatch: take + restore through both handles.
+            // Dispatch: take + restore on both.
             10..=39 => {
-                let Some((id, d, r)) = self.pick_pair(rng) else {
-                    return;
-                };
-                let dense_taken = self.dense.take_instance(d);
-                let reference_taken = self.reference.take_instance(r);
-                assert_eq!(
-                    dense_taken.is_some(),
-                    reference_taken.is_some(),
-                    "take_instance liveness diverged for {id:?}"
-                );
-                if let (Some((di, dbox)), Some((ri, rbox))) = (dense_taken, reference_taken) {
-                    assert_eq!(di, id);
-                    assert_eq!(ri, id);
-                    // While taken, both must refuse a second take but still
-                    // count the instance as live.
-                    assert!(self.dense.take_instance(d).is_none());
-                    assert!(self.reference.take_instance(r).is_none());
-                    self.dense.restore_instance(d, dbox);
-                    self.reference.restore_instance(r, rbox);
+                if let Some(id) = self.pick_instance(rng) {
+                    self.dispatch(id);
                 }
             }
             // Propose bookkeeping. The node only records proposals for its
@@ -334,20 +295,19 @@ impl Driver {
                     ),
                 }
             }
-            // Timers: arm on a (possibly dead) instance pair.
+            // Timers: arm on a (possibly dead) instance.
             70..=79 => {
-                let Some((_, d, r)) = self.pick_pair(rng) else {
+                let Some(instance) = self.pick_instance(rng) else {
                     return;
                 };
                 let token = rng.gen_range(0u64..4);
                 let id = TimerId(self.next_timer);
                 self.next_timer += 1;
-                self.dense.register_timer(id, d, token);
-                self.reference.register_timer(id, r, token);
+                self.dense.register_timer(id, instance, token);
+                self.reference.register_timer(id, instance, token);
                 self.timers.push(LiveTimer {
                     id,
-                    dense_slot: d,
-                    reference_slot: r,
+                    instance,
                     token,
                 });
             }
@@ -359,17 +319,9 @@ impl Driver {
                 let t = self.timers.swap_remove(rng.gen_range(0..self.timers.len()));
                 let dense = self.dense.resolve_timer(t.id);
                 let reference = self.reference.resolve_timer(t.id);
-                assert_eq!(
-                    dense.is_some(),
-                    reference.is_some(),
-                    "resolve_timer({:?}) liveness diverged",
-                    t.id
-                );
-                if let (Some((ds, dt)), Some((rs, rt))) = (dense, reference) {
-                    assert_eq!(ds, t.dense_slot);
-                    assert_eq!(rs, t.reference_slot);
-                    assert_eq!(dt, rt);
-                    assert_eq!(dt, t.token);
+                assert_eq!(dense, reference, "resolve_timer({:?}) diverged", t.id);
+                if let Some(resolved) = dense {
+                    assert_eq!(resolved, (t.instance, t.token));
                 }
                 // A second resolution must fail on both.
                 assert!(self.dense.resolve_timer(t.id).is_none());
@@ -378,9 +330,11 @@ impl Driver {
             // Queries.
             _ => {
                 let sn = self.pick_sn(rng);
-                if let Some((id, _, _)) = self.pick_pair(rng) {
-                    self.check_lookups(sn, id);
-                }
+                assert_eq!(
+                    self.dense.leader_of(sn),
+                    self.reference.leader_of(sn),
+                    "leader_of({sn}) diverged"
+                );
                 assert_eq!(
                     self.dense.live_instances(),
                     self.reference.live_instances(),
@@ -406,84 +360,72 @@ fn dense_state_matches_reference_oracle_under_random_lifecycles() {
         for sn in 0..driver.next_seq_nr + 4 {
             assert_eq!(driver.dense.leader_of(sn), driver.reference.leader_of(sn));
         }
-        let pairs: Vec<(InstanceId, InstanceSlot, InstanceSlot)> = driver
+        let ids: Vec<InstanceId> = driver
             .epochs
             .iter()
-            .flat_map(|e| e.segments.iter().copied())
+            .flat_map(|e| (0..=e.segments).map(move |s| InstanceId::new(e.epoch, s)))
             .collect();
-        for (id, _, _) in pairs {
-            assert_eq!(
-                driver.dense.slot_of(id).is_some(),
-                driver.reference.slot_of(id).is_some(),
-                "final slot_of({id:?}) diverged"
-            );
+        for id in ids {
+            driver.dispatch(id);
         }
         // Fire every still-armed timer; resolutions must agree.
         let timers = std::mem::take(&mut driver.timers);
         for t in timers {
             let dense = driver.dense.resolve_timer(t.id);
             let reference = driver.reference.resolve_timer(t.id);
-            assert_eq!(dense.is_some(), reference.is_some());
-            if let (Some((_, dt)), Some((_, rt))) = (dense, reference) {
-                assert_eq!(dt, rt);
-            }
+            assert_eq!(dense, reference);
         }
     }
 }
 
-/// The slab must never grow beyond the two-epoch instance watermark no
-/// matter how many epochs a lifecycle churns through (the memory half of the
-/// wholesale-GC claim).
+/// Live arenas and instances never exceed what the node keeps at once (the
+/// previous, current and next epoch's arenas; the current and previous
+/// epoch's instances), no matter how many epochs a lifecycle churns through
+/// (the memory half of the wholesale-GC claim).
 #[test]
-fn slab_capacity_is_bounded_by_concurrent_epochs() {
+fn live_arenas_are_bounded_by_concurrent_epochs() {
     let mut state = EpochState::new();
     let mut first = 0u64;
-    let mut peak = 0usize;
+    let mut peak_instances = 0usize;
+    let mut peak_arenas = 0usize;
     for epoch in 0..200u64 {
-        state.begin_epoch(epoch, first, 8);
+        state.begin_epoch(epoch, first, 8, (0..4).map(NodeId).collect());
         for s in 0..4u32 {
-            let seq_nrs: Vec<SeqNr> = (0..8)
-                .filter(|o| o % 4 == s as u64)
-                .map(|o| first + o)
-                .collect();
-            state.record_segment(&seq_nrs, NodeId(s));
             state.insert_instance(InstanceId::new(epoch, s), null());
         }
         first += 8;
-        peak = peak.max(state.live_instances());
+        peak_instances = peak_instances.max(state.live_instances());
+        peak_arenas = peak_arenas.max(state.arena_count());
         if epoch > 0 {
             state.gc(epoch, Some(first.saturating_sub(16)));
         }
     }
-    assert_eq!(peak, 8, "at most two epochs of instances live at once");
-    assert!(
-        state.slab_capacity() <= 8,
-        "slab capacity {} exceeds the concurrent-instance watermark",
-        state.slab_capacity()
+    assert_eq!(
+        peak_instances, 8,
+        "at most two epochs of instances live at once"
     );
     assert!(
-        state.arena_count() <= 3,
-        "dead arenas must be dropped wholesale"
+        peak_arenas <= 3,
+        "{peak_arenas} arenas live: dead arenas must be dropped wholesale"
     );
 }
 
 #[test]
 fn reference_matches_on_the_basics() {
     let mut state = ReferenceNodeState::new();
-    state.begin_epoch(0, 0, 4);
     state.record_segment(&[0, 2], NodeId(0));
     state.record_segment(&[1, 3], NodeId(1));
-    let slot = state.insert_instance(InstanceId::new(0, 0), null());
-    assert_eq!(state.slot_of(InstanceId::new(0, 0)), Some(slot));
+    let id = InstanceId::new(0, 0);
+    state.insert_instance(id, null());
+    assert!(state.is_live(id));
     assert_eq!(state.leader_of(2), Some(NodeId(0)));
-    let (id, inst) = state.take_instance(slot).unwrap();
-    assert_eq!(id, InstanceId::new(0, 0));
+    let inst = state.take_instance(id).unwrap();
     assert_eq!(state.live_instances(), 1, "taken instances still count");
-    state.restore_instance(slot, inst);
-    state.register_timer(TimerId(1), slot, 5);
-    assert_eq!(state.resolve_timer(TimerId(1)), Some((slot, 5)));
+    state.restore_instance(id, inst);
+    state.register_timer(TimerId(1), id, 5);
+    assert_eq!(state.resolve_timer(TimerId(1)), Some((id, 5)));
     state.gc(1, Some(4));
-    assert!(state.slot_of(InstanceId::new(0, 0)).is_none());
+    assert!(!state.is_live(id));
     assert_eq!(state.leader_of(2), None);
     assert_eq!(state.live_instances(), 0);
 }

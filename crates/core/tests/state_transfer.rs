@@ -1,7 +1,9 @@
 //! State transfer: a transferred commit settles a request this node holds in
 //! its bucket queues (it drops the queued copy, delivers the request and
 //! makes a re-submission a replay), and a node that has fallen behind
-//! catches up with one request at a time.
+//! catches up with one request at a time. Its counterpart on the live
+//! path: ⊥ committed where this node proposed sends the proposal's
+//! requests back to its queues.
 
 use iss_core::{DeliverySink, EpochConfig, IssNode, NodeOptions, NullSink, OrdererFactory};
 use iss_crypto::SignatureRegistry;
@@ -387,4 +389,75 @@ fn a_request_past_a_stable_checkpoint_is_answered_with_chunks_then_a_state_respo
         })
         .count();
     assert_eq!(requests, 1, "no second request");
+}
+
+/// The firing of the proposal tick armed among `actions`: with 4 leaders at
+/// PBFT's 32 batches/s it is the timer of 125 ms.
+fn proposal_tick(actions: &[Action<NetMsg>]) -> Event<NetMsg> {
+    actions
+        .iter()
+        .find_map(|a| match a {
+            Action::SetTimer { id, delay, kind } if *delay == Duration::from_millis(125) => {
+                Some(Event::Timer {
+                    id: *id,
+                    kind: *kind,
+                })
+            }
+            _ => None,
+        })
+        .expect("a proposal tick is armed")
+}
+
+/// The batch this node proposes at `seq_nr` among `actions`, if any.
+fn proposed_at(actions: &[Action<NetMsg>], seq_nr: SeqNr) -> Option<Batch> {
+    actions.iter().find_map(|a| match a {
+        Action::Send {
+            msg:
+                NetMsg::Sb {
+                    msg: SbMsg::Reference(RefSbMsg::BrbSend { seq_nr: sn, batch }),
+                    ..
+                },
+            ..
+        } if *sn == seq_nr => Some(batch.clone()),
+        _ => None,
+    })
+}
+
+#[test]
+fn nil_at_an_own_proposal_requeues_its_requests_for_the_next_one() {
+    let mut config = IssConfig::pbft(N);
+    config.client_signatures = false;
+    let layout = EpochConfig::build(&config, 0, 0, config.all_nodes());
+    let own = &layout.segments[0];
+    assert_eq!(own.leader, NodeId(0));
+    // A request in one of node 0's buckets, so node 0 proposes it.
+    let req = (0..)
+        .map(|t| Request::synthetic(ClientId(1), t, 16))
+        .find(|r| own.buckets.contains(&r.bucket(config.num_buckets())))
+        .expect("node 0 owns a bucket");
+    let sink = Rc::new(RefCell::new(Sink::default()));
+    let (mut driver, node) = mount(0, &config, None, sink.clone());
+    let started = driver.handle(Time::ZERO, Event::Start);
+    driver.handle(Time::from_millis(1), submit(&req));
+
+    // Node 0 proposes the request at its first sequence number...
+    let (first, second) = (own.seq_nrs[0], own.seq_nrs[1]);
+    let ticked = driver.handle(Time::from_millis(200), proposal_tick(&started));
+    let batch = proposed_at(&ticked, first).expect("node 0 proposes");
+    assert_eq!(batch.requests()[0].id, req.id);
+    assert_eq!(node.borrow().pending_requests(), 0, "cut into the batch");
+
+    // ...but nodes 1-3 commit ⊥ there: the request goes back to the queues.
+    for vote in live_nil_commit(&config, first) {
+        driver.handle(Time::from_millis(300), vote);
+    }
+    assert!(node.borrow().log().is_committed(first));
+    assert_eq!(node.borrow().pending_requests(), 1, "requeued");
+    assert!(sink.borrow().delivered.is_empty());
+
+    // The next proposal carries it.
+    let next = driver.handle(Time::from_millis(400), proposal_tick(&ticked));
+    let batch = proposed_at(&next, second).expect("node 0 proposes again");
+    assert_eq!(batch.requests()[0].id, req.id);
+    assert_eq!(node.borrow().pending_requests(), 0);
 }
