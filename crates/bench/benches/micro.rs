@@ -4,8 +4,9 @@
 //! simulator's metrics sink, the CPU-model scheduler, Merkle trees, bucket
 //! mapping, batch cutting, the binary codec, a full PBFT three-phase round
 //! for one batch, the file WAL's checkpoint prune, the simnet timing-wheel
-//! event queue (with small and message-sized payloads, and in broadcast
-//! bursts at the cursor) and a fig8-scale simulation wall-clock smoke.
+//! event queue (start and delivery events, and in broadcast bursts at the
+//! cursor), one vote broadcast through the simulator and a fig8-scale
+//! simulation wall-clock smoke.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use iss_core::buckets::BucketQueues;
@@ -15,13 +16,15 @@ use iss_crypto::{
     SignatureRegistry, ThresholdScheme,
 };
 use iss_messages::codec;
+use iss_messages::{NetMsg, PbftMsg, SbMsg};
 use iss_pbft::PbftInstance;
-use iss_runtime::Addr;
+use iss_runtime::{Addr, Context, Process};
 use iss_sb::testing::LocalNet;
 use iss_sb::{ProposalValidator, SbInstance};
 use iss_sim::{CrashTiming, Protocol, Scenario};
 use iss_simnet::cpu::CpuState;
 use iss_simnet::event::{EventKind, EventQueue};
+use iss_simnet::{BandwidthConfig, CpuModel, FaultConfig, Runtime, RuntimeConfig, Topology};
 use iss_types::{
     Batch, BucketId, ClientId, Duration, InstanceId, NodeId, Request, RequestId, Segment, Time,
 };
@@ -471,7 +474,7 @@ fn bench_simnet_event_throughput(c: &mut Criterion) {
     };
 
     group.bench_function("wheel", |b| {
-        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut q = EventQueue::new();
         let mut state = iss_bench::engine::WORKLOAD_SEED;
         for i in 0..DEPTH {
             q.push(Time::from_micros(next_delay_us(&mut state)), start_event(i));
@@ -486,11 +489,10 @@ fn bench_simnet_event_throughput(c: &mut Criterion) {
         })
     });
 
-    // The same cycle with a payload as large as the simulator's own message
-    // type: the `u32` of the row above cannot tell moving a 24-byte key from
-    // moving a whole event.
+    // The same cycle with the simulator's delivery events, which carry a
+    // message slot, not the message.
     group.bench_function("wheel_netmsg", |b| {
-        let mut q: EventQueue<NetMsgSized> = EventQueue::new();
+        let mut q = EventQueue::new();
         let mut state = iss_bench::engine::WORKLOAD_SEED;
         for i in 0..DEPTH {
             q.push(Time::from_micros(next_delay_us(&mut state)), deliver(i));
@@ -511,7 +513,7 @@ fn bench_simnet_event_throughput(c: &mut Criterion) {
     const BURST: usize = 128;
     group.throughput(Throughput::Elements(BURST as u64));
     group.bench_function("cursor_burst", |b| {
-        let mut q: EventQueue<NetMsgSized> = EventQueue::new();
+        let mut q = EventQueue::new();
         let mut state = iss_bench::engine::WORKLOAD_SEED;
         for i in 0..DEPTH {
             q.push(Time::from_micros(next_delay_us(&mut state)), deliver(i));
@@ -538,17 +540,75 @@ fn bench_simnet_event_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// A payload as large as [`iss_messages::NetMsg`], the simulator's message.
-type NetMsgSized = [u8; std::mem::size_of::<iss_messages::NetMsg>()];
-
-/// A delivery of a [`NetMsgSized`] payload between two nodes.
-fn deliver(i: usize) -> EventKind<NetMsgSized> {
+/// A delivery between two nodes of the message in slot `i`.
+fn deliver(i: usize) -> EventKind {
     EventKind::Deliver {
         from: Addr::Node(NodeId(i as u32 % 128)),
         to: Addr::Node(NodeId((i as u32 + 1) % 128)),
-        msg: [i as u8; std::mem::size_of::<iss_messages::NetMsg>()],
+        msg: i as u32,
         size: 0,
     }
+}
+
+/// Every tick node 0 broadcasts a PBFT commit vote to all nodes; the
+/// others take it and do nothing.
+struct Voter {
+    nodes: Vec<NodeId>,
+}
+
+/// The interval between node 0's votes, in milliseconds.
+const VOTE_TICK_MS: u64 = 1;
+
+impl Process<NetMsg> for Voter {
+    fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
+        if ctx.self_addr() == Addr::Node(NodeId(0)) {
+            ctx.set_timer(Duration::from_millis(VOTE_TICK_MS), 0);
+        }
+    }
+
+    fn on_message(&mut self, _from: Addr, _msg: NetMsg, _ctx: &mut Context<'_, NetMsg>) {}
+
+    fn on_timer(&mut self, _id: iss_types::TimerId, _kind: u64, ctx: &mut Context<'_, NetMsg>) {
+        let vote = PbftMsg::Commit {
+            view: 0,
+            seq_nr: 0,
+            digest: [7; 32],
+        };
+        let instance = InstanceId::new(0, 0);
+        let msg = SbMsg::Pbft(vote);
+        ctx.broadcast(&self.nodes, NetMsg::Sb { instance, msg });
+        ctx.set_timer(Duration::from_millis(VOTE_TICK_MS), 0);
+    }
+}
+
+/// One vote broadcast through the simulator at 31 peers: each element is
+/// one peer's share of the send, its delivery and its CPU-deferred
+/// invocation (a LAN, gigabit NICs and the testbed CPU model, so every
+/// vote arrives and is handled within the tick it was sent in).
+fn bench_simnet_broadcast(c: &mut Criterion) {
+    const PEERS: u32 = 31;
+    let mut group = c.benchmark_group("simnet");
+    group.throughput(Throughput::Elements(PEERS as u64));
+    group.bench_function("broadcast_31", |b| {
+        let mut rt: Runtime<NetMsg> = Runtime::new(RuntimeConfig {
+            topology: Topology::lan(Duration::from_micros(100)),
+            bandwidth: BandwidthConfig::gigabit(),
+            cpu: CpuModel::testbed(),
+            faults: FaultConfig::none(),
+            seed: 1,
+        });
+        let nodes: Vec<NodeId> = (0..=PEERS).map(NodeId).collect();
+        for &n in &nodes {
+            let nodes = nodes.clone();
+            rt.add_process(Addr::Node(n), Box::new(Voter { nodes }));
+        }
+        rt.run_until(Time::ZERO);
+        b.iter(|| {
+            let until = rt.now() + Duration::from_millis(VOTE_TICK_MS);
+            rt.run_until(until)
+        })
+    });
+    group.finish();
 }
 
 /// A scaled-down Figure 8 deployment (crash fault at epoch start, Blacklist
@@ -631,6 +691,7 @@ criterion_group!(
     bench_pbft_round,
     bench_file_prune,
     bench_simnet_event_throughput,
+    bench_simnet_broadcast,
     bench_telemetry,
     bench_fig8_smoke_wallclock,
 );

@@ -120,9 +120,10 @@ fn transfer(range: Range<SeqNr>) -> Event<NetMsg> {
 
 /// Whether `actions` carry an SB message of `epoch`.
 fn sends_in_epoch(actions: &[Action<NetMsg>], epoch: EpochNr) -> bool {
-    actions.iter().any(|a| {
-        matches!(a, Action::Send { msg: NetMsg::Sb { instance, .. }, .. } if instance.epoch == epoch)
-    })
+    actions
+        .iter()
+        .flat_map(Action::sends)
+        .any(|(_, msg)| matches!(msg, NetMsg::Sb { instance, .. } if instance.epoch == epoch))
 }
 
 #[test]
@@ -140,15 +141,12 @@ fn next_epoch_proposal_is_replayed_on_entering_the_epoch() {
     let entered = driver.handle(Time::from_millis(2), transfer(0..epoch_len()));
     assert_eq!(node.borrow().current_epoch(), 1);
     assert_eq!(node.borrow().held_next_epoch_messages(), 0);
-    let echoed = entered.iter().any(|a| {
+    let echoed = entered.iter().flat_map(Action::sends).any(|(_, msg)| {
         matches!(
-            a,
-            Action::Send {
-                msg: NetMsg::Sb {
-                    instance: i,
-                    msg: SbMsg::Reference(RefSbMsg::BrbEcho { seq_nr: s, .. }),
-                },
-                ..
+            msg,
+            NetMsg::Sb {
+                instance: i,
+                msg: SbMsg::Reference(RefSbMsg::BrbEcho { seq_nr: s, .. }),
             } if *i == instance && *s == seq_nr
         )
     });
@@ -206,13 +204,9 @@ impl Cluster {
         let actions = self.nodes[at as usize]
             .0
             .handle(Time::from_millis(1), event);
-        for action in &actions {
-            if let Action::Send {
-                to: Addr::Node(to),
-                msg,
-            } = action
-            {
-                self.in_flight.push_back((NodeId(at), *to, msg.clone()));
+        for (to, msg) in actions.iter().flat_map(Action::sends) {
+            if let Addr::Node(to) = to {
+                self.in_flight.push_back((NodeId(at), to, msg.clone()));
             }
         }
         if at == 0 {

@@ -184,11 +184,9 @@ fn restarted(config: &IssConfig, committed: &[SeqNr]) -> (SansIo<NetMsg>, Rc<Ref
 fn catch_up_requests(actions: &[Action<NetMsg>]) -> Vec<Addr> {
     actions
         .iter()
-        .filter_map(|a| match a {
-            Action::Send {
-                to,
-                msg: NetMsg::Iss(msg),
-            } if !matches!(msg, IssMsg::Checkpoint { .. }) => Some(*to),
+        .flat_map(Action::sends)
+        .filter_map(|(to, msg)| match msg {
+            NetMsg::Iss(msg) if !matches!(msg, IssMsg::Checkpoint { .. }) => Some(to),
             _ => None,
         })
         .collect()
@@ -310,14 +308,10 @@ impl Cluster {
         let actions = self.nodes[at as usize]
             .0
             .handle(Time::from_millis(1), event);
-        for action in actions {
-            if let Action::Send {
-                to: Addr::Node(to),
-                msg,
-            } = action
-            {
+        for (to, msg) in actions.iter().flat_map(Action::sends) {
+            if let Addr::Node(to) = to {
                 self.sent.push((NodeId(at), to, msg.clone()));
-                self.in_flight.push_back((NodeId(at), to, msg));
+                self.in_flight.push_back((NodeId(at), to, msg.clone()));
             }
         }
     }
@@ -410,17 +404,16 @@ fn proposal_tick(actions: &[Action<NetMsg>]) -> Event<NetMsg> {
 
 /// The batch this node proposes at `seq_nr` among `actions`, if any.
 fn proposed_at(actions: &[Action<NetMsg>], seq_nr: SeqNr) -> Option<Batch> {
-    actions.iter().find_map(|a| match a {
-        Action::Send {
-            msg:
-                NetMsg::Sb {
-                    msg: SbMsg::Reference(RefSbMsg::BrbSend { seq_nr: sn, batch }),
-                    ..
-                },
-            ..
-        } if *sn == seq_nr => Some(batch.clone()),
-        _ => None,
-    })
+    actions
+        .iter()
+        .flat_map(Action::sends)
+        .find_map(|(_, msg)| match msg {
+            NetMsg::Sb {
+                msg: SbMsg::Reference(RefSbMsg::BrbSend { seq_nr: sn, batch }),
+                ..
+            } if *sn == seq_nr => Some(batch.clone()),
+            _ => None,
+        })
 }
 
 #[test]

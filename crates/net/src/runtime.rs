@@ -54,8 +54,10 @@
 //!   arrived, and under client load a replica wakes about once per period
 //!   instead of once per client write ([`NetStats::wakeups`] counts the
 //!   wake-ups).
-//! * **Sending.** Every `Action::Send` is encoded straight into a buffer of
-//!   whole frames kept per destination. The thread works in *bursts* —
+//! * **Sending.** A message is encoded once into a frame, and the frame's
+//!   bytes are appended to a buffer of whole frames kept per destination:
+//!   an `Action::Send`'s to its one destination, an `Action::Broadcast`'s
+//!   to every peer it names. The thread works in *bursts* —
 //!   everything one wake-up brings — and a destination's buffer is written,
 //!   all of it with one nonblocking `write`, when it passes [`FLUSH_BYTES`],
 //!   when the burst has handled [`MAX_BURST`] messages, and always before
@@ -63,8 +65,9 @@
 //!   idle runtime adds no delay to a lone message. What the socket does not
 //!   take stays buffered until `ppoll` reports the connection writable.
 //!
-//! A destination buffers at most `WRITER_QUEUE` frames, in FIFO order, and
-//! its frames go with its connection: when the connection dies, or a dial
+//! A destination buffers at most `WRITER_QUEUE` frames, in FIFO order (a
+//! full one drops its own copy of a broadcast, and the other destinations
+//! still take theirs), and its frames go with its connection: when the connection dies, or a dial
 //! attempt fails, they are dropped and counted, as the simulator drops a
 //! message to a crashed node. Frames sent while a peer's dial waits out its
 //! backoff wait for the next attempt.
@@ -413,13 +416,10 @@ impl Queue {
         self.pending().len() - self.sent
     }
 
-    /// Encodes `msg` behind whatever is already buffered. Every message
-    /// encodes; which protocols a cluster may boot over TCP is decided before
-    /// it starts (`Scenario::simulator_only`).
-    fn push(&mut self, msg: &NetMsg) {
-        let at = self.buf.len();
-        frame::encode_frame(msg, &mut self.buf);
-        self.lens.push_back(self.buf.len() - at);
+    /// Appends one encoded frame behind whatever is already buffered.
+    fn push(&mut self, frame: &[u8]) {
+        self.buf.extend_from_slice(frame);
+        self.lens.push_back(frame.len());
     }
 
     /// Writes the unsent bytes until the socket takes no more without
@@ -532,6 +532,9 @@ struct Net {
     next_token: Token,
     dests: HashMap<Addr, Dest>,
     stats: Arc<NetStats>,
+    /// The frame of the message being sent, encoded once for all its
+    /// destinations.
+    frame: BytesMut,
 }
 
 impl Net {
@@ -560,6 +563,7 @@ impl Net {
             next_token: 0,
             dests,
             stats,
+            frame: BytesMut::new(),
         }
     }
 
@@ -577,25 +581,37 @@ impl Net {
         token
     }
 
-    /// Encodes `msg` behind whatever is already buffered for `to`.
-    fn send(&mut self, to: Addr, msg: &NetMsg) {
-        // A node this runtime does not dial, or a client that has not
-        // connected or is gone: the frame has nowhere to go.
-        let Some(dest) = self.dests.get_mut(&to) else {
-            return;
-        };
-        if dest.queue.frames() >= WRITER_QUEUE {
-            let counter = match &dest.link {
-                Some(link) => &link.stats.dropped,
-                None => &self.stats.client_dropped,
+    /// Appends `msg`'s frame behind whatever is already buffered for each
+    /// destination of `to`, encoding it once, for the first destination
+    /// that takes it. Every message encodes; which protocols a cluster may
+    /// boot over TCP is decided before it starts
+    /// (`Scenario::simulator_only`).
+    fn send(&mut self, to: impl IntoIterator<Item = Addr>, msg: &NetMsg) {
+        let mut encoded = false;
+        for to in to {
+            // A node this runtime does not dial, or a client that has not
+            // connected or is gone: the frame has nowhere to go.
+            let Some(dest) = self.dests.get_mut(&to) else {
+                continue;
             };
-            note_dropped(counter, to, 1, "buffer full");
-            return;
-        }
-        dest.queue.push(msg);
-        if dest.queue.unsent() >= FLUSH_BYTES {
-            if let Err(token) = dest.write(&mut self.conns) {
-                self.close(token);
+            if dest.queue.frames() >= WRITER_QUEUE {
+                let counter = match &dest.link {
+                    Some(link) => &link.stats.dropped,
+                    None => &self.stats.client_dropped,
+                };
+                note_dropped(counter, to, 1, "buffer full");
+                continue;
+            }
+            if !encoded {
+                self.frame.clear();
+                frame::encode_frame(msg, &mut self.frame);
+                encoded = true;
+            }
+            dest.queue.push(&self.frame);
+            if dest.queue.unsent() >= FLUSH_BYTES {
+                if let Err(token) = dest.write(&mut self.conns) {
+                    self.close(token);
+                }
             }
         }
     }
@@ -825,7 +841,10 @@ impl Protocol {
                     self.timers.push(now.0 + delay.as_micros(), id, kind);
                 }
                 Action::Send { to, msg } if to == self.addr => self.selfq.push_back(msg),
-                Action::Send { to, msg } => self.net.send(to, &msg),
+                Action::Send { to, msg } => self.net.send([to], &msg),
+                Action::Broadcast { to, msg } => {
+                    self.net.send(to.iter().map(|&n| Addr::Node(n)), &msg)
+                }
             }
         }
     }
@@ -1178,7 +1197,7 @@ mod tests {
         let mut sends = 0;
         while dropped() < WRITER_QUEUE as u64 && sends < 1 << 16 {
             let began = Instant::now();
-            net.send(client, &reply);
+            net.send([client], &reply);
             if sends % 64 == 0 {
                 net.flush();
             }
@@ -1204,6 +1223,49 @@ mod tests {
     }
 
     #[test]
+    fn a_broadcast_is_encoded_once_and_a_full_destination_drops_only_its_copy() {
+        let peers = [NodeId(1), NodeId(2), NodeId(3)];
+        let stats = Arc::new(NetStats {
+            peers: peers.iter().map(|&p| (p, Arc::default())).collect(),
+            ..NetStats::default()
+        });
+        let mut net = Net::new(Arc::clone(&stats));
+        let msg = |k| {
+            NetMsg::Client(ClientMsg::Request(Request::new(
+                ClientId(0),
+                k,
+                vec![k as u8; 24],
+            )))
+        };
+        let frame_of = |k| {
+            let mut buf = BytesMut::new();
+            frame::encode_frame(&msg(k), &mut buf);
+            buf.to_vec()
+        };
+        // Node 2's buffer is full; nobody is connected, so nothing leaves.
+        let full = Addr::Node(NodeId(2));
+        for k in 0..WRITER_QUEUE as u64 {
+            net.send([full], &msg(k));
+        }
+        let backlog = net.dests[&full].queue.pending().to_vec();
+
+        let to = peers.iter().map(|&n| Addr::Node(n));
+        net.send(to, &msg(7));
+        net.send([Addr::Node(NodeId(3))], &msg(8));
+
+        // Every other destination holds the bytes a per-destination encode
+        // writes, its own frames after the broadcast's.
+        let frames_for = |n: u32| net.dests[&Addr::Node(NodeId(n))].queue.pending().to_vec();
+        assert_eq!(frames_for(1), frame_of(7));
+        assert_eq!(frames_for(3), [frame_of(7), frame_of(8)].concat());
+        assert_eq!(net.dests[&Addr::Node(NodeId(3))].queue.frames(), 2);
+        // The full one kept its backlog and counted its copy dropped.
+        assert_eq!(frames_for(2), backlog);
+        let dropped = |n: u32| stats.peers[&NodeId(n)].dropped.load(Ordering::Relaxed);
+        assert_eq!((dropped(1), dropped(2), dropped(3)), (0, 1, 0));
+    }
+
+    #[test]
     fn a_dialed_peers_frames_go_with_its_connection() {
         let peer = NodeId(1);
         let to = Addr::Node(peer);
@@ -1223,7 +1285,7 @@ mod tests {
         // Hands frame `k` over, dials the peer and checks that `k` is the
         // first frame the new connection carries; leaves it connected.
         let next_connection_carries = |net: &mut Net, k| {
-            net.send(to, &msg(k));
+            net.send([to], &msg(k));
             let socket = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
             socket.set_nonblocking(true).expect("nonblocking");
             net.dialed(peer, Some(socket), Instant::now());
@@ -1239,7 +1301,7 @@ mod tests {
         // as dropped.
         next_connection_carries(&mut net, 0);
         for k in 1..4 {
-            net.send(to, &msg(k));
+            net.send([to], &msg(k));
         }
         net.close(net.dests[&to].conn.expect("connected"));
         assert_eq!(net.dests[&to].queue.frames(), 0);
@@ -1250,7 +1312,7 @@ mod tests {
         // Frames queued, then a dial attempt fails: the same.
         net.close(net.dests[&to].conn.expect("connected"));
         for k in 5..8 {
-            net.send(to, &msg(k));
+            net.send([to], &msg(k));
         }
         net.dialed(peer, None, Instant::now());
         assert_eq!(net.dests[&to].queue.frames(), 0);

@@ -3,10 +3,10 @@
 //! Every participant of the system — replica or client —
 //! implements [`process::Process`]: three callbacks (`on_start`,
 //! `on_message`, `on_timer`) that interact with the world exclusively by
-//! buffering explicit [`process::Action`]s (sends, timer arms) through a
-//! [`process::Context`]. Nothing in this crate performs I/O, reads clocks or
-//! touches sockets; the *driver* hosting a process decides what the actions
-//! mean:
+//! buffering explicit [`process::Action`]s (sends, broadcasts, timer arms)
+//! through a [`process::Context`]. Nothing in this crate performs I/O,
+//! reads clocks or touches sockets; the *driver* hosting a process decides
+//! what the actions mean:
 //!
 //! * `iss-simnet`'s `Runtime` interprets them against a simulated WAN
 //!   (latency matrix, bandwidth, CPU model, fault injection) in virtual

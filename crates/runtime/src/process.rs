@@ -67,6 +67,12 @@ pub use iss_types::Payload;
 
 /// Actions a process can request from its driver during a single callback.
 ///
+/// A broadcast is one action however many peers it reaches, so a driver
+/// can price, store or encode its message once: the simulator keeps one
+/// copy for all its deliveries and the TCP runtime writes one encoding into
+/// every destination's buffer. It means exactly the sends
+/// [`Action::sends`] lists, one per destination, in order.
+///
 /// A timer is armed once and fires once: there is no cancellation, and a
 /// process that no longer wants a timeout ignores its fire itself. Durable
 /// storage is not an action either: a node that persists holds its
@@ -82,6 +88,14 @@ pub enum Action<M> {
         /// The message.
         msg: M,
     },
+    /// Send `msg` to every node of `to`, in order ([`Context::broadcast`]
+    /// leaves the sender out and never emits an empty one).
+    Broadcast {
+        /// Destination nodes.
+        to: Vec<NodeId>,
+        /// The message.
+        msg: M,
+    },
     /// Arm a timer firing after `delay`, identified by `id` and carrying the
     /// opaque `kind` tag back to the process.
     SetTimer {
@@ -92,6 +106,21 @@ pub enum Action<M> {
         /// Opaque tag passed back in `on_timer`.
         kind: u64,
     },
+}
+
+impl<M> Action<M> {
+    /// The sends this action stands for, one `(destination, message)` per
+    /// destination in order: one for a send, one per node for a broadcast,
+    /// none for a timer.
+    pub fn sends(&self) -> impl Iterator<Item = (Addr, &M)> {
+        let (one, nodes, msg): (Option<Addr>, &[NodeId], _) = match self {
+            Action::Send { to, msg } => (Some(*to), &[], Some(msg)),
+            Action::Broadcast { to, msg } => (None, to, Some(msg)),
+            Action::SetTimer { .. } => (None, &[], None),
+        };
+        let to = one.into_iter().chain(nodes.iter().map(|&n| Addr::Node(n)));
+        to.filter_map(move |to| Some((to, msg?)))
+    }
 }
 
 /// Execution context handed to a process on every callback.
@@ -148,15 +177,17 @@ impl<'a, M> Context<'a, M> {
 
     /// Sends the same message to every node in `nodes` except the sender
     /// itself (self-delivery, when needed, is the caller's responsibility —
-    /// protocols in this codebase handle their own state locally).
-    pub fn broadcast(&mut self, nodes: &[NodeId], msg: M)
-    where
-        M: Clone,
-    {
-        for &n in nodes {
-            if Addr::Node(n) != self.self_addr {
-                self.send(Addr::Node(n), msg.clone());
-            }
+    /// protocols in this codebase handle their own state locally), as one
+    /// [`Action::Broadcast`] in the order of `nodes`. Nothing is buffered
+    /// when no other node is left.
+    pub fn broadcast(&mut self, nodes: &[NodeId], msg: M) {
+        let to: Vec<NodeId> = nodes
+            .iter()
+            .copied()
+            .filter(|&n| Addr::Node(n) != self.self_addr)
+            .collect();
+        if !to.is_empty() {
+            self.actions.push(Action::Broadcast { to, msg });
         }
     }
 
@@ -182,13 +213,15 @@ impl<'a, M> Context<'a, M> {
         self.actions.len()
     }
 
-    /// Rewrites every [`Action::Send`] buffered since `mark` through `f`.
+    /// Rewrites every send buffered since `mark` through `f`.
     ///
     /// `f` receives the original destination and message plus an `emit`
     /// callback; whatever it emits replaces the original send (emit zero
-    /// times to drop it, several times to multiply or equivocate). Non-send
-    /// actions (timers) buffered in the same window are kept untouched, and
-    /// the relative order of actions `f` leaves alone is preserved.
+    /// times to drop it, several times to multiply or equivocate). A
+    /// broadcast is handed to `f` once per destination, as the sends
+    /// [`Action::sends`] lists, and what `f` emits are plain sends. Timers
+    /// buffered in the same window are kept untouched, and the relative
+    /// order of actions `f` leaves alone is preserved.
     ///
     /// This is the engine-agnostic primitive behind adversarial `Behavior`
     /// wrappers (`iss_sim::adversary`): interception operates on the plain
@@ -198,17 +231,24 @@ impl<'a, M> Context<'a, M> {
         &mut self,
         mark: usize,
         mut f: impl FnMut(Addr, M, &mut dyn FnMut(Addr, M)),
-    ) {
+    ) where
+        M: Clone,
+    {
         debug_assert!(mark <= self.actions.len());
         let tail: Vec<Action<M>> = self.actions.drain(mark..).collect();
         for action in tail {
+            let sink: &mut Vec<Action<M>> = self.actions;
+            let mut emit = |to: Addr, msg: M| sink.push(Action::Send { to, msg });
             match action {
-                Action::Send { to, msg } => {
-                    let sink: &mut Vec<Action<M>> = self.actions;
-                    let mut emit = |to: Addr, msg: M| sink.push(Action::Send { to, msg });
-                    f(to, msg, &mut emit);
+                Action::Send { to, msg } => f(to, msg, &mut emit),
+                Action::Broadcast { to, msg } => {
+                    let (&last, rest) = to.split_last().expect("a broadcast has a destination");
+                    for &n in rest {
+                        f(Addr::Node(n), msg.clone(), &mut emit);
+                    }
+                    f(Addr::Node(last), msg, &mut emit);
                 }
-                other => self.actions.push(other),
+                timer => self.actions.push(timer),
             }
         }
     }
@@ -297,24 +337,41 @@ mod tests {
                 &mut actions,
                 &mut rng,
             );
-            let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
+            let nodes: Vec<NodeId> = [3, 0, 1, 2].map(NodeId).to_vec();
             ctx.broadcast(&nodes, Msg(1));
+            // Nobody but the sender: nothing to send.
+            ctx.broadcast(&[NodeId(0)], Msg(2));
         }
-        let sends: Vec<_> = actions
-            .into_iter()
-            .filter_map(|a| match a {
-                Action::Send { to, .. } => Some(to),
-                _ => None,
-            })
-            .collect();
+        // One action, the sender left out, the order of `nodes` kept.
+        assert_eq!(actions.len(), 1);
+        assert!(
+            matches!(&actions[0], Action::Broadcast { to, msg } if *to == [3, 1, 2].map(NodeId) && msg.0 == 1)
+        );
+        let sends: Vec<(Addr, usize)> = actions[0].sends().map(|(to, m)| (to, m.0)).collect();
         assert_eq!(
             sends,
             vec![
-                Addr::Node(NodeId(1)),
-                Addr::Node(NodeId(2)),
-                Addr::Node(NodeId(3))
+                (Addr::Node(NodeId(3)), 1),
+                (Addr::Node(NodeId(1)), 1),
+                (Addr::Node(NodeId(2)), 1)
             ]
         );
+    }
+
+    #[test]
+    fn sends_flattens_every_action_kind() {
+        let send: Action<Msg> = Action::Send {
+            to: Addr::Client(ClientId(4)),
+            msg: Msg(5),
+        };
+        let timer: Action<Msg> = Action::SetTimer {
+            id: TimerId(0),
+            delay: Duration::from_millis(1),
+            kind: 0,
+        };
+        let sends: Vec<(Addr, usize)> = send.sends().map(|(to, m)| (to, m.0)).collect();
+        assert_eq!(sends, vec![(Addr::Client(ClientId(4)), 5)]);
+        assert_eq!(timer.sends().count(), 0);
     }
 
     #[test]
@@ -336,28 +393,58 @@ mod tests {
             ctx.send(Addr::Node(NodeId(1)), Msg(1));
             ctx.set_timer(Duration::from_millis(5), 7);
             ctx.send(Addr::Node(NodeId(2)), Msg(2));
-            ctx.rewrite_sends_since(mark, |to, msg, emit| match msg.0 {
-                1 => {} // drop
-                2 => {
-                    // duplicate to two destinations
-                    emit(to, Msg(20));
-                    emit(Addr::Node(NodeId(3)), Msg(21));
+            let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
+            ctx.broadcast(&nodes, Msg(3));
+            let mut seen = Vec::new();
+            ctx.rewrite_sends_since(mark, |to, msg, emit| {
+                seen.push((to, msg.0));
+                match msg.0 {
+                    1 => {} // drop
+                    2 => {
+                        // duplicate to two destinations
+                        emit(to, Msg(20));
+                        emit(Addr::Node(NodeId(3)), Msg(21));
+                    }
+                    // the broadcast's copy to node 2 is dropped
+                    3 if to == Addr::Node(NodeId(2)) => {}
+                    _ => emit(to, msg),
                 }
-                _ => emit(to, msg),
             });
+            // The broadcast reached the rewriter once per destination.
+            let node = |n| Addr::Node(NodeId(n));
+            assert_eq!(
+                seen,
+                vec![
+                    (node(1), 1),
+                    (node(2), 2),
+                    (node(1), 3),
+                    (node(2), 3),
+                    (node(3), 3)
+                ]
+            );
         }
         // Pre-mark send intact, timer preserved in place, send 1 dropped,
-        // send 2 rewritten into two sends.
-        assert_eq!(actions.len(), 4);
-        assert!(
-            matches!(&actions[0], Action::Send { to: Addr::Node(NodeId(9)), msg } if msg.0 == 99)
-        );
+        // send 2 rewritten into two sends, the broadcast into the plain
+        // sends the rewriter kept.
+        let sends: Vec<(Addr, usize)> = actions
+            .iter()
+            .flat_map(|a| a.sends().map(|(to, m)| (to, m.0)))
+            .collect();
+        assert_eq!(actions.len(), 6);
         assert!(matches!(actions[1], Action::SetTimer { kind: 7, .. }));
-        assert!(
-            matches!(&actions[2], Action::Send { to: Addr::Node(NodeId(2)), msg } if msg.0 == 20)
-        );
-        assert!(
-            matches!(&actions[3], Action::Send { to: Addr::Node(NodeId(3)), msg } if msg.0 == 21)
+        assert!(actions
+            .iter()
+            .all(|a| !matches!(a, Action::Broadcast { .. })));
+        let node = |n| Addr::Node(NodeId(n));
+        assert_eq!(
+            sends,
+            vec![
+                (node(9), 99),
+                (node(2), 20),
+                (node(3), 21),
+                (node(1), 3),
+                (node(3), 3)
+            ]
         );
     }
 

@@ -81,9 +81,11 @@ impl<M: Clone> TraceSink<M> for TraceRecorder<M> {
 
 /// Replays `trace` through `driver` (which must have a fresh process
 /// mounted) and checks that every entry emits exactly the recorded
-/// actions, timer handles included, returning the total number of actions
-/// compared. The first divergence (different action, different count) is
-/// reported with its entry index.
+/// actions, timer handles included, returning the number of decisions
+/// compared: one per timer and one per destination of a send or broadcast,
+/// so a broadcast weighs what the sends it stands for weigh. The first
+/// divergence (different action, different count) is reported with its
+/// entry index.
 pub fn replay_trace<M>(driver: &mut SansIo<M>, trace: &[TraceEntry<M>]) -> Result<usize, String>
 where
     M: Payload + Clone + PartialEq + Debug,
@@ -110,7 +112,7 @@ where
                     "entry {i} action {j} diverged\nrecorded: {recorded:#?}\nreplayed: {replayed:#?}"
                 ));
             }
-            compared += 1;
+            compared += recorded.sends().count().max(1);
         }
     }
     Ok(compared)

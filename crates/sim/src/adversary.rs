@@ -127,7 +127,8 @@ pub trait Behavior {
         true
     }
 
-    /// Outbound rewrite: called once per send the wrapped process buffered.
+    /// Outbound rewrite: called once per send the wrapped process buffered,
+    /// a broadcast once per destination.
     /// Whatever is passed to `emit` replaces the original send — emit zero
     /// times to drop it, several times to multiply or equivocate.
     fn on_outbound(&mut self, now: Time, to: Addr, msg: NetMsg, emit: &mut dyn FnMut(Addr, NetMsg));

@@ -9,9 +9,11 @@
 //! milliseconds of virtual *now* (network latency, CPU completion, bandwidth
 //! serialization), while a small minority (protocol timers) lands seconds
 //! ahead. The tiers order 24-byte `(time, seq, slot)` keys; an event's
-//! [`EventKind`] waits in a slab at `slot` from push to pop, so a payload is
-//! moved into the queue and out of it and never while it is being ordered.
-//! The tiers, consulted in order:
+//! [`EventKind`] waits in a slab at `slot` from push to pop, so it is moved
+//! into the queue and out of it and never while it is being ordered. No
+//! event carries a message: a delivery names the message's slot in the
+//! runtime's message slab, where one copy serves every destination of a
+//! broadcast. The tiers, consulted in order:
 //!
 //! 1. the *cursor slot*: the keys of the wheel slot the cursor points at,
 //!    sorted once when the cursor enters the slot and drained from the back,
@@ -39,16 +41,16 @@ use std::collections::{BTreeSet, BinaryHeap};
 
 /// A scheduled event.
 #[derive(Debug)]
-pub enum EventKind<M> {
+pub enum EventKind {
     /// Deliver a message to `to`.
     Deliver {
         /// Sender address.
         from: Addr,
         /// Receiver address.
         to: Addr,
-        /// The message.
-        msg: M,
-        /// `msg.wire_size()`, priced once when it was sent.
+        /// The message's slot in the runtime's message slab.
+        msg: u32,
+        /// The message's `wire_size()`, priced once when it was sent.
         size: usize,
     },
     /// Fire a timer at `addr`.
@@ -83,18 +85,18 @@ pub enum EventKind<M> {
         from: Addr,
         /// Receiver address.
         to: Addr,
-        /// The message.
-        msg: M,
+        /// The message's slot in the runtime's message slab.
+        msg: u32,
     },
 }
 
 /// An event plus its firing time.
 #[derive(Debug)]
-pub struct Event<M> {
+pub struct Event {
     /// Virtual time at which the event fires.
     pub at: Time,
     /// What happens.
-    pub kind: EventKind<M>,
+    pub kind: EventKind,
 }
 
 /// What the tiers order: firing time, then push order. `slot` is where the
@@ -118,7 +120,7 @@ pub const WHEEL_SLOTS: usize = 16384;
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
 
 /// A deterministic event queue (timing-wheel implementation).
-pub struct EventQueue<M> {
+pub struct EventQueue {
     /// The overall minimum key, cached so `peek_time` and `pop` are O(1).
     /// Invariant: `Some` iff the queue is non-empty.
     next: Option<Key>,
@@ -138,19 +140,19 @@ pub struct EventQueue<M> {
     /// Keys beyond the wheel window.
     overflow: BTreeSet<Key>,
     /// The kinds of the queued events, at their keys' `slot`s.
-    slab: Vec<Option<EventKind<M>>>,
+    slab: Vec<Option<EventKind>>,
     /// Empty slab entries, reused last-freed first.
     free: Vec<u32>,
     next_seq: u64,
 }
 
-impl<M> Default for EventQueue<M> {
+impl Default for EventQueue {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M> EventQueue<M> {
+impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
@@ -170,7 +172,7 @@ impl<M> EventQueue<M> {
 
     /// Schedules an event at time `at`.
     #[inline]
-    pub fn push(&mut self, at: Time, kind: EventKind<M>) {
+    pub fn push(&mut self, at: Time, kind: EventKind) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(kind);
@@ -202,7 +204,7 @@ impl<M> EventQueue<M> {
 
     /// Pops the earliest event, if any.
     #[inline]
-    pub fn pop(&mut self) -> Option<Event<M>> {
+    pub fn pop(&mut self) -> Option<Event> {
         let key = self.next.take()?;
         self.next = self.extract_min();
         let kind = self.slab[key.slot as usize]
@@ -312,7 +314,7 @@ mod tests {
 
     #[test]
     fn events_pop_in_time_order() {
-        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut q = EventQueue::new();
         q.push(
             Time::from_millis(20),
             EventKind::Start {
@@ -342,7 +344,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut q = EventQueue::new();
         let t = Time::from_millis(5);
         q.push(
             t,
@@ -374,7 +376,7 @@ mod tests {
 
     #[test]
     fn far_future_events_take_the_overflow_path() {
-        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut q = EventQueue::new();
         // Far beyond the wheel window (window is ~4.2 s).
         q.push(
             Time::from_secs(30),
@@ -408,7 +410,7 @@ mod tests {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         type Oracle = BinaryHeap<Reverse<(Time, u64)>>;
-        fn push(q: &mut EventQueue<u32>, r: &mut Oracle, pushed: &mut u64, t: Time, node: u32) {
+        fn push(q: &mut EventQueue, r: &mut Oracle, pushed: &mut u64, t: Time, node: u32) {
             r.push(Reverse((t, *pushed)));
             *pushed += 1;
             q.push(
@@ -418,7 +420,7 @@ mod tests {
                 },
             );
         }
-        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut q = EventQueue::new();
         let mut r = Oracle::new();
         let mut pushed = 0u64;
         for i in 0..4u64 {
@@ -444,7 +446,7 @@ mod tests {
 
     #[test]
     fn zero_delay_pushes_pop_before_later_events() {
-        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut q = EventQueue::new();
         q.push(
             Time::from_millis(10),
             EventKind::Start {

@@ -33,7 +33,7 @@
 //!   2^[`event::SLOT_BITS`] µs buckets (about four seconds of virtual time)
 //!   with an occupancy bitmap, and a *sorted overflow* `BTreeSet` for
 //!   everything beyond the window that cascades back in when the window
-//!   re-anchors. The tiers order 24-byte `(time, seq, slot)` keys; payloads
+//!   re-anchors. The tiers order 24-byte `(time, seq, slot)` keys; events
 //!   stay put in a slab from push to pop. Push and pop are O(1) amortized
 //!   for the near-future events that dominate; the cached global minimum
 //!   makes `peek_time` O(1). The pre-wheel `BinaryHeap` implementation
@@ -48,9 +48,16 @@
 //!   process counts the timers its incarnation armed, and the count is the
 //!   next [`iss_types::TimerId`]. The incarnation stamp on a timer event
 //!   keeps a pre-crash timer out of the restarted process.
+//! * **A message is stored once.** An event carries no message: a delivery
+//!   and its CPU-deferred invocation name a slot of the runtime's
+//!   refcounted message slab. A broadcast is priced and stored once for all
+//!   its destinations, re-queued from delivery to invocation without moving
+//!   its body, and cloned out only when a destination's handler runs (the
+//!   last one moves it), while each destination keeps the drops, NIC,
+//!   latency and jitter draws and queue pushes of a send of its own.
 //! * **Reused action buffer.** Every callback writes its actions into one
 //!   runtime-owned `Vec` that is drained and handed back, so steady-state
-//!   invocations allocate nothing.
+//!   invocations allocate nothing beyond a broadcast's destination list.
 //!
 //! # Determinism invariants
 //!

@@ -12,6 +12,15 @@
 //! (it fires once, so nothing else tracks it), and the fault/jitter RNG
 //! draws in `Runtime::send` go through inlined samplers that produce the
 //! same values as the generic `rand` paths they replace.
+//!
+//! A message is stored once however many destinations it has. An
+//! [`Action::Broadcast`] is priced once (`wire_size`) and its message put in
+//! a refcounted message slab; each destination's delivery and CPU-deferred
+//! invocation carry only the slot, and the message is cloned out when a
+//! destination's handler runs — the last one moves it. Each destination
+//! still draws its drop, NIC slot, latency and jitter and pushes its
+//! delivery exactly when a send of its own would, so a broadcast schedules
+//! what the sends it stands for would schedule, draw for draw.
 
 use crate::bandwidth::{BandwidthConfig, InterfaceState};
 use crate::cpu::{CpuModel, CpuState};
@@ -66,7 +75,7 @@ impl RuntimeConfig {
 }
 
 /// Counters maintained by the runtime.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Messages accepted for transmission.
     pub messages_sent: u64,
@@ -111,6 +120,83 @@ fn sample_jitter_us(rng: &mut StdRng, max_us: u64) -> u64 {
     ((rng.next_u64() as u128 * (max_us as u128 + 1)) >> 64) as u64
 }
 
+/// Messages in flight, each stored once: an entry counts the queued events
+/// that name its slot. A delivery dropped at a crashed receiver releases
+/// its count; an invocation clones the message out, or moves it when it
+/// holds the last count.
+struct MsgSlab<M> {
+    entries: Vec<Option<(M, u32)>>,
+    /// Empty entries, reused last-freed first.
+    free: Vec<u32>,
+}
+
+impl<M: Clone> MsgSlab<M> {
+    fn new() -> Self {
+        MsgSlab {
+            entries: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Stores `msg` for one event; returns its slot.
+    fn insert(&mut self, msg: M) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.entries[slot as usize] = Some((msg, 1));
+                slot
+            }
+            None => {
+                self.entries.push(Some((msg, 1)));
+                (self.entries.len() - 1) as u32
+            }
+        }
+    }
+
+    fn entry(&mut self, slot: u32) -> &mut (M, u32) {
+        self.entries[slot as usize]
+            .as_mut()
+            .expect("a queued event's message waits in its slot")
+    }
+
+    fn get(&self, slot: u32) -> &M {
+        let entry = self.entries[slot as usize].as_ref();
+        &entry.expect("a queued event's message waits in its slot").0
+    }
+
+    /// One more event names `slot`.
+    fn retain(&mut self, slot: u32) {
+        self.entry(slot).1 += 1;
+    }
+
+    /// An event that named `slot` is gone without its message.
+    fn release(&mut self, slot: u32) {
+        let refs = &mut self.entry(slot).1;
+        *refs -= 1;
+        if *refs == 0 {
+            self.entries[slot as usize] = None;
+            self.free.push(slot);
+        }
+    }
+
+    /// The message at `slot` for one event: moved out by the last.
+    fn take(&mut self, slot: u32) -> M {
+        let entry = self.entry(slot);
+        if entry.1 > 1 {
+            entry.1 -= 1;
+            return entry.0.clone();
+        }
+        self.free.push(slot);
+        let (msg, _) = self.entries[slot as usize].take().expect("checked above");
+        msg
+    }
+
+    /// Messages stored.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries.len() - self.free.len()
+    }
+}
+
 /// The discrete-event simulator.
 pub struct Runtime<M: Payload> {
     config: RuntimeConfig,
@@ -120,7 +206,9 @@ pub struct Runtime<M: Payload> {
     node_slots: Vec<u32>,
     /// ClientId index → slot in `procs` (NO_SLOT when unregistered).
     client_slots: Vec<u32>,
-    queue: EventQueue<M>,
+    queue: EventQueue,
+    /// The messages the queued deliveries and invocations name.
+    msgs: MsgSlab<M>,
     interfaces: InterfaceState,
     /// Reusable action buffer handed to every `Context` (empty between
     /// invocations).
@@ -164,6 +252,7 @@ impl<M: Payload> Runtime<M> {
             node_slots: Vec::new(),
             client_slots: Vec::new(),
             queue: EventQueue::new(),
+            msgs: MsgSlab::new(),
             interfaces: InterfaceState::new(),
             action_buf: Vec::new(),
             pending_restarts: Vec::new(),
@@ -310,7 +399,7 @@ impl<M: Payload> Runtime<M> {
         processed
     }
 
-    fn dispatch(&mut self, kind: EventKind<M>) {
+    fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Start { addr } => {
                 self.invoke(addr, Event::Start);
@@ -318,20 +407,22 @@ impl<M: Payload> Runtime<M> {
             EventKind::Deliver {
                 from,
                 to,
-                msg,
+                msg: slot,
                 size,
             } => {
                 // Receiver may have crashed while the message was in flight.
                 if self.addr_crashed(to) {
                     self.stats.messages_dropped += 1;
+                    self.msgs.release(slot);
                     return;
                 }
                 // Charge the receiver's CPU; if it is busy, defer the invocation.
                 let completion = match self.slot_of(to) {
-                    Some(slot) => {
-                        let entry = &mut self.procs[slot];
+                    Some(proc_slot) => {
+                        let entry = &mut self.procs[proc_slot];
                         match entry.cpu.as_mut() {
                             Some(cpu) => {
+                                let msg = self.msgs.get(slot);
                                 let cost = self.config.cpu.message_cost(msg.num_requests(), size);
                                 entry.busy += cost;
                                 if !self.telemetry.is_empty() {
@@ -349,17 +440,28 @@ impl<M: Payload> Runtime<M> {
                     None => self.now,
                 };
                 if completion > self.now {
-                    self.queue
-                        .push(completion, EventKind::Invoke { from, to, msg });
+                    let invoke = EventKind::Invoke {
+                        from,
+                        to,
+                        msg: slot,
+                    };
+                    self.queue.push(completion, invoke);
                 } else {
+                    let msg = self.msgs.take(slot);
                     self.invoke(to, Event::Message { from, msg });
                 }
             }
-            EventKind::Invoke { from, to, msg } => {
+            EventKind::Invoke {
+                from,
+                to,
+                msg: slot,
+            } => {
                 if self.addr_crashed(to) {
                     self.stats.messages_dropped += 1;
+                    self.msgs.release(slot);
                     return;
                 }
+                let msg = self.msgs.take(slot);
                 self.invoke(to, Event::Message { from, msg });
             }
             EventKind::Timer {
@@ -451,7 +553,10 @@ impl<M: Payload> Runtime<M> {
             .unwrap_or(0);
         for action in actions.drain(..) {
             match action {
-                Action::Send { to, msg } => self.send(source, to, msg),
+                Action::Send { to, msg } => self.send(source, [to], msg),
+                Action::Broadcast { to, msg } => {
+                    self.send(source, to.iter().map(|&n| Addr::Node(n)), msg)
+                }
                 Action::SetTimer { id, delay, kind } => {
                     self.queue.push(
                         self.now + delay,
@@ -467,67 +572,76 @@ impl<M: Payload> Runtime<M> {
         }
     }
 
-    fn send(&mut self, from: Addr, to: Addr, msg: M) {
-        // Deterministic drops: crashes and partitions.
-        if self.drop_faults && self.config.faults.drops(from, to, self.now) {
-            self.stats.messages_dropped += 1;
-            return;
-        }
-        // Probabilistic loss: a scheduled loss window.
-        // The RNG is only drawn while loss is actually in force, so runs
-        // whose loss schedule never activates keep a bit-identical
-        // jitter/drop stream to a loss-free configuration.
-        if self.lossy_faults
-            && self.config.faults.lossy_at(self.now)
-            && sample_unit(&mut self.rng) < self.config.faults.drop_probability(self.now)
-        {
-            self.stats.messages_dropped += 1;
-            return;
-        }
-        let size = msg.wire_size();
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += size as u64;
-
-        // Local delivery skips the network: a process sending to itself
-        // touches neither the NIC, the topology latency nor the jitter draw.
-        if from == to {
-            self.queue.push(
-                self.now,
-                EventKind::Deliver {
-                    from,
-                    to,
-                    msg,
-                    size,
-                },
-            );
-            return;
-        }
-
-        let (sent_at, _) =
-            self.interfaces
-                .schedule(&self.config.bandwidth, self.now, from, to, size);
-        let base_latency = self.config.topology.latency(from, to);
-        let jitter = if self.jitter_us > 0 {
-            Duration::from_micros(sample_jitter_us(&mut self.rng, self.jitter_us))
-        } else {
-            Duration::ZERO
-        };
-        let arrival = self.interfaces.receive(
-            &self.config.bandwidth,
-            sent_at + base_latency + jitter,
-            from,
-            to,
-            size,
-        );
-        self.queue.push(
-            arrival,
-            EventKind::Deliver {
+    /// Sends `msg` from `from` to each address of `to`, in order. Every
+    /// destination is dropped, or scheduled through the NIC, the topology
+    /// and the jitter draw, exactly as a send of its own; the message is
+    /// priced and stored once, by the first destination that takes it.
+    fn send(&mut self, from: Addr, to: impl IntoIterator<Item = Addr>, msg: M) {
+        let mut msg = Some(msg);
+        let mut stored: Option<(u32, usize)> = None;
+        for to in to {
+            // Deterministic drops: crashes and partitions.
+            if self.drop_faults && self.config.faults.drops(from, to, self.now) {
+                self.stats.messages_dropped += 1;
+                continue;
+            }
+            // Probabilistic loss: a scheduled loss window.
+            // The RNG is only drawn while loss is actually in force, so runs
+            // whose loss schedule never activates keep a bit-identical
+            // jitter/drop stream to a loss-free configuration.
+            if self.lossy_faults
+                && self.config.faults.lossy_at(self.now)
+                && sample_unit(&mut self.rng) < self.config.faults.drop_probability(self.now)
+            {
+                self.stats.messages_dropped += 1;
+                continue;
+            }
+            let (slot, size) = match stored {
+                Some((slot, size)) => {
+                    self.msgs.retain(slot);
+                    (slot, size)
+                }
+                None => {
+                    let msg = msg.take().expect("stored on its first destination");
+                    let size = msg.wire_size();
+                    *stored.insert((self.msgs.insert(msg), size))
+                }
+            };
+            self.stats.messages_sent += 1;
+            self.stats.bytes_sent += size as u64;
+            let deliver = EventKind::Deliver {
                 from,
                 to,
-                msg,
+                msg: slot,
                 size,
-            },
-        );
+            };
+
+            // Local delivery skips the network: a process sending to itself
+            // touches neither the NIC, the topology latency nor the jitter
+            // draw.
+            if from == to {
+                self.queue.push(self.now, deliver);
+                continue;
+            }
+
+            let (sent_at, _) =
+                self.interfaces
+                    .schedule(&self.config.bandwidth, self.now, from, to, size);
+            let base_latency = self.config.topology.latency(from, to);
+            let jitter = if self.jitter_us > 0 {
+                Duration::from_micros(sample_jitter_us(&mut self.rng, self.jitter_us))
+            } else {
+                Duration::ZERO
+            };
+            let arrival = self.interfaces.receive(
+                &self.config.bandwidth,
+                sent_at + base_latency + jitter,
+                from,
+                to,
+                size,
+            );
+            self.queue.push(arrival, deliver);
+        }
     }
 }
 
@@ -931,6 +1045,123 @@ mod tests {
         plain.run_until(Time::from_secs(30));
         scheduled.run_until(Time::from_secs(30));
         assert_eq!(*log_plain.borrow(), *log_scheduled.borrow());
+    }
+
+    /// Every 2 ms, sends one ping to every node of `nodes` but itself: as
+    /// one broadcast, or as one send per node.
+    struct Fanout {
+        nodes: Vec<NodeId>,
+        broadcast: bool,
+        ticks: u32,
+    }
+    impl Process<Ping> for Fanout {
+        fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
+            ctx.set_timer(Duration::from_millis(2), 0);
+        }
+        fn on_message(&mut self, _f: Addr, _m: Ping, _c: &mut Context<'_, Ping>) {}
+        fn on_timer(&mut self, _i: TimerId, _k: u64, ctx: &mut Context<'_, Ping>) {
+            self.ticks -= 1;
+            let ping = Ping {
+                hops: self.ticks,
+                size: 100 + self.ticks as usize,
+            };
+            if self.broadcast {
+                ctx.broadcast(&self.nodes, ping);
+            } else {
+                for &n in &self.nodes {
+                    if Addr::Node(n) != ctx.self_addr() {
+                        ctx.send(Addr::Node(n), ping.clone());
+                    }
+                }
+            }
+            if self.ticks > 0 {
+                ctx.set_timer(Duration::from_millis(2), 0);
+            }
+        }
+    }
+
+    /// Logs every ping it is handed.
+    struct Logger {
+        id: NodeId,
+        log: PingLog,
+    }
+    impl Process<Ping> for Logger {
+        fn on_start(&mut self, _ctx: &mut Context<'_, Ping>) {}
+        fn on_message(&mut self, _f: Addr, msg: Ping, ctx: &mut Context<'_, Ping>) {
+            self.log.borrow_mut().push((ctx.now(), self.id, msg.hops));
+        }
+        fn on_timer(&mut self, _i: TimerId, _k: u64, _c: &mut Context<'_, Ping>) {}
+    }
+
+    #[test]
+    fn a_broadcast_delivers_exactly_as_its_sends_would_and_frees_its_message() {
+        use crate::fault::{LossWindow, Partition};
+        // WAN latency and jitter, one slow core so handlers queue behind
+        // the CPU, a receiver that crashes with deliveries and invocations
+        // in flight, one cut off for a while, and a lossy stretch: every
+        // per-destination draw and drop path is taken.
+        let mut cfg = RuntimeConfig::testbed();
+        cfg.cpu = CpuModel {
+            cores: 1,
+            per_message: Duration::from_millis(3),
+            per_request: Duration::ZERO,
+            per_byte_ns: 10.0,
+        };
+        cfg.faults.crashes = CrashSchedule::none().crash(NodeId(2), Time::from_millis(300));
+        cfg.faults.partitions = vec![Partition {
+            group_a: vec![NodeId(0)],
+            group_b: vec![NodeId(4)],
+            from: Time::from_millis(100),
+            until: Time::from_millis(200),
+        }];
+        cfg.faults.loss_windows = vec![LossWindow {
+            probability: 0.3,
+            from: Time::from_millis(250),
+            until: Time::from_millis(350),
+        }];
+        let nodes: Vec<NodeId> = [3, 1, 0, 5, 2, 4].map(NodeId).to_vec();
+        let run = |broadcast: bool| {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let mut rt: Runtime<Ping> = Runtime::new(cfg.clone());
+            for &n in &nodes {
+                let process: Box<dyn Process<Ping>> = if n == NodeId(0) {
+                    let (nodes, ticks) = (nodes.clone(), 250);
+                    Box::new(Fanout {
+                        nodes,
+                        broadcast,
+                        ticks,
+                    })
+                } else {
+                    let log = Rc::clone(&log);
+                    Box::new(Logger { id: n, log })
+                };
+                rt.add_process(Addr::Node(n), process);
+            }
+            rt.run_until(Time::from_secs(10));
+            assert!(rt.queue.is_empty());
+            assert_eq!(rt.msgs.len(), 0, "a drained run stores no message");
+            let log = log.borrow().clone();
+            (log, rt.stats())
+        };
+        let (per_send, per_send_stats) = run(false);
+        let (broadcast, broadcast_stats) = run(true);
+        assert_eq!(broadcast, per_send);
+        assert_eq!(broadcast_stats, per_send_stats);
+        // Each drop path was taken, and most pings arrived.
+        let RuntimeStats {
+            messages_sent,
+            messages_dropped,
+            ..
+        } = broadcast_stats;
+        assert!(messages_dropped > 100, "{messages_dropped} dropped");
+        assert!(broadcast.len() > 800, "{} delivered", broadcast.len());
+        assert!(!broadcast
+            .iter()
+            .any(|&(t, n, _)| n == NodeId(2) && t >= Time::from_millis(300)));
+        assert!(
+            messages_sent > broadcast.len() as u64,
+            "some sent pings die at the crash"
+        );
     }
 
     #[test]

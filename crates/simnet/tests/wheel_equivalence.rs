@@ -72,10 +72,10 @@ impl ReferenceCpuState {
     }
 }
 
-/// Identity of a pushed event, recovered from the payload on pop.
-fn ident(kind: &EventKind<u64>) -> u64 {
+/// Identity of a pushed event, recovered from its message slot on pop.
+fn ident(kind: &EventKind) -> u64 {
     match kind {
-        EventKind::Deliver { msg, .. } | EventKind::Invoke { msg, .. } => *msg,
+        EventKind::Deliver { msg, .. } | EventKind::Invoke { msg, .. } => u64::from(*msg),
         EventKind::Timer { kind, .. } => *kind,
         EventKind::Start { addr } | EventKind::Restart { addr } => match addr {
             Addr::Node(n) => n.0 as u64,
@@ -117,9 +117,9 @@ fn wheel_pops_identical_sequences_to_reference_heap() {
     for seed in 0..1100u64 {
         cases += 1;
         let mut rng = StdRng::seed_from_u64(0xBEEF_CAFE ^ seed);
-        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut wheel = EventQueue::new();
         let mut heap = ReferenceQueue::default();
-        let mut next_ident = 0u64;
+        let mut next_ident = 0u32;
         let mut anchor = Time::ZERO;
         let mut prev = Time::ZERO;
         let ops = rng.gen_range(20usize..200);
@@ -141,7 +141,7 @@ fn wheel_pops_identical_sequences_to_reference_heap() {
                             size: 0,
                         },
                     );
-                    heap.push(at, msg);
+                    heap.push(at, u64::from(msg));
                     next_ident += 1;
                 }
             } else {
@@ -178,11 +178,11 @@ fn cursor_slot_bursts_pop_identical_sequences_to_reference_heap() {
     let mut pushed = 0u64;
     for seed in 0..12u64 {
         let mut rng = StdRng::seed_from_u64(0x128_B0AD ^ seed);
-        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut wheel = EventQueue::new();
         let mut heap = ReferenceQueue::default();
-        let mut next_ident = 0u64;
+        let mut next_ident = 0u32;
         let mut anchor = Time::from_millis(1);
-        let mut push = |wheel: &mut EventQueue<u64>, heap: &mut ReferenceQueue, at: Time| {
+        let mut push = |wheel: &mut EventQueue, heap: &mut ReferenceQueue, at: Time| {
             let (from, to) = (Addr::Node(NodeId(0)), Addr::Node(NodeId(1)));
             wheel.push(
                 at,
@@ -193,7 +193,7 @@ fn cursor_slot_bursts_pop_identical_sequences_to_reference_heap() {
                     size: 0,
                 },
             );
-            heap.push(at, next_ident);
+            heap.push(at, u64::from(next_ident));
             next_ident += 1;
         };
         push(&mut wheel, &mut heap, anchor);
