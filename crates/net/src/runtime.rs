@@ -67,10 +67,10 @@
 //!
 //! A destination buffers at most `WRITER_QUEUE` frames, in FIFO order (a
 //! full one drops its own copy of a broadcast, and the other destinations
-//! still take theirs), and its frames go with its connection: when the connection dies, or a dial
-//! attempt fails, they are dropped and counted, as the simulator drops a
-//! message to a crashed node. Frames sent while a peer's dial waits out its
-//! backoff wait for the next attempt.
+//! still take theirs), and its frames go with its connection: when the
+//! connection dies, or a dial attempt fails, they are dropped and counted,
+//! as the simulator drops a message to a crashed node. Frames sent while a
+//! peer's dial waits out its backoff wait for the next attempt.
 //!
 //! # Connection policy
 //!
