@@ -394,13 +394,14 @@ fn bench_cpu_schedule(c: &mut Criterion) {
 fn bench_node_state(c: &mut Criterion) {
     use iss_core::state::EpochState;
     use iss_sb::testing::NullSb;
-    use iss_types::{EpochNr, SeqNr, TimerId};
+    use iss_types::{EpochNr, SeqNr, Time, TimerId};
 
     const SEGMENTS: u32 = 128;
     const PER_SEGMENT: u64 = 4;
 
     /// Populates one epoch: 128 segments, round-robin sequence numbers,
-    /// one inert instance each, two armed timers per instance.
+    /// one inert instance each with its timer armed, then re-armed to a
+    /// later deadline (which arms no second runtime timer).
     fn fill_epoch(state: &mut EpochState, epoch: EpochNr, timer_base: &mut u64) {
         let length = SEGMENTS as u64 * PER_SEGMENT;
         let first = epoch * length;
@@ -409,8 +410,11 @@ fn bench_node_state(c: &mut Criterion) {
             let id = InstanceId::new(epoch, s);
             state.insert_instance(id, Box::new(NullSb));
             for token in 0..2u64 {
-                *timer_base += 1;
-                state.register_timer(TimerId(*timer_base), id, token);
+                let delay = Duration::from_millis(10 + token);
+                state.set_timer(id, token, Time::ZERO, delay, |_| {
+                    *timer_base += 1;
+                    TimerId(*timer_base)
+                });
             }
         }
     }
@@ -437,7 +441,7 @@ fn bench_node_state(c: &mut Criterion) {
     });
 
     // Epoch GC at the same scale: two live epochs of 128 instances (plus
-    // two armed timers each), collect the older one and advance the
+    // an armed timer each), collect the older one and advance the
     // checkpoint cut — the wholesale arena drop.
     group.sample_size(20);
     group.bench_function("epoch_gc", |b| {

@@ -52,6 +52,7 @@ pub use checker::{DeliveryChecker, Violation};
 pub use checkpoint::CheckpointManager;
 pub use epoch::EpochConfig;
 pub use log::IssLog;
+pub use node::KIND_INSTANCE;
 pub use node::{DeliverySink, IssNode, Mode, NodeOptions, NullSink, StragglerBehavior};
 pub use orderer::OrdererFactory;
 pub use policy::LeaderPolicy;

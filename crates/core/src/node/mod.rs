@@ -67,7 +67,9 @@ use std::sync::Arc;
 
 /// Timer kinds used by the node on the runtime context.
 const KIND_PROPOSE: u64 = 1;
-const KIND_INSTANCE: u64 = 2;
+/// The kind of the runtime timers that wake SB instances; a trace tells
+/// them from the node's other timers by it.
+pub const KIND_INSTANCE: u64 = 2;
 const KIND_MIR_EPOCH: u64 = 3;
 const KIND_CATCH_UP: u64 = 4;
 
@@ -448,8 +450,10 @@ impl Process<NetMsg> for IssNode {
         match kind {
             KIND_PROPOSE => self.on_propose_tick(ctx),
             KIND_INSTANCE => {
-                // A timer whose instance was collected resolves to nothing.
-                if let Some((instance, token)) = self.state.resolve_timer(id) {
+                // Only the deadline of an instance's latest arming drives it.
+                let now = ctx.now();
+                let arm = |delay| ctx.set_timer(delay, KIND_INSTANCE);
+                if let Some((instance, token)) = self.state.fire_timer(id, now, arm) {
                     self.drive(instance, ctx, |inst, sb| inst.on_timer(token, sb));
                 }
             }

@@ -77,8 +77,9 @@ impl IssNode {
                     self.on_sb_deliver(seq_nr, batch, ctx);
                 }
                 SbAction::SetTimer { token, delay } => {
-                    let id = ctx.set_timer(delay, KIND_INSTANCE);
-                    self.state.register_timer(id, instance_id, token);
+                    let now = ctx.now();
+                    let arm = |delay| ctx.set_timer(delay, KIND_INSTANCE);
+                    self.state.set_timer(instance_id, token, now, delay, arm);
                 }
             }
         }

@@ -1,30 +1,52 @@
 //! The Manager's epoch-scoped bookkeeping ([`EpochState`]): the live SB
-//! instances, the leader of each sequence number, the batches this node
-//! proposed, and which instance each runtime timer belongs to.
+//! instances and their timers, the leader of each sequence number, the
+//! batches this node proposed, and which instance each runtime timer
+//! belongs to.
 //!
 //! An SB instance is addressed by its [`InstanceId`], the `(epoch, segment)`
 //! pair of the paper. Each live epoch has one arena, found by
 //! `epoch - front_epoch` because epochs are contiguous. An arena holds the
-//! epoch's instances by segment index, its leaders in segment order and this
-//! node's proposals by sequence-number offset. Sequence numbers are laid out
-//! round-robin over the leaders (Figure 1, [`crate::EpochConfig::build`]), so
-//! the leader of `sn` is `leaders[(sn - first_seq_nr) % leaders.len()]`.
-//! Dispatch, timer resolution and `leader_of` are array reads.
+//! epoch's instances (each with its one timer) by segment index, its
+//! leaders in segment order and this node's proposals by sequence-number
+//! offset. Sequence numbers are laid out round-robin over the leaders
+//! (Figure 1, [`crate::EpochConfig::build`]), so the leader of `sn` is
+//! `leaders[(sn - first_seq_nr) % leaders.len()]`. Dispatch and `leader_of`
+//! are array reads, and a fired timer is one hash lookup away from its
+//! instance.
 //!
 //! Garbage collection retires an epoch's instances and drops its arena once
 //! the stable-checkpoint cut passes its last sequence number; until then the
 //! arena still answers `leader_of`. A late message or a timer that fires
 //! after its epoch was collected finds the arena gone or retired and is
-//! ignored. Timers are never cancelled: an SB instance can only arm one, and
-//! one that re-arms a timeout stamps the token and ignores stale fires
-//! itself, so a route leaves the table when its timer fires.
+//! ignored.
+//!
+//! An SB instance has one timer, and arming it again moves its deadline
+//! (the SB contract). The instance's slot keeps the latest deadline and
+//! token and the one runtime timer armed to wake it; runtime timers are
+//! never cancelled, and a route leaves the table when its timer fires. A
+//! re-arm at or after that timer's expiry arms nothing; a fire before the
+//! deadline arms the remaining time; a re-arm to an earlier deadline arms a
+//! new runtime timer, and the one it supersedes resolves to nothing.
 //!
 //! `crates/core/tests/state_equivalence.rs` checks this state in lockstep
 //! against a `HashMap` oracle over randomized epoch lifecycles.
 
 use iss_sb::SbInstance;
-use iss_types::{Batch, EpochNr, FxHashMap, InstanceId, NodeId, SeqNr, TimerId};
+use iss_types::{Batch, Duration, EpochNr, FxHashMap, InstanceId, NodeId, SeqNr, Time, TimerId};
 use std::collections::VecDeque;
+
+/// An SB instance and its one timer.
+#[derive(Default)]
+struct Slot {
+    /// `None` while the instance is out for a callback.
+    instance: Option<Box<dyn SbInstance>>,
+    /// The deadline and token of the instance's latest arming.
+    deadline: Time,
+    token: u64,
+    /// The runtime timer armed to wake the instance and its expiry, at or
+    /// before `deadline`; `None` once the latest arming is spent.
+    wake: Option<(TimerId, Time)>,
+}
 
 /// One live epoch.
 struct EpochArena {
@@ -32,10 +54,9 @@ struct EpochArena {
     first_seq_nr: SeqNr,
     /// The epoch's leaders in segment order.
     leaders: Vec<NodeId>,
-    /// The SB instances by segment index: `None` while one is out for a
-    /// callback, and empty once the epoch's instances are retired (every
-    /// epoch has at least one segment).
-    instances: Vec<Option<Box<dyn SbInstance>>>,
+    /// The SB instances by segment index, empty once the epoch's instances
+    /// are retired (every epoch has at least one segment).
+    slots: Vec<Slot>,
     /// This node's proposed batch per sequence-number offset; its length is
     /// the epoch's length.
     proposed: Vec<Option<Batch>>,
@@ -65,9 +86,11 @@ impl EpochArena {
 ///   instance (the node's `drive` loop); a take of a collected or
 ///   already-taken instance returns `None`, and an instance restored after
 ///   its epoch was collected is dropped.
-/// * `register_timer` / `resolve_timer` route the embedding's timer handles
-///   to (instance, token) pairs; resolving a timer whose instance was
-///   collected returns `None` and drops the route.
+/// * `set_timer` moves an instance's one deadline, arming a runtime timer
+///   only when none armed for it expires by then; `fire_timer` resolves a
+///   runtime timer to the (instance, token) whose deadline it reached, and
+///   to `None` when it fired early (and armed the rest), was superseded,
+///   or outlived its instance.
 /// * `record_proposed` / `take_proposed` / `clear_proposed` track the
 ///   batches this node proposed for its own segment (resurrection on ⊥).
 /// * `gc(keep_epochs_from, leader_cut)` retires the instances of epochs
@@ -78,8 +101,8 @@ pub struct EpochState {
     /// Live epochs, oldest first: the arena of epoch `e` sits at index
     /// `e - arenas[0].epoch`.
     arenas: VecDeque<EpochArena>,
-    /// Timer handle → (instance, token), removed when the timer fires.
-    timer_routes: FxHashMap<TimerId, (InstanceId, u64)>,
+    /// Runtime timer → the instance it wakes, removed when the timer fires.
+    timer_routes: FxHashMap<TimerId, InstanceId>,
     /// `leader_of` answers `None` below this (stable-checkpoint) cut.
     leader_cut: SeqNr,
 }
@@ -95,15 +118,10 @@ impl EpochState {
         Some(epoch.checked_sub(front)? as usize)
     }
 
-    fn instance_mut(&mut self, id: InstanceId) -> Option<&mut Option<Box<dyn SbInstance>>> {
+    fn slot_mut(&mut self, id: InstanceId) -> Option<&mut Slot> {
         let index = self.arena_index(id.epoch)?;
         let arena = self.arenas.get_mut(index)?;
-        arena.instances.get_mut(id.index as usize)
-    }
-
-    fn is_live(&self, id: InstanceId) -> bool {
-        let arena = self.arena_index(id.epoch).and_then(|i| self.arenas.get(i));
-        arena.is_some_and(|a| (id.index as usize) < a.instances.len())
+        arena.slots.get_mut(id.index as usize)
     }
 
     /// The proposal slot of `sn`, searched newest epoch first.
@@ -137,7 +155,7 @@ impl EpochState {
             epoch,
             first_seq_nr,
             leaders,
-            instances: Vec::new(),
+            slots: Vec::new(),
             proposed: (0..length).map(|_| None).collect(),
         });
     }
@@ -148,24 +166,27 @@ impl EpochState {
         let arena = self.arenas.back_mut().expect("no epoch opened");
         assert_eq!(
             (id.epoch, id.index as usize),
-            (arena.epoch, arena.instances.len()),
+            (arena.epoch, arena.slots.len()),
             "instances are inserted into the newest epoch in segment order"
         );
-        arena.instances.push(Some(instance));
+        arena.slots.push(Slot {
+            instance: Some(instance),
+            ..Slot::default()
+        });
     }
 
     /// Takes the instance `id` out for a callback. Returns `None` if it was
     /// collected, never existed or is already out.
     pub fn take_instance(&mut self, id: InstanceId) -> Option<Box<dyn SbInstance>> {
-        self.instance_mut(id)?.take()
+        self.slot_mut(id)?.instance.take()
     }
 
     /// Puts an instance taken with [`Self::take_instance`] back. If its epoch
     /// was collected while it was out, the instance is dropped.
     pub fn restore_instance(&mut self, id: InstanceId, instance: Box<dyn SbInstance>) {
-        if let Some(slot) = self.instance_mut(id) {
-            debug_assert!(slot.is_none(), "restore over an untaken instance");
-            *slot = Some(instance);
+        if let Some(slot) = self.slot_mut(id) {
+            debug_assert!(slot.instance.is_none(), "restore over an untaken instance");
+            slot.instance = Some(instance);
         }
     }
 
@@ -201,19 +222,52 @@ impl EpochState {
         }
     }
 
-    /// Routes `timer` to `(id, token)` for [`Self::resolve_timer`].
-    pub fn register_timer(&mut self, timer: TimerId, id: InstanceId, token: u64) {
-        if self.is_live(id) {
-            self.timer_routes.insert(timer, (id, token));
+    /// Arms the timer of instance `id` to expire with `token` at `now +
+    /// delay`, replacing its earlier arming. `arm(delay)` arms a runtime
+    /// timer; it is called only when none armed for the instance expires by
+    /// the new deadline. A collected instance arms nothing.
+    pub fn set_timer(
+        &mut self,
+        id: InstanceId,
+        token: u64,
+        now: Time,
+        delay: Duration,
+        arm: impl FnOnce(Duration) -> TimerId,
+    ) {
+        let deadline = now + delay;
+        let Some(slot) = self.slot_mut(id) else {
+            return;
+        };
+        (slot.deadline, slot.token) = (deadline, token);
+        if slot.wake.is_some_and(|(_, at)| at <= deadline) {
+            return;
         }
+        let wake = arm(delay);
+        slot.wake = Some((wake, deadline));
+        self.timer_routes.insert(wake, id);
     }
 
-    /// Resolves a fired timer to the instance and token it was armed with,
-    /// dropping the route. Returns `None` (and still drops the route) if the
-    /// instance was collected in the meantime.
-    pub fn resolve_timer(&mut self, timer: TimerId) -> Option<(InstanceId, u64)> {
-        let (id, token) = self.timer_routes.remove(&timer)?;
-        self.is_live(id).then_some((id, token))
+    /// Resolves the runtime timer `timer`, fired at `now`, to the instance
+    /// and token whose deadline it reached; that arming is then spent. It
+    /// resolves to `None` when it fired before the deadline (and armed the
+    /// rest through `arm`), when a nearer arming superseded it, or when its
+    /// instance was collected.
+    pub fn fire_timer(
+        &mut self,
+        timer: TimerId,
+        now: Time,
+        arm: impl FnOnce(Duration) -> TimerId,
+    ) -> Option<(InstanceId, u64)> {
+        let id = self.timer_routes.remove(&timer)?;
+        let slot = self.slot_mut(id)?;
+        slot.wake.filter(|&(wake, _)| wake == timer)?;
+        slot.wake = None;
+        if now >= slot.deadline {
+            return Some((id, slot.token));
+        }
+        let (token, rest) = (slot.token, slot.deadline.saturating_since(now));
+        self.set_timer(id, token, now, rest, arm);
+        None
     }
 
     /// Epoch garbage collection: retires the instances of every epoch before
@@ -224,7 +278,7 @@ impl EpochState {
         // `clear_proposed` when it sets up the next epoch.
         for arena in self.arenas.iter_mut() {
             if arena.epoch < keep_epochs_from {
-                arena.instances = Vec::new();
+                arena.slots = Vec::new();
             }
         }
         if let Some(cut) = leader_cut {
@@ -233,7 +287,7 @@ impl EpochState {
         while self
             .arenas
             .front()
-            .is_some_and(|a| a.instances.is_empty() && a.end() <= self.leader_cut)
+            .is_some_and(|a| a.slots.is_empty() && a.end() <= self.leader_cut)
         {
             self.arenas.pop_front();
         }
@@ -242,7 +296,7 @@ impl EpochState {
     /// Number of live (not collected) instances, counting taken ones.
     /// Diagnostics and tests.
     pub fn live_instances(&self) -> usize {
-        self.arenas.iter().map(|a| a.instances.len()).sum()
+        self.arenas.iter().map(|a| a.slots.len()).sum()
     }
 }
 
@@ -326,21 +380,42 @@ mod tests {
 
     #[test]
     fn timers_route_in_o1_and_die_with_their_instance() {
+        let ms = Time::from_millis;
         let mut state = EpochState::new();
         let ids = epoch_with_instances(&mut state, 0, 0, 2, 2);
-        let t3 = TimerId(303);
-        state.register_timer(t3, ids[1], 9);
-        assert_eq!(state.resolve_timer(t3), Some((ids[1], 9)));
-        assert!(state.resolve_timer(t3).is_none(), "a route resolves once");
-        // A timer surviving its instance resolves to None after GC.
-        let t4 = TimerId(404);
-        state.register_timer(t4, ids[0], 1);
+        let mut armed = Vec::new();
+        let mut arm = |delay: Duration| {
+            armed.push(delay);
+            TimerId(armed.len() as u64)
+        };
+        let d = Duration::from_millis;
+        // A re-arm to a later deadline arms nothing; the early fire arms the
+        // remaining 2 ms, and the deadline's fire resolves once.
+        state.set_timer(ids[1], 9, ms(0), d(10), &mut arm);
+        state.set_timer(ids[1], 7, ms(2), d(10), &mut arm);
+        assert_eq!(state.fire_timer(TimerId(1), ms(10), &mut arm), None);
+        assert_eq!(state.fire_timer(TimerId(1), ms(10), &mut arm), None);
+        assert_eq!(
+            state.fire_timer(TimerId(2), ms(12), &mut arm),
+            Some((ids[1], 7))
+        );
+        assert_eq!(state.fire_timer(TimerId(2), ms(12), &mut arm), None, "once");
+        // A re-arm to an earlier deadline arms anew; the old timer is dead.
+        state.set_timer(ids[0], 1, ms(20), d(50), &mut arm);
+        state.set_timer(ids[0], 2, ms(21), d(5), &mut arm);
+        assert_eq!(
+            state.fire_timer(TimerId(4), ms(26), &mut arm),
+            Some((ids[0], 2))
+        );
+        assert_eq!(state.fire_timer(TimerId(3), ms(70), &mut arm), None);
+        // A timer surviving its instance resolves to None after GC...
+        state.set_timer(ids[0], 1, ms(80), d(10), &mut arm);
         epoch_with_instances(&mut state, 1, 4, 2, 2);
         state.gc(1, None);
-        assert!(state.resolve_timer(t4).is_none());
-        // A timer armed for a collected instance is not routed at all.
-        state.register_timer(TimerId(505), ids[0], 1);
-        assert!(state.resolve_timer(TimerId(505)).is_none());
+        assert_eq!(state.fire_timer(TimerId(5), ms(90), &mut arm), None);
+        // ...and a collected instance arms nothing.
+        state.set_timer(ids[0], 1, ms(90), d(10), &mut arm);
+        assert_eq!(armed, [d(10), d(2), d(50), d(5), d(10)]);
     }
 
     #[test]

@@ -1,16 +1,23 @@
 //! Lockstep equivalence property suite: the dense [`EpochState`] arena must
 //! be observably indistinguishable from the [`ReferenceNodeState`] `HashMap`
 //! oracle under randomized epoch lifecycles — propose bookkeeping, message
-//! dispatch (take/restore), timer register/fire, epoch changes and garbage
-//! collection. The oracle is the arena's pre-arena implementation
+//! dispatch (take/restore), timer arming and expiry, epoch changes and
+//! garbage collection. The oracle is the arena's pre-arena implementation
 //! and lives here, in the test, rather than in the crate.
 //!
 //! Every operation is applied to both implementations and every output is
 //! compared: leader lookups, proposed-batch round-trips, instance liveness,
-//! timer resolutions, live-instance counts. Both sides address an instance
-//! by its `InstanceId`. The oracle records every sequence number's leader
-//! from the segment layout, so `leader_of` also checks the arena's stride
-//! rule.
+//! timer expiries, live-instance counts. Both sides address an instance by
+//! its `InstanceId`. The oracle records every sequence number's leader from
+//! the segment layout, so `leader_of` also checks the arena's stride rule.
+//!
+//! Timers follow the SB contract: an instance has one timer, and arming it
+//! again replaces its deadline and token. The oracle keeps just that, the
+//! latest deadline and token per instance. The arena is driven through a
+//! simulated runtime that fires each runtime timer it armed at its expiry,
+//! and must run exactly the oracle's expiries, at the same times; it may
+//! arm a runtime timer only when the new deadline is nearer than the
+//! pending one.
 //!
 //! The workloads are generated from seeded RNGs (the house property-test
 //! idiom; failures reproduce exactly): 300 randomized lifecycles of up to 12
@@ -19,13 +26,15 @@
 use iss_core::state::EpochState;
 use iss_sb::testing::NullSb;
 use iss_sb::SbInstance;
-use iss_types::{Batch, ClientId, EpochNr, InstanceId, NodeId, Request, SeqNr, TimerId};
+use iss_types::{
+    Batch, ClientId, Duration, EpochNr, InstanceId, NodeId, Request, SeqNr, Time, TimerId,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 
 /// The pre-arena implementation, kept as the behavioural oracle: maps keyed
-/// by `InstanceId` / `SeqNr` / `TimerId`, epoch GC by `retain` scans.
+/// by `InstanceId` / `SeqNr`, epoch GC by `retain` scans.
 #[derive(Default)]
 struct ReferenceNodeState {
     instances: HashMap<InstanceId, Box<dyn SbInstance>>,
@@ -34,7 +43,8 @@ struct ReferenceNodeState {
     taken: HashSet<InstanceId>,
     leader_of_sn: HashMap<SeqNr, NodeId>,
     proposed: HashMap<SeqNr, Batch>,
-    instance_timers: HashMap<TimerId, (InstanceId, u64)>,
+    /// The deadline and token of each instance's pending timer.
+    instance_timers: HashMap<InstanceId, (Time, u64)>,
 }
 
 impl ReferenceNodeState {
@@ -84,22 +94,37 @@ impl ReferenceNodeState {
         self.proposed.clear();
     }
 
-    fn register_timer(&mut self, timer: TimerId, id: InstanceId, token: u64) {
+    fn set_timer(&mut self, id: InstanceId, token: u64, deadline: Time) {
         if self.is_live(id) {
-            self.instance_timers.insert(timer, (id, token));
+            self.instance_timers.insert(id, (deadline, token));
         }
     }
 
-    fn resolve_timer(&mut self, timer: TimerId) -> Option<(InstanceId, u64)> {
-        let (id, token) = self.instance_timers.remove(&timer)?;
-        self.is_live(id).then_some((id, token))
+    /// The pending deadline of `id`, if any.
+    fn deadline(&self, id: InstanceId) -> Option<Time> {
+        self.instance_timers.get(&id).map(|&(at, _)| at)
+    }
+
+    /// Takes every expiry due by `now`, in order.
+    fn due(&mut self, now: Time) -> Vec<(Time, InstanceId, u64)> {
+        let mut due: Vec<(Time, InstanceId, u64)> = self
+            .instance_timers
+            .iter()
+            .filter(|(_, &(at, _))| at <= now)
+            .map(|(&id, &(at, token))| (at, id, token))
+            .collect();
+        for (_, id, _) in &due {
+            self.instance_timers.remove(id);
+        }
+        due.sort();
+        due
     }
 
     fn gc(&mut self, keep_epochs_from: EpochNr, leader_cut: Option<SeqNr>) {
         self.instances.retain(|id, _| id.epoch >= keep_epochs_from);
         self.taken.retain(|id| id.epoch >= keep_epochs_from);
         self.instance_timers
-            .retain(|_, (id, _)| id.epoch >= keep_epochs_from);
+            .retain(|id, _| id.epoch >= keep_epochs_from);
         if let Some(cut) = leader_cut {
             self.leader_of_sn.retain(|sn, _| *sn >= cut);
         }
@@ -136,21 +161,43 @@ struct LiveEpoch {
     segments: u32,
 }
 
-/// Timers the driver has armed and not yet seen fire.
-struct LiveTimer {
-    id: TimerId,
-    instance: InstanceId,
-    token: u64,
+/// The runtime timers the arena armed and that have not fired yet: the
+/// simulated runtime fires each at its expiry, in arming order on ties.
+#[derive(Default)]
+struct Runtime {
+    pending: Vec<(Time, TimerId)>,
+    armed: u64,
+}
+
+impl Runtime {
+    /// Arms a runtime timer `delay` after `now`.
+    fn arm(&mut self, now: Time, delay: Duration) -> TimerId {
+        self.armed += 1;
+        let id = TimerId(self.armed);
+        self.pending.push((now + delay, id));
+        id
+    }
+
+    /// Takes the earliest pending timer that expires by `now`.
+    fn pop_due(&mut self, now: Time) -> Option<(Time, TimerId)> {
+        let (i, _) = self
+            .pending
+            .iter()
+            .enumerate()
+            .filter(|(_, (at, _))| *at <= now)
+            .min_by_key(|(_, &entry)| entry)?;
+        Some(self.pending.swap_remove(i))
+    }
 }
 
 struct Driver {
     dense: EpochState,
     reference: ReferenceNodeState,
     epochs: Vec<LiveEpoch>,
-    timers: Vec<LiveTimer>,
+    runtime: Runtime,
+    now: Time,
     next_epoch: EpochNr,
     next_seq_nr: SeqNr,
-    next_timer: u64,
     next_marker: u64,
 }
 
@@ -160,10 +207,10 @@ impl Driver {
             dense: EpochState::new(),
             reference: ReferenceNodeState::new(),
             epochs: Vec::new(),
-            timers: Vec::new(),
+            runtime: Runtime::default(),
+            now: Time::ZERO,
             next_epoch: 0,
             next_seq_nr: 0,
-            next_timer: 1,
             next_marker: 1,
         }
     }
@@ -238,6 +285,48 @@ impl Driver {
         }
     }
 
+    /// Arms `instance`'s timer on both states; the arena arms at most one
+    /// runtime timer, and none when the pending deadline is at or before
+    /// the new one.
+    fn arm(&mut self, instance: InstanceId, token: u64, delay: Duration) {
+        let now = self.now;
+        let deadline = now + delay;
+        let pending = self.reference.deadline(instance);
+        let before = self.runtime.armed;
+        let runtime = &mut self.runtime;
+        self.dense
+            .set_timer(instance, token, now, delay, |d| runtime.arm(now, d));
+        // A nearer deadline than the pending one may still find the runtime
+        // timer armed for an even earlier arming.
+        let armed = self.runtime.armed - before;
+        let allowed = match pending {
+            _ if !self.reference.is_live(instance) => 0..=0,
+            None => 1..=1,
+            Some(at) if at <= deadline => 0..=0,
+            Some(_) => 0..=1,
+        };
+        assert!(
+            allowed.contains(&armed),
+            "{armed} runtime timers armed for {instance:?}"
+        );
+        self.reference.set_timer(instance, token, deadline);
+    }
+
+    /// Fires every runtime timer due by `by`, each at its expiry, and
+    /// checks that the arena ran exactly the oracle's expiries.
+    fn advance(&mut self, by: Time) {
+        let mut fired = Vec::new();
+        while let Some((at, timer)) = self.runtime.pop_due(by) {
+            let runtime = &mut self.runtime;
+            if let Some((id, token)) = self.dense.fire_timer(timer, at, |d| runtime.arm(at, d)) {
+                fired.push((at, id, token));
+            }
+        }
+        fired.sort();
+        assert_eq!(fired, self.reference.due(by), "expiries diverged by {by:?}");
+        self.now = by;
+    }
+
     fn step(&mut self, rng: &mut StdRng) {
         match rng.gen_range(0u32..100) {
             // Epoch change: GC exactly like the node does (keep the epoch
@@ -295,37 +384,20 @@ impl Driver {
                     ),
                 }
             }
-            // Timers: arm on a (possibly dead) instance.
+            // Timers: arm on a (possibly dead) instance, sometimes at a
+            // nearer deadline than the pending one.
             70..=79 => {
                 let Some(instance) = self.pick_instance(rng) else {
                     return;
                 };
                 let token = rng.gen_range(0u64..4);
-                let id = TimerId(self.next_timer);
-                self.next_timer += 1;
-                self.dense.register_timer(id, instance, token);
-                self.reference.register_timer(id, instance, token);
-                self.timers.push(LiveTimer {
-                    id,
-                    instance,
-                    token,
-                });
+                let delay = Duration::from_millis(rng.gen_range(0u64..40));
+                self.arm(instance, token, delay);
             }
-            // Fire a random armed timer.
+            // Let time pass: the runtime fires what is due.
             80..=89 => {
-                if self.timers.is_empty() {
-                    return;
-                }
-                let t = self.timers.swap_remove(rng.gen_range(0..self.timers.len()));
-                let dense = self.dense.resolve_timer(t.id);
-                let reference = self.reference.resolve_timer(t.id);
-                assert_eq!(dense, reference, "resolve_timer({:?}) diverged", t.id);
-                if let Some(resolved) = dense {
-                    assert_eq!(resolved, (t.instance, t.token));
-                }
-                // A second resolution must fail on both.
-                assert!(self.dense.resolve_timer(t.id).is_none());
-                assert!(self.reference.resolve_timer(t.id).is_none());
+                let by = self.now + Duration::from_millis(rng.gen_range(0u64..30));
+                self.advance(by);
             }
             // Queries.
             _ => {
@@ -368,13 +440,11 @@ fn dense_state_matches_reference_oracle_under_random_lifecycles() {
         for id in ids {
             driver.dispatch(id);
         }
-        // Fire every still-armed timer; resolutions must agree.
-        let timers = std::mem::take(&mut driver.timers);
-        for t in timers {
-            let dense = driver.dense.resolve_timer(t.id);
-            let reference = driver.reference.resolve_timer(t.id);
-            assert_eq!(dense, reference);
-        }
+        // Run out the clock: every pending expiry agrees, and no runtime
+        // timer is left behind.
+        let end = driver.now + Duration::from_secs(3600);
+        driver.advance(end);
+        assert!(driver.runtime.pending.is_empty());
     }
 }
 
@@ -422,8 +492,17 @@ fn reference_matches_on_the_basics() {
     let inst = state.take_instance(id).unwrap();
     assert_eq!(state.live_instances(), 1, "taken instances still count");
     state.restore_instance(id, inst);
-    state.register_timer(TimerId(1), id, 5);
-    assert_eq!(state.resolve_timer(TimerId(1)), Some((id, 5)));
+    state.set_timer(id, 5, Time::from_millis(10));
+    state.set_timer(id, 6, Time::from_millis(30));
+    assert!(
+        state.due(Time::from_millis(20)).is_empty(),
+        "moved deadline"
+    );
+    assert_eq!(
+        state.due(Time::from_millis(30)),
+        [(Time::from_millis(30), id, 6)]
+    );
+    assert!(state.due(Time::from_millis(40)).is_empty(), "runs once");
     state.gc(1, Some(4));
     assert!(!state.is_live(id));
     assert_eq!(state.leader_of(2), None);

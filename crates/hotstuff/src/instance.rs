@@ -8,9 +8,6 @@ use iss_types::{Batch, Duration, NodeId, Segment, SeqNr, ViewNr};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Token for the pacemaker timer (generation-counted).
-const TIMER_PACEMAKER: u64 = 1 << 33;
-
 /// Number of dummy views appended to flush the pipeline (Section 4.2.2).
 pub const DUMMY_VIEWS: u64 = 3;
 
@@ -70,7 +67,6 @@ pub struct HotStuffInstance {
     /// Views already delivered.
     delivered_views: BTreeMap<ViewNr, ()>,
     delivered: usize,
-    timer_generation: u64,
     current_timeout: Duration,
 }
 
@@ -102,7 +98,6 @@ impl HotStuffInstance {
             next_propose_view: 1,
             delivered_views: BTreeMap::new(),
             delivered: 0,
-            timer_generation: 0,
             current_timeout,
         }
     }
@@ -135,14 +130,6 @@ impl HotStuffInstance {
 
     fn is_leader(&self) -> bool {
         self.current_leader() == self.my_id
-    }
-
-    fn arm_pacemaker(&mut self, ctx: &mut SbContext<'_>) {
-        self.timer_generation += 1;
-        ctx.set_timer(
-            TIMER_PACEMAKER + self.timer_generation,
-            self.current_timeout,
-        );
     }
 
     /// Leader: propose the next view if its justification (QC of the previous
@@ -242,8 +229,8 @@ impl HotStuffInstance {
         }
         self.certified.insert(qc.view, qc);
         self.check_commit(ctx);
-        // Progress: reset the pacemaker.
-        self.arm_pacemaker(ctx);
+        // Progress: reset the pacemaker, the instance's one timer.
+        ctx.set_timer(0, self.current_timeout);
     }
 
     /// Three-chain commit rule: once views w-2, w-1, w are all certified,
@@ -293,7 +280,7 @@ impl HotStuffInstance {
 
 impl SbInstance for HotStuffInstance {
     fn init(&mut self, ctx: &mut SbContext<'_>) {
-        self.arm_pacemaker(ctx);
+        ctx.set_timer(0, self.current_timeout);
     }
 
     fn propose(&mut self, seq_nr: SeqNr, batch: Batch, ctx: &mut SbContext<'_>) {
@@ -401,8 +388,8 @@ impl SbInstance for HotStuffInstance {
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut SbContext<'_>) {
-        if token != TIMER_PACEMAKER + self.timer_generation || self.is_complete() {
+    fn on_timer(&mut self, _token: u64, ctx: &mut SbContext<'_>) {
+        if self.is_complete() {
             return;
         }
         // Pacemaker timeout: suspect the current leader, advance the round,
@@ -426,7 +413,7 @@ impl SbInstance for HotStuffInstance {
                 }),
             );
         }
-        self.arm_pacemaker(ctx);
+        ctx.set_timer(0, self.current_timeout);
     }
 
     fn is_complete(&self) -> bool {

@@ -9,10 +9,6 @@ use iss_types::{Batch, Duration, NodeId, Segment, SeqNr, ViewNr};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Token namespace for the progress (view-change) timer; the token value is a
-/// generation counter so stale timers are ignored.
-const TIMER_PROGRESS: u64 = 1 << 32;
-
 /// A PREPARE or COMMIT that arrived before this node accepted a pre-prepare
 /// for its slot. Nothing orders messages across peers: over TCP each peer
 /// connection is delivered independently, and on a simulated LAN the
@@ -57,7 +53,6 @@ pub struct PbftInstance {
     early_votes: HashMap<SeqNr, Vec<EarlyVote>>,
 
     current_timeout: Duration,
-    timer_generation: u64,
     delivered: usize,
 }
 
@@ -92,7 +87,6 @@ impl PbftInstance {
             known_batches: HashMap::new(),
             early_votes: HashMap::new(),
             current_timeout: view_change_timeout,
-            timer_generation: 0,
             delivered: 0,
         }
     }
@@ -124,9 +118,9 @@ impl PbftInstance {
         self.segment.strong_quorum()
     }
 
-    fn arm_progress_timer(&mut self, ctx: &mut SbContext<'_>) {
-        self.timer_generation += 1;
-        ctx.set_timer(TIMER_PROGRESS + self.timer_generation, self.current_timeout);
+    /// Arms the progress (view-change) timer, the instance's only timer.
+    fn arm_progress_timer(&self, ctx: &mut SbContext<'_>) {
+        ctx.set_timer(0, self.current_timeout);
     }
 
     fn vc_signing_bytes(new_view: ViewNr, prepared: &[PreparedProof]) -> Vec<u8> {
@@ -614,10 +608,7 @@ impl SbInstance for PbftInstance {
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut SbContext<'_>) {
-        if token != TIMER_PROGRESS + self.timer_generation {
-            return; // stale timer
-        }
+    fn on_timer(&mut self, _token: u64, ctx: &mut SbContext<'_>) {
         if self.is_complete() {
             return;
         }

@@ -8,9 +8,10 @@ use rand::Rng;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// Timer token namespaces (generation-counted).
-const TIMER_ELECTION: u64 = 1 << 34;
-const TIMER_HEARTBEAT: u64 = 1 << 35;
+/// Timer tags: the instance's one timer is armed either as the election
+/// timeout or as the leader's heartbeat, and the tag says which.
+const TIMER_ELECTION: u64 = 0;
+const TIMER_HEARTBEAT: u64 = 1;
 
 /// Raft instance configuration.
 #[derive(Clone, Copy, Debug)]
@@ -63,8 +64,6 @@ pub struct RaftInstance {
     /// appended to the log.
     pending: BTreeMap<SeqNr, Batch>,
 
-    election_generation: u64,
-    heartbeat_generation: u64,
     election_window: (Duration, Duration),
     delivered: usize,
 }
@@ -94,8 +93,6 @@ impl RaftInstance {
             last_delivered: -1,
             match_index: HashMap::new(),
             pending: BTreeMap::new(),
-            election_generation: 0,
-            heartbeat_generation: 0,
             election_window,
             delivered: 0,
         }
@@ -115,20 +112,11 @@ impl RaftInstance {
         self.segment.majority_quorum()
     }
 
-    fn arm_election_timer(&mut self, ctx: &mut SbContext<'_>) {
-        self.election_generation += 1;
+    fn arm_election_timer(&self, ctx: &mut SbContext<'_>) {
         let (min, max) = self.election_window;
         let span = max.as_micros().saturating_sub(min.as_micros()).max(1);
         let delay = Duration::from_micros(min.as_micros() + ctx.rng.gen_range(0..span));
-        ctx.set_timer(TIMER_ELECTION + self.election_generation, delay);
-    }
-
-    fn arm_heartbeat_timer(&mut self, ctx: &mut SbContext<'_>) {
-        self.heartbeat_generation += 1;
-        ctx.set_timer(
-            TIMER_HEARTBEAT + self.heartbeat_generation,
-            self.config.heartbeat_interval,
-        );
+        ctx.set_timer(TIMER_ELECTION, delay);
     }
 
     /// Leader: move pending batches into the log in segment order.
@@ -237,7 +225,7 @@ impl RaftInstance {
         // A replacement leader proposes ⊥ for every slot it has no entry for.
         self.fill_with_nil();
         self.replicate(ctx);
-        self.arm_heartbeat_timer(ctx);
+        ctx.set_timer(TIMER_HEARTBEAT, self.config.heartbeat_interval);
     }
 
     fn start_election(&mut self, ctx: &mut SbContext<'_>) {
@@ -268,7 +256,7 @@ impl RaftInstance {
 impl SbInstance for RaftInstance {
     fn init(&mut self, ctx: &mut SbContext<'_>) {
         if self.role == Role::Leader {
-            self.arm_heartbeat_timer(ctx);
+            ctx.set_timer(TIMER_HEARTBEAT, self.config.heartbeat_interval);
         } else {
             self.arm_election_timer(ctx);
         }
@@ -433,7 +421,9 @@ impl SbInstance for RaftInstance {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut SbContext<'_>) {
-        if token == TIMER_HEARTBEAT + self.heartbeat_generation {
+        // A leader that stepped down without arming the election timer
+        // still finds its heartbeat deadline here, and ignores it.
+        if token == TIMER_HEARTBEAT {
             if self.role == Role::Leader {
                 // Periodic (possibly empty) append-entries: heartbeat plus
                 // retransmission of anything not yet acknowledged; continues
@@ -450,13 +440,10 @@ impl SbInstance for RaftInstance {
                         });
                 if !(self.is_complete() && all_matched) {
                     self.replicate(ctx);
-                    self.arm_heartbeat_timer(ctx);
+                    ctx.set_timer(TIMER_HEARTBEAT, self.config.heartbeat_interval);
                 }
             }
-        } else if token == TIMER_ELECTION + self.election_generation
-            && self.role != Role::Leader
-            && !self.is_complete()
-        {
+        } else if token == TIMER_ELECTION && self.role != Role::Leader && !self.is_complete() {
             self.start_election(ctx);
         }
     }

@@ -25,9 +25,9 @@ pub enum SbAction {
         /// The delivered batch, or `None` for the nil value ⊥.
         batch: Option<Batch>,
     },
-    /// Arm a timer that will call [`SbInstance::on_timer`] with `token` after
-    /// `delay`. Timers cannot be cancelled: an instance that re-arms a
-    /// timeout stamps the token with a generation and ignores stale fires.
+    /// Arm the instance's one timer: [`SbInstance::on_timer`] runs with
+    /// `token` after `delay`. Arming again replaces the earlier arming, its
+    /// deadline and its token; nothing cancels the timer.
     SetTimer {
         /// Token passed back on expiry.
         token: u64,
@@ -76,7 +76,7 @@ impl<'a> SbContext<'a> {
         self.actions.push(SbAction::Deliver { seq_nr, batch });
     }
 
-    /// Arms a timer.
+    /// Arms the instance's timer, replacing any earlier arming.
     pub fn set_timer(&mut self, token: u64, delay: Duration) {
         self.actions.push(SbAction::SetTimer { token, delay });
     }
@@ -116,9 +116,10 @@ pub trait SbInstance {
     /// A protocol message for this instance arrived from `from`.
     fn on_message(&mut self, from: NodeId, msg: SbMsg, ctx: &mut SbContext<'_>);
 
-    /// A timer armed by this instance fired. This is also where an instance
-    /// suspects its sender: each implementation derives its ◇S(bz) failure
-    /// detector from its own timeouts (Section 4.2.4).
+    /// The instance's timer expired: this runs once per arming that no later
+    /// arming replaced, at its deadline and with its token. This is also
+    /// where an instance suspects its sender: each implementation derives
+    /// its ◇S(bz) failure detector from its own timeout (Section 4.2.4).
     fn on_timer(&mut self, token: u64, ctx: &mut SbContext<'_>);
 
     /// Whether the instance has delivered a value for every sequence number

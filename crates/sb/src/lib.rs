@@ -11,8 +11,9 @@
 //! its ◇S(bz) failure detector from its own timeout (Section 4.2.4): PBFT's
 //! view-change timer, HotStuff's pacemaker, Raft's election timer and the
 //! reference implementation's progress timer. The embedding supplies no
-//! failure-detector input; it only arms the timers an instance asks for and
-//! calls [`SbInstance::on_timer`] when they fire.
+//! failure-detector input. An instance has one timer: arming it again
+//! replaces the earlier deadline and token, and the embedding calls
+//! [`SbInstance::on_timer`] once, at the deadline of the latest arming.
 //!
 //! This crate defines:
 //!

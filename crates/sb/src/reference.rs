@@ -5,7 +5,7 @@
 //! detector.
 //!
 //! Like the production protocols, the instance derives that detector from
-//! its own timeout (Section 4.2.4). A progress timer is armed at `SB-INIT`
+//! its own timeout (Section 4.2.4). The progress timer is armed at `SB-INIT`
 //! and re-armed on every delivery; when it fires on an incomplete segment,
 //! the node suspects the sender and runs `abort()`, voting ⊥ for every
 //! sequence number it has not voted on yet.
@@ -40,9 +40,6 @@ pub struct ReferenceSb {
     /// How long the segment may go without a delivery before this node
     /// suspects the sender.
     timeout: Duration,
-    /// Generation of the armed progress timer; a fire carrying an older
-    /// token is stale.
-    timer_generation: u64,
 
     /// Batches received via BRB SEND, keyed by digest.
     batches: HashMap<(SeqNr, Digest), Batch>,
@@ -68,7 +65,6 @@ impl ReferenceSb {
             my_id,
             segment,
             timeout,
-            timer_generation: 0,
             batches: HashMap::new(),
             echoed: HashSet::new(),
             ready_sent: HashSet::new(),
@@ -94,11 +90,6 @@ impl ReferenceSb {
 
     fn weak(&self) -> usize {
         self.segment.weak_quorum()
-    }
-
-    fn arm_progress_timer(&mut self, ctx: &mut SbContext<'_>) {
-        self.timer_generation += 1;
-        ctx.set_timer(self.timer_generation, self.timeout);
     }
 
     fn record_echo(&mut self, sn: SeqNr, digest: Digest, from: NodeId, ctx: &mut SbContext<'_>) {
@@ -184,7 +175,7 @@ impl ReferenceSb {
         self.pending_delivery.remove(&sn);
         ctx.deliver(sn, batch);
         if !self.is_complete() {
-            self.arm_progress_timer(ctx);
+            ctx.set_timer(0, self.timeout);
         }
     }
 
@@ -201,7 +192,7 @@ impl ReferenceSb {
 
 impl SbInstance for ReferenceSb {
     fn init(&mut self, ctx: &mut SbContext<'_>) {
-        self.arm_progress_timer(ctx);
+        ctx.set_timer(0, self.timeout);
     }
 
     fn propose(&mut self, seq_nr: SeqNr, batch: Batch, ctx: &mut SbContext<'_>) {
@@ -262,9 +253,9 @@ impl SbInstance for ReferenceSb {
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut SbContext<'_>) {
+    fn on_timer(&mut self, _token: u64, ctx: &mut SbContext<'_>) {
         // No delivery for a whole timeout: suspect the sender.
-        if token == self.timer_generation && !self.is_complete() {
+        if !self.is_complete() {
             self.abort(ctx);
         }
     }
@@ -381,9 +372,8 @@ mod tests {
         net.init_all();
         net.propose(0, 0, batch(0));
         net.run_messages();
-        // The delivery of 0 re-armed every progress timer; the four fires
-        // armed at SB-INIT are stale and must not vote ⊥ for 1.
-        net.run(4);
+        // The delivery of 0 re-armed every progress timer, which replaces
+        // the arming of SB-INIT: no fire is left to vote ⊥ for 1.
         net.propose(0, 1, batch(1));
         net.run_messages();
         assert!(net.all_complete());

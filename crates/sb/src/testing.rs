@@ -2,7 +2,8 @@
 //! implementations without the network simulator.
 //!
 //! The harness delivers protocol messages synchronously (FIFO per run loop),
-//! keeps a miniature timer wheel, supports crashing nodes and dropping
+//! keeps each instance's one pending timer (a new arming replaces it, as
+//! the SB contract says), supports crashing nodes and dropping
 //! messages, and records every sb-delivery per node so tests can assert the
 //! SB properties (SB1–SB4). It is used by the unit tests of every protocol
 //! crate (`iss-pbft`, `iss-hotstuff`, `iss-raft`) as well as by the reference
@@ -16,12 +17,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-/// A pending timer.
-#[derive(Debug)]
+/// A node's pending timer: the deadline and token of its latest arming.
+#[derive(Debug, Clone, Copy)]
 struct PendingTimer {
     at: Time,
     seq: u64,
-    node: usize,
     token: u64,
 }
 
@@ -31,7 +31,8 @@ pub struct LocalNet<I> {
     pub instances: Vec<I>,
     validators: Vec<Box<dyn ProposalValidator>>,
     queue: VecDeque<(NodeId, NodeId, SbMsg)>,
-    timers: Vec<PendingTimer>,
+    /// Each node's pending timer, by node index.
+    timers: Vec<Option<PendingTimer>>,
     timer_seq: u64,
     now: Time,
     crashed: HashSet<usize>,
@@ -52,7 +53,7 @@ impl<I: SbInstance> LocalNet<I> {
                 .map(|_| Box::new(AcceptAll) as Box<dyn ProposalValidator>)
                 .collect(),
             queue: VecDeque::new(),
-            timers: Vec::new(),
+            timers: vec![None; n],
             timer_seq: 0,
             now: Time::ZERO,
             crashed: HashSet::new(),
@@ -96,8 +97,8 @@ impl<I: SbInstance> LocalNet<I> {
         self.queue.push_back((from, to, msg));
     }
 
-    /// Runs until the message queue is empty and either all timers have fired
-    /// or `max_timer_fires` timers have been processed.
+    /// Runs until the message queue is empty and either no timer is pending
+    /// or `max_timer_fires` timers have fired.
     pub fn run(&mut self, max_timer_fires: usize) {
         let mut fired = 0;
         loop {
@@ -117,20 +118,15 @@ impl<I: SbInstance> LocalNet<I> {
                 .timers
                 .iter()
                 .enumerate()
-                .filter(|(_, t)| !self.crashed.contains(&t.node))
-                .min_by_key(|(_, t)| (t.at, t.seq))
-                .map(|(i, _)| i);
-            match next {
-                None => break,
-                Some(idx) => {
-                    let timer = self.timers.remove(idx);
-                    if timer.at > self.now {
-                        self.now = timer.at;
-                    }
-                    fired += 1;
-                    self.step(timer.node, |inst, ctx| inst.on_timer(timer.token, ctx));
-                }
-            }
+                .filter(|(node, _)| !self.crashed.contains(node))
+                .filter_map(|(node, t)| Some((t.as_ref()?, node)))
+                .min_by_key(|(t, _)| (t.at, t.seq))
+                .map(|(_, node)| node);
+            let Some(node) = next else { break };
+            let timer = self.timers[node].take().expect("picked a pending timer");
+            self.now = self.now.max(timer.at);
+            fired += 1;
+            self.step(node, |inst, ctx| inst.on_timer(timer.token, ctx));
         }
     }
 
@@ -220,10 +216,9 @@ impl<I: SbInstance> LocalNet<I> {
                 }
                 SbAction::SetTimer { token, delay } => {
                     self.timer_seq += 1;
-                    self.timers.push(PendingTimer {
+                    self.timers[node] = Some(PendingTimer {
                         at: self.now + delay,
                         seq: self.timer_seq,
-                        node,
                         token,
                     });
                 }
@@ -247,5 +242,64 @@ impl SbInstance for NullSb {
     fn on_timer(&mut self, _token: u64, _ctx: &mut SbContext<'_>) {}
     fn is_complete(&self) -> bool {
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iss_types::Duration;
+
+    /// Arms its timer once per `(token, delay)` at `SB-INIT` and records
+    /// every expiry with its time.
+    struct Arming {
+        arms: Vec<(u64, Duration)>,
+        fired: Vec<(Time, u64)>,
+    }
+
+    impl SbInstance for Arming {
+        fn init(&mut self, ctx: &mut SbContext<'_>) {
+            for &(token, delay) in &self.arms {
+                ctx.set_timer(token, delay);
+            }
+        }
+        fn propose(&mut self, _seq_nr: SeqNr, _batch: Batch, _ctx: &mut SbContext<'_>) {}
+        fn on_message(&mut self, _from: NodeId, _msg: SbMsg, _ctx: &mut SbContext<'_>) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut SbContext<'_>) {
+            self.fired.push((ctx.now, token));
+        }
+        fn is_complete(&self) -> bool {
+            false
+        }
+    }
+
+    fn fires_of(arms: &[(u64, u64)]) -> Vec<(Time, u64)> {
+        let arms: Vec<(u64, Duration)> = arms
+            .iter()
+            .map(|&(token, ms)| (token, Duration::from_millis(ms)))
+            .collect();
+        let mut net = LocalNet::new(vec![Arming {
+            arms,
+            fired: Vec::new(),
+        }]);
+        net.init_all();
+        net.run(100);
+        std::mem::take(&mut net.instances[0].fired)
+    }
+
+    #[test]
+    fn a_rearmed_timer_fires_once_at_its_latest_deadline() {
+        let arms: Vec<(u64, u64)> = (1..=5).map(|k| (k, 10 * k)).collect();
+        assert_eq!(fires_of(&arms), vec![(Time::from_millis(50), 5)]);
+    }
+
+    #[test]
+    fn a_shorter_arming_fires_at_the_shorter_deadline() {
+        // Raft's randomized election delay can arm a nearer deadline than
+        // the one it replaces.
+        assert_eq!(
+            fires_of(&[(1, 50), (2, 10)]),
+            vec![(Time::from_millis(10), 2)]
+        );
     }
 }

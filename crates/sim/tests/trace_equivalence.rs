@@ -35,7 +35,7 @@ fn fig8_quick_scenario() -> Scenario {
     Scenario::builder(Protocol::Pbft, NUM_NODES)
         .policy(LeaderPolicyKind::Blacklist)
         .open_loop(NUM_CLIENTS, 300.0)
-        .duration(Duration::from_secs(6))
+        .duration(Duration::from_secs(7))
         .crash(NodeId(0), CrashTiming::EpochStart)
         .seed(7)
         .build()

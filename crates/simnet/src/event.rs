@@ -114,7 +114,8 @@ pub const SLOT_BITS: u32 = 8;
 /// Number of slots in the near wheel (must be a multiple of 64 for the
 /// occupancy bitmap); 16384 × 256 µs ≈ 4.2 s of virtual time, wide enough
 /// that only the long protocol timers (10 s view/epoch-change timeouts)
-/// spill to the overflow tier (~10% of inserts in a fig8-scale run).
+/// spill to the overflow tier (1.4 % of pushes in a default-scale
+/// `iss-bench fig8` run).
 pub const WHEEL_SLOTS: usize = 16384;
 
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;

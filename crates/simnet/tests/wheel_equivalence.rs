@@ -9,7 +9,7 @@
 
 use iss_runtime::Addr;
 use iss_simnet::cpu::CpuState;
-use iss_simnet::event::{EventKind, EventQueue};
+use iss_simnet::event::{EventKind, EventQueue, SLOT_BITS, WHEEL_SLOTS};
 use iss_types::{Duration, NodeId, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,9 +95,11 @@ fn draw_time(rng: &mut StdRng, anchor: Time, prev: Time) -> Time {
         15..=39 => anchor + iss_types::Duration::from_micros(rng.gen_range(0u64..128)),
         // Typical network/CPU distance: well inside the wheel window.
         40..=74 => anchor + iss_types::Duration::from_micros(rng.gen_range(0u64..200_000)),
-        // Protocol-timer distance: beyond the ~1 s window → overflow tier.
+        // Protocol-timer distance: past the end of the wheel's window,
+        // whatever slot it starts at → overflow tier.
         75..=94 => {
-            anchor + iss_types::Duration::from_micros(rng.gen_range(1_000_000u64..8_000_000))
+            let window = (WHEEL_SLOTS as u64) << SLOT_BITS;
+            anchor + iss_types::Duration::from_micros(rng.gen_range(window..2 * window))
         }
         // Behind the anchor (the queue must still order it correctly).
         _ => Time::from_micros(
